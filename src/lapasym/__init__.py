@@ -1,13 +1,13 @@
 """Asymptotic expansion toolkit for Laplace-type integrals with geometric weights.
 
-The package splits into five layers.  :mod:`lapasym.bell` holds the
-exact partition combinatorics, :mod:`lapasym.jets` the truncated power
-series and flow transport, :mod:`lapasym.engine` the generic radial
-expansion and its numeric oracle, :mod:`lapasym.models` the geometric
-layer (Hamiltonian models, coefficient routes, spectral densities), and
-:mod:`lapasym.cli` the command line front end.  The names re-exported
-here cover the common workflow: build or load a model, expand, compare
-against quadrature.
+The package splits into five layers.  :mod:`lapasym.bell` holds the exact
+partition combinatorics (tables and cross-checks), :mod:`lapasym.jets`
+the truncated power series and flow transport, :mod:`lapasym.engine` the
+generic radial expansion and its numeric oracle, :mod:`lapasym.models`
+the geometric layer (Hamiltonian models, coefficient routes, spectral
+densities), and :mod:`lapasym.cli` the command line front end.  The names
+re-exported here cover the common workflow: build or load a model,
+expand, compare against quadrature.
 """
 
 from __future__ import annotations

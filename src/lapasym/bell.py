@@ -1,13 +1,12 @@
 """Partition combinatorics and Bell-type polynomials over exact rationals.
 
-This module supplies the combinatorial layer used by the series engine:
-integer partition tuples and compositions, the partition multinomial
-``c(j; n)``, partial and complete exponential Bell polynomials, power
-coefficients of a constant-free power series, and the generalized
-binomial coefficient.  Everything works over any commutative ring whose
-elements support ``+``, ``*`` and integer powers, so the same code runs
-on exact rationals (:class:`fractions.Fraction`), floats, and truncated
-series.
+This module supplies the raw combinatorial layer: integer partition
+tuples and compositions, the partition multinomial ``c(j; n)``, partial
+and complete exponential Bell polynomials, power coefficients of a
+constant-free power series, and the generalized binomial coefficient.
+Everything works over any commutative ring whose elements support ``+``,
+``*`` and integer powers, so the same code runs on exact rationals
+(:class:`fractions.Fraction`), floats, and truncated series.
 
 Two indexings for partition data coexist and are easy to confuse:
 
@@ -23,9 +22,11 @@ Two indexings for partition data coexist and are easy to confuse:
 The two agree when ``l == j - l + 1`` and differ otherwise; the complete
 polynomial :func:`complete_bell` is the same either way.
 
-Exact arithmetic uses :class:`fractions.Fraction`, which already has the
-required normalization (positive denominator, reduced to lowest terms,
-arbitrary precision); it is re-exported as :data:`ExactRational`.
+The coefficient path does not use this module; it works with the series
+recurrences of :mod:`.jets`.  These sums serve the ``bell-table``
+command, the independent cross-check routes
+(:func:`~lapasym.models.zeta_geometric`,
+:func:`~lapasym.models.zeta2_reference`) and the tests.
 """
 
 from __future__ import annotations
@@ -36,10 +37,7 @@ from typing import Any, Sequence
 
 from .errors import DomainError
 
-ExactRational = Fraction
-
 __all__ = [
-    "ExactRational",
     "partition_tuples",
     "composition_tuples",
     "partition_multinomial",

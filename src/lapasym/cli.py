@@ -8,9 +8,7 @@ evaluates both densities numerically and by series over a k list, and
 form.  Output is CSV (default) or JSON, on stdout or ``--out``.
 
 Identical invocations produce byte-identical output: floats are
-serialized with 17 significant digits, rationals as ``p/q``, and sweep
-results are ordered by input position regardless of the thread count in
-``LAPASYM_THREADS``.
+serialized with 17 significant digits and rationals as ``p/q``.
 """
 
 from __future__ import annotations
@@ -18,12 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .bell import composition_tuples, partition_multinomial, partition_tuples
 from .engine import convergence_order_fit
@@ -124,28 +120,6 @@ class RunConfig:
         return "exact" if self.exact else "float"
 
 
-def thread_count() -> int:
-    raw = os.environ.get("LAPASYM_THREADS")
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise DomainError(f"LAPASYM_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise DomainError("LAPASYM_THREADS must be at least 1")
-    return count
-
-
-def _map_ordered(fn: Callable[[Any], Any], items: Sequence[Any]) -> list:
-    """Apply ``fn`` over ``items``, results in input order."""
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ------------------------------------------------------------ serialization
 
 def _emit_csv(metadata: list[tuple[str, str]], header: list[str],
@@ -232,10 +206,8 @@ def cmd_verify(cfg: RunConfig) -> str:
     next_even = cfg.order + 2 if cfg.order % 2 == 0 else cfg.order + 1
     expected = Fraction(-(next_even + model.group_dim), 2)
 
-    oracles = _map_ordered(
-        lambda k: j_a_numeric(model, None, cfg.half_form, k, tol=cfg.tol),
-        cfg.k_values,
-    )
+    oracles = [j_a_numeric(model, None, cfg.half_form, k, tol=cfg.tol)
+               for k in cfg.k_values]
     rows = []
     clean_ks: list[float] = []
     clean_errors: list[float] = []
@@ -301,13 +273,10 @@ def cmd_verify(cfg: RunConfig) -> str:
 def cmd_density_sweep(cfg: RunConfig) -> str:
     model = resolve_model(cfg.model_source)
     ks = list(cfg.k_values)
-    numeric = _map_ordered(
-        lambda k: (
-            density_I(model, None, k, tol=cfg.tol),
-            density_J(model, None, k, tol=cfg.tol),
-        ),
-        ks,
-    )
+    numeric = [
+        (density_I(model, None, k, tol=cfg.tol), density_J(model, None, k, tol=cfg.tol))
+        for k in ks
+    ]
     if ks:
         i_series = density_I_series(model, None, ks, cfg.order, cfg.resolution)
         j_series = density_J_series(model, None, ks, cfg.order, cfg.resolution)

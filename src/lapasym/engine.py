@@ -8,10 +8,11 @@ The engine computes the coefficients of the large-parameter expansion
 from radial data on the unit sphere: for each direction the phase is
 ``rho ** phase_order * (f0 + f1 rho + ...)`` with ``f0 > 0`` and the
 amplitude is ``rho ** (weight_index - dim) * (g0 + g1 rho + ...)``.
-Coefficient ``j`` is assembled per direction from the binomial expansion
-of the phase perturbation (series-power coefficients of ``f1, f2, ...``)
-and integrated with an antipodally symmetric quadrature rule; empty
-inner sums contribute the factor 1.
+Coefficient ``j`` is assembled per direction as the ``t**j`` coefficient
+of the jet product ``g * (1 + u) ** (-(j + weight_index) / phase_order)``
+with ``u = (f - f0) / f0``, the rational power taken by the series
+recurrence of :mod:`.jets`, and integrated with an antipodally
+symmetric quadrature rule.
 
 Everything downstream of the per-direction radial data is exact
 rational arithmetic when the data is rational and ``mode="exact"``;
@@ -38,8 +39,8 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .bell import generalized_binomial, series_power_coefficient
 from .errors import DomainError, QuadratureError
+from .jets import TruncatedSeries
 
 __all__ = [
     "GammaValue",
@@ -270,30 +271,34 @@ class ExpansionResult:
 
 
 def _inner_bracket(j: int, exponent: Fraction, f: Sequence[Any], g: Sequence[Any]) -> Any:
-    # sum over amplitude index, with the empty binomial sum worth 1
-    total: Any = 0
-    f0 = f[0]
-    tail = f[1:]
-    for m in range(j + 1):
-        if m == 0:
-            s_m: Any = 1
+    # [t**j] of g * (1 + u) ** (-exponent), u = (f - f0) / f0
+    u = TruncatedSeries([0, *f[1:j + 1]], order=j) / f[0]
+    return (TruncatedSeries(g[: j + 1]) * (1 + u) ** -exponent).coefficient(j)
+
+
+def _direction_values(j: int, profile: RadialProfile, config: ExpansionConfig) -> list[float]:
+    # per direction: f0 ** (-exponent) times the inner bracket, as a float
+    exponent = config.exponent(j)
+    values = []
+    for f, g in zip(profile.phase_coefficients, profile.amplitude_coefficients):
+        if config.mode == "float":
+            f = [float(v) for v in f]
+            g = [float(v) for v in g]
+        bracket = _inner_bracket(j, exponent, f, g)
+        f0 = f[0]
+        if exponent.denominator == 1 and not isinstance(f0, float):
+            values.append(float(bracket * f0 ** (-exponent.numerator)))
         else:
-            s_m = 0
-            for r in range(1, m + 1):
-                c_mr = series_power_coefficient(m, r, tail)
-                if isinstance(c_mr, int) and c_mr == 0:
-                    continue
-                s_m = s_m + generalized_binomial(-exponent, r) * c_mr * f0 ** (-r)
-        total = total + g[j - m] * s_m
-    return total
+            values.append(float(bracket) * float(f0) ** float(-exponent))
+    return values
 
 
 def expansion_coefficient(j: int, profile: RadialProfile, config: ExpansionConfig) -> float:
     """Coefficient of ``k ** (-(j + weight_index) / phase_order)``.
 
-    Per direction: ``f0 ** (-exponent)`` times the binomial-weighted
-    sum over phase perturbations and amplitude coefficients, then the
-    quadrature average and the gamma prefactor.
+    Per direction: ``f0 ** (-exponent)`` times the ``t**j`` coefficient
+    of the amplitude series times the power of the phase perturbation,
+    then the quadrature average and the gamma prefactor.
     """
     if j < 0:
         raise DomainError("coefficient index must be nonnegative")
@@ -301,23 +306,9 @@ def expansion_coefficient(j: int, profile: RadialProfile, config: ExpansionConfi
         raise DomainError(
             f"profile provides radial data to order {profile.order}, need {j}"
         )
-    exponent = config.exponent(j)
-    contributions = []
-    for idx in range(len(profile.rule)):
-        f = profile.phase_coefficients[idx]
-        g = profile.amplitude_coefficients[idx]
-        if config.mode == "float":
-            f = [float(v) for v in f]
-            g = [float(v) for v in g]
-        bracket = _inner_bracket(j, exponent, f, g)
-        f0 = f[0]
-        if exponent.denominator == 1 and not isinstance(f0, float):
-            radial = float(bracket * f0 ** (-exponent.numerator))
-        else:
-            radial = float(bracket) * float(f0) ** float(-exponent)
-        contributions.append(profile.rule.weights[idx] * radial)
-    prefactor = gamma_value(exponent) / config.phase_order
-    return prefactor * math.fsum(contributions)
+    values = _direction_values(j, profile, config)
+    prefactor = gamma_value(config.exponent(j)) / config.phase_order
+    return prefactor * math.fsum(w * v for w, v in zip(profile.rule.weights, values))
 
 
 def expansion_series(profile: RadialProfile, config: ExpansionConfig) -> ExpansionResult:
@@ -344,16 +335,10 @@ def expansion_series(profile: RadialProfile, config: ExpansionConfig) -> Expansi
 
 def _stochastic_error(j: int, profile: RadialProfile, config: ExpansionConfig) -> float:
     # equal-weight Monte Carlo standard error of the direction average
-    exponent = config.exponent(j)
-    vals = []
-    for idx in range(len(profile.rule)):
-        f = [float(v) for v in profile.phase_coefficients[idx]]
-        g = [float(v) for v in profile.amplitude_coefficients[idx]]
-        vals.append(float(_inner_bracket(j, exponent, f, g)) * f[0] ** float(-exponent))
-    vals = np.asarray(vals)
+    vals = np.asarray(_direction_values(j, profile, config))
     area = float(np.sum(profile.rule.weights))
     se = area * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-    return gamma_value(exponent) / config.phase_order * se
+    return gamma_value(config.exponent(j)) / config.phase_order * se
 
 
 def partial_sum(result: ExpansionResult, k: float) -> float:

@@ -19,13 +19,14 @@ Conventions shared by the whole package:
   rational field.
 
 On top of the arithmetic sit the series versions of the elementary
-functions (:func:`exp_series` with two independent evaluation paths,
-``sin``/``cos``/``sqrt``/``log``), Picard iteration for polynomial-time
-jet transport along an ODE flow (:func:`ode_jet_transport`), composition
-of scalar maps with a transported trajectory (:func:`compose_scalar`),
-and nested-jet directional derivatives (:func:`directional_derivative`),
-which evaluate iterated "derivative along a vector field" operators
-without any symbolic differentiation.
+functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
+rational powers through ``**``), all computed by O(N**2) coefficient
+recurrences; Picard iteration for polynomial-time jet transport along an
+ODE flow (:func:`ode_jet_transport`); composition of scalar maps with a
+transported trajectory (:func:`compose_scalar`); and nested-jet
+directional derivatives (:func:`directional_derivative`), which evaluate
+iterated "derivative along a vector field" operators without any
+symbolic differentiation.
 
 The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
 :func:`log` dispatch on the argument type (series or scalar), which lets
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .bell import complete_bell
 from .errors import JetEvaluationError, OrderMismatchError
 
 __all__ = [
@@ -183,9 +183,13 @@ class TruncatedSeries:
     def __rtruediv__(self, other: Any) -> "TruncatedSeries":
         return _reciprocal(self) * other
 
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
+    def __pow__(self, exponent: int | Fraction) -> "TruncatedSeries":
+        if isinstance(exponent, Fraction):
+            if exponent.denominator != 1:
+                return _rational_power(self, exponent)
+            exponent = exponent.numerator
         if not isinstance(exponent, int):
-            raise TypeError("series powers take integer exponents")
+            raise TypeError("series powers take integer or Fraction exponents")
         if exponent < 0:
             return _reciprocal(self) ** (-exponent)
         result = TruncatedSeries.constant(1, self.order)
@@ -303,37 +307,20 @@ def log(value: Any) -> Any:
 
 # ---------------------------------------------------------------- series maps
 
-def exp_series(h: TruncatedSeries, method: str = "bell") -> TruncatedSeries:
+def exp_series(h: TruncatedSeries) -> TruncatedSeries:
     """Exponential of a truncated series.
 
-    Two independent evaluation paths are kept deliberately:
-
-    * ``"bell"`` builds coefficient ``j`` as
-      ``B_j(h'(0), ..., h^(j)(0)) / j!`` from the complete Bell
-      polynomial of the factorial-scaled tail coefficients,
-    * ``"ode"`` solves ``u' = h' u`` by the triangular coefficient
-      recursion.
-
-    Both multiply the result by ``exp(h(0))``; with an exact zero
-    constant term the output stays in the coefficient ring of ``h``.
+    Solves ``u' = h' u`` by the triangular coefficient recursion and
+    multiplies by ``exp(h(0))``; with an exact zero constant term the
+    output stays in the coefficient ring of ``h``.
     """
-    order = h.order
-    c0 = h.coefficient(0)
-    if method == "bell":
-        args = [h.derivative_at_zero(p) for p in range(1, order + 1)]
-        tail = [1]
-        for j in range(1, order + 1):
-            tail.append(complete_bell(j, args[:j]) * Fraction(1, math.factorial(j)))
-    elif method == "ode":
-        tail = [1]
-        for n in range(1, order + 1):
-            acc: Any = 0
-            for i in range(1, n + 1):
-                acc = acc + i * h.coefficient(i) * tail[n - i]
-            tail.append(acc * Fraction(1, n))
-    else:
-        raise ValueError(f"unknown exp_series method {method!r}")
-    lead = exp(c0)
+    tail = [1]
+    for n in range(1, h.order + 1):
+        acc: Any = 0
+        for i in range(1, n + 1):
+            acc = acc + i * h.coefficient(i) * tail[n - i]
+        tail.append(acc * Fraction(1, n))
+    lead = exp(h.coefficient(0))
     return TruncatedSeries([lead * c for c in tail])
 
 
@@ -346,6 +333,21 @@ def _reciprocal(s: TruncatedSeries) -> TruncatedSeries:
         for i in range(1, n + 1):
             acc = acc + s.coefficient(i) * out[n - i]
         out.append(-1 * (inv0 * acc))
+    return TruncatedSeries(out)
+
+
+def _rational_power(s: TruncatedSeries, alpha: Fraction) -> TruncatedSeries:
+    # J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
+    # a0 * n * b_n = sum_k ((alpha + 1) * k - n) * a_k * b_(n-k); a0 must be nonzero.
+    # A unit constant term is kept as is: 1 ** alpha would turn an exact 1 into 1.0.
+    a = s.coefficients
+    inv0 = _invert_scalar(a[0])
+    out: list[Any] = [a[0] if a[0] == 1 else a[0] ** alpha]
+    for n in range(1, s.order + 1):
+        acc: Any = 0
+        for k in range(1, n + 1):
+            acc = acc + ((alpha + 1) * k - n) * a[k] * out[n - k]
+        out.append(acc * (inv0 * Fraction(1, n)))
     return TruncatedSeries(out)
 
 

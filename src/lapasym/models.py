@@ -42,7 +42,6 @@ from .jets import TruncatedSeries, compose_scalar, exp_series, \
 
 __all__ = [
     "HamiltonianModel",
-    "DensityRequest",
     "RadialSeries",
     "radial_profile",
     "direction_atoms",
@@ -105,23 +104,6 @@ class HamiltonianModel:
             raise DomainError("model dimensions must be positive")
         if not self.zero_points:
             raise DomainError("a model needs at least one zero-level point")
-
-
-@dataclass(frozen=True)
-class DensityRequest:
-    """One density evaluation job: weight, k-values, base point, order."""
-
-    half_form: Any
-    k_values: tuple
-    reference_point: tuple | None = None
-    order: int = 6
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise DomainError("expansion order must be nonnegative")
-        for k in self.k_values:
-            if not k > 0:
-                raise DomainError("k values must be positive")
 
 
 class RadialSeries(NamedTuple):
@@ -377,8 +359,8 @@ def zeta_geometric(
 
     Independent of the engine pipeline: atoms come from nested
     directional derivatives instead of transported series, and the
-    radial algebra is the explicit double sum instead of the Bell
-    recursion machinery.  The two routes must agree.
+    radial algebra is the explicit double sum instead of the series
+    recurrences.  The two routes must agree.
     """
     rule = sphere_rule(model.group_dim, resolution)
     atom_table = [

@@ -171,23 +171,6 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_threaded_sweep_matches_serial(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    args = ["density-sweep", "--model", "builtin:sphere", "--k", "10,20,40,80"]
-    assert cli.main(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("LAPASYM_THREADS", "4")
-    assert cli.main(args + ["--out", str(threaded)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("LAPASYM_THREADS", "0")
-    code, _, err = run_cli(["density-sweep", "--k", "10"], capsys)
-    assert code == 2 and err.startswith("error:")
-
-
 def test_invalid_k_writes_no_file(tmp_path, capsys):
     target = tmp_path / "never.csv"
     code, _, err = run_cli(

@@ -6,6 +6,7 @@ against sympy series expansions, which share no code with the package.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 import sympy
 
 from lapasym import jets
+from lapasym.bell import complete_bell, generalized_binomial, series_power_coefficient
 from lapasym.errors import JetEvaluationError, OrderMismatchError
 from lapasym.jets import (
     JetTrajectory,
@@ -103,19 +105,25 @@ def test_exp_series_of_plain_variable():
     assert list(u.coefficients) == [Fraction(e) for e in expect]
 
 
+def bell_exp_reference(h):
+    # coefficient j of exp(h) is exp(h(0)) * B_j(h'(0), ..., h^(j)(0)) / j!
+    args = [h.derivative_at_zero(p) for p in range(1, h.order + 1)]
+    lead = jets.exp(h.coefficient(0))
+    return [lead * complete_bell(j, args[:j]) * Fraction(1, math.factorial(j))
+            for j in range(h.order + 1)]
+
+
 def test_exp_series_dual_paths_agree_exactly():
     rng = random.Random(31)
     for _ in range(10):
         h = rational_series(rng, 8, zero_constant=True)
-        assert exp_series(h, method="bell") == exp_series(h, method="ode")
+        assert list(exp_series(h).coefficients) == bell_exp_reference(h)
 
 
 def test_exp_series_nonzero_constant_float_paths():
     rng = random.Random(32)
     h = TruncatedSeries([0.3] + [rng.uniform(-1, 1) for _ in range(7)])
-    a = exp_series(h, method="bell")
-    b = exp_series(h, method="ode")
-    for x, y in zip(a.coefficients, b.coefficients):
+    for x, y in zip(exp_series(h).coefficients, bell_exp_reference(h)):
         assert x == pytest.approx(y, rel=1e-14, abs=1e-15)
 
 
@@ -128,9 +136,31 @@ def test_exp_series_times_exp_of_negation_is_one():
         assert all(c == 0 for c in prod.coefficients[1:])
 
 
-def test_exp_series_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        exp_series(TruncatedSeries([0, 1]), method="rk4")
+@pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(-3, 2), Fraction(-7, 2),
+                                   Fraction(5, 3)])
+def test_rational_power_matches_binomial_sums(alpha):
+    # [t^m] (1 + u)^alpha = sum_r binom(alpha, r) [t^m] u^r, u without constant term
+    rng = random.Random(34)
+    for _ in range(4):
+        u = rational_series(rng, 9, zero_constant=True)
+        tail = u.coefficients[1:]
+        expect = [
+            sum(generalized_binomial(alpha, r) * series_power_coefficient(m, r, tail)
+                for r in range(m + 1))
+            for m in range(u.order + 1)
+        ]
+        assert list(((1 + u) ** alpha).coefficients) == expect
+
+
+def test_rational_power_general_constant_term():
+    s = TruncatedSeries([Fraction(4), Fraction(1, 3), Fraction(-2, 5), Fraction(7)])
+    root = s ** Fraction(1, 2)
+    assert root.coefficient(0) == 2.0
+    for x, y in zip((root * root).coefficients, s.coefficients):
+        assert x == pytest.approx(float(y), rel=1e-15, abs=1e-15)
+    assert s ** Fraction(-3) == s ** -3
+    with pytest.raises(TypeError):
+        s ** 0.5
 
 
 def test_sin_cos_sqrt_log_series_match_sympy():

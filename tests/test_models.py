@@ -17,7 +17,6 @@ import pytest
 from lapasym.engine import ExpansionConfig, expansion_coefficient, sphere_rule
 from lapasym.errors import DomainError
 from lapasym.models import (
-    DensityRequest,
     HamiltonianModel,
     builtin_sphere_model,
     density_I,
@@ -173,6 +172,30 @@ def test_antipodal_parity():
     for i in range(4):
         assert minus_flow[i] == (plus_flow[i] if i % 2 == 0 else -plus_flow[i])
         assert minus_lap[i] == (-plus_lap[i] if i % 2 == 0 else plus_lap[i])
+
+
+def rational_sphere_model() -> HamiltonianModel:
+    # the unit sphere with generator period 2 pi: every chart value is rational
+    return HamiltonianModel(
+        group_dim=1,
+        chart_dim=2,
+        phi=lambda w, p: w[0] * p[1],
+        flow_field=lambda w, p: (0, w[0] * (1 - p[1] * p[1])),
+        laplacian_phi=lambda w, p: -2 * w[0] * p[1],
+        zero_points=((0, 0),),
+        orbit_volume=lambda p: 1.0,
+        name="rational-sphere",
+    )
+
+
+@pytest.mark.parametrize("order,tolerance", [(14, 5e-12), (18, 1e-10)])
+def test_float_mode_tracks_exact_mode_at_high_order(order, tolerance):
+    model = rational_sphere_model()
+    half = Fraction(1, 2)
+    floats = geometric_expansion(model, half_form=half, order=order).coefficients
+    exact = geometric_expansion(model, half_form=half, order=order, mode="exact").coefficients
+    for x, y in zip(floats, exact):
+        assert abs(x - y) <= tolerance * abs(y)
 
 
 def test_radial_profile_validations():
@@ -431,12 +454,3 @@ def test_resolve_model_and_errors(tmp_path):
         path.write_text(json.dumps(config))
         with pytest.raises(DomainError):
             load_model(str(path))
-
-
-def test_density_request_validation():
-    request = DensityRequest(half_form=Fraction(1, 2), k_values=(10.0, 100.0))
-    assert request.order == 6
-    with pytest.raises(DomainError):
-        DensityRequest(half_form=0, k_values=(10.0,), order=-1)
-    with pytest.raises(DomainError):
-        DensityRequest(half_form=0, k_values=(0.0,))
