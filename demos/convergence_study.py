@@ -13,7 +13,7 @@ fit.  Runs in a few seconds.
 import math
 from fractions import Fraction
 
-from lapasym import builtin_sphere_model, convergence_order_fit, density_J_series
+from lapasym import builtin_sphere_model, convergence_order_fit, density_series
 
 sphere = builtin_sphere_model()
 
@@ -31,7 +31,7 @@ ks = [100.0, 400.0, 1600.0, 6400.0]
 ##################################################
 
 for order in (0, 2, 4):
-    series = density_J_series(sphere, k=ks, order=order)
+    series = density_series(sphere, "J", k=ks, order=order)
     errors = [abs(s - j_exact(k)) for s, k in zip(series, ks)]
     floor = 1e-14  # density is O(1); errors below this are rounding
     clean_ks = [k for k, e in zip(ks, errors) if e > floor]

@@ -9,14 +9,7 @@ onto their finite limits as k grows.
 """
 import math
 
-from lapasym import (
-    builtin_sphere_model,
-    density_I,
-    density_J,
-    density_I_series,
-    density_J_series,
-    density_limits,
-)
+from lapasym import builtin_sphere_model, density, density_series
 
 sphere = builtin_sphere_model()
 
@@ -32,8 +25,8 @@ def i_closed(k):
 
 print("density values against closed forms:")
 for k in (10.0, 100.0, 1000.0):
-    i_num = density_I(sphere, None, k)
-    j_num = density_J(sphere, None, k)
+    i_num = density(sphere, "I", k)
+    j_num = density(sphere, "J", k)
     print(f"  k={k:>6g}  I={i_num:.12f}  (closed {i_closed(k):.12f})"
           f"  J={j_num:.12f}  (closed {j_closed(k):.12f})")
 
@@ -41,20 +34,21 @@ for k in (10.0, 100.0, 1000.0):
 # the corrected density J tends to 1; the uncorrected I misses its
 # limit by the half-form weight and tends to 2**(-d/2) * vol instead
 
-i_limit, j_limit = density_limits(sphere)
+i_limit, j_limit = (density_series(sphere, kind, math.inf, order=0)
+                    for kind in ("I", "J"))
 print()
 print(f"limits: I -> {i_limit:.12f} (= 2pi/sqrt(2)),  J -> {j_limit:.12f}")
 for k in (100.0, 1000.0, 10000.0):
-    j_num = density_J(sphere, None, k, tol=1e-8)
+    j_num = density(sphere, "J", k, tol=1e-8)
     print(f"  k={k:>6g}  J/J_limit - 1 = {j_num / j_limit - 1.0: .3e}")
 
 ##################################################
 # asymptotic series for the same quantities, evaluated at moderate k
 
 k_mid = 200.0
-i_series = density_I_series(sphere, k=[k_mid], order=4)
-j_series = density_J_series(sphere, k=[k_mid], order=4)
+i_series = density_series(sphere, "I", k=[k_mid], order=4)
+j_series = density_series(sphere, "J", k=[k_mid], order=4)
 print()
 print(f"order-4 series at k={k_mid:g}:")
-print(f"  I series={i_series[0]:.12f}  numeric={density_I(sphere, None, k_mid):.12f}")
-print(f"  J series={j_series[0]:.12f}  numeric={density_J(sphere, None, k_mid):.12f}")
+print(f"  I series={i_series[0]:.12f}  numeric={density(sphere, 'I', k_mid):.12f}")
+print(f"  J series={j_series[0]:.12f}  numeric={density(sphere, 'J', k_mid):.12f}")

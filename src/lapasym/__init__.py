@@ -42,11 +42,8 @@ from .jets import (
 from .models import (
     HamiltonianModel,
     builtin_sphere_model,
-    density_I,
-    density_I_series,
-    density_J,
-    density_J_series,
-    density_limits,
+    density,
+    density_series,
     gaussian_test_model,
     geometric_expansion,
     j_a_numeric,
@@ -98,11 +95,8 @@ __all__ = [
     "zeta2_reference",
     "leading_term_identity",
     "j_a_numeric",
-    "density_I",
-    "density_J",
-    "density_I_series",
-    "density_J_series",
-    "density_limits",
+    "density",
+    "density_series",
     "jacobian_tau_check",
     "load_model",
     "resolve_model",

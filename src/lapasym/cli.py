@@ -24,16 +24,8 @@ from typing import Any, Sequence
 from .bell import composition_tuples, partition_multinomial, partition_tuples
 from .engine import convergence_order_fit
 from .errors import DomainError, QuadratureError
-from .models import (
-    density_limits,
-    density_I,
-    density_I_series,
-    density_J,
-    density_J_series,
-    geometric_expansion,
-    j_a_numeric,
-    resolve_model,
-)
+from .models import density, density_series, geometric_expansion, j_a_numeric, \
+    resolve_model
 
 __all__ = ["main", "RunConfig"]
 
@@ -122,30 +114,31 @@ class RunConfig:
 
 # ------------------------------------------------------------ serialization
 
-def _emit_csv(metadata: list[tuple[str, str]], header: list[str],
-              rows: list[list[str]]) -> str:
-    lines = [f"# {key}={value}" for key, value in metadata]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+def _cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return format_number(value)
+
+
+def _render(cfg: RunConfig, metadata: dict, columns: tuple, rows: list[tuple]) -> str:
+    """One result in the requested format.
+
+    JSON keeps the raw values and turns each row into an object keyed by
+    ``columns``; CSV writes ``# key=value`` metadata lines, the header and
+    one line per row, each cell formatted by its type.
+    """
+    if cfg.fmt == "json":
+        payload = {**metadata, "rows": [dict(zip(columns, row)) for row in rows]}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"# {key}={_cell(value)}" for key, value in metadata.items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_cell(value) for value in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _common_metadata(cfg: RunConfig) -> list[tuple[str, str]]:
-    return [
-        ("command", cfg.command),
-        ("model", cfg.model_source),
-        ("a", format_number(cfg.half_form)),
-        ("order", str(cfg.order)),
-        ("resolution", str(cfg.resolution)),
-        ("mode", cfg.mode),
-    ]
-
-
-def _common_payload(cfg: RunConfig) -> dict:
+def _metadata(cfg: RunConfig, **extra: Any) -> dict:
     return {
         "command": cfg.command,
         "model": cfg.model_source,
@@ -153,6 +146,7 @@ def _common_payload(cfg: RunConfig) -> dict:
         "order": cfg.order,
         "resolution": cfg.resolution,
         "mode": cfg.mode,
+        **extra,
     }
 
 
@@ -164,27 +158,11 @@ def cmd_expand(cfg: RunConfig) -> str:
         model, None, cfg.half_form, cfg.order, cfg.resolution, cfg.mode
     )
     rows = [
-        {
-            "j": j,
-            "exponent": str(result.exponents[j]),
-            "coefficient": result.coefficients[j],
-            "odd_vanished": result.odd_vanished[j],
-        }
+        (j, str(result.exponents[j]), result.coefficients[j], result.odd_vanished[j])
         for j in range(cfg.order + 1)
     ]
-    if cfg.fmt == "json":
-        payload = _common_payload(cfg)
-        payload["rows"] = rows
-        return _emit_json(payload)
-    return _emit_csv(
-        _common_metadata(cfg),
-        ["j", "exponent", "coefficient", "odd_vanished"],
-        [
-            [str(r["j"]), r["exponent"], format_float(r["coefficient"]),
-             format_number(r["odd_vanished"])]
-            for r in rows
-        ],
-    )
+    return _render(cfg, _metadata(cfg),
+                   ("j", "exponent", "coefficient", "odd_vanished"), rows)
 
 
 def _fit_clean_slope(ks: list[float], errors: list[float]) -> float | None:
@@ -215,109 +193,48 @@ def cmd_verify(cfg: RunConfig) -> str:
         partial = result.partial_sum(k)
         error = abs(oracle - partial)
         floored = error < _ORACLE_FLOOR * abs(oracle)
-        rows.append(
-            {
-                "k": k,
-                "oracle": oracle,
-                "partial_sum": partial,
-                "abs_error": error,
-                "floor_limited": floored,
-            }
-        )
+        rows.append((k, oracle, partial, error, floored))
         if not floored:
             clean_ks.append(k)
             clean_errors.append(error)
 
     slope = _fit_clean_slope(clean_ks, clean_errors)
-    if slope is not None:
-        passed = slope <= float(expected) + _SLOPE_MARGIN
-        slope_text = format_float(slope)
-    else:
-        # every informative row sits at the oracle floor: the series is
-        # at least as accurate as the oracle can resolve
-        passed = True
-        slope_text = "floor-limited"
-    verdict = "pass" if passed else "fail"
-
-    if cfg.fmt == "json":
-        payload = _common_payload(cfg)
-        payload["tol"] = cfg.tol
-        payload["expected_slope"] = str(expected)
-        payload["fitted_slope"] = slope
-        payload["clean_points"] = len(clean_ks)
-        payload["verdict"] = verdict
-        payload["rows"] = rows
-        return _emit_json(payload)
-    metadata = _common_metadata(cfg)
-    metadata.extend(
-        [
-            ("tol", format_float(cfg.tol)),
-            ("expected_slope", str(expected)),
-            ("fitted_slope", slope_text),
-            ("clean_points", str(len(clean_ks))),
-            ("verdict", verdict),
-        ]
+    # with no slope every informative row sits at the oracle floor: the
+    # series is at least as accurate as the oracle can resolve
+    passed = slope is None or slope <= float(expected) + _SLOPE_MARGIN
+    if slope is None and cfg.fmt == "csv":
+        slope = "floor-limited"
+    metadata = _metadata(
+        cfg,
+        tol=cfg.tol,
+        expected_slope=str(expected),
+        fitted_slope=slope,
+        clean_points=len(clean_ks),
+        verdict="pass" if passed else "fail",
     )
-    return _emit_csv(
-        metadata,
-        ["k", "oracle", "partial_sum", "abs_error", "floor_limited"],
-        [
-            [format_float(r["k"]), format_float(r["oracle"]),
-             format_float(r["partial_sum"]), format_float(r["abs_error"]),
-             format_number(r["floor_limited"])]
-            for r in rows
-        ],
-    )
+    return _render(cfg, metadata,
+                   ("k", "oracle", "partial_sum", "abs_error", "floor_limited"), rows)
 
 
 def cmd_density_sweep(cfg: RunConfig) -> str:
     model = resolve_model(cfg.model_source)
-    ks = list(cfg.k_values)
-    numeric = [
-        (density_I(model, None, k, tol=cfg.tol), density_J(model, None, k, tol=cfg.tol))
-        for k in ks
-    ]
-    if ks:
-        i_series = density_I_series(model, None, ks, cfg.order, cfg.resolution)
-        j_series = density_J_series(model, None, ks, cfg.order, cfg.resolution)
-    else:
-        i_series = []
-        j_series = []
     rows = [
-        {
-            "k": k,
-            "I": numeric[idx][0],
-            "J": numeric[idx][1],
-            "I_series": i_series[idx],
-            "J_series": j_series[idx],
-        }
-        for idx, k in enumerate(ks)
+        (k, density(model, "I", k, tol=cfg.tol), density(model, "J", k, tol=cfg.tol))
+        for k in cfg.k_values
     ]
-    if ks:
-        i_limit, j_limit = density_limits(model, None, cfg.resolution)
-        rows.append(
-            {"k": math.inf, "I": i_limit, "J": j_limit,
-             "I_series": i_limit, "J_series": j_limit}
+    if rows:
+        ks = [*cfg.k_values, math.inf]
+        i_series, j_series = (
+            density_series(model, kind, ks, order=cfg.order, resolution=cfg.resolution)
+            for kind in ("I", "J")
         )
-    if cfg.fmt == "json":
-        payload = _common_payload(cfg)
-        payload["tol"] = cfg.tol
-        payload["rows"] = [
-            {**row, "k": ("inf" if math.isinf(row["k"]) else row["k"])}
-            for row in rows
-        ]
-        return _emit_json(payload)
-    metadata = _common_metadata(cfg)
-    metadata.append(("tol", format_float(cfg.tol)))
-    return _emit_csv(
-        metadata,
-        ["k", "I", "J", "I_series", "J_series"],
-        [
-            [format_float(r["k"]), format_float(r["I"]), format_float(r["J"]),
-             format_float(r["I_series"]), format_float(r["J_series"])]
-            for r in rows
-        ],
-    )
+        rows = [(*row, i, j) for row, i, j in zip(rows, i_series, j_series)]
+        # closing row: the large-k limits, numeric and series alike; its k is
+        # the string "inf" because JSON has no infinity (CSV prints it alike)
+        limits = (i_series[-1], j_series[-1])
+        rows.append(("inf", *limits, *limits))
+    return _render(cfg, _metadata(cfg, tol=cfg.tol),
+                   ("k", "I", "J", "I_series", "J_series"), rows)
 
 
 # ------------------------------------------------------------ bell tables
@@ -372,15 +289,8 @@ def cmd_bell_table(cfg: RunConfig) -> str:
     rows = []
 
     def add(kind: str, j: int, l: int | None, terms: list[tuple[int, dict]]):
-        rows.append(
-            {
-                "kind": kind,
-                "j": j,
-                "l": l,
-                "polynomial": _polynomial_string(terms, max(j, 1)),
-                "value_at_ones": sum(coeff for coeff, _ in terms),
-            }
-        )
+        rows.append((kind, j, l, _polynomial_string(terms, max(j, 1)),
+                     sum(coeff for coeff, _ in terms)))
 
     for j in range(cfg.order + 1):
         if j == 0:
@@ -403,18 +313,8 @@ def cmd_bell_table(cfg: RunConfig) -> str:
             for r in range(1, m + 1):
                 add("power", m, r, _power_terms(m, r))
 
-    if cfg.fmt == "json":
-        payload = {"command": cfg.command, "order": cfg.order, "rows": rows}
-        return _emit_json(payload)
-    return _emit_csv(
-        [("command", cfg.command), ("order", str(cfg.order))],
-        ["kind", "j", "l", "polynomial", "value_at_ones"],
-        [
-            [r["kind"], str(r["j"]), "" if r["l"] is None else str(r["l"]),
-             r["polynomial"], str(r["value_at_ones"])]
-            for r in rows
-        ],
-    )
+    return _render(cfg, {"command": cfg.command, "order": cfg.order},
+                   ("kind", "j", "l", "polynomial", "value_at_ones"), rows)
 
 
 # ------------------------------------------------------------ entry point

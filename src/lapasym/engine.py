@@ -201,7 +201,6 @@ class ExpansionConfig:
     phase_order: int
     weight_index: int | Fraction
     order: int
-    resolution: int = 32
     mode: str = "float"
     odd_tolerance: float = 1e-12
 
@@ -237,16 +236,6 @@ class RadialProfile:
         for coeffs in self.phase_coefficients:
             if not coeffs or not float(coeffs[0]) > 0.0:
                 raise DomainError("leading radial phase coefficient must be positive")
-
-    @classmethod
-    def from_callables(
-        cls,
-        rule: SphereRule,
-        phase_fn: Callable[[tuple[float, ...]], Sequence[Any]],
-        amplitude_fn: Callable[[tuple[float, ...]], Sequence[Any]],
-    ) -> "RadialProfile":
-        nodes = [tuple(float(x) for x in row) for row in rule.nodes]
-        return cls(rule, [phase_fn(n) for n in nodes], [amplitude_fn(n) for n in nodes])
 
     @property
     def order(self) -> int:

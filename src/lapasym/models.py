@@ -12,8 +12,9 @@ pointwise numeric work.
 From a model, this module extracts per-direction radial series
 (:func:`radial_profile`), bridges them to the generic expansion engine
 (:func:`geometric_expansion`), and evaluates the corrected and
-uncorrected densities both by direct numerics (:func:`j_a_numeric`,
-:func:`density_I`, :func:`density_J`) and by their series predictions.
+uncorrected densities ``I`` and ``J`` both by direct numerics
+(:func:`j_a_numeric`, :func:`density`) and by their series predictions
+(:func:`density_series`).
 Two additional, deliberately independent evaluations of the expansion
 coefficients live here as cross-checks: :func:`zeta_geometric` (the raw
 partition/composition sums) and :func:`zeta2_reference` (the closed
@@ -27,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from scipy.integrate import solve_ivp
 
@@ -54,11 +55,8 @@ __all__ = [
     "zeta2_reference_from_atoms",
     "leading_term_identity",
     "j_a_numeric",
-    "density_I",
-    "density_J",
-    "density_I_series",
-    "density_J_series",
-    "density_limits",
+    "density",
+    "density_series",
     "jacobian_tau_check",
     "scaled_generator_model",
     "scaled_volume_model",
@@ -167,8 +165,23 @@ def radial_profile(
     for p in (0, 1):
         if abs(float(phase.coefficient(p))) > tol * scale:
             raise DomainError("phase does not vanish to second order at the base point")
-    weight = exp_series(log_weight * half_form)
-    return RadialSeries(phase, log_weight, weight)
+    return _weighted(phase, log_weight, half_form)
+
+
+def _weighted(phase: TruncatedSeries, log_weight: TruncatedSeries,
+              half_form: Any) -> RadialSeries:
+    return RadialSeries(phase, log_weight, exp_series(log_weight * half_form))
+
+
+def _profile(rule: SphereRule, series: Iterable[RadialSeries], order: int) -> RadialProfile:
+    # engine tables: reduced phase coefficients f_p = phase[t^(p+2)] and
+    # weight coefficients g_p, for p = 0..order
+    phase_rows = []
+    weight_rows = []
+    for s in series:
+        phase_rows.append([s.phase.coefficient(p + 2) for p in range(order + 1)])
+        weight_rows.append([s.weight.coefficient(p) for p in range(order + 1)])
+    return RadialProfile(rule, phase_rows, weight_rows)
 
 
 def direction_atoms(
@@ -208,15 +221,12 @@ def expansion_profile(
     """Per-direction coefficient tables for the expansion engine."""
     if rule is None:
         rule = sphere_rule(model.group_dim)
-    phase_rows = []
-    weight_rows = []
     series_order = order + max(series_margin, 2)
-    for i in range(len(rule)):
-        omega = _node_direction(rule, i)
-        series = radial_profile(model, omega, point, series_order, half_form)
-        phase_rows.append([series.phase.coefficient(p + 2) for p in range(order + 1)])
-        weight_rows.append([series.weight.coefficient(p) for p in range(order + 1)])
-    return RadialProfile(rule, phase_rows, weight_rows)
+    series = (
+        radial_profile(model, _node_direction(rule, i), point, series_order, half_form)
+        for i in range(len(rule))
+    )
+    return _profile(rule, series, order)
 
 
 def profile_from_atoms(
@@ -233,21 +243,20 @@ def profile_from_atoms(
     factorial-rescaled Laplacian atoms.  This is the bridge used by the
     cross-implementation agreement tests.
     """
-    phase_rows = []
-    weight_rows = []
+    series = []
     for flow_atoms, lap_atoms in atom_table:
         if len(flow_atoms) < order + 1 or len(lap_atoms) < order:
             raise DomainError("atom table too short for the requested order")
-        phase_rows.append(
-            [flow_atoms[p] * Fraction(2, math.factorial(p + 2)) for p in range(order + 1)]
+        phase = TruncatedSeries(
+            [0, 0] + [flow_atoms[p] * Fraction(2, math.factorial(p + 2))
+                      for p in range(order + 1)]
         )
         log_weight = TruncatedSeries(
             [0] + [lap_atoms[p - 1] * Fraction(1, math.factorial(p))
                    for p in range(1, order + 1)]
         )
-        weight = exp_series(log_weight * half_form)
-        weight_rows.append([weight.coefficient(p) for p in range(order + 1)])
-    return RadialProfile(rule, phase_rows, weight_rows)
+        series.append(_weighted(phase, log_weight, half_form))
+    return _profile(rule, series, order)
 
 
 def geometric_expansion(
@@ -258,14 +267,22 @@ def geometric_expansion(
     resolution: int = 32,
     mode: str = "float",
 ) -> ExpansionResult:
-    """Expansion coefficients for the geometric phase/weight data."""
+    """Expansion coefficients for the geometric phase/weight data.
+
+    Exact mode needs group dimension 1: the quadrature directions in
+    higher dimension are floats, so the arithmetic could not stay exact.
+    """
+    if mode == "exact" and model.group_dim >= 2:
+        raise DomainError(
+            f"exact mode needs group dimension 1; model {model.name!r} has "
+            f"group dimension {model.group_dim}"
+        )
     rule = sphere_rule(model.group_dim, resolution)
     config = ExpansionConfig(
         dim=model.group_dim,
         phase_order=2,
         weight_index=model.group_dim,
         order=order,
-        resolution=resolution,
         mode=mode,
     )
     profile = expansion_profile(model, point, order, half_form, rule)
@@ -620,99 +637,67 @@ def _sweep(values, one: Callable[[float], float]):
     return [one(float(v)) for v in values]
 
 
-def density_I(
+# density kind -> (half-form weight a, divisor c of k, power p of the orbit
+# volume): the density is (k / c)^{d/2} vol^p j_a(k)
+_DENSITIES = {"I": (1, 2.0 * math.pi, 2), "J": (Fraction(1, 2), math.pi, 1)}
+
+
+def _density_data(model: HamiltonianModel, kind: str, point: Sequence[Any] | None):
+    try:
+        half_form, divisor, power = _DENSITIES[kind]
+    except KeyError:
+        raise DomainError(f"density kind must be 'I' or 'J', not {kind!r}") from None
+    x0 = _reference_point(model, point)
+    return x0, half_form, divisor, float(model.orbit_volume(x0)) ** power
+
+
+def density(
     model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
+    kind: str,
     k: float | Sequence[float] = 100.0,
+    point: Sequence[Any] | None = None,
     tol: float = 1e-9,
     radius: float | None = None,
 ):
-    """Uncorrected density, numerically: (k/2pi)^{d/2} vol^2 j_1(k)."""
-    x0 = _reference_point(model, point)
-    volume = float(model.orbit_volume(x0))
+    """Density ``kind`` by direct numerics, at one ``k`` or a list of them.
+
+    ``"I"`` is the uncorrected density ``(k/2pi)^{d/2} vol^2 j_1(k)``,
+    ``"J"`` the corrected one ``(k/pi)^{d/2} vol j_{1/2}(k)``.
+    """
+    x0, half_form, divisor, scale = _density_data(model, kind, point)
     d = model.group_dim
 
     def one(kv: float) -> float:
-        prefactor = (kv / (2.0 * math.pi)) ** (d / 2.0) * volume ** 2
-        return prefactor * j_a_numeric(model, x0, 1, kv, tol=tol / prefactor,
-                                       radius=radius)
-
-    return _sweep(k, one)
-
-
-def density_J(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
-    k: float | Sequence[float] = 100.0,
-    tol: float = 1e-9,
-    radius: float | None = None,
-):
-    """Corrected density, numerically: (k/pi)^{d/2} vol j_{1/2}(k)."""
-    x0 = _reference_point(model, point)
-    volume = float(model.orbit_volume(x0))
-    d = model.group_dim
-
-    def one(kv: float) -> float:
-        prefactor = (kv / math.pi) ** (d / 2.0) * volume
-        return prefactor * j_a_numeric(model, x0, Fraction(1, 2), kv,
+        prefactor = (kv / divisor) ** (d / 2.0) * scale
+        return prefactor * j_a_numeric(model, x0, half_form, kv,
                                        tol=tol / prefactor, radius=radius)
 
     return _sweep(k, one)
 
 
-def density_I_series(
+def density_series(
     model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
+    kind: str,
     k: float | Sequence[float] = 100.0,
+    point: Sequence[Any] | None = None,
     order: int = 6,
     resolution: int = 32,
 ):
-    """Series prediction for the uncorrected density."""
-    x0 = _reference_point(model, point)
-    volume = float(model.orbit_volume(x0))
+    """Series prediction of density ``kind``; ``k = inf`` gives its large-k limit.
+
+    The limit comes from the leading coefficient alone, which does not
+    depend on the half-form weight.
+    """
+    x0, half_form, divisor, scale = _density_data(model, kind, point)
     d = model.group_dim
-    result = geometric_expansion(model, x0, 1, order, resolution)
+    result = geometric_expansion(model, x0, half_form, order, resolution)
 
     def one(kv: float) -> float:
-        return (kv / (2.0 * math.pi)) ** (d / 2.0) * volume ** 2 \
-            * result.partial_sum(kv)
+        if math.isinf(kv):
+            return scale * result.coefficients[0] / divisor ** (d / 2.0)
+        return (kv / divisor) ** (d / 2.0) * scale * result.partial_sum(kv)
 
     return _sweep(k, one)
-
-
-def density_J_series(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
-    k: float | Sequence[float] = 100.0,
-    order: int = 6,
-    resolution: int = 32,
-):
-    """Series prediction for the corrected density."""
-    x0 = _reference_point(model, point)
-    volume = float(model.orbit_volume(x0))
-    d = model.group_dim
-    result = geometric_expansion(model, x0, Fraction(1, 2), order, resolution)
-
-    def one(kv: float) -> float:
-        return (kv / math.pi) ** (d / 2.0) * volume * result.partial_sum(kv)
-
-    return _sweep(k, one)
-
-
-def density_limits(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
-    resolution: int = 32,
-) -> tuple[float, float]:
-    """Large-k limits (I, J) implied by the leading coefficient."""
-    x0 = _reference_point(model, point)
-    volume = float(model.orbit_volume(x0))
-    d = model.group_dim
-    lead = geometric_expansion(model, x0, 0, 0, resolution).coefficients[0]
-    return (
-        volume ** 2 * lead / (2.0 * math.pi) ** (d / 2.0),
-        volume * lead / math.pi ** (d / 2.0),
-    )
 
 
 # ------------------------------------------------------------ Jacobian check

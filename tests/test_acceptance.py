@@ -25,9 +25,8 @@ from lapasym.engine import (
 from lapasym.models import (
     HamiltonianModel,
     builtin_sphere_model,
-    density_I,
-    density_J,
-    density_limits,
+    density,
+    density_series,
     direction_atoms,
     geometric_expansion,
     jacobian_tau_check,
@@ -190,14 +189,15 @@ def test_criterion_4_sphere_closed_forms():
         j_exact = math.sqrt(k) * math.exp(math.lgamma(k + 0.5) - math.lgamma(k + 1.0))
         i_exact = math.pi * math.sqrt(2.0 * k) \
             * math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.5))
-        assert abs(density_J(sphere, None, k) - j_exact) / j_exact < 1e-8
-        assert abs(density_I(sphere, None, k) - i_exact) / i_exact < 1e-8
-    i_limit, j_limit = density_limits(sphere)
+        assert abs(density(sphere, "J", k) - j_exact) / j_exact < 1e-8
+        assert abs(density(sphere, "I", k) - i_exact) / i_exact < 1e-8
+    i_limit, j_limit = (density_series(sphere, kind, math.inf, order=0)
+                        for kind in ("I", "J"))
     assert abs(j_limit - 1.0) < 1e-12
     assert abs(i_limit - 2.0 ** -0.5 * 2.0 * math.pi) < 1e-12
     k = 1e4
-    assert abs(density_J(sphere, None, k, tol=1e-8) / j_limit - 1.0) < 1e-4
-    assert abs(density_I(sphere, None, k, tol=1e-8) / i_limit - 1.0) < 1e-4
+    assert abs(density(sphere, "J", k, tol=1e-8) / j_limit - 1.0) < 1e-4
+    assert abs(density(sphere, "I", k, tol=1e-8) / i_limit - 1.0) < 1e-4
     report(4, "sphere closed forms", started, 10.0)
 
 

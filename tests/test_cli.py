@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,17 @@ def parse_csv(text):
         else:
             rows.append(line.split(","))
     return meta, header, rows
+
+
+def same_cell(cell, value):
+    """Whether a CSV cell says what the matching JSON value says."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(cell) == value
+    return cell == str(value)
 
 
 def test_expand_sphere_leading(capsys):
@@ -206,3 +218,82 @@ def test_exact_mode_runs(capsys):
     meta, _, rows = parse_csv(out)
     assert meta["mode"] == "exact"
     assert abs(float(rows[0][2]) - math.sqrt(math.pi)) < 1e-13
+
+
+@pytest.mark.parametrize("args", [
+    ["expand", "--model", "builtin:quartic", "--a", "0", "--order", "4"],
+    ["verify", "--model", "builtin:quartic", "--a", "0", "--order", "4",
+     "--k", "100,1000,10000"],
+    ["verify", "--model", "builtin:gaussian", "--a", "0", "--order", "2",
+     "--k", "100,1000,10000"],
+    ["density-sweep", "--model", "builtin:sphere", "--order", "2", "--k", "100"],
+    ["bell-table", "--order", "4"],
+], ids=["expand", "verify-clean", "verify-floor", "density-sweep", "bell-table"])
+def test_csv_and_json_agree_cell_by_cell(args, capsys):
+    code, out_csv, _ = run_cli(args, capsys)
+    assert code == 0
+    code, out_json, _ = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    meta, header, rows = parse_csv(out_csv)
+    payload = json.loads(out_json)
+    objects = payload.pop("rows")
+    assert list(meta) == list(payload)
+    for key, value in payload.items():
+        if key == "fitted_slope" and value is None:
+            # the one cell the two formats spell differently
+            assert meta[key] == "floor-limited"
+        else:
+            assert same_cell(meta[key], value), key
+    assert len(rows) == len(objects) > 0
+    for row, obj in zip(rows, objects):
+        assert list(obj) == header
+        for cell, column in zip(row, header):
+            assert same_cell(cell, obj[column]), (column, cell, obj[column])
+    if args[0] == "density-sweep":
+        assert rows[-1][0] == objects[-1]["k"] == "inf"
+    if args[0] == "bell-table":
+        assert any(obj["l"] is None for obj in objects)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name, args", [
+    ("expand_sphere_order4", ["expand", "--model", "builtin:sphere", "--order", "4"]),
+    ("bell_table_order6", ["bell-table", "--order", "6"]),
+])
+def test_output_matches_golden_bytes(name, args, fmt, capsys):
+    # the golden files hold the stdout of an earlier release; refactors
+    # must reproduce it byte for byte
+    code, out, err = run_cli(args + ["--format", fmt], capsys)
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+FLAT2 = {
+    "name": "flat2",
+    "group_dim": 2,
+    "chart_dim": 2,
+    "phi": ["+", ["*", "w0", "x0"], ["*", "w1", "x1"]],
+    "flow_field": ["w0", "w1"],
+    "laplacian_phi": "0",
+    "zero_points": [[0, 0]],
+    "orbit_volume": "1",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["expand"],
+    ["verify", "--k", "10,100,1000", "--tol", "1e-6"],
+])
+def test_exact_mode_rejects_group_dimension_two(command, tmp_path, capsys):
+    # rule directions in d >= 2 are floats, so exact mode cannot stay exact
+    path = tmp_path / "flat2.json"
+    path.write_text(json.dumps(FLAT2), encoding="utf-8")
+    code, out, err = run_cli(
+        command + ["--model", str(path), "--order", "2", "--exact"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'flat2'" in err and "group dimension 2" in err

@@ -1,0 +1,15 @@
+"""Every name a module exports through ``__all__`` exists."""
+
+import importlib
+
+import pytest
+
+MODULES = ["lapasym", "lapasym.bell", "lapasym.cli", "lapasym.engine",
+           "lapasym.exprs", "lapasym.jets", "lapasym.models"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []

@@ -19,9 +19,8 @@ from lapasym.errors import DomainError
 from lapasym.models import (
     HamiltonianModel,
     builtin_sphere_model,
-    density_I,
-    density_J,
-    density_limits,
+    density,
+    density_series,
     direction_atoms,
     gaussian_test_model,
     geometric_expansion,
@@ -311,27 +310,36 @@ def test_j_a_numeric_validation():
 def test_density_closed_forms():
     sphere = builtin_sphere_model()
     ks = [10.0, 100.0, 1000.0]
-    j_values = density_J(sphere, None, ks)
-    i_values = density_I(sphere, None, ks)
+    j_values = density(sphere, "J", ks)
+    i_values = density(sphere, "I", ks)
     for k, j_val, i_val in zip(ks, j_values, i_values):
         j_exact = math.sqrt(k) * math.exp(math.lgamma(k + 0.5) - math.lgamma(k + 1.0))
         i_exact = math.pi * math.sqrt(2.0 * k) \
             * math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.5))
         assert rel(j_val, j_exact) < 1e-8
         assert rel(i_val, i_exact) < 1e-8
-    scalar = density_J(sphere, None, 100.0)
+    scalar = density(sphere, "J", 100.0)
     assert isinstance(scalar, float)
     assert rel(scalar, j_values[1]) < 1e-12
 
 
+def test_density_kind_validation():
+    sphere = builtin_sphere_model()
+    with pytest.raises(DomainError):
+        density(sphere, "K", 100.0)
+    with pytest.raises(DomainError):
+        density_series(sphere, "j", 100.0)
+
+
 def test_density_limits_and_approach():
     sphere = builtin_sphere_model()
-    i_limit, j_limit = density_limits(sphere)
+    i_limit, j_limit = (density_series(sphere, kind, math.inf, order=0)
+                        for kind in ("I", "J"))
     assert rel(i_limit, math.pi * math.sqrt(2.0)) < 1e-12
     assert rel(j_limit, 1.0) < 1e-12
     k = 1e4
-    assert abs(density_J(sphere, None, k, tol=1e-8) / j_limit - 1.0) < 1e-4
-    assert abs(density_I(sphere, None, k, tol=1e-8) / i_limit - 1.0) < 1e-4
+    assert abs(density(sphere, "J", k, tol=1e-8) / j_limit - 1.0) < 1e-4
+    assert abs(density(sphere, "I", k, tol=1e-8) / i_limit - 1.0) < 1e-4
 
 
 def test_series_tracks_numeric_density():
