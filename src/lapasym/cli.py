@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .bell import composition_tuples, partition_multinomial, partition_tuples
+from .bell import partition_multinomial, partition_tuples
 from .engine import convergence_order_fit
 from .errors import DomainError, QuadratureError
 from .models import density, density_series, geometric_expansion, j_a_numeric, \
@@ -61,9 +61,12 @@ def parse_half_form(text: str) -> Any:
         try:
             return int(t)
         except ValueError:
-            return float(t)
+            value = float(t)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"unreadable weight value {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"weight value must be finite, got {text!r}")
+    return value
 
 
 def parse_k_list(text: str | None) -> tuple:
@@ -273,14 +276,12 @@ def _partial_terms(j: int, blocks: int) -> list[tuple[int, dict]]:
 
 
 def _power_terms(m: int, r: int) -> list[tuple[int, dict]]:
-    aggregated: dict[tuple, int] = {}
-    for parts in composition_tuples(m, r):
-        exponents: dict[int, int] = {}
-        for part in parts:
-            exponents[part] = exponents.get(part, 0) + 1
-        key = tuple(sorted(exponents.items()))
-        aggregated[key] = aggregated.get(key, 0) + 1
-    return [(count, dict(key)) for key, count in aggregated.items()]
+    # a partition of m into r parts, n_i of size i, has r! / prod n_i! orderings
+    terms = []
+    for counts in partition_tuples(m, m - r + 1):
+        orderings = math.factorial(r) // math.prod(math.factorial(n) for n in counts)
+        terms.append((orderings, {i: n for i, n in enumerate(counts, start=1) if n}))
+    return terms
 
 
 def cmd_bell_table(cfg: RunConfig) -> str:

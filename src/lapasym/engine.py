@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, QuadratureError
 from .jets import TruncatedSeries
@@ -348,6 +347,9 @@ class IntegralEstimate(NamedTuple):
 
 
 def _radial_quad(fn, upper: float, tol: float) -> tuple[float, float]:
+    # scipy is imported by the oracle only: it dominates the CLI's start-up
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         value, err = quad(
@@ -382,6 +384,8 @@ def numeric_laplace_integral(
         raise DomainError("tolerance and radius must be positive")
 
     if dim == 1:
+        from scipy.integrate import IntegrationWarning, quad
+
         def integrand(x: float) -> float:
             return math.exp(-k * phase((x,))) * amplitude((x,))
 

@@ -21,12 +21,12 @@ Conventions shared by the whole package:
 On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
 rational powers through ``**``), all computed by O(N**2) coefficient
-recurrences; Picard iteration for polynomial-time jet transport along an
-ODE flow (:func:`ode_jet_transport`); composition of scalar maps with a
-transported trajectory (:func:`compose_scalar`); and nested-jet
-directional derivatives (:func:`directional_derivative`), which evaluate
-iterated "derivative along a vector field" operators without any
-symbolic differentiation.
+recurrences; Picard iteration along an ODE flow that grows the jets by
+one term per pass (:func:`ode_jet_transport`); composition of scalar
+maps with a transported trajectory (:func:`compose_scalar`); and
+nested-jet directional derivatives (:func:`directional_derivative`),
+which evaluate iterated "derivative along a vector field" operators
+without any symbolic differentiation.
 
 The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
 :func:`log` dispatch on the argument type (series or scalar), which lets
@@ -415,18 +415,22 @@ def ode_jet_transport(
 ) -> JetTrajectory:
     """Taylor jet of the solution of ``x' = field(x)``, ``x(0) = start``.
 
-    Picard iteration on truncated series: each pass substitutes the
-    current jet into the field and integrates, which fixes at least one
-    more coefficient, so at most ``order`` passes are needed.  The field
-    must map a sequence of series to a sequence of series (or scalar
-    constants); anything it cannot handle surfaces as
+    Picard iteration on truncated series, one new term per pass: pass
+    ``p`` substitutes the order ``p - 1`` jet into the field and
+    integrates, which fixes the coefficient of ``t**p``.  Truncated
+    arithmetic is causal, so this gives the same coefficients as
+    iterating at full order, for ``sum p**2`` rather than ``order**3``
+    work.  The field must map a sequence of series to series of the
+    same order or to scalar constants; a field that returns only
+    scalars ignores the jets, and its flow is the line ``start + field *
+    t``.  Anything the field cannot handle surfaces as
     :class:`~lapasym.errors.JetEvaluationError`.
     """
     if order < 1:
         raise ValueError("transport order must be >= 1")
     dim = len(start)
-    coords = [TruncatedSeries.constant(v, order) for v in start]
-    for _ in range(order):
+    coords = [TruncatedSeries.constant(v, 0) for v in start]
+    for p in range(1, order + 1):
         try:
             rhs = list(field(coords))
         except (TypeError, AttributeError) as exc:
@@ -437,16 +441,15 @@ def ode_jet_transport(
             raise JetEvaluationError(
                 f"flow field returned {len(rhs)} components for dimension {dim}"
             )
-        new = []
-        for i in range(dim):
-            r = as_series(rhs[i], order) if not isinstance(rhs[i], TruncatedSeries) \
-                else rhs[i]
-            integ = r.truncated(order - 1).integrate()
-            new.append(integ + start[i])
-        if all(a == b for a, b in zip(new, coords)):
-            coords = new
+        # a field returning only scalars ignores the jets: one pass is the line
+        top = p if any(isinstance(r, TruncatedSeries) for r in rhs) else order
+        coords = [
+            (r.truncated(top - 1) if isinstance(r, TruncatedSeries)
+             else TruncatedSeries.constant(r, top - 1)).integrate() + x
+            for r, x in zip(rhs, start)
+        ]
+        if top == order:
             break
-        coords = new
     return JetTrajectory(tuple(coords))
 
 

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from scipy.integrate import solve_ivp
-
 from .bell import composition_tuples, generalized_binomial, partition_multinomial, \
     partition_tuples
 from .engine import ExpansionConfig, ExpansionResult, RadialProfile, SphereRule, \
@@ -492,6 +490,8 @@ def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianMo
 
 def _augmented_flow(model: HamiltonianModel, omega: tuple, x0: tuple, span: float):
     """Dense flow solution carrying phase and log-weight accumulators."""
+    from scipy.integrate import solve_ivp  # the oracle only: see engine._radial_quad
+
     chart = model.chart_dim
 
     def rhs(_s: float, y):

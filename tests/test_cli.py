@@ -2,11 +2,13 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from lapasym import cli
+from lapasym.bell import composition_tuples
 
 
 def run_cli(args, capsys):
@@ -201,6 +203,29 @@ def test_invalid_weight_and_model(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run_cli(["expand", "--model", "/nonexistent/model.json"], capsys)
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_weight_rejected(value, capsys):
+    code, out, err = run_cli(
+        ["expand", "--model", "builtin:sphere", f"--a={value}", "--order", "2"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_power_rows_match_composition_count():
+    # reference: aggregate the ordered compositions by their multiset of parts
+    def brute(m, r):
+        counted = Counter(
+            tuple(sorted(Counter(parts).items())) for parts in composition_tuples(m, r)
+        )
+        return sorted((key, count) for key, count in counted.items())
+
+    for m in range(13):
+        for r in range(1 if m else 0, m + 1):
+            got = sorted((tuple(sorted(e.items())), c) for c, e in cli._power_terms(m, r))
+            assert got == brute(m, r), (m, r)
 
 
 def test_bad_format_rejected_by_parser(capsys):

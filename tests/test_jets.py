@@ -25,6 +25,7 @@ from lapasym.jets import (
     iterated_flow_derivatives,
     ode_jet_transport,
 )
+from lapasym.models import builtin_sphere_model
 
 
 def sympy_jet(expr, var, order):
@@ -224,6 +225,61 @@ def test_transport_rejects_bad_field():
     wrong_arity = lambda c: [c[0], c[0]]
     with pytest.raises(JetEvaluationError):
         ode_jet_transport(wrong_arity, [0.0], order=3)
+
+
+def picard_at_full_order(field, start, order):
+    # reference: every pass at full order, until a pass changes nothing
+    coords = [TruncatedSeries.constant(v, order) for v in start]
+    for _ in range(order):
+        new = []
+        for r, x in zip(field(coords), start):
+            if not isinstance(r, TruncatedSeries):
+                r = TruncatedSeries.constant(r, order)
+            new.append(r.truncated(order - 1).integrate() + x)
+        done = new == coords
+        coords = new
+        if done:
+            break
+    return coords
+
+
+def test_transport_matches_full_order_picard_exactly():
+    # a degree-6 rational field w * q(x), shaped like the exact-mode line models
+    rng = random.Random(11)
+    q = [Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+
+    def field(c):
+        acc = q[-1]
+        for a in reversed(q[:-1]):
+            acc = acc * c[0] + a
+        return [Fraction(-3, 4) * acc]
+
+    start = [Fraction(1, 5)]
+    got = ode_jet_transport(field, start, order=19).coordinates
+    assert list(got) == picard_at_full_order(field, start, 19)
+
+
+def test_transport_matches_full_order_picard_bit_for_bit():
+    sphere = builtin_sphere_model()
+    field = lambda c: sphere.flow_field((0.7,), c)
+    start = (0.0, 0.25)
+    got = ode_jet_transport(field, start, order=19).coordinates
+    want = picard_at_full_order(field, start, 19)
+    for g, w in zip(got, want):
+        assert [repr(c) for c in g.coefficients] == [repr(c) for c in w.coefficients]
+
+
+def test_transport_of_a_constant_field_is_one_line():
+    calls = []
+
+    def field(c):
+        calls.append(c[0].order)
+        return [Fraction(3, 2)]
+
+    got = ode_jet_transport(field, [Fraction(1, 3)], order=6).coordinates
+    assert calls == [0]
+    assert got[0] == TruncatedSeries([Fraction(1, 3), Fraction(3, 2)], order=6)
+    assert list(got) == picard_at_full_order(field, [Fraction(1, 3)], 6)
 
 
 def test_compose_scalar_square_of_tanh():
