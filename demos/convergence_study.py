@@ -51,7 +51,6 @@ for order in (0, 2, 4):
 # further down before hitting the floor
 
 from lapasym import (
-    ExpansionConfig,
     RadialProfile,
     expansion_series,
     numeric_laplace_integral,
@@ -59,7 +58,7 @@ from lapasym import (
 )
 
 profile = RadialProfile(sphere_rule(1), [[1, 0, 1, 0, 0]] * 2, [[1, 0, 0, 0, 0]] * 2)
-result = expansion_series(profile, ExpansionConfig(1, 2, 1, order=4))
+result = expansion_series(profile, 4)
 print()
 print("flat quartic phase, order 4:")
 errors = []

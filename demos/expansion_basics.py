@@ -10,7 +10,6 @@ the coefficient of k**(-(2n+1)/2) is (-1)**n * Gamma(2n + 1/2) / n!.
 import math
 
 from lapasym import (
-    ExpansionConfig,
     RadialProfile,
     convergence_order_fit,
     expansion_series,
@@ -26,9 +25,10 @@ order = 6
 phase_rows = [[1, 0, 1, 0, 0, 0, 0] for _ in range(2)]
 amplitude_rows = [[1, 0, 0, 0, 0, 0, 0] for _ in range(2)]
 profile = RadialProfile(rule, phase_rows, amplitude_rows)
-config = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=order)
 
-result = expansion_series(profile, config)
+# the phase is quadratic at the origin and the dimension (1) comes from
+# the rule, so the order is all there is to ask for
+result = expansion_series(profile, order)
 
 print("coefficients of k**(-exponent):")
 for j, (c, e) in enumerate(zip(result.coefficients, result.exponents)):

@@ -20,7 +20,6 @@ from .bell import (
     series_power_coefficient,
 )
 from .engine import (
-    ExpansionConfig,
     ExpansionResult,
     RadialProfile,
     convergence_order_fit,
@@ -76,7 +75,6 @@ __all__ = [
     "compose_scalar",
     "directional_derivative",
     "iterated_flow_derivatives",
-    "ExpansionConfig",
     "RadialProfile",
     "ExpansionResult",
     "sphere_rule",

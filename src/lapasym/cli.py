@@ -169,16 +169,17 @@ def cmd_expand(cfg: RunConfig) -> str:
 
 
 def _fit_clean_slope(ks: list[float], errors: list[float]) -> float | None:
+    # a slope needs two distinct abscissae
+    if len(set(ks)) < 2:
+        return None
     if len(ks) >= 3:
         return convergence_order_fit(ks, errors)
-    if len(ks) == 2:
-        return math.log(errors[1] / errors[0]) / math.log(ks[1] / ks[0])
-    return None
+    return math.log(errors[1] / errors[0]) / math.log(ks[1] / ks[0])
 
 
 def cmd_verify(cfg: RunConfig) -> str:
-    if len(cfg.k_values) < 3:
-        raise DomainError("verify needs at least 3 k values")
+    if len(set(cfg.k_values)) < 3:
+        raise DomainError("verify needs at least 3 distinct k values")
     model = resolve_model(cfg.model_source)
     result = geometric_expansion(
         model, None, cfg.half_form, cfg.order, cfg.resolution, cfg.mode

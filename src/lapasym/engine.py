@@ -2,17 +2,17 @@
 
 The engine computes the coefficients of the large-parameter expansion
 
-    integral over a ball of  exp(-k * phase) * amplitude
-        ~  sum_j  c_j * k ** (-(j + weight_index) / phase_order)
+    integral over a ball in R**d of  exp(-k * phase) * amplitude
+        ~  sum_j  c_j * k ** (-(j + d) / 2)
 
 from radial data on the unit sphere: for each direction the phase is
-``rho ** phase_order * (f0 + f1 rho + ...)`` with ``f0 > 0`` and the
-amplitude is ``rho ** (weight_index - dim) * (g0 + g1 rho + ...)``.
-Coefficient ``j`` is assembled per direction as the ``t**j`` coefficient
-of the jet product ``g * (1 + u) ** (-(j + weight_index) / phase_order)``
-with ``u = (f - f0) / f0``, the rational power taken by the series
-recurrence of :mod:`.jets`, and integrated with an antipodally
-symmetric quadrature rule.
+``rho ** 2 * (f0 + f1 rho + ...)`` with ``f0 > 0`` (a nondegenerate
+quadratic minimum) and the amplitude is ``g0 + g1 rho + ...``; ``d`` is
+the dimension of the profile's sphere rule.  Coefficient ``j`` is
+assembled per direction as the ``t**j`` coefficient of the jet product
+``g * (1 + u) ** (-(j + d) / 2)`` with ``u = (f - f0) / f0``, the
+rational power taken by the series recurrence of :mod:`.jets`, and
+integrated with an antipodally symmetric quadrature rule.
 
 Everything downstream of the per-direction radial data is exact
 rational arithmetic when the data is rational and ``mode="exact"``;
@@ -48,7 +48,6 @@ __all__ = [
     "SphereRule",
     "sphere_rule",
     "sphere_area",
-    "ExpansionConfig",
     "RadialProfile",
     "ExpansionResult",
     "expansion_coefficient",
@@ -186,31 +185,8 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
 
 # ---------------------------------------------------------------- radial data
 
-@dataclass(frozen=True)
-class ExpansionConfig:
-    """Shape parameters of one expansion run.
-
-    ``phase_order`` is the order of vanishing of the phase along rays
-    (2 for the geometric models), ``weight_index`` the effective radial
-    index of the amplitude: coefficient ``j`` multiplies
-    ``k ** (-(j + weight_index) / phase_order)``.
-    """
-
-    dim: int
-    phase_order: int
-    weight_index: int | Fraction
-    order: int
-    mode: str = "float"
-    odd_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.dim < 1 or self.phase_order < 1 or self.order < 0:
-            raise DomainError("invalid expansion shape parameters")
-        if self.mode not in ("float", "exact"):
-            raise DomainError(f"unknown arithmetic mode {self.mode!r}")
-
-    def exponent(self, j: int) -> Fraction:
-        return (j + Fraction(self.weight_index)) / self.phase_order
+# odd coefficients below this share of the largest one count as vanished
+_ODD_TOLERANCE = 1e-12
 
 
 class RadialProfile:
@@ -251,7 +227,6 @@ class ExpansionResult:
     coefficients: tuple[float, ...]
     exponents: tuple[Fraction, ...]
     odd_vanished: tuple[bool, ...]
-    config: ExpansionConfig
     coefficient_errors: tuple[float, ...] | None = None
 
     def partial_sum(self, k: float) -> float:
@@ -264,12 +239,24 @@ def _inner_bracket(j: int, exponent: Fraction, f: Sequence[Any], g: Sequence[Any
     return (TruncatedSeries(g[: j + 1]) * (1 + u) ** -exponent).coefficient(j)
 
 
-def _direction_values(j: int, profile: RadialProfile, config: ExpansionConfig) -> list[float]:
+def _exponent(j: int, profile: RadialProfile) -> Fraction:
+    return Fraction(j + profile.rule.dim, 2)
+
+
+def _direction_values(j: int, profile: RadialProfile, mode: str) -> list[float]:
     # per direction: f0 ** (-exponent) times the inner bracket, as a float
-    exponent = config.exponent(j)
+    if mode not in ("float", "exact"):
+        raise DomainError(f"unknown arithmetic mode {mode!r}")
+    if j < 0:
+        raise DomainError("coefficient index must be nonnegative")
+    if j > profile.order:
+        raise DomainError(
+            f"profile provides radial data to order {profile.order}, need {j}"
+        )
+    exponent = _exponent(j, profile)
     values = []
     for f, g in zip(profile.phase_coefficients, profile.amplitude_coefficients):
-        if config.mode == "float":
+        if mode == "float":
             f = [float(v) for v in f]
             g = [float(v) for v in g]
         bracket = _inner_bracket(j, exponent, f, g)
@@ -281,52 +268,55 @@ def _direction_values(j: int, profile: RadialProfile, config: ExpansionConfig) -
     return values
 
 
-def expansion_coefficient(j: int, profile: RadialProfile, config: ExpansionConfig) -> float:
-    """Coefficient of ``k ** (-(j + weight_index) / phase_order)``.
+def _prefactor(j: int, profile: RadialProfile) -> float:
+    return gamma_value(_exponent(j, profile)) / 2
 
-    Per direction: ``f0 ** (-exponent)`` times the ``t**j`` coefficient
-    of the amplitude series times the power of the phase perturbation,
-    then the quadrature average and the gamma prefactor.
+
+def _coefficient(j: int, profile: RadialProfile, values: Sequence[float]) -> float:
+    return _prefactor(j, profile) * math.fsum(
+        w * v for w, v in zip(profile.rule.weights, values)
+    )
+
+
+def expansion_coefficient(j: int, profile: RadialProfile, mode: str = "float") -> float:
+    """Coefficient of ``k ** (-(j + d) / 2)``, ``d`` the rule's dimension.
+
+    Per direction: ``f0 ** (-(j + d) / 2)`` times the ``t**j``
+    coefficient of the amplitude series times the power of the phase
+    perturbation, then the quadrature average and the gamma prefactor
+    ``Gamma((j + d) / 2) / 2``.  ``mode`` is ``"float"`` or ``"exact"``
+    (rational arithmetic up to the per-direction value).
     """
-    if j < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    if j > profile.order:
-        raise DomainError(
-            f"profile provides radial data to order {profile.order}, need {j}"
-        )
-    values = _direction_values(j, profile, config)
-    prefactor = gamma_value(config.exponent(j)) / config.phase_order
-    return prefactor * math.fsum(w * v for w, v in zip(profile.rule.weights, values))
+    return _coefficient(j, profile, _direction_values(j, profile, mode))
 
 
-def expansion_series(profile: RadialProfile, config: ExpansionConfig) -> ExpansionResult:
-    """All coefficients ``0..config.order`` plus vanished-odd flags.
+def expansion_series(
+    profile: RadialProfile, order: int, mode: str = "float"
+) -> ExpansionResult:
+    """All coefficients ``0..order`` plus vanished-odd flags.
 
     Odd-index coefficients of antipodally equivariant data cancel
     within the symmetric rule; they are flagged (not dropped) when
-    smaller than ``odd_tolerance`` times the largest coefficient.
+    smaller than ``1e-12`` times the largest coefficient.  On a Monte
+    Carlo rule each coefficient also carries the standard error of its
+    equal-weight direction average, from the same direction values.
     """
-    coeffs = [expansion_coefficient(j, profile, config) for j in range(config.order + 1)]
-    exponents = [config.exponent(j) for j in range(config.order + 1)]
+    if order < 0:
+        raise DomainError("expansion order must be nonnegative")
+    values = [_direction_values(j, profile, mode) for j in range(order + 1)]
+    coeffs = [_coefficient(j, profile, vals) for j, vals in enumerate(values)]
     scale = max((abs(c) for c in coeffs), default=0.0) or 1.0
-    flags = [
-        bool(j % 2 and abs(c) <= config.odd_tolerance * scale)
-        for j, c in enumerate(coeffs)
-    ]
+    flags = [bool(j % 2 and abs(c) <= _ODD_TOLERANCE * scale) for j, c in enumerate(coeffs)]
     errors = None
     if profile.rule.stochastic:
+        area = float(np.sum(profile.rule.weights))
         errors = tuple(
-            _stochastic_error(j, profile, config) for j in range(config.order + 1)
+            _prefactor(j, profile)
+            * (area * float(np.std(vals, ddof=1)) / math.sqrt(len(vals)))
+            for j, vals in enumerate(values)
         )
-    return ExpansionResult(tuple(coeffs), tuple(exponents), tuple(flags), config, errors)
-
-
-def _stochastic_error(j: int, profile: RadialProfile, config: ExpansionConfig) -> float:
-    # equal-weight Monte Carlo standard error of the direction average
-    vals = np.asarray(_direction_values(j, profile, config))
-    area = float(np.sum(profile.rule.weights))
-    se = area * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-    return gamma_value(config.exponent(j)) / config.phase_order * se
+    exponents = tuple(_exponent(j, profile) for j in range(order + 1))
+    return ExpansionResult(tuple(coeffs), exponents, tuple(flags), errors)
 
 
 def partial_sum(result: ExpansionResult, k: float) -> float:

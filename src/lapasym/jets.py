@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .errors import JetEvaluationError, OrderMismatchError
+from .errors import DomainError, JetEvaluationError, OrderMismatchError
 
 __all__ = [
     "TruncatedSeries",
@@ -252,6 +252,9 @@ def _is_exact(value: Any) -> bool:
 def _invert_scalar(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _reciprocal(value)
+    if value == 0:
+        # a quotient, reciprocal, square root or logarithm that is singular here
+        raise DomainError("singular jet: division by a zero value")
     if _is_exact(value):
         return Fraction(1, 1) / value
     return 1.0 / value

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .bell import composition_tuples, generalized_binomial, partition_multinomial, \
     partition_tuples
-from .engine import ExpansionConfig, ExpansionResult, RadialProfile, SphereRule, \
+from .engine import ExpansionResult, RadialProfile, SphereRule, \
     expansion_series, gamma_value, numeric_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
 from .exprs import compile_expression
@@ -44,7 +44,6 @@ __all__ = [
     "RadialSeries",
     "radial_profile",
     "direction_atoms",
-    "expansion_profile",
     "profile_from_atoms",
     "geometric_expansion",
     "zeta_geometric",
@@ -208,25 +207,6 @@ def direction_atoms(
     return tuple(flow_values[1:]), tuple(lap_values[:lap_count])
 
 
-def expansion_profile(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
-    order: int = 6,
-    half_form: Any = 0,
-    rule: SphereRule | None = None,
-    series_margin: int = 6,
-) -> RadialProfile:
-    """Per-direction coefficient tables for the expansion engine."""
-    if rule is None:
-        rule = sphere_rule(model.group_dim)
-    series_order = order + max(series_margin, 2)
-    series = (
-        radial_profile(model, _node_direction(rule, i), point, series_order, half_form)
-        for i in range(len(rule))
-    )
-    return _profile(rule, series, order)
-
-
 def profile_from_atoms(
     rule: SphereRule,
     atom_table: Sequence[tuple[Sequence[Any], Sequence[Any]]],
@@ -276,15 +256,12 @@ def geometric_expansion(
             f"group dimension {model.group_dim}"
         )
     rule = sphere_rule(model.group_dim, resolution)
-    config = ExpansionConfig(
-        dim=model.group_dim,
-        phase_order=2,
-        weight_index=model.group_dim,
-        order=order,
-        mode=mode,
+    # reduced phase coefficient f_order is phase[t^(order + 2)]
+    series = (
+        radial_profile(model, _node_direction(rule, i), point, order + 2, half_form)
+        for i in range(len(rule))
     )
-    profile = expansion_profile(model, point, order, half_form, rule)
-    return expansion_series(profile, config)
+    return expansion_series(_profile(rule, series, order), order, mode)
 
 
 # ------------------------------------------------------------ raw coefficient sums
@@ -565,11 +542,19 @@ def j_a_numeric(
     quadrature; no series machinery is involved, which keeps this the
     independent oracle for the expansion path.  ``radius`` truncates
     the domain; by default the span is grown until the integrand has
-    decayed below double-precision relevance.
+    decayed below double-precision relevance.  Group dimension above 3
+    is refused with :class:`~lapasym.errors.DomainError`.
     """
     if not k > 0:
         raise DomainError("k must be positive")
     dim = model.group_dim
+    if dim > 3:
+        # the quadrature above three dimensions samples the ball uniformly,
+        # misses the Laplace peak and would certify a wrong value
+        raise DomainError(
+            f"the numeric oracle needs group dimension <= 3; model {model.name!r} "
+            f"has group dimension {dim}"
+        )
     chart = model.chart_dim
     x0 = _reference_point(model, point)
     a = half_form
@@ -600,7 +585,7 @@ def j_a_numeric(
         return numeric_laplace_integral(phase, amplitude, 1, k, tol=tol,
                                         radius=span).value
 
-    # d >= 2: per-point endpoint solves; slow but direction-exact
+    # d = 2, 3: per-point endpoint solves; slow but direction-exact
     if radius is None or math.isinf(radius):
         probe = (1.0,) + (0.0,) * (dim - 1)
         span = _choose_span(model, [probe], x0, k, a)
@@ -870,7 +855,7 @@ def model_from_config(config: dict) -> HamiltonianModel:
             raise DomainError(f"model config is missing {key!r}")
     group_dim = config["group_dim"]
     chart_dim = config["chart_dim"]
-    if not isinstance(group_dim, int) or not isinstance(chart_dim, int):
+    if any(not isinstance(n, int) or isinstance(n, bool) for n in (group_dim, chart_dim)):
         raise DomainError("model dimensions must be integers")
 
     phi_fn = compile_expression(config["phi"])
@@ -881,9 +866,10 @@ def model_from_config(config: dict) -> HamiltonianModel:
     flow_fns = [compile_expression(e) for e in flow_exprs]
     volume_fn = compile_expression(config["orbit_volume"])
 
-    zero_points = tuple(
-        tuple(_number(c) for c in pt) for pt in config["zero_points"]
-    )
+    points = config["zero_points"]
+    if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
+        raise DomainError("zero_points must be a list of points, each a list of numbers")
+    zero_points = tuple(tuple(_number(c) for c in pt) for pt in points)
     if any(len(pt) != chart_dim for pt in zero_points):
         raise DomainError("zero points must have chart dimension")
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from lapasym import cli
 from lapasym.engine import (
-    ExpansionConfig,
     RadialProfile,
     convergence_order_fit,
     expansion_coefficient,
@@ -152,8 +151,7 @@ def flat_profile(phase_head, order):
 
 def test_criterion_2_gaussian_exactness():
     started = time.perf_counter()
-    config = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=8)
-    result = expansion_series(flat_profile([1], 8), config)
+    result = expansion_series(flat_profile([1], 8), 8)
     assert abs(result.coefficients[0] - SQRT_PI) < 1e-14
     for j in range(1, 9):
         assert abs(result.coefficients[j]) <= 1e-13
@@ -167,8 +165,7 @@ def test_criterion_2_gaussian_exactness():
 
 def test_criterion_3_oracle_convergence():
     started = time.perf_counter()
-    config = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=4)
-    result = expansion_series(flat_profile([1, 0, 1], 4), config)
+    result = expansion_series(flat_profile([1, 0, 1], 4), 4)
     ks = [100.0, 1000.0, 10000.0]
     errors = []
     for k in ks:
@@ -227,7 +224,6 @@ def test_criterion_6_odd_vanishing():
         assert abs(result.coefficients[j]) <= 1e-12 * scale
     rng = random.Random(160736)
     rule = sphere_rule(1)
-    config = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=7)
     for _ in range(10):
         plus_f = [rng.uniform(0.5, 3.0)] + [rng.uniform(-1.0, 1.0)
                                             for _ in range(7)]
@@ -238,7 +234,7 @@ def test_criterion_6_odd_vanishing():
                   for i in range(len(rule))]
         rows_g = [plus_g if rule.nodes[i][0] > 0 else minus_g
                   for i in range(len(rule))]
-        result = expansion_series(RadialProfile(rule, rows_f, rows_g), config)
+        result = expansion_series(RadialProfile(rule, rows_f, rows_g), 7)
         scale = abs(result.coefficients[0])
         for j in (1, 3, 5, 7):
             assert abs(result.coefficients[j]) <= 1e-12 * scale
@@ -251,7 +247,6 @@ def test_criterion_7_triple_agreement():
     started = time.perf_counter()
     rng = random.Random(424243)
     rule = sphere_rule(1)
-    config = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=2)
     weights = [float(w) for w in rule.weights]
     for _ in range(50):
         plus_flow = (
@@ -274,7 +269,7 @@ def test_criterion_7_triple_agreement():
         ]
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         engine_value = expansion_coefficient(
-            2, profile_from_atoms(rule, table, 2, a), config
+            2, profile_from_atoms(rule, table, 2, a)
         )
         raw_value = zeta_geometric_from_atoms(2, a, 1, table, weights)
         closed_value = zeta2_reference_from_atoms(a, 1, table, weights)

@@ -125,6 +125,31 @@ def test_verify_requires_three_k(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ks", ["30,30,1000", "100,100,100"])
+def test_verify_requires_three_distinct_k(ks, capsys):
+    # a repeated k adds no abscissa: 30,30,1000 used to divide by log(1)
+    # and 100,100,100 fitted a verdict on a single point
+    code, out, err = run_cli(
+        ["verify", "--model", "builtin:sphere", "--order", "8", "--k", ks], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "distinct" in err
+
+
+def test_verify_repeated_clean_k_fits_no_slope(capsys):
+    # three distinct k, but the two clean rows (order 8: k = 100 and 1000
+    # sit at the oracle floor) share k = 30, so no slope can be fitted
+    code, out, err = run_cli(
+        ["verify", "--model", "builtin:sphere", "--order", "8",
+         "--k", "30,30,100,1000"], capsys
+    )
+    assert code == 0 and err == ""
+    meta, _, _ = parse_csv(out)
+    assert meta["clean_points"] == "2"
+    assert meta["fitted_slope"] == "floor-limited"
+
+
 def test_density_sweep_sphere(capsys):
     code, out, _ = run_cli(
         ["density-sweep", "--model", "builtin:sphere", "--k", "100"], capsys
@@ -287,10 +312,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("name, args", [
     ("expand_sphere_order4", ["expand", "--model", "builtin:sphere", "--order", "4"]),
     ("bell_table_order6", ["bell-table", "--order", "6"]),
+    ("expand_line_poly_exact_order14",
+     ["expand", "--model", "line_poly.json", "--exact", "--order", "14"]),
+    ("expand_flat2_aniso_order6",
+     ["expand", "--model", "flat2_aniso.json", "--order", "6", "--resolution", "16"]),
 ])
-def test_output_matches_golden_bytes(name, args, fmt, capsys):
+def test_output_matches_golden_bytes(name, args, fmt, capsys, monkeypatch):
     # the golden files hold the stdout of an earlier release; refactors
-    # must reproduce it byte for byte
+    # must reproduce it byte for byte.  Model files sit next to them and
+    # are named relative to that directory, as the metadata records them.
+    monkeypatch.chdir(GOLDEN)
     code, out, err = run_cli(args + ["--format", fmt], capsys)
     assert code == 0 and err == ""
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
@@ -322,3 +353,67 @@ def test_exact_mode_rejects_group_dimension_two(command, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "'flat2'" in err and "group dimension 2" in err
+
+
+def write_model(tmp_path, config):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("zero_points", 5),
+    ("zero_points", [5]),
+    ("group_dim", True),
+    ("chart_dim", True),
+])
+def test_malformed_model_config_rejected(key, value, tmp_path, capsys):
+    config = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
+              "flow_field": ["w0"], "zero_points": [[0]], key: value}
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+
+
+def test_singular_jet_is_a_domain_error(tmp_path, capsys):
+    # the flow sqrt(x0^2) has a square-root singularity at the base point x0 = 0
+    config = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
+              "flow_field": [["sqrt", ["*", "x0", "x0"]]], "zero_points": [[0]]}
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+    assert "singular" in err
+
+
+FLAT4 = {
+    "name": "flat4",
+    "group_dim": 4,
+    "chart_dim": 4,
+    "phi": ["+", *(["*", f"w{i}", f"x{i}"] for i in range(4))],
+    "flow_field": [f"w{i}" for i in range(4)],
+    "laplacian_phi": "0",
+    "zero_points": [[0, 0, 0, 0]],
+    "orbit_volume": "1",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--k", "30,100,1000", "--order", "2"],
+    ["density-sweep", "--k", "100"],
+])
+def test_oracle_refuses_group_dimension_four(command, tmp_path, capsys, monkeypatch):
+    # the oracle's uniform sampling of the ball misses the Laplace peak in
+    # dimension 4 and would certify a wrong value; it must refuse before
+    # transporting any flow
+    from lapasym import models
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the oracle transported a flow")
+
+    monkeypatch.setattr(models, "_augmented_flow", no_flow)
+    code, out, err = run_cli(command + ["--model", write_model(tmp_path, FLAT4)], capsys)
+    assert_one_error_line(code, out, err)
+    assert "'flat4'" in err and "group dimension 4" in err

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from lapasym.engine import (
-    ExpansionConfig,
     GammaValue,
     RadialProfile,
     convergence_order_fit,
@@ -114,21 +113,18 @@ def gaussian_profile(order):
 
 
 def test_gaussian_leading_coefficient_is_sqrt_pi():
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=8)
     prof = gaussian_profile(8)
-    assert abs(expansion_coefficient(0, prof, cfg) - SQRT_PI) <= 1e-14
+    assert abs(expansion_coefficient(0, prof) - SQRT_PI) <= 1e-14
 
 
 def test_gaussian_higher_coefficients_vanish():
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=8)
-    res = expansion_series(gaussian_profile(8), cfg)
+    res = expansion_series(gaussian_profile(8), 8)
     for j in range(1, 9):
         assert abs(res.coefficients[j]) <= 1e-13
 
 
 def test_gaussian_partial_sum_matches_closed_form():
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=8)
-    res = expansion_series(gaussian_profile(8), cfg)
+    res = expansion_series(gaussian_profile(8), 8)
     k = 1.0e4
     expect = math.sqrt(math.pi / k)
     assert abs(res.partial_sum(k) - expect) <= 1e-15 * expect
@@ -149,8 +145,7 @@ def quartic_profile(order):
 
 
 def test_quartic_coefficients_match_gaussian_moments():
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=8)
-    res = expansion_series(quartic_profile(8), cfg)
+    res = expansion_series(quartic_profile(8), 8)
     for n in range(5):
         assert res.coefficients[2 * n] == pytest.approx(quartic_reference(n), rel=1e-13)
     for j in (1, 3, 5, 7):
@@ -159,8 +154,7 @@ def test_quartic_coefficients_match_gaussian_moments():
 
 
 def test_quartic_partial_sum_remainder_magnitude():
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=4)
-    res = expansion_series(quartic_profile(4), cfg)
+    res = expansion_series(quartic_profile(4), 4)
     k = 1000.0
     oracle = numeric_laplace_integral(
         lambda p: p[0] ** 2 + p[0] ** 4, lambda p: 1.0, 1, k, tol=1e-13
@@ -175,11 +169,9 @@ def test_exact_mode_agrees_with_float_mode():
     f = [Fraction(2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
     g = [Fraction(1), Fraction(-2, 7), Fraction(3, 11), Fraction(0)]
     prof = RadialProfile(rule, [f, f], [g, g])
-    exact_cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=3, mode="exact")
-    float_cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=3, mode="float")
     for j in range(4):
-        a = expansion_coefficient(j, prof, exact_cfg)
-        b = expansion_coefficient(j, prof, float_cfg)
+        a = expansion_coefficient(j, prof, mode="exact")
+        b = expansion_coefficient(j, prof, mode="float")
         assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -188,9 +180,8 @@ def test_exact_mode_is_reproducible():
     f = [Fraction(4), Fraction(1, 2)]
     g = [Fraction(1), Fraction(1, 6)]
     prof = constant_profile(rule, f, g)
-    cfg = ExpansionConfig(dim=2, phase_order=2, weight_index=2, order=1, mode="exact")
-    first = [expansion_coefficient(j, prof, cfg) for j in range(2)]
-    second = [expansion_coefficient(j, prof, cfg) for j in range(2)]
+    first = [expansion_coefficient(j, prof, mode="exact") for j in range(2)]
+    second = [expansion_coefficient(j, prof, mode="exact") for j in range(2)]
     assert first == second
     # integer decay exponent: leading term is Gamma(1)/2 * (2 pi / f0)
     assert first[0] == pytest.approx(0.5 * 2 * math.pi / 4, rel=1e-14)
@@ -205,12 +196,32 @@ def test_profile_rejects_nonpositive_leading_phase():
 
 
 def test_coefficient_index_bounds():
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=8)
     prof = gaussian_profile(3)
     with pytest.raises(DomainError):
-        expansion_coefficient(7, prof, cfg)
+        expansion_coefficient(7, prof)
     with pytest.raises(DomainError):
-        expansion_coefficient(-1, prof, cfg)
+        expansion_coefficient(-1, prof)
+
+
+def test_dimension_and_exponents_come_from_the_rule():
+    # a 1-d Gaussian: Gamma(1/2)/2 * (1 + 1) = sqrt(pi), terms k^(-(j+1)/2)
+    res = expansion_series(gaussian_profile(2), 2)
+    assert abs(res.coefficients[0] - SQRT_PI) <= 1e-14
+    assert res.exponents == (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    # on the circle the same data gives Gamma(1)/2 * 2 pi = pi and k^(-(j+2)/2)
+    res = expansion_series(constant_profile(sphere_rule(2, 8), [1.0], [1.0]), 0)
+    assert res.coefficients[0] == pytest.approx(math.pi, rel=1e-14)
+    assert res.exponents == (Fraction(1),)
+
+
+def test_unknown_mode_and_negative_order_rejected():
+    prof = gaussian_profile(2)
+    with pytest.raises(DomainError):
+        expansion_coefficient(0, prof, mode="decimal")
+    with pytest.raises(DomainError):
+        expansion_series(prof, 2, mode="decimal")
+    with pytest.raises(DomainError):
+        expansion_series(prof, -1)
 
 
 # ---------------------------------------------------------------- odd cancellation
@@ -222,8 +233,7 @@ def test_odd_coefficients_cancel_for_equivariant_tables():
     g_plus = [1.0, 0.5, 0.1, 0.25]
     g_minus = [1.0, -0.5, 0.1, -0.25]
     prof = RadialProfile(rule, [f_plus, f_minus], [g_plus, g_minus])
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=3)
-    res = expansion_series(prof, cfg)
+    res = expansion_series(prof, 3)
     scale = max(abs(c) for c in res.coefficients)
     assert abs(res.coefficients[1]) <= 1e-12 * scale
     assert abs(res.coefficients[3]) <= 1e-12 * scale
@@ -236,13 +246,35 @@ def test_stochastic_rule_reports_errors():
     rule = sphere_rule(5, 256)
     assert rule.stochastic
     prof = constant_profile(rule, [1.0], [1.0])
-    cfg = ExpansionConfig(dim=5, phase_order=2, weight_index=5, order=0)
-    res = expansion_series(prof, cfg)
+    res = expansion_series(prof, 0)
     expect = 0.5 * gamma_value(Fraction(5, 2)) * sphere_area(5)
     assert res.coefficient_errors is not None
     # constant data: every direction contributes identically
     assert res.coefficient_errors[0] <= 1e-12
     assert res.coefficients[0] == pytest.approx(expect, rel=1e-12)
+
+
+def test_monte_carlo_errors_reuse_the_direction_values(monkeypatch):
+    # one pass over the directions per coefficient serves both the
+    # coefficient and its Monte Carlo standard error
+    from lapasym import engine
+
+    rule = sphere_rule(4, 64)
+    f = [[1.0 + 0.5 * abs(node[0]), 0.1 * node[1], 0.2] for node in rule.nodes]
+    g = [[1.0, 0.3 * node[2], 0.1] for node in rule.nodes]
+    prof = RadialProfile(rule, f, g)
+    calls = []
+    original = engine._direction_values
+    monkeypatch.setattr(engine, "_direction_values",
+                        lambda *args: calls.append(args[0]) or original(*args))
+    res = expansion_series(prof, 2)
+    assert calls == [0, 1, 2]
+    for j in range(3):
+        values = original(j, prof, "float")
+        se = np.std(values, ddof=1) * sphere_area(4) / math.sqrt(len(values))
+        prefactor = 0.5 * gamma_value(Fraction(j + 4, 2))
+        assert res.coefficient_errors[j] == pytest.approx(prefactor * se, rel=1e-12)
+        assert res.coefficient_errors[j] > 0
 
 
 # ---------------------------------------------------------------- numeric oracle
@@ -330,8 +362,7 @@ def test_numeric_integral_deterministic():
 # ---------------------------------------------------------------- misc
 
 def test_partial_sum_rejects_bad_k():
-    cfg = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=0)
-    res = expansion_series(gaussian_profile(0), cfg)
+    res = expansion_series(gaussian_profile(0), 0)
     with pytest.raises(DomainError):
         partial_sum(res, 0.0)
 

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from lapasym.engine import ExpansionConfig, expansion_coefficient, sphere_rule
+from lapasym.engine import expansion_coefficient, sphere_rule
 from lapasym.errors import DomainError
 from lapasym.models import (
     HamiltonianModel,
@@ -221,14 +221,13 @@ def test_radial_profile_validations():
 def test_triple_agreement_on_random_atoms():
     rng = random.Random(991)
     rule = sphere_rule(1)
-    config = ExpansionConfig(dim=1, phase_order=2, weight_index=1, order=2)
     for _ in range(50):
         plus, minus = random_atoms(rng)
         table = [plus if rule.nodes[i][0] > 0 else minus for i in range(len(rule))]
         weights = [float(w) for w in rule.weights]
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         engine_value = expansion_coefficient(
-            2, profile_from_atoms(rule, table, 2, a), config
+            2, profile_from_atoms(rule, table, 2, a)
         )
         raw_value = zeta_geometric_from_atoms(2, a, 1, table, weights)
         closed_value = zeta2_reference_from_atoms(a, 1, table, weights)
