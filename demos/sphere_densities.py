@@ -23,10 +23,10 @@ def j_closed(k):
 def i_closed(k):
     return math.pi * math.sqrt(2.0 * k) * math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.5))
 
+# one call per density for the whole k list: its k values share the flow solves
 print("density values against closed forms:")
-for k in (10.0, 100.0, 1000.0):
-    i_num = density(sphere, "I", k)
-    j_num = density(sphere, "J", k)
+ks = (10.0, 100.0, 1000.0)
+for k, i_num, j_num in zip(ks, density(sphere, "I", ks), density(sphere, "J", ks)):
     print(f"  k={k:>6g}  I={i_num:.12f}  (closed {i_closed(k):.12f})"
           f"  J={j_num:.12f}  (closed {j_closed(k):.12f})")
 
@@ -38,8 +38,8 @@ i_limit, j_limit = (density_series(sphere, kind, math.inf, order=0)
                     for kind in ("I", "J"))
 print()
 print(f"limits: I -> {i_limit:.12f} (= 2pi/sqrt(2)),  J -> {j_limit:.12f}")
-for k in (100.0, 1000.0, 10000.0):
-    j_num = density(sphere, "J", k, tol=1e-8)
+ks = (100.0, 1000.0, 10000.0)
+for k, j_num in zip(ks, density(sphere, "J", ks, tol=1e-8)):
     print(f"  k={k:>6g}  J/J_limit - 1 = {j_num / j_limit - 1.0: .3e}")
 
 ##################################################

@@ -188,8 +188,7 @@ def cmd_verify(cfg: RunConfig) -> str:
     next_even = cfg.order + 2 if cfg.order % 2 == 0 else cfg.order + 1
     expected = Fraction(-(next_even + model.group_dim), 2)
 
-    oracles = [j_a_numeric(model, None, cfg.half_form, k, tol=cfg.tol)
-               for k in cfg.k_values]
+    oracles = j_a_numeric(model, None, cfg.half_form, cfg.k_values, tol=cfg.tol)
     rows = []
     clean_ks: list[float] = []
     clean_errors: list[float] = []
@@ -222,17 +221,16 @@ def cmd_verify(cfg: RunConfig) -> str:
 
 def cmd_density_sweep(cfg: RunConfig) -> str:
     model = resolve_model(cfg.model_source)
-    rows = [
-        (k, density(model, "I", k, tol=cfg.tol), density(model, "J", k, tol=cfg.tol))
-        for k in cfg.k_values
-    ]
-    if rows:
+    rows = []
+    if cfg.k_values:
+        i_numeric, j_numeric = (density(model, kind, cfg.k_values, tol=cfg.tol)
+                                for kind in ("I", "J"))
         ks = [*cfg.k_values, math.inf]
         i_series, j_series = (
             density_series(model, kind, ks, order=cfg.order, resolution=cfg.resolution)
             for kind in ("I", "J")
         )
-        rows = [(*row, i, j) for row, i, j in zip(rows, i_series, j_series)]
+        rows = list(zip(cfg.k_values, i_numeric, j_numeric, i_series, j_series))
         # closing row: the large-k limits, numeric and series alike; its k is
         # the string "inf" because JSON has no infinity (CSV prints it alike)
         limits = (i_series[-1], j_series[-1])

@@ -7,7 +7,7 @@ survive a round trip through JSON, for example::
 
 Leaves are numbers (``int``/``float``), exact rational strings such as
 ``"1/2"``, the constant ``"pi"``, or symbol names (``x0``, ``w0``,
-``s``, ...) resolved against an environment mapping at call time.
+``s``, ...) resolved against the environment at call time.
 Interior nodes are ``[op, arg, ...]`` with operators
 
 ======== ======================================================
@@ -21,25 +21,41 @@ Interior nodes are ``[op, arg, ...]`` with operators
 
 Compiled expressions evaluate on whatever the environment supplies:
 plain numbers, exact rationals, or truncated series, so one config
-works for point evaluation and for jet transport alike.  Structural
-problems (unknown operator, bad arity, non-integer exponent) are
-rejected at compile time; an unbound symbol surfaces as a
-:class:`~lapasym.errors.DomainError` when the expression is evaluated.
+works for point evaluation and for jet transport alike.  The
+environment is a mapping from symbol names or, for a tree wrapped in
+:class:`Positional` with its symbol list, a sequence read by position:
+``symbols[i]`` is ``env[i]``.  A model's callables bind ``x0, ...,
+w0, ...`` this way once, instead of building a mapping per call.
+
+Compilation folds every symbol-free subtree, and the leading
+symbol-free arguments of ``+`` and ``*``, into one constant.  The fold
+runs the same operations, in the same left-to-right order, that
+evaluation would run, so Fractions stay Fractions, floats stay floats,
+and exact, float and series results are bit-identical to evaluating
+the unfolded tree.  A fold that fails (a zero divisor, the square root
+of a negative number) is a :class:`~lapasym.errors.DomainError` at
+compile time; so are structural problems (unknown operator, bad arity,
+non-integer exponent) and, with positional binding, a symbol missing
+from ``symbols``.  A zero divisor met during evaluation, or an unbound
+symbol in a mapping, is a :class:`~lapasym.errors.DomainError` when
+the expression is evaluated.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import jets
 from .errors import DomainError
 
-__all__ = ["compile_expression", "expression_symbols"]
+__all__ = ["Positional", "compile_expression", "expression_symbols"]
 
-CompiledExpr = Callable[[Mapping[str, Any]], Any]
+CompiledExpr = Callable[[Any], Any]
 
 _SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -52,12 +68,30 @@ _UNARY_MAPS = {
 }
 
 
+class Positional(NamedTuple):
+    """An expression tree whose symbols are read by position.
+
+    Compiled, it takes a sequence holding the value of ``symbols[i]`` at
+    position ``i``; a symbol not in ``symbols`` is refused at compile
+    time.
+    """
+
+    node: Any
+    symbols: tuple
+
+
+class _Folded(NamedTuple):
+    """A symbol-free subtree, already evaluated."""
+
+    value: Any
+
+
 def _constant(value: Any) -> CompiledExpr:
     return lambda env: value
 
 
-def _symbol(name: str) -> CompiledExpr:
-    def lookup(env: Mapping[str, Any]) -> Any:
+def _by_name(name: str) -> CompiledExpr:
+    def lookup(env: Any) -> Any:
         try:
             return env[name]
         except KeyError:
@@ -66,83 +100,138 @@ def _symbol(name: str) -> CompiledExpr:
     return lookup
 
 
-def _compile_leaf(node: str) -> CompiledExpr:
+def _by_position(symbols: Sequence[str]) -> Callable[[str], CompiledExpr]:
+    def bind(name: str) -> CompiledExpr:
+        if name not in symbols:
+            raise DomainError(f"unknown symbol {name!r} in expression")
+        return operator.itemgetter(symbols.index(name))
+
+    return bind
+
+
+def _fold(node: Any, op: Callable, *values: Any) -> _Folded:
+    try:
+        return _Folded(op(*values))
+    except DomainError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"cannot evaluate {json.dumps(node)}: {exc}") from None
+
+
+def _unary(node: Any, op: Callable, part: Any) -> Any:
+    if isinstance(part, _Folded):
+        return _fold(node, op, part.value)
+    return lambda env: op(part(env))
+
+
+def _binary(node: Any, op: Callable, left: Any, right: Any) -> Any:
+    # one closure per shape, so a folded operand costs no call
+    if isinstance(left, _Folded):
+        if isinstance(right, _Folded):
+            return _fold(node, op, left.value, right.value)
+        c = left.value
+        return lambda env: op(c, right(env))
+    if isinstance(right, _Folded):
+        c = right.value
+        return lambda env: op(left(env), c)
+    return lambda env: op(left(env), right(env))
+
+
+def _quotient(node: Any) -> Callable[[Any, Any], Any]:
+    def divide(a: Any, b: Any) -> Any:
+        try:
+            return a / b
+        except ZeroDivisionError:
+            raise DomainError(f"division by zero in {json.dumps(node)}") from None
+
+    return divide
+
+
+def _compile_leaf(node: str, bind: Callable[[str], CompiledExpr]) -> Any:
     if node == "pi":
-        return _constant(math.pi)
+        return _Folded(math.pi)
     if _SYMBOL.match(node):
-        return _symbol(node)
+        return bind(node)
     try:
         value = Fraction(node)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"unreadable expression leaf {node!r}") from None
     if value.denominator == 1:
-        return _constant(value.numerator)
-    return _constant(value)
+        return _Folded(value.numerator)
+    return _Folded(value)
 
 
-def compile_expression(node: Any) -> CompiledExpr:
-    """Compile a prefix-list expression into ``env -> value``."""
+def _compile(node: Any, bind: Callable[[str], CompiledExpr]) -> Any:
+    """A :class:`_Folded` constant, or a compiled ``env -> value``."""
     if isinstance(node, bool):
         raise DomainError("booleans are not expression leaves")
     if isinstance(node, (int, float)):
-        return _constant(node)
+        return _Folded(node)
     if isinstance(node, str):
-        return _compile_leaf(node)
+        return _compile_leaf(node, bind)
     if not isinstance(node, (list, tuple)) or not node:
         raise DomainError(f"bad expression node {node!r}")
 
     op, *raw_args = node
+    if not isinstance(op, str):
+        raise DomainError(f"unknown operator {op!r}")
     if op == "pow":
         if len(raw_args) != 2 or isinstance(raw_args[1], bool) \
                 or not isinstance(raw_args[1], int):
             raise DomainError("pow takes an expression and a literal integer")
-        base = compile_expression(raw_args[0])
+        base = _compile(raw_args[0], bind)
         exponent = raw_args[1]
+        if isinstance(base, _Folded):
+            return _fold(node, operator.pow, base.value, exponent)
         return lambda env: base(env) ** exponent
 
-    args = [compile_expression(a) for a in raw_args]
-    if op == "+":
+    args = [_compile(a, bind) for a in raw_args]
+    if op in ("+", "*"):
         if len(args) < 2:
-            raise DomainError("+ takes at least two arguments")
-
-        def added(env: Mapping[str, Any]) -> Any:
-            total = args[0](env)
-            for a in args[1:]:
-                total = total + a(env)
-            return total
-
-        return added
-    if op == "*":
-        if len(args) < 2:
-            raise DomainError("* takes at least two arguments")
-
-        def multiplied(env: Mapping[str, Any]) -> Any:
-            total = args[0](env)
-            for a in args[1:]:
-                total = total * a(env)
-            return total
-
-        return multiplied
+            raise DomainError(f"{op} takes at least two arguments")
+        # left to right, as evaluation adds or multiplies: the leading
+        # symbol-free run folds, the rest stays in order
+        combine = operator.add if op == "+" else operator.mul
+        total = args[0]
+        for a in args[1:]:
+            total = _binary(node, combine, total, a)
+        return total
     if op == "-":
         if len(args) == 1:
-            return lambda env: -args[0](env)
+            return _unary(node, operator.neg, args[0])
         if len(args) == 2:
-            return lambda env: args[0](env) - args[1](env)
+            return _binary(node, operator.sub, args[0], args[1])
         raise DomainError("- takes one or two arguments")
     if op == "/":
         if len(args) != 2:
             raise DomainError("/ takes two arguments")
-        return lambda env: args[0](env) / args[1](env)
+        return _binary(node, _quotient(node), args[0], args[1])
     if op == "neg":
         if len(args) != 1:
             raise DomainError("neg takes one argument")
-        return lambda env: -args[0](env)
+        return _unary(node, operator.neg, args[0])
     if op in _UNARY_MAPS:
         if len(args) != 1:
             raise DomainError(f"{op} takes one argument")
-        fn = _UNARY_MAPS[op]
-        return lambda env: fn(args[0](env))
+        return _unary(node, _UNARY_MAPS[op], args[0])
     raise DomainError(f"unknown operator {op!r}")
+
+
+def compile_expression(node: Any) -> CompiledExpr:
+    """Compile a prefix-list expression into ``env -> value``.
+
+    The environment maps symbol names to values; for a
+    :class:`Positional` tree it is a sequence read by position.  The
+    binding travels with the tree, so the one argument is all a caller
+    or a wrapper of this function passes on.
+    """
+    if isinstance(node, Positional):
+        compiled = _compile(node.node, _by_position(tuple(node.symbols)))
+    else:
+        compiled = _compile(node, _by_name)
+    if isinstance(compiled, _Folded):
+        return _constant(compiled.value)
+    return compiled
 
 
 def expression_symbols(node: Any) -> frozenset[str]:

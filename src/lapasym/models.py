@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -35,7 +36,7 @@ from .bell import composition_tuples, generalized_binomial, partition_multinomia
 from .engine import ExpansionResult, RadialProfile, SphereRule, \
     expansion_series, gamma_value, numeric_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
-from .exprs import compile_expression
+from .exprs import Positional, compile_expression, expression_symbols
 from .jets import TruncatedSeries, compose_scalar, exp_series, \
     iterated_flow_derivatives, ode_jet_transport
 
@@ -497,20 +498,14 @@ def _augmented_flow(model: HamiltonianModel, omega: tuple, x0: tuple, span: floa
     return solution
 
 
-def _choose_span(
-    model: HamiltonianModel,
-    directions: Sequence[tuple],
-    x0: tuple,
-    k: float,
-    half_form: Any,
-) -> float:
+def _choose_span(flow: Callable[[tuple, float], Any], chart: int,
+                 directions: Sequence[tuple], k: float, half_form: Any) -> float:
     """Smallest power-of-two span on which the integrand has died off."""
-    chart = model.chart_dim
     span = 1.0
     while True:
         decayed = True
         for omega in directions:
-            solution = _augmented_flow(model, omega, x0, span)
+            solution = flow(omega, span)
             phase_end = solution.y[chart][-1]
             weight_end = solution.y[chart + 1][-1]
             if 2.0 * k * phase_end - abs(float(half_form)) * abs(weight_end) \
@@ -526,27 +521,19 @@ def _choose_span(
             )
 
 
-def j_a_numeric(
+def _flow_oracle(
     model: HamiltonianModel,
     point: Sequence[Any] | None,
     half_form: Any,
-    k: float,
-    tol: float = 1e-10,
-    radius: float | None = None,
-) -> float:
-    """Core density by direct numerics.
+    radius: float | None,
+) -> Callable[[float, float], float]:
+    """``(k, tol) -> j_a(k)``, every call drawing on one table of flows.
 
-    The flow is transported with an adaptive ODE solver (dense output,
-    carrying the phase and log-weight integrals as extra state) and the
-    resulting radial integrand is handed to the numeric Laplace
-    quadrature; no series machinery is involved, which keeps this the
-    independent oracle for the expansion path.  ``radius`` truncates
-    the domain; by default the span is grown until the integrand has
-    decayed below double-precision relevance.  Group dimension above 3
-    is refused with :class:`~lapasym.errors.DomainError`.
+    The table holds the dense flow solution of each (direction, span)
+    pair solved so far, the span probes included, so a k list costs one
+    solve per pair.  A quadrature point reads its flow state once, for
+    both the phase and the amplitude.
     """
-    if not k > 0:
-        raise DomainError("k must be positive")
     dim = model.group_dim
     if dim > 3:
         # the quadrature above three dimensions samples the ball uniformly,
@@ -557,67 +544,86 @@ def j_a_numeric(
         )
     chart = model.chart_dim
     x0 = _reference_point(model, point)
-    a = half_form
+    weight = float(half_form)
+    table: dict[tuple, Any] = {}
+
+    def flow(omega: tuple, span: float):
+        key = (omega, span)
+        if key not in table:
+            table[key] = _augmented_flow(model, omega, x0, span)
+        return table[key]
 
     if dim == 1:
-        directions = [(1,), (-1,)]
+        # keep d = 1 directions integer, as the series side does
+        probes = [(1,), (-1,)]
+
+        def direction(p: Sequence[float], rho: float) -> tuple:
+            return (1,) if p[0] > 0 else (-1,)
+    else:
+        probes = [(1.0,) + (0.0,) * (dim - 1)]
+
+        def direction(p: Sequence[float], rho: float) -> tuple:
+            return tuple(round(c / rho, 14) for c in p)
+
+    def value(k: float, tol: float) -> float:
+        if not k > 0:
+            raise DomainError("k must be positive")
         if radius is None or math.isinf(radius):
-            span = _choose_span(model, directions, x0, k, a)
+            span = _choose_span(flow, chart, probes, k, half_form)
         else:
             span = float(radius)
-        dense = {
-            omega: _augmented_flow(model, omega, x0, span) for omega in directions
-        }
+        # phase and amplitude are asked for the same point in turn
+        last: list = [None, None]
+
+        def state(p: Sequence[float]):
+            if p != last[0]:
+                rho = math.hypot(*p)
+                last[0] = p
+                last[1] = None if rho == 0.0 else flow(direction(p, rho), span).sol(rho)
+            return last[1]
 
         def phase(p: Sequence[float]) -> float:
-            rho = abs(p[0])
-            if rho == 0.0:
-                return 0.0
-            return 2.0 * dense[(1,) if p[0] > 0 else (-1,)].sol(rho)[chart]
+            y = state(p)
+            return 0.0 if y is None else 2.0 * y[chart]
 
         def amplitude(p: Sequence[float]) -> float:
-            rho = abs(p[0])
-            if rho == 0.0:
-                return 1.0
-            log_w = dense[(1,) if p[0] > 0 else (-1,)].sol(rho)[chart + 1]
-            return math.exp(float(a) * log_w)
+            y = state(p)
+            return 1.0 if y is None else math.exp(weight * y[chart + 1])
 
-        return numeric_laplace_integral(phase, amplitude, 1, k, tol=tol,
+        return numeric_laplace_integral(phase, amplitude, dim, k, tol=tol,
                                         radius=span).value
 
-    # d = 2, 3: per-point endpoint solves; slow but direction-exact
-    if radius is None or math.isinf(radius):
-        probe = (1.0,) + (0.0,) * (dim - 1)
-        span = _choose_span(model, [probe], x0, k, a)
-    else:
-        span = float(radius)
-    cache: dict[tuple, Any] = {}
+    return value
 
-    def solved(direction: tuple):
-        if direction not in cache:
-            cache[direction] = _augmented_flow(model, direction, x0, span)
-        return cache[direction]
 
-    def phase(p: Sequence[float]) -> float:
-        rho = math.hypot(*p)
-        if rho == 0.0:
-            return 0.0
-        direction = tuple(round(c / rho, 14) for c in p)
-        return 2.0 * solved(direction).sol(rho)[chart]
+def j_a_numeric(
+    model: HamiltonianModel,
+    point: Sequence[Any] | None,
+    half_form: Any,
+    k: float | Sequence[float],
+    tol: float = 1e-10,
+    radius: float | None = None,
+):
+    """Core density by direct numerics, at one ``k`` or a list of them.
 
-    def amplitude(p: Sequence[float]) -> float:
-        rho = math.hypot(*p)
-        if rho == 0.0:
-            return 1.0
-        direction = tuple(round(c / rho, 14) for c in p)
-        return math.exp(float(a) * solved(direction).sol(rho)[chart + 1])
-
-    return numeric_laplace_integral(phase, amplitude, dim, k, tol=tol,
-                                    radius=span).value
+    The flow is transported with an adaptive ODE solver (dense output,
+    carrying the phase and log-weight integrals as extra state) and the
+    resulting radial integrand is handed to the numeric Laplace
+    quadrature; no series machinery is involved, which keeps this the
+    independent oracle for the expansion path.  ``radius`` truncates
+    the domain; by default the span is grown until the integrand has
+    decayed below double-precision relevance.  A scalar ``k`` gives a
+    float, a sequence a list in its order; the k values of one call
+    share their flow solves, so a list costs one solve per distinct
+    (direction, span) pair, not one per k.  Group dimension above 3 is
+    refused with :class:`~lapasym.errors.DomainError`.
+    """
+    oracle = _flow_oracle(model, point, half_form, radius)
+    return _sweep(k, lambda kv: oracle(kv, tol))
 
 
 def _sweep(values, one: Callable[[float], float]):
-    if isinstance(values, (int, float)):
+    if isinstance(values, numbers.Real):
         return one(float(values))
     return [one(float(v)) for v in values]
 
@@ -647,15 +653,18 @@ def density(
     """Density ``kind`` by direct numerics, at one ``k`` or a list of them.
 
     ``"I"`` is the uncorrected density ``(k/2pi)^{d/2} vol^2 j_1(k)``,
-    ``"J"`` the corrected one ``(k/pi)^{d/2} vol j_{1/2}(k)``.
+    ``"J"`` the corrected one ``(k/pi)^{d/2} vol j_{1/2}(k)``.  A
+    scalar ``k`` gives a float, a sequence a list in its order; as in
+    :func:`j_a_numeric`, the k values of one call share their flow
+    solves.
     """
     x0, half_form, divisor, scale = _density_data(model, kind, point)
     d = model.group_dim
+    oracle = _flow_oracle(model, x0, half_form, radius)
 
     def one(kv: float) -> float:
         prefactor = (kv / divisor) ** (d / 2.0) * scale
-        return prefactor * j_a_numeric(model, x0, half_form, kv,
-                                       tol=tol / prefactor, radius=radius)
+        return prefactor * oracle(kv, tol / prefactor)
 
     return _sweep(k, one)
 
@@ -836,18 +845,25 @@ def _number(value: Any) -> Any:
     raise DomainError(f"unreadable number {value!r}")
 
 
-def _point_env(point: Sequence[Any]) -> dict:
-    return {f"x{i}": v for i, v in enumerate(point)}
-
-
-def _full_env(omega: Sequence[Any], point: Sequence[Any]) -> dict:
-    env = _point_env(point)
-    env.update({f"w{i}": v for i, v in enumerate(omega)})
-    return env
+def _compiled(name: str, key: str, node: Any, symbols: tuple):
+    """``node`` bound to ``symbols`` by position, after checking its symbols."""
+    unknown = sorted(expression_symbols(node) - set(symbols))
+    if unknown:
+        allowed = ", ".join(symbols)
+        raise DomainError(
+            f"model {name!r}: {key} uses symbol {unknown[0]!r}; it may use only {allowed}"
+        )
+    return compile_expression(Positional(node, symbols))
 
 
 def model_from_config(config: dict) -> HamiltonianModel:
-    """Build a model from a declarative config dictionary."""
+    """Build a model from a declarative config dictionary.
+
+    Every expression is checked when the model loads: ``phi``,
+    ``flow_field`` and ``laplacian_phi`` may use ``x0 .. x{chart_dim-1}``
+    and ``w0 .. w{group_dim-1}``, ``orbit_volume`` and ``chart_density``
+    only the ``x<i>``, and ``zero_chart`` only ``s``.
+    """
     required = ("group_dim", "chart_dim", "phi", "flow_field", "laplacian_phi",
                 "zero_points", "orbit_volume")
     for key in required:
@@ -857,14 +873,18 @@ def model_from_config(config: dict) -> HamiltonianModel:
     chart_dim = config["chart_dim"]
     if any(not isinstance(n, int) or isinstance(n, bool) for n in (group_dim, chart_dim)):
         raise DomainError("model dimensions must be integers")
+    name = str(config.get("name", "config-model"))
+    # a point's values come first, then the direction's: (x0, .., w0, ..)
+    coords = tuple(f"x{i}" for i in range(chart_dim))
+    full = coords + tuple(f"w{i}" for i in range(group_dim))
 
-    phi_fn = compile_expression(config["phi"])
-    lap_fn = compile_expression(config["laplacian_phi"])
+    phi_fn = _compiled(name, "phi", config["phi"], full)
+    lap_fn = _compiled(name, "laplacian_phi", config["laplacian_phi"], full)
     flow_exprs = config["flow_field"]
     if not isinstance(flow_exprs, list) or len(flow_exprs) != chart_dim:
         raise DomainError("flow_field needs one expression per chart coordinate")
-    flow_fns = [compile_expression(e) for e in flow_exprs]
-    volume_fn = compile_expression(config["orbit_volume"])
+    flow_fns = [_compiled(name, "flow_field", e, full) for e in flow_exprs]
+    volume_fn = _compiled(name, "orbit_volume", config["orbit_volume"], coords)
 
     points = config["zero_points"]
     if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
@@ -875,26 +895,27 @@ def model_from_config(config: dict) -> HamiltonianModel:
 
     zero_chart = None
     if "zero_chart" in config:
-        chart_fns = [compile_expression(e) for e in config["zero_chart"]]
+        chart_fns = [_compiled(name, "zero_chart", e, ("s",)) for e in config["zero_chart"]]
         if len(chart_fns) != chart_dim:
             raise DomainError("zero_chart needs one expression per chart coordinate")
-        zero_chart = lambda s: tuple(fn({"s": s}) for fn in chart_fns)
+        zero_chart = lambda s: tuple(fn((s,)) for fn in chart_fns)
     density_fn = None
     if "chart_density" in config:
-        compiled_density = compile_expression(config["chart_density"])
-        density_fn = lambda point: compiled_density(_point_env(point))
+        density_fn = _compiled(name, "chart_density", config["chart_density"], coords)
+
+    def flow_field(omega, point):
+        values = (*point, *omega)
+        return tuple(fn(values) for fn in flow_fns)
 
     return HamiltonianModel(
         group_dim=group_dim,
         chart_dim=chart_dim,
-        phi=lambda omega, point: phi_fn(_full_env(omega, point)),
-        flow_field=lambda omega, point: tuple(
-            fn(_full_env(omega, point)) for fn in flow_fns
-        ),
-        laplacian_phi=lambda omega, point: lap_fn(_full_env(omega, point)),
+        phi=lambda omega, point: phi_fn((*point, *omega)),
+        flow_field=flow_field,
+        laplacian_phi=lambda omega, point: lap_fn((*point, *omega)),
         zero_points=zero_points,
-        orbit_volume=lambda point: volume_fn(_point_env(point)),
-        name=str(config.get("name", "config-model")),
+        orbit_volume=volume_fn,
+        name=name,
         zero_chart=zero_chart,
         chart_density=density_fn,
     )

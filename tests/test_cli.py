@@ -316,6 +316,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
      ["expand", "--model", "line_poly.json", "--exact", "--order", "14"]),
     ("expand_flat2_aniso_order6",
      ["expand", "--model", "flat2_aniso.json", "--order", "6", "--resolution", "16"]),
+    # the numeric oracle: a d = 2 verify whose three k values share one span,
+    # and a d = 1 density sweep over a config model
+    ("verify_sphere2_product_order2",
+     ["verify", "--model", "sphere2_product.json", "--order", "2",
+      "--k", "100,200,400", "--tol", "1e-8"]),
+    ("density_sweep_sphere1_product_order4",
+     ["density-sweep", "--model", "sphere1_product.json", "--order", "4",
+      "--k", "30,100,1000"]),
 ])
 def test_output_matches_golden_bytes(name, args, fmt, capsys, monkeypatch):
     # the golden files hold the stdout of an earlier release; refactors
@@ -417,3 +425,56 @@ def test_oracle_refuses_group_dimension_four(command, tmp_path, capsys, monkeypa
     code, out, err = run_cli(command + ["--model", write_model(tmp_path, FLAT4)], capsys)
     assert_one_error_line(code, out, err)
     assert "'flat4'" in err and "group dimension 4" in err
+
+
+def test_zero_divisor_is_a_domain_error(tmp_path, capsys):
+    # the orbit volume 1/x0 compiles, and is singular at the zero point x0 = 0
+    config = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
+              "flow_field": ["w0"], "zero_points": [[0]], "orbit_volume": ["/", "1", "x0"]}
+    code, out, err = run_cli(
+        ["density-sweep", "--k", "100", "--model", write_model(tmp_path, config)], capsys
+    )
+    assert_one_error_line(code, out, err)
+    assert 'division by zero in ["/", "1", "x0"]' in err
+
+
+@pytest.mark.parametrize("node", [["/", 1, 0], ["sqrt", -1]], ids=["quotient", "sqrt"])
+def test_symbol_free_domain_error_fails_at_load(node, tmp_path, capsys, monkeypatch):
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the model loaded")
+
+    monkeypatch.setattr(cli, "geometric_expansion", no_expansion)
+    config = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0", node],
+              "flow_field": ["w0"], "zero_points": [[0]]}
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+    assert json.dumps(node) in err
+
+
+def test_verify_solves_each_flow_once(tmp_path, capsys, monkeypatch):
+    # k = 100 needs span 4, k = 200 and 400 span 2: the three k values share
+    # the span probes, and the last two their angular directions too
+    import scipy.integrate
+    from lapasym import models
+
+    pairs, solves = [], []
+    flow = models._augmented_flow
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def recording_flow(model, omega, x0, span):
+        pairs.append((omega, span))
+        return flow(model, omega, x0, span)
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve)
+    code, out, err = run_cli(
+        ["verify", "--model", write_model(tmp_path, FLAT2), "--order", "2",
+         "--k", "100,200,400", "--tol", "1e-8"], capsys
+    )
+    assert code == 0 and err == ""
+    assert {span for _, span in pairs} == {1.0, 2.0, 4.0}
+    assert len(solves) == len(pairs) == len(set(pairs))

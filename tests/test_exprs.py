@@ -1,12 +1,16 @@
 """Tests for the declarative expression compiler."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from lapasym import jets
 from lapasym.errors import DomainError
-from lapasym.exprs import compile_expression, expression_symbols
+from lapasym.exprs import Positional, compile_expression, expression_symbols
 from lapasym.jets import TruncatedSeries
 
 
@@ -81,6 +85,8 @@ def test_rejects_bad_trees():
     with pytest.raises(DomainError):
         compile_expression(["frobnicate", 1])
     with pytest.raises(DomainError):
+        compile_expression([["+", 1, 2], 3])
+    with pytest.raises(DomainError):
         compile_expression(["+", 1])
     with pytest.raises(DomainError):
         compile_expression(["/", 1])
@@ -98,3 +104,114 @@ def test_expression_symbols():
     tree = ["+", ["*", "x0", "w0"], ["pow", "x1", 3], "pi", "1/2"]
     assert expression_symbols(tree) == frozenset({"x0", "w0", "x1"})
     assert expression_symbols(42) == frozenset()
+
+
+def test_symbol_free_subtrees_fold_at_compile_time():
+    # a symbol-free domain error surfaces when the expression compiles
+    for node, culprit in ((["/", 1, 0], '["/", 1, 0]'), (["sqrt", -1], '["sqrt", -1]'),
+                          (["+", "x", ["log", 0]], '["log", 0]')):
+        with pytest.raises(DomainError, match=re.escape(culprit)):
+            compile_expression(node)
+    # a symbolic zero divisor still compiles and fails only where it is zero
+    fn = compile_expression(["/", "1", "x0"])
+    assert fn({"x0": 4}) == Fraction(1, 4)
+    with pytest.raises(DomainError, match=r'division by zero in \["/", "1", "x0"\]'):
+        fn({"x0": 0})
+
+
+def test_positional_binding():
+    fn = compile_expression(Positional(["+", "x0", ["*", 2, "w0"]], ("x0", "w0")))
+    assert fn((1, Fraction(1, 3))) == Fraction(5, 3)
+    with pytest.raises(DomainError, match="'w1'"):
+        compile_expression(Positional(["*", "w1", "x0"], ("x0", "w0")))
+
+
+# ------------------------------------------------------------ folding is exact
+
+_LEAVES = ("1/3", "-2/7", "5/4", 2, -3, 0.3, -1.7, "pi", "x", "y")
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_LEAVES)
+    op = rng.choice(("+", "*", "+", "*", "-", "/", "neg", "pow", "sin", "cos", "exp"))
+    if op in ("+", "*"):
+        return [op] + [_random_tree(rng, depth - 1) for _ in range(rng.randint(2, 4))]
+    if op == "-":
+        return [op] + [_random_tree(rng, depth - 1) for _ in range(rng.randint(1, 2))]
+    if op == "/":
+        return [op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1)]
+    if op == "pow":
+        return [op, _random_tree(rng, depth - 1), rng.randint(-2, 3)]
+    return [op, _random_tree(rng, depth - 1)]
+
+
+def _unfolded(node, env):
+    """Reference: evaluate the tree as written, every constant at run time."""
+    if isinstance(node, (int, float)):
+        return node
+    if isinstance(node, str):
+        if node == "pi":
+            return math.pi
+        if node in env:
+            return env[node]
+        value = Fraction(node)
+        return value.numerator if value.denominator == 1 else value
+    op, *args = node
+    if op == "pow":
+        return _unfolded(args[0], env) ** args[1]
+    values = [_unfolded(a, env) for a in args]
+    if op in ("+", "*"):
+        total = values[0]
+        for v in values[1:]:
+            total = total + v if op == "+" else total * v
+        return total
+    if op == "-":
+        return -values[0] if len(values) == 1 else values[0] - values[1]
+    if op == "/":
+        return values[0] / values[1]
+    if op == "neg":
+        return -values[0]
+    return {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp}[op](values[0])
+
+
+_INPUTS = (
+    {"x": 0.37, "y": -1.25},
+    {"x": np.float64(0.37), "y": np.float64(2.5)},
+    {"x": Fraction(3, 7), "y": Fraction(-5, 2)},
+    {"x": TruncatedSeries([Fraction(1, 3), 1, Fraction(-1, 2), 0]),
+     "y": TruncatedSeries([Fraction(2), Fraction(1, 5), 0, 1])},
+    {"x": TruncatedSeries([0.4, 1.0, -0.5]), "y": TruncatedSeries([1.5, 0.25, 2.0])},
+)
+
+
+def test_folding_is_bit_identical_to_unfolded_evaluation():
+    rng = random.Random(20081)
+    compared = 0
+    for _ in range(400):
+        tree = _random_tree(rng, 4)
+        try:
+            by_name = compile_expression(tree)
+            by_position = compile_expression(Positional(tree, ("x", "y")))
+        except DomainError:
+            # only a symbol-free subtree that cannot be evaluated fails here
+            with pytest.raises((ArithmeticError, ValueError)):
+                _unfolded(tree, _INPUTS[0])
+            continue
+        for env in _INPUTS:
+            try:
+                want = _unfolded(tree, env)
+            except (ArithmeticError, ValueError):
+                with pytest.raises((ArithmeticError, ValueError)):
+                    by_name(env)
+                continue
+            for got in (by_name(env), by_position((env["x"], env["y"]))):
+                assert type(got) is type(want), tree
+                if isinstance(want, (float, np.floating)):
+                    # NaN from an overflowed series is compared by repr too
+                    assert repr(got) == repr(want), tree
+                else:
+                    assert got == want, tree
+                    assert repr(got) == repr(want), tree
+            compared += 1
+    assert compared > 1000

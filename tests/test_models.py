@@ -9,6 +9,7 @@ coefficients, Gamma-ratio densities, sech^2 transport Jacobian).
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 import random
 
@@ -28,6 +29,7 @@ from lapasym.models import (
     jacobian_tau_check,
     leading_term_identity,
     load_model,
+    model_from_config,
     profile_from_atoms,
     quartic_test_model,
     radial_profile,
@@ -301,6 +303,15 @@ def test_j_a_numeric_quartic_reference():
     assert rel(value, 0.17596991098913908) < 1e-10
 
 
+def test_j_a_numeric_k_list_matches_scalar_calls():
+    # one call over a k list shares its flows and changes no digit
+    sphere = builtin_sphere_model()
+    ks = [Fraction(25), 60, 200.0]
+    values = j_a_numeric(sphere, None, Fraction(1, 2), ks, tol=1e-10)
+    assert values == [j_a_numeric(sphere, None, Fraction(1, 2), k, tol=1e-10) for k in ks]
+    assert density(sphere, "J", ks) == [density(sphere, "J", k) for k in ks]
+
+
 def test_j_a_numeric_validation():
     with pytest.raises(DomainError):
         j_a_numeric(gaussian_test_model(), None, 0, 0.0)
@@ -461,3 +472,25 @@ def test_resolve_model_and_errors(tmp_path):
         path.write_text(json.dumps(config))
         with pytest.raises(DomainError):
             load_model(str(path))
+
+
+@pytest.mark.parametrize("key, value, symbol", [
+    ("phi", ["*", "w1", "x0"], "w1"),
+    ("flow_field", [["*", "w0", "x1"]], "x1"),
+    ("laplacian_phi", ["*", "t", "x0"], "t"),
+    ("orbit_volume", ["*", "w0", "x0"], "w0"),
+    ("chart_density", "s", "s"),
+    ("zero_chart", ["x0"], "x0"),
+])
+def test_config_symbols_checked_at_load(key, value, symbol):
+    with pytest.raises(DomainError) as info:
+        model_from_config({**FLAT_CONFIG, key: value})
+    message = str(info.value)
+    assert "'flat-line'" in message and key in message and repr(symbol) in message
+
+
+def test_config_symbol_free_domain_errors_fail_at_load():
+    for node in (["/", 1, 0], ["sqrt", -1]):
+        with pytest.raises(DomainError, match=re.escape(json.dumps(node))):
+            model_from_config({**FLAT_CONFIG, "orbit_volume": node})
+
