@@ -223,8 +223,7 @@ def cmd_density_sweep(cfg: RunConfig) -> str:
     model = resolve_model(cfg.model_source)
     rows = []
     if cfg.k_values:
-        i_numeric, j_numeric = (density(model, kind, cfg.k_values, tol=cfg.tol)
-                                for kind in ("I", "J"))
+        i_numeric, j_numeric = density(model, ("I", "J"), cfg.k_values, tol=cfg.tol)
         ks = [*cfg.k_values, math.inf]
         i_series, j_series = (
             density_series(model, kind, ks, order=cfg.order, resolution=cfg.resolution)

@@ -20,8 +20,9 @@ Interior nodes are ``[op, arg, ...]`` with operators
 ======== ======================================================
 
 Compiled expressions evaluate on whatever the environment supplies:
-plain numbers, exact rationals, or truncated series, so one config
-works for point evaluation and for jet transport alike.  The
+plain numbers, exact rationals, numpy arrays (elementwise), or
+truncated series, so one config works for point evaluation, for many
+points at once and for jet transport alike.  The
 environment is a mapping from symbol names or, for a tree wrapped in
 :class:`Positional` with its symbol list, a sequence read by position:
 ``symbols[i]`` is ``env[i]``.  A model's callables bind ``x0, ...,
@@ -38,7 +39,8 @@ compile time; so are structural problems (unknown operator, bad arity,
 non-integer exponent) and, with positional binding, a symbol missing
 from ``symbols``.  A zero divisor met during evaluation, or an unbound
 symbol in a mapping, is a :class:`~lapasym.errors.DomainError` when
-the expression is evaluated.
+the expression is evaluated, also when the divisor is an array with a
+zero entry.
 """
 
 from __future__ import annotations
@@ -50,12 +52,16 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from . import jets
 from .errors import DomainError
 
 __all__ = ["Positional", "compile_expression", "expression_symbols"]
 
 CompiledExpr = Callable[[Any], Any]
+
+_NUMPY = (np.ndarray, np.generic)
 
 _SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -130,16 +136,33 @@ def _binary(node: Any, op: Callable, left: Any, right: Any) -> Any:
         if isinstance(right, _Folded):
             return _fold(node, op, left.value, right.value)
         c = left.value
+        if isinstance(c, Fraction):
+            f = float(c)
+            return lambda env: _with_fraction(op, c, f, right(env), first=True)
         return lambda env: op(c, right(env))
     if isinstance(right, _Folded):
         c = right.value
+        if isinstance(c, Fraction):
+            f = float(c)
+            return lambda env: _with_fraction(op, c, f, left(env), first=False)
         return lambda env: op(left(env), c)
     return lambda env: op(left(env), right(env))
+
+
+def _with_fraction(op: Callable, c: Fraction, f: float, x: Any, first: bool) -> Any:
+    # numpy would make an object array of a Fraction and a float array; a
+    # Fraction meets a float as its float, so the elements come out the same
+    if isinstance(x, np.ndarray):
+        c = f
+    return op(c, x) if first else op(x, c)
 
 
 def _quotient(node: Any) -> Callable[[Any, Any], Any]:
     def divide(a: Any, b: Any) -> Any:
         try:
+            # numpy divides by zero without raising, in arrays and its scalars
+            if (isinstance(a, _NUMPY) or isinstance(b, _NUMPY)) and not np.all(b):
+                raise ZeroDivisionError
             return a / b
         except ZeroDivisionError:
             raise DomainError(f"division by zero in {json.dumps(node)}") from None

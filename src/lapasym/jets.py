@@ -29,9 +29,11 @@ which evaluate iterated "derivative along a vector field" operators
 without any symbolic differentiation.
 
 The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
-:func:`log` dispatch on the argument type (series or scalar), which lets
-model callables be written once as ordinary compositions and evaluated
-on points and on jets alike.
+:func:`log` dispatch on the argument type (series, numpy array or
+scalar), which lets model callables be written once as ordinary
+compositions and evaluated on points, on arrays of points (elementwise)
+and on jets alike.  On an array, a square root of a negative entry or a
+logarithm of a nonpositive one is a :class:`~lapasym.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, JetEvaluationError, OrderMismatchError
 
@@ -260,10 +264,17 @@ def _invert_scalar(value: Any) -> Any:
     return 1.0 / value
 
 
+def _floats(value: np.ndarray) -> np.ndarray:
+    # exact constants times a float array give an object array of floats
+    return value.astype(float, copy=False)
+
+
 def exp(value: Any) -> Any:
-    """Exponential of a scalar or truncated series."""
+    """Exponential of a scalar, an array (elementwise) or a truncated series."""
     if isinstance(value, TruncatedSeries):
         return exp_series(value)
+    if isinstance(value, np.ndarray):
+        return np.exp(_floats(value))
     if _is_exact(value) and value == 0:
         return 1
     return math.exp(value)
@@ -272,6 +283,8 @@ def exp(value: Any) -> Any:
 def sin(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[0]
+    if isinstance(value, np.ndarray):
+        return np.sin(_floats(value))
     if _is_exact(value) and value == 0:
         return value
     return math.sin(value)
@@ -280,6 +293,8 @@ def sin(value: Any) -> Any:
 def cos(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[1]
+    if isinstance(value, np.ndarray):
+        return np.cos(_floats(value))
     if _is_exact(value) and value == 0:
         return 1
     return math.cos(value)
@@ -289,6 +304,11 @@ def sqrt(value: Any) -> Any:
     """Square root; exact on perfect squares of ints and rationals."""
     if isinstance(value, TruncatedSeries):
         return _sqrt_series(value)
+    if isinstance(value, np.ndarray):
+        value = _floats(value)
+        if (value < 0).any():
+            raise DomainError("square root of a negative value")
+        return np.sqrt(value)
     if isinstance(value, int) and value >= 0:
         r = math.isqrt(value)
         if r * r == value:
@@ -303,6 +323,11 @@ def sqrt(value: Any) -> Any:
 def log(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _log_series(value)
+    if isinstance(value, np.ndarray):
+        value = _floats(value)
+        if (value <= 0).any():
+            raise DomainError("logarithm of a nonpositive value")
+        return np.log(value)
     if _is_exact(value) and value == 1:
         return 0
     return math.log(value)

@@ -7,7 +7,7 @@ Laplacian ``laplacian_phi``, the zero-level points, and the orbit
 volume.  All three scalar maps must be jet-evaluable (built from ring
 arithmetic and the dispatched elementary functions of :mod:`.jets`),
 which is what lets one definition drive both the series pipeline and
-pointwise numeric work.
+numeric work on points and on arrays of points.
 
 From a model, this module extracts per-direction radial series
 (:func:`radial_profile`), bridges them to the generic expansion engine
@@ -31,13 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .bell import composition_tuples, generalized_binomial, partition_multinomial, \
     partition_tuples
 from .engine import ExpansionResult, RadialProfile, SphereRule, \
-    expansion_series, gamma_value, numeric_laplace_integral, sphere_rule
+    expansion_series, gamma_value, polar_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
 from .exprs import Positional, compile_expression, expression_symbols
-from .jets import TruncatedSeries, compose_scalar, exp_series, \
+from .jets import TruncatedSeries, compose_scalar, exp, exp_series, \
     iterated_flow_derivatives, ode_jet_transport
 
 __all__ = [
@@ -78,7 +80,13 @@ class HamiltonianModel:
     ``laplacian_phi(omega, point)`` take a direction tuple of length
     ``group_dim`` and a chart point of length ``chart_dim``; the maps
     must be odd in ``omega`` (direction linearity) and accept series
-    entries.  ``orbit_volume(point)`` is plain numeric.  ``zero_chart``
+    entries.  They must also accept numpy arrays elementwise: the
+    numeric oracle passes the directions and points of a whole angular
+    level as one array per coordinate (a single direction as plain
+    numbers), and a map may return a scalar where every entry is the
+    same.  The elementary functions of :mod:`.jets` and config models
+    qualify; ``math.*`` calls do not.  ``orbit_volume(point)`` is plain
+    numeric.  ``zero_chart``
     and ``chart_density`` are optional and only needed by the Jacobian
     check: a parametrization ``s -> point`` of the zero level and the
     density of the volume form in chart coordinates.
@@ -114,10 +122,9 @@ def _reference_point(model: HamiltonianModel, point):
     return tuple(model.zero_points[0]) if point is None else tuple(point)
 
 
-def _node_direction(rule: SphereRule, index: int) -> tuple:
+def _node_direction(row: Sequence[float]) -> tuple:
     # d = 1 nodes are exactly +-1; keep them integer so exact charts stay exact
-    row = rule.nodes[index]
-    if rule.dim == 1:
+    if len(row) == 1:
         return (1 if row[0] > 0 else -1,)
     return tuple(float(c) for c in row)
 
@@ -259,7 +266,7 @@ def geometric_expansion(
     rule = sphere_rule(model.group_dim, resolution)
     # reduced phase coefficient f_order is phase[t^(order + 2)]
     series = (
-        radial_profile(model, _node_direction(rule, i), point, order + 2, half_form)
+        radial_profile(model, _node_direction(rule.nodes[i]), point, order + 2, half_form)
         for i in range(len(rule))
     )
     return expansion_series(_profile(rule, series, order), order, mode)
@@ -357,7 +364,7 @@ def zeta_geometric(
     """
     rule = sphere_rule(model.group_dim, resolution)
     atom_table = [
-        direction_atoms(model, _node_direction(rule, i), point, j + 1, max(j, 1))
+        direction_atoms(model, _node_direction(rule.nodes[i]), point, j + 1, max(j, 1))
         for i in range(len(rule))
     ]
     return zeta_geometric_from_atoms(
@@ -402,7 +409,7 @@ def zeta2_reference(
     """Second expansion coefficient by the closed displayed form."""
     rule = sphere_rule(model.group_dim, resolution)
     atom_table = [
-        direction_atoms(model, _node_direction(rule, i), point, 3, 2)
+        direction_atoms(model, _node_direction(rule.nodes[i]), point, 3, 2)
         for i in range(len(rule))
     ]
     return zeta2_reference_from_atoms(
@@ -466,24 +473,51 @@ def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianMo
 
 # ------------------------------------------------------------ numeric densities
 
-def _augmented_flow(model: HamiltonianModel, omega: tuple, x0: tuple, span: float):
-    """Dense flow solution carrying phase and log-weight accumulators."""
+def _state_rows(y: np.ndarray, n: int) -> tuple:
+    # the flow state is (coordinates, phase, log-weight), one row each over
+    # the n directions; one direction is read as plain numbers, so a
+    # single flow computes exactly as it would on its own
+    return tuple(y) if n == 1 else tuple(y.reshape(-1, n))
+
+
+def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span: float):
+    """One dense flow of every direction in ``directions``, carrying the
+    phase and log-weight accumulators.
+
+    The state holds one row per chart coordinate, then the phase and the
+    log-weight, each over the directions; the model's maps see each row
+    as a numpy array and must compute elementwise.
+    """
     from scipy.integrate import solve_ivp  # the oracle only: see engine._radial_quad
 
     chart = model.chart_dim
+    n = len(directions)
+    omega = directions[0] if n == 1 else tuple(
+        np.array(column, dtype=float) for column in zip(*directions)
+    )
 
     def rhs(_s: float, y):
-        coords = tuple(y[:chart])
-        vec = model.flow_field(omega, coords)
-        return [float(v) for v in vec] + [
-            float(model.phi(omega, coords)),
-            float(model.laplacian_phi(omega, coords)),
-        ]
+        coords = _state_rows(y, n)[:chart]
+        try:
+            values = (*model.flow_field(omega, coords), model.phi(omega, coords),
+                      model.laplacian_phi(omega, coords))
+        except DomainError:
+            raise
+        except (TypeError, ValueError, AttributeError) as exc:
+            if n == 1:
+                raise
+            raise DomainError(
+                f"model {model.name!r} cannot evaluate its maps on coordinate arrays: {exc}"
+            ) from None
+        out = np.empty((len(values), n))
+        for row, v in enumerate(values):
+            out[row] = v
+        return out.ravel()
 
     solution = solve_ivp(
         rhs,
         (0.0, span),
-        [float(c) for c in x0] + [0.0, 0.0],
+        np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
         method="DOP853",
         dense_output=True,
         rtol=1e-13,
@@ -498,41 +532,35 @@ def _augmented_flow(model: HamiltonianModel, omega: tuple, x0: tuple, span: floa
     return solution
 
 
-def _choose_span(flow: Callable[[tuple, float], Any], chart: int,
-                 directions: Sequence[tuple], k: float, half_form: Any) -> float:
-    """Smallest power-of-two span on which the integrand has died off."""
-    span = 1.0
-    while True:
-        decayed = True
-        for omega in directions:
-            solution = flow(omega, span)
-            phase_end = solution.y[chart][-1]
-            weight_end = solution.y[chart + 1][-1]
-            if 2.0 * k * phase_end - abs(float(half_form)) * abs(weight_end) \
-                    < _PHASE_CUTOFF:
-                decayed = False
-                break
-        if decayed:
-            return span
-        span *= 2.0
-        if span > _MAX_FLOW_SPAN:
-            raise DomainError(
-                "phase fails to grow along the flow; integrand does not decay"
-            )
+def _flow_table(model: HamiltonianModel, x0: tuple) -> Callable[[tuple, float], Any]:
+    """``(directions, span) -> dense flow``, solving each pair once."""
+    table: dict[tuple, Any] = {}
+
+    def flow(directions: tuple, span: float):
+        key = (directions, span)
+        if key not in table:
+            table[key] = _augmented_flow(model, directions, x0, span)
+        return table[key]
+
+    return flow
+
+
+class _Undecayed(Exception):
+    """A direction's integrand has not died off within the flow span."""
 
 
 def _flow_oracle(
     model: HamiltonianModel,
-    point: Sequence[Any] | None,
+    flows: Callable[[tuple, float], Any],
     half_form: Any,
     radius: float | None,
 ) -> Callable[[float, float], float]:
-    """``(k, tol) -> j_a(k)``, every call drawing on one table of flows.
+    """``(k, tol) -> j_a(k)`` over the flows of ``flows``.
 
-    The table holds the dense flow solution of each (direction, span)
-    pair solved so far, the span probes included, so a k list costs one
-    solve per pair.  A quadrature point reads its flow state once, for
-    both the phase and the amplitude.
+    Each angular level of the quadrature is one vectorized flow of its
+    directions.  Without a ``radius`` the span starts at 1 and doubles
+    until, at the end of every level's flow, every direction's
+    integrand has died off.
     """
     dim = model.group_dim
     if dim > 3:
@@ -543,55 +571,41 @@ def _flow_oracle(
             f"has group dimension {dim}"
         )
     chart = model.chart_dim
-    x0 = _reference_point(model, point)
     weight = float(half_form)
-    table: dict[tuple, Any] = {}
 
-    def flow(omega: tuple, span: float):
-        key = (omega, span)
-        if key not in table:
-            table[key] = _augmented_flow(model, omega, x0, span)
-        return table[key]
+    def level_at(k: float, span: float, decay: bool):
+        def level(nodes: np.ndarray):
+            directions = tuple(map(_node_direction, nodes))
+            n = len(directions)
+            solution = flows(directions, span)
+            if decay:
+                end = solution.y[:, -1].reshape(-1, n)
+                if np.any(2.0 * k * end[chart] - abs(weight) * np.abs(end[chart + 1])
+                          < _PHASE_CUTOFF):
+                    raise _Undecayed
 
-    if dim == 1:
-        # keep d = 1 directions integer, as the series side does
-        probes = [(1,), (-1,)]
+            def values(rho: float):
+                state = _state_rows(solution.sol(rho), n)
+                return exp(-k * (2.0 * state[chart])) * exp(weight * state[chart + 1])
 
-        def direction(p: Sequence[float], rho: float) -> tuple:
-            return (1,) if p[0] > 0 else (-1,)
-    else:
-        probes = [(1.0,) + (0.0,) * (dim - 1)]
+            return values
 
-        def direction(p: Sequence[float], rho: float) -> tuple:
-            return tuple(round(c / rho, 14) for c in p)
+        return level
 
     def value(k: float, tol: float) -> float:
         if not k > 0:
             raise DomainError("k must be positive")
-        if radius is None or math.isinf(radius):
-            span = _choose_span(flow, chart, probes, k, half_form)
-        else:
-            span = float(radius)
-        # phase and amplitude are asked for the same point in turn
-        last: list = [None, None]
-
-        def state(p: Sequence[float]):
-            if p != last[0]:
-                rho = math.hypot(*p)
-                last[0] = p
-                last[1] = None if rho == 0.0 else flow(direction(p, rho), span).sol(rho)
-            return last[1]
-
-        def phase(p: Sequence[float]) -> float:
-            y = state(p)
-            return 0.0 if y is None else 2.0 * y[chart]
-
-        def amplitude(p: Sequence[float]) -> float:
-            y = state(p)
-            return 1.0 if y is None else math.exp(weight * y[chart + 1])
-
-        return numeric_laplace_integral(phase, amplitude, dim, k, tol=tol,
-                                        radius=span).value
+        decay = radius is None or math.isinf(radius)
+        span = 1.0 if decay else float(radius)
+        while True:
+            try:
+                return polar_laplace_integral(level_at(k, span, decay), dim, tol, span).value
+            except _Undecayed:
+                span *= 2.0
+                if span > _MAX_FLOW_SPAN:
+                    raise DomainError(
+                        "phase fails to grow along the flow; integrand does not decay"
+                    ) from None
 
     return value
 
@@ -609,16 +623,19 @@ def j_a_numeric(
     The flow is transported with an adaptive ODE solver (dense output,
     carrying the phase and log-weight integrals as extra state) and the
     resulting radial integrand is handed to the numeric Laplace
-    quadrature; no series machinery is involved, which keeps this the
-    independent oracle for the expansion path.  ``radius`` truncates
-    the domain; by default the span is grown until the integrand has
-    decayed below double-precision relevance.  A scalar ``k`` gives a
-    float, a sequence a list in its order; the k values of one call
-    share their flow solves, so a list costs one solve per distinct
-    (direction, span) pair, not one per k.  Group dimension above 3 is
-    refused with :class:`~lapasym.errors.DomainError`.
+    quadrature (:func:`~lapasym.engine.polar_laplace_integral`), one
+    vectorized flow per angular level; no series machinery is involved,
+    which keeps this the independent oracle for the expansion path.
+    ``radius`` truncates the domain; by default the span is grown until
+    the integrand has decayed below double-precision relevance in every
+    direction.  A scalar ``k`` gives a float, a sequence a list in its
+    order; the k values of one call share their flow solves, so a list
+    costs one solve per distinct (level, span) pair, not one per k.
+    Group dimension above 3 is refused with
+    :class:`~lapasym.errors.DomainError`.
     """
-    oracle = _flow_oracle(model, point, half_form, radius)
+    flows = _flow_table(model, _reference_point(model, point))
+    oracle = _flow_oracle(model, flows, half_form, radius)
     return _sweep(k, lambda kv: oracle(kv, tol))
 
 
@@ -644,7 +661,7 @@ def _density_data(model: HamiltonianModel, kind: str, point: Sequence[Any] | Non
 
 def density(
     model: HamiltonianModel,
-    kind: str,
+    kind: str | Sequence[str],
     k: float | Sequence[float] = 100.0,
     point: Sequence[Any] | None = None,
     tol: float = 1e-9,
@@ -656,17 +673,25 @@ def density(
     ``"J"`` the corrected one ``(k/pi)^{d/2} vol j_{1/2}(k)``.  A
     scalar ``k`` gives a float, a sequence a list in its order; as in
     :func:`j_a_numeric`, the k values of one call share their flow
-    solves.
+    solves.  A sequence of kinds, such as ``("I", "J")``, gives a list
+    with one such result per kind; the kinds share their flow solves
+    too, since the flows do not depend on the half-form weight.
     """
-    x0, half_form, divisor, scale = _density_data(model, kind, point)
+    if isinstance(kind, str):
+        return density(model, (kind,), k, point, tol, radius)[0]
+    data = [_density_data(model, one, point) for one in kind]
+    flows = _flow_table(model, _reference_point(model, point))
     d = model.group_dim
-    oracle = _flow_oracle(model, x0, half_form, radius)
+    results = []
+    for x0, half_form, divisor, scale in data:
+        oracle = _flow_oracle(model, flows, half_form, radius)
 
-    def one(kv: float) -> float:
-        prefactor = (kv / divisor) ** (d / 2.0) * scale
-        return prefactor * oracle(kv, tol / prefactor)
+        def one(kv: float) -> float:
+            prefactor = (kv / divisor) ** (d / 2.0) * scale
+            return prefactor * oracle(kv, tol / prefactor)
 
-    return _sweep(k, one)
+        results.append(_sweep(k, one))
+    return results
 
 
 def density_series(
@@ -699,7 +724,7 @@ def density_series(
 def _flow_endpoint(model: HamiltonianModel, start: Sequence[float], time: float):
     if time == 0.0:
         return tuple(float(c) for c in start), 0.0
-    solution = _augmented_flow(model, (1,), tuple(start), time)
+    solution = _augmented_flow(model, ((1,),), tuple(start), time)
     y = solution.y[:, -1]
     return tuple(y[: model.chart_dim]), float(y[model.chart_dim + 1])
 

@@ -478,3 +478,36 @@ def test_verify_solves_each_flow_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and err == ""
     assert {span for _, span in pairs} == {1.0, 2.0, 4.0}
     assert len(solves) == len(pairs) == len(set(pairs))
+
+
+def test_density_sweep_solves_each_flow_once(capsys, monkeypatch):
+    # the flows do not depend on the half-form weight: I and J share them
+    from lapasym import models
+
+    pairs = []
+    flow = models._augmented_flow
+
+    def recording_flow(model, directions, x0, span):
+        pairs.append((directions, span))
+        return flow(model, directions, x0, span)
+
+    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(
+        ["density-sweep", "--model", "sphere1_product.json", "--order", "4",
+         "--k", "30,100,1000"], capsys
+    )
+    assert code == 0 and err == ""
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_array_zero_divisor_is_a_domain_error(tmp_path, capsys):
+    # a d = 2 flow evaluates each angular level on coordinate arrays; this
+    # divisor vanishes at the zero point in every direction
+    node = ["/", "w0", "x0"]
+    config = {**FLAT2, "laplacian_phi": node}
+    code, out, err = run_cli(
+        ["density-sweep", "--k", "100", "--model", write_model(tmp_path, config)], capsys
+    )
+    assert_one_error_line(code, out, err)
+    assert f"division by zero in {json.dumps(node)}" in err

@@ -1,5 +1,6 @@
 """Tests for the declarative expression compiler."""
 
+import json
 import math
 import random
 import re
@@ -215,3 +216,33 @@ def test_folding_is_bit_identical_to_unfolded_evaluation():
                     assert repr(got) == repr(want), tree
             compared += 1
     assert compared > 1000
+
+
+def test_array_zero_divisor_names_the_expression():
+    node = ["/", "x0", ["-", "x1", "1"]]
+    fn = compile_expression(Positional(node, ("x0", "x1")))
+    assert fn((np.array([1.0, 2.0]), np.array([2.0, 3.0]))).tolist() == [1.0, 1.0]
+    with pytest.raises(DomainError, match=re.escape(f"division by zero in {json.dumps(node)}")):
+        fn((np.array([1.0, 2.0]), np.array([2.0, 1.0])))
+    # a symbol-dependent array over a folded zero
+    over_zero = compile_expression(Positional(["/", "x0", ["-", "1", "1"]], ("x0",)))
+    with pytest.raises(DomainError, match="division by zero"):
+        over_zero((np.array([1.0, 2.0]),))
+
+
+@pytest.mark.parametrize("node", [
+    ["*", "1/10", "x0"],
+    ["+", ["*", "x0", "1/3"], "2/7"],
+    ["-", "1/3", "x0"],
+    ["/", "x0", "3/7"],
+    ["/", "5/3", ["+", "x0", "1"]],
+    ["*", "1/3", ["sqrt", ["+", "1/5", ["*", "x0", "x0"]]]],
+])
+def test_arrays_evaluate_like_their_elements(node):
+    # a rational constant meets an array as its float, as it meets one
+    # float element: no object arrays, and the same bits elementwise
+    fn = compile_expression(Positional(node, ("x0",)))
+    xs = [0.1, 0.7, 1.3, -0.45]
+    result = fn((np.array(xs),))
+    assert isinstance(result, np.ndarray) and result.dtype == float
+    assert result.tolist() == [float(fn((np.float64(x),))) for x in xs]

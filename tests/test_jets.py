@@ -335,3 +335,39 @@ def test_flow_derivatives_match_trajectory_composition():
     along = compose_scalar(fn, traj)
     for m in range(6):
         assert values[m] == along.derivative_at_zero(m)
+
+
+# ---------------------------------------------------------------- arrays
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "sqrt", "log"])
+def test_elementary_maps_act_elementwise_on_arrays(name):
+    np = pytest.importorskip("numpy")
+    values = [0.25, 0.5, 1.5, 3.0]
+    result = getattr(jets, name)(np.array(values))
+    assert isinstance(result, np.ndarray) and result.dtype == float
+    assert result.tolist() == getattr(np, name)(np.array(values)).tolist()
+    for got, x in zip(result.tolist(), values):
+        assert got == pytest.approx(getattr(math, name)(x), rel=1e-15)
+    # exact constants times an array come as an object array; it computes as floats
+    mixed = np.array([Fraction(1, 4), 0.5], dtype=object)
+    assert getattr(jets, name)(mixed).tolist() == getattr(np, name)([0.25, 0.5]).tolist()
+    # scalars keep their exact and math-library results
+    assert getattr(jets, name)(0.7) == getattr(math, name)(0.7)
+
+
+def test_elementary_maps_keep_exact_scalars():
+    assert jets.exp(0) == 1 and isinstance(jets.exp(0), int)
+    assert jets.sin(Fraction(0)) == 0 and jets.cos(0) == 1 and jets.log(1) == 0
+    assert jets.sqrt(4) == 2 and jets.sqrt(Fraction(4, 9)) == Fraction(2, 3)
+    series = TruncatedSeries([Fraction(0), Fraction(1)], order=4)
+    assert jets.exp(series) == exp_series(series)
+
+
+def test_array_domain_errors():
+    np = pytest.importorskip("numpy")
+    from lapasym.errors import DomainError
+
+    with pytest.raises(DomainError, match="square root"):
+        jets.sqrt(np.array([1.0, -1e-3]))
+    with pytest.raises(DomainError, match="logarithm"):
+        jets.log(np.array([1.0, 0.0]))

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 import random
 
 import pytest
@@ -43,6 +44,7 @@ from lapasym.models import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 TWO_PI = 2.0 * math.pi
 
 # sphere radial phase 2*log(cosh(2*pi*rho)): even Taylor coefficients
@@ -494,3 +496,108 @@ def test_config_symbol_free_domain_errors_fail_at_load():
         with pytest.raises(DomainError, match=re.escape(json.dumps(node))):
             model_from_config({**FLAT_CONFIG, "orbit_volume": node})
 
+
+
+# ------------------------------------------------------------ batched oracle flows
+
+def flat_model(axes):
+    d = len(axes)
+    return model_from_config({
+        "name": "flat", "group_dim": d, "chart_dim": d,
+        "phi": ["+", *(["*", a, f"w{i}", f"x{i}"] for i, a in enumerate(axes))],
+        "flow_field": [["*", a, f"w{i}"] for i, a in enumerate(axes)],
+        "laplacian_phi": "0", "zero_points": [[0] * d], "orbit_volume": "1",
+    })
+
+
+def circle_level(n):
+    return tuple((math.cos(t), math.sin(t)) for t in (2.0 * math.pi * i / n for i in range(n)))
+
+
+def assert_batched_flow_matches_scalar_solves(model, directions, span, bound):
+    import numpy as np
+    from lapasym import models
+
+    x0 = model.zero_points[0]
+    batched = models._augmented_flow(model, directions, x0, span)
+    radii = np.linspace(0.0, span, 9)
+    rows = [batched.sol(rho).reshape(-1, len(directions)) for rho in radii]
+    for i, omega in enumerate(directions):
+        # one direction alone is evaluated on plain numbers, as a scalar solve
+        alone = models._augmented_flow(model, (omega,), x0, span)
+        for rho, level in zip(radii, rows):
+            y = alone.sol(rho)
+            assert np.all(np.abs(level[:, i] - y) <= bound * np.maximum(1.0, np.abs(y)))
+
+
+def test_j_a_numeric_span_covers_every_direction():
+    # along (0, 1) the phase is rho^2 / 100, so k = 100 needs span 32; a span
+    # probed along (1, 0) alone stops at 4 and cuts that direction's tail off
+    value = j_a_numeric(flat_model(["1", "1/10"]), None, 0, 100.0, tol=1e-10)
+    assert abs(value - math.pi / 10) <= 1e-10
+
+
+ELEMENTARY2 = {
+    "name": "elementary2", "group_dim": 2, "chart_dim": 2,
+    "phi": ["+", ["*", "w0", "x0"], ["*", "w1", "x1"]],
+    "flow_field": [
+        ["*", "w0", ["sqrt", ["+", "1", ["*", "x1", "x1"]]]],
+        ["*", "w1", ["exp", ["*", "1/4", "x0"]], ["+", "1", ["*", "1/3", ["sin", "x0"]]]],
+    ],
+    "laplacian_phi": ["*", "1/2", ["+", ["*", "w0", ["sin", "x1"]], ["*", "w1", "x0"]]],
+    "zero_points": [[0, 0]], "orbit_volume": "1",
+}
+
+
+def test_batched_flow_with_elementary_maps_matches_scalar_solves():
+    model = model_from_config(ELEMENTARY2)
+    assert_batched_flow_matches_scalar_solves(model, circle_level(8), 1.0, 1e-11)
+    value = j_a_numeric(model, None, Fraction(1, 2), 200.0, tol=1e-10)
+    assert math.isfinite(value) and value > 0
+
+
+def test_sphere_product_oracle_work_guard(monkeypatch):
+    # the level-batched oracle: one flow solve per angular level and span,
+    # one radial QUADPACK call per level and k
+    import scipy.integrate
+
+    model = load_model(str(GOLDEN / "sphere2_product.json"))
+    calls = {"solve_ivp": 0, "quad": 0}
+    originals = {name: getattr(scipy.integrate, name) for name in calls}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(scipy.integrate, name, counting(name))
+    values = j_a_numeric(model, None, Fraction(1, 2), [106.0, 312.0, 1060.0], tol=1e-11)
+    assert all(v > 0 for v in values)
+    assert calls["solve_ivp"] <= 16 and calls["quad"] <= 16
+    monkeypatch.undo()
+    assert_batched_flow_matches_scalar_solves(model, circle_level(16)[1::2], 1.0, 1e-11)
+
+
+def test_oracle_names_a_model_whose_maps_refuse_arrays():
+    def flow_field(omega, point):
+        return (omega[0] * math.exp(point[1]), omega[1])  # math.exp takes one number
+
+    model = HamiltonianModel(
+        group_dim=2, chart_dim=2,
+        phi=lambda w, p: w[0] * p[0] + w[1] * p[1],
+        flow_field=flow_field,
+        laplacian_phi=lambda w, p: 0,
+        zero_points=((0.0, 0.0),),
+        orbit_volume=lambda p: 1.0,
+        name="scalar-only",
+    )
+    with pytest.raises(DomainError, match="'scalar-only' cannot evaluate its maps on coordinate arrays"):
+        j_a_numeric(model, None, 0, 100.0)
+
+
+def test_density_kinds_share_one_call():
+    sphere = builtin_sphere_model()
+    ks = [30.0, 100.0]
+    assert density(sphere, ("I", "J"), ks) == [density(sphere, "I", ks), density(sphere, "J", ks)]
