@@ -181,6 +181,9 @@ def cmd_verify(cfg: RunConfig) -> str:
     if len(set(cfg.k_values)) < 3:
         raise DomainError("verify needs at least 3 distinct k values")
     model = resolve_model(cfg.model_source)
+    # the oracle runs first: it refuses group dimension above 3 before the
+    # series builds a rule of 2 * resolution ** (d - 1) directions
+    oracles = j_a_numeric(model, None, cfg.half_form, cfg.k_values, tol=cfg.tol)
     result = geometric_expansion(
         model, None, cfg.half_form, cfg.order, cfg.resolution, cfg.mode
     )
@@ -188,7 +191,6 @@ def cmd_verify(cfg: RunConfig) -> str:
     next_even = cfg.order + 2 if cfg.order % 2 == 0 else cfg.order + 1
     expected = Fraction(-(next_even + model.group_dim), 2)
 
-    oracles = j_a_numeric(model, None, cfg.half_form, cfg.k_values, tol=cfg.tol)
     rows = []
     clean_ks: list[float] = []
     clean_errors: list[float] = []
@@ -348,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", default=None,
                        help="comma-separated k values")
         p.add_argument("--resolution", type=int, default=32,
-                       help="angular quadrature resolution")
+                       help="sphere rule: circle nodes (d = 2), polar nodes "
+                            "per level (d >= 3)")
         p.add_argument("--exact", action="store_true",
                        help="exact rational internal arithmetic")
         p.add_argument("--out", default=None, help="output file (default stdout)")

@@ -12,7 +12,8 @@ the dimension of the profile's sphere rule.  Coefficient ``j`` is
 assembled per direction as the ``t**j`` coefficient of the jet product
 ``g * (1 + u) ** (-(j + d) / 2)`` with ``u = (f - f0) / f0``, the
 rational power taken by the series recurrence of :mod:`.jets`, and
-integrated with an antipodally symmetric quadrature rule.
+integrated with the deterministic, antipodally symmetric product rule
+of :func:`sphere_rule`, which serves every dimension.
 
 Everything downstream of the per-direction radial data is exact
 rational arithmetic when the data is rational and ``mode="exact"``;
@@ -25,8 +26,8 @@ The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
 per angular level, on nested circle grids in two dimensions and
 Gauss-Legendre times azimuth grids in three, with each level's
-directions evaluated together.  :func:`numeric_laplace_integral` is its
-pointwise front end (and Monte Carlo above three dimensions).  Neither
+directions evaluated together; it refuses other dimensions.
+:func:`numeric_laplace_integral` is its pointwise front end.  Neither
 shares code with the coefficient path apart from evaluating the user's
 callables, which is what makes them usable as an independent oracle.
 """
@@ -114,16 +115,15 @@ def gamma_value(q: Fraction | float) -> float:
 class SphereRule:
     """Quadrature nodes and weights on the unit sphere ``S**(dim-1)``.
 
-    Nodes are rows of ``nodes``; weights sum to the sphere area.  All
-    deterministic rules are antipodally symmetric (the node set is
+    Nodes are rows of ``nodes``; weights sum to the sphere area.  Every
+    rule is deterministic and antipodally symmetric (the node set is
     closed under negation), which is what makes odd coefficients cancel
-    to rounding.  ``stochastic`` marks Monte Carlo rules.
+    to rounding.
     """
 
     dim: int
     nodes: np.ndarray
     weights: np.ndarray
-    stochastic: bool = False
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -134,15 +134,44 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / gamma_value(Fraction(dim, 2))
 
 
+# the largest rule sphere_rule builds.  Its nodes and weights take
+# 8 * (dim + 1) bytes each, and the series path computes one radial profile
+# per node (about 0.4 ms each for a flat 4-d model on a 2-CPU x86-64 host,
+# seven minutes for 2**20 nodes).  A larger rule, such as d = 6 at
+# resolution 14 (1,075,648 nodes), is refused before anything is allocated;
+# the d <= 3 rules in use stay far below (d = 3 at resolution 40 has 3200).
+_MAX_RULE_NODES = 1 << 20
+
+
+def _polar_rule(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # n-point Gauss-Jacobi rule for the weight (1 - x**2) ** ((dim - 3) / 2),
+    # the polar cosine's share of the area of S**(dim-1)
+    if dim == 3:
+        return np.polynomial.legendre.leggauss(n)
+    # Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    # matrix, the weights the squared first eigenvector components
+    a = (dim - 3) / 2.0
+    i = np.arange(1.0, n)
+    off = np.sqrt(i * (i + 2.0 * a) / ((2.0 * i + 2.0 * a + 1.0) * (2.0 * i + 2.0 * a - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = sphere_area(dim) / sphere_area(dim - 1) * vectors[0] ** 2
+    # symmetrize, as leggauss does, so the rule is exactly antipodal
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+
+
 def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     """Antipodally symmetric quadrature on ``S**(dim-1)``.
 
     dim 1 is the two-point set {+1, -1} with unit weights (resolution is
-    ignored); dim 2 is the uniform trapezoid rule with an even number of
-    angles (spectrally accurate, odd counts rejected); dim 3 combines
-    Gauss-Legendre in the polar cosine with a uniform even azimuth.
-    Higher dimensions fall back to antithetic Monte Carlo with a fixed
-    seed; the standard error is reported through the expansion result.
+    ignored); dim 2 is the uniform trapezoid rule with ``resolution``
+    angles, an even count (spectrally accurate, odd counts rejected).
+    From dim 3 on the rule is a product (Stroud 1971): ``resolution``
+    Gauss-Jacobi nodes for the polar cosine ``x``, with weight
+    ``(1 - x**2) ** ((dim - 3) / 2)`` from Golub-Welsch (Legendre for
+    dim 3), times the ``dim - 1`` rule at the same resolution scaled by
+    ``sqrt(1 - x**2)``.  The recursion ends in a circle of
+    ``2 * resolution`` angles, so the rule has ``2 * resolution **
+    (dim - 1)`` nodes; one with more than ``_MAX_RULE_NODES`` is refused.
     """
     if dim < 1:
         raise DomainError("sphere dimension must be >= 1")
@@ -154,37 +183,31 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
             raise DomainError(
                 "circle rule needs an even node count >= 4 for antipodal symmetry"
             )
-        theta = 2.0 * math.pi * np.arange(resolution) / resolution
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(resolution, 2.0 * math.pi / resolution)
-        return SphereRule(2, nodes, weights)
-    if dim == 3:
+        m = resolution
+    else:
         if resolution < 2:
             raise DomainError("polar resolution must be >= 2")
-        x, w = np.polynomial.legendre.leggauss(resolution)
         m = 2 * resolution
-        phi = 2.0 * math.pi * np.arange(m) / m
-        sin_t = np.sqrt(1.0 - x ** 2)
-        nodes = np.empty((resolution * m, 3))
-        weights = np.empty(resolution * m)
-        row = 0
-        for i in range(resolution):
-            for j in range(m):
-                nodes[row] = (
-                    sin_t[i] * math.cos(phi[j]),
-                    sin_t[i] * math.sin(phi[j]),
-                    x[i],
-                )
-                weights[row] = w[i] * 2.0 * math.pi / m
-                row += 1
-        return SphereRule(3, nodes, weights)
-    n = max(32, resolution + resolution % 2)
-    rng = np.random.default_rng(0x5EED + dim)
-    half = rng.standard_normal((n // 2, dim))
-    half /= np.linalg.norm(half, axis=1, keepdims=True)
-    nodes = np.concatenate([half, -half])
-    weights = np.full(n, sphere_area(dim) / n)
-    return SphereRule(dim, nodes, weights, stochastic=True)
+    count = m * resolution ** (dim - 2)
+    if count > _MAX_RULE_NODES:
+        raise DomainError(
+            f"the sphere rule for d = {dim} at resolution {resolution} "
+            f"has {count} nodes, more than the {_MAX_RULE_NODES} allowed"
+        )
+    theta = 2.0 * math.pi * np.arange(m) / m
+    nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    # products of the polar weights; the circle's 2 pi / m comes last, in
+    # the order of the Legendre times azimuth rule
+    weights = np.ones(m)
+    for level in range(3, dim + 1):
+        x, w = _polar_rule(resolution, level)
+        scaled = np.sqrt(1.0 - x ** 2)[:, None, None] * nodes
+        nodes = np.concatenate([
+            scaled.reshape(-1, level - 1),
+            np.repeat(x, len(weights))[:, None],
+        ], axis=1)
+        weights = np.outer(w, weights).ravel()
+    return SphereRule(dim, nodes, weights * 2.0 * math.pi / m)
 
 
 # ---------------------------------------------------------------- radial data
@@ -231,7 +254,6 @@ class ExpansionResult:
     coefficients: tuple[float, ...]
     exponents: tuple[Fraction, ...]
     odd_vanished: tuple[bool, ...]
-    coefficient_errors: tuple[float, ...] | None = None
 
     def partial_sum(self, k: float) -> float:
         return partial_sum(self, k)
@@ -272,16 +294,6 @@ def _direction_values(j: int, profile: RadialProfile, mode: str) -> list[float]:
     return values
 
 
-def _prefactor(j: int, profile: RadialProfile) -> float:
-    return gamma_value(_exponent(j, profile)) / 2
-
-
-def _coefficient(j: int, profile: RadialProfile, values: Sequence[float]) -> float:
-    return _prefactor(j, profile) * math.fsum(
-        w * v for w, v in zip(profile.rule.weights, values)
-    )
-
-
 def expansion_coefficient(j: int, profile: RadialProfile, mode: str = "float") -> float:
     """Coefficient of ``k ** (-(j + d) / 2)``, ``d`` the rule's dimension.
 
@@ -291,7 +303,10 @@ def expansion_coefficient(j: int, profile: RadialProfile, mode: str = "float") -
     ``Gamma((j + d) / 2) / 2``.  ``mode`` is ``"float"`` or ``"exact"``
     (rational arithmetic up to the per-direction value).
     """
-    return _coefficient(j, profile, _direction_values(j, profile, mode))
+    values = _direction_values(j, profile, mode)
+    return gamma_value(_exponent(j, profile)) / 2 * math.fsum(
+        w * v for w, v in zip(profile.rule.weights, values)
+    )
 
 
 def expansion_series(
@@ -301,26 +316,15 @@ def expansion_series(
 
     Odd-index coefficients of antipodally equivariant data cancel
     within the symmetric rule; they are flagged (not dropped) when
-    smaller than ``1e-12`` times the largest coefficient.  On a Monte
-    Carlo rule each coefficient also carries the standard error of its
-    equal-weight direction average, from the same direction values.
+    smaller than ``1e-12`` times the largest coefficient.
     """
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
-    values = [_direction_values(j, profile, mode) for j in range(order + 1)]
-    coeffs = [_coefficient(j, profile, vals) for j, vals in enumerate(values)]
+    coeffs = [expansion_coefficient(j, profile, mode) for j in range(order + 1)]
     scale = max((abs(c) for c in coeffs), default=0.0) or 1.0
     flags = [bool(j % 2 and abs(c) <= _ODD_TOLERANCE * scale) for j, c in enumerate(coeffs)]
-    errors = None
-    if profile.rule.stochastic:
-        area = float(np.sum(profile.rule.weights))
-        errors = tuple(
-            _prefactor(j, profile)
-            * (area * float(np.std(vals, ddof=1)) / math.sqrt(len(vals)))
-            for j, vals in enumerate(values)
-        )
     exponents = tuple(_exponent(j, profile) for j in range(order + 1))
-    return ExpansionResult(tuple(coeffs), exponents, tuple(flags), errors)
+    return ExpansionResult(tuple(coeffs), exponents, tuple(flags))
 
 
 def partial_sum(result: ExpansionResult, k: float) -> float:
@@ -340,16 +344,15 @@ class IntegralEstimate(NamedTuple):
     error_bound: float
 
 
-def _radial_quad(fn, upper: float, tol: float) -> tuple[float, float]:
+def _quad(
+    fn, lower: float, upper: float, tol: float, points: Sequence[float] | None = None
+) -> tuple[float, float]:
     # scipy is imported by the oracle only: it dominates the CLI's start-up
     from scipy.integrate import IntegrationWarning, quad
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(
-            fn, 0.0, upper, epsabs=tol, epsrel=2e-14, limit=400
-        )
-    return value, err
+        return quad(fn, lower, upper, epsabs=tol, epsrel=2e-14, limit=400, points=points)
 
 
 # a level's directions go through its integrand in blocks of at most this
@@ -390,10 +393,11 @@ def numeric_laplace_integral(
 
     The ball of the given radius (``math.inf`` extends to all of space,
     for closed-form comparisons) is integrated by
-    :func:`polar_laplace_integral` up to three dimensions and by
-    antithetic Monte Carlo above.  The polar quadrature asks for a
-    whole angular level at once: given the level's ``n`` unit nodes, a
-    function of the radius that returns their ``n`` integrand values.
+    :func:`polar_laplace_integral`, in dimension 1, 2 or 3; other
+    dimensions raise :class:`~lapasym.errors.DomainError`.  The polar
+    quadrature asks for a whole angular level at once: given the level's
+    ``n`` unit nodes, a function of the radius that returns their ``n``
+    integrand values.
     This function is the pointwise adapter that builds such a level:
     ``phase`` and ``amplitude`` receive the level's points at one radius
     as a tuple of coordinate arrays (plain numbers when the level has
@@ -402,46 +406,9 @@ def numeric_laplace_integral(
     Raises :class:`~lapasym.errors.QuadratureError` (carrying the best
     estimate and its bound) when the tolerance cannot be certified.
     """
-    if dim < 1:
-        raise DomainError("integration dimension must be >= 1")
     if not k > 0:
         raise DomainError("asymptotic parameter k must be positive")
-    if not tol > 0 or not radius > 0:
-        raise DomainError("tolerance and radius must be positive")
-    if dim <= 3:
-        return polar_laplace_integral(_point_level(phase, amplitude, k), dim, tol, radius)
-
-    # dim > 3: antithetic Monte Carlo over the ball
-    if math.isinf(radius):
-        raise DomainError("infinite radius is only supported for dim <= 3")
-    rng = np.random.default_rng(0xBA11 + dim)
-    volume = sphere_area(dim) / dim * radius ** dim
-    count = 0
-    acc = acc_sq = 0.0
-    estimate = se = math.inf
-    batch = 4096
-    total_budget = 1 << 17
-    while count < total_budget:
-        direction = rng.standard_normal((batch // 2, dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = radius * rng.random(batch // 2) ** (1.0 / dim)
-        points = direction * radii[:, None]
-        for sign in (1.0, -1.0):
-            for row in points:
-                p = tuple(sign * row)
-                v = math.exp(-k * phase(p)) * amplitude(p)
-                acc += v
-                acc_sq += v * v
-                count += 1
-        mean = acc / count
-        estimate = volume * mean
-        variance = max(0.0, (acc_sq - count * mean * mean) / (count - 1))
-        se = volume * math.sqrt(variance / count)
-        if 3.0 * se <= tol:
-            return IntegralEstimate(estimate, 3.0 * se)
-    raise QuadratureError(
-        f"Monte Carlo stalled at standard error {se:.3g}", estimate, 3.0 * se
-    )
+    return polar_laplace_integral(_point_level(phase, amplitude, k), dim, tol, radius)
 
 
 def _angular_level(dim: int, n: int, first: bool) -> tuple[np.ndarray, np.ndarray, float]:
@@ -503,22 +470,16 @@ def polar_laplace_integral(
         raise DomainError("tolerance and radius must be positive")
 
     if dim == 1:
-        from scipy.integrate import IntegrationWarning, quad
-
         ahead = level(np.array([[1.0]]))
         behind = level(np.array([[-1.0]]))
 
         def integrand(x: float) -> float:
             return float(ahead(x) if x > 0 else behind(-x))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            if math.isinf(radius):
-                value, err = quad(integrand, -np.inf, np.inf,
-                                  epsabs=tol / 2, epsrel=2e-14, limit=400)
-            else:
-                value, err = quad(integrand, -radius, radius, points=[0.0],
-                                  epsabs=tol / 2, epsrel=2e-14, limit=400)
+        if math.isinf(radius):
+            value, err = _quad(integrand, -np.inf, np.inf, tol / 2)
+        else:
+            value, err = _quad(integrand, -radius, radius, tol / 2, points=[0.0])
         if err > tol:
             raise QuadratureError(
                 f"radial quadrature certified only {err:.3g} > tol {tol:.3g}",
@@ -537,7 +498,7 @@ def polar_laplace_integral(
             return total * rho ** (dim - 1)
 
         upper = radius if not math.isinf(radius) else _laplace_cutoff(weighted)
-        return _radial_quad(weighted, upper, budget)
+        return _quad(weighted, 0.0, upper, budget)
 
     previous = None
     radial_err = 0.0

@@ -488,7 +488,7 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span:
     log-weight, each over the directions; the model's maps see each row
     as a numpy array and must compute elementwise.
     """
-    from scipy.integrate import solve_ivp  # the oracle only: see engine._radial_quad
+    from scipy.integrate import solve_ivp  # the oracle only: see engine._quad
 
     chart = model.chart_dim
     n = len(directions)
@@ -564,8 +564,7 @@ def _flow_oracle(
     """
     dim = model.group_dim
     if dim > 3:
-        # the quadrature above three dimensions samples the ball uniformly,
-        # misses the Laplace peak and would certify a wrong value
+        # the polar quadrature has angular levels for dimensions 1 to 3 only
         raise DomainError(
             f"the numeric oracle needs group dimension <= 3; model {model.name!r} "
             f"has group dimension {dim}"

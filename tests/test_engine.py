@@ -65,7 +65,7 @@ def test_gamma_value_float_fallback():
 
 # ---------------------------------------------------------------- sphere rules
 
-@pytest.mark.parametrize("dim,resolution", [(1, 0), (2, 16), (3, 8), (5, 64)])
+@pytest.mark.parametrize("dim,resolution", [(1, 0), (2, 16), (3, 8), (5, 8)])
 def test_sphere_rule_weight_sums(dim, resolution):
     rule = sphere_rule(dim, resolution) if resolution else sphere_rule(dim)
     assert math.fsum(rule.weights) == pytest.approx(sphere_area(dim), rel=1e-12)
@@ -74,7 +74,7 @@ def test_sphere_rule_weight_sums(dim, resolution):
     assert np.allclose(lengths, 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim,resolution", [(1, 0), (2, 12), (3, 6), (6, 48)])
+@pytest.mark.parametrize("dim,resolution", [(1, 0), (2, 12), (3, 6), (4, 6), (5, 6), (6, 6)])
 def test_sphere_rule_antipodal_closure(dim, resolution):
     rule = sphere_rule(dim, resolution) if resolution else sphere_rule(dim)
     rows = {tuple(np.round(row, 12)) for row in rule.nodes}
@@ -94,6 +94,70 @@ def test_sphere_rule_even_moment_exact():
     rule = sphere_rule(3, 6)
     val = math.fsum(w * n[2] ** 2 for n, w in zip(rule.nodes, rule.weights))
     assert val == pytest.approx(4 * math.pi / 3, rel=1e-13)
+
+
+def legendre_azimuth_rule(resolution):
+    # the Gauss-Legendre times azimuth rule on S^2, built row by row
+    x, w = np.polynomial.legendre.leggauss(resolution)
+    m = 2 * resolution
+    phi = 2.0 * math.pi * np.arange(m) / m
+    sin_t = np.sqrt(1.0 - x ** 2)
+    nodes = np.empty((resolution * m, 3))
+    weights = np.empty(resolution * m)
+    row = 0
+    for i in range(resolution):
+        for j in range(m):
+            nodes[row] = (sin_t[i] * math.cos(phi[j]), sin_t[i] * math.sin(phi[j]), x[i])
+            weights[row] = w[i] * 2.0 * math.pi / m
+            row += 1
+    return nodes, weights
+
+
+def test_sphere_rule_keeps_the_legendre_azimuth_bits():
+    # the product rule at d = 3 is the double loop above, node order and
+    # weight arithmetic included, at power-of-two counts and all others
+    for resolution in range(2, 41):
+        nodes, weights = legendre_azimuth_rule(resolution)
+        rule = sphere_rule(3, resolution)
+        assert np.array_equal(rule.nodes, nodes), resolution
+        assert np.array_equal(rule.weights, weights), resolution
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_product_rule_above_three_dimensions(dim):
+    rule = sphere_rule(dim, 6)
+    area = sphere_area(dim)
+    assert len(rule) == 2 * 6 ** (dim - 1)
+    assert abs(math.fsum(rule.weights) - area) <= 1e-15 * area
+    # on S^(d-1): integral of x_i^4 is 3 A / (d (d + 2)), of x_i^2 x_j^2 is A / (d (d + 2))
+    unit = area / (dim * (dim + 2))
+    for i in range(dim):
+        xi = rule.nodes[:, i]
+        assert math.fsum(rule.weights * xi ** 4) == pytest.approx(3 * unit, rel=1e-13)
+        for j in range(i):
+            mixed = math.fsum(rule.weights * xi ** 2 * rule.nodes[:, j] ** 2)
+            assert mixed == pytest.approx(unit, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_product_rule_anisotropic_flat_leading_coefficient(dim):
+    # phase sum s_i^2 x_i^2: c_0 = Gamma(d/2) / 2 * integral of f0^(-d/2)
+    # over the sphere = pi^(d/2) / prod s_i
+    scales = np.array([1, 7 / 8, 3 / 4, 15 / 16, 13 / 16, 7 / 8][:dim])
+    rule = sphere_rule(dim, 12)
+    f0 = rule.nodes ** 2 @ scales ** 2
+    profile = RadialProfile(rule, f0[:, None], np.ones((len(rule), 1)))
+    expect = math.pi ** (dim / 2) / float(np.prod(scales))
+    assert abs(expansion_coefficient(0, profile) - expect) <= 1e-9 * expect
+
+
+@pytest.mark.parametrize("dim,resolution,count", [(5, 64, 33_554_432), (6, 48, 509_607_936)])
+def test_sphere_rule_refuses_oversized_rules(dim, resolution, count):
+    with pytest.raises(DomainError) as info:
+        sphere_rule(dim, resolution)
+    message = str(info.value)
+    assert f"d = {dim}" in message and f"resolution {resolution}" in message
+    assert f"{count} nodes" in message
 
 
 def test_sphere_rule_rejects_odd_circle_count():
@@ -240,43 +304,6 @@ def test_odd_coefficients_cancel_for_equivariant_tables():
     assert res.odd_vanished == (False, True, False, True)
 
 
-# ---------------------------------------------------------------- stochastic rules
-
-def test_stochastic_rule_reports_errors():
-    rule = sphere_rule(5, 256)
-    assert rule.stochastic
-    prof = constant_profile(rule, [1.0], [1.0])
-    res = expansion_series(prof, 0)
-    expect = 0.5 * gamma_value(Fraction(5, 2)) * sphere_area(5)
-    assert res.coefficient_errors is not None
-    # constant data: every direction contributes identically
-    assert res.coefficient_errors[0] <= 1e-12
-    assert res.coefficients[0] == pytest.approx(expect, rel=1e-12)
-
-
-def test_monte_carlo_errors_reuse_the_direction_values(monkeypatch):
-    # one pass over the directions per coefficient serves both the
-    # coefficient and its Monte Carlo standard error
-    from lapasym import engine
-
-    rule = sphere_rule(4, 64)
-    f = [[1.0 + 0.5 * abs(node[0]), 0.1 * node[1], 0.2] for node in rule.nodes]
-    g = [[1.0, 0.3 * node[2], 0.1] for node in rule.nodes]
-    prof = RadialProfile(rule, f, g)
-    calls = []
-    original = engine._direction_values
-    monkeypatch.setattr(engine, "_direction_values",
-                        lambda *args: calls.append(args[0]) or original(*args))
-    res = expansion_series(prof, 2)
-    assert calls == [0, 1, 2]
-    for j in range(3):
-        values = original(j, prof, "float")
-        se = np.std(values, ddof=1) * sphere_area(4) / math.sqrt(len(values))
-        prefactor = 0.5 * gamma_value(Fraction(j + 4, 2))
-        assert res.coefficient_errors[j] == pytest.approx(prefactor * se, rel=1e-12)
-        assert res.coefficient_errors[j] > 0
-
-
 # ---------------------------------------------------------------- numeric oracle
 
 def test_numeric_integral_gaussian_whole_line():
@@ -322,25 +349,25 @@ def test_numeric_integral_ball_3d():
     assert est.value == pytest.approx(expect, rel=1e-8)
 
 
-def test_numeric_integral_monte_carlo_4d():
-    k = 2.0
-    est = numeric_laplace_integral(
-        lambda p: sum(c * c for c in p), lambda p: 1.0, 4, k, tol=0.02
-    )
-    expect = math.pi ** 2 * (1.0 - (1.0 + k) * math.exp(-k)) / k ** 2
-    assert abs(est.value - expect) <= 0.02
-    assert est.error_bound <= 0.02
-
-
 def test_numeric_integral_unreachable_tolerance():
+    # axes 1, 1/5, 1/5: the angular levels converge too slowly for 1e-9
+    # before the n = 64 polar level
     with pytest.raises(QuadratureError) as info:
         numeric_laplace_integral(
-            lambda p: sum(c * c for c in p), lambda p: 1.0, 4, 2.0, tol=1e-9
+            lambda p: p[0] ** 2 + (p[1] ** 2 + p[2] ** 2) / 25, lambda p: 1.0, 3, 1.0,
+            tol=1e-9, radius=math.inf,
         )
     err = info.value
-    expect = math.pi ** 2 * (1.0 - 3.0 * math.exp(-2.0)) / 4.0
-    assert err.estimate == pytest.approx(expect, rel=0.05)
+    assert err.estimate == pytest.approx(25 * math.pi ** 1.5, rel=1e-6)
     assert err.error_bound > 1e-9
+
+
+def test_numeric_integral_refuses_four_dimensions():
+    # exact (pi / 100)^2 = 9.87e-4; a uniform sample of the ball misses the peak
+    with pytest.raises(DomainError):
+        numeric_laplace_integral(
+            lambda p: sum(c * c for c in p), lambda p: 1.0, 4, 100.0, tol=1e-6, radius=4.0
+        )
 
 
 def test_numeric_integral_validation():

@@ -1,5 +1,6 @@
 """scipy is loaded only by the numeric oracle, not by a short CLI call."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,9 @@ import lapasym, lapasym.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert lapasym.cli.main(["bell-table", "--order", "4"]) == 0
     assert lapasym.cli.main(["expand", "--model", "builtin:sphere", "--order", "4"]) == 0
+    # a 4-d rule takes its polar nodes from the Golub-Welsch eigenproblem
+    assert lapasym.cli.main(["expand", "--model", sys.argv[1], "--order", "2",
+                             "--resolution", "4"]) == 0
 print("scipy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert lapasym.cli.main(["verify", "--model", "builtin:sphere", "--order", "2",
@@ -22,11 +26,20 @@ with contextlib.redirect_stdout(io.StringIO()):
 print("scipy" in sys.modules)
 """
 
+FLAT4 = {
+    "name": "flat4", "group_dim": 4, "chart_dim": 4,
+    "phi": ["+", *(["*", f"w{i}", f"x{i}"] for i in range(4))],
+    "flow_field": [f"w{i}" for i in range(4)],
+    "laplacian_phi": "0", "zero_points": [[0, 0, 0, 0]], "orbit_volume": "1",
+}
 
-def test_short_calls_leave_scipy_unloaded():
+
+def test_short_calls_leave_scipy_unloaded(tmp_path):
+    model = tmp_path / "flat4.json"
+    model.write_text(json.dumps(FLAT4), encoding="utf-8")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", CODE], env=env,
+    proc = subprocess.run([sys.executable, "-c", CODE, str(model)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # False before the oracle runs; True after verify shows the probe can see scipy
