@@ -222,6 +222,8 @@ def cmd_verify(cfg: RunConfig) -> str:
 
 
 def cmd_density_sweep(cfg: RunConfig) -> str:
+    if cfg.exact:
+        raise DomainError("density-sweep has no exact mode")
     model = resolve_model(cfg.model_source)
     rows = []
     if cfg.k_values:
@@ -353,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sphere rule: circle nodes (d = 2), polar nodes "
                             "per level (d >= 3)")
         p.add_argument("--exact", action="store_true",
-                       help="exact rational internal arithmetic")
+                       help="exact rational arithmetic (expand, verify); "
+                            "needs rational radial data")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")

@@ -15,12 +15,13 @@ rational power taken by the series recurrence of :mod:`.jets`, and
 integrated with the deterministic, antipodally symmetric product rule
 of :func:`sphere_rule`, which serves every dimension.
 
-Everything downstream of the per-direction radial data is exact
-rational arithmetic when the data is rational and ``mode="exact"``;
-only the direction weights, the gamma factor, and the fractional power
-of ``f0`` are evaluated in floating point, in a fixed reduction order
-(compensated summation over directions), so results are reproducible
-bit-for-bit across runs and schedulings.
+The arithmetic is that of the profile's tables.  Tables of ints and
+Fractions are computed in exact rational arithmetic up to each
+direction's value; tables of floats are computed in floats.  Only the
+direction weights, the gamma factor, and the fractional power of
+``f0`` are always evaluated in floating point, in a fixed reduction
+order (compensated summation over directions), so results are
+reproducible bit-for-bit across runs and schedulings.
 
 The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
@@ -46,8 +47,6 @@ from .errors import DomainError, QuadratureError
 from .jets import TruncatedSeries, exp
 
 __all__ = [
-    "GammaValue",
-    "half_integer_gamma",
     "gamma_value",
     "SphereRule",
     "sphere_rule",
@@ -66,43 +65,26 @@ __all__ = [
 
 # ---------------------------------------------------------------- gamma
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Exact gamma value ``rational * sqrt(pi) ** (1 if sqrt_pi else 0)``."""
-
-    rational: Fraction
-    sqrt_pi: bool
-
-    def __float__(self) -> float:
-        value = float(self.rational)
-        return value * math.sqrt(math.pi) if self.sqrt_pi else value
-
-
-def half_integer_gamma(q: Fraction | int) -> GammaValue:
-    """Exact ``Gamma(q)`` for positive integer or half-integer ``q``.
-
-    Integer ``q`` gives a plain factorial; ``q = m + 1/2`` gives
-    ``(2m)! / (4**m m!) * sqrt(pi)``.  Nonpositive arguments and other
-    denominators are rejected.
-    """
-    q = Fraction(q)
-    if q <= 0:
-        raise DomainError(f"gamma pole or nonpositive argument: {q}")
-    if q.denominator == 1:
-        return GammaValue(Fraction(math.factorial(q.numerator - 1)), False)
-    if q.denominator == 2:
-        m = (q.numerator - 1) // 2
-        rational = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-        return GammaValue(rational, True)
-    raise DomainError(f"{q} is not an integer or half-integer")
-
-
 def gamma_value(q: Fraction | float) -> float:
-    """Float ``Gamma(q)``, exact through :func:`half_integer_gamma` when possible."""
+    """Float ``Gamma(q)``, from exact factorials when ``q`` is a rational
+    integer or half-integer.
+
+    Integer ``q`` gives ``(q - 1)!``; ``q = m + 1/2`` gives ``(2m)! /
+    (4**m m!) * sqrt(pi)``, the rational rounded once and then
+    multiplied by ``sqrt(pi)``.  Such a ``q`` at or below zero is
+    rejected; every other argument goes to :func:`math.gamma`, which
+    rejects only the poles.
+    """
     if isinstance(q, (Fraction, int)):
         q = Fraction(q)
         if q.denominator in (1, 2):
-            return float(half_integer_gamma(q))
+            if q <= 0:
+                raise DomainError(f"gamma pole or nonpositive argument: {q}")
+            if q.denominator == 1:
+                return float(math.factorial(q.numerator - 1))
+            m = (q.numerator - 1) // 2
+            rational = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+            return float(rational) * math.sqrt(math.pi)
         q = float(q)
     if q <= 0 and q == int(q):
         raise DomainError(f"gamma pole at {q}")
@@ -269,10 +251,8 @@ def _exponent(j: int, profile: RadialProfile) -> Fraction:
     return Fraction(j + profile.rule.dim, 2)
 
 
-def _direction_values(j: int, profile: RadialProfile, mode: str) -> list[float]:
+def _direction_values(j: int, profile: RadialProfile) -> list[float]:
     # per direction: f0 ** (-exponent) times the inner bracket, as a float
-    if mode not in ("float", "exact"):
-        raise DomainError(f"unknown arithmetic mode {mode!r}")
     if j < 0:
         raise DomainError("coefficient index must be nonnegative")
     if j > profile.order:
@@ -282,9 +262,6 @@ def _direction_values(j: int, profile: RadialProfile, mode: str) -> list[float]:
     exponent = _exponent(j, profile)
     values = []
     for f, g in zip(profile.phase_coefficients, profile.amplitude_coefficients):
-        if mode == "float":
-            f = [float(v) for v in f]
-            g = [float(v) for v in g]
         bracket = _inner_bracket(j, exponent, f, g)
         f0 = f[0]
         if exponent.denominator == 1 and not isinstance(f0, float):
@@ -294,33 +271,34 @@ def _direction_values(j: int, profile: RadialProfile, mode: str) -> list[float]:
     return values
 
 
-def expansion_coefficient(j: int, profile: RadialProfile, mode: str = "float") -> float:
+def expansion_coefficient(j: int, profile: RadialProfile) -> float:
     """Coefficient of ``k ** (-(j + d) / 2)``, ``d`` the rule's dimension.
 
     Per direction: ``f0 ** (-(j + d) / 2)`` times the ``t**j``
     coefficient of the amplitude series times the power of the phase
     perturbation, then the quadrature average and the gamma prefactor
-    ``Gamma((j + d) / 2) / 2``.  ``mode`` is ``"float"`` or ``"exact"``
-    (rational arithmetic up to the per-direction value).
+    ``Gamma((j + d) / 2) / 2``.  The arithmetic is that of the tables:
+    ints and Fractions are computed exactly up to the per-direction
+    value, floats in floats.
     """
-    values = _direction_values(j, profile, mode)
+    values = _direction_values(j, profile)
     return gamma_value(_exponent(j, profile)) / 2 * math.fsum(
         w * v for w, v in zip(profile.rule.weights, values)
     )
 
 
-def expansion_series(
-    profile: RadialProfile, order: int, mode: str = "float"
-) -> ExpansionResult:
+def expansion_series(profile: RadialProfile, order: int) -> ExpansionResult:
     """All coefficients ``0..order`` plus vanished-odd flags.
 
-    Odd-index coefficients of antipodally equivariant data cancel
-    within the symmetric rule; they are flagged (not dropped) when
-    smaller than ``1e-12`` times the largest coefficient.
+    Each coefficient is computed as in :func:`expansion_coefficient`, in
+    the arithmetic of the profile's tables.  Odd-index coefficients of
+    antipodally equivariant data cancel within the symmetric rule; they
+    are flagged (not dropped) when smaller than ``1e-12`` times the
+    largest coefficient.
     """
     if order < 0:
         raise DomainError("expansion order must be nonnegative")
-    coeffs = [expansion_coefficient(j, profile, mode) for j in range(order + 1)]
+    coeffs = [expansion_coefficient(j, profile) for j in range(order + 1)]
     scale = max((abs(c) for c in coeffs), default=0.0) or 1.0
     flags = [bool(j % 2 and abs(c) <= _ODD_TOLERANCE * scale) for j, c in enumerate(coeffs)]
     exponents = tuple(_exponent(j, profile) for j in range(order + 1))

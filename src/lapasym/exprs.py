@@ -7,7 +7,7 @@ survive a round trip through JSON, for example::
 
 Leaves are numbers (``int``/``float``), exact rational strings such as
 ``"1/2"``, the constant ``"pi"``, or symbol names (``x0``, ``w0``,
-``s``, ...) resolved against the environment at call time.
+``s``, ...) bound by position when the tree is compiled.
 Interior nodes are ``[op, arg, ...]`` with operators
 
 ======== ======================================================
@@ -22,11 +22,11 @@ Interior nodes are ``[op, arg, ...]`` with operators
 Compiled expressions evaluate on whatever the environment supplies:
 plain numbers, exact rationals, numpy arrays (elementwise), or
 truncated series, so one config works for point evaluation, for many
-points at once and for jet transport alike.  The
-environment is a mapping from symbol names or, for a tree wrapped in
-:class:`Positional` with its symbol list, a sequence read by position:
-``symbols[i]`` is ``env[i]``.  A model's callables bind ``x0, ...,
-w0, ...`` this way once, instead of building a mapping per call.
+points at once and for jet transport alike.  A tree wrapped in
+:class:`Positional` with its symbol list compiles to a function of a
+sequence read by position: ``symbols[i]`` is ``env[i]``.  A model's
+callables bind ``x0, ..., w0, ...`` this way once.  A bare tree
+compiles with no symbols.
 
 Compilation folds every symbol-free subtree, and the leading
 symbol-free arguments of ``+`` and ``*``, into one constant.  The fold
@@ -36,11 +36,10 @@ and exact, float and series results are bit-identical to evaluating
 the unfolded tree.  A fold that fails (a zero divisor, the square root
 of a negative number) is a :class:`~lapasym.errors.DomainError` at
 compile time; so are structural problems (unknown operator, bad arity,
-non-integer exponent) and, with positional binding, a symbol missing
-from ``symbols``.  A zero divisor met during evaluation, or an unbound
-symbol in a mapping, is a :class:`~lapasym.errors.DomainError` when
-the expression is evaluated, also when the divisor is an array with a
-zero entry.
+non-integer exponent) and a symbol missing from ``symbols``.  A zero
+divisor met during evaluation is a :class:`~lapasym.errors.DomainError`
+when the expression is evaluated, also when the divisor is an array
+with a zero entry.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -94,25 +93,6 @@ class _Folded(NamedTuple):
 
 def _constant(value: Any) -> CompiledExpr:
     return lambda env: value
-
-
-def _by_name(name: str) -> CompiledExpr:
-    def lookup(env: Any) -> Any:
-        try:
-            return env[name]
-        except KeyError:
-            raise DomainError(f"unbound symbol {name!r} in expression") from None
-
-    return lookup
-
-
-def _by_position(symbols: Sequence[str]) -> Callable[[str], CompiledExpr]:
-    def bind(name: str) -> CompiledExpr:
-        if name not in symbols:
-            raise DomainError(f"unknown symbol {name!r} in expression")
-        return operator.itemgetter(symbols.index(name))
-
-    return bind
 
 
 def _fold(node: Any, op: Callable, *values: Any) -> _Folded:
@@ -170,11 +150,13 @@ def _quotient(node: Any) -> Callable[[Any, Any], Any]:
     return divide
 
 
-def _compile_leaf(node: str, bind: Callable[[str], CompiledExpr]) -> Any:
+def _compile_leaf(node: str, symbols: tuple) -> Any:
     if node == "pi":
         return _Folded(math.pi)
     if _SYMBOL.match(node):
-        return bind(node)
+        if node not in symbols:
+            raise DomainError(f"unknown symbol {node!r} in expression")
+        return operator.itemgetter(symbols.index(node))
     try:
         value = Fraction(node)
     except (ValueError, ZeroDivisionError):
@@ -184,14 +166,14 @@ def _compile_leaf(node: str, bind: Callable[[str], CompiledExpr]) -> Any:
     return _Folded(value)
 
 
-def _compile(node: Any, bind: Callable[[str], CompiledExpr]) -> Any:
+def _compile(node: Any, symbols: tuple) -> Any:
     """A :class:`_Folded` constant, or a compiled ``env -> value``."""
     if isinstance(node, bool):
         raise DomainError("booleans are not expression leaves")
     if isinstance(node, (int, float)):
         return _Folded(node)
     if isinstance(node, str):
-        return _compile_leaf(node, bind)
+        return _compile_leaf(node, symbols)
     if not isinstance(node, (list, tuple)) or not node:
         raise DomainError(f"bad expression node {node!r}")
 
@@ -202,13 +184,13 @@ def _compile(node: Any, bind: Callable[[str], CompiledExpr]) -> Any:
         if len(raw_args) != 2 or isinstance(raw_args[1], bool) \
                 or not isinstance(raw_args[1], int):
             raise DomainError("pow takes an expression and a literal integer")
-        base = _compile(raw_args[0], bind)
+        base = _compile(raw_args[0], symbols)
         exponent = raw_args[1]
         if isinstance(base, _Folded):
             return _fold(node, operator.pow, base.value, exponent)
         return lambda env: base(env) ** exponent
 
-    args = [_compile(a, bind) for a in raw_args]
+    args = [_compile(a, symbols) for a in raw_args]
     if op in ("+", "*"):
         if len(args) < 2:
             raise DomainError(f"{op} takes at least two arguments")
@@ -243,15 +225,14 @@ def _compile(node: Any, bind: Callable[[str], CompiledExpr]) -> Any:
 def compile_expression(node: Any) -> CompiledExpr:
     """Compile a prefix-list expression into ``env -> value``.
 
-    The environment maps symbol names to values; for a
-    :class:`Positional` tree it is a sequence read by position.  The
-    binding travels with the tree, so the one argument is all a caller
-    or a wrapper of this function passes on.
+    For a :class:`Positional` tree the environment is a sequence read by
+    position; a bare tree has no symbols, and its compiled form ignores
+    the environment.  The binding travels with the tree, so the one
+    argument is all a caller or a wrapper of this function passes on.
     """
-    if isinstance(node, Positional):
-        compiled = _compile(node.node, _by_position(tuple(node.symbols)))
-    else:
-        compiled = _compile(node, _by_name)
+    if not isinstance(node, Positional):
+        node = Positional(node, ())
+    compiled = _compile(node.node, tuple(node.symbols))
     if isinstance(compiled, _Folded):
         return _constant(compiled.value)
     return compiled

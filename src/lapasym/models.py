@@ -178,14 +178,19 @@ def _weighted(phase: TruncatedSeries, log_weight: TruncatedSeries,
     return RadialSeries(phase, log_weight, exp_series(log_weight * half_form))
 
 
-def _profile(rule: SphereRule, series: Iterable[RadialSeries], order: int) -> RadialProfile:
+def _profile(
+    rule: SphereRule,
+    series: Iterable[RadialSeries],
+    order: int,
+    entry: Callable[[Any], Any] = lambda value: value,
+) -> RadialProfile:
     # engine tables: reduced phase coefficients f_p = phase[t^(p+2)] and
-    # weight coefficients g_p, for p = 0..order
+    # weight coefficients g_p, for p = 0..order, each passed through entry
     phase_rows = []
     weight_rows = []
     for s in series:
-        phase_rows.append([s.phase.coefficient(p + 2) for p in range(order + 1)])
-        weight_rows.append([s.weight.coefficient(p) for p in range(order + 1)])
+        phase_rows.append([entry(s.phase.coefficient(p + 2)) for p in range(order + 1)])
+        weight_rows.append([entry(s.weight.coefficient(p)) for p in range(order + 1)])
     return RadialProfile(rule, phase_rows, weight_rows)
 
 
@@ -255,21 +260,33 @@ def geometric_expansion(
 ) -> ExpansionResult:
     """Expansion coefficients for the geometric phase/weight data.
 
-    Exact mode needs group dimension 1: the quadrature directions in
-    higher dimension are floats, so the arithmetic could not stay exact.
+    ``mode="float"`` converts the radial data to floats before the
+    engine sees it.  ``mode="exact"`` hands it over as it is, and needs
+    every entry to be an int or a Fraction; the first entry that is not
+    raises :class:`~lapasym.errors.DomainError`, naming the model.  Float
+    data comes from float chart values or a float ``half_form`` and, in
+    group dimension 2 and up, from the rule's float directions.
     """
-    if mode == "exact" and model.group_dim >= 2:
-        raise DomainError(
-            f"exact mode needs group dimension 1; model {model.name!r} has "
-            f"group dimension {model.group_dim}"
-        )
+    if mode == "float":
+        entry = float
+    elif mode == "exact":
+        def entry(value: Any) -> Any:
+            if not isinstance(value, (int, Fraction)):
+                raise DomainError(
+                    f"exact mode needs rational radial data; model {model.name!r} "
+                    f"of group dimension {model.group_dim} gives the "
+                    f"{type(value).__name__} {value!r}"
+                )
+            return value
+    else:
+        raise DomainError(f"unknown arithmetic mode {mode!r}")
     rule = sphere_rule(model.group_dim, resolution)
     # reduced phase coefficient f_order is phase[t^(order + 2)]
     series = (
         radial_profile(model, _node_direction(rule.nodes[i]), point, order + 2, half_form)
         for i in range(len(rule))
     )
-    return expansion_series(_profile(rule, series, order), order, mode)
+    return expansion_series(_profile(rule, series, order, entry), order)
 
 
 # ------------------------------------------------------------ raw coefficient sums
@@ -553,14 +570,12 @@ def _flow_oracle(
     model: HamiltonianModel,
     flows: Callable[[tuple, float], Any],
     half_form: Any,
-    radius: float | None,
 ) -> Callable[[float, float], float]:
     """``(k, tol) -> j_a(k)`` over the flows of ``flows``.
 
     Each angular level of the quadrature is one vectorized flow of its
-    directions.  Without a ``radius`` the span starts at 1 and doubles
-    until, at the end of every level's flow, every direction's
-    integrand has died off.
+    directions.  The span starts at 1 and doubles until, at the end of
+    every level's flow, every direction's integrand has died off.
     """
     dim = model.group_dim
     if dim > 3:
@@ -572,16 +587,15 @@ def _flow_oracle(
     chart = model.chart_dim
     weight = float(half_form)
 
-    def level_at(k: float, span: float, decay: bool):
+    def level_at(k: float, span: float):
         def level(nodes: np.ndarray):
             directions = tuple(map(_node_direction, nodes))
             n = len(directions)
             solution = flows(directions, span)
-            if decay:
-                end = solution.y[:, -1].reshape(-1, n)
-                if np.any(2.0 * k * end[chart] - abs(weight) * np.abs(end[chart + 1])
-                          < _PHASE_CUTOFF):
-                    raise _Undecayed
+            end = solution.y[:, -1].reshape(-1, n)
+            if np.any(2.0 * k * end[chart] - abs(weight) * np.abs(end[chart + 1])
+                      < _PHASE_CUTOFF):
+                raise _Undecayed
 
             def values(rho: float):
                 state = _state_rows(solution.sol(rho), n)
@@ -594,11 +608,10 @@ def _flow_oracle(
     def value(k: float, tol: float) -> float:
         if not k > 0:
             raise DomainError("k must be positive")
-        decay = radius is None or math.isinf(radius)
-        span = 1.0 if decay else float(radius)
+        span = 1.0
         while True:
             try:
-                return polar_laplace_integral(level_at(k, span, decay), dim, tol, span).value
+                return polar_laplace_integral(level_at(k, span), dim, tol, span).value
             except _Undecayed:
                 span *= 2.0
                 if span > _MAX_FLOW_SPAN:
@@ -615,7 +628,6 @@ def j_a_numeric(
     half_form: Any,
     k: float | Sequence[float],
     tol: float = 1e-10,
-    radius: float | None = None,
 ):
     """Core density by direct numerics, at one ``k`` or a list of them.
 
@@ -625,16 +637,15 @@ def j_a_numeric(
     quadrature (:func:`~lapasym.engine.polar_laplace_integral`), one
     vectorized flow per angular level; no series machinery is involved,
     which keeps this the independent oracle for the expansion path.
-    ``radius`` truncates the domain; by default the span is grown until
-    the integrand has decayed below double-precision relevance in every
-    direction.  A scalar ``k`` gives a float, a sequence a list in its
+    The span is grown until the integrand has decayed below
+    double-precision relevance in every direction.  A scalar ``k`` gives a float, a sequence a list in its
     order; the k values of one call share their flow solves, so a list
     costs one solve per distinct (level, span) pair, not one per k.
     Group dimension above 3 is refused with
     :class:`~lapasym.errors.DomainError`.
     """
     flows = _flow_table(model, _reference_point(model, point))
-    oracle = _flow_oracle(model, flows, half_form, radius)
+    oracle = _flow_oracle(model, flows, half_form)
     return _sweep(k, lambda kv: oracle(kv, tol))
 
 
@@ -664,7 +675,6 @@ def density(
     k: float | Sequence[float] = 100.0,
     point: Sequence[Any] | None = None,
     tol: float = 1e-9,
-    radius: float | None = None,
 ):
     """Density ``kind`` by direct numerics, at one ``k`` or a list of them.
 
@@ -677,13 +687,13 @@ def density(
     too, since the flows do not depend on the half-form weight.
     """
     if isinstance(kind, str):
-        return density(model, (kind,), k, point, tol, radius)[0]
+        return density(model, (kind,), k, point, tol)[0]
     data = [_density_data(model, one, point) for one in kind]
     flows = _flow_table(model, _reference_point(model, point))
     d = model.group_dim
     results = []
     for x0, half_form, divisor, scale in data:
-        oracle = _flow_oracle(model, flows, half_form, radius)
+        oracle = _flow_oracle(model, flows, half_form)
 
         def one(kv: float) -> float:
             prefactor = (kv / divisor) ** (d / 2.0) * scale
@@ -821,7 +831,7 @@ def gaussian_test_model() -> HamiltonianModel:
         phi=lambda omega, point: omega[0] * point[0],
         flow_field=lambda omega, point: (omega[0],),
         laplacian_phi=lambda omega, point: 0,
-        zero_points=((0.0,),),
+        zero_points=((0,),),
         orbit_volume=lambda point: 1.0,
         name="gaussian",
     )
@@ -840,7 +850,7 @@ def quartic_test_model() -> HamiltonianModel:
         phi=phi,
         flow_field=lambda omega, point: (omega[0],),
         laplacian_phi=lambda omega, point: 0,
-        zero_points=((0.0,),),
+        zero_points=((0,),),
         orbit_volume=lambda point: 1.0,
         name="quartic",
     )

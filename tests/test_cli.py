@@ -270,6 +270,28 @@ def test_exact_mode_runs(capsys):
     assert abs(float(rows[0][2]) - math.sqrt(math.pi)) < 1e-13
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--model", "builtin:sphere"], "'sphere'"),
+    (["--model", "builtin:quartic", "--a", "0.5"], "'quartic'"),
+], ids=["float-chart", "float-weight"])
+def test_exact_mode_refuses_float_radial_data(args, name, capsys):
+    # the builtin sphere's chart values carry a float 2 pi, and a float
+    # weight makes the quartic's amplitude series float
+    code, out, err = run_cli(["expand", "--exact", "--order", "2", *args], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert name in err and "group dimension 1" in err
+
+
+def test_density_sweep_has_no_exact_mode(capsys):
+    code, out, err = run_cli(
+        ["density-sweep", "--model", "builtin:quartic", "--a", "0", "--k", "100",
+         "--exact"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: density-sweep has no exact mode\n"
+
+
 @pytest.mark.parametrize("args", [
     ["expand", "--model", "builtin:quartic", "--a", "0", "--order", "4"],
     ["verify", "--model", "builtin:quartic", "--a", "0", "--order", "4",

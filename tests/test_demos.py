@@ -1,6 +1,8 @@
-"""Each demo script runs to completion, quietly, against this package."""
+"""Each demo script, and each Python example of the README, runs to
+completion, quietly, against this package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,18 @@ import pytest
 
 import lapasym
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SRC = str(Path(lapasym.__file__).resolve().parent.parent)
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
+
+
+def run_python(args, cwd):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_every_demo_is_collected():
@@ -19,10 +31,20 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_cleanly(script):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=script.parent,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python([str(script)], script.parent)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+
+
+def test_readme_has_python_examples():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param(block, id=f"block{i}") for i, block in enumerate(README_BLOCKS)
+])
+def test_readme_python_block_runs(block, tmp_path):
+    proc = run_python(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

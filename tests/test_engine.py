@@ -15,19 +15,18 @@ import numpy as np
 import pytest
 
 from lapasym.engine import (
-    GammaValue,
     RadialProfile,
     convergence_order_fit,
     expansion_coefficient,
     expansion_series,
     gamma_value,
-    half_integer_gamma,
     numeric_laplace_integral,
     partial_sum,
     sphere_area,
     sphere_rule,
 )
 from lapasym.errors import DomainError, QuadratureError
+from lapasym.models import gaussian_test_model, geometric_expansion
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,22 +38,21 @@ def constant_profile(rule, f_coeffs, g_coeffs):
 
 # ---------------------------------------------------------------- gamma
 
-def test_half_integer_gamma_frozen():
-    g = half_integer_gamma(Fraction(1, 2))
-    assert g == GammaValue(Fraction(1), True)
-    assert float(g) == SQRT_PI
-    assert half_integer_gamma(3) == GammaValue(Fraction(2), False)
-    assert half_integer_gamma(Fraction(5, 2)) == GammaValue(Fraction(3, 4), True)
-    assert half_integer_gamma(Fraction(7, 2)) == GammaValue(Fraction(15, 8), True)
+def test_gamma_value_half_integers_frozen():
+    # the rational part rounds once, then meets sqrt(pi)
+    assert gamma_value(Fraction(1, 2)) == SQRT_PI
+    assert gamma_value(3) == 2.0
+    assert gamma_value(Fraction(5, 2)) == float(Fraction(3, 4)) * SQRT_PI
+    assert gamma_value(Fraction(7, 2)) == float(Fraction(15, 8)) * SQRT_PI
 
 
-def test_half_integer_gamma_rejects_poles_and_thirds():
+def test_gamma_value_rejects_rational_poles_and_floats_thirds():
     with pytest.raises(DomainError):
-        half_integer_gamma(0)
+        gamma_value(0)
     with pytest.raises(DomainError):
-        half_integer_gamma(Fraction(-3, 2))
-    with pytest.raises(DomainError):
-        half_integer_gamma(Fraction(1, 3))
+        gamma_value(Fraction(-3, 2))
+    # a third has no factorial form: it takes the float route
+    assert gamma_value(Fraction(1, 3)) == math.gamma(1 / 3)
 
 
 def test_gamma_value_float_fallback():
@@ -229,13 +227,16 @@ def test_quartic_partial_sum_remainder_magnitude():
 
 
 def test_exact_mode_agrees_with_float_mode():
+    # the engine computes in the arithmetic of its tables: a Fraction
+    # table exactly, its float copy in floats
     rule = sphere_rule(1)
     f = [Fraction(2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
     g = [Fraction(1), Fraction(-2, 7), Fraction(3, 11), Fraction(0)]
-    prof = RadialProfile(rule, [f, f], [g, g])
+    exact = RadialProfile(rule, [f, f], [g, g])
+    floats = RadialProfile(rule, [list(map(float, f))] * 2, [list(map(float, g))] * 2)
     for j in range(4):
-        a = expansion_coefficient(j, prof, mode="exact")
-        b = expansion_coefficient(j, prof, mode="float")
+        a = expansion_coefficient(j, exact)
+        b = expansion_coefficient(j, floats)
         assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -244,8 +245,8 @@ def test_exact_mode_is_reproducible():
     f = [Fraction(4), Fraction(1, 2)]
     g = [Fraction(1), Fraction(1, 6)]
     prof = constant_profile(rule, f, g)
-    first = [expansion_coefficient(j, prof, mode="exact") for j in range(2)]
-    second = [expansion_coefficient(j, prof, mode="exact") for j in range(2)]
+    first = [expansion_coefficient(j, prof) for j in range(2)]
+    second = [expansion_coefficient(j, prof) for j in range(2)]
     assert first == second
     # integer decay exponent: leading term is Gamma(1)/2 * (2 pi / f0)
     assert first[0] == pytest.approx(0.5 * 2 * math.pi / 4, rel=1e-14)
@@ -279,13 +280,11 @@ def test_dimension_and_exponents_come_from_the_rule():
 
 
 def test_unknown_mode_and_negative_order_rejected():
-    prof = gaussian_profile(2)
+    # the arithmetic mode is read by geometric_expansion alone
+    with pytest.raises(DomainError, match="'decimal'"):
+        geometric_expansion(gaussian_test_model(), order=2, mode="decimal")
     with pytest.raises(DomainError):
-        expansion_coefficient(0, prof, mode="decimal")
-    with pytest.raises(DomainError):
-        expansion_series(prof, 2, mode="decimal")
-    with pytest.raises(DomainError):
-        expansion_series(prof, -1)
+        expansion_series(gaussian_profile(2), -1)
 
 
 # ---------------------------------------------------------------- odd cancellation

@@ -16,64 +16,69 @@ from lapasym.jets import TruncatedSeries
 
 
 def test_constant_nodes():
-    assert compile_expression(3)({}) == 3
-    assert compile_expression(2.5)({}) == 2.5
-    assert compile_expression("7")({}) == 7
-    value = compile_expression("1/3")({})
+    assert compile_expression(3)(()) == 3
+    assert compile_expression(2.5)(()) == 2.5
+    assert compile_expression("7")(()) == 7
+    value = compile_expression("1/3")(())
     assert value == Fraction(1, 3)
     assert isinstance(value, Fraction)
 
 
 def test_pi_leaf():
-    assert compile_expression("pi")({}) == math.pi
+    assert compile_expression("pi")(()) == math.pi
 
 
 def test_symbol_lookup():
-    fn = compile_expression("x0")
-    assert fn({"x0": 4}) == 4
-    with pytest.raises(DomainError):
-        fn({"x1": 4})
+    fn = compile_expression(Positional("x0", ("x1", "x0")))
+    assert fn((3, 4)) == 4
+    # a bare tree binds no symbols
+    with pytest.raises(DomainError, match="'x0'"):
+        compile_expression("x0")
+
+
+XY = ("x", "y")
 
 
 def test_arithmetic_matches_direct_evaluation():
     # (x + 2) * (y - 1/2) / 3
-    fn = compile_expression(["/", ["*", ["+", "x", 2], ["-", "y", "1/2"]], 3])
+    fn = compile_expression(Positional(["/", ["*", ["+", "x", 2], ["-", "y", "1/2"]], 3], XY))
     for x in (0, 1, Fraction(3, 4), -2.0):
         for y in (1, Fraction(1, 2), 5.5):
-            assert fn({"x": x, "y": y}) == (x + 2) * (y - Fraction(1, 2)) / 3
+            assert fn((x, y)) == (x + 2) * (y - Fraction(1, 2)) / 3
 
 
 def test_nary_sum_and_product():
     fn = compile_expression(["+", 1, 2, 3, 4])
-    assert fn({}) == 10
+    assert fn(()) == 10
     fn = compile_expression(["*", 2, 3, 4])
-    assert fn({}) == 24
+    assert fn(()) == 24
 
 
 def test_unary_minus_and_neg():
-    assert compile_expression(["-", "x"])({"x": 7}) == -7
-    assert compile_expression(["neg", "x"])({"x": 7}) == -7
+    assert compile_expression(Positional(["-", "x"], XY))((7, 0)) == -7
+    assert compile_expression(Positional(["neg", "x"], XY))((7, 0)) == -7
 
 
 def test_pow_with_negative_exponent():
-    fn = compile_expression(["pow", "x", -2])
-    assert fn({"x": Fraction(2)}) == Fraction(1, 4)
+    fn = compile_expression(Positional(["pow", "x", -2], ("x",)))
+    assert fn((Fraction(2),)) == Fraction(1, 4)
 
 
 def test_elementary_functions():
-    fn = compile_expression(["exp", ["neg", "x"]])
-    assert fn({"x": 1.0}) == pytest.approx(math.exp(-1.0))
-    fn = compile_expression(["sin", "x"])
-    assert fn({"x": 0.3}) == pytest.approx(math.sin(0.3))
-    fn = compile_expression(["sqrt", ["-", 1, ["pow", "x", 2]]])
-    assert fn({"x": 0.6}) == pytest.approx(0.8)
+    fn = compile_expression(Positional(["exp", ["neg", "x"]], ("x",)))
+    assert fn((1.0,)) == pytest.approx(math.exp(-1.0))
+    fn = compile_expression(Positional(["sin", "x"], ("x",)))
+    assert fn((0.3,)) == pytest.approx(math.sin(0.3))
+    fn = compile_expression(Positional(["sqrt", ["-", 1, ["pow", "x", 2]]], ("x",)))
+    assert fn((0.6,)) == pytest.approx(0.8)
 
 
 def test_series_arguments_flow_through():
     # jets dispatch: the same compiled tree must accept series inputs
-    fn = compile_expression(["*", "w", ["exp", ["neg", ["pow", "x", 2]]]])
+    fn = compile_expression(Positional(["*", "w", ["exp", ["neg", ["pow", "x", 2]]]],
+                                       ("x", "w")))
     x = TruncatedSeries.variable(0, 6)
-    out = fn({"x": x, "w": 3})
+    out = fn((x, 3))
     expected = 3 * TruncatedSeries([1, 0, -1, 0, Fraction(1, 2), 0, Fraction(-1, 6)])
     assert out.coefficients == expected.coefficients
 
@@ -92,9 +97,9 @@ def test_rejects_bad_trees():
     with pytest.raises(DomainError):
         compile_expression(["/", 1])
     with pytest.raises(DomainError):
-        compile_expression(["pow", "x", "y"])
+        compile_expression(Positional(["pow", "x", "y"], XY))
     with pytest.raises(DomainError):
-        compile_expression(["pow", "x", True])
+        compile_expression(Positional(["pow", "x", True], XY))
     with pytest.raises(DomainError):
         compile_expression("not a number or symbol!")
     with pytest.raises(DomainError):
@@ -112,12 +117,12 @@ def test_symbol_free_subtrees_fold_at_compile_time():
     for node, culprit in ((["/", 1, 0], '["/", 1, 0]'), (["sqrt", -1], '["sqrt", -1]'),
                           (["+", "x", ["log", 0]], '["log", 0]')):
         with pytest.raises(DomainError, match=re.escape(culprit)):
-            compile_expression(node)
+            compile_expression(Positional(node, ("x",)))
     # a symbolic zero divisor still compiles and fails only where it is zero
-    fn = compile_expression(["/", "1", "x0"])
-    assert fn({"x0": 4}) == Fraction(1, 4)
+    fn = compile_expression(Positional(["/", "1", "x0"], ("x0",)))
+    assert fn((4,)) == Fraction(1, 4)
     with pytest.raises(DomainError, match=r'division by zero in \["/", "1", "x0"\]'):
-        fn({"x0": 0})
+        fn((0,))
 
 
 def test_positional_binding():
@@ -192,28 +197,28 @@ def test_folding_is_bit_identical_to_unfolded_evaluation():
     for _ in range(400):
         tree = _random_tree(rng, 4)
         try:
-            by_name = compile_expression(tree)
-            by_position = compile_expression(Positional(tree, ("x", "y")))
+            fn = compile_expression(Positional(tree, XY))
         except DomainError:
             # only a symbol-free subtree that cannot be evaluated fails here
             with pytest.raises((ArithmeticError, ValueError)):
                 _unfolded(tree, _INPUTS[0])
             continue
         for env in _INPUTS:
+            values = (env["x"], env["y"])
             try:
                 want = _unfolded(tree, env)
             except (ArithmeticError, ValueError):
                 with pytest.raises((ArithmeticError, ValueError)):
-                    by_name(env)
+                    fn(values)
                 continue
-            for got in (by_name(env), by_position((env["x"], env["y"]))):
-                assert type(got) is type(want), tree
-                if isinstance(want, (float, np.floating)):
-                    # NaN from an overflowed series is compared by repr too
-                    assert repr(got) == repr(want), tree
-                else:
-                    assert got == want, tree
-                    assert repr(got) == repr(want), tree
+            got = fn(values)
+            assert type(got) is type(want), tree
+            if isinstance(want, (float, np.floating)):
+                # NaN from an overflowed series is compared by repr too
+                assert repr(got) == repr(want), tree
+            else:
+                assert got == want, tree
+                assert repr(got) == repr(want), tree
             compared += 1
     assert compared > 1000
 

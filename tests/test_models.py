@@ -201,6 +201,43 @@ def test_float_mode_tracks_exact_mode_at_high_order(order, tolerance):
         assert abs(x - y) <= tolerance * abs(y)
 
 
+def gamma_ratio_series(a: Fraction, b: Fraction, terms: int) -> list[Fraction]:
+    """Coefficients of x**n, x = 1/k, in k**(b - a) Gamma(k + a) / Gamma(k + b).
+
+    The logarithm is sum_n (-1)**(n+1) (B_{n+1}(a) - B_{n+1}(b)) / (n (n+1) k**n)
+    in Bernoulli polynomials (Tricomi & Erdelyi, Pacific J. Math. 1, 1951);
+    its exponential comes from n e_n = sum_m m l_m e_{n-m}.
+    """
+    import sympy
+
+    def bernoulli(n: int, x: Fraction) -> Fraction:
+        value = sympy.bernoulli(n, sympy.Rational(x.numerator, x.denominator))
+        return Fraction(int(value.p), int(value.q))
+
+    log = [Fraction(0)] + [
+        (-1) ** (n + 1) * (bernoulli(n + 1, a) - bernoulli(n + 1, b)) / (n * (n + 1))
+        for n in range(1, terms)
+    ]
+    series = [Fraction(1)]
+    for n in range(1, terms):
+        series.append(sum(m * log[m] * series[n - m] for m in range(1, n + 1)) / n)
+    return series
+
+
+def test_exact_mode_matches_the_gamma_ratio_series():
+    # j_{1/2}(k) = sqrt(pi) Gamma(k + 1/2) / Gamma(k + 1) on the rational
+    # sphere, so coefficient 2n is sqrt(pi) c_n and the odd ones vanish
+    c = gamma_ratio_series(Fraction(1, 2), Fraction(1), 13)
+    assert c[:4] == [1, Fraction(-1, 8), Fraction(1, 128), Fraction(5, 1024)]
+    result = geometric_expansion(rational_sphere_model(), half_form=Fraction(1, 2),
+                                 order=24, mode="exact")
+    for n, cn in enumerate(c):
+        expected = SQRT_PI * float(cn)
+        assert abs(result.coefficients[2 * n] - expected) <= 1e-15 * abs(expected)
+    for j in range(1, 25, 2):
+        assert result.coefficients[j] == 0.0 and result.odd_vanished[j]
+
+
 def test_radial_profile_validations():
     sphere = builtin_sphere_model()
     with pytest.raises(DomainError):
@@ -288,8 +325,6 @@ def test_j_a_numeric_gaussian():
         # zero Laplacian: the half-form weight cannot matter
         assert rel(j_a_numeric(flat, None, Fraction(1, 2), k, tol=1e-12),
                    expected) < 1e-10
-    truncated = j_a_numeric(flat, None, 0, 50.0, tol=1e-12, radius=20.0)
-    assert rel(truncated, math.sqrt(math.pi / 50.0)) < 1e-10
 
 
 def test_j_a_numeric_sphere_gamma_ratio():
