@@ -1,14 +1,25 @@
 """Partition combinatorics and Bell-type polynomials over exact rationals.
 
-This module supplies the raw combinatorial layer: integer partition
-tuples and compositions, the partition multinomial ``c(j; n)``, partial
-and complete exponential Bell polynomials, power coefficients of a
-constant-free power series, and the generalized binomial coefficient.
+This module is the only place that enumerates Bell-type terms.  It
+supplies integer partition tuples, the partition multinomial
+``c(j; n)``, the term lists of partial Bell polynomials and of power
+coefficients of a constant-free power series, their evaluations, the
+complete Bell polynomial, and the generalized binomial coefficient.
 Everything works over any commutative ring whose elements support ``+``,
 ``*`` and integer powers, so the same code runs on exact rationals
-(:class:`fractions.Fraction`), floats, and truncated series.
+(:class:`fractions.Fraction`), floats, truncated series and symbols.
 
-Two indexings for partition data coexist and are easy to confuse:
+The term lists :func:`partial_bell_terms` and :func:`power_terms` are
+what the ``bell-table`` command prints.  Their evaluations
+:func:`partial_bell`, :func:`complete_bell` and
+:func:`series_power_coefficient` serve the independent raw cross-check
+route (:func:`~lapasym.models.zeta_geometric`) and the tests, and
+:func:`generalized_binomial` serves both cross-check routes; the
+coefficient path does not use this module, it works with the series
+recurrences of :mod:`.jets`.
+
+Two indexings for partition data coexist and are easy to confuse; only
+this module uses the first:
 
 * :func:`partition_tuples` ``(j, l)`` returns the length-``l`` tuples
   ``(n1, ..., nl)`` with ``sum(n) == j - l + 1`` and
@@ -21,12 +32,6 @@ Two indexings for partition data coexist and are easy to confuse:
 
 The two agree when ``l == j - l + 1`` and differ otherwise; the complete
 polynomial :func:`complete_bell` is the same either way.
-
-The coefficient path does not use this module; it works with the series
-recurrences of :mod:`.jets`.  These sums serve the ``bell-table``
-command, the independent cross-check routes
-(:func:`~lapasym.models.zeta_geometric`,
-:func:`~lapasym.models.zeta2_reference`) and the tests.
 """
 
 from __future__ import annotations
@@ -39,15 +44,14 @@ from .errors import DomainError
 
 __all__ = [
     "partition_tuples",
-    "composition_tuples",
     "partition_multinomial",
+    "partial_bell_terms",
+    "power_terms",
     "partial_bell",
     "complete_bell",
     "series_power_coefficient",
     "generalized_binomial",
 ]
-
-
 def partition_tuples(j: int, l: int) -> list[tuple[int, ...]]:
     """All length-``l`` tuples ``n`` with ``sum(n) == j - l + 1`` and ``sum(i*n_i) == j``.
 
@@ -79,9 +83,7 @@ def partition_tuples(j: int, l: int) -> list[tuple[int, ...]]:
     if count < 0:
         return []
     if l == 0:
-        # the empty tuple sums to 0, so it qualifies only for j == 1 - 1 == 0 ... never:
-        # count must equal 0, i.e. j == -1, already excluded; j == 0 gives count 1.
-        return [()] if count == 0 else []
+        return []
     out: list[tuple[int, ...]] = []
     tup = [0] * l
 
@@ -110,40 +112,6 @@ def partition_tuples(j: int, l: int) -> list[tuple[int, ...]]:
         tup[pos - 1] = 0
 
     fill(1, count, j)
-    return out
-
-
-def composition_tuples(m: int, r: int) -> list[tuple[int, ...]]:
-    """All ordered tuples of ``r`` positive integers summing to ``m``.
-
-    Returned in ascending lexicographic order.
-
-    Examples
-    --------
-    >>> composition_tuples(3, 2)
-    [(1, 2), (2, 1)]
-    >>> composition_tuples(2, 1)
-    [(2,)]
-    """
-    if m < 0 or r < 0:
-        raise ValueError("composition indices must be nonnegative")
-    if r == 0:
-        return [()] if m == 0 else []
-    out: list[tuple[int, ...]] = []
-    parts = [0] * r
-
-    def fill(pos: int, remaining: int) -> None:
-        if pos == r - 1:
-            if remaining >= 1:
-                parts[pos] = remaining
-                out.append(tuple(parts))
-            return
-        # leave at least 1 for each later slot
-        for q in range(1, remaining - (r - pos - 1) + 1):
-            parts[pos] = q
-            fill(pos + 1, remaining - q)
-
-    fill(0, m)
     return out
 
 
@@ -182,6 +150,54 @@ def partition_multinomial(j: int, counts: Sequence[int]) -> int:
     return quot
 
 
+def _exponents(counts: Sequence[int]) -> dict[int, int]:
+    return {i: n for i, n in enumerate(counts, start=1) if n}
+
+
+def partial_bell_terms(j: int, l: int) -> list[tuple[int, dict[int, int]]]:
+    """Terms ``(c(j; n), {i: n_i})`` of ``B_{j,l}``, one per partition of ``j``.
+
+    The exponent map lists each nonzero ``n_i``, the count of blocks of
+    size ``i``; the terms of ``B_{0,0} = 1`` are ``[(1, {})]``.
+
+    Examples
+    --------
+    >>> partial_bell_terms(4, 2)
+    [(3, {2: 2}), (4, {1: 1, 3: 1})]
+    """
+    if j == 0 and l == 0:
+        return [(1, {})]
+    return [(partition_multinomial(j, counts), _exponents(counts))
+            for counts in partition_tuples(j, j - l + 1)]
+
+
+def power_terms(m: int, r: int) -> list[tuple[int, dict[int, int]]]:
+    """Terms ``(orderings, {i: n_i})`` of ``[t**m] (x1*t + x2*t**2 + ...) ** r``.
+
+    One term per partition of ``m`` into ``r`` parts, ``n_i`` of size
+    ``i``; its ``r! / prod n_i!`` orderings are the compositions it
+    collects.  Needs ``r <= m + 1``.
+
+    Examples
+    --------
+    >>> power_terms(6, 3)
+    [(1, {2: 3}), (6, {1: 1, 2: 1, 3: 1}), (3, {1: 2, 4: 1})]
+    """
+    return [(math.factorial(r) // math.prod(math.factorial(n) for n in counts),
+             _exponents(counts))
+            for counts in partition_tuples(m, m - r + 1)]
+
+
+def _evaluate(terms: list[tuple[int, dict[int, int]]], x: Sequence[Any]) -> Any:
+    total: Any = 0
+    for coeff, exponents in terms:
+        term: Any = coeff
+        for i, n in exponents.items():
+            term = term * x[i - 1] ** n
+        total = total + term
+    return total
+
+
 def partial_bell(j: int, l: int, x: Sequence[Any]) -> Any:
     """Partial exponential Bell polynomial ``B_{j,l}(x1, ..., x_{j-l+1})``.
 
@@ -195,7 +211,7 @@ def partial_bell(j: int, l: int, x: Sequence[Any]) -> Any:
     3
     >>> from fractions import Fraction
     >>> partial_bell(4, 2, [Fraction(1), Fraction(2), Fraction(3)])
-    Fraction(16, 1)
+    Fraction(24, 1)
     """
     if j == 0 and l == 0:
         return 1
@@ -203,14 +219,7 @@ def partial_bell(j: int, l: int, x: Sequence[Any]) -> Any:
         raise ValueError(f"partial Bell needs 1 <= l <= j, got j={j} l={l}")
     if len(x) < j - l + 1:
         raise ValueError(f"need at least {j - l + 1} entries, got {len(x)}")
-    total: Any = 0
-    for counts in partition_tuples(j, j - l + 1):
-        term: Any = partition_multinomial(j, counts)
-        for i, n in enumerate(counts, 1):
-            if n:
-                term = term * x[i - 1] ** n
-        total = total + term
-    return total
+    return _evaluate(partial_bell_terms(j, l), x)
 
 
 def complete_bell(j: int, x: Sequence[Any]) -> Any:
@@ -237,13 +246,11 @@ def complete_bell(j: int, x: Sequence[Any]) -> Any:
 def series_power_coefficient(m: int, r: int, x: Sequence[Any]) -> Any:
     """Coefficient of ``t**m`` in ``(x1*t + x2*t**2 + ...) ** r``.
 
-    Computed by the recursion ``C(m, r) = sum_j x_{m-j} * C(j, r-1)``
-    with initial data ``C(m, 1) = x_m``.  By convention the value is 0
-    for ``r > m`` (fewer than ``r`` factors of ``t`` are unavailable)
-    and ``C(0, 0) = 1``.
-
-    Equivalently, the sum over all ordered tuples of ``r`` positive
-    integers summing to ``m`` of the product ``x_{q1} * ... * x_{qr}``.
+    The sum over all ordered tuples of ``r`` positive integers summing
+    to ``m`` of the product ``x_{q1} * ... * x_{qr}``, collected by
+    partition (:func:`power_terms`).  By convention the value is 0 for
+    ``r > m`` (fewer than ``r`` factors of ``t`` are unavailable) and 1
+    for ``m == r == 0``.
 
     Examples
     --------
@@ -260,18 +267,7 @@ def series_power_coefficient(m: int, r: int, x: Sequence[Any]) -> Any:
         return 0
     if len(x) < m - r + 1:
         raise ValueError(f"need at least {m - r + 1} entries, got {len(x)}")
-    # row[q] holds C(q, s); parts never exceed m - r + 1 along admissible paths
-    row: dict[int, Any] = {0: 1}
-    for s in range(1, r + 1):
-        nxt: dict[int, Any] = {}
-        for q in range(s, m - r + s + 1):
-            acc: Any = 0
-            for jprev in range(s - 1, q):
-                if jprev in row and q - jprev <= m - r + 1:
-                    acc = acc + x[q - jprev - 1] * row[jprev]
-            nxt[q] = acc
-        row = nxt
-    return row[m]
+    return _evaluate(power_terms(m, r), x)
 
 
 def generalized_binomial(alpha: Any, r: int) -> Any:

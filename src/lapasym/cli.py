@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .bell import partition_multinomial, partition_tuples
+from .bell import partial_bell_terms, power_terms
 from .engine import convergence_order_fit
 from .errors import DomainError, QuadratureError
 from .models import density, density_series, geometric_expansion, j_a_numeric, \
@@ -267,25 +267,6 @@ def _polynomial_string(terms: list[tuple[int, dict]], span: int) -> str:
     return " + ".join(pieces)
 
 
-def _partial_terms(j: int, blocks: int) -> list[tuple[int, dict]]:
-    if j == 0 and blocks == 0:
-        return [(1, {})]
-    terms = []
-    for counts in partition_tuples(j, j - blocks + 1):
-        exponents = {i: n for i, n in enumerate(counts, start=1) if n}
-        terms.append((partition_multinomial(j, counts), exponents))
-    return terms
-
-
-def _power_terms(m: int, r: int) -> list[tuple[int, dict]]:
-    # a partition of m into r parts, n_i of size i, has r! / prod n_i! orderings
-    terms = []
-    for counts in partition_tuples(m, m - r + 1):
-        orderings = math.factorial(r) // math.prod(math.factorial(n) for n in counts)
-        terms.append((orderings, {i: n for i, n in enumerate(counts, start=1) if n}))
-    return terms
-
-
 def cmd_bell_table(cfg: RunConfig) -> str:
     if cfg.order > _BELL_BOUND:
         raise DomainError(f"bell-table order is capped at {_BELL_BOUND}")
@@ -295,26 +276,17 @@ def cmd_bell_table(cfg: RunConfig) -> str:
         rows.append((kind, j, l, _polynomial_string(terms, max(j, 1)),
                      sum(coeff for coeff, _ in terms)))
 
-    for j in range(cfg.order + 1):
-        if j == 0:
-            add("partial", 0, 0, _partial_terms(0, 0))
-        else:
-            for blocks in range(1, j + 1):
-                add("partial", j, blocks, _partial_terms(j, blocks))
-    for j in range(cfg.order + 1):
-        terms: list[tuple[int, dict]] = []
-        if j == 0:
-            terms = [(1, {})]
-        else:
-            for blocks in range(1, j + 1):
-                terms.extend(_partial_terms(j, blocks))
-        add("complete", j, None, terms)
-    for m in range(cfg.order + 1):
-        if m == 0:
-            add("power", 0, 0, _power_terms(0, 0))
-        else:
-            for r in range(1, m + 1):
-                add("power", m, r, _power_terms(m, r))
+    # (0, 0) is the only index pair of weight 0
+    indices = [range(1 if j else 0, j + 1) for j in range(cfg.order + 1)]
+    for j, blocks_range in enumerate(indices):
+        for blocks in blocks_range:
+            add("partial", j, blocks, partial_bell_terms(j, blocks))
+    for j, blocks_range in enumerate(indices):
+        add("complete", j, None,
+            [term for blocks in blocks_range for term in partial_bell_terms(j, blocks)])
+    for m, r_range in enumerate(indices):
+        for r in r_range:
+            add("power", m, r, power_terms(m, r))
 
     return _render(cfg, {"command": cfg.command, "order": cfg.order},
                    ("kind", "j", "l", "polynomial", "value_at_ones"), rows)

@@ -117,22 +117,11 @@ class TruncatedSeries:
             raise ValueError("negative power")
         return self._coeffs[p] if p <= self.order else 0
 
-    def derivative_at_zero(self, p: int) -> Any:
-        """``p``-th derivative at 0, i.e. ``p! * c[p]``."""
-        return math.factorial(p) * self.coefficient(p)
-
     def truncated(self, order: int) -> "TruncatedSeries":
         """Copy truncated (or zero-padded) to the given order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
         return TruncatedSeries(self._coeffs[: order + 1], order=order)
-
-    def evaluate(self, t: Any) -> Any:
-        """Horner evaluation of the truncated polynomial at ``t``."""
-        acc: Any = self._coeffs[-1]
-        for c in reversed(self._coeffs[:-1]):
-            acc = acc * t + c
-        return acc
 
     # ------------------------------------------------------------ arithmetic
 
@@ -214,14 +203,6 @@ class TruncatedSeries:
         for p, c in enumerate(self._coeffs):
             out.append(c * Fraction(1, p + 1))
         return TruncatedSeries(out)
-
-    def differentiate(self) -> "TruncatedSeries":
-        """Term-by-term derivative; order shrinks by one."""
-        if self.order == 0:
-            return TruncatedSeries([0 * self._coeffs[0]])
-        return TruncatedSeries(
-            [p * c for p, c in enumerate(self._coeffs) if p > 0]
-        )
 
     # ------------------------------------------------------------ misc
 

@@ -17,8 +17,8 @@ uncorrected densities ``I`` and ``J`` both by direct numerics
 (:func:`density_series`).
 Two additional, deliberately independent evaluations of the expansion
 coefficients live here as cross-checks: :func:`zeta_geometric` (the raw
-partition/composition sums) and :func:`zeta2_reference` (the closed
-second coefficient).  :func:`jacobian_tau_check` compares the product
+Bell and series-power sums of :mod:`.bell`) and :func:`zeta2_reference`
+(the closed second coefficient).  :func:`jacobian_tau_check` compares the product
 formula for the transport Jacobian against finite differences.
 """
 
@@ -33,8 +33,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bell import composition_tuples, generalized_binomial, partition_multinomial, \
-    partition_tuples
+from .bell import complete_bell, generalized_binomial, series_power_coefficient
 from .engine import ExpansionResult, RadialProfile, SphereRule, \
     expansion_series, gamma_value, polar_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
@@ -70,6 +69,11 @@ __all__ = [
 # exp(-x) underflows near x = 745; cutoffs leave a wide margin past that
 _PHASE_CUTOFF = 760.0
 _MAX_FLOW_SPAN = 4096.0
+# radial_profile's bound on phi and on the phase's t^0, t^1 coefficients
+# (relative to its leading coefficient) at the base point
+_ZERO_LEVEL_TOL = 1e-9
+# central-difference step of jacobian_tau_check, in time and zero-level parameter
+_JACOBIAN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,6 @@ def radial_profile(
     point: Sequence[Any] | None = None,
     order: int = 8,
     half_form: Any = 0,
-    tol: float = 1e-9,
 ) -> RadialSeries:
     """Radial phase/weight series along direction ``omega``.
 
@@ -149,7 +152,7 @@ def radial_profile(
         raise DomainError("radial order must be at least 2")
     x0 = _reference_point(model, point)
     level = float(model.phi(omega, x0))
-    if abs(level) > tol:
+    if abs(level) > _ZERO_LEVEL_TOL:
         raise DomainError(
             f"point {x0!r} is not on the zero level (phi = {level:.3e})"
         )
@@ -168,7 +171,7 @@ def radial_profile(
         )
     scale = max(1.0, abs(float(lead)))
     for p in (0, 1):
-        if abs(float(phase.coefficient(p))) > tol * scale:
+        if abs(float(phase.coefficient(p))) > _ZERO_LEVEL_TOL * scale:
             raise DomainError("phase does not vanish to second order at the base point")
     return _weighted(phase, log_weight, half_form)
 
@@ -298,40 +301,22 @@ def _power(value: Any, exponent: int) -> Any:
 
 
 def _weight_block_sum(q: int, half_form: Any, lap_atoms: Sequence[Any]) -> Any:
-    # weight-series coefficient q: partitions of q, one half_form per block
-    if q == 0:
-        return 1
-    total: Any = 0
-    for length in range(1, q + 1):
-        for counts in partition_tuples(q, length):
-            blocks = sum(counts)
-            term: Any = partition_multinomial(q, counts) * _power(half_form, blocks)
-            for i, n_i in enumerate(counts, start=1):
-                if n_i:
-                    term = term * _power(lap_atoms[i - 1], n_i)
-            total = total + term
-    return total * Fraction(1, math.factorial(q))
+    # weight-series coefficient q: one half_form per block of each partition
+    scaled = [half_form * atom for atom in lap_atoms[:q]]
+    return complete_bell(q, scaled) * Fraction(1, math.factorial(q))
 
 
 def _phase_tail_sum(
     m: int, exponent: Fraction, flow_atoms: Sequence[Any]
 ) -> Any:
-    # phase-tail contribution at radial order m: compositions into r parts
-    if m == 0:
-        return 1
-    f0 = flow_atoms[0]
-    total: Any = 0
-    for r in range(1, m + 1):
-        inner: Any = 0
-        for parts in composition_tuples(m, r):
-            denominator = 1
-            numerator: Any = 1
-            for n_i in parts:
-                denominator *= math.factorial(n_i + 2)
-                numerator = numerator * flow_atoms[n_i]
-            inner = inner + Fraction(2 ** r, denominator) * numerator
-        total = total + generalized_binomial(-exponent, r) * _power(f0, -r) * inner
-    return total
+    # phase-tail contribution at radial order m: powers r of the reduced
+    # phase tail sum_n 2 * flow_atoms[n] / (n + 2)! t^n, n >= 1
+    tail = [flow_atoms[n] * Fraction(2, math.factorial(n + 2)) for n in range(1, m + 1)]
+    return sum(
+        generalized_binomial(-exponent, r) * _power(flow_atoms[0], -r)
+        * series_power_coefficient(m, r, tail)
+        for r in range(m + 1)
+    )
 
 
 def _direction_bracket(
@@ -344,6 +329,22 @@ def _direction_bracket(
         phase_part = _phase_tail_sum(m, exponent, flow_atoms)
         total = total + weight_part * phase_part
     return total
+
+
+def _rule_atoms(
+    model: HamiltonianModel,
+    point: Sequence[Any] | None,
+    resolution: int,
+    flow_count: int,
+    lap_count: int,
+) -> tuple[list[tuple[tuple, tuple]], list[float]]:
+    # (flow_atoms, lap_atoms) at each node of the sphere rule, and its weights
+    rule = sphere_rule(model.group_dim, resolution)
+    atom_table = [
+        direction_atoms(model, _node_direction(rule.nodes[i]), point, flow_count, lap_count)
+        for i in range(len(rule))
+    ]
+    return atom_table, [float(w) for w in rule.weights]
 
 
 def zeta_geometric_from_atoms(
@@ -379,14 +380,8 @@ def zeta_geometric(
     radial algebra is the explicit double sum instead of the series
     recurrences.  The two routes must agree.
     """
-    rule = sphere_rule(model.group_dim, resolution)
-    atom_table = [
-        direction_atoms(model, _node_direction(rule.nodes[i]), point, j + 1, max(j, 1))
-        for i in range(len(rule))
-    ]
-    return zeta_geometric_from_atoms(
-        j, half_form, model.group_dim, atom_table, [float(w) for w in rule.weights]
-    )
+    atom_table, weights = _rule_atoms(model, point, resolution, j + 1, max(j, 1))
+    return zeta_geometric_from_atoms(j, half_form, model.group_dim, atom_table, weights)
 
 
 def zeta2_reference_from_atoms(
@@ -424,14 +419,8 @@ def zeta2_reference(
     resolution: int = 32,
 ) -> float:
     """Second expansion coefficient by the closed displayed form."""
-    rule = sphere_rule(model.group_dim, resolution)
-    atom_table = [
-        direction_atoms(model, _node_direction(rule.nodes[i]), point, 3, 2)
-        for i in range(len(rule))
-    ]
-    return zeta2_reference_from_atoms(
-        half_form, model.group_dim, atom_table, [float(w) for w in rule.weights]
-    )
+    atom_table, weights = _rule_atoms(model, point, resolution, 3, 2)
+    return zeta2_reference_from_atoms(half_form, model.group_dim, atom_table, weights)
 
 
 def leading_term_identity(
@@ -742,7 +731,6 @@ def jacobian_tau_check(
     model: HamiltonianModel,
     xi: float,
     zero_parameter: float = 0.0,
-    step: float = 1e-4,
 ) -> tuple[float, float]:
     """Transport Jacobian: product formula vs finite differences.
 
@@ -770,6 +758,7 @@ def jacobian_tau_check(
         start = tuple(float(c) for c in model.zero_chart(s_param))
         return _flow_endpoint(model, start, time)[0]
 
+    step = _JACOBIAN_STEP
     plus_t = endpoint(zero_parameter, xi + step)
     minus_t = endpoint(zero_parameter, xi - step)
     plus_s = endpoint(zero_parameter + step, xi)

@@ -7,19 +7,22 @@ rationals, and sympy expansions for structural (monomial-level) checks.
 
 from __future__ import annotations
 
+import doctest
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from lapasym import bell
 from lapasym.bell import (
     complete_bell,
-    composition_tuples,
     generalized_binomial,
     partial_bell,
     partition_multinomial,
     partition_tuples,
+    power_terms,
     series_power_coefficient,
 )
 from lapasym.errors import DomainError
@@ -64,6 +67,17 @@ def poly_power_coefficient(m, r, x):
     return acc[m] if m < len(acc) else 0
 
 
+def compositions(m, r):
+    # ordered tuples of r positive integers summing to m, first part first
+    if r == 0:
+        if m == 0:
+            yield ()
+        return
+    for first in range(1, m - r + 2):
+        for rest in compositions(m - first, r - 1):
+            yield (first, *rest)
+
+
 def exp_taylor_bruteforce(order, h):
     # Taylor coefficients of exp(h(t)) for h with h(0) = 0, by the linear
     # recursion obtained from u' = h' u
@@ -102,29 +116,6 @@ def test_partition_tuples_constraints_and_order():
 def test_partition_tuples_rejects_negative():
     with pytest.raises(ValueError):
         partition_tuples(-1, 2)
-
-
-def test_composition_tuples_frozen_examples():
-    assert composition_tuples(3, 2) == [(1, 2), (2, 1)]
-    assert composition_tuples(6, 3)[0] == (1, 1, 4)
-    for m in range(1, 9):
-        assert composition_tuples(m, 1) == [(m,)]
-    assert composition_tuples(0, 0) == [()]
-    assert composition_tuples(2, 3) == []
-
-
-def test_composition_tuples_constraints_and_order():
-    for m in range(11):
-        for r in range(m + 2):
-            tuples = composition_tuples(m, r)
-            assert tuples == sorted(tuples)
-            assert len(set(tuples)) == len(tuples)
-            for tup in tuples:
-                assert len(tup) == r
-                assert all(q >= 1 for q in tup)
-                assert sum(tup) == m
-    # composition counts are binomial(m-1, r-1)
-    assert len(composition_tuples(10, 4)) == 84
 
 
 # ---------------------------------------------------------------- multinomial
@@ -248,12 +239,27 @@ def test_series_power_coefficient_vs_composition_route():
         r = rng.randint(1, m)
         x = [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
         total = Fraction(0)
-        for parts in composition_tuples(m, r):
+        for parts in compositions(m, r):
             prod = Fraction(1)
             for q in parts:
                 prod *= x[q - 1]
             total += prod
         assert series_power_coefficient(m, r, x) == total
+
+
+def test_power_terms_match_composition_count():
+    # the bell-table power rows; reference: aggregate the ordered
+    # compositions by their multiset of parts
+    def brute(m, r):
+        counted = Counter(
+            tuple(sorted(Counter(parts).items())) for parts in compositions(m, r)
+        )
+        return sorted((key, count) for key, count in counted.items())
+
+    for m in range(13):
+        for r in range(1 if m else 0, m + 1):
+            got = sorted((tuple(sorted(e.items())), c) for c, e in power_terms(m, r))
+            assert got == brute(m, r), (m, r)
 
 
 # ---------------------------------------------------------------- binomials
@@ -286,3 +292,10 @@ def test_exact_outputs_stay_rational():
     assert isinstance(partial_bell(4, 2, x), Fraction)
     assert isinstance(series_power_coefficient(4, 2, x), Fraction)
     assert isinstance(generalized_binomial(Fraction(-5, 2), 3), Fraction)
+
+
+# ---------------------------------------------------------------- docstrings
+
+def test_bell_doctests():
+    result = doctest.testmod(bell)
+    assert result.attempted > 0 and result.failed == 0

@@ -2,13 +2,11 @@
 
 import json
 import math
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from lapasym import cli
-from lapasym.bell import composition_tuples
 
 
 def run_cli(args, capsys):
@@ -237,20 +235,6 @@ def test_non_finite_weight_rejected(value, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_power_rows_match_composition_count():
-    # reference: aggregate the ordered compositions by their multiset of parts
-    def brute(m, r):
-        counted = Counter(
-            tuple(sorted(Counter(parts).items())) for parts in composition_tuples(m, r)
-        )
-        return sorted((key, count) for key, count in counted.items())
-
-    for m in range(13):
-        for r in range(1 if m else 0, m + 1):
-            got = sorted((tuple(sorted(e.items())), c) for c, e in cli._power_terms(m, r))
-            assert got == brute(m, r), (m, r)
 
 
 def test_bad_format_rejected_by_parser(capsys):

@@ -88,13 +88,8 @@ def test_integrate_and_differentiate():
     integ = s.integrate()
     assert integ.order == s.order + 1
     assert integ.coefficients == (0, Fraction(2), Fraction(3, 2), Fraction(4, 3))
-    assert integ.differentiate() == s
-    assert s.derivative_at_zero(2) == 8
-
-
-def test_evaluate_horner():
-    s = TruncatedSeries([Fraction(1), Fraction(-2), Fraction(3)])
-    assert s.evaluate(Fraction(1, 2)) == Fraction(3, 4)
+    # term-by-term derivative of the antiderivative gives the series back
+    assert tuple(p * c for p, c in enumerate(integ.coefficients))[1:] == s.coefficients
 
 
 # ---------------------------------------------------------------- elementary maps
@@ -108,7 +103,7 @@ def test_exp_series_of_plain_variable():
 
 def bell_exp_reference(h):
     # coefficient j of exp(h) is exp(h(0)) * B_j(h'(0), ..., h^(j)(0)) / j!
-    args = [h.derivative_at_zero(p) for p in range(1, h.order + 1)]
+    args = [math.factorial(p) * h.coefficient(p) for p in range(1, h.order + 1)]
     lead = jets.exp(h.coefficient(0))
     return [lead * complete_bell(j, args[:j]) * Fraction(1, math.factorial(j))
             for j in range(h.order + 1)]
@@ -334,7 +329,7 @@ def test_flow_derivatives_match_trajectory_composition():
     traj = ode_jet_transport(field, point, order=5)
     along = compose_scalar(fn, traj)
     for m in range(6):
-        assert values[m] == along.derivative_at_zero(m)
+        assert values[m] == math.factorial(m) * along.coefficient(m)
 
 
 # ---------------------------------------------------------------- arrays

@@ -291,6 +291,39 @@ def test_zeta_routes_on_sphere():
         assert result.odd_vanished[1] and result.odd_vanished[3]
 
 
+def random_line_config(rng: random.Random, index: int) -> dict:
+    """A d = 1 config model with random rational polynomials, scaled by w0."""
+    def rational():
+        return f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
+
+    def polynomial(coeffs):
+        return ["*", "w0", ["+", *(["*", c, ["pow", "x0", n]]
+                                   for n, c in enumerate(coeffs))]]
+
+    return {
+        "name": f"random-line-{index}",
+        "group_dim": 1,
+        "chart_dim": 1,
+        "phi": polynomial([0, rng.randint(1, 4)] + [rational() for _ in range(4)]),
+        "flow_field": [polynomial([rng.randint(1, 3)] + [rational() for _ in range(3)])],
+        "laplacian_phi": polynomial([rational() for _ in range(4)]),
+        "zero_points": [[0]],
+        "orbit_volume": 1,
+    }
+
+
+def test_raw_route_matches_exact_engine_to_order_six():
+    rng = random.Random(4243)
+    for index in range(6):
+        model = model_from_config(random_line_config(rng, index))
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        exact = geometric_expansion(model, half_form=a, order=6, mode="exact")
+        for j in range(7):
+            expected = exact.coefficients[j]
+            assert abs(zeta_geometric(j, a, model) - expected) <= 1e-13 * abs(expected), \
+                (index, j)
+
+
 def test_zeta2_reference_flat_models():
     assert abs(zeta2_reference(Fraction(1, 2), gaussian_test_model())) < 1e-15
     # pure quartic perturbation: only the third flow atom contributes
