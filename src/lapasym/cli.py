@@ -278,12 +278,14 @@ def cmd_bell_table(cfg: RunConfig) -> str:
 
     # (0, 0) is the only index pair of weight 0
     indices = [range(1 if j else 0, j + 1) for j in range(cfg.order + 1)]
+    partials = [[partial_bell_terms(j, blocks) for blocks in blocks_range]
+                for j, blocks_range in enumerate(indices)]
     for j, blocks_range in enumerate(indices):
-        for blocks in blocks_range:
-            add("partial", j, blocks, partial_bell_terms(j, blocks))
-    for j, blocks_range in enumerate(indices):
-        add("complete", j, None,
-            [term for blocks in blocks_range for term in partial_bell_terms(j, blocks)])
+        for blocks, terms in zip(blocks_range, partials[j]):
+            add("partial", j, blocks, terms)
+    # a complete row sums the partial rows of its j
+    for j, per_block in enumerate(partials):
+        add("complete", j, None, [term for terms in per_block for term in terms])
     for m, r_range in enumerate(indices):
         for r in r_range:
             add("power", m, r, power_terms(m, r))

@@ -8,20 +8,23 @@ The engine computes the coefficients of the large-parameter expansion
 from radial data on the unit sphere: for each direction the phase is
 ``rho ** 2 * (f0 + f1 rho + ...)`` with ``f0 > 0`` (a nondegenerate
 quadratic minimum) and the amplitude is ``g0 + g1 rho + ...``; ``d`` is
-the dimension of the profile's sphere rule.  Coefficient ``j`` is
-assembled per direction as the ``t**j`` coefficient of the jet product
-``g * (1 + u) ** (-(j + d) / 2)`` with ``u = (f - f0) / f0``, the
-rational power taken by the series recurrence of :mod:`.jets`, and
-integrated with the deterministic, antipodally symmetric product rule
-of :func:`sphere_rule`, which serves every dimension.
+the dimension of the profile's sphere rule.  Coefficient ``j`` is the
+``t**j`` coefficient of the jet product ``g * (1 + u) ** (-(j + d) /
+2)`` with ``u = (f - f0) / f0`` in each direction, the rational power
+taken by the series recurrence of :mod:`.jets`, integrated with the
+deterministic, antipodally symmetric product rule of
+:func:`sphere_rule`, which serves every dimension.
 
-The arithmetic is that of the profile's tables.  Tables of ints and
-Fractions are computed in exact rational arithmetic up to each
-direction's value; tables of floats are computed in floats.  Only the
-direction weights, the gamma factor, and the fractional power of
-``f0`` are always evaluated in floating point, in a fixed reduction
-order (compensated summation over directions), so results are
-reproducible bit-for-bit across runs and schedulings.
+The arithmetic is that of the profile's tables.  Tables of floats are
+one float64 array each, and one jet recurrence, whose coefficients are
+the tables' columns, computes every direction's bracket at once; each
+lane is the float the direction would give on its own.  Tables of ints
+and Fractions are worked row by row, in exact rational arithmetic up to
+each direction's value.  The direction weights, the gamma factor, and
+the fractional power of ``f0`` are evaluated in floating point,
+direction by direction, in a fixed reduction order (compensated
+summation over directions), so results are reproducible bit-for-bit
+across runs and schedulings.
 
 The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
@@ -117,11 +120,13 @@ def sphere_area(dim: int) -> float:
 
 
 # the largest rule sphere_rule builds.  Its nodes and weights take
-# 8 * (dim + 1) bytes each, and the series path computes one radial profile
-# per node (about 0.4 ms each for a flat 4-d model on a 2-CPU x86-64 host,
-# seven minutes for 2**20 nodes).  A larger rule, such as d = 6 at
-# resolution 14 (1,075,648 nodes), is refused before anything is allocated;
-# the d <= 3 rules in use stay far below (d = 3 at resolution 40 has 3200).
+# 8 * (dim + 1) bytes each, and the series path carries every node through
+# one jet transport as float64 lanes, so a coefficient costs a few dozen
+# bytes and well under a microsecond per node (the flat 4-d model at
+# resolution 32, 65,536 nodes, expands to order 6 in about 0.3 s on a
+# 2-CPU x86-64 host).  A larger rule, such as d = 6 at resolution 14
+# (1,075,648 nodes), is refused before anything is allocated; the d <= 3
+# rules in use stay far below (d = 3 at resolution 40 has 3200).
 _MAX_RULE_NODES = 1 << 20
 
 
@@ -204,6 +209,9 @@ class RadialProfile:
     ``phase_coefficients[i]`` lists ``f0, f1, ...`` for direction ``i``
     of the attached rule, ``amplitude_coefficients[i]`` lists
     ``g0, g1, ...``.  Leading phase coefficients must be positive.
+    Tables whose entries are all floats (a float array, or rows of
+    floats) are kept as two ``(directions, order + 1)`` float64 arrays;
+    any other table is kept as rows, entry by entry.
     """
 
     def __init__(
@@ -215,18 +223,50 @@ class RadialProfile:
         if len(phase_coefficients) != len(rule) or len(amplitude_coefficients) != len(rule):
             raise DomainError("coefficient tables must match the rule's node count")
         self.rule = rule
-        self.phase_coefficients = tuple(tuple(c) for c in phase_coefficients)
-        self.amplitude_coefficients = tuple(tuple(c) for c in amplitude_coefficients)
-        for coeffs in self.phase_coefficients:
-            if not coeffs or not float(coeffs[0]) > 0.0:
-                raise DomainError("leading radial phase coefficient must be positive")
+        tables = (_float_table(phase_coefficients), _float_table(amplitude_coefficients))
+        if tables[0] is None or tables[1] is None:
+            tables = (_rows(phase_coefficients), _rows(amplitude_coefficients))
+        self.phase_coefficients, self.amplitude_coefficients = tables
+        leads = _leads(tables[0])
+        failed = ~(leads > 0.0)
+        if failed.any():
+            i = int(np.argmax(failed))
+            raise DomainError(
+                f"leading radial phase coefficient must be positive; direction {i}, "
+                f"{tuple(rule.nodes[i].tolist())}, has {float(leads[i])!r}"
+            )
 
     @property
     def order(self) -> int:
+        if isinstance(self.phase_coefficients, np.ndarray):
+            return min(self.phase_coefficients.shape[1],
+                       self.amplitude_coefficients.shape[1]) - 1
         return min(
             min(len(c) for c in self.phase_coefficients),
             min(len(c) for c in self.amplitude_coefficients),
         ) - 1
+
+
+def _float_table(table: Any) -> np.ndarray | None:
+    # the table as one float64 array if every entry is a float, else None
+    if isinstance(table, np.ndarray):
+        return table.astype(float, copy=False) if table.dtype.kind == "f" else None
+    if not all(isinstance(c, float) for row in table for c in row):
+        return None
+    width = min(len(row) for row in table)
+    return np.array([row[:width] for row in table], dtype=float)
+
+
+def _leads(table: np.ndarray | tuple) -> np.ndarray:
+    if isinstance(table, np.ndarray):
+        return table[:, 0] if table.shape[1] else np.full(len(table), math.nan)
+    return np.array([float(row[0]) if row else math.nan for row in table])
+
+
+def _rows(table: Any) -> tuple:
+    if isinstance(table, np.ndarray):
+        table = table.tolist()
+    return tuple(tuple(row) for row in table)
 
 
 @dataclass(frozen=True)
@@ -260,8 +300,15 @@ def _direction_values(j: int, profile: RadialProfile) -> list[float]:
             f"profile provides radial data to order {profile.order}, need {j}"
         )
     exponent = _exponent(j, profile)
+    phase, amplitude = profile.phase_coefficients, profile.amplitude_coefficients
+    if isinstance(phase, np.ndarray):
+        # float tables: one bracket whose jet coefficients are the table's
+        # columns, then the power of f0 direction by direction
+        brackets = _inner_bracket(j, exponent, phase.T, amplitude.T)
+        power = float(-exponent)
+        return [b * f0 ** power for b, f0 in zip(brackets.tolist(), phase[:, 0].tolist())]
     values = []
-    for f, g in zip(profile.phase_coefficients, profile.amplitude_coefficients):
+    for f, g in zip(phase, amplitude):
         bracket = _inner_bracket(j, exponent, f, g)
         f0 = f[0]
         if exponent.denominator == 1 and not isinstance(f0, float):
@@ -283,7 +330,7 @@ def expansion_coefficient(j: int, profile: RadialProfile) -> float:
     """
     values = _direction_values(j, profile)
     return gamma_value(_exponent(j, profile)) / 2 * math.fsum(
-        w * v for w, v in zip(profile.rule.weights, values)
+        w * v for w, v in zip(profile.rule.weights.tolist(), values)
     )
 
 

@@ -2,9 +2,11 @@
 
 A :class:`TruncatedSeries` stores coefficients ``c[0..N]`` of a power
 series truncated at a fixed order ``N``.  Coefficients can be exact
-rationals, floats, or again truncated series (nested jets), as long as
-they support ring arithmetic; all algorithms here only ever add,
-multiply, and rescale coefficients, so exact inputs give exact outputs.
+rationals, floats, float64 arrays (one lane per direction, so one jet
+carries a whole batch of directions), or again truncated series (nested
+jets), as long as they support ring arithmetic; all algorithms here
+only ever add, multiply, and rescale coefficients, so exact inputs give
+exact outputs.
 
 Conventions shared by the whole package:
 
@@ -14,9 +16,16 @@ Conventions shared by the whole package:
   order; scalars combine freely with any order,
 * :meth:`TruncatedSeries.integrate` maps order ``N`` to ``N + 1`` and
   always produces a zero constant term,
-* rescaling by exact rationals is used internally wherever a division
-  by an integer occurs, so Fraction-valued series never leave the
-  rational field.
+* a division by an integer rescales by the exact rational ``1/n``, so
+  Fraction-valued series never leave the rational field; float and
+  array coefficients take the float ``1/n``, which is the float that
+  rational rounds to when it meets a float, so the result is the same,
+* an array coefficient computes as its lanes would one by one: a
+  transcendental of an array constant term (the ``exp``, ``log``,
+  ``sin``, ``cos`` leads and rational powers of series) runs element
+  by element through :mod:`math`, whose rounding differs from numpy's
+  vectorized functions in some elements, and a :class:`Lanes` array
+  meets a Fraction as the Fraction's float, as a float would.
 
 On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
@@ -31,14 +40,16 @@ without any symbolic differentiation.
 The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
 :func:`log` dispatch on the argument type (series, numpy array or
 scalar), which lets model callables be written once as ordinary
-compositions and evaluated on points, on arrays of points (elementwise)
-and on jets alike.  On an array, a square root of a negative entry or a
-logarithm of a nonpositive one is a :class:`~lapasym.errors.DomainError`.
+compositions and evaluated on points, on arrays of points (elementwise,
+through numpy) and on jets alike.  On an array, a square root of a
+negative entry or a logarithm of a nonpositive one is a
+:class:`~lapasym.errors.DomainError`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -49,6 +60,7 @@ from .errors import DomainError, JetEvaluationError, OrderMismatchError
 
 __all__ = [
     "TruncatedSeries",
+    "Lanes",
     "JetTrajectory",
     "exp_series",
     "ode_jet_transport",
@@ -76,6 +88,9 @@ class TruncatedSeries:
     """
 
     __slots__ = ("_coeffs",)
+    # ndarray <op> series defers to the series instead of building an
+    # object array of series
+    __array_ufunc__ = None
 
     def __init__(self, coefficients: Sequence[Any], order: int | None = None):
         coeffs = list(coefficients)
@@ -201,7 +216,7 @@ class TruncatedSeries:
         """Antiderivative with zero constant term; order grows by one."""
         out: list[Any] = [0]
         for p, c in enumerate(self._coeffs):
-            out.append(c * Fraction(1, p + 1))
+            out.append(c * _in_ring(Fraction(1, p + 1), c))
         return TruncatedSeries(out)
 
     # ------------------------------------------------------------ misc
@@ -234,9 +249,68 @@ def _is_exact(value: Any) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+class Lanes(np.ndarray):
+    """A float64 array of per-direction values, one lane per direction.
+
+    It computes as its lanes would one by one, as Python floats: a
+    Fraction it meets counts as the Fraction's float (numpy alone would
+    make an object array of it), exp, log, sin, cos and powers go lane by
+    lane through :mod:`math` and Python's float power, and what it
+    computes is again lanes.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(_unlaned(x) for x in inputs)
+        lane = _BY_LANE.get(ufunc)
+        if lane is not None and method == "__call__" and not kwargs:
+            arrays = np.broadcast_arrays(*inputs)
+            values = [lane(*args) for args in zip(*(a.tolist() for a in arrays))]
+            return np.array(values, dtype=float).reshape(arrays[0].shape).view(Lanes)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(_unlaned(x) for x in kwargs["out"])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        return result.view(Lanes) if isinstance(result, np.ndarray) else result
+
+    # ndarray's ** turns some exponents into square, sqrt or reciprocal
+    def __pow__(self, exponent):
+        return np.power(self, exponent)
+
+    def __rpow__(self, base):
+        return np.power(base, self)
+
+
+# numpy's vectorized loops for these round some elements differently from
+# math and from Python's float power
+_BY_LANE = {np.exp: math.exp, np.log: math.log, np.sin: math.sin, np.cos: math.cos,
+            np.power: operator.pow}
+
+
+def _unlaned(value: Any) -> Any:
+    if isinstance(value, Lanes):
+        return value.view(np.ndarray)
+    return float(value) if isinstance(value, Fraction) else value
+
+
+def _in_ring(rational: Fraction, like: Any) -> Any:
+    # the rational that multiplies like: a Fraction meets a float as the
+    # Fraction's float, so float and array rings take that float at once
+    return float(rational) if isinstance(like, (float, np.ndarray)) else rational
+
+
+def _lead(fn: Callable[[Any], Any], value: Any) -> Any:
+    # fn of a constant term; an array goes lane by lane, as Lanes do
+    if isinstance(value, np.ndarray) and not isinstance(value, Lanes):
+        return fn(value.view(Lanes)).view(np.ndarray)
+    return fn(value)
+
+
 def _invert_scalar(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _reciprocal(value)
+    if isinstance(value, np.ndarray):
+        if not value.all():
+            raise DomainError("singular jet: division by a zero value")
+        return 1.0 / value
     if value == 0:
         # a quotient, reciprocal, square root or logarithm that is singular here
         raise DomainError("singular jet: division by a zero value")
@@ -328,8 +402,8 @@ def exp_series(h: TruncatedSeries) -> TruncatedSeries:
         acc: Any = 0
         for i in range(1, n + 1):
             acc = acc + i * h.coefficient(i) * tail[n - i]
-        tail.append(acc * Fraction(1, n))
-    lead = exp(h.coefficient(0))
+        tail.append(acc * _in_ring(Fraction(1, n), acc))
+    lead = _lead(exp, h.coefficient(0))
     return TruncatedSeries([lead * c for c in tail])
 
 
@@ -348,16 +422,22 @@ def _reciprocal(s: TruncatedSeries) -> TruncatedSeries:
 def _rational_power(s: TruncatedSeries, alpha: Fraction) -> TruncatedSeries:
     # J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
     # a0 * n * b_n = sum_k ((alpha + 1) * k - n) * a_k * b_(n-k); a0 must be nonzero.
-    # A unit constant term is kept as is: 1 ** alpha would turn an exact 1 into 1.0.
     a = s.coefficients
     inv0 = _invert_scalar(a[0])
-    out: list[Any] = [a[0] if a[0] == 1 else a[0] ** alpha]
+    out: list[Any] = [_unit_power(a[0], alpha)]
     for n in range(1, s.order + 1):
         acc: Any = 0
         for k in range(1, n + 1):
-            acc = acc + ((alpha + 1) * k - n) * a[k] * out[n - k]
-        out.append(acc * (inv0 * Fraction(1, n)))
+            acc = acc + _in_ring((alpha + 1) * k - n, a[k]) * a[k] * out[n - k]
+        out.append(acc * (inv0 * _in_ring(Fraction(1, n), inv0)))
     return TruncatedSeries(out)
+
+
+def _unit_power(value: Any, alpha: Fraction) -> Any:
+    # a unit is kept as is: 1 ** alpha would turn an exact 1 into 1.0
+    if isinstance(value, np.ndarray):
+        return value if (value == 1).all() else _lead(lambda v: v ** alpha, value)
+    return value if value == 1 else value ** alpha
 
 
 def _sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
@@ -373,9 +453,9 @@ def _sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def _sin_cos_series(h: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
-    s0, c0 = sin(h.coefficient(0)), cos(h.coefficient(0))
-    s: list[Any] = [s0]
-    c: list[Any] = [c0]
+    h0 = h.coefficient(0)
+    s: list[Any] = [_lead(sin, h0)]
+    c: list[Any] = [_lead(cos, h0)]
     for n in range(1, h.order + 1):
         sa: Any = 0
         ca: Any = 0
@@ -383,20 +463,22 @@ def _sin_cos_series(h: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSerie
             hi = i * h.coefficient(i)
             sa = sa + hi * c[n - i]
             ca = ca + hi * s[n - i]
-        s.append(sa * Fraction(1, n))
-        c.append(-1 * ca * Fraction(1, n))
+        s.append(sa * _in_ring(Fraction(1, n), sa))
+        ca = -1 * ca
+        c.append(ca * _in_ring(Fraction(1, n), ca))
     return TruncatedSeries(s), TruncatedSeries(c)
 
 
 def _log_series(s: TruncatedSeries) -> TruncatedSeries:
     c0 = s.coefficient(0)
     inv0 = _invert_scalar(c0)
-    out: list[Any] = [log(c0)]
+    out: list[Any] = [_lead(log, c0)]
     for n in range(1, s.order + 1):
         acc: Any = n * s.coefficient(n)
         for i in range(1, n):
             acc = acc - i * out[i] * s.coefficient(n - i)
-        out.append(acc * inv0 * Fraction(1, n))
+        acc = acc * inv0
+        out.append(acc * _in_ring(Fraction(1, n), acc))
     return TruncatedSeries(out)
 
 

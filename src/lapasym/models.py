@@ -38,7 +38,7 @@ from .engine import ExpansionResult, RadialProfile, SphereRule, \
     expansion_series, gamma_value, polar_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
 from .exprs import Positional, compile_expression, expression_symbols
-from .jets import TruncatedSeries, compose_scalar, exp, exp_series, \
+from .jets import Lanes, TruncatedSeries, compose_scalar, exp, exp_series, \
     iterated_flow_derivatives, ode_jet_transport
 
 __all__ = [
@@ -87,13 +87,14 @@ class HamiltonianModel:
     entries.  They must also accept numpy arrays elementwise: the
     numeric oracle passes the directions and points of a whole angular
     level as one array per coordinate (a single direction as plain
-    numbers), and a map may return a scalar where every entry is the
-    same.  The elementary functions of :mod:`.jets` and config models
-    qualify; ``math.*`` calls do not.  ``orbit_volume(point)`` is plain
-    numeric.  ``zero_chart``
-    and ``chart_density`` are optional and only needed by the Jacobian
-    check: a parametrization ``s -> point`` of the zero level and the
-    density of the volume form in chart coordinates.
+    numbers), the series path in group dimension 2 and up passes all of
+    its rule's directions as one array per component with jet points,
+    and a map may return a scalar where every entry is the same.  The
+    elementary functions of :mod:`.jets` and config models qualify;
+    ``math.*`` calls do not.  ``orbit_volume(point)`` is plain numeric.
+    ``zero_chart`` and ``chart_density`` are optional and only needed by
+    the Jacobian check: a parametrization ``s -> point`` of the zero
+    level and the density of the volume form in chart coordinates.
     """
 
     group_dim: int
@@ -147,15 +148,20 @@ def radial_profile(
     phi``, log-weight ``= int laplacian_phi``, weight ``= exp(half_form
     * log-weight)``.  Series are returned at radial order ``order``
     (so reduced phase coefficients are available up to ``order - 2``).
+    ``omega`` may hold one float array per component, a batch of
+    directions: the series coefficients are then
+    :class:`~lapasym.jets.Lanes` with one entry per direction, each the
+    value that direction gives on its own.  A failed check names the
+    model and the first failing direction.
     """
     if order < 2:
         raise DomainError("radial order must be at least 2")
     x0 = _reference_point(model, point)
-    level = float(model.phi(omega, x0))
-    if abs(level) > _ZERO_LEVEL_TOL:
-        raise DomainError(
-            f"point {x0!r} is not on the zero level (phi = {level:.3e})"
-        )
+    omega = tuple(np.asarray(c, dtype=float).view(Lanes) if isinstance(c, np.ndarray) else c
+                  for c in omega)
+    level = np.abs(np.asarray(model.phi(omega, x0), dtype=float))
+    _refuse(model, omega, level > _ZERO_LEVEL_TOL,
+            lambda i: f"point {x0!r} is not on the zero level (phi = {level.flat[i]:.3e})")
     trajectory = ode_jet_transport(
         lambda coords: model.flow_field(omega, coords), x0, order - 1
     )
@@ -163,17 +169,27 @@ def radial_profile(
     log_weight = compose_scalar(
         lambda c: model.laplacian_phi(omega, c), trajectory
     ).integrate()
-    lead = phase.coefficient(2)
-    if not float(lead) > 0.0:
-        raise DomainError(
-            "transport field is degenerate at the base point "
-            f"(leading phase coefficient {float(lead):.3e})"
-        )
-    scale = max(1.0, abs(float(lead)))
+    lead = np.asarray(phase.coefficient(2), dtype=float)
+    _refuse(model, omega, ~(lead > 0.0),
+            lambda i: "transport field is degenerate at the base point "
+                      f"(leading phase coefficient {lead.flat[i]:.3e})")
+    scale = np.maximum(1.0, np.abs(lead))
     for p in (0, 1):
-        if abs(float(phase.coefficient(p))) > _ZERO_LEVEL_TOL * scale:
-            raise DomainError("phase does not vanish to second order at the base point")
+        low = np.abs(np.asarray(phase.coefficient(p), dtype=float))
+        _refuse(model, omega, low > _ZERO_LEVEL_TOL * scale,
+                lambda i: "phase does not vanish to second order at the base point")
     return _weighted(phase, log_weight, half_form)
+
+
+def _refuse(model: HamiltonianModel, omega: Sequence[Any], failed: np.ndarray,
+            reason: Callable[[int], str]) -> None:
+    # a DomainError at the first direction where failed holds; failed has
+    # one entry per direction, or a single one shared by all of them
+    failed = np.atleast_1d(failed)
+    if failed.any():
+        i = int(np.argmax(failed))
+        direction = tuple(float(np.atleast_1d(c)[i]) for c in omega)
+        raise DomainError(f"model {model.name!r}, direction {direction}: {reason(i)}")
 
 
 def _weighted(phase: TruncatedSeries, log_weight: TruncatedSeries,
@@ -181,19 +197,17 @@ def _weighted(phase: TruncatedSeries, log_weight: TruncatedSeries,
     return RadialSeries(phase, log_weight, exp_series(log_weight * half_form))
 
 
-def _profile(
-    rule: SphereRule,
-    series: Iterable[RadialSeries],
-    order: int,
-    entry: Callable[[Any], Any] = lambda value: value,
-) -> RadialProfile:
-    # engine tables: reduced phase coefficients f_p = phase[t^(p+2)] and
-    # weight coefficients g_p, for p = 0..order, each passed through entry
-    phase_rows = []
-    weight_rows = []
-    for s in series:
-        phase_rows.append([entry(s.phase.coefficient(p + 2)) for p in range(order + 1)])
-        weight_rows.append([entry(s.weight.coefficient(p)) for p in range(order + 1)])
+def _tables(series: RadialSeries, order: int, entry: Callable[[Any], Any]) -> tuple:
+    # engine table entries: reduced phase coefficients f_p = phase[t^(p+2)]
+    # and weight coefficients g_p, for p = 0..order, each passed through entry
+    return ([entry(series.phase.coefficient(p + 2)) for p in range(order + 1)],
+            [entry(series.weight.coefficient(p)) for p in range(order + 1)])
+
+
+def _profile(rule: SphereRule, series: Iterable[RadialSeries], order: int,
+             entry: Callable[[Any], Any] = lambda value: value) -> RadialProfile:
+    # one table row per direction's series
+    phase_rows, weight_rows = zip(*(_tables(s, order, entry) for s in series))
     return RadialProfile(rule, phase_rows, weight_rows)
 
 
@@ -269,12 +283,19 @@ def geometric_expansion(
     raises :class:`~lapasym.errors.DomainError`, naming the model.  Float
     data comes from float chart values or a float ``half_form`` and, in
     group dimension 2 and up, from the rule's float directions.
+
+    In group dimension 1 each of the directions ``+1`` and ``-1`` is its
+    own (integer) radial profile.  From dimension 2 on, one radial
+    profile carries all of the rule's nodes, one array per direction
+    component, and its columns become the engine's float tables.
     """
     if mode == "float":
         entry = float
     elif mode == "exact":
         def entry(value: Any) -> Any:
             if not isinstance(value, (int, Fraction)):
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()[0]
                 raise DomainError(
                     f"exact mode needs rational radial data; model {model.name!r} "
                     f"of group dimension {model.group_dim} gives the "
@@ -285,11 +306,20 @@ def geometric_expansion(
         raise DomainError(f"unknown arithmetic mode {mode!r}")
     rule = sphere_rule(model.group_dim, resolution)
     # reduced phase coefficient f_order is phase[t^(order + 2)]
-    series = (
-        radial_profile(model, _node_direction(rule.nodes[i]), point, order + 2, half_form)
-        for i in range(len(rule))
+    if model.group_dim == 1:
+        series = (radial_profile(model, _node_direction(row), point, order + 2, half_form)
+                  for row in rule.nodes)
+        return expansion_series(_profile(rule, series, order, entry), order)
+    omega = tuple(np.ascontiguousarray(column) for column in rule.nodes.T)
+    batched = radial_profile(model, omega, point, order + 2, half_form)
+    if mode == "float":
+        # lanes, or one number that every direction shares
+        entry = lambda value: np.asarray(value, dtype=float)
+    phase, weight = (
+        np.column_stack([np.broadcast_to(c, len(rule)) for c in columns])
+        for columns in _tables(batched, order, entry)
     )
-    return expansion_series(_profile(rule, series, order, entry), order)
+    return expansion_series(RadialProfile(rule, phase, weight), order)
 
 
 # ------------------------------------------------------------ raw coefficient sums

@@ -401,3 +401,11 @@ def test_convergence_order_fit_recovers_power_law():
         convergence_order_fit([1.0, 2.0], [0.1, 0.2])
     with pytest.raises(DomainError):
         convergence_order_fit([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
+
+
+def test_profile_names_the_first_direction_with_a_nonpositive_lead():
+    rule = sphere_rule(2, 4)
+    for phase in ([[1.0], [2.0], [-1.0], [0.0]], [[1], [2], [Fraction(-1)], [0]]):
+        with pytest.raises(DomainError) as info:
+            RadialProfile(rule, phase, [[1.0]] * 4)
+        assert f"direction 2, {tuple(rule.nodes[2].tolist())}, has -1.0" in str(info.value)

@@ -366,3 +366,83 @@ def test_array_domain_errors():
         jets.sqrt(np.array([1.0, -1e-3]))
     with pytest.raises(DomainError, match="logarithm"):
         jets.log(np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------------- array coefficients
+
+def test_array_times_series_is_a_series_of_float_arrays():
+    np = pytest.importorskip("numpy")
+    series = TruncatedSeries([0, 1 / 3, 2.5])
+    lanes = np.array([0.5, -1.25, 3.0])
+    for product in (lanes * series, series * lanes):
+        assert isinstance(product, TruncatedSeries)
+        for p, c in enumerate(product.coefficients):
+            assert isinstance(c, np.ndarray) and c.dtype == np.float64
+            assert [x.hex() for x in c.tolist()] == \
+                [(x * series.coefficient(p)).hex() for x in lanes.tolist()]
+
+
+def test_lanes_compute_as_python_floats():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(11)
+    values = [rng.uniform(0.05, 9.0) for _ in range(2000)]
+    lanes = np.array(values).view(jets.Lanes)
+    third = Fraction(1, 3)
+    # a Fraction meets the lanes as its float; numpy's own exp, log and
+    # power (and the square, square root and reciprocal that ndarray's **
+    # picks for some exponents) round some of these 2000 values
+    # differently from math and Python's float power
+    for got, want in ((third * lanes, [third * x for x in values]),
+                      (lanes + third, [x + third for x in values]),
+                      (lanes / third, [x / third for x in values]),
+                      (jets.exp(lanes), [math.exp(x) for x in values]),
+                      (jets.log(lanes), [math.log(x) for x in values]),
+                      (jets.sin(lanes), [math.sin(x) for x in values]),
+                      (jets.cos(lanes), [math.cos(x) for x in values]),
+                      (lanes ** 3, [x ** 3 for x in values]),
+                      (lanes ** 2, [x ** 2 for x in values]),
+                      (lanes ** -1, [x ** -1 for x in values]),
+                      (lanes ** 0.5, [x ** 0.5 for x in values])):
+        assert isinstance(got, jets.Lanes) and got.dtype == np.float64
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+def test_fraction_series_keep_fraction_coefficients():
+    s = TruncatedSeries([Fraction(2), Fraction(1, 3), Fraction(-1, 5)])
+    assert s.integrate().coefficients == (0, Fraction(2), Fraction(1, 6), Fraction(-1, 15))
+    tail = TruncatedSeries([0, Fraction(1, 3), Fraction(1, 7), 0])
+    assert exp_series(tail).coefficients == (
+        1, Fraction(1, 3), Fraction(1, 7) + Fraction(1, 18),
+        Fraction(1, 162) + Fraction(1, 21),
+    )
+    # (1 + x/3) ** (-3/2) = 1 - x/2 + 5 x**2 / 24
+    power = TruncatedSeries([1, Fraction(1, 3), 0]) ** Fraction(-3, 2)
+    assert power.coefficients == (1, Fraction(-1, 2), Fraction(5, 24))
+    for out in (s.integrate(), exp_series(tail), power):
+        assert all(isinstance(c, Fraction) for c in out.coefficients[1:])
+
+
+def _lanes_match_scalars(build, columns):
+    # build on a series of array coefficients, lane by lane on float series
+    np = pytest.importorskip("numpy")
+    batched = build(TruncatedSeries([np.array(c) for c in columns]))
+    for i in range(len(columns[0])):
+        alone = build(TruncatedSeries([c[i] for c in columns]))
+        for p in range(alone.order + 1):
+            assert float(batched.coefficient(p)[i]).hex() == alone.coefficient(p).hex(), (i, p)
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "sin", "cos", "cube_root", "power"])
+def test_array_constant_terms_round_as_math_does(name):
+    # numpy's vectorized exp, log, sin, cos and power round some of these
+    # 2000 leads differently from math; the series take math's, lane by lane
+    rng = random.Random(7)
+    n = 2000
+    columns = [[rng.uniform(0.05, 9.0) for _ in range(n)]] + \
+        [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(3)]
+    build = {
+        "exp": jets.exp, "log": jets.log, "sin": jets.sin, "cos": jets.cos,
+        "cube_root": lambda s: s ** Fraction(1, 3),
+        "power": lambda s: s ** Fraction(-5, 2),
+    }[name]
+    _lanes_match_scalars(build, columns)

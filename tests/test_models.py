@@ -16,8 +16,10 @@ import random
 
 import pytest
 
-from lapasym.engine import expansion_coefficient, sphere_rule
+from lapasym.engine import RadialProfile, expansion_coefficient, expansion_series, \
+    gamma_value, sphere_rule
 from lapasym.errors import DomainError
+from lapasym.jets import TruncatedSeries
 from lapasym.models import (
     HamiltonianModel,
     builtin_sphere_model,
@@ -669,3 +671,123 @@ def test_density_kinds_share_one_call():
     sphere = builtin_sphere_model()
     ks = [30.0, 100.0]
     assert density(sphere, ("I", "J"), ks) == [density(sphere, "I", ks), density(sphere, "J", ks)]
+
+
+# ------------------------------------------------------------ batched series path
+
+# the mixed 3-d config of the angular-rule item in ROADMAP.md
+MIXED3 = {
+    "name": "mixed3", "group_dim": 3, "chart_dim": 3,
+    "phi": ["+", ["*", "w0", ["+", "x0", ["*", "1/3", "x1"], ["*", "1/5", ["pow", "x0", 2]]]],
+                 ["*", "1/2", "w1", ["+", "x1", ["*", "-1/4", ["pow", "x2", 2]]]],
+                 ["*", "1/3", "w2", ["+", "x2", ["*", "1/7", "x0", "x1"]]]],
+    "flow_field": [["+", "w0", ["*", "1/6", "w1", "x0"]],
+                   ["+", ["*", "1/2", "w1"], ["*", "1/8", "w0", "x2"]],
+                   ["*", "1/3", "w2", ["+", "1", ["*", "-1/5", "x1"]]]],
+    "laplacian_phi": ["+", ["*", "1/2", "w0", "x1"], ["*", "-1/3", "w2", "x0"]],
+    "zero_points": [[0, 0, 0]], "orbit_volume": "1",
+}
+
+# perfbench/workloads.py's sphere_product_config at scales 1 and 7/8
+SPHERE_PRODUCT2 = {
+    "name": "sphere2", "group_dim": 2, "chart_dim": 2,
+    "phi": ["+", ["*", ["*", "2", "pi", "1"], "w0", "x0"],
+                 ["*", ["*", "2", "pi", "7/8"], "w1", "x1"]],
+    "flow_field": [["*", ["*", "2", "pi", "1"], "w0", ["-", "1", ["pow", "x0", 2]]],
+                   ["*", ["*", "2", "pi", "7/8"], "w1", ["-", "1", ["pow", "x1", 2]]]],
+    "laplacian_phi": ["+", ["*", "-2", ["*", "2", "pi", "1"], "w0", "x0"],
+                           ["*", "-2", ["*", "2", "pi", "7/8"], "w1", "x1"]],
+    "zero_points": [[0, 0]], "orbit_volume": "1",
+}
+
+# every transcendental acts on a series whose constant term depends on the
+# direction, so its leads are computed lane by lane
+TRANSCENDENTAL2 = {
+    "name": "transcendental2", "group_dim": 2, "chart_dim": 2,
+    "phi": ["+", ["*", "w0", "x0", ["cos", ["+", "w0", "x1"]]],
+                 ["*", "w1", ["-", ["exp", ["+", "w1", "x1"]],
+                                   ["exp", ["+", "w1", ["*", "0", "x0"]]]]]],
+    "flow_field": [["*", "w0", ["+", "2", ["sin", ["+", "w1", "x0"]]]],
+                   ["*", "w1", ["exp", ["+", "w0", "x0"]]]],
+    "laplacian_phi": ["+", ["*", "w0", ["log", ["+", "3", "w1", "x0"]]],
+                           ["*", "w1", ["cos", ["+", "w0", "x1"]]]],
+    "zero_points": [[0, 0]], "orbit_volume": "1",
+}
+
+
+# exp, log, sin, cos and a power of the bare direction components
+BARE_DIRECTION2 = {
+    "name": "bare-direction2", "group_dim": 2, "chart_dim": 2,
+    "phi": ["+", ["*", "w0", ["exp", ["*", "1/2", "w1"]], "x0"],
+                 ["*", "w1", ["cos", "w0"], "x1"]],
+    "flow_field": [["*", "w0", ["exp", ["*", "1/2", "w1"]]],
+                   ["*", "w1", ["cos", "w0"], ["+", "1", ["*", ["log", ["+", "2", "w0"]], "x0"]]]],
+    "laplacian_phi": ["*", ["sin", "w0"], ["pow", "w1", 2], ["pow", "w0", 3], "x1"],
+    "zero_points": [[0, 0]], "orbit_volume": "1",
+}
+
+
+def per_direction_expansion(model, half_form, order, resolution):
+    """The series path one direction at a time: a scalar radial profile
+    per rule node, then the engine's bracket row by row."""
+    rule = sphere_rule(model.group_dim, resolution)
+    rows_f, rows_g = [], []
+    for node in rule.nodes.tolist():
+        series = radial_profile(model, tuple(node), None, order + 2, half_form)
+        rows_f.append([float(series.phase.coefficient(p + 2)) for p in range(order + 1)])
+        rows_g.append([float(series.weight.coefficient(p)) for p in range(order + 1)])
+    coefficients = []
+    for j in range(order + 1):
+        e = Fraction(j + model.group_dim, 2)
+        values = []
+        for f, g in zip(rows_f, rows_g):
+            u = TruncatedSeries([0, *f[1:j + 1]], order=j) / f[0]
+            bracket = (TruncatedSeries(g[:j + 1]) * (1 + u) ** -e).coefficient(j)
+            values.append(bracket * f[0] ** float(-e))
+        coefficients.append(gamma_value(e) / 2 * math.fsum(
+            w * v for w, v in zip(rule.weights.tolist(), values)))
+    return coefficients, RadialProfile(rule, rows_f, rows_g)
+
+
+@pytest.mark.parametrize("config, half_form, order, resolution", [
+    (MIXED3, Fraction(1, 2), 4, 8),
+    (MIXED3, Fraction(1, 2), 6, 8),
+    (SPHERE_PRODUCT2, 0, 8, 32),
+    (SPHERE_PRODUCT2, Fraction(1, 2), 8, 32),
+    (SPHERE_PRODUCT2, 1, 8, 32),
+    (TRANSCENDENTAL2, Fraction(1, 2), 6, 64),
+    (BARE_DIRECTION2, Fraction(1, 2), 6, 10),
+    (BARE_DIRECTION2, Fraction(1, 2), 6, 20),
+], ids=["mixed3-o4", "mixed3-o6", "sphere2-a0", "sphere2-a1/2", "sphere2-a1",
+        "transcendental2", "bare-direction2-r10", "bare-direction2-r20"])
+def test_batched_series_path_is_bit_identical_per_direction(config, half_form, order,
+                                                           resolution):
+    model = model_from_config(config)
+    batched = geometric_expansion(model, None, half_form, order, resolution)
+    reference, rows = per_direction_expansion(model, half_form, order, resolution)
+    from_rows = expansion_series(rows, order)
+    got = [c.hex() for c in batched.coefficients]
+    assert got == [c.hex() for c in reference]
+    assert got == [c.hex() for c in from_rows.coefficients]
+    assert batched.odd_vanished == from_rows.odd_vanished
+
+
+@pytest.mark.parametrize("config, first_failure, reason", [
+    # phi = w1 / 4 at the base point: the first node, (1, 0), is on the level
+    ({"phi": ["+", ["*", "w0", "x0"], ["*", "w1", ["-", "x1", "1/4"]]]}, 1, "zero level"),
+    # the leading phase coefficient is proportional to w0**2 - w1**2
+    ({"phi": ["+", ["*", "w0", "x0"], ["*", "-1", "w1", "x1"]]}, 1, "degenerate"),
+])
+def test_batched_checks_name_model_and_first_failing_direction(config, first_failure,
+                                                              reason):
+    model = model_from_config({
+        "name": "off-level", "group_dim": 2, "chart_dim": 2,
+        "flow_field": ["w0", "w1"], "laplacian_phi": "0",
+        "zero_points": [[0, 0]], "orbit_volume": "1", **config,
+    })
+    with pytest.raises(DomainError) as info:
+        geometric_expansion(model, order=2, resolution=6)
+    direction = tuple(sphere_rule(2, 6).nodes[first_failure].tolist())
+    message = str(info.value)
+    assert "'off-level'" in message and f"direction {direction}" in message
+    assert reason in message
