@@ -15,16 +15,17 @@ taken by the series recurrence of :mod:`.jets`, integrated with the
 deterministic, antipodally symmetric product rule of
 :func:`sphere_rule`, which serves every dimension.
 
-The arithmetic is that of the profile's tables.  Tables of floats are
-one float64 array each, and one jet recurrence, whose coefficients are
-the tables' columns, computes every direction's bracket at once; each
-lane is the float the direction would give on its own.  Tables of ints
-and Fractions are worked row by row, in exact rational arithmetic up to
-each direction's value.  The direction weights, the gamma factor, and
-the fractional power of ``f0`` are evaluated in floating point,
-direction by direction, in a fixed reduction order (compensated
-summation over directions), so results are reproducible bit-for-bit
-across runs and schedulings.
+The arithmetic is that of the profile's tables.  Each table is one
+array, float64 when every entry is a float and an object array of the
+entries otherwise, and one jet recurrence, whose coefficients are the
+tables' columns, computes every direction's bracket at once.  A float
+lane is the float the direction would give on its own; an object array
+computes entry by entry with Python's operators, so ints and Fractions
+stay exact up to each direction's value.  The direction weights, the
+gamma factor, and the fractional power of ``f0`` are evaluated in
+floating point, direction by direction, in a fixed reduction order
+(compensated summation over directions), so results are reproducible
+bit-for-bit across runs and schedulings.
 
 The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
@@ -209,9 +210,10 @@ class RadialProfile:
     ``phase_coefficients[i]`` lists ``f0, f1, ...`` for direction ``i``
     of the attached rule, ``amplitude_coefficients[i]`` lists
     ``g0, g1, ...``.  Leading phase coefficients must be positive.
-    Tables whose entries are all floats (a float array, or rows of
-    floats) are kept as two ``(directions, order + 1)`` float64 arrays;
-    any other table is kept as rows, entry by entry.
+    Each table is kept as one ``(directions, order + 1)`` array, its
+    rows cut to the shortest: float64 when every entry is a float (a
+    float array passes through), otherwise an object array of the
+    entries as they are.
     """
 
     def __init__(
@@ -223,11 +225,9 @@ class RadialProfile:
         if len(phase_coefficients) != len(rule) or len(amplitude_coefficients) != len(rule):
             raise DomainError("coefficient tables must match the rule's node count")
         self.rule = rule
-        tables = (_float_table(phase_coefficients), _float_table(amplitude_coefficients))
-        if tables[0] is None or tables[1] is None:
-            tables = (_rows(phase_coefficients), _rows(amplitude_coefficients))
-        self.phase_coefficients, self.amplitude_coefficients = tables
-        leads = _leads(tables[0])
+        self.phase_coefficients = phase = _table(phase_coefficients)
+        self.amplitude_coefficients = _table(amplitude_coefficients)
+        leads = phase[:, 0].astype(float) if phase.shape[1] else np.full(len(phase), math.nan)
         failed = ~(leads > 0.0)
         if failed.any():
             i = int(np.argmax(failed))
@@ -238,35 +238,17 @@ class RadialProfile:
 
     @property
     def order(self) -> int:
-        if isinstance(self.phase_coefficients, np.ndarray):
-            return min(self.phase_coefficients.shape[1],
-                       self.amplitude_coefficients.shape[1]) - 1
-        return min(
-            min(len(c) for c in self.phase_coefficients),
-            min(len(c) for c in self.amplitude_coefficients),
-        ) - 1
+        return min(self.phase_coefficients.shape[1], self.amplitude_coefficients.shape[1]) - 1
 
 
-def _float_table(table: Any) -> np.ndarray | None:
-    # the table as one float64 array if every entry is a float, else None
-    if isinstance(table, np.ndarray):
-        return table.astype(float, copy=False) if table.dtype.kind == "f" else None
-    if not all(isinstance(c, float) for row in table for c in row):
-        return None
-    width = min(len(row) for row in table)
-    return np.array([row[:width] for row in table], dtype=float)
-
-
-def _leads(table: np.ndarray | tuple) -> np.ndarray:
-    if isinstance(table, np.ndarray):
-        return table[:, 0] if table.shape[1] else np.full(len(table), math.nan)
-    return np.array([float(row[0]) if row else math.nan for row in table])
-
-
-def _rows(table: Any) -> tuple:
-    if isinstance(table, np.ndarray):
-        table = table.tolist()
-    return tuple(tuple(row) for row in table)
+def _table(table: Any) -> np.ndarray:
+    if isinstance(table, np.ndarray) and table.dtype.kind == "f":
+        return table.astype(float, copy=False)
+    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    width = min(len(row) for row in rows)
+    rows = [row[:width] for row in rows]
+    floats = all(isinstance(c, float) for row in rows for c in row)
+    return np.array(rows, dtype=float if floats else object)
 
 
 @dataclass(frozen=True)
@@ -301,21 +283,16 @@ def _direction_values(j: int, profile: RadialProfile) -> list[float]:
         )
     exponent = _exponent(j, profile)
     phase, amplitude = profile.phase_coefficients, profile.amplitude_coefficients
-    if isinstance(phase, np.ndarray):
-        # float tables: one bracket whose jet coefficients are the table's
-        # columns, then the power of f0 direction by direction
-        brackets = _inner_bracket(j, exponent, phase.T, amplitude.T)
-        power = float(-exponent)
-        return [b * f0 ** power for b, f0 in zip(brackets.tolist(), phase[:, 0].tolist())]
-    values = []
-    for f, g in zip(phase, amplitude):
-        bracket = _inner_bracket(j, exponent, f, g)
-        f0 = f[0]
-        if exponent.denominator == 1 and not isinstance(f0, float):
-            values.append(float(bracket * f0 ** (-exponent.numerator)))
-        else:
-            values.append(float(bracket) * float(f0) ** float(-exponent))
-    return values
+    # one bracket whose jet coefficients are the tables' columns, then the
+    # power of f0 lane by lane: exact while both stay exact, else in floats
+    brackets = _inner_bracket(j, exponent, phase.T, amplitude.T)
+    integral = exponent.denominator == 1
+    power = float(-exponent)
+    return [
+        float(b * f0 ** -exponent.numerator) if integral and not isinstance(f0, float)
+        else float(b) * float(f0) ** power
+        for b, f0 in zip(brackets.tolist(), phase[:, 0].tolist())
+    ]
 
 
 def expansion_coefficient(j: int, profile: RadialProfile) -> float:
@@ -324,9 +301,10 @@ def expansion_coefficient(j: int, profile: RadialProfile) -> float:
     Per direction: ``f0 ** (-(j + d) / 2)`` times the ``t**j``
     coefficient of the amplitude series times the power of the phase
     perturbation, then the quadrature average and the gamma prefactor
-    ``Gamma((j + d) / 2) / 2``.  The arithmetic is that of the tables:
-    ints and Fractions are computed exactly up to the per-direction
-    value, floats in floats.
+    ``Gamma((j + d) / 2) / 2``.  The arithmetic is that of the tables,
+    one jet recurrence over their columns for every direction: object
+    arrays of ints and Fractions are computed exactly up to the
+    per-direction value, float64 arrays in floats.
     """
     values = _direction_values(j, profile)
     return gamma_value(_exponent(j, profile)) / 2 * math.fsum(

@@ -2,9 +2,9 @@
 
 A :class:`TruncatedSeries` stores coefficients ``c[0..N]`` of a power
 series truncated at a fixed order ``N``.  Coefficients can be exact
-rationals, floats, float64 arrays (one lane per direction, so one jet
-carries a whole batch of directions), or again truncated series (nested
-jets), as long as they support ring arithmetic; all algorithms here
+rationals, floats, float64 or object arrays (one lane per direction,
+so one jet carries a whole batch of directions), or again truncated
+series (nested jets), as long as they support ring arithmetic; all algorithms here
 only ever add, multiply, and rescale coefficients, so exact inputs give
 exact outputs.
 
@@ -18,8 +18,9 @@ Conventions shared by the whole package:
   always produces a zero constant term,
 * a division by an integer rescales by the exact rational ``1/n``, so
   Fraction-valued series never leave the rational field; float and
-  array coefficients take the float ``1/n``, which is the float that
-  rational rounds to when it meets a float, so the result is the same,
+  numeric array coefficients take the float ``1/n``, which is the float
+  that rational rounds to when it meets a float, so the result is the
+  same; object arrays keep the rational, entry by entry,
 * an array coefficient computes as its lanes would one by one: a
   transcendental of an array constant term (the ``exp``, ``log``,
   ``sin``, ``cos`` leads and rational powers of series) runs element
@@ -291,10 +292,18 @@ def _unlaned(value: Any) -> Any:
     return float(value) if isinstance(value, Fraction) else value
 
 
+def _is_float_ring(value: Any) -> bool:
+    # floats and numeric arrays; an object array computes entry by entry
+    # with Python's operators, so exact entries stay exact
+    if isinstance(value, np.ndarray):
+        return value.dtype != object
+    return isinstance(value, float)
+
+
 def _in_ring(rational: Fraction, like: Any) -> Any:
     # the rational that multiplies like: a Fraction meets a float as the
-    # Fraction's float, so float and array rings take that float at once
-    return float(rational) if isinstance(like, (float, np.ndarray)) else rational
+    # Fraction's float, so float rings take that float at once
+    return float(rational) if _is_float_ring(like) else rational
 
 
 def _lead(fn: Callable[[Any], Any], value: Any) -> Any:
@@ -310,7 +319,7 @@ def _invert_scalar(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         if not value.all():
             raise DomainError("singular jet: division by a zero value")
-        return 1.0 / value
+        return (1.0 if _is_float_ring(value) else Fraction(1)) / value
     if value == 0:
         # a quotient, reciprocal, square root or logarithm that is singular here
         raise DomainError("singular jet: division by a zero value")
@@ -489,10 +498,6 @@ class JetTrajectory:
     """Coordinates of an ODE solution as jets in the time variable."""
 
     coordinates: tuple[TruncatedSeries, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coordinates)
 
     @property
     def order(self) -> int:

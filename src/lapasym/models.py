@@ -550,15 +550,18 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span:
             out[row] = v
         return out.ravel()
 
-    solution = solve_ivp(
-        rhs,
-        (0.0, span),
-        np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
-        method="DOP853",
-        dense_output=True,
-        rtol=1e-13,
-        atol=1e-14,
-    )
+    # a flow that overflows is reported by the solver's failure below, not
+    # by floating-point warnings
+    with np.errstate(all="ignore"):
+        solution = solve_ivp(
+            rhs,
+            (0.0, span),
+            np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
+            method="DOP853",
+            dense_output=True,
+            rtol=1e-13,
+            atol=1e-14,
+        )
     if not solution.success:
         raise QuadratureError(
             f"flow transport failed on {model.name}: {solution.message}",
@@ -630,7 +633,9 @@ def _flow_oracle(
         span = 1.0
         while True:
             try:
-                return polar_laplace_integral(level_at(k, span), dim, tol, span).value
+                # as in _augmented_flow: no floating-point warnings reach stderr
+                with np.errstate(all="ignore"):
+                    return polar_laplace_integral(level_at(k, span), dim, tol, span).value
             except _Undecayed:
                 span *= 2.0
                 if span > _MAX_FLOW_SPAN:

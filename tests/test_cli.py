@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -517,3 +520,27 @@ def test_array_zero_divisor_is_a_domain_error(tmp_path, capsys):
     )
     assert_one_error_line(code, out, err)
     assert f"division by zero in {json.dumps(node)}" in err
+
+
+BLOWUP2 = {
+    "name": "blowup2", "group_dim": 2, "chart_dim": 2,
+    "phi": ["+", ["*", "w0", "x0"], ["*", "w1", "x1"],
+            ["*", "w0", ["-", ["exp", ["exp", ["*", "8", "x1"]]], ["exp", "1"]]]],
+    "flow_field": ["w0", "w1"], "laplacian_phi": "0", "zero_points": [[0, 0]],
+    "orbit_volume": "1",
+}
+
+
+def test_overflowing_oracle_flow_prints_only_the_error(tmp_path):
+    # the phase exp(exp(8 x1)) overflows along the flow; the solver's
+    # failure is the whole of stderr, with no floating-point warnings, so
+    # the command runs as its own process
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    command = ["verify", "--model", write_model(tmp_path, BLOWUP2), "--a", "1/2",
+               "--order", "2", "--k", "100,300,1000", "--tol", "1e-9"]
+    proc = subprocess.run([sys.executable, "-m", "lapasym.cli", *command], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert "flow transport failed on blowup2" in proc.stderr

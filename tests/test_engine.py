@@ -26,6 +26,7 @@ from lapasym.engine import (
     sphere_rule,
 )
 from lapasym.errors import DomainError, QuadratureError
+from lapasym.jets import TruncatedSeries
 from lapasym.models import gaussian_test_model, geometric_expansion
 
 SQRT_PI = math.sqrt(math.pi)
@@ -409,3 +410,66 @@ def test_profile_names_the_first_direction_with_a_nonpositive_lead():
         with pytest.raises(DomainError) as info:
             RadialProfile(rule, phase, [[1.0]] * 4)
         assert f"direction 2, {tuple(rule.nodes[2].tolist())}, has -1.0" in str(info.value)
+
+
+# ---------------------------------------------------------------- table layouts
+
+def row_by_row_series(rule, phase_rows, amplitude_rows, order):
+    """The engine's coefficients one direction at a time, on the tables'
+    own scalars: exact until each direction's value, floats where a
+    float enters."""
+    coefficients = []
+    for j in range(order + 1):
+        e = Fraction(j + rule.dim, 2)
+        values = []
+        for f, g in zip(phase_rows, amplitude_rows):
+            u = TruncatedSeries([0, *f[1:j + 1]], order=j) / f[0]
+            bracket = (TruncatedSeries(g[:j + 1]) * (1 + u) ** -e).coefficient(j)
+            if e.denominator == 1 and not isinstance(f[0], float):
+                values.append(float(bracket * f[0] ** -e.numerator))
+            else:
+                values.append(float(bracket) * float(f[0]) ** float(-e))
+        coefficients.append(gamma_value(e) / 2 * math.fsum(
+            w * v for w, v in zip(rule.weights.tolist(), values)))
+    return coefficients
+
+
+def layout_rows(n, width):
+    # distinct rational radial data per direction, positive leading phase
+    phase = [[Fraction(2 + i, 1 + i % 3)] + [Fraction((-1) ** (p + i) * (p + i), 3 + p)
+                                             for p in range(1, width)] for i in range(n)]
+    amplitude = [[Fraction(1 + i % 2)] + [Fraction(p - i, 5 + i) for p in range(1, width)]
+                 for i in range(n)]
+    return phase, amplitude
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 32), (2, 8)], ids=["d1", "d2"])
+@pytest.mark.parametrize("layout", ["float-phase-fraction-amplitude", "int-array",
+                                    "ragged"])
+def test_table_layouts_match_the_row_by_row_series(layout, dim, resolution):
+    rule = sphere_rule(dim, resolution)
+    phase, amplitude = layout_rows(len(rule), 6)
+    if layout == "float-phase-fraction-amplitude":
+        phase = [[float(c) for c in row] for row in phase]
+        dtypes = (float, object)
+    elif layout == "int-array":
+        phase = np.array([[int(c * 6) for c in row] for row in phase])
+        amplitude = np.array([[int(c * 10) for c in row] for row in amplitude])
+        dtypes = (object, object)
+    else:
+        # every row cut to the shortest, so the profile reaches order 3
+        phase = [row[:4 + i % 3] for i, row in enumerate(phase)]
+        amplitude = [row[:5 + i % 2] for i, row in enumerate(amplitude)]
+        dtypes = (object, object)
+    profile = RadialProfile(rule, phase, amplitude)
+    tables = (profile.phase_coefficients, profile.amplitude_coefficients)
+    assert [(t.ndim, t.dtype) for t in tables] == [(2, np.dtype(d)) for d in dtypes]
+    assert profile.order == (3 if layout == "ragged" else 5)
+    rows = [[row[:profile.order + 1] for row in
+             (table.tolist() if isinstance(table, np.ndarray) else table)]
+            for table in (phase, amplitude)]
+    # exact entries stay as they are: ints as ints, Fractions as Fractions
+    assert all(type(a) is type(b) for a, b in zip(tables[1][0], rows[1][0]))
+    got = expansion_series(profile, profile.order).coefficients
+    want = row_by_row_series(rule, *rows, profile.order)
+    assert [c.hex() for c in got] == [c.hex() for c in want]
