@@ -26,7 +26,6 @@ from .engine import (
     expansion_coefficient,
     expansion_series,
     numeric_laplace_integral,
-    partial_sum,
     sphere_rule,
 )
 from .errors import DomainError, JetEvaluationError, OrderMismatchError, QuadratureError
@@ -80,7 +79,6 @@ __all__ = [
     "sphere_rule",
     "expansion_coefficient",
     "expansion_series",
-    "partial_sum",
     "numeric_laplace_integral",
     "convergence_order_fit",
     "HamiltonianModel",

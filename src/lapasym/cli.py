@@ -5,7 +5,9 @@ asymptotic series, ``verify`` compares partial sums against the direct
 numeric integral and fits the remainder decay, ``density-sweep``
 evaluates both densities numerically and by series over a k list, and
 ``bell-table`` prints the combinatorial polynomials in exact rational
-form.  Output is CSV (default) or JSON, on stdout or ``--out``.
+form.  Output is CSV (default) or JSON, on stdout or ``--out``.  Each
+subcommand parses only the flags it reads; any other flag, and any
+unreadable value, is a one-line ``error:`` with exit status 2.
 
 Identical invocations produce byte-identical output: floats are
 serialized with 17 significant digits and rationals as ``p/q``.
@@ -17,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -27,7 +28,7 @@ from .errors import DomainError, QuadratureError
 from .models import density, density_series, geometric_expansion, j_a_numeric, \
     resolve_model
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _FLOAT_FMT = "%.17g"
 _BELL_BOUND = 20
@@ -37,7 +38,7 @@ _ORACLE_FLOOR = 1e-11
 _SLOPE_MARGIN = 0.1
 
 
-# ------------------------------------------------------------ config plumbing
+# ------------------------------------------------------------ values
 
 def format_float(value: float) -> str:
     return _FLOAT_FMT % float(value)
@@ -63,56 +64,42 @@ def parse_half_form(text: str) -> Any:
         except ValueError:
             value = float(t)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"unreadable weight value {text!r}") from None
+        raise argparse.ArgumentTypeError(f"unreadable weight value {text!r}") from None
     if not math.isfinite(value):
-        raise DomainError(f"weight value must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"weight value must be finite, got {text!r}")
     return value
 
 
-def parse_k_list(text: str | None) -> tuple:
-    if text is None or not text.strip():
+def parse_k_list(text: str) -> tuple:
+    if not text.strip():
         return ()
     values = []
     for piece in text.split(","):
         try:
-            value = float(piece)
+            k = float(piece)
         except ValueError:
-            raise DomainError(f"unreadable k value {piece!r}") from None
-        values.append(value)
+            raise argparse.ArgumentTypeError(f"unreadable k value {piece!r}") from None
+        if not (math.isfinite(k) and k > 0):
+            raise argparse.ArgumentTypeError(
+                f"k values must be positive and finite, got {k!r}")
+        values.append(k)
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation."""
+def _checked(convert, accept, message: str):
+    """An argparse type: ``convert`` the text, refusing values not ``accept``-ed.
 
-    command: str
-    model_source: str
-    half_form: Any
-    order: int
-    k_values: tuple
-    resolution: int
-    exact: bool
-    out: str | None
-    fmt: str
-    tol: float
+    It carries ``convert``'s name, so unreadable text is reported as, say,
+    ``invalid int value: 'abc'``.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
 
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"output format must be csv or json, not {self.fmt!r}")
-        if self.order < 0:
-            raise DomainError("order must be nonnegative")
-        if self.resolution < 1:
-            raise DomainError("resolution must be positive")
-        if not self.tol > 0:
-            raise DomainError("tolerance must be positive")
-        for k in self.k_values:
-            if not (math.isfinite(k) and k > 0):
-                raise DomainError(f"k values must be positive and finite, got {k!r}")
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.exact else "float"
+    parse.__name__ = convert.__name__
+    return parse
 
 
 # ------------------------------------------------------------ serialization
@@ -125,14 +112,15 @@ def _cell(value: Any) -> str:
     return format_number(value)
 
 
-def _render(cfg: RunConfig, metadata: dict, columns: tuple, rows: list[tuple]) -> str:
+def _render(ns: argparse.Namespace, metadata: dict, columns: tuple,
+            rows: list[tuple]) -> str:
     """One result in the requested format.
 
     JSON keeps the raw values and turns each row into an object keyed by
     ``columns``; CSV writes ``# key=value`` metadata lines, the header and
     one line per row, each cell formatted by its type.
     """
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         payload = {**metadata, "rows": [dict(zip(columns, row)) for row in rows]}
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# {key}={_cell(value)}" for key, value in metadata.items()]
@@ -141,30 +129,31 @@ def _render(cfg: RunConfig, metadata: dict, columns: tuple, rows: list[tuple]) -
     return "\n".join(lines) + "\n"
 
 
-def _metadata(cfg: RunConfig, **extra: Any) -> dict:
+def _metadata(ns: argparse.Namespace, **extra: Any) -> dict:
     return {
-        "command": cfg.command,
-        "model": cfg.model_source,
-        "a": format_number(cfg.half_form),
-        "order": cfg.order,
-        "resolution": cfg.resolution,
-        "mode": cfg.mode,
+        "command": ns.command,
+        "model": ns.model,
+        "a": format_number(ns.a),
+        "order": ns.order,
+        "resolution": ns.resolution,
+        # --exact stores "exact" here; density-sweep has no such flag
+        "mode": getattr(ns, "mode", "float"),
         **extra,
     }
 
 
 # ------------------------------------------------------------ commands
 
-def cmd_expand(cfg: RunConfig) -> str:
-    model = resolve_model(cfg.model_source)
+def cmd_expand(ns: argparse.Namespace) -> str:
+    model = resolve_model(ns.model)
     result = geometric_expansion(
-        model, None, cfg.half_form, cfg.order, cfg.resolution, cfg.mode
+        model, None, ns.a, ns.order, ns.resolution, ns.mode
     )
     rows = [
         (j, str(result.exponents[j]), result.coefficients[j], result.odd_vanished[j])
-        for j in range(cfg.order + 1)
+        for j in range(ns.order + 1)
     ]
-    return _render(cfg, _metadata(cfg),
+    return _render(ns, _metadata(ns),
                    ("j", "exponent", "coefficient", "odd_vanished"), rows)
 
 
@@ -177,24 +166,24 @@ def _fit_clean_slope(ks: list[float], errors: list[float]) -> float | None:
     return math.log(errors[1] / errors[0]) / math.log(ks[1] / ks[0])
 
 
-def cmd_verify(cfg: RunConfig) -> str:
-    if len(set(cfg.k_values)) < 3:
+def cmd_verify(ns: argparse.Namespace) -> str:
+    if len(set(ns.k)) < 3:
         raise DomainError("verify needs at least 3 distinct k values")
-    model = resolve_model(cfg.model_source)
+    model = resolve_model(ns.model)
     # the oracle runs first: it refuses group dimension above 3 before the
     # series builds a rule of 2 * resolution ** (d - 1) directions
-    oracles = j_a_numeric(model, None, cfg.half_form, cfg.k_values, tol=cfg.tol)
+    oracles = j_a_numeric(model, None, ns.a, ns.k, tol=ns.tol)
     result = geometric_expansion(
-        model, None, cfg.half_form, cfg.order, cfg.resolution, cfg.mode
+        model, None, ns.a, ns.order, ns.resolution, ns.mode
     )
     # first even series index beyond the computed order
-    next_even = cfg.order + 2 if cfg.order % 2 == 0 else cfg.order + 1
+    next_even = ns.order + 2 if ns.order % 2 == 0 else ns.order + 1
     expected = Fraction(-(next_even + model.group_dim), 2)
 
     rows = []
     clean_ks: list[float] = []
     clean_errors: list[float] = []
-    for k, oracle in zip(cfg.k_values, oracles):
+    for k, oracle in zip(ns.k, oracles):
         partial = result.partial_sum(k)
         error = abs(oracle - partial)
         floored = error < _ORACLE_FLOOR * abs(oracle)
@@ -207,38 +196,36 @@ def cmd_verify(cfg: RunConfig) -> str:
     # with no slope every informative row sits at the oracle floor: the
     # series is at least as accurate as the oracle can resolve
     passed = slope is None or slope <= float(expected) + _SLOPE_MARGIN
-    if slope is None and cfg.fmt == "csv":
+    if slope is None and ns.fmt == "csv":
         slope = "floor-limited"
     metadata = _metadata(
-        cfg,
-        tol=cfg.tol,
+        ns,
+        tol=ns.tol,
         expected_slope=str(expected),
         fitted_slope=slope,
         clean_points=len(clean_ks),
         verdict="pass" if passed else "fail",
     )
-    return _render(cfg, metadata,
+    return _render(ns, metadata,
                    ("k", "oracle", "partial_sum", "abs_error", "floor_limited"), rows)
 
 
-def cmd_density_sweep(cfg: RunConfig) -> str:
-    if cfg.exact:
-        raise DomainError("density-sweep has no exact mode")
-    model = resolve_model(cfg.model_source)
+def cmd_density_sweep(ns: argparse.Namespace) -> str:
+    model = resolve_model(ns.model)
     rows = []
-    if cfg.k_values:
-        i_numeric, j_numeric = density(model, ("I", "J"), cfg.k_values, tol=cfg.tol)
-        ks = [*cfg.k_values, math.inf]
+    if ns.k:
+        i_numeric, j_numeric = density(model, ("I", "J"), ns.k, tol=ns.tol)
+        ks = [*ns.k, math.inf]
         i_series, j_series = (
-            density_series(model, kind, ks, order=cfg.order, resolution=cfg.resolution)
+            density_series(model, kind, ks, order=ns.order, resolution=ns.resolution)
             for kind in ("I", "J")
         )
-        rows = list(zip(cfg.k_values, i_numeric, j_numeric, i_series, j_series))
+        rows = list(zip(ns.k, i_numeric, j_numeric, i_series, j_series))
         # closing row: the large-k limits, numeric and series alike; its k is
         # the string "inf" because JSON has no infinity (CSV prints it alike)
         limits = (i_series[-1], j_series[-1])
         rows.append(("inf", *limits, *limits))
-    return _render(cfg, _metadata(cfg, tol=cfg.tol),
+    return _render(ns, _metadata(ns, tol=ns.tol),
                    ("k", "I", "J", "I_series", "J_series"), rows)
 
 
@@ -267,8 +254,8 @@ def _polynomial_string(terms: list[tuple[int, dict]], span: int) -> str:
     return " + ".join(pieces)
 
 
-def cmd_bell_table(cfg: RunConfig) -> str:
-    if cfg.order > _BELL_BOUND:
+def cmd_bell_table(ns: argparse.Namespace) -> str:
+    if ns.order > _BELL_BOUND:
         raise DomainError(f"bell-table order is capped at {_BELL_BOUND}")
     rows = []
 
@@ -277,7 +264,7 @@ def cmd_bell_table(cfg: RunConfig) -> str:
                      sum(coeff for coeff, _ in terms)))
 
     # (0, 0) is the only index pair of weight 0
-    indices = [range(1 if j else 0, j + 1) for j in range(cfg.order + 1)]
+    indices = [range(1 if j else 0, j + 1) for j in range(ns.order + 1)]
     partials = [[partial_bell_terms(j, blocks) for blocks in blocks_range]
                 for j, blocks_range in enumerate(indices)]
     for j, blocks_range in enumerate(indices):
@@ -290,82 +277,78 @@ def cmd_bell_table(cfg: RunConfig) -> str:
         for r in r_range:
             add("power", m, r, power_terms(m, r))
 
-    return _render(cfg, {"command": cfg.command, "order": cfg.order},
+    return _render(ns, {"command": ns.command, "order": ns.order},
                    ("kind", "j", "l", "polynomial", "value_at_ones"), rows)
 
 
 # ------------------------------------------------------------ entry point
 
-_COMMANDS = {
-    "expand": cmd_expand,
-    "verify": cmd_verify,
-    "density-sweep": cmd_density_sweep,
-    "bell-table": cmd_bell_table,
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`DomainError`, for ``main``'s one line."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
+_order = _checked(int, lambda n: n >= 0, "order must be nonnegative")
+_resolution = _checked(int, lambda n: n >= 1, "resolution must be positive")
+_tol = _checked(float, lambda t: t > 0, "tolerance must be positive")
+
+_FLAGS = {
+    "--model": dict(default="builtin:sphere",
+                    help="builtin:<name> or a JSON model config path"),
+    "--a": dict(type=parse_half_form, default="1/2",
+                help="half-form weight (int, float, or p/q)"),
+    "--order": dict(type=_order, help="top series index N (bell-table: j bound)"),
+    "--k": dict(type=parse_k_list, default=(), help="comma-separated k values"),
+    "--resolution": dict(type=_resolution, default=32,
+                         help="sphere rule: circle nodes (d = 2), polar nodes "
+                              "per level (d >= 3)"),
+    "--exact": dict(dest="mode", action="store_const", const="exact", default="float",
+                    help="exact rational arithmetic; needs rational radial data"),
+    "--tol": dict(type=_tol, help="numeric oracle tolerance"),
 }
 
-_DEFAULT_ORDER = {"expand": 6, "verify": 4, "density-sweep": 6, "bell-table": 6}
-_DEFAULT_TOL = {"expand": 1e-12, "verify": 1e-12, "density-sweep": 1e-9,
-                "bell-table": 1e-12}
+# subcommand: (command, the flags it reads besides --out and --format, defaults)
+_COMMANDS = {
+    "expand": (cmd_expand, ("--model", "--a", "--order", "--resolution", "--exact"),
+               {"order": 6}),
+    "verify": (cmd_verify, ("--model", "--a", "--order", "--k", "--resolution",
+                            "--exact", "--tol"), {"order": 4, "tol": 1e-12}),
+    # --a only sets the "# a=" line: I and J fix their own weights
+    "density-sweep": (cmd_density_sweep, ("--model", "--a", "--order", "--k",
+                                          "--resolution", "--tol"),
+                      {"order": 6, "tol": 1e-9}),
+    "bell-table": (cmd_bell_table, ("--order",), {"order": 6}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lapasym",
         description="Asymptotic expansion toolkit: coefficient tables, "
                     "numeric verification, density sweeps, Bell polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (command, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--model", default="builtin:sphere",
-                       help="builtin:<name> or a JSON model config path")
-        p.add_argument("--a", default="1/2",
-                       help="half-form weight (int, float, or p/q)")
-        p.add_argument("--order", type=int, default=None,
-                       help="top series index N (bell-table: j bound)")
-        p.add_argument("--k", default=None,
-                       help="comma-separated k values")
-        p.add_argument("--resolution", type=int, default=32,
-                       help="sphere rule: circle nodes (d = 2), polar nodes "
-                            "per level (d >= 3)")
-        p.add_argument("--exact", action="store_true",
-                       help="exact rational arithmetic (expand, verify); "
-                            "needs rational radial data")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")
-        p.add_argument("--tol", type=float, default=None,
-                       help="numeric oracle tolerance")
+        p.set_defaults(run=command, **defaults)
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    order = ns.order if ns.order is not None else _DEFAULT_ORDER[ns.command]
-    tol = ns.tol if ns.tol is not None else _DEFAULT_TOL[ns.command]
-    return RunConfig(
-        command=ns.command,
-        model_source=ns.model,
-        half_form=parse_half_form(ns.a),
-        order=order,
-        k_values=parse_k_list(ns.k),
-        resolution=ns.resolution,
-        exact=ns.exact,
-        out=ns.out,
-        fmt=ns.fmt,
-        tol=tol,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        cfg = config_from_args(ns)
-        text = _COMMANDS[cfg.command](cfg)
-        if cfg.out is None:
+        ns = build_parser().parse_args(argv)
+        text = ns.run(ns)
+        if ns.out is None:
             sys.stdout.write(text)
         else:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
+            with open(ns.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
     except QuadratureError as exc:
         sys.stderr.write(

@@ -59,7 +59,6 @@ __all__ = [
     "ExpansionResult",
     "expansion_coefficient",
     "expansion_series",
-    "partial_sum",
     "IntegralEstimate",
     "numeric_laplace_integral",
     "polar_laplace_integral",
@@ -260,7 +259,13 @@ class ExpansionResult:
     odd_vanished: tuple[bool, ...]
 
     def partial_sum(self, k: float) -> float:
-        return partial_sum(self, k)
+        """Truncated asymptotic sum ``sum_j c_j k**(-e_j)`` at parameter ``k``."""
+        if not k > 0:
+            raise DomainError("asymptotic parameter k must be positive")
+        return math.fsum(
+            c * float(k) ** float(-e)
+            for c, e in zip(self.coefficients, self.exponents)
+        )
 
 
 def _inner_bracket(j: int, exponent: Fraction, f: Sequence[Any], g: Sequence[Any]) -> Any:
@@ -328,16 +333,6 @@ def expansion_series(profile: RadialProfile, order: int) -> ExpansionResult:
     flags = [bool(j % 2 and abs(c) <= _ODD_TOLERANCE * scale) for j, c in enumerate(coeffs)]
     exponents = tuple(_exponent(j, profile) for j in range(order + 1))
     return ExpansionResult(tuple(coeffs), exponents, tuple(flags))
-
-
-def partial_sum(result: ExpansionResult, k: float) -> float:
-    """Truncated asymptotic sum ``sum_j c_j k**(-e_j)`` at parameter ``k``."""
-    if not k > 0:
-        raise DomainError("asymptotic parameter k must be positive")
-    return math.fsum(
-        c * float(k) ** float(-e)
-        for c, e in zip(result.coefficients, result.exponents)
-    )
 
 
 # ---------------------------------------------------------------- numeric oracle

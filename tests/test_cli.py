@@ -18,6 +18,11 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def parse_csv(text):
     meta = {}
     header = None
@@ -213,13 +218,14 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 def test_invalid_k_writes_no_file(tmp_path, capsys):
     target = tmp_path / "never.csv"
-    code, _, err = run_cli(
-        ["expand", "--model", "builtin:sphere", "--k", "0", "--out", str(target)],
-        capsys,
-    )
-    assert code == 2
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not target.exists()
+    for command in (["expand", "--k", "0"], ["verify", "--k", "0,1,2"],
+                    ["density-sweep", "--k", "0"]):
+        code, out, err = run_cli(
+            command + ["--model", "builtin:sphere", "--out", str(target)], capsys
+        )
+        assert_one_error_line(code, out, err)
+        assert "--k" in err
+        assert not target.exists()
 
 
 def test_invalid_weight_and_model(capsys):
@@ -241,9 +247,9 @@ def test_non_finite_weight_rejected(value, capsys):
 
 
 def test_bad_format_rejected_by_parser(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["expand", "--format", "xml"])
-    capsys.readouterr()
+    code, out, err = run_cli(["expand", "--format", "xml"], capsys)
+    assert_one_error_line(code, out, err)
+    assert "argument --format: invalid choice: 'xml'" in err
 
 
 def test_exact_mode_runs(capsys):
@@ -275,8 +281,43 @@ def test_density_sweep_has_no_exact_mode(capsys):
         ["density-sweep", "--model", "builtin:quartic", "--a", "0", "--k", "100",
          "--exact"], capsys
     )
-    assert code == 2 and out == ""
-    assert err == "error: density-sweep has no exact mode\n"
+    assert_one_error_line(code, out, err)
+    assert "--exact" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("expand", ["--k", "100"]),
+    ("expand", ["--tol", "1e-9"]),
+    ("density-sweep", ["--exact"]),
+    ("bell-table", ["--model", "builtin:sphere"]),
+    ("bell-table", ["--a", "1/2"]),
+    ("bell-table", ["--k", "100"]),
+    ("bell-table", ["--resolution", "16"]),
+    ("bell-table", ["--exact"]),
+    ("bell-table", ["--tol", "1e-9"]),
+])
+def test_unread_flag_is_refused(command, flag, capsys):
+    # a subcommand registers only the flags it reads
+    code, out, err = run_cli([command, "--order", "2", *flag], capsys)
+    assert_one_error_line(code, out, err)
+    assert flag[0] in err
+
+
+@pytest.mark.parametrize("args, text", [
+    (["expand", "--order", "-1"], "argument --order: order must be nonnegative"),
+    (["expand", "--order", "abc"], "argument --order: invalid int value: 'abc'"),
+    (["verify", "--resolution", "0"], "argument --resolution: resolution must be positive"),
+    (["density-sweep", "--tol", "0"], "argument --tol: tolerance must be positive"),
+    (["verify", "--k", "10,x"], "argument --k: unreadable k value 'x'"),
+    (["expand", "--a", "x/y"], "argument --a: unreadable weight value 'x/y'"),
+    ([], "required: command"),
+    (["zilch"], "argument command: invalid choice: 'zilch'"),
+], ids=["negative-order", "unreadable-order", "resolution", "tol", "k",
+        "weight", "no-subcommand", "unknown-subcommand"])
+def test_usage_error_is_one_line(args, text, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert_one_error_line(code, out, err)
+    assert text in err
 
 
 @pytest.mark.parametrize("args", [
@@ -376,11 +417,6 @@ def write_model(tmp_path, config):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
-
-
-def assert_one_error_line(code, out, err):
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [

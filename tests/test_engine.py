@@ -21,7 +21,6 @@ from lapasym.engine import (
     expansion_series,
     gamma_value,
     numeric_laplace_integral,
-    partial_sum,
     sphere_area,
     sphere_rule,
 )
@@ -391,7 +390,7 @@ def test_numeric_integral_deterministic():
 def test_partial_sum_rejects_bad_k():
     res = expansion_series(gaussian_profile(0), 0)
     with pytest.raises(DomainError):
-        partial_sum(res, 0.0)
+        res.partial_sum(0.0)
 
 
 def test_convergence_order_fit_recovers_power_law():
