@@ -29,9 +29,11 @@ bit-for-bit across runs and schedulings.
 
 The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
-per angular level, on nested circle grids in two dimensions and
-Gauss-Legendre times azimuth grids in three, with each level's
-directions evaluated together; it refuses other dimensions.
+per angular level, on the two directions of the line in one dimension,
+nested circle grids in two and Gauss-Legendre times azimuth grids in
+three, with each level's directions evaluated together; it refuses
+other dimensions.  QUADPACK is the port in :mod:`.integrators`, which
+is imported on the oracle's first call only.
 :func:`numeric_laplace_integral` is its pointwise front end.  Neither
 shares code with the coefficient path apart from evaluating the user's
 callables, which is what makes them usable as an independent oracle.
@@ -40,7 +42,6 @@ callables, which is what makes them usable as an independent oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
@@ -345,12 +346,11 @@ class IntegralEstimate(NamedTuple):
 def _quad(
     fn, lower: float, upper: float, tol: float, points: Sequence[float] | None = None
 ) -> tuple[float, float]:
-    # scipy is imported by the oracle only: it dominates the CLI's start-up
-    from scipy.integrate import IntegrationWarning, quad
+    # the integrators are imported by the oracle only, so that short calls
+    # neither load nor compile them
+    from .integrators import quad
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(fn, lower, upper, epsabs=tol, epsrel=2e-14, limit=400, points=points)
+    return quad(fn, lower, upper, epsabs=tol, epsrel=2e-14, limit=400, points=points)
 
 
 # a level's directions go through its integrand in blocks of at most this
@@ -448,11 +448,11 @@ def polar_laplace_integral(
     come at most ``_LEVEL_BLOCK`` at a time.
 
     In one dimension the nodes are ``+1`` and ``-1``, each its own
-    level, and one QUADPACK call covers ``(-radius, radius)``.  In two
-    and three dimensions each angular level is one QUADPACK call in the
-    radius, on the weighted sum of its directions' integrands, and
-    levels are refined until two successive estimates agree within
-    ``tol``.  The circle's levels nest (nodes ``2 pi i / n``, ``n = 8,
+    level, and one QUADPACK call (QAGP, with a break point at 0) covers
+    ``(-radius, radius)``.  In two and three dimensions each angular
+    level is one QUADPACK call in the radius, on the weighted sum of
+    its directions' integrands, and levels are refined until two
+    successive estimates agree within ``tol``.  The circle's levels nest (nodes ``2 pi i / n``, ``n = 8,
     16, ..., 512``): level ``2n`` asks only for its ``n`` new nodes and
     reuses level ``n``'s estimate, ``T_2n = T_n / 2 + (2 pi / 2n) *
     integral of their sum``.  The sphere's Gauss-Legendre times azimuth
@@ -475,9 +475,8 @@ def polar_laplace_integral(
             return float(ahead(x) if x > 0 else behind(-x))
 
         if math.isinf(radius):
-            value, err = _quad(integrand, -np.inf, np.inf, tol / 2)
-        else:
-            value, err = _quad(integrand, -radius, radius, tol / 2, points=[0.0])
+            radius = _laplace_cutoff(lambda x: abs(integrand(x)) + abs(integrand(-x)))
+        value, err = _quad(integrand, -radius, radius, tol / 2, points=[0.0])
         if err > tol:
             raise QuadratureError(
                 f"radial quadrature certified only {err:.3g} > tol {tol:.3g}",

@@ -1,0 +1,847 @@
+"""The numeric oracle's two integrators: DOP853 and QUADPACK's QAGS/QAGP.
+
+Both are ports that reproduce their sources bit for bit, so the oracle
+prints the same digits as when it called scipy, without loading scipy.
+
+:func:`dop853` is the forward, dense-output path of SciPy's
+``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", dense_output=True,
+rtol=rtol, atol=atol)``: the explicit Runge-Kutta pair of order 8(5,3)
+of Dormand and Prince (Hairer, Norsett and Wanner, *Solving Ordinary
+Differential Equations I*, Sec. II.10), with SciPy's coefficient
+tables, initial step selection, error norm, step-size control and
+7th-degree dense output, and the same numpy expressions, so that every
+BLAS call sees the arrays SciPy gives it.  One thing is added: the
+solve stops at the first trial step with a stage that is not finite,
+where SciPy would shrink the step until it underflows.
+
+:func:`quad` is ``scipy.integrate.quad(fn, a, b, epsabs=epsabs,
+epsrel=epsrel, limit=limit, points=points)`` on a finite interval,
+returning ``(value, abserr)`` whatever QUADPACK's error flag: ``dqagse``
+(Piessens, de Doncker-Kapenga, Uberhuber and Kahaner, *QUADPACK*,
+Springer 1983) without break points and ``dqagpe`` with them, both on
+the 21-point Gauss-Kronrod rule ``dqk21``, with the epsilon algorithm
+``dqelg`` and the error ordering ``dqpsrt``.  Infinite intervals are
+not supported.  QUADPACK's arrays are indexed from 1 here, as in the
+Fortran, so that the port reads against it statement by statement;
+dqagse and dqagpe share one loop, which marks where they differ.
+
+Credits.  The DOP853 port follows SciPy's ``scipy/integrate/_ivp``
+(``rk.py``, ``common.py``, ``base.py``, ``ivp.py`` and
+``dop853_coefficients.py``), Copyright (c) 2001-2002 Enthought, Inc.
+and 2003 onwards SciPy Developers, distributed under the BSD 3-Clause
+license; the method and its coefficients are those of Hairer and
+Wanner's DOP853, whose terms SciPy reproduces in ``LICENSE_DOP``.
+QUADPACK is in the public domain.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Callable, NamedTuple, Sequence
+
+import numpy as np
+
+__all__ = ["OdeFlow", "dop853", "quad"]
+
+
+# ------------------------------------------------------------------ DOP853
+
+_N_STAGES = 12
+_N_STAGES_EXTENDED = 16
+_INTERPOLATOR_POWER = 7
+
+_C_ALL = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+    1.0,
+    0.1,
+    0.2,
+    0.777777777777777777777777777778,
+])
+
+# the nonzero entries of each row of the extended Butcher matrix
+_A_ROWS = {
+    1: {0: 5.26001519587677318785587544488e-2},
+    2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    4: {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1},
+    5: {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1},
+    6: {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    7: {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3},
+    8: {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    9: {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2},
+    10: {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    11: {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+    12: {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    13: {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+         7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+         9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+         11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    14: {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+         6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+         10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+         12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    15: {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+         6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+         8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+         13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+}
+# the dense-output coefficients of F[3:]; F[:3] are formed from the step
+_D_ROWS = (
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+)
+
+
+def _dense(rows: dict, shape: tuple) -> np.ndarray:
+    table = np.zeros(shape)
+    for i, row in rows.items():
+        for j, value in row.items():
+            table[i, j] = value
+    return table
+
+
+# The tables keep SciPy's layout: every row handed to np.dot is a slice
+# of the same C-ordered arrays, so BLAS sums in SciPy's order.
+_A_ALL = _dense(_A_ROWS, (_N_STAGES_EXTENDED, _N_STAGES_EXTENDED))
+_A = _A_ALL[:_N_STAGES, :_N_STAGES]
+_B = _A_ALL[_N_STAGES, :_N_STAGES]
+_C = _C_ALL[:_N_STAGES]
+_A_EXTRA = _A_ALL[_N_STAGES + 1:]
+_C_EXTRA = _C_ALL[_N_STAGES + 1:]
+_E3 = np.zeros(_N_STAGES + 1)
+_E3[:-1] = _B.copy()
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E5 = _dense({0: {0: 0.1312004499419488073250102996e-1,
+                  5: -0.1225156446376204440720569753e+1,
+                  6: -0.4957589496572501915214079952,
+                  7: 0.1664377182454986536961530415e+1,
+                  8: -0.3503288487499736816886487290,
+                  9: 0.3341791187130174790297318841,
+                  10: 0.8192320648511571246570742613e-1,
+                  11: -0.2235530786388629525884427845e-1}}, (1, _N_STAGES + 1))[0]
+_D = _dense(dict(enumerate(_D_ROWS)), (_INTERPOLATOR_POWER - 3, _N_STAGES_EXTENDED))
+
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ESTIMATOR_ORDER = 7
+_ERROR_EXPONENT = -1 / (_ESTIMATOR_ORDER + 1)
+
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_FINISHED = "The solver successfully reached the end of the integration interval."
+
+
+class OdeFlow(NamedTuple):
+    """A forward DOP853 solve: the accepted times ``t``, the states ``y``
+    (one column per time), the dense solution ``sol(t)``, the number of
+    right-hand-side calls, and whether the end was reached (else
+    ``message`` says why not)."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: Callable[[float], np.ndarray]
+    nfev: int
+    success: bool
+    message: str
+
+
+def _norm(x: np.ndarray) -> float:
+    # root mean square
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _norm(y0 / scale)
+    d1 = _norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * f0
+    f1 = fun(t0 + h0, y1)
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ESTIMATOR_ORDER + 1))
+    return min(100 * h0, h1, interval_length)
+
+
+def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+class _Segment:
+    """The 7th-degree interpolant of one accepted step."""
+
+    __slots__ = ("t_old", "h", "F", "y_old")
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, F: np.ndarray):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.F = F
+        self.y_old = y_old
+
+    def __call__(self, t) -> np.ndarray:
+        x = (t - self.t_old) / self.h
+        y = np.zeros_like(self.y_old)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y
+
+
+def dop853(
+    fun: Callable[[float, np.ndarray], Any],
+    t0: float,
+    t_bound: float,
+    y0: Sequence[float],
+    rtol: float,
+    atol: float,
+) -> OdeFlow:
+    """Integrate ``y' = fun(t, y)`` from ``t0`` forward to ``t_bound > t0``.
+
+    Bit for bit SciPy's ``solve_ivp`` with ``method="DOP853"`` and
+    ``dense_output=True``; ``rtol`` must be at least ``100 * eps``.  A
+    failed solve returns ``success=False``, with SciPy's message when
+    the step size underflows and its own when a trial step meets a
+    stage that is not finite; ``sol`` serves a successful solve.
+    """
+    t0, t_bound = float(t0), float(t_bound)
+    if not t_bound > t0:
+        raise ValueError("dop853 integrates forward: t_bound must exceed t0")
+    if not rtol >= 100 * np.finfo(float).eps:
+        raise ValueError("rtol must be at least 100 * eps")
+    y = np.asarray(y0).astype(float, copy=False)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise ValueError("the initial state must be a finite 1-d array")
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    t = t0
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, t_bound, f, rtol, atol)
+    K_extended = np.empty((_N_STAGES_EXTENDED, y.size), dtype=y.dtype)
+    K = K_extended[:_N_STAGES + 1]
+    ts, ys, segments = [t0], [y], []
+    failure = None
+
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                failure = _TOO_SMALL_STEP
+                break
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            # one Runge-Kutta step
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = rhs(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = rhs(t + h, y_new)
+            K[-1] = f_new
+            # shrinking the step would only creep up to the overflow
+            if not np.isfinite(K).all():
+                failure = f"a trial step from t = {t:.6g} has a stage that is not finite."
+                break
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+        if failure:
+            break
+
+        # the dense output of the accepted step, from three more stages
+        for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1):
+            dy = np.dot(K_extended[:s].T, a[:s]) * h
+            K_extended[s] = rhs(t + c * h, y + dy)
+        F = np.empty((_INTERPOLATOR_POWER, y.size), dtype=y.dtype)
+        f_old = K_extended[0]
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f_new + f_old)
+        F[3:] = h * np.dot(_D, K_extended)
+        segments.append(_Segment(t, t_new, y, F))
+
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+
+    times = np.array(ts)
+
+    def sol(at: float) -> np.ndarray:
+        # a time on a step boundary belongs to the earlier step
+        at = np.asarray(at)
+        index = np.searchsorted(times, at, side="left")
+        return segments[min(max(index - 1, 0), len(segments) - 1)](at)
+
+    return OdeFlow(times, np.vstack(ys).T, sol, nfev, failure is None, failure or _FINISHED)
+
+
+# ----------------------------------------------------------------- QUADPACK
+
+_EPMACH = 2.220446049250313e-16      # d1mach(4)
+_UFLOW = 2.2250738585072014e-308     # d1mach(1)
+_OFLOW = 1.7976931348623157e308      # d1mach(2)
+
+# 21-point Kronrod abscissae and weights, and the weights of the embedded
+# 10-point Gauss rule, whose nodes are the Kronrod nodes 1, 3, ..., 9
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def _qk21(f, a: float, b: float):
+    """``dqk21``: (result, abserr, resabs, resasc) on ``[a, b]``."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    resg = 0.0
+    fc = f(centr)
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    for j in range(5):
+        jtw = 2 * j + 1
+        absc = hlgth * _XGK[jtw]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtw] = fval1
+        fv2[jtw] = fval2
+        fsum = fval1 + fval2
+        resg = resg + _WG[j] * fsum
+        resk = resk + _WGK[jtw] * fsum
+        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
+    for j in range(5):
+        jtwm1 = 2 * j
+        absc = hlgth * _XGK[jtwm1]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtwm1] = fval1
+        fv2[jtwm1] = fval2
+        fsum = fval1 + fval2
+        resk = resk + _WGK[jtwm1] * fsum
+        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
+    """``dqpsrt``: keep ``iord`` in descending order of error; return the
+    next interval to bisect, its error, and ``nrmax``."""
+    if last <= 2:
+        iord[1] = 1
+        iord[2] = 2
+    else:
+        errmax = elist[maxerr]
+        if nrmax != 1:
+            for _ in range(nrmax - 1):
+                isucc = iord[nrmax - 1]
+                if errmax <= elist[isucc]:
+                    break
+                iord[nrmax] = isucc
+                nrmax -= 1
+        jupbn = last
+        if last > limit // 2 + 2:
+            jupbn = limit + 3 - last
+        errmin = elist[last]
+        jbnd = jupbn - 1
+        for i in range(nrmax + 1, jbnd + 1):
+            isucc = iord[i]
+            if errmax >= elist[isucc]:
+                # insert errmax here, then errmin bottom-up
+                iord[i - 1] = maxerr
+                k = jbnd
+                for _ in range(i, jbnd + 1):
+                    isucc = iord[k]
+                    if errmin < elist[isucc]:
+                        break
+                    iord[k + 1] = isucc
+                    k -= 1
+                else:
+                    iord[i] = last
+                    break
+                iord[k + 1] = last
+                break
+            iord[i - 1] = isucc
+        else:
+            iord[jbnd] = maxerr
+            iord[jupbn] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n: int, epstab: list, res3la: list, nres: int):
+    """``dqelg``, the epsilon algorithm: (n, result, abserr, nres)."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n < 3:
+        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    limexp = 50
+    epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = _OFLOW
+    num = n
+    k1 = n
+    for i in range(1, newelm + 1):
+        k2 = k1 - 1
+        k3 = k1 - 2
+        res = epstab[k1 + 2]
+        e0 = epstab[k3]
+        e1 = epstab[k2]
+        e2 = res
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), e1abs) * _EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(e1abs, abs(e0)) * _EPMACH
+        if not (err2 > tol2 or err3 > tol3):
+            # e0, e1 and e2 agree to machine accuracy: converged
+            result = res
+            abserr = err2 + err3
+            return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+        e3 = epstab[k1]
+        epstab[k1] = e1
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(e1abs, abs(e3)) * _EPMACH
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1
+            break
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        epsinf = abs(ss * e1)
+        if not epsinf > 1e-4:
+            n = i + i - 1
+            break
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 = k1 - 2
+        error = err2 + abs(res - e2) + err3
+        if error > abserr:
+            continue
+        abserr = error
+        result = res
+    # shift the table
+    if n == limexp:
+        n = 2 * (limexp // 2) - 1
+    ib = 2 if num % 2 == 0 else 1
+    for _ in range(newelm + 1):
+        epstab[ib] = epstab[ib + 2]
+        ib += 2
+    if num != n:
+        indx = num - n + 1
+        for i in range(1, n + 1):
+            epstab[i] = epstab[indx]
+            indx += 1
+    if nres < 4:
+        res3la[nres] = result
+        abserr = _OFLOW
+    else:
+        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+        res3la[1] = res3la[2]
+        res3la[2] = res3la[3]
+        res3la[3] = result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+def _sum_intervals(rlist: list, last: int) -> float:
+    result = 0.0
+    for k in range(1, last + 1):
+        result = result + rlist[k]
+    return result
+
+
+def _finish(result, abserr, ier, ierro, correc, area, errsum, rlist, last):
+    """The ending when the loop stops before the error sum meets the bound
+    (labels 100 / 170): keep the extrapolated result, or take the sum over
+    the intervals where that is the better estimate.  QUADPACK's
+    divergence test, which follows, only sets the error flag, and the
+    port does not return the flag."""
+    if abserr == _OFLOW:
+        return _sum_intervals(rlist, last), errsum
+    if ier + ierro == 0:
+        return result, abserr
+    if ierro == 3:
+        abserr = abserr + correc
+    if result != 0.0 and area != 0.0:
+        summed = abserr / abs(result) > errsum / abs(area)
+    else:
+        summed = abserr > errsum
+    return (_sum_intervals(rlist, last), errsum) if summed else (result, abserr)
+
+
+def _qag(f, a: float, b: float, points: Sequence[float] | None, epsabs: float,
+         epsrel: float, limit: int) -> tuple[float, float]:
+    """(result, abserr) of ``dqagse`` on ``a < b`` when ``points`` is None,
+    and of ``dqagpe`` with ``points`` as the ascending break points inside
+    ``(a, b)`` otherwise.
+
+    The two routines share their bisection and extrapolation loop; they
+    differ in the first estimate, in how an interval counts as one of the
+    smallest (its length against ``small`` in dqagse, its bisection
+    level against ``levmax`` in dqagpe), and in three tests marked below.
+    """
+    breaks = points is not None
+    npts2 = len(points) + 2 if breaks else 2
+    alist = [0.0] * (limit + 1)
+    blist = [0.0] * (limit + 1)
+    rlist = [0.0] * (limit + 1)
+    elist = [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    level = [0] * (limit + 1)
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    ier = 0
+    small = erlarg = ertest = 0.0  # dqagse sets these after its first bisection
+    levmax = 1
+
+    if not breaks:
+        result, abserr, defabs, resasc = _qk21(f, a, b)
+        alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
+        errbnd = max(epsabs, epsrel * abs(result))
+        if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+            ier = 2
+        if limit == 1:
+            ier = 1
+        if ier != 0 or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+            return result, abserr
+        maxerr, errmax, errsum, numrl2 = 1, abserr, abserr, 2
+    else:
+        # one rule on each interval between consecutive break points
+        nint = npts2 - 1
+        pts = [a, *points, b]
+        ndin = [False] * (nint + 1)
+        result = abserr = defabs = 0.0
+        for i in range(1, nint + 1):
+            area1, error1, defab1, resa = _qk21(f, pts[i - 1], pts[i])
+            abserr = abserr + error1
+            result = result + area1
+            ndin[i] = error1 == resa and error1 != 0.0
+            defabs = defabs + defab1
+            alist[i], blist[i], rlist[i], elist[i], iord[i] = \
+                pts[i - 1], pts[i], area1, error1, i
+        errsum = 0.0
+        for i in range(1, nint + 1):
+            if ndin[i]:
+                elist[i] = abserr
+            errsum = errsum + elist[i]
+        errbnd = max(epsabs, epsrel * abs(result))
+        if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+            ier = 2
+        if nint != 1:
+            # order iord by decreasing error
+            for i in range(1, npts2 - 1):
+                ind1 = iord[i]
+                k = i
+                for j in range(i + 1, nint + 1):
+                    ind2 = iord[j]
+                    if elist[ind1] > elist[ind2]:
+                        continue
+                    ind1 = ind2
+                    k = j
+                if ind1 != iord[i]:
+                    iord[k] = iord[i]
+                    iord[i] = ind1
+            if limit < npts2:
+                ier = 1
+        if ier != 0 or abserr <= errbnd:
+            return result, abserr
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        numrl2 = 1
+        erlarg = errsum
+        ertest = errbnd
+
+    def larger(i: int) -> bool:
+        # interval i is not yet one of the smallest
+        if breaks:
+            return level[i] + 1 <= levmax
+        return abs(blist[i] - alist[i]) > small
+
+    rlist2[1] = result
+    area = result
+    abserr = _OFLOW
+    nrmax = 1
+    nres = 0
+    ktmin = 0
+    extrap = False
+    noext = False
+    iroff1 = iroff2 = iroff3 = 0
+    ierro = 0
+    correc = 0.0
+
+    summed = False
+    for last in range(npts2, limit + 1):
+        # bisect the interval with the nrmax-th largest error
+        levcur = level[maxerr] + 1
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+                    or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        level[maxerr] = levcur
+        level[last] = levcur
+        errbnd = max(epsabs, epsrel * abs(area))
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        # the half with the larger error takes slot maxerr, the other slot last
+        if error2 > error1:
+            alist[maxerr], alist[last], blist[last] = a2, a1, b1
+            rlist[maxerr], rlist[last] = area2, area1
+            elist[maxerr], elist[last] = error2, error1
+        else:
+            alist[last], blist[maxerr], blist[last] = a2, b1, b2
+            rlist[maxerr], rlist[last] = area1, area2
+            elist[maxerr], elist[last] = error1, error2
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            summed = True
+            break
+        if ier != 0:
+            break
+        if not breaks and last == 2:
+            small = abs(b - a) * 0.375
+            erlarg = errsum
+            ertest = errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if (levcur + 1 <= levmax) if breaks else (abs(b1 - a1) > small):
+            erlarg = erlarg + erro12
+        if not extrap:
+            # is the interval to bisect next one of the smallest?
+            if larger(maxerr):
+                continue
+            extrap = True
+            nrmax = 2
+        if ierro != 3 and erlarg > ertest:
+            # the smallest interval has the largest error: bisect the
+            # larger intervals first while their errors allow
+            jupbnd = last
+            if last > 2 + limit // 2:
+                jupbnd = limit + 3 - last
+            bisect_larger = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if larger(maxerr):
+                    bisect_larger = True
+                    break
+                nrmax += 1
+            if bisect_larger:
+                continue
+        # extrapolate (dqagpe waits for three sums)
+        numrl2 += 1
+        rlist2[numrl2] = area
+        if not breaks or numrl2 > 2:
+            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+            ktmin += 1
+            if ktmin > 5 and abserr < 1e-3 * errsum:
+                ier = 5
+            if abseps < abserr:
+                ktmin = 0
+                abserr = abseps
+                result = reseps
+                correc = erlarg
+                ertest = max(epsabs, epsrel * abs(reseps))
+                # dqagse stops on equality, dqagpe does not
+                if abserr < ertest or (abserr == ertest and not breaks):
+                    break
+            if numrl2 == 1:
+                noext = True
+            if ier == 5:
+                break
+        # go back to bisecting the largest error
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        erlarg = errsum
+        if breaks:
+            levmax += 1
+        else:
+            small = small * 0.5
+
+    if summed:
+        return _sum_intervals(rlist, last), errsum
+    return _finish(result, abserr, ier, ierro, correc, area, errsum, rlist, last)
+
+
+def quad(
+    fn: Callable[[float], Any],
+    a: float,
+    b: float,
+    epsabs: float,
+    epsrel: float,
+    limit: int,
+    points: Sequence[float] | None = None,
+) -> tuple[float, float]:
+    """``(value, abserr)`` of the integral of ``fn`` over the finite ``[a, b]``, ``a < b``.
+
+    Bit for bit ``scipy.integrate.quad`` with the same arguments, less
+    its warnings: QAGS without ``points``, QAGP with them, where, as in
+    SciPy, the distinct points strictly inside ``(a, b)`` become break
+    points.  ``fn`` receives floats and must return something ``float``
+    accepts.
+    """
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError("quad integrates over a finite interval [a, b] with a < b")
+    if not epsabs > 0 and epsrel < max(50 * _EPMACH, 5e-29):
+        raise ValueError("tolerance too small")
+
+    def f(x: float) -> float:
+        return float(fn(x))
+
+    if points is not None:
+        points = [float(p) for p in np.unique(points) if a < p < b]
+    return _qag(f, a, b, points, epsabs, epsrel, limit)

@@ -13,8 +13,9 @@ From a model, this module extracts per-direction radial series
 (:func:`radial_profile`), bridges them to the generic expansion engine
 (:func:`geometric_expansion`), and evaluates the corrected and
 uncorrected densities ``I`` and ``J`` both by direct numerics
-(:func:`j_a_numeric`, :func:`density`) and by their series predictions
-(:func:`density_series`).
+(:func:`j_a_numeric`, :func:`density`, whose flows are DOP853 solves of
+:mod:`.integrators`, imported on first use) and by their series
+predictions (:func:`density_series`).
 Two additional, deliberately independent evaluations of the expansion
 coefficients live here as cross-checks: :func:`zeta_geometric` (the raw
 Bell and series-power sums of :mod:`.bell`) and :func:`zeta2_reference`
@@ -522,9 +523,12 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span:
 
     The state holds one row per chart coordinate, then the phase and the
     log-weight, each over the directions; the model's maps see each row
-    as a numpy array and must compute elementwise.
+    as a numpy array and must compute elementwise.  The solve is DOP853
+    with ``rtol=1e-13`` and ``atol=1e-14``; a flow that fails (its step
+    size underflows, or a stage leaves the finite range) raises
+    :class:`QuadratureError`.
     """
-    from scipy.integrate import solve_ivp  # the oracle only: see engine._quad
+    from .integrators import dop853  # the oracle only: see engine._quad
 
     chart = model.chart_dim
     n = len(directions)
@@ -553,14 +557,9 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span:
     # a flow that overflows is reported by the solver's failure below, not
     # by floating-point warnings
     with np.errstate(all="ignore"):
-        solution = solve_ivp(
-            rhs,
-            (0.0, span),
-            np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
-            method="DOP853",
-            dense_output=True,
-            rtol=1e-13,
-            atol=1e-14,
+        solution = dop853(
+            rhs, 0.0, span, np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
+            rtol=1e-13, atol=1e-14,
         )
     if not solution.success:
         raise QuadratureError(
@@ -757,7 +756,10 @@ def density_series(
 def _flow_endpoint(model: HamiltonianModel, start: Sequence[float], time: float):
     if time == 0.0:
         return tuple(float(c) for c in start), 0.0
-    solution = _augmented_flow(model, ((1,),), tuple(start), time)
+    # the generator is linear in the direction, so flowing back for |time|
+    # is flowing forward along the opposite direction
+    direction = (1,) if time > 0 else (-1,)
+    solution = _augmented_flow(model, (direction,), tuple(start), abs(time))
     y = solution.y[:, -1]
     return tuple(y[: model.chart_dim]), float(y[model.chart_dim + 1])
 

@@ -499,23 +499,22 @@ def test_symbol_free_domain_error_fails_at_load(node, tmp_path, capsys, monkeypa
 def test_verify_solves_each_flow_once(tmp_path, capsys, monkeypatch):
     # k = 100 needs span 4, k = 200 and 400 span 2: the three k values share
     # the span probes, and the last two their angular directions too
-    import scipy.integrate
-    from lapasym import models
+    from lapasym import integrators, models
 
     pairs, solves = [], []
     flow = models._augmented_flow
-    solve_ivp = scipy.integrate.solve_ivp
+    dop853 = integrators.dop853
 
     def recording_flow(model, omega, x0, span):
         pairs.append((omega, span))
         return flow(model, omega, x0, span)
 
     def counting_solve(*args, **kwargs):
-        solves.append(args[1])
-        return solve_ivp(*args, **kwargs)
+        solves.append(args[2])
+        return dop853(*args, **kwargs)
 
     monkeypatch.setattr(models, "_augmented_flow", recording_flow)
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve)
+    monkeypatch.setattr(integrators, "dop853", counting_solve)
     code, out, err = run_cli(
         ["verify", "--model", write_model(tmp_path, FLAT2), "--order", "2",
          "--k", "100,200,400", "--tol", "1e-8"], capsys
@@ -567,10 +566,12 @@ BLOWUP2 = {
 }
 
 
-def test_overflowing_oracle_flow_prints_only_the_error(tmp_path):
+def test_overflowing_oracle_flow_prints_only_the_error(tmp_path, capsys, monkeypatch):
     # the phase exp(exp(8 x1)) overflows along the flow; the solver's
     # failure is the whole of stderr, with no floating-point warnings, so
     # the command runs as its own process
+    from lapasym import integrators
+
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -580,3 +581,19 @@ def test_overflowing_oracle_flow_prints_only_the_error(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
     assert "flow transport failed on blowup2" in proc.stderr
+    assert "has a stage that is not finite" in proc.stderr
+
+    # The first level's flow stays finite for 3014 steps (45,245 calls of
+    # the right-hand side); the solve ends at the first trial step with a
+    # non-finite stage, where running on to step-size underflow took 46,103.
+    nfev = []
+    dop853 = integrators.dop853
+
+    def recording(*args, **kwargs):
+        result = dop853(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(integrators, "dop853", recording)
+    assert run_cli(command, capsys)[0] == 2
+    assert len(nfev) == 1 and nfev[0] < 45_600

@@ -1,4 +1,5 @@
-"""scipy is loaded only by the numeric oracle, not by a short CLI call."""
+"""The command line never loads scipy, and short calls leave the oracle's
+integrators unloaded."""
 
 import json
 import os
@@ -13,17 +14,24 @@ SRC = str(Path(lapasym.__file__).resolve().parent.parent)
 CODE = """
 import contextlib, io, sys
 import lapasym, lapasym.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert lapasym.cli.main(["bell-table", "--order", "4"]) == 0
-    assert lapasym.cli.main(["expand", "--model", "builtin:sphere", "--order", "4"]) == 0
-    # a 4-d rule takes its polar nodes from the Golub-Welsch eigenproblem
-    assert lapasym.cli.main(["expand", "--model", sys.argv[1], "--order", "2",
-                             "--resolution", "4"]) == 0
-print("scipy" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert lapasym.cli.main(["verify", "--model", "builtin:sphere", "--order", "2",
-                             "--k", "100,300,1000"]) == 0
-print("scipy" in sys.modules)
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert lapasym.cli.main(list(argv)) == 0
+
+def loaded():
+    print("scipy" in sys.modules, "lapasym.integrators" in sys.modules)
+
+run("bell-table", "--order", "4")
+run("expand", "--model", "builtin:sphere", "--order", "4")
+# a 4-d rule takes its polar nodes from the Golub-Welsch eigenproblem
+run("expand", "--model", sys.argv[1], "--order", "2", "--resolution", "4")
+loaded()
+run("verify", "--model", "builtin:sphere", "--order", "2", "--k", "100,300,1000")
+run("density-sweep", "--model", "builtin:sphere", "--order", "2", "--k", "100,1000")
+loaded()
+import scipy.integrate
+loaded()
 """
 
 FLAT4 = {
@@ -42,5 +50,6 @@ def test_short_calls_leave_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", CODE, str(model)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # False before the oracle runs; True after verify shows the probe can see scipy
-    assert proc.stdout.split() == ["False", "True"]
+    # (scipy loaded, integrators loaded): after bell-table and expand, after
+    # verify and density-sweep, and after the probe imports scipy itself
+    assert proc.stdout.splitlines() == ["False False", "False True", "True True"]

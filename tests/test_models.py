@@ -629,11 +629,11 @@ def test_batched_flow_with_elementary_maps_matches_scalar_solves():
 def test_sphere_product_oracle_work_guard(monkeypatch):
     # the level-batched oracle: one flow solve per angular level and span,
     # one radial QUADPACK call per level and k
-    import scipy.integrate
+    from lapasym import integrators
 
     model = load_model(str(GOLDEN / "sphere2_product.json"))
-    calls = {"solve_ivp": 0, "quad": 0}
-    originals = {name: getattr(scipy.integrate, name) for name in calls}
+    calls = {"dop853": 0, "quad": 0}
+    originals = {name: getattr(integrators, name) for name in calls}
 
     def counting(name):
         def call(*args, **kwargs):
@@ -642,10 +642,10 @@ def test_sphere_product_oracle_work_guard(monkeypatch):
         return call
 
     for name in calls:
-        monkeypatch.setattr(scipy.integrate, name, counting(name))
+        monkeypatch.setattr(integrators, name, counting(name))
     values = j_a_numeric(model, None, Fraction(1, 2), [106.0, 312.0, 1060.0], tol=1e-11)
     assert all(v > 0 for v in values)
-    assert calls["solve_ivp"] <= 16 and calls["quad"] <= 16
+    assert calls["dop853"] <= 16 and calls["quad"] <= 16
     monkeypatch.undo()
     assert_batched_flow_matches_scalar_solves(model, circle_level(16)[1::2], 1.0, 1e-11)
 
