@@ -151,7 +151,8 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     """Antipodally symmetric quadrature on ``S**(dim-1)``.
 
     dim 1 is the two-point set {+1, -1} with unit weights (resolution is
-    ignored); dim 2 is the uniform trapezoid rule with ``resolution``
+    ignored); its nodes are the integers ``[[1], [-1]]``, so that exact
+    radial data stays exact along them.  dim 2 is the uniform trapezoid rule with ``resolution``
     angles, an even count (spectrally accurate, odd counts rejected).
     From dim 3 on the rule is a product (Stroud 1971): ``resolution``
     Gauss-Jacobi nodes for the polar cosine ``x``, with weight
@@ -164,8 +165,7 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     if dim < 1:
         raise DomainError("sphere dimension must be >= 1")
     if dim == 1:
-        nodes = np.array([[1.0], [-1.0]])
-        return SphereRule(1, nodes, np.array([1.0, 1.0]))
+        return SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]))
     if dim == 2:
         if resolution < 4 or resolution % 2:
             raise DomainError(
@@ -389,8 +389,7 @@ def numeric_laplace_integral(
 ) -> IntegralEstimate:
     """Adaptive evaluation of ``integral exp(-k phase(x)) amplitude(x) dx``.
 
-    The ball of the given radius (``math.inf`` extends to all of space,
-    for closed-form comparisons) is integrated by
+    The ball of the given (finite) radius is integrated by
     :func:`polar_laplace_integral`, in dimension 1, 2 or 3; other
     dimensions raise :class:`~lapasym.errors.DomainError`.  The polar
     quadrature asks for a whole angular level at once: given the level's
@@ -457,25 +456,23 @@ def polar_laplace_integral(
     reuses level ``n``'s estimate, ``T_2n = T_n / 2 + (2 pi / 2n) *
     integral of their sum``.  The sphere's Gauss-Legendre times azimuth
     levels (``n = 8, ..., 64`` polar nodes) are full passes.  The radial
-    error of each estimate stays within ``tol / 8``.  ``radius =
-    math.inf`` integrates to where the integrand has died off.  Raises
+    error of each estimate stays within ``tol / 8``.  The radius must be
+    finite.  Raises
     :class:`~lapasym.errors.QuadratureError` (carrying the best estimate
     and its bound) when the tolerance cannot be certified.
     """
     if dim not in (1, 2, 3):
         raise DomainError("polar integration needs dimension 1, 2 or 3")
-    if not tol > 0 or not radius > 0:
-        raise DomainError("tolerance and radius must be positive")
+    if not tol > 0 or not 0 < radius < math.inf:
+        raise DomainError("tolerance must be positive, radius positive and finite")
 
     if dim == 1:
-        ahead = level(np.array([[1.0]]))
-        behind = level(np.array([[-1.0]]))
+        ahead = level(np.array([[1]]))
+        behind = level(np.array([[-1]]))
 
         def integrand(x: float) -> float:
             return float(ahead(x) if x > 0 else behind(-x))
 
-        if math.isinf(radius):
-            radius = _laplace_cutoff(lambda x: abs(integrand(x)) + abs(integrand(-x)))
         value, err = _quad(integrand, -radius, radius, tol / 2, points=[0.0])
         if err > tol:
             raise QuadratureError(
@@ -494,8 +491,7 @@ def polar_laplace_integral(
             total = sum(float(np.sum(w * values(rho))) for values, w in blocks)
             return total * rho ** (dim - 1)
 
-        upper = radius if not math.isinf(radius) else _laplace_cutoff(weighted)
-        return _quad(weighted, 0.0, upper, budget)
+        return _quad(weighted, 0.0, radius, budget)
 
     previous = None
     radial_err = 0.0
@@ -518,14 +514,6 @@ def polar_laplace_integral(
         previous if previous is not None else math.nan,
         math.inf,
     )
-
-
-def _laplace_cutoff(along: Callable[[float], float]) -> float:
-    # crude radius beyond which the integrand is negligible, for radius=inf
-    rho = 1.0
-    while abs(along(rho)) > 1e-300 and rho < 1e6:
-        rho *= 2.0
-    return rho
 
 
 def convergence_order_fit(ks: Sequence[float], errors: Sequence[float]) -> float:

@@ -98,10 +98,11 @@ def _constant(value: Any) -> CompiledExpr:
 def _fold(node: Any, op: Callable, *values: Any) -> _Folded:
     try:
         return _Folded(op(*values))
-    except DomainError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(f"cannot evaluate {json.dumps(node)}: {exc}") from None
+    except (ArithmeticError, ValueError) as exc:  # a DomainError is a ValueError
+        where = json.dumps(node)
+        if where in str(exc):  # a zero divisor's error names its node already
+            raise
+        raise DomainError(f"cannot evaluate {where}: {exc}") from None
 
 
 def _unary(node: Any, op: Callable, part: Any) -> Any:
@@ -131,8 +132,10 @@ def _binary(node: Any, op: Callable, left: Any, right: Any) -> Any:
 
 def _with_fraction(op: Callable, c: Fraction, f: float, x: Any, first: bool) -> Any:
     # numpy would make an object array of a Fraction and a float array; a
-    # Fraction meets a float as its float, so the elements come out the same
-    if isinstance(x, np.ndarray):
+    # Fraction meets a float as its float, so the elements come out the
+    # same.  An object array computes entry by entry, so it keeps the
+    # Fraction, and exact entries stay exact.
+    if isinstance(x, np.ndarray) and x.dtype != object:
         c = f
     return op(c, x) if first else op(x, c)
 

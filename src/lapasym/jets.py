@@ -6,7 +6,10 @@ rationals, floats, float64 or object arrays (one lane per direction,
 so one jet carries a whole batch of directions), or again truncated
 series (nested jets), as long as they support ring arithmetic; all algorithms here
 only ever add, multiply, and rescale coefficients, so exact inputs give
-exact outputs.
+exact outputs.  One batched transport serves every group dimension:
+float directions travel as :class:`Lanes`, and the two integer
+directions of group dimension 1 as an object array of exact integer
+lanes, whose entries compute as the scalars would.
 
 Conventions shared by the whole package:
 
@@ -21,12 +24,13 @@ Conventions shared by the whole package:
   numeric array coefficients take the float ``1/n``, which is the float
   that rational rounds to when it meets a float, so the result is the
   same; object arrays keep the rational, entry by entry,
-* an array coefficient computes as its lanes would one by one: a
-  transcendental of an array constant term (the ``exp``, ``log``,
-  ``sin``, ``cos`` leads and rational powers of series) runs element
-  by element through :mod:`math`, whose rounding differs from numpy's
-  vectorized functions in some elements, and a :class:`Lanes` array
-  meets a Fraction as the Fraction's float, as a float would.
+* an array coefficient computes as its lanes would one by one: the
+  lead of a series function (``exp``, ``log``, ``sin``, ``cos``,
+  ``sqrt`` and rational powers) applies the scalar function to each
+  entry, through :mod:`math`, whose rounding differs from numpy's
+  vectorized functions in some elements, and keeps the array's dtype
+  and class, so exact lanes stay exact; a :class:`Lanes` array meets a
+  Fraction as the Fraction's float, as a float would.
 
 On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
@@ -42,9 +46,10 @@ The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
 :func:`log` dispatch on the argument type (series, numpy array or
 scalar), which lets model callables be written once as ordinary
 compositions and evaluated on points, on arrays of points (elementwise,
-through numpy) and on jets alike.  On an array, a square root of a
-negative entry or a logarithm of a nonpositive one is a
-:class:`~lapasym.errors.DomainError`.
+through numpy; an object array entry by entry, through the scalar
+functions) and on jets alike.  A square root of a negative value or a
+logarithm of a nonpositive one is a :class:`~lapasym.errors.DomainError`,
+on scalars and arrays alike.
 """
 
 from __future__ import annotations
@@ -307,9 +312,12 @@ def _in_ring(rational: Fraction, like: Any) -> Any:
 
 
 def _lead(fn: Callable[[Any], Any], value: Any) -> Any:
-    # fn of a constant term; an array goes lane by lane, as Lanes do
-    if isinstance(value, np.ndarray) and not isinstance(value, Lanes):
-        return fn(value.view(Lanes)).view(np.ndarray)
+    # the scalar fn of a constant term; an array goes entry by entry and
+    # keeps its class, an object array its dtype (numeric ones give floats)
+    if isinstance(value, np.ndarray):
+        entries = [fn(v) for v in value.ravel().tolist()]
+        dtype = np.result_type(value.dtype, float)
+        return np.array(entries, dtype=dtype).reshape(value.shape).view(type(value))
     return fn(value)
 
 
@@ -328,17 +336,12 @@ def _invert_scalar(value: Any) -> Any:
     return 1.0 / value
 
 
-def _floats(value: np.ndarray) -> np.ndarray:
-    # exact constants times a float array give an object array of floats
-    return value.astype(float, copy=False)
-
-
 def exp(value: Any) -> Any:
     """Exponential of a scalar, an array (elementwise) or a truncated series."""
     if isinstance(value, TruncatedSeries):
         return exp_series(value)
     if isinstance(value, np.ndarray):
-        return np.exp(_floats(value))
+        return _lead(exp, value) if value.dtype == object else np.exp(value)
     if _is_exact(value) and value == 0:
         return 1
     return math.exp(value)
@@ -348,7 +351,7 @@ def sin(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[0]
     if isinstance(value, np.ndarray):
-        return np.sin(_floats(value))
+        return _lead(sin, value) if value.dtype == object else np.sin(value)
     if _is_exact(value) and value == 0:
         return value
     return math.sin(value)
@@ -358,7 +361,7 @@ def cos(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[1]
     if isinstance(value, np.ndarray):
-        return np.cos(_floats(value))
+        return _lead(cos, value) if value.dtype == object else np.cos(value)
     if _is_exact(value) and value == 0:
         return 1
     return math.cos(value)
@@ -368,16 +371,15 @@ def sqrt(value: Any) -> Any:
     """Square root; exact on perfect squares of ints and rationals."""
     if isinstance(value, TruncatedSeries):
         return _sqrt_series(value)
+    if np.any(value < 0):
+        raise DomainError("square root of a negative value")
     if isinstance(value, np.ndarray):
-        value = _floats(value)
-        if (value < 0).any():
-            raise DomainError("square root of a negative value")
-        return np.sqrt(value)
-    if isinstance(value, int) and value >= 0:
+        return _lead(sqrt, value) if value.dtype == object else np.sqrt(value)
+    if isinstance(value, int):
         r = math.isqrt(value)
         if r * r == value:
             return r
-    if isinstance(value, Fraction) and value >= 0:
+    if isinstance(value, Fraction):
         rn, rd = math.isqrt(value.numerator), math.isqrt(value.denominator)
         if rn * rn == value.numerator and rd * rd == value.denominator:
             return Fraction(rn, rd)
@@ -387,11 +389,10 @@ def sqrt(value: Any) -> Any:
 def log(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _log_series(value)
+    if np.any(value <= 0):
+        raise DomainError("logarithm of a nonpositive value")
     if isinstance(value, np.ndarray):
-        value = _floats(value)
-        if (value <= 0).any():
-            raise DomainError("logarithm of a nonpositive value")
-        return np.log(value)
+        return _lead(log, value) if value.dtype == object else np.log(value)
     if _is_exact(value) and value == 1:
         return 0
     return math.log(value)
@@ -444,13 +445,11 @@ def _rational_power(s: TruncatedSeries, alpha: Fraction) -> TruncatedSeries:
 
 def _unit_power(value: Any, alpha: Fraction) -> Any:
     # a unit is kept as is: 1 ** alpha would turn an exact 1 into 1.0
-    if isinstance(value, np.ndarray):
-        return value if (value == 1).all() else _lead(lambda v: v ** alpha, value)
-    return value if value == 1 else value ** alpha
+    return _lead(lambda v: v if v == 1 else v ** alpha, value)
 
 
 def _sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    r0 = sqrt(s.coefficient(0))
+    r0 = _lead(sqrt, s.coefficient(0))
     inv = _invert_scalar(2 * r0)
     out: list[Any] = [r0]
     for n in range(1, s.order + 1):

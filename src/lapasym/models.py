@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,9 +89,10 @@ class HamiltonianModel:
     entries.  They must also accept numpy arrays elementwise: the
     numeric oracle passes the directions and points of a whole angular
     level as one array per coordinate (a single direction as plain
-    numbers), the series path in group dimension 2 and up passes all of
-    its rule's directions as one array per component with jet points,
-    and a map may return a scalar where every entry is the same.  The
+    numbers), the series path passes all of its rule's directions as one
+    array per component with jet points (in group dimension 1 an object
+    array of the exact integers ``1`` and ``-1``), and a map may return
+    a scalar where every entry is the same.  The
     elementary functions of :mod:`.jets` and config models qualify;
     ``math.*`` calls do not.  ``orbit_volume(point)`` is plain numeric.
     ``zero_chart`` and ``chart_density`` are optional and only needed by
@@ -128,13 +130,6 @@ def _reference_point(model: HamiltonianModel, point):
     return tuple(model.zero_points[0]) if point is None else tuple(point)
 
 
-def _node_direction(row: Sequence[float]) -> tuple:
-    # d = 1 nodes are exactly +-1; keep them integer so exact charts stay exact
-    if len(row) == 1:
-        return (1 if row[0] > 0 else -1,)
-    return tuple(float(c) for c in row)
-
-
 def radial_profile(
     model: HamiltonianModel,
     omega: Sequence[Any],
@@ -149,27 +144,31 @@ def radial_profile(
     phi``, log-weight ``= int laplacian_phi``, weight ``= exp(half_form
     * log-weight)``.  Series are returned at radial order ``order``
     (so reduced phase coefficients are available up to ``order - 2``).
-    ``omega`` may hold one float array per component, a batch of
-    directions: the series coefficients are then
-    :class:`~lapasym.jets.Lanes` with one entry per direction, each the
-    value that direction gives on its own.  A failed check names the
-    model and the first failing direction.
+    ``omega`` may hold one array per component, a batch of directions;
+    each series coefficient then has one lane per direction, the value
+    that direction gives on its own.  Float columns become
+    :class:`~lapasym.jets.Lanes`, integer columns (group dimension 1's
+    ``1`` and ``-1``) object arrays, whose lanes stay exact.  A failed
+    check names the model and the first failing direction; a
+    :class:`~lapasym.errors.DomainError` of the model's maps (a
+    logarithm of a nonpositive value, say) names the model.
     """
     if order < 2:
         raise DomainError("radial order must be at least 2")
     x0 = _reference_point(model, point)
-    omega = tuple(np.asarray(c, dtype=float).view(Lanes) if isinstance(c, np.ndarray) else c
-                  for c in omega)
-    level = np.abs(np.asarray(model.phi(omega, x0), dtype=float))
+    omega = tuple(_lanes(c) if isinstance(c, np.ndarray) else c for c in omega)
+    with _named(model):
+        level = np.abs(np.asarray(model.phi(omega, x0), dtype=float))
     _refuse(model, omega, level > _ZERO_LEVEL_TOL,
             lambda i: f"point {x0!r} is not on the zero level (phi = {level.flat[i]:.3e})")
-    trajectory = ode_jet_transport(
-        lambda coords: model.flow_field(omega, coords), x0, order - 1
-    )
-    phase = (2 * compose_scalar(lambda c: model.phi(omega, c), trajectory)).integrate()
-    log_weight = compose_scalar(
-        lambda c: model.laplacian_phi(omega, c), trajectory
-    ).integrate()
+    with _named(model):
+        trajectory = ode_jet_transport(
+            lambda coords: model.flow_field(omega, coords), x0, order - 1
+        )
+        phase = (2 * compose_scalar(lambda c: model.phi(omega, c), trajectory)).integrate()
+        log_weight = compose_scalar(
+            lambda c: model.laplacian_phi(omega, c), trajectory
+        ).integrate()
     lead = np.asarray(phase.coefficient(2), dtype=float)
     _refuse(model, omega, ~(lead > 0.0),
             lambda i: "transport field is degenerate at the base point "
@@ -180,6 +179,22 @@ def radial_profile(
         _refuse(model, omega, low > _ZERO_LEVEL_TOL * scale,
                 lambda i: "phase does not vanish to second order at the base point")
     return _weighted(phase, log_weight, half_form)
+
+
+def _lanes(column: np.ndarray) -> np.ndarray:
+    # integer directions stay exact, entry by entry; float ones are Lanes
+    if column.dtype.kind in "iu":
+        return column.astype(object)
+    return np.asarray(column, dtype=float).view(Lanes)
+
+
+@contextmanager
+def _named(model: HamiltonianModel):
+    # a domain error of the model's maps, with the model's name in front
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"model {model.name!r}: {exc}") from None
 
 
 def _refuse(model: HamiltonianModel, omega: Sequence[Any], failed: np.ndarray,
@@ -198,18 +213,11 @@ def _weighted(phase: TruncatedSeries, log_weight: TruncatedSeries,
     return RadialSeries(phase, log_weight, exp_series(log_weight * half_form))
 
 
-def _tables(series: RadialSeries, order: int, entry: Callable[[Any], Any]) -> tuple:
+def _tables(series: RadialSeries, order: int) -> tuple:
     # engine table entries: reduced phase coefficients f_p = phase[t^(p+2)]
-    # and weight coefficients g_p, for p = 0..order, each passed through entry
-    return ([entry(series.phase.coefficient(p + 2)) for p in range(order + 1)],
-            [entry(series.weight.coefficient(p)) for p in range(order + 1)])
-
-
-def _profile(rule: SphereRule, series: Iterable[RadialSeries], order: int,
-             entry: Callable[[Any], Any] = lambda value: value) -> RadialProfile:
-    # one table row per direction's series
-    phase_rows, weight_rows = zip(*(_tables(s, order, entry) for s in series))
-    return RadialProfile(rule, phase_rows, weight_rows)
+    # and weight coefficients g_p, for p = 0..order
+    return ([series.phase.coefficient(p + 2) for p in range(order + 1)],
+            [series.weight.coefficient(p) for p in range(order + 1)])
 
 
 def direction_atoms(
@@ -252,7 +260,7 @@ def profile_from_atoms(
     factorial-rescaled Laplacian atoms.  This is the bridge used by the
     cross-implementation agreement tests.
     """
-    series = []
+    rows = []
     for flow_atoms, lap_atoms in atom_table:
         if len(flow_atoms) < order + 1 or len(lap_atoms) < order:
             raise DomainError("atom table too short for the requested order")
@@ -264,8 +272,9 @@ def profile_from_atoms(
             [0] + [lap_atoms[p - 1] * Fraction(1, math.factorial(p))
                    for p in range(1, order + 1)]
         )
-        series.append(_weighted(phase, log_weight, half_form))
-    return _profile(rule, series, order)
+        rows.append(_tables(_weighted(phase, log_weight, half_form), order))
+    phase_rows, weight_rows = zip(*rows)
+    return RadialProfile(rule, phase_rows, weight_rows)
 
 
 def geometric_expansion(
@@ -278,48 +287,44 @@ def geometric_expansion(
 ) -> ExpansionResult:
     """Expansion coefficients for the geometric phase/weight data.
 
-    ``mode="float"`` converts the radial data to floats before the
-    engine sees it.  ``mode="exact"`` hands it over as it is, and needs
-    every entry to be an int or a Fraction; the first entry that is not
-    raises :class:`~lapasym.errors.DomainError`, naming the model.  Float
-    data comes from float chart values or a float ``half_form`` and, in
-    group dimension 2 and up, from the rule's float directions.
-
-    In group dimension 1 each of the directions ``+1`` and ``-1`` is its
-    own (integer) radial profile.  From dimension 2 on, one radial
-    profile carries all of the rule's nodes, one array per direction
-    component, and its columns become the engine's float tables.
+    In every group dimension one radial profile carries all of the
+    rule's nodes, one array per direction component (exact integer lanes
+    in dimension 1, floats from 2 on), and its columns become the
+    engine's tables.  ``mode="float"`` converts them to floats first.
+    ``mode="exact"`` hands them over as they are, and needs every entry
+    to be an int or a Fraction; the first entry that is not, direction
+    by direction, raises :class:`~lapasym.errors.DomainError`, naming the
+    model.  Float data comes from float chart values, a float
+    ``half_form`` or, from dimension 2 on, the rule's directions, so
+    exact mode refuses those dimensions before any transport.
     """
-    if mode == "float":
-        entry = float
-    elif mode == "exact":
-        def entry(value: Any) -> Any:
+    if mode not in ("float", "exact"):
+        raise DomainError(f"unknown arithmetic mode {mode!r}")
+    if mode == "exact" and model.group_dim > 1:
+        raise DomainError(
+            f"exact mode needs rational radial data; model {model.name!r} of group "
+            f"dimension {model.group_dim} has float rule directions"
+        )
+    rule = sphere_rule(model.group_dim, resolution)
+    omega = tuple(np.ascontiguousarray(column) for column in rule.nodes.T)
+    # reduced phase coefficient f_order is phase[t^(order + 2)]
+    batched = radial_profile(model, omega, point, order + 2, half_form)
+    # each column holds lanes, or one number that every direction shares
+    dtype = float if mode == "float" else object
+    phase, weight = (
+        np.column_stack([np.broadcast_to(np.asarray(c, dtype=dtype), len(rule))
+                         for c in columns])
+        for columns in _tables(batched, order)
+    )
+    if mode == "exact":
+        # row by row: each direction's phase, then its weight
+        for value in np.hstack([phase, weight]).ravel().tolist():
             if not isinstance(value, (int, Fraction)):
-                if isinstance(value, np.ndarray):
-                    value = value.tolist()[0]
                 raise DomainError(
                     f"exact mode needs rational radial data; model {model.name!r} "
                     f"of group dimension {model.group_dim} gives the "
                     f"{type(value).__name__} {value!r}"
                 )
-            return value
-    else:
-        raise DomainError(f"unknown arithmetic mode {mode!r}")
-    rule = sphere_rule(model.group_dim, resolution)
-    # reduced phase coefficient f_order is phase[t^(order + 2)]
-    if model.group_dim == 1:
-        series = (radial_profile(model, _node_direction(row), point, order + 2, half_form)
-                  for row in rule.nodes)
-        return expansion_series(_profile(rule, series, order, entry), order)
-    omega = tuple(np.ascontiguousarray(column) for column in rule.nodes.T)
-    batched = radial_profile(model, omega, point, order + 2, half_form)
-    if mode == "float":
-        # lanes, or one number that every direction shares
-        entry = lambda value: np.asarray(value, dtype=float)
-    phase, weight = (
-        np.column_stack([np.broadcast_to(c, len(rule)) for c in columns])
-        for columns in _tables(batched, order, entry)
-    )
     return expansion_series(RadialProfile(rule, phase, weight), order)
 
 
@@ -372,8 +377,8 @@ def _rule_atoms(
     # (flow_atoms, lap_atoms) at each node of the sphere rule, and its weights
     rule = sphere_rule(model.group_dim, resolution)
     atom_table = [
-        direction_atoms(model, _node_direction(rule.nodes[i]), point, flow_count, lap_count)
-        for i in range(len(rule))
+        direction_atoms(model, tuple(row.tolist()), point, flow_count, lap_count)
+        for row in rule.nodes
     ]
     return atom_table, [float(w) for w in rule.weights]
 
@@ -610,7 +615,7 @@ def _flow_oracle(
 
     def level_at(k: float, span: float):
         def level(nodes: np.ndarray):
-            directions = tuple(map(_node_direction, nodes))
+            directions = tuple(tuple(row.tolist()) for row in nodes)
             n = len(directions)
             solution = flows(directions, span)
             end = solution.y[:, -1].reshape(-1, n)

@@ -433,12 +433,23 @@ def test_malformed_model_config_rejected(key, value, tmp_path, capsys):
 
 
 def test_singular_jet_is_a_domain_error(tmp_path, capsys):
-    # the flow sqrt(x0^2) has a square-root singularity at the base point x0 = 0
-    config = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
-              "flow_field": [["sqrt", ["*", "x0", "x0"]]], "zero_points": [[0]]}
-    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
-    assert_one_error_line(code, out, err)
-    assert "singular" in err
+    line = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
+            "flow_field": ["w0"], "zero_points": [[0]]}
+    cases = [
+        # the flow sqrt(x0^2) has a square-root singularity at the base point x0 = 0
+        ({**line, "flow_field": [["sqrt", ["*", "x0", "x0"]]]}, ["singular"]),
+        # log(x0 - 1) is undefined at x0 = 0 in both directions of d = 1, and
+        # log(w0 + x0) in the directions with w0 <= 0 of d = 2
+        ({**line, "name": "log-line", "laplacian_phi": ["*", "w0", ["log", ["-", "x0", "1"]]]},
+         ["'log-line'", "logarithm of a nonpositive value"]),
+        ({**FLAT2, "laplacian_phi": ["*", "w0", ["log", ["+", "w0", "x0"]]]},
+         ["'flat2'", "logarithm of a nonpositive value"]),
+    ]
+    for config, parts in cases:
+        code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)],
+                                 capsys)
+        assert_one_error_line(code, out, err)
+        assert all(part in err for part in parts), err
 
 
 FLAT4 = {

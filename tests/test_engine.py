@@ -80,6 +80,11 @@ def test_sphere_rule_antipodal_closure(dim, resolution):
         assert tuple(np.round(-row, 12)) in rows
 
 
+def test_sphere_rule_in_one_dimension_has_integer_nodes():
+    # exact radial data stays exact along the directions 1 and -1
+    assert sphere_rule(1).nodes.tolist() == [[1], [-1]]
+
+
 def test_sphere_rule_kills_odd_monomials():
     for dim, res in [(2, 16), (3, 10)]:
         rule = sphere_rule(dim, res)
@@ -307,7 +312,7 @@ def test_odd_coefficients_cancel_for_equivariant_tables():
 
 def test_numeric_integral_gaussian_whole_line():
     est = numeric_laplace_integral(
-        lambda p: p[0] ** 2, lambda p: 1.0, 1, 7.0, tol=1e-12, radius=math.inf
+        lambda p: p[0] ** 2, lambda p: 1.0, 1, 7.0, tol=1e-12, radius=16
     )
     assert est.value == pytest.approx(math.sqrt(math.pi / 7.0), rel=1e-12)
     assert est.error_bound <= 1e-12
@@ -354,7 +359,7 @@ def test_numeric_integral_unreachable_tolerance():
     with pytest.raises(QuadratureError) as info:
         numeric_laplace_integral(
             lambda p: p[0] ** 2 + (p[1] ** 2 + p[2] ** 2) / 25, lambda p: 1.0, 3, 1.0,
-            tol=1e-9, radius=math.inf,
+            tol=1e-9, radius=256,
         )
     err = info.value
     assert err.estimate == pytest.approx(25 * math.pi ** 1.5, rel=1e-6)
@@ -376,6 +381,10 @@ def test_numeric_integral_validation():
         numeric_laplace_integral(lambda p: p[0] ** 2, lambda p: 1.0, 0, 1.0)
     with pytest.raises(DomainError):
         numeric_laplace_integral(lambda p: p[0] ** 2, lambda p: 1.0, 1, 1.0, tol=-1.0)
+    for dim in (1, 2):
+        with pytest.raises(DomainError, match="finite"):
+            numeric_laplace_integral(lambda p: p[0] ** 2, lambda p: 1.0, dim, 1.0,
+                                     radius=math.inf)
 
 
 def test_numeric_integral_deterministic():

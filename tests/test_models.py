@@ -727,15 +727,40 @@ BARE_DIRECTION2 = {
 }
 
 
-def per_direction_expansion(model, half_form, order, resolution):
+# d = 1, chart_dim = 2: exp, cos, sin, log, sqrt and pow -2 act on series
+# whose leads depend on w0, and exp on the bare (1/2) w0
+TRANSCENDENTAL1 = {
+    "name": "transcendental1", "group_dim": 1, "chart_dim": 2,
+    "phi": ["*", "w0", "x0", ["cos", ["+", "w0", "x1"]], ["exp", ["*", "1/2", "w0"]]],
+    "flow_field": [["*", "w0", ["+", "2", ["sin", ["+", "w0", "x0"]]]],
+                   ["*", "w0", ["exp", ["+", "w0", "x0"]]]],
+    "laplacian_phi": ["+", ["*", "w0", ["log", ["+", "3", "w0", "x0"]]],
+                           ["*", "w0", ["sqrt", ["+", "2", "w0", "x1"]]],
+                           ["*", "w0", ["pow", ["+", "2", "w0", "x0"], -2]]],
+    "zero_points": [[0, 0]], "orbit_volume": "1",
+}
+
+# d = 1 with rational data; (1/2) w0 meets the direction lanes as a Fraction
+RATIONAL_LINE = {
+    "name": "rational-line", "group_dim": 1, "chart_dim": 1,
+    "phi": ["*", "w0", ["+", ["*", "2", "x0"], ["*", "-3/2", ["pow", "x0", 2]],
+                        ["*", "2/3", ["pow", "x0", 3]]]],
+    "flow_field": [["*", "w0", ["+", "1", ["*", "1/2", "x0"], ["*", "-2/3", ["pow", "x0", 2]]]]],
+    "laplacian_phi": ["*", "1/2", "w0", ["+", "1", ["*", "-2/3", "x0"]]],
+    "zero_points": [[0]], "orbit_volume": "1",
+}
+
+
+def per_direction_expansion(model, half_form, order, resolution, convert=float):
     """The series path one direction at a time: a scalar radial profile
-    per rule node, then the engine's bracket row by row."""
+    per rule node, then the engine's bracket row by row.  The table rows
+    are the radial coefficients passed through ``convert``."""
     rule = sphere_rule(model.group_dim, resolution)
     rows_f, rows_g = [], []
     for node in rule.nodes.tolist():
         series = radial_profile(model, tuple(node), None, order + 2, half_form)
-        rows_f.append([float(series.phase.coefficient(p + 2)) for p in range(order + 1)])
-        rows_g.append([float(series.weight.coefficient(p)) for p in range(order + 1)])
+        rows_f.append([convert(series.phase.coefficient(p + 2)) for p in range(order + 1)])
+        rows_g.append([convert(series.weight.coefficient(p)) for p in range(order + 1)])
     coefficients = []
     for j in range(order + 1):
         e = Fraction(j + model.group_dim, 2)
@@ -758,11 +783,17 @@ def per_direction_expansion(model, half_form, order, resolution):
     (TRANSCENDENTAL2, Fraction(1, 2), 6, 64),
     (BARE_DIRECTION2, Fraction(1, 2), 6, 10),
     (BARE_DIRECTION2, Fraction(1, 2), 6, 20),
+    ("builtin:sphere", Fraction(1, 2), 14, 32),
+    (RATIONAL_LINE, Fraction(1, 2), 10, 32),
+    (TRANSCENDENTAL1, Fraction(1, 2), 8, 32),
 ], ids=["mixed3-o4", "mixed3-o6", "sphere2-a0", "sphere2-a1/2", "sphere2-a1",
-        "transcendental2", "bare-direction2-r10", "bare-direction2-r20"])
+        "transcendental2", "bare-direction2-r10", "bare-direction2-r20",
+        "sphere1", "rational-line1", "transcendental1"])
 def test_batched_series_path_is_bit_identical_per_direction(config, half_form, order,
                                                            resolution):
-    model = model_from_config(config)
+    # d = 1 goes through the same batched transport, with the exact integer
+    # lanes 1 and -1; the reference runs each direction on its own
+    model = resolve_model(config) if isinstance(config, str) else model_from_config(config)
     batched = geometric_expansion(model, None, half_form, order, resolution)
     reference, rows = per_direction_expansion(model, half_form, order, resolution)
     from_rows = expansion_series(rows, order)
@@ -770,6 +801,22 @@ def test_batched_series_path_is_bit_identical_per_direction(config, half_form, o
     assert got == [c.hex() for c in reference]
     assert got == [c.hex() for c in from_rows.coefficients]
     assert batched.odd_vanished == from_rows.odd_vanished
+
+
+def test_batched_exact_path_matches_per_direction_rows():
+    # exact mode in d = 1: the lanes 1 and -1 stay ints and Fractions
+    model = model_from_config(RATIONAL_LINE)
+    half_form = Fraction(1, 2)
+    batched = geometric_expansion(model, None, half_form, 10, mode="exact")
+    _, rows = per_direction_expansion(model, half_form, 10, 32, convert=lambda v: v)
+    assert rows.phase_coefficients.dtype == object
+    assert batched.coefficients == expansion_series(rows, 10).coefficients
+    # the transcendental model is refused on the float its first direction gives
+    model = model_from_config(TRANSCENDENTAL1)
+    series = radial_profile(model, (1,), None, 4, half_form)
+    with pytest.raises(DomainError) as info:
+        geometric_expansion(model, None, half_form, 2, mode="exact")
+    assert f"float {series.phase.coefficient(2)!r}" in str(info.value)
 
 
 @pytest.mark.parametrize("config, first_failure, reason", [
