@@ -29,11 +29,11 @@ bit-for-bit across runs and schedulings.
 
 The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
-per angular level, on the two directions of the line in one dimension,
-nested circle grids in two and Gauss-Legendre times azimuth grids in
-three, with each level's directions evaluated together; it refuses
-other dimensions.  QUADPACK is the port in :mod:`.integrators`, which
-is imported on the oracle's first call only.
+per angular level, the one level of the line's two directions in one
+dimension, nested circle grids in two and Gauss-Legendre times azimuth
+grids in three, with each level's directions evaluated together; it
+refuses other dimensions.  QUADPACK's QAGS is the port in
+:mod:`.integrators`, which is imported on the oracle's first call only.
 :func:`numeric_laplace_integral` is its pointwise front end.  Neither
 shares code with the coefficient path apart from evaluating the user's
 callables, which is what makes them usable as an independent oracle.
@@ -343,14 +343,12 @@ class IntegralEstimate(NamedTuple):
     error_bound: float
 
 
-def _quad(
-    fn, lower: float, upper: float, tol: float, points: Sequence[float] | None = None
-) -> tuple[float, float]:
+def _quad(fn, lower: float, upper: float, tol: float) -> tuple[float, float]:
     # the integrators are imported by the oracle only, so that short calls
     # neither load nor compile them
     from .integrators import quad
 
-    return quad(fn, lower, upper, epsabs=tol, epsrel=2e-14, limit=400, points=points)
+    return quad(fn, lower, upper, epsabs=tol, epsrel=2e-14, limit=400)
 
 
 # a level's directions go through its integrand in blocks of at most this
@@ -360,18 +358,10 @@ _LEVEL_BLOCK = 512
 Level = Callable[[np.ndarray], Callable[[float], Any]]
 
 
-def _coordinates(nodes: np.ndarray, rho: float) -> tuple:
-    # one array per axis; a single node keeps plain numbers, so its
-    # arithmetic (and its digits) are those of a pointwise evaluation
-    if len(nodes) == 1:
-        return tuple(rho * float(c) for c in nodes[0])
-    return tuple(rho * nodes.T)
-
-
 def _point_level(phase: Callable, amplitude: Callable, k: float) -> Level:
     def level(nodes: np.ndarray) -> Callable[[float], Any]:
         def values(rho: float) -> Any:
-            point = _coordinates(nodes, rho)
+            point = tuple(rho * nodes.T)
             return exp(-k * phase(point)) * amplitude(point)
 
         return values
@@ -397,9 +387,8 @@ def numeric_laplace_integral(
     integrand values.
     This function is the pointwise adapter that builds such a level:
     ``phase`` and ``amplitude`` receive the level's points at one radius
-    as a tuple of coordinate arrays (plain numbers when the level has
-    one node) and must compute elementwise.  Independent of the series
-    engine by construction.
+    as a tuple of coordinate arrays and must compute elementwise.
+    Independent of the series engine by construction.
     Raises :class:`~lapasym.errors.QuadratureError` (carrying the best
     estimate and its bound) when the tolerance cannot be certified.
     """
@@ -441,45 +430,32 @@ def polar_laplace_integral(
 
     ``level(nodes)`` receives unit directions as the rows of an
     ``(n, dim)`` array and returns a function of the radius ``rho`` that
-    gives the ``n`` integrand values at ``rho * node`` (an array, or one
-    number for a single node); the caller evaluates all of a level's
-    directions together, for instance as one vectorized flow.  Nodes
-    come at most ``_LEVEL_BLOCK`` at a time.
+    gives the array of the ``n`` integrand values at ``rho * node``; the
+    caller evaluates all of a level's directions together, for instance
+    as one vectorized flow.  Nodes come at most ``_LEVEL_BLOCK`` at a
+    time.
 
-    In one dimension the nodes are ``+1`` and ``-1``, each its own
-    level, and one QUADPACK call (QAGP, with a break point at 0) covers
-    ``(-radius, radius)``.  In two and three dimensions each angular
-    level is one QUADPACK call in the radius, on the weighted sum of
-    its directions' integrands, and levels are refined until two
-    successive estimates agree within ``tol``.  The circle's levels nest (nodes ``2 pi i / n``, ``n = 8,
-    16, ..., 512``): level ``2n`` asks only for its ``n`` new nodes and
-    reuses level ``n``'s estimate, ``T_2n = T_n / 2 + (2 pi / 2n) *
-    integral of their sum``.  The sphere's Gauss-Legendre times azimuth
-    levels (``n = 8, ..., 64`` polar nodes) are full passes.  The radial
-    error of each estimate stays within ``tol / 8``.  The radius must be
-    finite.  Raises
-    :class:`~lapasym.errors.QuadratureError` (carrying the best estimate
-    and its bound) when the tolerance cannot be certified.
+    Each angular level is one QUADPACK call (QAGS) in the radius on
+    ``[0, radius]``, on the weighted sum of its directions' integrands.
+    In one dimension the one level is ``sphere_rule(1)``, the nodes
+    ``+1`` and ``-1`` with unit weights; that rule is exact, so its
+    estimate is final and its radial error, within ``tol / 2``, is the
+    bound.  In two and three dimensions levels are refined until two
+    successive estimates agree within ``tol``.  The circle's levels
+    nest (nodes ``2 pi i / n``, ``n = 8, 16, ..., 512``): level ``2n``
+    asks only for its ``n`` new nodes and reuses level ``n``'s
+    estimate, ``T_2n = T_n / 2 + (2 pi / 2n) * integral of their
+    sum``.  The sphere's Gauss-Legendre times azimuth levels (``n = 8,
+    ..., 64`` polar nodes) are full passes.  The radial error of each
+    of these estimates stays within ``tol / 8``.  The radius must be
+    finite.  Raises :class:`~lapasym.errors.QuadratureError` (carrying
+    the best estimate and its bound) when the tolerance cannot be
+    certified.
     """
     if dim not in (1, 2, 3):
         raise DomainError("polar integration needs dimension 1, 2 or 3")
     if not tol > 0 or not 0 < radius < math.inf:
         raise DomainError("tolerance must be positive, radius positive and finite")
-
-    if dim == 1:
-        ahead = level(np.array([[1]]))
-        behind = level(np.array([[-1]]))
-
-        def integrand(x: float) -> float:
-            return float(ahead(x) if x > 0 else behind(-x))
-
-        value, err = _quad(integrand, -radius, radius, tol / 2, points=[0.0])
-        if err > tol:
-            raise QuadratureError(
-                f"radial quadrature certified only {err:.3g} > tol {tol:.3g}",
-                value, err,
-            )
-        return IntegralEstimate(value, err)
 
     def level_integral(nodes: np.ndarray, weights: np.ndarray, budget: float):
         blocks = [
@@ -492,6 +468,17 @@ def polar_laplace_integral(
             return total * rho ** (dim - 1)
 
         return _quad(weighted, 0.0, radius, budget)
+
+    if dim == 1:
+        # the two-point rule is exact, so its one level is final
+        rule = sphere_rule(1)
+        value, err = level_integral(rule.nodes, rule.weights, tol / 2)
+        if err > tol:
+            raise QuadratureError(
+                f"radial quadrature certified only {err:.3g} > tol {tol:.3g}",
+                value, err,
+            )
+        return IntegralEstimate(value, err)
 
     previous = None
     radial_err = 0.0

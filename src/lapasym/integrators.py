@@ -1,4 +1,4 @@
-"""The numeric oracle's two integrators: DOP853 and QUADPACK's QAGS/QAGP.
+"""The numeric oracle's two integrators: DOP853 and QUADPACK's QAGS.
 
 Both are ports that reproduce their sources bit for bit, so the oracle
 prints the same digits as when it called scipy, without loading scipy.
@@ -15,15 +15,14 @@ solve stops at the first trial step with a stage that is not finite,
 where SciPy would shrink the step until it underflows.
 
 :func:`quad` is ``scipy.integrate.quad(fn, a, b, epsabs=epsabs,
-epsrel=epsrel, limit=limit, points=points)`` on a finite interval,
-returning ``(value, abserr)`` whatever QUADPACK's error flag: ``dqagse``
+epsrel=epsrel, limit=limit)`` on a finite interval, returning
+``(value, abserr)`` whatever QUADPACK's error flag: ``dqagse``
 (Piessens, de Doncker-Kapenga, Uberhuber and Kahaner, *QUADPACK*,
-Springer 1983) without break points and ``dqagpe`` with them, both on
-the 21-point Gauss-Kronrod rule ``dqk21``, with the epsilon algorithm
-``dqelg`` and the error ordering ``dqpsrt``.  Infinite intervals are
-not supported.  QUADPACK's arrays are indexed from 1 here, as in the
-Fortran, so that the port reads against it statement by statement;
-dqagse and dqagpe share one loop, which marks where they differ.
+Springer 1983) on the 21-point Gauss-Kronrod rule ``dqk21``, with the
+epsilon algorithm ``dqelg`` and the error ordering ``dqpsrt``.
+Infinite intervals are not supported.  QUADPACK's arrays are indexed
+from 1 here, as in the Fortran, so that the port reads against it
+statement by statement.
 
 Credits.  The DOP853 port follows SciPy's ``scipy/integrate/_ivp``
 (``rk.py``, ``common.py``, ``base.py``, ``ivp.py`` and
@@ -596,93 +595,29 @@ def _finish(result, abserr, ier, ierro, correc, area, errsum, rlist, last):
     return (_sum_intervals(rlist, last), errsum) if summed else (result, abserr)
 
 
-def _qag(f, a: float, b: float, points: Sequence[float] | None, epsabs: float,
-         epsrel: float, limit: int) -> tuple[float, float]:
-    """(result, abserr) of ``dqagse`` on ``a < b`` when ``points`` is None,
-    and of ``dqagpe`` with ``points`` as the ascending break points inside
-    ``(a, b)`` otherwise.
-
-    The two routines share their bisection and extrapolation loop; they
-    differ in the first estimate, in how an interval counts as one of the
-    smallest (its length against ``small`` in dqagse, its bisection
-    level against ``levmax`` in dqagpe), and in three tests marked below.
-    """
-    breaks = points is not None
-    npts2 = len(points) + 2 if breaks else 2
+def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
+          limit: int) -> tuple[float, float]:
+    """(result, abserr) of ``dqagse`` on ``a < b``."""
     alist = [0.0] * (limit + 1)
     blist = [0.0] * (limit + 1)
     rlist = [0.0] * (limit + 1)
     elist = [0.0] * (limit + 1)
     iord = [0] * (limit + 1)
-    level = [0] * (limit + 1)
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
     ier = 0
-    small = erlarg = ertest = 0.0  # dqagse sets these after its first bisection
-    levmax = 1
+    small = erlarg = ertest = 0.0  # set after the first bisection
 
-    if not breaks:
-        result, abserr, defabs, resasc = _qk21(f, a, b)
-        alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
-        errbnd = max(epsabs, epsrel * abs(result))
-        if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-            ier = 2
-        if limit == 1:
-            ier = 1
-        if ier != 0 or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
-            return result, abserr
-        maxerr, errmax, errsum, numrl2 = 1, abserr, abserr, 2
-    else:
-        # one rule on each interval between consecutive break points
-        nint = npts2 - 1
-        pts = [a, *points, b]
-        ndin = [False] * (nint + 1)
-        result = abserr = defabs = 0.0
-        for i in range(1, nint + 1):
-            area1, error1, defab1, resa = _qk21(f, pts[i - 1], pts[i])
-            abserr = abserr + error1
-            result = result + area1
-            ndin[i] = error1 == resa and error1 != 0.0
-            defabs = defabs + defab1
-            alist[i], blist[i], rlist[i], elist[i], iord[i] = \
-                pts[i - 1], pts[i], area1, error1, i
-        errsum = 0.0
-        for i in range(1, nint + 1):
-            if ndin[i]:
-                elist[i] = abserr
-            errsum = errsum + elist[i]
-        errbnd = max(epsabs, epsrel * abs(result))
-        if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-            ier = 2
-        if nint != 1:
-            # order iord by decreasing error
-            for i in range(1, npts2 - 1):
-                ind1 = iord[i]
-                k = i
-                for j in range(i + 1, nint + 1):
-                    ind2 = iord[j]
-                    if elist[ind1] > elist[ind2]:
-                        continue
-                    ind1 = ind2
-                    k = j
-                if ind1 != iord[i]:
-                    iord[k] = iord[i]
-                    iord[i] = ind1
-            if limit < npts2:
-                ier = 1
-        if ier != 0 or abserr <= errbnd:
-            return result, abserr
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        numrl2 = 1
-        erlarg = errsum
-        ertest = errbnd
-
-    def larger(i: int) -> bool:
-        # interval i is not yet one of the smallest
-        if breaks:
-            return level[i] + 1 <= levmax
-        return abs(blist[i] - alist[i]) > small
+    result, abserr, defabs, resasc = _qk21(f, a, b)
+    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+        return result, abserr
+    maxerr, errmax, errsum, numrl2 = 1, abserr, abserr, 2
 
     rlist2[1] = result
     area = result
@@ -697,9 +632,8 @@ def _qag(f, a: float, b: float, points: Sequence[float] | None, epsabs: float,
     correc = 0.0
 
     summed = False
-    for last in range(npts2, limit + 1):
+    for last in range(2, limit + 1):
         # bisect the interval with the nrmax-th largest error
-        levcur = level[maxerr] + 1
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
@@ -720,8 +654,6 @@ def _qag(f, a: float, b: float, points: Sequence[float] | None, epsabs: float,
                     iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        level[maxerr] = levcur
-        level[last] = levcur
         errbnd = max(epsabs, epsrel * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
@@ -746,7 +678,7 @@ def _qag(f, a: float, b: float, points: Sequence[float] | None, epsabs: float,
             break
         if ier != 0:
             break
-        if not breaks and last == 2:
+        if last == 2:
             small = abs(b - a) * 0.375
             erlarg = errsum
             ertest = errbnd
@@ -755,11 +687,11 @@ def _qag(f, a: float, b: float, points: Sequence[float] | None, epsabs: float,
         if noext:
             continue
         erlarg = erlarg - erlast
-        if (levcur + 1 <= levmax) if breaks else (abs(b1 - a1) > small):
+        if abs(b1 - a1) > small:
             erlarg = erlarg + erro12
         if not extrap:
             # is the interval to bisect next one of the smallest?
-            if larger(maxerr):
+            if abs(blist[maxerr] - alist[maxerr]) > small:
                 continue
             extrap = True
             nrmax = 2
@@ -773,43 +705,38 @@ def _qag(f, a: float, b: float, points: Sequence[float] | None, epsabs: float,
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
                 errmax = elist[maxerr]
-                if larger(maxerr):
+                if abs(blist[maxerr] - alist[maxerr]) > small:
                     bisect_larger = True
                     break
                 nrmax += 1
             if bisect_larger:
                 continue
-        # extrapolate (dqagpe waits for three sums)
+        # extrapolate
         numrl2 += 1
         rlist2[numrl2] = area
-        if not breaks or numrl2 > 2:
-            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-            ktmin += 1
-            if ktmin > 5 and abserr < 1e-3 * errsum:
-                ier = 5
-            if abseps < abserr:
-                ktmin = 0
-                abserr = abseps
-                result = reseps
-                correc = erlarg
-                ertest = max(epsabs, epsrel * abs(reseps))
-                # dqagse stops on equality, dqagpe does not
-                if abserr < ertest or (abserr == ertest and not breaks):
-                    break
-            if numrl2 == 1:
-                noext = True
-            if ier == 5:
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
                 break
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
         # go back to bisecting the largest error
         maxerr = iord[1]
         errmax = elist[maxerr]
         nrmax = 1
         extrap = False
         erlarg = errsum
-        if breaks:
-            levmax += 1
-        else:
-            small = small * 0.5
+        small = small * 0.5
 
     if summed:
         return _sum_intervals(rlist, last), errsum
@@ -823,15 +750,12 @@ def quad(
     epsabs: float,
     epsrel: float,
     limit: int,
-    points: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """``(value, abserr)`` of the integral of ``fn`` over the finite ``[a, b]``, ``a < b``.
 
     Bit for bit ``scipy.integrate.quad`` with the same arguments, less
-    its warnings: QAGS without ``points``, QAGP with them, where, as in
-    SciPy, the distinct points strictly inside ``(a, b)`` become break
-    points.  ``fn`` receives floats and must return something ``float``
-    accepts.
+    its warnings: QUADPACK's QAGS.  ``fn`` receives floats and must
+    return something ``float`` accepts.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -842,6 +766,4 @@ def quad(
     def f(x: float) -> float:
         return float(fn(x))
 
-    if points is not None:
-        points = [float(p) for p in np.unique(points) if a < p < b]
-    return _qag(f, a, b, points, epsabs, epsrel, limit)
+    return _qags(f, a, b, epsabs, epsrel, limit)

@@ -88,12 +88,13 @@ class HamiltonianModel:
     must be odd in ``omega`` (direction linearity) and accept series
     entries.  They must also accept numpy arrays elementwise: the
     numeric oracle passes the directions and points of a whole angular
-    level as one array per coordinate (a single direction as plain
-    numbers), the series path passes all of its rule's directions as one
-    array per component with jet points (in group dimension 1 an object
-    array of the exact integers ``1`` and ``-1``), and a map may return
-    a scalar where every entry is the same.  The
-    elementary functions of :mod:`.jets` and config models qualify;
+    level as one float array per coordinate (in group dimension 1 too:
+    its one level, the directions ``1`` and ``-1``, arrives as arrays of
+    two entries), the series path passes all of its rule's directions
+    as one array per component with jet points (in group dimension 1 an
+    object array of the exact integers ``1`` and ``-1``), and a map may
+    return a scalar where every entry is the same.  The elementary
+    functions of :mod:`.jets` and config models qualify;
     ``math.*`` calls do not.  ``orbit_volume(point)`` is plain numeric.
     ``zero_chart`` and ``chart_density`` are optional and only needed by
     the Jacobian check: a parametrization ``s -> point`` of the zero

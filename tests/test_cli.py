@@ -556,6 +556,33 @@ def test_density_sweep_solves_each_flow_once(capsys, monkeypatch):
     assert pairs and len(pairs) == len(set(pairs))
 
 
+def test_one_dimensional_oracle_is_one_level_of_both_directions(capsys, monkeypatch):
+    # d = 1 is one angular level of the nodes +1 and -1: each flow carries
+    # both directions, and each radial QUADPACK call is QAGS on [0, span]
+    from lapasym import integrators, models
+
+    directions, quads = [], []
+    flow = models._augmented_flow
+    quad = integrators.quad
+
+    def recording_flow(model, omega, x0, span):
+        directions.append(omega)
+        return flow(model, omega, x0, span)
+
+    def recording_quad(fn, a, b, **kwargs):
+        quads.append((a, kwargs))
+        return quad(fn, a, b, **kwargs)
+
+    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
+    monkeypatch.setattr(integrators, "quad", recording_quad)
+    code, out, err = run_cli(
+        ["verify", "--model", "builtin:sphere", "--order", "2", "--k", "30,100,1000"], capsys
+    )
+    assert code == 0 and err == ""
+    assert directions and all(omega == ((1,), (-1,)) for omega in directions)
+    assert quads and all(a == 0.0 and "points" not in kwargs for a, kwargs in quads)
+
+
 def test_array_zero_divisor_is_a_domain_error(tmp_path, capsys):
     # a d = 2 flow evaluates each angular level on coordinate arrays; this
     # divisor vanishes at the zero point in every direction

@@ -25,7 +25,7 @@ from lapasym.engine import (
     sphere_rule,
 )
 from lapasym.errors import DomainError, QuadratureError
-from lapasym.jets import TruncatedSeries
+from lapasym.jets import TruncatedSeries, cos
 from lapasym.models import gaussian_test_model, geometric_expansion
 
 SQRT_PI = math.sqrt(math.pi)
@@ -364,6 +364,18 @@ def test_numeric_integral_unreachable_tolerance():
     err = info.value
     assert err.estimate == pytest.approx(25 * math.pi ** 1.5, rel=1e-6)
     assert err.error_bound > 1e-9
+
+
+def test_numeric_integral_uncertified_radius_in_one_dimension():
+    # cos(3000 x^2) oscillates too fast for the radial rule to certify 1e-13;
+    # the exact value is Re sqrt(pi / z) erf(sqrt z), z = 1 - 3000 i
+    with pytest.raises(QuadratureError, match="certified only") as info:
+        numeric_laplace_integral(
+            lambda p: p[0] ** 2, lambda p: cos(3000.0 * p[0] ** 2), 1, 1.0, tol=1e-13
+        )
+    err = info.value
+    assert err.estimate == pytest.approx(0.022913031890449393, abs=1e-12)
+    assert err.error_bound > 1e-13
 
 
 def test_numeric_integral_refuses_four_dimensions():
