@@ -104,12 +104,21 @@ class SphereRule:
     Nodes are rows of ``nodes``; weights sum to the sphere area.  Every
     rule is deterministic and antipodally symmetric (the node set is
     closed under negation), which is what makes odd coefficients cancel
-    to rounding.
+    to rounding.  The last ``mirrored`` nodes are the exact negations of
+    the first ``mirrored``, in order, so radial data along them follows
+    from their partners' (see :func:`~lapasym.models.geometric_expansion`);
+    a claim that does not hold is refused.
     """
 
     dim: int
     nodes: np.ndarray
     weights: np.ndarray
+    mirrored: int = 0
+
+    def __post_init__(self):
+        m, n = self.mirrored, len(self.nodes)
+        if not (0 <= 2 * m <= n and self.nodes[n - m:].tolist() == (-self.nodes[:m]).tolist()):
+            raise DomainError(f"the last {m} rule nodes are not the negations of the first {m}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -152,8 +161,10 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
 
     dim 1 is the two-point set {+1, -1} with unit weights (resolution is
     ignored); its nodes are the integers ``[[1], [-1]]``, so that exact
-    radial data stays exact along them.  dim 2 is the uniform trapezoid rule with ``resolution``
-    angles, an even count (spectrally accurate, odd counts rejected).
+    radial data stays exact along them, and ``-1`` is recorded as the
+    mirror of ``1``.  dim 2 is the uniform trapezoid rule with
+    ``resolution`` angles, an even count (spectrally accurate, odd counts
+    rejected).
     From dim 3 on the rule is a product (Stroud 1971): ``resolution``
     Gauss-Jacobi nodes for the polar cosine ``x``, with weight
     ``(1 - x**2) ** ((dim - 3) / 2)`` from Golub-Welsch (Legendre for
@@ -161,11 +172,13 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     ``sqrt(1 - x**2)``.  The recursion ends in a circle of
     ``2 * resolution`` angles, so the rule has ``2 * resolution **
     (dim - 1)`` nodes; one with more than ``_MAX_RULE_NODES`` is refused.
+    From dim 2 on no node is mirrored: the nodes come in no exact ``+-``
+    pairs in that order (their antipodes agree to rounding only).
     """
     if dim < 1:
         raise DomainError("sphere dimension must be >= 1")
     if dim == 1:
-        return SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]))
+        return SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]), mirrored=1)
     if dim == 2:
         if resolution < 4 or resolution % 2:
             raise DomainError(

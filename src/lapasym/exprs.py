@@ -132,10 +132,8 @@ def _binary(node: Any, op: Callable, left: Any, right: Any) -> Any:
 
 def _with_fraction(op: Callable, c: Fraction, f: float, x: Any, first: bool) -> Any:
     # numpy would make an object array of a Fraction and a float array; a
-    # Fraction meets a float as its float, so the elements come out the
-    # same.  An object array computes entry by entry, so it keeps the
-    # Fraction, and exact entries stay exact.
-    if isinstance(x, np.ndarray) and x.dtype != object:
+    # Fraction meets a float as its float, so the elements come out the same
+    if isinstance(x, np.ndarray):
         c = f
     return op(c, x) if first else op(x, c)
 

@@ -6,10 +6,11 @@ rationals, floats, float64 or object arrays (one lane per direction,
 so one jet carries a whole batch of directions), or again truncated
 series (nested jets), as long as they support ring arithmetic; all algorithms here
 only ever add, multiply, and rescale coefficients, so exact inputs give
-exact outputs.  One batched transport serves every group dimension:
-float directions travel as :class:`Lanes`, and the two integer
-directions of group dimension 1 as an object array of exact integer
-lanes, whose entries compute as the scalars would.
+exact outputs.  One transport serves every group dimension: a batch of
+float directions travels as :class:`Lanes`, and group dimension 1
+transports its one direction ``1`` as plain numbers (its ``-1`` is the
+mirror of ``1``, see :func:`~lapasym.models.geometric_expansion`), so
+exact data stays exact.  Object arrays are the engine's exact tables.
 
 Conventions shared by the whole package:
 
@@ -29,8 +30,9 @@ Conventions shared by the whole package:
   ``sqrt`` and rational powers) applies the scalar function to each
   entry, through :mod:`math`, whose rounding differs from numpy's
   vectorized functions in some elements, and keeps the array's dtype
-  and class, so exact lanes stay exact; a :class:`Lanes` array meets a
-  Fraction as the Fraction's float, as a float would.
+  and class, so an exact table's rational powers stay exact; a
+  :class:`Lanes` array meets a Fraction as the Fraction's float, as a
+  float would.
 
 On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
@@ -46,8 +48,7 @@ The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
 :func:`log` dispatch on the argument type (series, numpy array or
 scalar), which lets model callables be written once as ordinary
 compositions and evaluated on points, on arrays of points (elementwise,
-through numpy; an object array entry by entry, through the scalar
-functions) and on jets alike.  A square root of a negative value or a
+through numpy; an object array as floats) and on jets alike.  A square root of a negative value or a
 logarithm of a nonpositive one is a :class:`~lapasym.errors.DomainError`,
 on scalars and arrays alike.
 """
@@ -336,12 +337,17 @@ def _invert_scalar(value: Any) -> Any:
     return 1.0 / value
 
 
+def _floats(value: np.ndarray) -> np.ndarray:
+    # exact constants times a float array give an object array of floats
+    return value.astype(float) if value.dtype == object else value
+
+
 def exp(value: Any) -> Any:
     """Exponential of a scalar, an array (elementwise) or a truncated series."""
     if isinstance(value, TruncatedSeries):
         return exp_series(value)
     if isinstance(value, np.ndarray):
-        return _lead(exp, value) if value.dtype == object else np.exp(value)
+        return np.exp(_floats(value))
     if _is_exact(value) and value == 0:
         return 1
     return math.exp(value)
@@ -351,7 +357,7 @@ def sin(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[0]
     if isinstance(value, np.ndarray):
-        return _lead(sin, value) if value.dtype == object else np.sin(value)
+        return np.sin(_floats(value))
     if _is_exact(value) and value == 0:
         return value
     return math.sin(value)
@@ -361,7 +367,7 @@ def cos(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[1]
     if isinstance(value, np.ndarray):
-        return _lead(cos, value) if value.dtype == object else np.cos(value)
+        return np.cos(_floats(value))
     if _is_exact(value) and value == 0:
         return 1
     return math.cos(value)
@@ -374,7 +380,7 @@ def sqrt(value: Any) -> Any:
     if np.any(value < 0):
         raise DomainError("square root of a negative value")
     if isinstance(value, np.ndarray):
-        return _lead(sqrt, value) if value.dtype == object else np.sqrt(value)
+        return np.sqrt(_floats(value))
     if isinstance(value, int):
         r = math.isqrt(value)
         if r * r == value:
@@ -392,7 +398,7 @@ def log(value: Any) -> Any:
     if np.any(value <= 0):
         raise DomainError("logarithm of a nonpositive value")
     if isinstance(value, np.ndarray):
-        return _lead(log, value) if value.dtype == object else np.log(value)
+        return np.log(_floats(value))
     if _is_exact(value) and value == 1:
         return 0
     return math.log(value)

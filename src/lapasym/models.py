@@ -25,6 +25,7 @@ formula for the transport Jacobian against finite differences.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -86,15 +87,24 @@ class HamiltonianModel:
     ``laplacian_phi(omega, point)`` take a direction tuple of length
     ``group_dim`` and a chart point of length ``chart_dim``; the maps
     must be odd in ``omega`` (direction linearity) and accept series
-    entries.  They must also accept numpy arrays elementwise: the
+    entries.  Oddness is what lets the series path transport one
+    direction of each mirrored pair of its rule (see
+    :func:`geometric_expansion`), and it is checked when the model is
+    built: each map is evaluated at ``omega`` and ``-omega`` for the
+    coordinate directions and ``(1, 1/2, ..., 1/group_dim)``, at every
+    zero point and at two small rational offsets from it, exactly where
+    the maps keep ints and Fractions, else to ``1e-10`` of the larger
+    value (or absolutely, below 1).  A map that is not odd there, or
+    that fails there, is a :class:`~lapasym.errors.DomainError` naming
+    the model.  The maps must also accept numpy arrays elementwise: the
     numeric oracle passes the directions and points of a whole angular
     level as one float array per coordinate (in group dimension 1 too:
     its one level, the directions ``1`` and ``-1``, arrives as arrays of
-    two entries), the series path passes all of its rule's directions
-    as one array per component with jet points (in group dimension 1 an
-    object array of the exact integers ``1`` and ``-1``), and a map may
-    return a scalar where every entry is the same.  The elementary
-    functions of :mod:`.jets` and config models qualify;
+    two entries), the series path passes its rule's transported
+    directions as one array per component with jet points (one
+    direction, such as group dimension 1's ``1``, as plain numbers), and
+    a map may return a scalar where every entry is the same.  The
+    elementary functions of :mod:`.jets` and config models qualify;
     ``math.*`` calls do not.  ``orbit_volume(point)`` is plain numeric.
     ``zero_chart`` and ``chart_density`` are optional and only needed by
     the Jacobian check: a parametrization ``s -> point`` of the zero
@@ -117,6 +127,52 @@ class HamiltonianModel:
             raise DomainError("model dimensions must be positive")
         if not self.zero_points:
             raise DomainError("a model needs at least one zero-level point")
+        _check_odd(self)
+
+
+# the oddness check's offsets from each zero point: step * (1, 1/2, 1/3, ...)
+_PROBE_STEPS = (Fraction(0), Fraction(1, 8), Fraction(-1, 16))
+# a float map value and its value at -omega may miss exact oddness by this
+# share of the larger one (absolutely, below 1)
+_ODD_PROBE_TOL = 1e-10
+
+
+def _check_odd(model: HamiltonianModel) -> None:
+    # phi, laplacian_phi and each flow_field component at +-omega, at a few
+    # fixed directions and points; no randomness, so the check is repeatable
+    d = model.group_dim
+    directions = dict.fromkeys([tuple(int(i == k) for i in range(d)) for k in range(d)]
+                               + [tuple(Fraction(1, i + 1) for i in range(d))])
+    for x0, step, omega in itertools.product(model.zero_points, _PROBE_STEPS, directions):
+        point = tuple(x + step / (i + 1) for i, x in enumerate(x0))
+        try:
+            with _named(model):
+                values = [(model.phi(w, point), model.laplacian_phi(w, point),
+                           *model.flow_field(w, point))
+                          for w in (omega, tuple(-c for c in omega))]
+        except (ArithmeticError, TypeError, AttributeError) as exc:
+            raise DomainError(
+                f"model {model.name!r} cannot be evaluated at omega = {_text(omega)}, "
+                f"point {_text(point)}: {exc}"
+            ) from None
+        names = ("phi", "laplacian_phi",
+                 *(f"flow_field[{i}]" for i in range(len(values[0]) - 2)))
+        for name, a, b in zip(names, *values):
+            if not _odd_pair(a, b):
+                raise DomainError(
+                    f"model {model.name!r} is not odd in omega: {name} is {a} at "
+                    f"omega = {_text(omega)}, point {_text(point)}, and {b} at -omega"
+                )
+
+
+def _odd_pair(a: Any, b: Any) -> bool:
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return a + b == 0
+    return abs(a + b) <= _ODD_PROBE_TOL * max(1.0, abs(a), abs(b))
+
+
+def _text(values: Sequence[Any]) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
 
 
 class RadialSeries(NamedTuple):
@@ -147,12 +203,13 @@ def radial_profile(
     (so reduced phase coefficients are available up to ``order - 2``).
     ``omega`` may hold one array per component, a batch of directions;
     each series coefficient then has one lane per direction, the value
-    that direction gives on its own.  Float columns become
-    :class:`~lapasym.jets.Lanes`, integer columns (group dimension 1's
-    ``1`` and ``-1``) object arrays, whose lanes stay exact.  A failed
-    check names the model and the first failing direction; a
-    :class:`~lapasym.errors.DomainError` of the model's maps (a
-    logarithm of a nonpositive value, say) names the model.
+    that direction gives on its own.  Columns of several directions
+    become :class:`~lapasym.jets.Lanes`; a column of one direction is
+    read as a plain number, as :func:`_augmented_flow` reads one
+    direction, so exact data along group dimension 1's ``1`` stays
+    exact.  A failed check names the model and the first failing
+    direction; a :class:`~lapasym.errors.DomainError` of the model's
+    maps (a logarithm of a nonpositive value, say) names the model.
     """
     if order < 2:
         raise DomainError("radial order must be at least 2")
@@ -182,10 +239,9 @@ def radial_profile(
     return _weighted(phase, log_weight, half_form)
 
 
-def _lanes(column: np.ndarray) -> np.ndarray:
-    # integer directions stay exact, entry by entry; float ones are Lanes
-    if column.dtype.kind in "iu":
-        return column.astype(object)
+def _lanes(column: np.ndarray) -> Any:
+    if column.size == 1:
+        return column.item()
     return np.asarray(column, dtype=float).view(Lanes)
 
 
@@ -288,10 +344,16 @@ def geometric_expansion(
 ) -> ExpansionResult:
     """Expansion coefficients for the geometric phase/weight data.
 
-    In every group dimension one radial profile carries all of the
-    rule's nodes, one array per direction component (exact integer lanes
-    in dimension 1, floats from 2 on), and its columns become the
-    engine's tables.  ``mode="float"`` converts them to floats first.
+    In every group dimension one radial profile carries the rule's
+    nodes but its mirrored ones, one array per direction component (in
+    dimension 1 the one direction ``1``, as a plain number), and its
+    columns become the engine's tables.  The maps are odd in ``omega``
+    (checked when the model is built), so the flow along ``-omega`` is
+    the flow along ``omega`` run backwards, and the coefficient of
+    ``t**p`` changes sign with ``p``: a mirrored node's row is its
+    partner's with ``f_p`` and ``g_p`` times ``(-1)**p``.  In dimension 1
+    the ``-1`` row is built so; from dimension 2 on the rules mirror no
+    node.  ``mode="float"`` converts the tables to floats first.
     ``mode="exact"`` hands them over as they are, and needs every entry
     to be an int or a Fraction; the first entry that is not, direction
     by direction, raises :class:`~lapasym.errors.DomainError`, naming the
@@ -307,13 +369,14 @@ def geometric_expansion(
             f"dimension {model.group_dim} has float rule directions"
         )
     rule = sphere_rule(model.group_dim, resolution)
-    omega = tuple(np.ascontiguousarray(column) for column in rule.nodes.T)
+    kept = len(rule) - rule.mirrored
+    omega = tuple(np.ascontiguousarray(column) for column in rule.nodes[:kept].T)
     # reduced phase coefficient f_order is phase[t^(order + 2)]
     batched = radial_profile(model, omega, point, order + 2, half_form)
     # each column holds lanes, or one number that every direction shares
     dtype = float if mode == "float" else object
     phase, weight = (
-        np.column_stack([np.broadcast_to(np.asarray(c, dtype=dtype), len(rule))
+        np.column_stack([np.broadcast_to(np.asarray(c, dtype=dtype), kept)
                          for c in columns])
         for columns in _tables(batched, order)
     )
@@ -326,7 +389,16 @@ def geometric_expansion(
                     f"of group dimension {model.group_dim} gives the "
                     f"{type(value).__name__} {value!r}"
                 )
+    phase, weight = (_mirror(table, rule.mirrored) for table in (phase, weight))
     return expansion_series(RadialProfile(rule, phase, weight), order)
+
+
+def _mirror(table: np.ndarray, count: int) -> np.ndarray:
+    # the rows of the last count nodes: their partners' rows, column p
+    # times (-1)**p
+    rows = table[:count].copy()
+    rows[:, 1::2] = -rows[:, 1::2]
+    return np.vstack([table, rows])
 
 
 # ------------------------------------------------------------ raw coefficient sums

@@ -436,13 +436,16 @@ def test_singular_jet_is_a_domain_error(tmp_path, capsys):
     line = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
             "flow_field": ["w0"], "zero_points": [[0]]}
     cases = [
-        # the flow sqrt(x0^2) has a square-root singularity at the base point x0 = 0
-        ({**line, "flow_field": [["sqrt", ["*", "x0", "x0"]]]}, ["singular"]),
-        # log(x0 - 1) is undefined at x0 = 0 in both directions of d = 1, and
-        # log(w0 + x0) in the directions with w0 <= 0 of d = 2
+        # the flow w0 sqrt(x0^2) has a square-root singularity at the base point x0 = 0
+        ({**line, "flow_field": [["*", "w0", ["sqrt", ["*", "x0", "x0"]]]]}, ["singular"]),
+        # log(x0 - 1) is undefined at x0 = 0 in both directions of d = 1, so
+        # the model's oddness check meets it when the model loads, and
+        # log(1 + 4 w0 w1 + x0) in the directions of d = 2 with w0 w1 <= -1/4;
+        # it is defined along the axes and in the positive quadrant, where
+        # that check evaluates it, so the series path meets it
         ({**line, "name": "log-line", "laplacian_phi": ["*", "w0", ["log", ["-", "x0", "1"]]]},
          ["'log-line'", "logarithm of a nonpositive value"]),
-        ({**FLAT2, "laplacian_phi": ["*", "w0", ["log", ["+", "w0", "x0"]]]},
+        ({**FLAT2, "laplacian_phi": ["*", "w0", ["log", ["+", "1", ["*", "4", "w0", "w1"], "x0"]]]},
          ["'flat2'", "logarithm of a nonpositive value"]),
     ]
     for config, parts in cases:
@@ -450,6 +453,17 @@ def test_singular_jet_is_a_domain_error(tmp_path, capsys):
                                  capsys)
         assert_one_error_line(code, out, err)
         assert all(part in err for part in parts), err
+
+
+def test_model_not_odd_in_omega_is_refused(tmp_path, capsys):
+    # phi = w0 x0 + x0^2 breaks the oddness in the direction that the series
+    # path relies on; the model is refused when it loads
+    config = {**FLAT2, "name": "not-odd", "group_dim": 1, "chart_dim": 1,
+              "phi": ["+", ["*", "w0", "x0"], ["pow", "x0", 2]],
+              "flow_field": ["w0"], "zero_points": [[0]]}
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+    assert "model 'not-odd' is not odd in omega: phi" in err
 
 
 FLAT4 = {

@@ -16,6 +16,7 @@ import pytest
 
 from lapasym.engine import (
     RadialProfile,
+    SphereRule,
     convergence_order_fit,
     expansion_coefficient,
     expansion_series,
@@ -83,6 +84,20 @@ def test_sphere_rule_antipodal_closure(dim, resolution):
 def test_sphere_rule_in_one_dimension_has_integer_nodes():
     # exact radial data stays exact along the directions 1 and -1
     assert sphere_rule(1).nodes.tolist() == [[1], [-1]]
+
+
+def test_sphere_rule_records_its_mirrored_nodes():
+    # d = 1's -1 is the exact negation of 1; the d >= 2 rules come in no
+    # exact pairs in that order, so they mirror nothing
+    assert sphere_rule(1).mirrored == 1
+    for dim, resolution in [(2, 32), (2, 64), (3, 16)]:
+        assert sphere_rule(dim, resolution).mirrored == 0
+    circle = sphere_rule(2, 8)
+    assert abs(circle.nodes[4:] + circle.nodes[:4]).max() < 1e-15  # pairs to rounding only
+    for count in (1, 4, 5):
+        with pytest.raises(DomainError, match="negations"):
+            SphereRule(2, circle.nodes, circle.weights, mirrored=count)
+    assert SphereRule(1, np.array([[2], [-2]]), np.ones(2), mirrored=1).mirrored == 1
 
 
 def test_sphere_rule_kills_odd_monomials():

@@ -19,6 +19,7 @@ import pytest
 from lapasym.engine import RadialProfile, expansion_coefficient, expansion_series, \
     gamma_value, sphere_rule
 from lapasym.errors import DomainError
+from lapasym import models
 from lapasym.jets import TruncatedSeries
 from lapasym.models import (
     HamiltonianModel,
@@ -701,42 +702,47 @@ SPHERE_PRODUCT2 = {
 }
 
 # every transcendental acts on a series whose constant term depends on the
-# direction, so its leads are computed lane by lane
+# direction, so its leads are computed lane by lane; each is taken of an
+# even function of the direction (w0 w1, a square), so the maps stay odd
 TRANSCENDENTAL2 = {
     "name": "transcendental2", "group_dim": 2, "chart_dim": 2,
-    "phi": ["+", ["*", "w0", "x0", ["cos", ["+", "w0", "x1"]]],
-                 ["*", "w1", ["-", ["exp", ["+", "w1", "x1"]],
-                                   ["exp", ["+", "w1", ["*", "0", "x0"]]]]]],
-    "flow_field": [["*", "w0", ["+", "2", ["sin", ["+", "w1", "x0"]]]],
-                   ["*", "w1", ["exp", ["+", "w0", "x0"]]]],
-    "laplacian_phi": ["+", ["*", "w0", ["log", ["+", "3", "w1", "x0"]]],
-                           ["*", "w1", ["cos", ["+", "w0", "x1"]]]],
+    "phi": ["+", ["*", "w0", "x0", ["cos", ["+", ["*", "w0", "w1"], "x1"]]],
+                 ["*", "w1", ["-", ["exp", ["+", ["pow", "w1", 2], "x1"]],
+                                   ["exp", ["+", ["pow", "w1", 2], ["*", "0", "x0"]]]]]],
+    "flow_field": [["*", "w0", ["+", "2", ["sin", ["+", ["*", "w0", "w1"], "x0"]]]],
+                   ["*", "w1", ["exp", ["+", ["pow", "w0", 2], "x0"]]]],
+    "laplacian_phi": ["+", ["*", "w0", ["log", ["+", "3", ["*", "w0", "w1"], "x0"]]],
+                           ["*", "w1", ["cos", ["+", ["*", "w0", "w1"], "x1"]]]],
     "zero_points": [[0, 0]], "orbit_volume": "1",
 }
 
 
-# exp, log, sin, cos and a power of the bare direction components
+# exp, log, sin, cos and powers of the bare direction components, in maps
+# that are odd in the direction
 BARE_DIRECTION2 = {
     "name": "bare-direction2", "group_dim": 2, "chart_dim": 2,
-    "phi": ["+", ["*", "w0", ["exp", ["*", "1/2", "w1"]], "x0"],
+    "phi": ["+", ["*", "w0", ["exp", ["*", "1/2", ["pow", "w1", 2]]], "x0"],
                  ["*", "w1", ["cos", "w0"], "x1"]],
-    "flow_field": [["*", "w0", ["exp", ["*", "1/2", "w1"]]],
-                   ["*", "w1", ["cos", "w0"], ["+", "1", ["*", ["log", ["+", "2", "w0"]], "x0"]]]],
-    "laplacian_phi": ["*", ["sin", "w0"], ["pow", "w1", 2], ["pow", "w0", 3], "x1"],
+    "flow_field": [["*", "w0", ["exp", ["*", "1/2", ["pow", "w1", 2]]]],
+                   ["*", "w1", ["cos", "w0"],
+                    ["+", "1", ["*", ["log", ["+", "2", ["*", "w0", "w1"]]], "x0"]]]],
+    "laplacian_phi": ["*", ["sin", "w0"], ["pow", "w1", 2], ["pow", "w0", 2], "x1"],
     "zero_points": [[0, 0]], "orbit_volume": "1",
 }
 
 
 # d = 1, chart_dim = 2: exp, cos, sin, log, sqrt and pow -2 act on series
-# whose leads depend on w0, and exp on the bare (1/2) w0
+# whose leads depend on w0, and exp on the bare (1/2) w0^2; each acts on an
+# even function of w0, so the maps stay odd
 TRANSCENDENTAL1 = {
     "name": "transcendental1", "group_dim": 1, "chart_dim": 2,
-    "phi": ["*", "w0", "x0", ["cos", ["+", "w0", "x1"]], ["exp", ["*", "1/2", "w0"]]],
-    "flow_field": [["*", "w0", ["+", "2", ["sin", ["+", "w0", "x0"]]]],
-                   ["*", "w0", ["exp", ["+", "w0", "x0"]]]],
-    "laplacian_phi": ["+", ["*", "w0", ["log", ["+", "3", "w0", "x0"]]],
-                           ["*", "w0", ["sqrt", ["+", "2", "w0", "x1"]]],
-                           ["*", "w0", ["pow", ["+", "2", "w0", "x0"], -2]]],
+    "phi": ["*", "w0", "x0", ["cos", ["+", ["pow", "w0", 2], "x1"]],
+            ["exp", ["*", "1/2", ["pow", "w0", 2]]]],
+    "flow_field": [["*", "w0", ["+", "2", ["sin", ["+", ["pow", "w0", 2], "x0"]]]],
+                   ["*", "w0", ["exp", ["+", ["pow", "w0", 2], "x0"]]]],
+    "laplacian_phi": ["+", ["*", "w0", ["log", ["+", "3", ["pow", "w0", 2], "x0"]]],
+                           ["*", "w0", ["sqrt", ["+", "2", ["pow", "w0", 2], "x1"]]],
+                           ["*", "w0", ["pow", ["+", "2", ["pow", "w0", 2], "x0"], -2]]],
     "zero_points": [[0, 0]], "orbit_volume": "1",
 }
 
@@ -747,6 +753,24 @@ RATIONAL_LINE = {
                         ["*", "2/3", ["pow", "x0", 3]]]],
     "flow_field": [["*", "w0", ["+", "1", ["*", "1/2", "x0"], ["*", "-2/3", ["pow", "x0", 2]]]]],
     "laplacian_phi": ["*", "1/2", "w0", ["+", "1", ["*", "-2/3", "x0"]]],
+    "zero_points": [[0]], "orbit_volume": "1",
+}
+
+
+# perfbench/workloads.py's cli-short model line0 at seed 1, which the
+# benchmark expands exactly at order 14
+LINE0 = {
+    "name": "line0", "group_dim": 1, "chart_dim": 1,
+    "phi": ["*", "w0", ["+", ["*", "2", "x0"], ["*", "3/2", ["pow", "x0", 2]],
+                        ["*", "-2/3", ["pow", "x0", 3]], ["*", "1/4", ["pow", "x0", 4]],
+                        ["*", "2/5", ["pow", "x0", 5]], ["*", "-1/6", ["pow", "x0", 6]],
+                        ["*", "-1/7", ["pow", "x0", 7]]]],
+    "flow_field": [["*", "w0", ["+", "1", ["*", "1/2", "x0"], ["*", "2/3", ["pow", "x0", 2]],
+                                ["*", "1/4", ["pow", "x0", 3]], ["*", "1/5", ["pow", "x0", 4]],
+                                ["*", "-1/6", ["pow", "x0", 5]], ["*", "1/7", ["pow", "x0", 6]]]]],
+    "laplacian_phi": ["*", "w0", ["+", "-1/2", ["*", "-1/3", "x0"], ["*", "-2/3", ["pow", "x0", 2]],
+                                  ["*", "-1/5", ["pow", "x0", 3]], ["*", "1/6", ["pow", "x0", 4]],
+                                  ["*", "-1/7", ["pow", "x0", 5]]]],
     "zero_points": [[0]], "orbit_volume": "1",
 }
 
@@ -786,13 +810,14 @@ def per_direction_expansion(model, half_form, order, resolution, convert=float):
     ("builtin:sphere", Fraction(1, 2), 14, 32),
     (RATIONAL_LINE, Fraction(1, 2), 10, 32),
     (TRANSCENDENTAL1, Fraction(1, 2), 8, 32),
+    (LINE0, Fraction(1, 2), 14, 32),
 ], ids=["mixed3-o4", "mixed3-o6", "sphere2-a0", "sphere2-a1/2", "sphere2-a1",
         "transcendental2", "bare-direction2-r10", "bare-direction2-r20",
-        "sphere1", "rational-line1", "transcendental1"])
+        "sphere1", "rational-line1", "transcendental1", "line0"])
 def test_batched_series_path_is_bit_identical_per_direction(config, half_form, order,
                                                            resolution):
-    # d = 1 goes through the same batched transport, with the exact integer
-    # lanes 1 and -1; the reference runs each direction on its own
+    # d = 1 transports the direction 1 and mirrors its row for -1; the
+    # reference runs each direction on its own
     model = resolve_model(config) if isinstance(config, str) else model_from_config(config)
     batched = geometric_expansion(model, None, half_form, order, resolution)
     reference, rows = per_direction_expansion(model, half_form, order, resolution)
@@ -804,19 +829,110 @@ def test_batched_series_path_is_bit_identical_per_direction(config, half_form, o
 
 
 def test_batched_exact_path_matches_per_direction_rows():
-    # exact mode in d = 1: the lanes 1 and -1 stay ints and Fractions
-    model = model_from_config(RATIONAL_LINE)
+    # exact mode in d = 1: the direction 1 and the mirrored -1 row stay ints
+    # and Fractions, equal to -1 transported on its own
     half_form = Fraction(1, 2)
-    batched = geometric_expansion(model, None, half_form, 10, mode="exact")
-    _, rows = per_direction_expansion(model, half_form, 10, 32, convert=lambda v: v)
-    assert rows.phase_coefficients.dtype == object
-    assert batched.coefficients == expansion_series(rows, 10).coefficients
+    for config, order in ((RATIONAL_LINE, 10), (LINE0, 14)):
+        model = model_from_config(config)
+        batched = geometric_expansion(model, None, half_form, order, mode="exact")
+        _, rows = per_direction_expansion(model, half_form, order, 32, convert=lambda v: v)
+        assert rows.phase_coefficients.dtype == object
+        assert batched.coefficients == expansion_series(rows, order).coefficients
     # the transcendental model is refused on the float its first direction gives
     model = model_from_config(TRANSCENDENTAL1)
     series = radial_profile(model, (1,), None, 4, half_form)
     with pytest.raises(DomainError) as info:
         geometric_expansion(model, None, half_form, 2, mode="exact")
     assert f"float {series.phase.coefficient(2)!r}" in str(info.value)
+
+
+def test_line_expand_transports_only_the_direction_one(monkeypatch):
+    # one jet transport, and the flow field sees the plain direction (1,),
+    # never an array of directions
+    seen = []
+
+    def flow_field(omega, point):
+        seen.append(omega)
+        return (omega[0] * (1 + point[0] / 2),)
+
+    model = HamiltonianModel(
+        group_dim=1, chart_dim=1,
+        phi=lambda w, p: w[0] * (2 * p[0] + p[0] ** 2 / 2),
+        flow_field=flow_field,
+        laplacian_phi=lambda w, p: w[0] * (1 - p[0]) / 3,
+        zero_points=((0,),), orbit_volume=lambda p: 1.0, name="spy-line",
+    )
+    transports = []
+    transport = models.ode_jet_transport
+
+    def counting(*args):
+        transports.append(args)
+        return transport(*args)
+
+    monkeypatch.setattr("lapasym.models.ode_jet_transport", counting)
+    seen.clear()  # the oddness check when the model was built
+    geometric_expansion(model, None, Fraction(1, 2), 6, mode="exact")
+    assert len(transports) == 1
+    assert seen and all(type(omega) is tuple and len(omega) == 1 and type(omega[0]) is int
+                        and omega[0] == 1 for omega in seen)
+
+
+# phi = w0 x0 + x0^2: the x0^2 term is even in the direction
+NOT_ODD = {
+    "name": "not-odd", "group_dim": 1, "chart_dim": 1,
+    "phi": ["+", ["*", "w0", "x0"], ["pow", "x0", 2]],
+    "flow_field": ["w0"], "laplacian_phi": "0",
+    "zero_points": [[0]], "orbit_volume": "1",
+}
+
+
+@pytest.mark.parametrize("config, where", [
+    (NOT_ODD, "phi is 9/64 at omega = (1), point (1/8), and -7/64 at -omega"),
+    # w0 w1 x0 is even in the direction; it shows only off the coordinate axes
+    ({**NOT_ODD, "group_dim": 2, "flow_field": ["w0"],
+      "phi": ["+", ["*", "w0", "x0"], ["*", "w0", "w1", "x0"]]},
+     "phi is 3/16 at omega = (1, 1/2), point (1/8), and -1/16 at -omega"),
+    # a float map: exp(w0) x0 is not odd, and far from it past rounding
+    ({**NOT_ODD, "phi": ["*", "w0", "x0"], "laplacian_phi": ["*", ["exp", "w0"], "x0"]},
+     "laplacian_phi is 0.3397852285573806"),
+], ids=["line", "plane", "float-map"])
+def test_model_not_odd_in_omega_is_refused_at_load(config, where):
+    with pytest.raises(DomainError) as info:
+        model_from_config(config)
+    message = str(info.value)
+    assert message.startswith("model 'not-odd' is not odd in omega: ") and where in message
+
+
+def test_python_built_model_with_an_even_flow_field_is_refused():
+    with pytest.raises(DomainError, match=r"model 'even-flow' is not odd in omega: flow_field\[0\]"):
+        HamiltonianModel(
+            group_dim=1, chart_dim=1,
+            phi=lambda w, p: w[0] * p[0],
+            flow_field=lambda w, p: (w[0] * w[0],),
+            laplacian_phi=lambda w, p: 0,
+            zero_points=((0,),), orbit_volume=lambda p: 1.0, name="even-flow",
+        )
+
+
+def test_model_whose_maps_refuse_exact_points_is_refused():
+    # the check evaluates at Fractions, which numpy's sin does not take
+    np = pytest.importorskip("numpy")
+    with pytest.raises(DomainError, match=r"model 'np-sin' cannot be evaluated at omega = \(1\), "
+                                          r"point \(0\): loop of ufunc"):
+        HamiltonianModel(
+            group_dim=1, chart_dim=1,
+            phi=lambda w, p: w[0] * np.sin(p[0]),
+            flow_field=lambda w, p: (w[0],),
+            laplacian_phi=lambda w, p: 0,
+            zero_points=((0,),), orbit_volume=lambda p: 1.0, name="np-sin",
+        )
+
+
+def test_replaced_maps_are_checked_again():
+    # a model built from another one with a map that is not odd, here the
+    # sphere's Laplacian in float arithmetic
+    with pytest.raises(DomainError, match="model 'sphere' is not odd in omega: laplacian_phi"):
+        dataclasses.replace(builtin_sphere_model(), laplacian_phi=lambda w, p: TWO_PI * (1 + p[1]))
 
 
 @pytest.mark.parametrize("config, first_failure, reason", [
