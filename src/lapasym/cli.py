@@ -7,7 +7,9 @@ evaluates both densities numerically and by series over a k list, and
 ``bell-table`` prints the combinatorial polynomials in exact rational
 form.  Output is CSV (default) or JSON, on stdout or ``--out``.  Each
 subcommand parses only the flags it reads; any other flag, and any
-unreadable value, is a one-line ``error:`` with exit status 2.
+unreadable value, is a one-line ``error:`` with exit status 2.  A
+command imports the layers it uses when it runs, so ``bell-table``
+loads neither numpy nor the series and oracle layers.
 
 Identical invocations produce byte-identical output: floats are
 serialized with 17 significant digits and rationals as ``p/q``.
@@ -23,10 +25,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .bell import partial_bell_terms, power_terms
-from .engine import convergence_order_fit
 from .errors import DomainError, QuadratureError
-from .models import density, density_series, geometric_expansion, j_a_numeric, \
-    resolve_model
 
 __all__ = ["main"]
 
@@ -145,6 +144,8 @@ def _metadata(ns: argparse.Namespace, **extra: Any) -> dict:
 # ------------------------------------------------------------ commands
 
 def cmd_expand(ns: argparse.Namespace) -> str:
+    from .models import geometric_expansion, resolve_model
+
     model = resolve_model(ns.model)
     result = geometric_expansion(
         model, None, ns.a, ns.order, ns.resolution, ns.mode
@@ -162,6 +163,8 @@ def _fit_clean_slope(ks: list[float], errors: list[float]) -> float | None:
     if len(set(ks)) < 2:
         return None
     if len(ks) >= 3:
+        from .engine import convergence_order_fit
+
         return convergence_order_fit(ks, errors)
     return math.log(errors[1] / errors[0]) / math.log(ks[1] / ks[0])
 
@@ -169,6 +172,8 @@ def _fit_clean_slope(ks: list[float], errors: list[float]) -> float | None:
 def cmd_verify(ns: argparse.Namespace) -> str:
     if len(set(ns.k)) < 3:
         raise DomainError("verify needs at least 3 distinct k values")
+    from .models import geometric_expansion, j_a_numeric, resolve_model
+
     model = resolve_model(ns.model)
     # the oracle runs first: it refuses group dimension above 3 before the
     # series builds a rule of 2 * resolution ** (d - 1) directions
@@ -211,6 +216,8 @@ def cmd_verify(ns: argparse.Namespace) -> str:
 
 
 def cmd_density_sweep(ns: argparse.Namespace) -> str:
+    from .models import density, density_series, resolve_model
+
     model = resolve_model(ns.model)
     rows = []
     if ns.k:

@@ -227,6 +227,14 @@ class RadialProfile:
     rows cut to the shortest: float64 when every entry is a float (a
     float array passes through), otherwise an object array of the
     entries as they are.
+
+    ``folded`` counts the trailing rows, among the rule's ``mirrored``
+    ones, that hold exactly their partners' rows with column ``p`` times
+    ``(-1)**p`` in both tables (same types, same values, same signed
+    zeros), as :func:`~lapasym.models.geometric_expansion` builds them
+    for odd models; the engine takes their values from their partners'
+    (see :func:`_direction_values`).  It is read off the tables, since
+    they may hold any per-direction data.
     """
 
     def __init__(
@@ -248,6 +256,7 @@ class RadialProfile:
                 f"leading radial phase coefficient must be positive; direction {i}, "
                 f"{tuple(rule.nodes[i].tolist())}, has {float(leads[i])!r}"
             )
+        self.folded = _folded(rule, self.phase_coefficients, self.amplitude_coefficients)
 
     @property
     def order(self) -> int:
@@ -262,6 +271,20 @@ def _table(table: Any) -> np.ndarray:
     rows = [row[:width] for row in rows]
     floats = all(isinstance(c, float) for row in rows for c in row)
     return np.array(rows, dtype=float if floats else object)
+
+
+def _folded(rule: SphereRule, *tables: np.ndarray) -> int:
+    # the trailing mirrored rows that equal their partners' with column p
+    # times (-1)**p; repr tells 1 from 1.0 and 0.0 from -0.0
+    n, m = len(rule), rule.mirrored
+    folded = 0
+    while folded < m and all(
+        [repr(c) for c in table[n - 1 - folded].tolist()]
+        == [repr(-c if p % 2 else c) for p, c in enumerate(table[m - 1 - folded].tolist())]
+        for table in tables
+    ):
+        folded += 1
+    return folded
 
 
 @dataclass(frozen=True)
@@ -293,7 +316,17 @@ def _exponent(j: int, profile: RadialProfile) -> Fraction:
 
 
 def _direction_values(j: int, profile: RadialProfile) -> list[float]:
-    # per direction: f0 ** (-exponent) times the inner bracket, as a float
+    """Per direction: ``f0 ** (-exponent)`` times the inner bracket, as a float.
+
+    The bracket runs once, over the rows but the ``folded`` ones: as one
+    jet recurrence whose coefficients are the table columns, or, for a
+    single row, on its plain numbers.  A folded row's bracket is its
+    partner's times ``(-1)**j``: its data is the partner's with ``t``
+    replaced by ``-t``, and the recurrence only adds and multiplies
+    entries of matching parity, which Fraction arithmetic does exactly
+    and IEEE rounding sign-symmetrically (but for the ``+0.0`` of an
+    exact cancellation, a zero either way).
+    """
     if j < 0:
         raise DomainError("coefficient index must be nonnegative")
     if j > profile.order:
@@ -302,15 +335,23 @@ def _direction_values(j: int, profile: RadialProfile) -> list[float]:
         )
     exponent = _exponent(j, profile)
     phase, amplitude = profile.phase_coefficients, profile.amplitude_coefficients
-    # one bracket whose jet coefficients are the tables' columns, then the
-    # power of f0 lane by lane: exact while both stay exact, else in floats
-    brackets = _inner_bracket(j, exponent, phase.T, amplitude.T)
+    m, folded = profile.rule.mirrored, profile.folded
+    kept = len(phase) - folded
+    if kept == 1:
+        brackets = [_inner_bracket(j, exponent, phase[0].tolist(), amplitude[0].tolist())]
+    else:
+        brackets = _inner_bracket(j, exponent, phase[:kept].T, amplitude[:kept].T).tolist()
+    # folded row n - m + i is the mirror of row i
+    partners = brackets[m - folded:m]
+    brackets += [-b for b in partners] if j % 2 else partners
+    # then the power of f0 lane by lane: exact while both stay exact, else
+    # in floats
     integral = exponent.denominator == 1
     power = float(-exponent)
     return [
         float(b * f0 ** -exponent.numerator) if integral and not isinstance(f0, float)
         else float(b) * float(f0) ** power
-        for b, f0 in zip(brackets.tolist(), phase[:, 0].tolist())
+        for b, f0 in zip(brackets, phase[:, 0].tolist())
     ]
 
 

@@ -44,6 +44,16 @@ nested-jet directional derivatives (:func:`directional_derivative`),
 which evaluate iterated "derivative along a vector field" operators
 without any symbolic differentiation.
 
+A series remembers its nonnegative integer powers: ``b ** e`` keeps the
+repeated squares ``b**2, b**4, ...`` and every power it builds on ``b``,
+so the terms of a polynomial in one jet (a Picard pass's flow field,
+then ``phi`` and the Laplacian along the same trajectory) share them.
+Each power is formed as binary powering forms it, ``b ** (e - 2**top)``
+times ``b ** (2**top)`` down to ``1 * b ** (2**i)`` for the lowest set
+bit, the same products in the same order, so the result is bit for bit
+that of a fresh call, in every ring; the product with ``1`` stays,
+because ``1 * x + 0 * y`` is not ``x`` at ``-0.0``, ``inf`` or ``nan``.
+
 The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
 :func:`log` dispatch on the argument type (series, numpy array or
 scalar), which lets model callables be written once as ordinary
@@ -94,7 +104,9 @@ class TruncatedSeries:
         ``len(coefficients) - 1``.
     """
 
-    __slots__ = ("_coeffs",)
+    # _powers, set by the first integer power: the repeated squares b**2,
+    # b**4, ... and every nonnegative power built so far (see __pow__)
+    __slots__ = ("_coeffs", "_powers")
     # ndarray <op> series defers to the series instead of building an
     # object array of series
     __array_ufunc__ = None
@@ -207,15 +219,21 @@ class TruncatedSeries:
             raise TypeError("series powers take integer or Fraction exponents")
         if exponent < 0:
             return _reciprocal(self) ** (-exponent)
-        result = TruncatedSeries.constant(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        try:
+            squares, powers = self._powers
+        except AttributeError:
+            squares, powers = self._powers = [], {0: TruncatedSeries.constant(1, self.order)}
+        power = powers.get(exponent)
+        if power is None:
+            # binary powering multiplies in the squares of the set bits from
+            # the lowest up, so b**e is b**(e - 2**top) times b**(2**top)
+            top = exponent.bit_length() - 1
+            while len(squares) < top:
+                last = squares[-1] if squares else self
+                squares.append(last * last)
+            power = self ** (exponent - (1 << top)) * (squares[top - 1] if top else self)
+            powers[exponent] = power
+        return power
 
     # ------------------------------------------------------------ calculus
 

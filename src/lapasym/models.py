@@ -94,8 +94,9 @@ class HamiltonianModel:
     coordinate directions and ``(1, 1/2, ..., 1/group_dim)``, at every
     zero point and at two small rational offsets from it, exactly where
     the maps keep ints and Fractions, else to ``1e-10`` of the larger
-    value (or absolutely, below 1).  A map that is not odd there, or
-    that fails there, is a :class:`~lapasym.errors.DomainError` naming
+    value (or absolutely, below 1).  A map that is not odd there, that
+    fails there, or a ``flow_field`` that does not return ``chart_dim``
+    components there, is a :class:`~lapasym.errors.DomainError` naming
     the model.  The maps must also accept numpy arrays elementwise: the
     numeric oracle passes the directions and points of a whole angular
     level as one float array per coordinate (in group dimension 1 too:
@@ -145,18 +146,25 @@ def _check_odd(model: HamiltonianModel) -> None:
                                + [tuple(Fraction(1, i + 1) for i in range(d))])
     for x0, step, omega in itertools.product(model.zero_points, _PROBE_STEPS, directions):
         point = tuple(x + step / (i + 1) for i, x in enumerate(x0))
+        pair = (omega, tuple(-c for c in omega))
         try:
             with _named(model):
                 values = [(model.phi(w, point), model.laplacian_phi(w, point),
-                           *model.flow_field(w, point))
-                          for w in (omega, tuple(-c for c in omega))]
+                           *model.flow_field(w, point)) for w in pair]
         except (ArithmeticError, TypeError, AttributeError) as exc:
             raise DomainError(
                 f"model {model.name!r} cannot be evaluated at omega = {_text(omega)}, "
                 f"point {_text(point)}: {exc}"
             ) from None
+        for w, value in zip(pair, values):
+            if len(value) != model.chart_dim + 2:
+                raise DomainError(
+                    f"model {model.name!r}: flow_field returned {len(value) - 2} "
+                    f"components for chart dimension {model.chart_dim}, at omega = "
+                    f"{_text(w)}, point {_text(point)}"
+                )
         names = ("phi", "laplacian_phi",
-                 *(f"flow_field[{i}]" for i in range(len(values[0]) - 2)))
+                 *(f"flow_field[{i}]" for i in range(model.chart_dim)))
         for name, a, b in zip(names, *values):
             if not _odd_pair(a, b):
                 raise DomainError(

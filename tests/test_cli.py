@@ -510,10 +510,12 @@ def test_zero_divisor_is_a_domain_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("node", [["/", 1, 0], ["sqrt", -1]], ids=["quotient", "sqrt"])
 def test_symbol_free_domain_error_fails_at_load(node, tmp_path, capsys, monkeypatch):
+    from lapasym import models
+
     def no_expansion(*args, **kwargs):
         raise AssertionError("the model loaded")
 
-    monkeypatch.setattr(cli, "geometric_expansion", no_expansion)
+    monkeypatch.setattr(models, "geometric_expansion", no_expansion)
     config = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0", node],
               "flow_field": ["w0"], "zero_points": [[0]]}
     code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)

@@ -508,3 +508,39 @@ def test_table_layouts_match_the_row_by_row_series(layout, dim, resolution):
     got = expansion_series(profile, profile.order).coefficients
     want = row_by_row_series(rule, *rows, profile.order)
     assert [c.hex() for c in got] == [c.hex() for c in want]
+
+
+# ---------------------------------------------------------------- folded rows
+
+def mirror_row(row):
+    return [-c if p % 2 else c for p, c in enumerate(row)]
+
+
+def test_profile_folds_only_exact_mirror_rows():
+    rule, unfolded = sphere_rule(1), SphereRule(1, np.array([[1], [-1]]), np.ones(2))
+    (f,), (g,) = layout_rows(1, 6)
+    floats = [float(c) for c in f]
+    floats[3] = 0.0
+    for phase, amplitude in (([f, mirror_row(f)], [g, mirror_row(g)]),
+                             ([floats, mirror_row(floats)], [g, mirror_row(g)])):
+        profile = RadialProfile(rule, phase, amplitude)
+        assert profile.folded == 1
+        got = expansion_series(profile, 5)
+        want = expansion_series(RadialProfile(unfolded, phase, amplitude), 5)
+        assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
+        assert got.odd_vanished == want.odd_vanished
+    # another row, an int for a Fraction, 1.0 for 1, 0.0 for -0.0: no fold
+    negated_zero = mirror_row(floats)
+    negated_zero[3] = 0.0
+    as_int, as_float = mirror_row(g), mirror_row(g)
+    as_int[0], as_float[0] = int(g[0]), float(g[0])
+    for phase, amplitude in (layout_rows(2, 6),
+                             ([f, mirror_row(f)], [g, as_int]),
+                             ([f, mirror_row(f)], [g, as_float]),
+                             ([floats, negated_zero], [g, mirror_row(g)])):
+        assert RadialProfile(rule, phase, amplitude).folded == 0
+    # the d >= 2 rules mirror no node, so they fold nothing
+    for dim, resolution in [(2, 8), (3, 4), (4, 3)]:
+        rule = sphere_rule(dim, resolution)
+        equal = [[1.0, 0.5, 2.0]] * len(rule)
+        assert RadialProfile(rule, equal, equal).folded == 0

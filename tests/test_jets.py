@@ -10,8 +10,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from lapasym import jets
 from lapasym.bell import complete_bell, generalized_binomial, series_power_coefficient
@@ -81,6 +83,67 @@ def test_power_and_reciprocal():
     inv = 1 / one_plus_t
     assert inv.coefficients == (1, -1, 1, -1)
     assert (one_plus_t ** -2).coefficients == (1, -2, 3, -4)
+
+
+def binary_power(base, exponent):
+    """``base ** exponent`` by binary powering afresh, with no memo."""
+    result = TruncatedSeries.constant(1, base.order)
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base if exponent > 1 else base
+        exponent >>= 1
+    return result
+
+
+def coefficient_bits(series):
+    # exact entries as they are, floats and float lanes by their hex
+    return [(type(c), [x.hex() for x in c.tolist()]) if isinstance(c, np.ndarray)
+            else (float, c.hex()) if isinstance(c, float) else (type(c), c)
+            for c in series.coefficients]
+
+
+special_floats = st.one_of(st.floats(-4, 4),
+                           st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]))
+ring_entries = {
+    "int": st.integers(-3, 3),
+    "fraction": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    "float": special_floats,
+    "lanes": st.lists(special_floats, min_size=3, max_size=3).map(
+        lambda values: np.array(values).view(jets.Lanes)),
+}
+
+
+@st.composite
+def power_bases(draw):
+    entries = ring_entries[draw(st.sampled_from(sorted(ring_entries)))]
+    return TruncatedSeries(draw(st.lists(entries, min_size=1, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(base=power_bases(), exponents=st.lists(st.integers(0, 12), min_size=1, max_size=8))
+def test_remembered_powers_are_bit_identical_to_binary_powering(base, exponents):
+    with np.errstate(invalid="ignore", over="ignore"):
+        for e in exponents:
+            assert coefficient_bits(base ** e) == coefficient_bits(binary_power(base, e)), e
+
+
+def test_powers_of_one_jet_share_their_products(monkeypatch):
+    products = []
+    multiply = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        if isinstance(other, TruncatedSeries):
+            products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    x = TruncatedSeries([Fraction(1, 3), 1], order=6)
+    for e in range(2, 8):
+        x ** e
+    # the squares x**2 and x**4, then one product for each of x**1 .. x**7;
+    # binary powering afresh takes 2 + 3 + 3 + 4 + 4 + 5 = 21
+    assert len(products) == 9
 
 
 def test_integrate_and_differentiate():

@@ -14,8 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 import random
 
+import numpy as np
 import pytest
 
+from lapasym import engine
 from lapasym.engine import RadialProfile, expansion_coefficient, expansion_series, \
     gamma_value, sphere_rule
 from lapasym.errors import DomainError
@@ -757,22 +759,33 @@ RATIONAL_LINE = {
 }
 
 
-# perfbench/workloads.py's cli-short model line0 at seed 1, which the
-# benchmark expands exactly at order 14
-LINE0 = {
-    "name": "line0", "group_dim": 1, "chart_dim": 1,
-    "phi": ["*", "w0", ["+", ["*", "2", "x0"], ["*", "3/2", ["pow", "x0", 2]],
-                        ["*", "-2/3", ["pow", "x0", 3]], ["*", "1/4", ["pow", "x0", 4]],
-                        ["*", "2/5", ["pow", "x0", 5]], ["*", "-1/6", ["pow", "x0", 6]],
-                        ["*", "-1/7", ["pow", "x0", 7]]]],
-    "flow_field": [["*", "w0", ["+", "1", ["*", "1/2", "x0"], ["*", "2/3", ["pow", "x0", 2]],
-                                ["*", "1/4", ["pow", "x0", 3]], ["*", "1/5", ["pow", "x0", 4]],
-                                ["*", "-1/6", ["pow", "x0", 5]], ["*", "1/7", ["pow", "x0", 6]]]]],
-    "laplacian_phi": ["*", "w0", ["+", "-1/2", ["*", "-1/3", "x0"], ["*", "-2/3", ["pow", "x0", 2]],
-                                  ["*", "-1/5", ["pow", "x0", 3]], ["*", "1/6", ["pow", "x0", 4]],
-                                  ["*", "-1/7", ["pow", "x0", 5]]]],
-    "zero_points": [[0]], "orbit_volume": "1",
-}
+def line_config(name, phi_signs, field_signs, lap_signs):
+    """A cli-short line model of perfbench/workloads.py: fixed coefficient
+    magnitudes of degree 7, 6 and 5, with the given signs."""
+    def poly(leading, magnitudes, signs):
+        signed = (m if s == "+" else "-" + m for m, s in zip(magnitudes, signs))
+        coefficients = [*leading, *signed]
+        terms = [c if i == 0 else ["*", c, "x0" if i == 1 else ["pow", "x0", i]]
+                 for i, c in enumerate(coefficients) if c != "0"]
+        return ["*", "w0", ["+", *terms]]
+
+    return {
+        "name": name, "group_dim": 1, "chart_dim": 1,
+        "phi": poly(["0", "2"], ["3/2", "2/3", "1/4", "2/5", "1/6", "1/7"], phi_signs),
+        "flow_field": [poly(["1"], ["1/2", "2/3", "1/4", "1/5", "1/6", "1/7"], field_signs)],
+        "laplacian_phi": poly([], ["1/2", "1/3", "2/3", "1/5", "1/6", "1/7"], lap_signs),
+        "zero_points": [[0]], "orbit_volume": "1",
+    }
+
+
+# the five exact cli-short line models at seed 1, which the benchmark
+# expands exactly at order 14
+CLI_SHORT_LINES = [line_config(f"line{i}", *signs) for i, signs in enumerate([
+    ("+-++--", "++++-+", "----+-"), ("++-+++", "-+-+--", "+-----"),
+    ("+--++-", "+++-++", "+++-++"), ("+---+-", "++----", "--++--"),
+    ("+-+-++", "-+--++", "++--++"),
+])]
+LINE0 = CLI_SHORT_LINES[0]
 
 
 def per_direction_expansion(model, half_form, order, resolution, convert=float):
@@ -846,6 +859,57 @@ def test_batched_exact_path_matches_per_direction_rows():
     assert f"float {series.phase.coefficient(2)!r}" in str(info.value)
 
 
+def expanded_profile(monkeypatch, model, half_form, order, mode):
+    # the profile geometric_expansion hands to the engine
+    profiles = []
+
+    def recording(profile, order):
+        profiles.append(profile)
+        return expansion_series(profile, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "expansion_series", recording)
+        geometric_expansion(model, None, half_form, order, mode=mode)
+    return profiles[0]
+
+
+@pytest.mark.parametrize("config, half_form, orders, mode", [
+    *((config, Fraction(1, 2), [14], "exact") for config in CLI_SHORT_LINES),
+    ("builtin:sphere", Fraction(1, 2), range(4, 15, 2), "float"),
+    ("builtin:quartic", 0, range(4, 15, 2), "float"),
+], ids=[*(config["name"] for config in CLI_SHORT_LINES), "sphere", "quartic"])
+def test_folded_line_tables_give_the_unfolded_coefficients(config, half_form, orders, mode,
+                                                           monkeypatch):
+    # the -1 row is folded: one bracket on the plain numbers of the row of
+    # 1, none on object lanes, and the same bits as both rows computed
+    model = resolve_model(config) if isinstance(config, str) else model_from_config(config)
+    unfolded = engine.SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]), mirrored=0)
+    for order in orders:
+        profile = expanded_profile(monkeypatch, model, half_form, order, mode)
+        assert profile.folded == 1
+        tables = (profile.phase_coefficients, profile.amplitude_coefficients)
+        assert tables[0].dtype == (object if mode == "exact" else float)
+        rows = []
+        bracket = engine._inner_bracket
+
+        def recording(j, exponent, f, g):
+            rows.append(type(f))
+            return bracket(j, exponent, f, g)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_inner_bracket", recording)
+            got = expansion_series(profile, order)
+        assert rows == [list] * (order + 1)
+        want = expansion_series(engine.RadialProfile(unfolded, *tables), order)
+        assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
+        assert got.odd_vanished == want.odd_vanished
+
+
+def test_group_dimension_two_tables_are_not_folded(monkeypatch):
+    model = model_from_config(SPHERE_PRODUCT2)
+    assert expanded_profile(monkeypatch, model, Fraction(1, 2), 4, "float").folded == 0
+
+
 def test_line_expand_transports_only_the_direction_one(monkeypatch):
     # one jet transport, and the flow field sees the plain direction (1,),
     # never an array of directions
@@ -911,6 +975,21 @@ def test_python_built_model_with_an_even_flow_field_is_refused():
             flow_field=lambda w, p: (w[0] * w[0],),
             laplacian_phi=lambda w, p: 0,
             zero_points=((0,),), orbit_volume=lambda p: 1.0, name="even-flow",
+        )
+
+
+@pytest.mark.parametrize("chart_dim, flow", [(2, lambda w, p: (w[0],)),
+                                              (1, lambda w, p: (w[0], w[0]))],
+                         ids=["short", "long"])
+def test_python_built_model_with_a_wrong_flow_arity_is_refused(chart_dim, flow):
+    with pytest.raises(DomainError, match=rf"model 'arity': flow_field returned {3 - chart_dim} "
+                                          rf"components for chart dimension {chart_dim}"):
+        HamiltonianModel(
+            group_dim=1, chart_dim=chart_dim,
+            phi=lambda w, p: w[0] * p[0],
+            flow_field=flow,
+            laplacian_phi=lambda w, p: 0,
+            zero_points=((0,) * chart_dim,), orbit_volume=lambda p: 1.0, name="arity",
         )
 
 
