@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -101,27 +102,35 @@ def gamma_value(q: Fraction | float) -> float:
 class SphereRule:
     """Quadrature nodes and weights on the unit sphere ``S**(dim-1)``.
 
-    Nodes are rows of ``nodes``; weights sum to the sphere area.  Every
-    rule is deterministic and antipodally symmetric (the node set is
-    closed under negation), which is what makes odd coefficients cancel
-    to rounding.  The last ``mirrored`` nodes are the exact negations of
-    the first ``mirrored``, in order, so radial data along them follows
-    from their partners' (see :func:`~lapasym.models.geometric_expansion`);
-    a claim that does not hold is refused.
+    Nodes are the rows of an ``(n, dim)`` array, with one weight each;
+    weights sum to the sphere area.  Every rule is deterministic and
+    antipodally symmetric (the node set is closed under negation), which
+    is what makes odd coefficients cancel to rounding.  ``mirrored`` is
+    read off the nodes: ``n // 2`` when the second half of the nodes is,
+    in order, the exact negation of the first half, else 0.  Radial data
+    along a mirrored node follows from its partner's (see
+    :class:`RadialProfile`).
     """
 
     dim: int
     nodes: np.ndarray
     weights: np.ndarray
-    mirrored: int = 0
 
     def __post_init__(self):
-        m, n = self.mirrored, len(self.nodes)
-        if not (0 <= 2 * m <= n and self.nodes[n - m:].tolist() == (-self.nodes[:m]).tolist()):
-            raise DomainError(f"the last {m} rule nodes are not the negations of the first {m}")
+        if np.ndim(self.weights) != 1 or np.shape(self.nodes) != (len(self.weights), self.dim):
+            raise DomainError(
+                f"a rule on S**{self.dim - 1} needs an (n, {self.dim}) node array and n "
+                f"weights, not {np.shape(self.nodes)} nodes and {np.shape(self.weights)} weights"
+            )
 
     def __len__(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def mirrored(self) -> int:
+        half = len(self) // 2
+        pairs = self.nodes[len(self) - half:].tolist() == (-self.nodes[:half]).tolist()
+        return half if pairs else 0
 
 
 def sphere_area(dim: int) -> float:
@@ -161,10 +170,9 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
 
     dim 1 is the two-point set {+1, -1} with unit weights (resolution is
     ignored); its nodes are the integers ``[[1], [-1]]``, so that exact
-    radial data stays exact along them, and ``-1`` is recorded as the
-    mirror of ``1``.  dim 2 is the uniform trapezoid rule with
-    ``resolution`` angles, an even count (spectrally accurate, odd counts
-    rejected).
+    radial data stays exact along them, and ``-1`` is the mirror of
+    ``1``.  dim 2 is the uniform trapezoid rule with ``resolution``
+    angles, an even count (spectrally accurate, odd counts rejected).
     From dim 3 on the rule is a product (Stroud 1971): ``resolution``
     Gauss-Jacobi nodes for the polar cosine ``x``, with weight
     ``(1 - x**2) ** ((dim - 3) / 2)`` from Golub-Welsch (Legendre for
@@ -178,7 +186,7 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     if dim < 1:
         raise DomainError("sphere dimension must be >= 1")
     if dim == 1:
-        return SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]), mirrored=1)
+        return SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]))
     if dim == 2:
         if resolution < 4 or resolution % 2:
             raise DomainError(
@@ -223,18 +231,18 @@ class RadialProfile:
     ``phase_coefficients[i]`` lists ``f0, f1, ...`` for direction ``i``
     of the attached rule, ``amplitude_coefficients[i]`` lists
     ``g0, g1, ...``.  Leading phase coefficients must be positive.
-    Each table is kept as one ``(directions, order + 1)`` array, its
-    rows cut to the shortest: float64 when every entry is a float (a
-    float array passes through), otherwise an object array of the
-    entries as they are.
+    Each table is kept as one ``(rows, order + 1)`` array, its rows cut
+    to the shortest: float64 when every entry is a float (a float array
+    passes through), otherwise an object array of the entries as they
+    are.
 
-    ``folded`` counts the trailing rows, among the rule's ``mirrored``
-    ones, that hold exactly their partners' rows with column ``p`` times
-    ``(-1)**p`` in both tables (same types, same values, same signed
-    zeros), as :func:`~lapasym.models.geometric_expansion` builds them
-    for odd models; the engine takes their values from their partners'
-    (see :func:`_direction_values`).  It is read off the tables, since
-    they may hold any per-direction data.
+    The tables hold one row per node of the rule, or one row per node
+    but the rule's ``mirrored`` last ones.  A node left out holds its
+    partner's rows with column ``p`` times ``(-1)**p``, which is what
+    data odd in the direction gives along the negated direction (see
+    :func:`~lapasym.models.geometric_expansion`); the engine takes its
+    values from its partner's (see :func:`_direction_values`).  Full
+    tables are taken as they are, whatever they hold.
     """
 
     def __init__(
@@ -243,8 +251,13 @@ class RadialProfile:
         phase_coefficients: Sequence[Sequence[Any]],
         amplitude_coefficients: Sequence[Sequence[Any]],
     ):
-        if len(phase_coefficients) != len(rule) or len(amplitude_coefficients) != len(rule):
-            raise DomainError("coefficient tables must match the rule's node count")
+        rows, n = len(phase_coefficients), len(rule)
+        if rows != len(amplitude_coefficients) or rows != n and rows != n - rule.mirrored:
+            raise DomainError(
+                f"coefficient tables have {rows} and {len(amplitude_coefficients)} rows; "
+                f"a rule of {n} nodes, {rule.mirrored} of them mirrored, takes {n} or "
+                f"{n - rule.mirrored}"
+            )
         self.rule = rule
         self.phase_coefficients = phase = _table(phase_coefficients)
         self.amplitude_coefficients = _table(amplitude_coefficients)
@@ -256,7 +269,6 @@ class RadialProfile:
                 f"leading radial phase coefficient must be positive; direction {i}, "
                 f"{tuple(rule.nodes[i].tolist())}, has {float(leads[i])!r}"
             )
-        self.folded = _folded(rule, self.phase_coefficients, self.amplitude_coefficients)
 
     @property
     def order(self) -> int:
@@ -271,20 +283,6 @@ def _table(table: Any) -> np.ndarray:
     rows = [row[:width] for row in rows]
     floats = all(isinstance(c, float) for row in rows for c in row)
     return np.array(rows, dtype=float if floats else object)
-
-
-def _folded(rule: SphereRule, *tables: np.ndarray) -> int:
-    # the trailing mirrored rows that equal their partners' with column p
-    # times (-1)**p; repr tells 1 from 1.0 and 0.0 from -0.0
-    n, m = len(rule), rule.mirrored
-    folded = 0
-    while folded < m and all(
-        [repr(c) for c in table[n - 1 - folded].tolist()]
-        == [repr(-c if p % 2 else c) for p, c in enumerate(table[m - 1 - folded].tolist())]
-        for table in tables
-    ):
-        folded += 1
-    return folded
 
 
 @dataclass(frozen=True)
@@ -318,14 +316,14 @@ def _exponent(j: int, profile: RadialProfile) -> Fraction:
 def _direction_values(j: int, profile: RadialProfile) -> list[float]:
     """Per direction: ``f0 ** (-exponent)`` times the inner bracket, as a float.
 
-    The bracket runs once, over the rows but the ``folded`` ones: as one
-    jet recurrence whose coefficients are the table columns, or, for a
-    single row, on its plain numbers.  A folded row's bracket is its
-    partner's times ``(-1)**j``: its data is the partner's with ``t``
-    replaced by ``-t``, and the recurrence only adds and multiplies
-    entries of matching parity, which Fraction arithmetic does exactly
-    and IEEE rounding sign-symmetrically (but for the ``+0.0`` of an
-    exact cancellation, a zero either way).
+    The bracket runs once, over the tables' rows: as one jet recurrence
+    whose coefficients are the table columns, or, for a single row, on
+    its plain numbers.  A node the tables leave out gets its partner's
+    ``f0`` and its partner's bracket times ``(-1)**j``: its data is the
+    partner's with ``t`` replaced by ``-t``, and the recurrence only
+    adds and multiplies entries of matching parity, which Fraction
+    arithmetic does exactly and IEEE rounding sign-symmetrically (but
+    for the ``+0.0`` of an exact cancellation, a zero either way).
     """
     if j < 0:
         raise DomainError("coefficient index must be nonnegative")
@@ -335,15 +333,15 @@ def _direction_values(j: int, profile: RadialProfile) -> list[float]:
         )
     exponent = _exponent(j, profile)
     phase, amplitude = profile.phase_coefficients, profile.amplitude_coefficients
-    m, folded = profile.rule.mirrored, profile.folded
-    kept = len(phase) - folded
-    if kept == 1:
+    if len(phase) == 1:
         brackets = [_inner_bracket(j, exponent, phase[0].tolist(), amplitude[0].tolist())]
     else:
-        brackets = _inner_bracket(j, exponent, phase[:kept].T, amplitude[:kept].T).tolist()
-    # folded row n - m + i is the mirror of row i
-    partners = brackets[m - folded:m]
-    brackets += [-b for b in partners] if j % 2 else partners
+        brackets = _inner_bracket(j, exponent, phase.T, amplitude.T).tolist()
+    # the left-out node n - m + i is the mirror of node i
+    m = len(profile.rule) - len(phase)
+    leads = phase[:, 0].tolist()
+    leads += leads[:m]
+    brackets += [-b for b in brackets[:m]] if j % 2 else brackets[:m]
     # then the power of f0 lane by lane: exact while both stay exact, else
     # in floats
     integral = exponent.denominator == 1
@@ -351,7 +349,7 @@ def _direction_values(j: int, profile: RadialProfile) -> list[float]:
     return [
         float(b * f0 ** -exponent.numerator) if integral and not isinstance(f0, float)
         else float(b) * float(f0) ** power
-        for b, f0 in zip(brackets, phase[:, 0].tolist())
+        for b, f0 in zip(brackets, leads)
     ]
 
 

@@ -8,9 +8,9 @@ series (nested jets), as long as they support ring arithmetic; all algorithms he
 only ever add, multiply, and rescale coefficients, so exact inputs give
 exact outputs.  One transport serves every group dimension: a batch of
 float directions travels as :class:`Lanes`, and group dimension 1
-transports its one direction ``1`` as plain numbers (its ``-1`` is the
-mirror of ``1``, see :func:`~lapasym.models.geometric_expansion`), so
-exact data stays exact.  Object arrays are the engine's exact tables.
+transports its one direction ``1`` as plain numbers (the engine folds
+``-1`` from it, see :class:`~lapasym.engine.RadialProfile`), so exact
+data stays exact.  Object arrays are the engine's exact tables.
 
 Conventions shared by the whole package:
 

@@ -101,12 +101,12 @@ class HamiltonianModel:
     numeric oracle passes the directions and points of a whole angular
     level as one float array per coordinate (in group dimension 1 too:
     its one level, the directions ``1`` and ``-1``, arrives as arrays of
-    two entries), the series path passes its rule's transported
-    directions as one array per component with jet points (one
-    direction, such as group dimension 1's ``1``, as plain numbers), and
-    a map may return a scalar where every entry is the same.  The
-    elementary functions of :mod:`.jets` and config models qualify;
-    ``math.*`` calls do not.  ``orbit_volume(point)`` is plain numeric.
+    two entries, and the Jacobian check's one direction as arrays of one
+    entry), the series path passes its rule's transported directions as
+    one array per component with jet points (one direction, such as
+    group dimension 1's ``1``, as plain numbers), and a map may return a
+    scalar where every entry is the same.  The elementary functions of
+    :mod:`.jets` and config models qualify; ``math.*`` calls do not.  ``orbit_volume(point)`` is plain numeric.
     ``zero_chart`` and ``chart_density`` are optional and only needed by
     the Jacobian check: a parametrization ``s -> point`` of the zero
     level and the density of the volume form in chart coordinates.
@@ -213,11 +213,11 @@ def radial_profile(
     each series coefficient then has one lane per direction, the value
     that direction gives on its own.  Columns of several directions
     become :class:`~lapasym.jets.Lanes`; a column of one direction is
-    read as a plain number, as :func:`_augmented_flow` reads one
-    direction, so exact data along group dimension 1's ``1`` stays
-    exact.  A failed check names the model and the first failing
-    direction; a :class:`~lapasym.errors.DomainError` of the model's
-    maps (a logarithm of a nonpositive value, say) names the model.
+    read as a plain number, so exact data along group dimension 1's
+    ``1`` stays exact.  A failed check names the model and the first
+    failing direction; a :class:`~lapasym.errors.DomainError` of the
+    model's maps (a logarithm of a nonpositive value, say) names the
+    model.
     """
     if order < 2:
         raise DomainError("radial order must be at least 2")
@@ -355,12 +355,14 @@ def geometric_expansion(
     In every group dimension one radial profile carries the rule's
     nodes but its mirrored ones, one array per direction component (in
     dimension 1 the one direction ``1``, as a plain number), and its
-    columns become the engine's tables.  The maps are odd in ``omega``
-    (checked when the model is built), so the flow along ``-omega`` is
-    the flow along ``omega`` run backwards, and the coefficient of
-    ``t**p`` changes sign with ``p``: a mirrored node's row is its
-    partner's with ``f_p`` and ``g_p`` times ``(-1)**p``.  In dimension 1
-    the ``-1`` row is built so; from dimension 2 on the rules mirror no
+    columns become the engine's tables, one row per transported node.
+    The maps are odd in ``omega`` (checked when the model is built), so
+    the flow along ``-omega`` is the flow along ``omega`` run backwards,
+    and the coefficient of ``t**p`` changes sign with ``p``: a mirrored
+    node's row is its partner's with ``f_p`` and ``g_p`` times
+    ``(-1)**p``, which is what :class:`~lapasym.engine.RadialProfile`
+    assigns to the nodes its tables leave out.  In dimension 1 the
+    ``-1`` row is left out; from dimension 2 on the rules mirror no
     node.  ``mode="float"`` converts the tables to floats first.
     ``mode="exact"`` hands them over as they are, and needs every entry
     to be an int or a Fraction; the first entry that is not, direction
@@ -397,16 +399,7 @@ def geometric_expansion(
                     f"of group dimension {model.group_dim} gives the "
                     f"{type(value).__name__} {value!r}"
                 )
-    phase, weight = (_mirror(table, rule.mirrored) for table in (phase, weight))
     return expansion_series(RadialProfile(rule, phase, weight), order)
-
-
-def _mirror(table: np.ndarray, count: int) -> np.ndarray:
-    # the rows of the last count nodes: their partners' rows, column p
-    # times (-1)**p
-    rows = table[:count].copy()
-    rows[:, 1::2] = -rows[:, 1::2]
-    return np.vstack([table, rows])
 
 
 # ------------------------------------------------------------ raw coefficient sums
@@ -596,13 +589,6 @@ def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianMo
 
 # ------------------------------------------------------------ numeric densities
 
-def _state_rows(y: np.ndarray, n: int) -> tuple:
-    # the flow state is (coordinates, phase, log-weight), one row each over
-    # the n directions; one direction is read as plain numbers, so a
-    # single flow computes exactly as it would on its own
-    return tuple(y) if n == 1 else tuple(y.reshape(-1, n))
-
-
 def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span: float):
     """One dense flow of every direction in ``directions``, carrying the
     phase and log-weight accumulators.
@@ -618,20 +604,16 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span:
 
     chart = model.chart_dim
     n = len(directions)
-    omega = directions[0] if n == 1 else tuple(
-        np.array(column, dtype=float) for column in zip(*directions)
-    )
+    omega = tuple(np.array(column, dtype=float) for column in zip(*directions))
 
     def rhs(_s: float, y):
-        coords = _state_rows(y, n)[:chart]
+        coords = tuple(y.reshape(-1, n)[:chart])
         try:
             values = (*model.flow_field(omega, coords), model.phi(omega, coords),
                       model.laplacian_phi(omega, coords))
         except DomainError:
             raise
         except (TypeError, ValueError, AttributeError) as exc:
-            if n == 1:
-                raise
             raise DomainError(
                 f"model {model.name!r} cannot evaluate its maps on coordinate arrays: {exc}"
             ) from None
@@ -705,7 +687,7 @@ def _flow_oracle(
                 raise _Undecayed
 
             def values(rho: float):
-                state = _state_rows(solution.sol(rho), n)
+                state = solution.sol(rho).reshape(-1, n)
                 return exp(-k * (2.0 * state[chart])) * exp(weight * state[chart + 1])
 
             return values
@@ -843,7 +825,7 @@ def _flow_endpoint(model: HamiltonianModel, start: Sequence[float], time: float)
     if time == 0.0:
         return tuple(float(c) for c in start), 0.0
     # the generator is linear in the direction, so flowing back for |time|
-    # is flowing forward along the opposite direction
+    # is flowing forward along the opposite direction, as one lane
     direction = (1,) if time > 0 else (-1,)
     solution = _augmented_flow(model, (direction,), tuple(start), abs(time))
     y = solution.y[:, -1]

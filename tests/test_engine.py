@@ -86,18 +86,35 @@ def test_sphere_rule_in_one_dimension_has_integer_nodes():
     assert sphere_rule(1).nodes.tolist() == [[1], [-1]]
 
 
-def test_sphere_rule_records_its_mirrored_nodes():
+def test_sphere_rule_reads_its_mirror_off_its_nodes():
     # d = 1's -1 is the exact negation of 1; the d >= 2 rules come in no
     # exact pairs in that order, so they mirror nothing
     assert sphere_rule(1).mirrored == 1
-    for dim, resolution in [(2, 32), (2, 64), (3, 16)]:
-        assert sphere_rule(dim, resolution).mirrored == 0
+    for dim, resolutions in [(2, (4, 6, 8, 16, 32, 64)), (3, (2, 4, 5, 8, 16, 32, 64)),
+                             (4, (4, 8)), (5, (4, 6))]:
+        for resolution in resolutions:
+            assert sphere_rule(dim, resolution).mirrored == 0, (dim, resolution)
     circle = sphere_rule(2, 8)
     assert abs(circle.nodes[4:] + circle.nodes[:4]).max() < 1e-15  # pairs to rounding only
-    for count in (1, 4, 5):
-        with pytest.raises(DomainError, match="negations"):
-            SphereRule(2, circle.nodes, circle.weights, mirrored=count)
-    assert SphereRule(1, np.array([[2], [-2]]), np.ones(2), mirrored=1).mirrored == 1
+    # the second half negates the first, in order: two mirrored nodes, and
+    # -0.0 counts as the negation of 0.0
+    cross = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-0.0, -1.0]])
+    assert SphereRule(2, cross, np.ones(4)).mirrored == 2
+    assert SphereRule(2, cross[[0, 1, 3, 2]], np.ones(4)).mirrored == 0
+    assert SphereRule(1, np.array([[2], [-2]]), np.ones(2)).mirrored == 1
+
+
+def test_sphere_rule_refuses_misshapen_arrays():
+    # n weights and an (n, dim) node array, or the rule would silently
+    # drop or misread nodes
+    for dim, nodes, weights in [(2, np.zeros((8, 2)), np.ones(6)),
+                                (2, np.zeros((6, 2)), np.ones(8)),
+                                (3, np.zeros((8, 2)), np.ones(8)),
+                                (2, np.zeros(8), np.ones(8)),
+                                (1, np.zeros((2, 1)), np.ones((2, 1))),
+                                (1, np.zeros((2, 1)), np.float64(1.0))]:
+        with pytest.raises(DomainError, match="node array and n weights"):
+            SphereRule(dim, nodes, weights)
 
 
 def test_sphere_rule_kills_odd_monomials():
@@ -510,37 +527,51 @@ def test_table_layouts_match_the_row_by_row_series(layout, dim, resolution):
     assert [c.hex() for c in got] == [c.hex() for c in want]
 
 
-# ---------------------------------------------------------------- folded rows
+# ---------------------------------------------------------------- mirrored rows
 
 def mirror_row(row):
     return [-c if p % 2 else c for p, c in enumerate(row)]
 
 
-def test_profile_folds_only_exact_mirror_rows():
-    rule, unfolded = sphere_rule(1), SphereRule(1, np.array([[1], [-1]]), np.ones(2))
+def test_profile_without_its_mirrored_rows_gives_the_full_tables_bits():
+    # a left-out node holds its partner's rows with column p times
+    # (-1)**p; the full tables compute every lane, the short ones one
+    # bracket per kept row
     (f,), (g,) = layout_rows(1, 6)
     floats = [float(c) for c in f]
-    floats[3] = 0.0
-    for phase, amplitude in (([f, mirror_row(f)], [g, mirror_row(g)]),
-                             ([floats, mirror_row(floats)], [g, mirror_row(g)])):
-        profile = RadialProfile(rule, phase, amplitude)
-        assert profile.folded == 1
-        got = expansion_series(profile, 5)
-        want = expansion_series(RadialProfile(unfolded, phase, amplitude), 5)
+    floats[3] = 0.0  # its mirror holds -0.0
+    amplitude_floats = [float(c) for c in g]
+    amplitude_floats[1] = -0.0
+    ints = [int(c * 6) for c in f]
+    for phase, amplitude in ((f, g), (floats, g), (floats, amplitude_floats),
+                             (ints, g), (ints, [int(c * 10) for c in g])):
+        short = RadialProfile(sphere_rule(1), [phase], [amplitude])
+        full = RadialProfile(sphere_rule(1), [phase, mirror_row(phase)],
+                             [amplitude, mirror_row(amplitude)])
+        got, want = expansion_series(short, 5), expansion_series(full, 5)
         assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
         assert got.odd_vanished == want.odd_vanished
-    # another row, an int for a Fraction, 1.0 for 1, 0.0 for -0.0: no fold
-    negated_zero = mirror_row(floats)
-    negated_zero[3] = 0.0
-    as_int, as_float = mirror_row(g), mirror_row(g)
-    as_int[0], as_float[0] = int(g[0]), float(g[0])
-    for phase, amplitude in (layout_rows(2, 6),
-                             ([f, mirror_row(f)], [g, as_int]),
-                             ([f, mirror_row(f)], [g, as_float]),
-                             ([floats, negated_zero], [g, mirror_row(g)])):
-        assert RadialProfile(rule, phase, amplitude).folded == 0
-    # the d >= 2 rules mirror no node, so they fold nothing
-    for dim, resolution in [(2, 8), (3, 4), (4, 3)]:
-        rule = sphere_rule(dim, resolution)
-        equal = [[1.0, 0.5, 2.0]] * len(rule)
-        assert RadialProfile(rule, equal, equal).folded == 0
+    # two mirrored nodes, with unequal weights: node 2 + i holds node i's rows
+    rule = SphereRule(2, np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]),
+                      np.array([1.0, 2.0, 1.0, 2.0]))
+    phase, amplitude = layout_rows(2, 6)
+    short = RadialProfile(rule, phase, amplitude)
+    full = RadialProfile(rule, phase + [mirror_row(row) for row in phase],
+                         amplitude + [mirror_row(row) for row in amplitude])
+    got, want = expansion_series(short, 5), expansion_series(full, 5)
+    assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
+    assert got.odd_vanished == want.odd_vanished
+
+
+def test_profile_refuses_row_counts_the_rule_cannot_take():
+    line, circle = sphere_rule(1), sphere_rule(2, 8)
+    row = [2, 1, 1]
+    for rule, phase_rows, amplitude_rows, accepted in [
+        (line, 2, 1, "takes 2 or 1"), (line, 1, 2, "takes 2 or 1"),
+        (line, 3, 3, "takes 2 or 1"), (circle, 4, 4, "takes 8 or 8"),
+        (circle, 7, 7, "takes 8 or 8"),
+    ]:
+        with pytest.raises(DomainError, match=accepted):
+            RadialProfile(rule, [row] * phase_rows, [row] * amplitude_rows)
+    for rows in (1, 2):
+        assert RadialProfile(line, [row] * rows, [row] * rows).order == 2

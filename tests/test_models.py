@@ -48,6 +48,8 @@ from lapasym.models import (
     zeta_geometric_from_atoms,
 )
 
+from test_engine import mirror_row
+
 SQRT_PI = math.sqrt(math.pi)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TWO_PI = 2.0 * math.pi
@@ -596,7 +598,7 @@ def assert_batched_flow_matches_scalar_solves(model, directions, span, bound):
     radii = np.linspace(0.0, span, 9)
     rows = [batched.sol(rho).reshape(-1, len(directions)) for rho in radii]
     for i, omega in enumerate(directions):
-        # one direction alone is evaluated on plain numbers, as a scalar solve
+        # one direction alone is one lane of its own solve
         alone = models._augmented_flow(model, (omega,), x0, span)
         for rho, level in zip(radii, rows):
             y = alone.sol(rho)
@@ -829,7 +831,7 @@ def per_direction_expansion(model, half_form, order, resolution, convert=float):
         "sphere1", "rational-line1", "transcendental1", "line0"])
 def test_batched_series_path_is_bit_identical_per_direction(config, half_form, order,
                                                            resolution):
-    # d = 1 transports the direction 1 and mirrors its row for -1; the
+    # d = 1 transports the direction 1 and leaves the row of -1 out; the
     # reference runs each direction on its own
     model = resolve_model(config) if isinstance(config, str) else model_from_config(config)
     batched = geometric_expansion(model, None, half_form, order, resolution)
@@ -842,8 +844,8 @@ def test_batched_series_path_is_bit_identical_per_direction(config, half_form, o
 
 
 def test_batched_exact_path_matches_per_direction_rows():
-    # exact mode in d = 1: the direction 1 and the mirrored -1 row stay ints
-    # and Fractions, equal to -1 transported on its own
+    # exact mode in d = 1: the row of the direction 1 stays ints and
+    # Fractions, and the folded -1 gives what -1 transported on its own gives
     half_form = Fraction(1, 2)
     for config, order in ((RATIONAL_LINE, 10), (LINE0, 14)):
         model = model_from_config(config)
@@ -880,14 +882,13 @@ def expanded_profile(monkeypatch, model, half_form, order, mode):
 ], ids=[*(config["name"] for config in CLI_SHORT_LINES), "sphere", "quartic"])
 def test_folded_line_tables_give_the_unfolded_coefficients(config, half_form, orders, mode,
                                                            monkeypatch):
-    # the -1 row is folded: one bracket on the plain numbers of the row of
-    # 1, none on object lanes, and the same bits as both rows computed
+    # the -1 row is left out: one bracket on the plain numbers of the row
+    # of 1, none on object lanes, and the same bits as both rows computed
     model = resolve_model(config) if isinstance(config, str) else model_from_config(config)
-    unfolded = engine.SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]), mirrored=0)
     for order in orders:
         profile = expanded_profile(monkeypatch, model, half_form, order, mode)
-        assert profile.folded == 1
         tables = (profile.phase_coefficients, profile.amplitude_coefficients)
+        assert [len(table) for table in tables] == [1, 1]
         assert tables[0].dtype == (object if mode == "exact" else float)
         rows = []
         bracket = engine._inner_bracket
@@ -900,14 +901,17 @@ def test_folded_line_tables_give_the_unfolded_coefficients(config, half_form, or
             patch.setattr(engine, "_inner_bracket", recording)
             got = expansion_series(profile, order)
         assert rows == [list] * (order + 1)
-        want = expansion_series(engine.RadialProfile(unfolded, *tables), order)
+        full = ([row, mirror_row(row)] for row in (table[0].tolist() for table in tables))
+        want = expansion_series(engine.RadialProfile(profile.rule, *full), order)
         assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
         assert got.odd_vanished == want.odd_vanished
 
 
 def test_group_dimension_two_tables_are_not_folded(monkeypatch):
     model = model_from_config(SPHERE_PRODUCT2)
-    assert expanded_profile(monkeypatch, model, Fraction(1, 2), 4, "float").folded == 0
+    profile = expanded_profile(monkeypatch, model, Fraction(1, 2), 4, "float")
+    assert len(profile.phase_coefficients) == len(profile.amplitude_coefficients) \
+        == len(profile.rule)
 
 
 def test_line_expand_transports_only_the_direction_one(monkeypatch):

@@ -3,9 +3,10 @@
 A model ``phi = w0^m p(x0)``, ``flow_field = w0^m q(x0)``,
 ``laplacian_phi = w0^m r(x0)`` with an odd power ``m`` and rational
 polynomials is odd in the direction, so the series path transports the
-direction 1 alone and mirrors its row for -1.  The folded expansion must
-equal the reference that transports each direction on its own, exactly,
-and agree with the independent raw-sum route.
+direction 1 alone and leaves the row of -1 out for the engine to fold
+from it.  The folded expansion must equal the reference that transports
+each direction on its own, exactly, and agree with the independent
+raw-sum route.
 """
 
 from fractions import Fraction
