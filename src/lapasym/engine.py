@@ -31,9 +31,10 @@ The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
 per angular level, the one level of the line's two directions in one
 dimension, nested circle grids in two and Gauss-Legendre times azimuth
-grids in three, with each level's directions evaluated together; it
-refuses other dimensions.  QUADPACK's QAGS is the port in
-:mod:`.integrators`, which is imported on the oracle's first call only.
+grids in three, with each level's directions evaluated together at all
+21 radii of a Kronrod rule at once; it refuses other dimensions.
+QUADPACK's QAGS is the port in :mod:`.integrators`, which is imported
+on the oracle's first call only.
 :func:`numeric_laplace_integral` is its pointwise front end.  Neither
 shares code with the coefficient path apart from evaluating the user's
 callables, which is what makes them usable as an independent oracle.
@@ -102,14 +103,14 @@ def gamma_value(q: Fraction | float) -> float:
 class SphereRule:
     """Quadrature nodes and weights on the unit sphere ``S**(dim-1)``.
 
-    Nodes are the rows of an ``(n, dim)`` array, with one weight each;
-    weights sum to the sphere area.  Every rule is deterministic and
-    antipodally symmetric (the node set is closed under negation), which
-    is what makes odd coefficients cancel to rounding.  ``mirrored`` is
-    read off the nodes: ``n // 2`` when the second half of the nodes is,
-    in order, the exact negation of the first half, else 0.  Radial data
-    along a mirrored node follows from its partner's (see
-    :class:`RadialProfile`).
+    Nodes are the rows of an ``(n, dim)`` array, ``n >= 1``, with one
+    finite weight each; weights sum to the sphere area.  Every rule is
+    deterministic and antipodally symmetric (the node set is closed
+    under negation), which is what makes odd coefficients cancel to
+    rounding.  ``mirrored`` is read off the nodes: ``n // 2`` when the
+    second half of the nodes is, in order, the exact negation of the
+    first half, else 0.  Radial data along a mirrored node follows from
+    its partner's (see :class:`RadialProfile`).
     """
 
     dim: int
@@ -122,6 +123,14 @@ class SphereRule:
                 f"a rule on S**{self.dim - 1} needs an (n, {self.dim}) node array and n "
                 f"weights, not {np.shape(self.nodes)} nodes and {np.shape(self.weights)} weights"
             )
+        if not len(self):
+            raise DomainError(f"a rule on S**{self.dim - 1} needs at least one node, not "
+                              f"{len(self.nodes)} nodes and {len(self.weights)} weights")
+        finite = np.isfinite(np.asarray(self.weights, dtype=float))
+        if not finite.all():
+            i = int(np.flatnonzero(~finite)[0])
+            raise DomainError(f"rule weights must be finite; weight {i} is "
+                              f"{float(self.weights[i])}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -407,13 +416,13 @@ def _quad(fn, lower: float, upper: float, tol: float) -> tuple[float, float]:
 # many, which bounds the state of one vectorized flow solve
 _LEVEL_BLOCK = 512
 
-Level = Callable[[np.ndarray], Callable[[float], Any]]
+Level = Callable[[np.ndarray], Callable[[np.ndarray], Any]]
 
 
 def _point_level(phase: Callable, amplitude: Callable, k: float) -> Level:
-    def level(nodes: np.ndarray) -> Callable[[float], Any]:
-        def values(rho: float) -> Any:
-            point = tuple(rho * nodes.T)
+    def level(nodes: np.ndarray) -> Callable[[np.ndarray], Any]:
+        def values(rho: np.ndarray) -> Any:
+            point = tuple(rho[:, None] * coordinate for coordinate in nodes.T)
             return exp(-k * phase(point)) * amplitude(point)
 
         return values
@@ -435,11 +444,12 @@ def numeric_laplace_integral(
     :func:`polar_laplace_integral`, in dimension 1, 2 or 3; other
     dimensions raise :class:`~lapasym.errors.DomainError`.  The polar
     quadrature asks for a whole angular level at once: given the level's
-    ``n`` unit nodes, a function of the radius that returns their ``n``
-    integrand values.
+    ``n`` unit nodes, a function of an array of ``m`` radii that returns
+    the ``(m, n)`` integrand values.
     This function is the pointwise adapter that builds such a level:
-    ``phase`` and ``amplitude`` receive the level's points at one radius
-    as a tuple of coordinate arrays and must compute elementwise.
+    ``phase`` and ``amplitude`` receive the level's points at the ``m``
+    radii as a tuple of ``(m, n)`` coordinate arrays and must compute
+    elementwise.
     Independent of the series engine by construction.
     Raises :class:`~lapasym.errors.QuadratureError` (carrying the best
     estimate and its bound) when the tolerance cannot be certified.
@@ -481,14 +491,15 @@ def polar_laplace_integral(
     """Integral over the ball of an integrand given one angular level at a time.
 
     ``level(nodes)`` receives unit directions as the rows of an
-    ``(n, dim)`` array and returns a function of the radius ``rho`` that
-    gives the array of the ``n`` integrand values at ``rho * node``; the
-    caller evaluates all of a level's directions together, for instance
-    as one vectorized flow.  Nodes come at most ``_LEVEL_BLOCK`` at a
-    time.
+    ``(n, dim)`` array and returns a function of an array ``rho`` of
+    ``m`` radii that gives the ``(m, n)`` integrand values at
+    ``rho[i] * node``; the caller evaluates all of a level's directions
+    at all the radii together, for instance from one vectorized flow.
+    Nodes come at most ``_LEVEL_BLOCK`` at a time.
 
     Each angular level is one QUADPACK call (QAGS) in the radius on
-    ``[0, radius]``, on the weighted sum of its directions' integrands.
+    ``[0, radius]``, on the weighted sum of its directions' integrands,
+    which it asks for once per 21-point rule, at the rule's radii.
     In one dimension the one level is ``sphere_rule(1)``, the nodes
     ``+1`` and ``-1`` with unit weights; that rule is exact, so its
     estimate is final and its radial error, within ``tol / 2``, is the
@@ -515,9 +526,12 @@ def polar_laplace_integral(
             for i in range(0, len(nodes), _LEVEL_BLOCK)
         ]
 
-        def weighted(rho: float) -> float:
-            total = sum(float(np.sum(w * values(rho))) for values, w in blocks)
-            return total * rho ** (dim - 1)
+        def weighted(rho: np.ndarray) -> np.ndarray:
+            total = 0.0
+            for values, w in blocks:
+                total = total + np.sum(w * values(rho), axis=-1)
+            # Python's float power: numpy's square can differ in the last bit
+            return total * np.array([r ** (dim - 1) for r in rho.tolist()])
 
         return _quad(weighted, 0.0, radius, budget)
 

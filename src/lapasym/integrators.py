@@ -3,23 +3,26 @@
 Both are ports that reproduce their sources bit for bit, so the oracle
 prints the same digits as when it called scipy, without loading scipy.
 
-:func:`dop853` is the forward, dense-output path of SciPy's
+:class:`Dop853` is the forward, dense-output path of SciPy's
 ``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", dense_output=True,
 rtol=rtol, atol=atol)``: the explicit Runge-Kutta pair of order 8(5,3)
 of Dormand and Prince (Hairer, Norsett and Wanner, *Solving Ordinary
 Differential Equations I*, Sec. II.10), with SciPy's coefficient
 tables, initial step selection, error norm, step-size control and
 7th-degree dense output, and the same numpy expressions, so that every
-BLAS call sees the arrays SciPy gives it.  One thing is added: the
-solve stops at the first trial step with a stage that is not finite,
-where SciPy would shrink the step until it underflows.
+BLAS call sees the arrays SciPy gives it.  One solve serves every end
+time asked of it, sharing the steps that the end times share, and
+:func:`dop853` is that solve run to one end time.  One thing is added:
+the solve stops at the first trial step with a stage that is not
+finite, where SciPy would shrink the step until it underflows.
 
 :func:`quad` is ``scipy.integrate.quad(fn, a, b, epsabs=epsabs,
 epsrel=epsrel, limit=limit)`` on a finite interval, returning
 ``(value, abserr)`` whatever QUADPACK's error flag: ``dqagse``
 (Piessens, de Doncker-Kapenga, Uberhuber and Kahaner, *QUADPACK*,
 Springer 1983) on the 21-point Gauss-Kronrod rule ``dqk21``, with the
-epsilon algorithm ``dqelg`` and the error ordering ``dqpsrt``.
+epsilon algorithm ``dqelg`` and the error ordering ``dqpsrt``; its
+integrand is called once per rule, on the rule's 21 abscissae.
 Infinite intervals are not supported.  QUADPACK's arrays are indexed
 from 1 here, as in the Fortran, so that the port reads against it
 statement by statement.
@@ -36,11 +39,11 @@ QUADPACK is in the public domain.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["OdeFlow", "dop853", "quad"]
+__all__ = ["Dop853", "OdeFlow", "dop853", "quad"]
 
 
 # ------------------------------------------------------------------ DOP853
@@ -155,11 +158,7 @@ def _dense(rows: dict, shape: tuple) -> np.ndarray:
 # The tables keep SciPy's layout: every row handed to np.dot is a slice
 # of the same C-ordered arrays, so BLAS sums in SciPy's order.
 _A_ALL = _dense(_A_ROWS, (_N_STAGES_EXTENDED, _N_STAGES_EXTENDED))
-_A = _A_ALL[:_N_STAGES, :_N_STAGES]
 _B = _A_ALL[_N_STAGES, :_N_STAGES]
-_C = _C_ALL[:_N_STAGES]
-_A_EXTRA = _A_ALL[_N_STAGES + 1:]
-_C_EXTRA = _C_ALL[_N_STAGES + 1:]
 _E3 = np.zeros(_N_STAGES + 1)
 _E3[:-1] = _B.copy()
 _E3[0] -= 0.244094488188976377952755905512
@@ -185,26 +184,15 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _FINISHED = "The solver successfully reached the end of the integration interval."
 
 
-class OdeFlow(NamedTuple):
-    """A forward DOP853 solve: the accepted times ``t``, the states ``y``
-    (one column per time), the dense solution ``sol(t)``, the number of
-    right-hand-side calls, and whether the end was reached (else
-    ``message`` says why not)."""
-
-    t: np.ndarray
-    y: np.ndarray
-    sol: Callable[[float], np.ndarray]
-    nfev: int
-    success: bool
-    message: str
-
-
 def _norm(x: np.ndarray) -> float:
     # root mean square
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> tuple[float, float]:
+    """SciPy's initial step, and the length from which on the first
+    interval does not limit it: the step is the same for every first
+    interval at least that long, and a shorter one limited it."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _norm(y0 / scale)
@@ -213,6 +201,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
+    h0_wanted = h0
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
     f1 = fun(t0 + h0, y1)
@@ -221,12 +210,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (_ESTIMATOR_ORDER + 1))
-    return min(100 * h0, h1, interval_length)
+    h = min(100 * h0, h1)
+    return min(h, interval_length), max(h0_wanted, h)
 
 
-def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
+def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+    # KT is the transpose of the 13 stages
+    err5 = np.dot(KT, _E5) / scale
+    err3 = np.dot(KT, _E3) / scale
     err5_norm_2 = np.linalg.norm(err5) ** 2
     err3_norm_2 = np.linalg.norm(err3) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -235,28 +226,258 @@ def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-class _Segment:
-    """The 7th-degree interpolant of one accepted step."""
+def _stage_views(K_extended: np.ndarray, stages: range) -> list:
+    # per stage s: its row, the earlier stages transposed, its row of the
+    # Butcher matrix and its node, as SciPy slices them at every step
+    return [(s, K_extended[:s].T, _A_ALL[s, :s], float(_C_ALL[s])) for s in stages]
 
-    __slots__ = ("t_old", "h", "F", "y_old")
 
-    def __init__(self, t_old: float, t: float, y_old: np.ndarray, F: np.ndarray):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
+def _room(stack: np.ndarray, rows: int) -> np.ndarray:
+    # a stack with room for `rows` rows, doubled when full
+    if rows <= len(stack):
+        return stack
+    grown = np.empty((2 * len(stack), *stack.shape[1:]))
+    grown[:len(stack)] = stack
+    return grown
 
-    def __call__(self, t) -> np.ndarray:
-        x = (t - self.t_old) / self.h
-        y = np.zeros_like(self.y_old)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
+
+class _Table:
+    """The dense output of a solve: one row per accepted state, in the
+    order the states were computed, from the state at ``t0``.
+
+    A row holds the state's time, the step size the next step starts
+    from, the right-hand-side calls made by then, the state and its
+    derivative: with the end time, everything the steps from there on
+    depend on.  Row ``r > 0`` was reached by a step whose interpolant
+    coefficients are ``coefficients[r - 1]``.  The states, derivatives
+    and coefficients are stacked arrays.  The trunk is the chain of rows
+    from ``t0`` that were reached before any trial step was clipped to an
+    end time.
+    """
+
+    def __init__(self, t0: float, h_abs: float, calls: int, y0: np.ndarray, f0: np.ndarray):
+        self.times, self.step_sizes, self.calls = [t0], [h_abs], [calls]
+        self.states = np.empty((16, y0.size))
+        self.derivatives = np.empty((16, y0.size))
+        self.coefficients = np.empty((16, _INTERPOLATOR_POWER, y0.size))
+        self.states[0], self.derivatives[0] = y0, f0
+        self.trunk = [0]
+
+    def add(self, t: float, h_abs: float, calls: int, y: np.ndarray, f: np.ndarray) -> int:
+        """A new row; the caller writes its step's coefficients."""
+        row = len(self.times)
+        self.states = _room(self.states, row + 1)
+        self.derivatives = _room(self.derivatives, row + 1)
+        self.coefficients = _room(self.coefficients, row)
+        self.states[row], self.derivatives[row] = y, f
+        self.times.append(t)
+        self.step_sizes.append(h_abs)
+        self.calls.append(calls)
+        return row
+
+
+class OdeFlow:
+    """A forward DOP853 solve to one end time: the accepted times ``t``,
+    the states ``y`` (one column per time), the dense solution
+    :meth:`sol`, the number of right-hand-side calls a solve to this end
+    time makes, and whether the end was reached (else ``message`` says
+    why not).  Its states and steps are rows of the table of the
+    :class:`Dop853` solve that made it, which its flows to other end
+    times share.
+    """
+
+    __slots__ = ("t", "nfev", "success", "message", "_table", "_rows")
+
+    def __init__(self, table: _Table, rows: list[int], nfev: int, failure: str | None):
+        self._table = table
+        self._rows = np.array(rows)
+        self.t = np.array(table.times)[self._rows]
+        self.nfev = nfev
+        self.success = failure is None
+        self.message = failure or _FINISHED
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._table.states[self._rows].T
+
+    def sol(self, at) -> np.ndarray:
+        """The dense solution of a successful solve at a time, or at each
+        of an array of times (one row per time), by each step's
+        7th-degree interpolant; a time on a step boundary belongs to the
+        earlier step."""
+        at = np.asarray(at)
+        step = np.clip(np.searchsorted(self.t, at, side="left") - 1, 0, len(self.t) - 2)
+        t_old = self.t[step]
+        x = ((at - t_old) / (self.t[step + 1] - t_old))[..., None]
+        coefficients = self._rows[step + 1] - 1
+        y = np.zeros(at.shape + self._table.states.shape[1:])
+        for i in range(_INTERPOLATOR_POWER):
+            y += self._table.coefficients[coefficients, _INTERPOLATOR_POWER - 1 - i]
             if i % 2 == 0:
                 y *= x
             else:
                 y *= 1 - x
-        y += self.y_old
+        y += self._table.states[self._rows[step]]
         return y
+
+
+class Dop853:
+    """A forward DOP853 solve of ``y' = fun(t, y)`` from ``t0`` to any end time.
+
+    ``until(t_bound)``, for ``t_bound > t0``, is bit for bit SciPy's
+    ``solve_ivp`` with ``method="DOP853"`` and ``dense_output=True`` on
+    ``(t0, t_bound)``; ``rtol`` must be at least ``100 * eps``.  A
+    failed solve has ``success=False``, with SciPy's message when the
+    step size underflows and its own when a trial step meets a stage
+    that is not finite.
+
+    The end time enters the steps in two places only: it clips a trial
+    step that would pass it, and the first interval can limit the
+    initial step.  So the steps before the first step with a clipped
+    trial are the same for every end time that clips none of them.  The
+    solve keeps them as its trunk: a longer end time continues from the
+    trunk's last state, and a shorter one branches off at the first
+    trunk state whose trial step it clips.  It starts afresh from ``t0``
+    only when its initial step was, or would be, limited by the first
+    interval.  Each end time's flow is kept, and all of them read one
+    table of states and interpolants.
+    """
+
+    def __init__(self, fun: Callable[[float, np.ndarray], Any], t0: float,
+                 y0: Sequence[float], rtol: float, atol: float):
+        if not rtol >= 100 * np.finfo(float).eps:
+            raise ValueError("rtol must be at least 100 * eps")
+        y = np.array(y0, dtype=float)
+        if y.ndim != 1 or not np.isfinite(y).all():
+            raise ValueError("the initial state must be a finite 1-d array")
+        self._fun, self._t0, self._y0, self._rtol, self._atol = fun, float(t0), y, rtol, atol
+        self._calls = 0
+        self._flows: dict[float, OdeFlow] = {}
+        # the table whose trunk serves every first interval at least
+        # _free_from long, which does not limit its initial step
+        self._table: _Table | None = None
+        self._free_from = math.inf
+
+    def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        self._calls += 1
+        return np.asarray(self._fun(t, y), dtype=float)
+
+    def until(self, t_bound: float) -> OdeFlow:
+        """The solve from ``t0`` to ``t_bound``."""
+        t_bound = float(t_bound)
+        if not t_bound > self._t0:
+            raise ValueError("dop853 integrates forward: t_bound must exceed t0")
+        if t_bound not in self._flows:
+            if self._table is None or abs(t_bound - self._t0) < self._free_from:
+                flow = self._fresh(t_bound)
+            else:
+                flow = self._branch(self._table, t_bound)
+            self._flows[t_bound] = flow
+        return self._flows[t_bound]
+
+    def _fresh(self, t_bound: float) -> OdeFlow:
+        calls = self._calls
+        f = self._rhs(self._t0, self._y0)
+        h_abs, free_from = _initial_step(self._rhs, self._t0, self._y0, t_bound, f,
+                                         self._rtol, self._atol)
+        table = _Table(self._t0, h_abs, self._calls - calls, self._y0, f)
+        if abs(t_bound - self._t0) >= free_from:
+            self._table, self._free_from = table, free_from
+        return self._run(table, 0, t_bound)
+
+    def _branch(self, table: _Table, t_bound: float) -> OdeFlow:
+        """The flow to ``t_bound`` from the first trunk state whose trial
+        step it clips, or that it ends at, or else from the trunk's last."""
+        # each trunk state's first trial step, as the step loop takes it
+        t = np.array(table.times)[table.trunk]
+        h_abs = np.array(table.step_sizes)[table.trunk]
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        trial = t + np.where(h_abs < min_step, min_step, h_abs)
+        stops = np.flatnonzero((trial - t_bound > 0) | (t >= t_bound))
+        return self._run(table, stops[0] if len(stops) else len(t) - 1, t_bound)
+
+    def _run(self, table: _Table, i: int, t_bound: float) -> OdeFlow:
+        """The flow to ``t_bound`` from the ``i``-th trunk state.  Steps
+        taken from the trunk's last state before a trial step is clipped
+        extend the trunk."""
+        start = table.trunk[i]
+        rows = table.trunk[:i + 1]
+        trunk = i == len(table.trunk) - 1
+        t, h_abs = table.times[start], table.step_sizes[start]
+        y, f = table.states[start], table.derivatives[start]
+        calls = self._calls - table.calls[start]
+        rhs, rtol, atol = self._rhs, self._rtol, self._atol
+        # every step reads its stages through the same views of one array
+        K_extended = np.empty((_N_STAGES_EXTENDED, y.size))
+        K = K_extended[:_N_STAGES + 1]
+        KT, K_B = K.T, K_extended[:_N_STAGES].T
+        stages = _stage_views(K_extended, range(1, _N_STAGES))
+        extra_stages = _stage_views(K_extended, range(_N_STAGES + 1, _N_STAGES_EXTENDED))
+        failure = None
+
+        while t < t_bound:
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            if h_abs < min_step:
+                h_abs = min_step
+            step_rejected = False
+            while True:
+                if h_abs < min_step:
+                    failure = _TOO_SMALL_STEP
+                    break
+                t_new = t + h_abs
+                if t_new - t_bound > 0:
+                    t_new = t_bound
+                    trunk = False
+                h = t_new - t
+                h_abs = np.abs(h)
+
+                # one Runge-Kutta step
+                K[0] = f
+                for s, KsT, a, c in stages:
+                    dy = np.dot(KsT, a) * h
+                    K[s] = rhs(t + c * h, y + dy)
+                y_new = y + h * np.dot(K_B, _B)
+                f_new = rhs(t + h, y_new)
+                K[-1] = f_new
+                # shrinking the step would only creep up to the overflow
+                if not np.isfinite(K).all():
+                    failure = f"a trial step from t = {t:.6g} has a stage that is not finite."
+                    break
+
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = _error_norm(KT, h, scale)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    if step_rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                step_rejected = True
+            if failure:
+                break
+
+            # the dense output of the accepted step, from three more stages
+            for s, KsT, a, c in extra_stages:
+                dy = np.dot(KsT, a) * h
+                K_extended[s] = rhs(t + c * h, y + dy)
+            rows.append(table.add(t_new, h_abs, self._calls - calls, y_new, f_new))
+            if trunk:
+                table.trunk.append(rows[-1])
+            F = table.coefficients[rows[-1] - 1]
+            f_old = K_extended[0]
+            delta_y = y_new - y
+            F[0] = delta_y
+            F[1] = h * f_old - delta_y
+            F[2] = 2 * delta_y - h * (f_new + f_old)
+            F[3:] = h * np.dot(_D, K_extended)
+
+            t, y, f = t_new, y_new, f_new
+
+        return OdeFlow(table, rows, self._calls - calls, failure)
 
 
 def dop853(
@@ -267,107 +488,11 @@ def dop853(
     rtol: float,
     atol: float,
 ) -> OdeFlow:
-    """Integrate ``y' = fun(t, y)`` from ``t0`` forward to ``t_bound > t0``.
-
-    Bit for bit SciPy's ``solve_ivp`` with ``method="DOP853"`` and
-    ``dense_output=True``; ``rtol`` must be at least ``100 * eps``.  A
-    failed solve returns ``success=False``, with SciPy's message when
-    the step size underflows and its own when a trial step meets a
-    stage that is not finite; ``sol`` serves a successful solve.
-    """
-    t0, t_bound = float(t0), float(t_bound)
-    if not t_bound > t0:
-        raise ValueError("dop853 integrates forward: t_bound must exceed t0")
-    if not rtol >= 100 * np.finfo(float).eps:
-        raise ValueError("rtol must be at least 100 * eps")
-    y = np.asarray(y0).astype(float, copy=False)
-    if y.ndim != 1 or not np.isfinite(y).all():
-        raise ValueError("the initial state must be a finite 1-d array")
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    t = t0
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, t_bound, f, rtol, atol)
-    K_extended = np.empty((_N_STAGES_EXTENDED, y.size), dtype=y.dtype)
-    K = K_extended[:_N_STAGES + 1]
-    ts, ys, segments = [t0], [y], []
-    failure = None
-
-    while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                failure = _TOO_SMALL_STEP
-                break
-            t_new = t + h_abs
-            if t_new - t_bound > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-
-            # one Runge-Kutta step
-            K[0] = f
-            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-                dy = np.dot(K[:s].T, a[:s]) * h
-                K[s] = rhs(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            f_new = rhs(t + h, y_new)
-            K[-1] = f_new
-            # shrinking the step would only creep up to the overflow
-            if not np.isfinite(K).all():
-                failure = f"a trial step from t = {t:.6g} has a stage that is not finite."
-                break
-
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            step_rejected = True
-        if failure:
-            break
-
-        # the dense output of the accepted step, from three more stages
-        for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1):
-            dy = np.dot(K_extended[:s].T, a[:s]) * h
-            K_extended[s] = rhs(t + c * h, y + dy)
-        F = np.empty((_INTERPOLATOR_POWER, y.size), dtype=y.dtype)
-        f_old = K_extended[0]
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f_new + f_old)
-        F[3:] = h * np.dot(_D, K_extended)
-        segments.append(_Segment(t, t_new, y, F))
-
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-
-    times = np.array(ts)
-
-    def sol(at: float) -> np.ndarray:
-        # a time on a step boundary belongs to the earlier step
-        at = np.asarray(at)
-        index = np.searchsorted(times, at, side="left")
-        return segments[min(max(index - 1, 0), len(segments) - 1)](at)
-
-    return OdeFlow(times, np.vstack(ys).T, sol, nfev, failure is None, failure or _FINISHED)
+    """Integrate ``y' = fun(t, y)`` from ``t0`` forward to ``t_bound > t0``:
+    ``Dop853(fun, t0, y0, rtol, atol).until(t_bound)``, bit for bit
+    SciPy's ``solve_ivp`` with ``method="DOP853"`` and
+    ``dense_output=True``."""
+    return Dop853(fun, t0, y0, rtol, atol).until(t_bound)
 
 
 # ----------------------------------------------------------------- QUADPACK
@@ -401,38 +526,41 @@ _WG = (
 )
 
 
+# dqk21's order of evaluation after the centre: -/+ the Gauss nodes 1, 3,
+# ..., 9, then -/+ the Kronrod nodes 0, 2, ..., 8
+_QK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_XGK_ORDERED = np.array([_XGK[j] for j in _QK21_ORDER])
+
+
 def _qk21(f, a: float, b: float):
-    """``dqk21``: (result, abserr, resabs, resasc) on ``[a, b]``."""
+    """``dqk21``: (result, abserr, resabs, resasc) on ``[a, b]``, from one
+    call of ``f`` on the rule's 21 abscissae, in the order ``dqk21``
+    evaluates them."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
+    absc = hlgth * _XGK_ORDERED
+    x = np.empty(21)
+    x[0] = centr
+    x[1::2] = centr - absc
+    x[2::2] = centr + absc
+    fx = f(x)
     resg = 0.0
-    fc = f(centr)
+    fc = fx[0]
     resk = _WGK[10] * fc
     resabs = abs(resk)
     fv1 = [0.0] * 10
     fv2 = [0.0] * 10
-    for j in range(5):
-        jtw = 2 * j + 1
-        absc = hlgth * _XGK[jtw]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
+    for i, j in enumerate(_QK21_ORDER):
+        fval1 = fx[2 * i + 1]
+        fval2 = fx[2 * i + 2]
+        fv1[j] = fval1
+        fv2[j] = fval2
         fsum = fval1 + fval2
-        resg = resg + _WG[j] * fsum
-        resk = resk + _WGK[jtw] * fsum
-        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
-    for j in range(5):
-        jtwm1 = 2 * j
-        absc = hlgth * _XGK[jtwm1]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
-        fsum = fval1 + fval2
-        resk = resk + _WGK[jtwm1] * fsum
-        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
     for j in range(10):
@@ -744,7 +872,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
 
 
 def quad(
-    fn: Callable[[float], Any],
+    fn: Callable[[np.ndarray], Any],
     a: float,
     b: float,
     epsabs: float,
@@ -754,8 +882,10 @@ def quad(
     """``(value, abserr)`` of the integral of ``fn`` over the finite ``[a, b]``, ``a < b``.
 
     Bit for bit ``scipy.integrate.quad`` with the same arguments, less
-    its warnings: QUADPACK's QAGS.  ``fn`` receives floats and must
-    return something ``float`` accepts.
+    its warnings: QUADPACK's QAGS.  ``fn`` is called once per 21-point
+    rule: it receives the rule's abscissae as one float64 array, in the
+    order in which ``dqk21`` evaluates them, and returns their 21 values
+    (or one value for all of them) as something a float64 array takes.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -763,7 +893,7 @@ def quad(
     if not epsabs > 0 and epsrel < max(50 * _EPMACH, 5e-29):
         raise ValueError("tolerance too small")
 
-    def f(x: float) -> float:
-        return float(fn(x))
+    def f(x: np.ndarray) -> list:
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).tolist()
 
     return _qags(f, a, b, epsabs, epsrel, limit)

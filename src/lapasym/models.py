@@ -589,9 +589,11 @@ def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianMo
 
 # ------------------------------------------------------------ numeric densities
 
-def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span: float):
-    """One dense flow of every direction in ``directions``, carrying the
-    phase and log-weight accumulators.
+def _augmented_flow(model: HamiltonianModel, directions: tuple,
+                    x0: tuple) -> Callable[[float], Any]:
+    """``span -> dense flow`` of every direction in ``directions``,
+    carrying the phase and log-weight accumulators: one
+    :class:`~lapasym.integrators.Dop853` solve, which serves every span.
 
     The state holds one row per chart coordinate, then the phase and the
     log-weight, each over the directions; the model's maps see each row
@@ -600,7 +602,7 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span:
     size underflows, or a stage leaves the finite range) raises
     :class:`QuadratureError`.
     """
-    from .integrators import dop853  # the oracle only: see engine._quad
+    from .integrators import Dop853  # the oracle only: see engine._quad
 
     chart = model.chart_dim
     n = len(directions)
@@ -622,31 +624,34 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple, x0: tuple, span:
             out[row] = v
         return out.ravel()
 
-    # a flow that overflows is reported by the solver's failure below, not
-    # by floating-point warnings
-    with np.errstate(all="ignore"):
-        solution = dop853(
-            rhs, 0.0, span, np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
-            rtol=1e-13, atol=1e-14,
-        )
-    if not solution.success:
-        raise QuadratureError(
-            f"flow transport failed on {model.name}: {solution.message}",
-            float("nan"),
-            float("inf"),
-        )
-    return solution
+    solve = Dop853(rhs, 0.0, np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
+                   rtol=1e-13, atol=1e-14)
+
+    def flow(span: float):
+        # a flow that overflows is reported by the solver's failure below,
+        # not by floating-point warnings
+        with np.errstate(all="ignore"):
+            solution = solve.until(span)
+        if not solution.success:
+            raise QuadratureError(
+                f"flow transport failed on {model.name}: {solution.message}",
+                float("nan"),
+                float("inf"),
+            )
+        return solution
+
+    return flow
 
 
 def _flow_table(model: HamiltonianModel, x0: tuple) -> Callable[[tuple, float], Any]:
-    """``(directions, span) -> dense flow``, solving each pair once."""
-    table: dict[tuple, Any] = {}
+    """``(directions, span) -> dense flow``, with one extendable solve per
+    direction set."""
+    table: dict[tuple, Callable[[float], Any]] = {}
 
     def flow(directions: tuple, span: float):
-        key = (directions, span)
-        if key not in table:
-            table[key] = _augmented_flow(model, directions, x0, span)
-        return table[key]
+        if directions not in table:
+            table[directions] = _augmented_flow(model, directions, x0)
+        return table[directions](span)
 
     return flow
 
@@ -663,8 +668,10 @@ def _flow_oracle(
     """``(k, tol) -> j_a(k)`` over the flows of ``flows``.
 
     Each angular level of the quadrature is one vectorized flow of its
-    directions.  The span starts at 1 and doubles until, at the end of
-    every level's flow, every direction's integrand has died off.
+    directions, read at all the radii of a Kronrod rule at once.  The
+    span starts at 1 and doubles until, at the end of every level's
+    flow, every direction's integrand has died off; each span extends or
+    branches off the level's one solve.
     """
     dim = model.group_dim
     if dim > 3:
@@ -686,9 +693,9 @@ def _flow_oracle(
                       < _PHASE_CUTOFF):
                 raise _Undecayed
 
-            def values(rho: float):
-                state = solution.sol(rho).reshape(-1, n)
-                return exp(-k * (2.0 * state[chart])) * exp(weight * state[chart + 1])
+            def values(rho: np.ndarray):
+                state = solution.sol(rho).reshape(len(rho), -1, n)
+                return exp(-k * (2.0 * state[:, chart])) * exp(weight * state[:, chart + 1])
 
             return values
 
@@ -729,9 +736,11 @@ def j_a_numeric(
     vectorized flow per angular level; no series machinery is involved,
     which keeps this the independent oracle for the expansion path.
     The span is grown until the integrand has decayed below
-    double-precision relevance in every direction.  A scalar ``k`` gives a float, a sequence a list in its
-    order; the k values of one call share their flow solves, so a list
-    costs one solve per distinct (level, span) pair, not one per k.
+    double-precision relevance in every direction.  A scalar ``k`` gives
+    a float, a sequence a list in its order; the k values of one call
+    share their flow solves, so a list costs one solve per level, not
+    one per k: a longer span continues the level's solve, a shorter one
+    branches off it, and neither repeats their shared steps.
     Group dimension above 3 is refused with
     :class:`~lapasym.errors.DomainError`.
     """
@@ -827,7 +836,7 @@ def _flow_endpoint(model: HamiltonianModel, start: Sequence[float], time: float)
     # the generator is linear in the direction, so flowing back for |time|
     # is flowing forward along the opposite direction, as one lane
     direction = (1,) if time > 0 else (-1,)
-    solution = _augmented_flow(model, (direction,), tuple(start), abs(time))
+    solution = _augmented_flow(model, (direction,), tuple(start))(abs(time))
     y = solution.y[:, -1]
     return tuple(y[: model.chart_dim]), float(y[model.chart_dim + 1])
 

@@ -523,53 +523,104 @@ def test_symbol_free_domain_error_fails_at_load(node, tmp_path, capsys, monkeypa
     assert json.dumps(node) in err
 
 
+def record_solves(monkeypatch):
+    """Record the oracle's flow solves: each solve's direction set, the
+    end times it serves with their flows, its right-hand-side calls, and
+    every fresh start (one ``_initial_step`` each)."""
+    from lapasym import integrators, models
+
+    solves, fresh = [], []
+    flow = models._augmented_flow
+    initial_step = integrators._initial_step
+    Dop853 = integrators.Dop853
+
+    class Recording(Dop853):
+        def __init__(self, fun, t0, y0, rtol, atol):
+            self.args, self.served, self.calls = (fun, t0, y0, rtol, atol), [], 0
+
+            def counting(t, y):
+                self.calls += 1
+                return fun(t, y)
+
+            super().__init__(counting, t0, y0, rtol, atol)
+            solves[-1]["solve"] = self
+
+        def until(self, t_bound):
+            result = super().until(t_bound)
+            self.served.append((t_bound, result))
+            return result
+
+    def recording_flow(model, directions, x0):
+        solves.append({"directions": directions})
+        return flow(model, directions, x0)
+
+    def counting_initial_step(*args):
+        fresh.append(args[3])
+        return initial_step(*args)
+
+    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
+    monkeypatch.setattr(integrators, "Dop853", Recording)
+    monkeypatch.setattr(integrators, "_initial_step", counting_initial_step)
+    return solves, fresh, Dop853
+
+
+def shared_prefix(a, b):
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+def assert_each_flow_solved_once(solves, fresh, Dop853):
+    # one fresh solve per direction set, which serves every span it is
+    # asked for; each new span reuses the right-hand-side calls it shares
+    # with the spans before it, so the solve makes the calls of its longest
+    # span plus the clipped tails of the others
+    assert solves and len(fresh) == len(solves)
+    assert len({record["directions"] for record in solves}) == len(solves)
+    for record in solves:
+        solve = record["solve"]
+        for span, flow in solve.served:
+            assert flow.success and flow.t[-1] == span
+        fun, t0, y0, rtol, atol = solve.args
+        expected, earlier = 0, []
+        for span in dict.fromkeys(span for span, _ in solve.served):
+            calls = []
+
+            def recording(t, y):
+                calls.append((float(t), y.tobytes()))
+                return fun(t, y)
+
+            Dop853(recording, t0, y0, rtol, atol).until(span)
+            expected += len(calls) - max((shared_prefix(calls, c) for c in earlier), default=0)
+            earlier.append(calls)
+        assert solve.calls == expected
+
+
 def test_verify_solves_each_flow_once(tmp_path, capsys, monkeypatch):
     # k = 100 needs span 4, k = 200 and 400 span 2: the three k values share
     # the span probes, and the last two their angular directions too
-    from lapasym import integrators, models
-
-    pairs, solves = [], []
-    flow = models._augmented_flow
-    dop853 = integrators.dop853
-
-    def recording_flow(model, omega, x0, span):
-        pairs.append((omega, span))
-        return flow(model, omega, x0, span)
-
-    def counting_solve(*args, **kwargs):
-        solves.append(args[2])
-        return dop853(*args, **kwargs)
-
-    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
-    monkeypatch.setattr(integrators, "dop853", counting_solve)
+    solves, fresh, Dop853 = record_solves(monkeypatch)
     code, out, err = run_cli(
         ["verify", "--model", write_model(tmp_path, FLAT2), "--order", "2",
          "--k", "100,200,400", "--tol", "1e-8"], capsys
     )
     assert code == 0 and err == ""
-    assert {span for _, span in pairs} == {1.0, 2.0, 4.0}
-    assert len(solves) == len(pairs) == len(set(pairs))
+    spans = [span for record in solves for span, _ in record["solve"].served]
+    assert set(spans) == {1.0, 2.0, 4.0}
+    assert_each_flow_solved_once(solves, fresh, Dop853)
 
 
 def test_density_sweep_solves_each_flow_once(capsys, monkeypatch):
     # the flows do not depend on the half-form weight: I and J share them
-    from lapasym import models
-
-    pairs = []
-    flow = models._augmented_flow
-
-    def recording_flow(model, directions, x0, span):
-        pairs.append((directions, span))
-        return flow(model, directions, x0, span)
-
-    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
+    solves, fresh, Dop853 = record_solves(monkeypatch)
     monkeypatch.chdir(GOLDEN)
     code, out, err = run_cli(
         ["density-sweep", "--model", "sphere1_product.json", "--order", "4",
          "--k", "30,100,1000"], capsys
     )
     assert code == 0 and err == ""
-    assert pairs and len(pairs) == len(set(pairs))
+    assert_each_flow_solved_once(solves, fresh, Dop853)
 
 
 def test_one_dimensional_oracle_is_one_level_of_both_directions(capsys, monkeypatch):
@@ -581,9 +632,9 @@ def test_one_dimensional_oracle_is_one_level_of_both_directions(capsys, monkeypa
     flow = models._augmented_flow
     quad = integrators.quad
 
-    def recording_flow(model, omega, x0, span):
+    def recording_flow(model, omega, x0):
         directions.append(omega)
-        return flow(model, omega, x0, span)
+        return flow(model, omega, x0)
 
     def recording_quad(fn, a, b, **kwargs):
         quads.append((a, kwargs))
@@ -641,13 +692,13 @@ def test_overflowing_oracle_flow_prints_only_the_error(tmp_path, capsys, monkeyp
     # the right-hand side); the solve ends at the first trial step with a
     # non-finite stage, where running on to step-size underflow took 46,103.
     nfev = []
-    dop853 = integrators.dop853
 
-    def recording(*args, **kwargs):
-        result = dop853(*args, **kwargs)
-        nfev.append(result.nfev)
-        return result
+    class Recording(integrators.Dop853):
+        def until(self, t_bound):
+            result = super().until(t_bound)
+            nfev.append(result.nfev)
+            return result
 
-    monkeypatch.setattr(integrators, "dop853", recording)
+    monkeypatch.setattr(integrators, "Dop853", Recording)
     assert run_cli(command, capsys)[0] == 2
     assert len(nfev) == 1 and nfev[0] < 45_600

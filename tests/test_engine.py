@@ -117,6 +117,21 @@ def test_sphere_rule_refuses_misshapen_arrays():
             SphereRule(dim, nodes, weights)
 
 
+def test_sphere_rule_refuses_an_empty_rule():
+    # the empty tables would otherwise reach engine._table's min() over no rows
+    with pytest.raises(DomainError, match="at least one node, not 0 nodes and 0 weights"):
+        RadialProfile(SphereRule(2, np.zeros((0, 2)), np.zeros(0)), [], [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sphere_rule_refuses_non_finite_weights(bad):
+    # a nan weight used to give nan coefficients with no error
+    weights = np.full(4, math.pi / 2)
+    weights[2] = bad
+    with pytest.raises(DomainError, match=f"weight 2 is {bad}"):
+        SphereRule(2, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), weights)
+
+
 def test_sphere_rule_kills_odd_monomials():
     for dim, res in [(2, 16), (3, 10)]:
         rule = sphere_rule(dim, res)

@@ -1,6 +1,8 @@
 """The oracle's integrators reproduce scipy bit for bit.
 
 scipy is imported here only, as the reference; lapasym never imports it.
+A DOP853 solve extended or branched to a further end time must give the
+bits of a fresh solve to that end time.
 """
 
 import math
@@ -11,15 +13,22 @@ import pytest
 from lapasym import integrators
 
 integrate = pytest.importorskip("scipy.integrate")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 def hexes(*values):
     return tuple(float(v).hex() for v in values)
 
 
+def vector(fn):
+    # the port calls its integrand once per rule, on the rule's abscissae
+    return lambda xs: [fn(x) for x in xs.tolist()]
+
+
 def same_quad(fn, a, b, tol):
     expect = integrate.quad(fn, a, b, epsabs=tol, epsrel=2e-14, limit=400, full_output=1)
-    got = integrators.quad(fn, a, b, epsabs=tol, epsrel=2e-14, limit=400)
+    got = integrators.quad(vector(fn), a, b, epsabs=tol, epsrel=2e-14, limit=400)
     assert hexes(*got) == hexes(*expect[:2])
     # QUADPACK's flag, which the port does not return
     return expect[3] if len(expect) > 3 else None
@@ -34,6 +43,26 @@ def test_quad_gaussian_peaks(k):
 
     same_quad(peak, -1.0, 1.0, 5e-11)
     same_quad(peak, 0.0, 1.0, 1e-12)
+
+
+def test_quad_calls_its_integrand_once_per_rule():
+    # one call per 21-point rule, on a float64 array of its abscissae in the
+    # order in which dqk21 evaluates them: scipy's calls, one at a time
+    def peak(x):
+        return math.exp(-100.0 * x * x) * (1.0 + 0.25 * x)
+
+    one_by_one, rules = [], []
+    integrate.quad(lambda x: one_by_one.append(x) or peak(x), 0.0, 1.0, epsabs=1e-12,
+                   epsrel=2e-14, limit=400)
+    integrators.quad(lambda xs: rules.append(xs.copy()) or vector(peak)(xs), 0.0, 1.0,
+                     epsabs=1e-12, epsrel=2e-14, limit=400)
+    assert len(rules) > 1
+    assert all(xs.dtype == np.float64 and xs.shape == (21,) for xs in rules)
+    assert hexes(*np.concatenate(rules)) == hexes(*one_by_one)
+
+
+def test_quad_takes_one_value_for_a_whole_rule():
+    assert integrators.quad(lambda xs: 2.0, 0.0, 3.0, 1e-12, 2e-14, 50)[0] == 6.0
 
 
 def test_quad_endpoint_singularity_extrapolates(monkeypatch):
@@ -61,10 +90,13 @@ def test_quad_roundoff():
     assert "roundoff" in message
 
 
-def same_flow(fun, span, y0):
+def same_flow(fun, span, y0, solve=None):
     expect = integrate.solve_ivp(fun, (0.0, span), y0, method="DOP853", dense_output=True,
                                  rtol=1e-13, atol=1e-14)
-    got = integrators.dop853(fun, 0.0, span, y0, rtol=1e-13, atol=1e-14)
+    if solve is None:
+        got = integrators.dop853(fun, 0.0, span, y0, rtol=1e-13, atol=1e-14)
+    else:
+        got = solve.until(span)
     assert (got.success, got.message, got.nfev) == (expect.success, expect.message,
                                                    expect.nfev)
     assert got.t.tobytes() == expect.t.tobytes()
@@ -76,6 +108,28 @@ def same_flow(fun, span, y0):
         for rho in got.t[1:-1:7]:
             assert got.sol(rho).tobytes() == expect.sol(rho).tobytes()
     return got
+
+
+def test_dense_solution_at_an_array_of_times_is_the_scalar_calls_row_by_row():
+    flow = integrators.dop853(lambda s, y: np.array([y[1], -y[0] - 0.1 * y[0] ** 3]), 0.0,
+                              5.0, np.array([1.0, 0.0]), rtol=1e-13, atol=1e-14)
+    times = np.concatenate([np.linspace(0.0, 5.0, 37), flow.t, [5.0, 0.0, 2.5]])
+    rows = flow.sol(times)
+    assert rows.shape == (len(times), 2)
+    for t, row in zip(times, rows):
+        assert row.tobytes() == flow.sol(t).tobytes()
+    assert flow.sol(times[:87].reshape(29, 3)).tobytes() == rows[:87].tobytes()
+
+
+def test_dop853_extended_to_each_end_time_is_scipy_at_that_end_time():
+    # a longer end time continues the trunk; a shorter one branches off it
+    def fun(s, y):
+        return np.array([y[1], -y[0] - 0.1 * y[0] ** 3 + 0.2 * np.cos(s)])
+
+    y0 = np.array([1.0, 0.0])
+    solve = integrators.Dop853(fun, 0.0, y0, rtol=1e-13, atol=1e-14)
+    for span in (1.0, 2.0, 4.0, 3.0, 0.25, 4.0, 8.0):
+        same_flow(fun, span, y0, solve)
 
 
 def test_dop853_scalar_state():
@@ -113,3 +167,53 @@ def test_dop853_stops_at_a_non_finite_stage():
         flow = integrators.dop853(rhs, 0.0, 1.0, np.array([0.0]), rtol=1e-13, atol=1e-14)
     assert not flow.success and "not finite" in flow.message
     assert flow.t[-1] < 0.5 and flow.nfev < 200
+
+
+FIELDS = {
+    # a forced oscillator: the stages' times enter the steps
+    "forced": (lambda s, y: np.array([y[1], -y[0] - 0.1 * y[0] ** 3 + 0.2 * np.cos(s)]),
+               [1.0, 0.0]),
+    # slow growth: a first interval shorter than 1 limits the initial step
+    "slow": (lambda s, y: 0.01 * y, [1.0]),
+    # infinite past s = 1/2: a solve beyond it fails at a non-finite stage
+    "wall": (lambda s, y: np.array([1.0 if s < 0.5 else math.inf]), [0.0]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(sorted(FIELDS)),
+       ends=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=5, unique=True),
+       increasing=st.booleans())
+def test_extended_solve_is_a_fresh_solve_at_every_end_time(field, ends, increasing):
+    fun, y0 = FIELDS[field]
+    solve = integrators.Dop853(fun, 0.0, y0, rtol=1e-10, atol=1e-12)
+    with np.errstate(invalid="ignore"):
+        for end in sorted(ends) if increasing else ends:
+            got = solve.until(end)
+            fresh = integrators.dop853(fun, 0.0, end, y0, rtol=1e-10, atol=1e-12)
+            assert (got.success, got.message, got.nfev) == (fresh.success, fresh.message,
+                                                           fresh.nfev)
+            assert got.t.tobytes() == fresh.t.tobytes()
+            assert got.y.tobytes() == fresh.y.tobytes()
+            if got.success:
+                times = np.concatenate([np.linspace(0.0, end, 23), fresh.t])
+                assert got.sol(times).tobytes() == fresh.sol(times).tobytes()
+
+
+def test_initial_step_limited_by_the_first_interval_starts_afresh(monkeypatch):
+    # "slow" takes an initial step of 1 on any longer first interval, so
+    # end times below 1 each start afresh and the others share one trunk
+    starts = []
+    initial_step = integrators._initial_step
+
+    def counting(*args):
+        starts.append(args[3])
+        return initial_step(*args)
+
+    monkeypatch.setattr(integrators, "_initial_step", counting)
+    fun, y0 = FIELDS["slow"]
+    solve = integrators.Dop853(fun, 0.0, y0, rtol=1e-10, atol=1e-12)
+    for end in (0.5, 0.75, 2.0, 1.5, 4.0, 0.5, 1.0):
+        solve.until(end)
+    assert starts == [0.5, 0.75, 2.0]
+

@@ -594,12 +594,12 @@ def assert_batched_flow_matches_scalar_solves(model, directions, span, bound):
     from lapasym import models
 
     x0 = model.zero_points[0]
-    batched = models._augmented_flow(model, directions, x0, span)
+    batched = models._augmented_flow(model, directions, x0)(span)
     radii = np.linspace(0.0, span, 9)
     rows = [batched.sol(rho).reshape(-1, len(directions)) for rho in radii]
     for i, omega in enumerate(directions):
         # one direction alone is one lane of its own solve
-        alone = models._augmented_flow(model, (omega,), x0, span)
+        alone = models._augmented_flow(model, (omega,), x0)(span)
         for rho, level in zip(radii, rows):
             y = alone.sol(rho)
             assert np.all(np.abs(level[:, i] - y) <= bound * np.maximum(1.0, np.abs(y)))
@@ -632,12 +632,13 @@ def test_batched_flow_with_elementary_maps_matches_scalar_solves():
 
 
 def test_sphere_product_oracle_work_guard(monkeypatch):
-    # the level-batched oracle: one flow solve per angular level and span,
-    # one radial QUADPACK call per level and k
+    # the level-batched oracle: one fresh flow solve per angular level (its
+    # one call of the initial step selection), which serves every span,
+    # and one radial QUADPACK call per level and k
     from lapasym import integrators
 
     model = load_model(str(GOLDEN / "sphere2_product.json"))
-    calls = {"dop853": 0, "quad": 0}
+    calls = {"_initial_step": 0, "quad": 0}
     originals = {name: getattr(integrators, name) for name in calls}
 
     def counting(name):
@@ -650,7 +651,7 @@ def test_sphere_product_oracle_work_guard(monkeypatch):
         monkeypatch.setattr(integrators, name, counting(name))
     values = j_a_numeric(model, None, Fraction(1, 2), [106.0, 312.0, 1060.0], tol=1e-11)
     assert all(v > 0 for v in values)
-    assert calls["dop853"] <= 16 and calls["quad"] <= 16
+    assert calls["_initial_step"] <= 16 and calls["quad"] <= 16
     monkeypatch.undo()
     assert_batched_flow_matches_scalar_solves(model, circle_level(16)[1::2], 1.0, 1e-11)
 
