@@ -9,7 +9,10 @@ form.  Output is CSV (default) or JSON, on stdout or ``--out``.  Each
 subcommand parses only the flags it reads; any other flag, and any
 unreadable value, is a one-line ``error:`` with exit status 2.  A
 command imports the layers it uses when it runs, so ``bell-table``
-loads neither numpy nor the series and oracle layers.
+loads neither numpy nor the series and oracle layers.  numpy is loaded
+only where arrays are made: ``expand`` of group dimension 1, float or
+``--exact``, runs on plain numbers without it, while ``expand`` of
+higher dimension, ``verify`` and ``density-sweep`` load it.
 
 Identical invocations produce byte-identical output: floats are
 serialized with 17 significant digits and rationals as ``p/q``.

@@ -15,17 +15,19 @@ taken by the series recurrence of :mod:`.jets`, integrated with the
 deterministic, antipodally symmetric product rule of
 :func:`sphere_rule`, which serves every dimension.
 
-The arithmetic is that of the profile's tables.  Each table is one
-array, float64 when every entry is a float and an object array of the
-entries otherwise, and one jet recurrence, whose coefficients are the
-tables' columns, computes every direction's bracket at once.  A float
-lane is the float the direction would give on its own; an object array
-computes entry by entry with Python's operators, so ints and Fractions
-stay exact up to each direction's value.  The direction weights, the
-gamma factor, and the fractional power of ``f0`` are evaluated in
-floating point, direction by direction, in a fixed reduction order
-(compensated summation over directions), so results are reproducible
-bit-for-bit across runs and schedulings.
+The arithmetic is that of the profile's tables, which are sequences of
+rows.  One row is computed on its plain numbers.  Several rows go
+through one jet recurrence whose coefficients are the tables' columns,
+built once per profile: float64 arrays when every entry of a table is a
+float, else object arrays of the entries.  A float lane is the float the
+direction would give on its own; an object array computes entry by entry
+with Python's operators, so ints and Fractions stay exact up to each
+direction's value.  Only the columns, the rules from dimension 2 on,
+:func:`convergence_order_fit` and the oracle load numpy.  The direction
+weights, the gamma factor, and the fractional power of ``f0`` are
+evaluated in floating point, direction by direction, in a fixed
+reduction order (compensated summation over directions), so results are
+reproducible bit-for-bit across runs and schedulings.
 
 The numeric cross-check :func:`polar_laplace_integral` evaluates the
 same integral by adaptive quadrature: one QUADPACK call in the radius
@@ -42,16 +44,18 @@ callables, which is what makes them usable as an independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, QuadratureError
-from .jets import TruncatedSeries, exp
+from .jets import TruncatedSeries, exp, listed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "gamma_value",
@@ -103,34 +107,38 @@ def gamma_value(q: Fraction | float) -> float:
 class SphereRule:
     """Quadrature nodes and weights on the unit sphere ``S**(dim-1)``.
 
-    Nodes are the rows of an ``(n, dim)`` array, ``n >= 1``, with one
-    finite weight each; weights sum to the sphere area.  Every rule is
-    deterministic and antipodally symmetric (the node set is closed
-    under negation), which is what makes odd coefficients cancel to
-    rounding.  ``mirrored`` is read off the nodes: ``n // 2`` when the
+    ``nodes`` is a sequence of ``n >= 1`` rows of ``dim`` coordinates
+    and ``weights`` a sequence of ``n`` finite numbers, checked on their
+    plain entries: tuples in dimension 1, float arrays (whose rows are
+    arrays) from dimension 2 on.  Weights sum to the sphere area.  Every
+    rule is deterministic and antipodally symmetric (the node set is
+    closed under negation), which is what makes odd coefficients cancel
+    to rounding.  ``mirrored`` is read off the nodes: ``n // 2`` when the
     second half of the nodes is, in order, the exact negation of the
     first half, else 0.  Radial data along a mirrored node follows from
     its partner's (see :class:`RadialProfile`).
     """
 
     dim: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: Sequence[Sequence[Any]]
+    weights: Sequence[Any]
 
     def __post_init__(self):
-        if np.ndim(self.weights) != 1 or np.shape(self.nodes) != (len(self.weights), self.dim):
-            raise DomainError(
-                f"a rule on S**{self.dim - 1} needs an (n, {self.dim}) node array and n "
-                f"weights, not {np.shape(self.nodes)} nodes and {np.shape(self.weights)} weights"
-            )
-        if not len(self):
+        nodes, weights = listed(self.nodes), listed(self.weights)
+        try:
+            shaped = len(nodes) == len(weights) and set(map(len, nodes)) <= {self.dim}
+            finite = list(map(math.isfinite, weights))
+        except TypeError:  # a number where a sequence belongs, or the reverse
+            shaped = False
+        if not shaped:
+            raise DomainError(f"a rule on S**{self.dim - 1} needs an (n, {self.dim}) node "
+                              "array and n weights")
+        if not nodes:
             raise DomainError(f"a rule on S**{self.dim - 1} needs at least one node, not "
-                              f"{len(self.nodes)} nodes and {len(self.weights)} weights")
-        finite = np.isfinite(np.asarray(self.weights, dtype=float))
-        if not finite.all():
-            i = int(np.flatnonzero(~finite)[0])
-            raise DomainError(f"rule weights must be finite; weight {i} is "
-                              f"{float(self.weights[i])}")
+                              f"{len(nodes)} nodes and {len(weights)} weights")
+        if not all(finite):
+            i = finite.index(False)
+            raise DomainError(f"rule weights must be finite; weight {i} is {float(weights[i])}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -138,7 +146,9 @@ class SphereRule:
     @cached_property
     def mirrored(self) -> int:
         half = len(self) // 2
-        pairs = self.nodes[len(self) - half:].tolist() == (-self.nodes[:half]).tolist()
+        second = self.nodes[len(self) - half:]
+        pairs = all(b == -a for first, last in zip(self.nodes[:half], second)
+                    for a, b in zip(first, last))
         return half if pairs else 0
 
 
@@ -150,9 +160,10 @@ def sphere_area(dim: int) -> float:
 # the largest rule sphere_rule builds.  Its nodes and weights take
 # 8 * (dim + 1) bytes each, and the series path carries every node through
 # one jet transport as float64 lanes, so a coefficient costs a few dozen
-# bytes and well under a microsecond per node (the flat 4-d model at
-# resolution 32, 65,536 nodes, expands to order 6 in about 0.3 s on a
-# 2-CPU x86-64 host).  A larger rule, such as d = 6 at resolution 14
+# bytes and about a microsecond per node (the flat 4-d model at
+# resolution 32, 65,536 nodes, expands to order 6 in about 0.7 s on a
+# 2-CPU x86-64 host, half of it in the tables' rows, their checks and
+# their columns).  A larger rule, such as d = 6 at resolution 14
 # (1,075,648 nodes), is refused before anything is allocated; the d <= 3
 # rules in use stay far below (d = 3 at resolution 40 has 3200).
 _MAX_RULE_NODES = 1 << 20
@@ -161,6 +172,8 @@ _MAX_RULE_NODES = 1 << 20
 def _polar_rule(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     # n-point Gauss-Jacobi rule for the weight (1 - x**2) ** ((dim - 3) / 2),
     # the polar cosine's share of the area of S**(dim-1)
+    import numpy as np
+
     if dim == 3:
         return np.polynomial.legendre.leggauss(n)
     # Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
@@ -178,9 +191,11 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     """Antipodally symmetric quadrature on ``S**(dim-1)``.
 
     dim 1 is the two-point set {+1, -1} with unit weights (resolution is
-    ignored); its nodes are the integers ``[[1], [-1]]``, so that exact
-    radial data stays exact along them, and ``-1`` is the mirror of
-    ``1``.  dim 2 is the uniform trapezoid rule with ``resolution``
+    ignored), as plain tuples: its nodes are the integers ``((1,),
+    (-1,))``, so that exact radial data stays exact along them, and
+    ``-1`` is the mirror of ``1``; its weights are ``(1.0, 1.0)``.  From
+    dim 2 on nodes and weights are float arrays, and numpy is loaded.
+    dim 2 is the uniform trapezoid rule with ``resolution``
     angles, an even count (spectrally accurate, odd counts rejected).
     From dim 3 on the rule is a product (Stroud 1971): ``resolution``
     Gauss-Jacobi nodes for the polar cosine ``x``, with weight
@@ -195,7 +210,9 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     if dim < 1:
         raise DomainError("sphere dimension must be >= 1")
     if dim == 1:
-        return SphereRule(1, np.array([[1], [-1]]), np.array([1.0, 1.0]))
+        return SphereRule(1, ((1,), (-1,)), (1.0, 1.0))
+    import numpy as np
+
     if dim == 2:
         if resolution < 4 or resolution % 2:
             raise DomainError(
@@ -240,10 +257,11 @@ class RadialProfile:
     ``phase_coefficients[i]`` lists ``f0, f1, ...`` for direction ``i``
     of the attached rule, ``amplitude_coefficients[i]`` lists
     ``g0, g1, ...``.  Leading phase coefficients must be positive.
-    Each table is kept as one ``(rows, order + 1)`` array, its rows cut
-    to the shortest: float64 when every entry is a float (a float array
-    passes through), otherwise an object array of the entries as they
-    are.
+    Each table is kept as a tuple of rows, each a tuple of the entries
+    as they are, cut to the shortest row (an array's rows and entries
+    become Python ones), so a profile of plain numbers needs no numpy.
+    Where several rows are computed together, the engine turns each
+    table into column arrays once (see :func:`_direction_values`).
 
     The tables hold one row per node of the rule, or one row per node
     but the rule's ``mirrored`` last ones.  A node left out holds its
@@ -270,28 +288,37 @@ class RadialProfile:
         self.rule = rule
         self.phase_coefficients = phase = _table(phase_coefficients)
         self.amplitude_coefficients = _table(amplitude_coefficients)
-        leads = phase[:, 0].astype(float) if phase.shape[1] else np.full(len(phase), math.nan)
-        failed = ~(leads > 0.0)
-        if failed.any():
-            i = int(np.argmax(failed))
-            raise DomainError(
-                f"leading radial phase coefficient must be positive; direction {i}, "
-                f"{tuple(rule.nodes[i].tolist())}, has {float(leads[i])!r}"
-            )
+        for i, row in enumerate(phase):
+            lead = float(row[0]) if row else math.nan
+            if not lead > 0.0:
+                raise DomainError(
+                    f"leading radial phase coefficient must be positive; direction {i}, "
+                    f"{tuple(listed(rule.nodes[i]))}, has {lead!r}"
+                )
 
     @property
     def order(self) -> int:
-        return min(self.phase_coefficients.shape[1], self.amplitude_coefficients.shape[1]) - 1
+        return min(len(self.phase_coefficients[0]), len(self.amplitude_coefficients[0])) - 1
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The phase and amplitude tables as arrays of columns, for the lane
+        recurrence: float64 when every entry of a table is a float, else an
+        object array of the entries."""
+        import numpy as np
+
+        columns = []
+        for table in (self.phase_coefficients, self.amplitude_coefficients):
+            kinds = set(map(type, itertools.chain.from_iterable(table)))
+            floats = all(issubclass(kind, float) for kind in kinds)
+            columns.append(np.array(table, dtype=float if floats else object).T)
+        return tuple(columns)
 
 
-def _table(table: Any) -> np.ndarray:
-    if isinstance(table, np.ndarray) and table.dtype.kind == "f":
-        return table.astype(float, copy=False)
-    rows = table.tolist() if isinstance(table, np.ndarray) else table
-    width = min(len(row) for row in rows)
-    rows = [row[:width] for row in rows]
-    floats = all(isinstance(c, float) for row in rows for c in row)
-    return np.array(rows, dtype=float if floats else object)
+def _table(table: Sequence[Sequence[Any]]) -> tuple:
+    rows = listed(table)
+    width = min(map(len, rows))
+    return tuple(tuple(row[:width]) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -326,13 +353,14 @@ def _direction_values(j: int, profile: RadialProfile) -> list[float]:
     """Per direction: ``f0 ** (-exponent)`` times the inner bracket, as a float.
 
     The bracket runs once, over the tables' rows: as one jet recurrence
-    whose coefficients are the table columns, or, for a single row, on
-    its plain numbers.  A node the tables leave out gets its partner's
-    ``f0`` and its partner's bracket times ``(-1)**j``: its data is the
-    partner's with ``t`` replaced by ``-t``, and the recurrence only
-    adds and multiplies entries of matching parity, which Fraction
-    arithmetic does exactly and IEEE rounding sign-symmetrically (but
-    for the ``+0.0`` of an exact cancellation, a zero either way).
+    whose coefficients are the profile's :attr:`~RadialProfile.columns`,
+    or, for a single row, on its plain numbers.  A node the tables leave
+    out gets its partner's ``f0`` and its partner's bracket times
+    ``(-1)**j``: its data is the partner's with ``t`` replaced by
+    ``-t``, and the recurrence only adds and multiplies entries of
+    matching parity, which Fraction arithmetic does exactly and IEEE
+    rounding sign-symmetrically (but for the ``+0.0`` of an exact
+    cancellation, a zero either way).
     """
     if j < 0:
         raise DomainError("coefficient index must be nonnegative")
@@ -343,12 +371,12 @@ def _direction_values(j: int, profile: RadialProfile) -> list[float]:
     exponent = _exponent(j, profile)
     phase, amplitude = profile.phase_coefficients, profile.amplitude_coefficients
     if len(phase) == 1:
-        brackets = [_inner_bracket(j, exponent, phase[0].tolist(), amplitude[0].tolist())]
+        brackets = [_inner_bracket(j, exponent, list(phase[0]), list(amplitude[0]))]
     else:
-        brackets = _inner_bracket(j, exponent, phase.T, amplitude.T).tolist()
+        brackets = _inner_bracket(j, exponent, *profile.columns).tolist()
     # the left-out node n - m + i is the mirror of node i
     m = len(profile.rule) - len(phase)
-    leads = phase[:, 0].tolist()
+    leads = [row[0] for row in phase]
     leads += leads[:m]
     brackets += [-b for b in brackets[:m]] if j % 2 else brackets[:m]
     # then the power of f0 lane by lane: exact while both stay exact, else
@@ -375,7 +403,7 @@ def expansion_coefficient(j: int, profile: RadialProfile) -> float:
     """
     values = _direction_values(j, profile)
     return gamma_value(_exponent(j, profile)) / 2 * math.fsum(
-        w * v for w, v in zip(profile.rule.weights.tolist(), values)
+        w * v for w, v in zip(listed(profile.rule.weights), values)
     )
 
 
@@ -416,7 +444,7 @@ def _quad(fn, lower: float, upper: float, tol: float) -> tuple[float, float]:
 # many, which bounds the state of one vectorized flow solve
 _LEVEL_BLOCK = 512
 
-Level = Callable[[np.ndarray], Callable[[np.ndarray], Any]]
+Level = Callable[["np.ndarray"], Callable[["np.ndarray"], Any]]
 
 
 def _point_level(phase: Callable, amplitude: Callable, k: float) -> Level:
@@ -462,6 +490,8 @@ def numeric_laplace_integral(
 def _angular_level(dim: int, n: int, first: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """New nodes and weights of angular level ``n``, and the share of the
     previous level's estimate that carries over."""
+    import numpy as np
+
     if dim == 2:
         # nested circle: level 2n keeps level n's nodes theta_i = 2 pi i / n
         # and adds the odd multiples of 2 pi / 2n
@@ -519,6 +549,7 @@ def polar_laplace_integral(
         raise DomainError("polar integration needs dimension 1, 2 or 3")
     if not tol > 0 or not 0 < radius < math.inf:
         raise DomainError("tolerance must be positive, radius positive and finite")
+    import numpy as np
 
     def level_integral(nodes: np.ndarray, weights: np.ndarray, budget: float):
         blocks = [
@@ -538,7 +569,7 @@ def polar_laplace_integral(
     if dim == 1:
         # the two-point rule is exact, so its one level is final
         rule = sphere_rule(1)
-        value, err = level_integral(rule.nodes, rule.weights, tol / 2)
+        value, err = level_integral(np.array(rule.nodes), np.array(rule.weights), tol / 2)
         if err > tol:
             raise QuadratureError(
                 f"radial quadrature certified only {err:.3g} > tol {tol:.3g}",
@@ -579,6 +610,8 @@ def convergence_order_fit(ks: Sequence[float], errors: Sequence[float]) -> float
         raise DomainError("need at least three (k, error) samples")
     if any(not k > 0 for k in ks) or any(not e > 0 for e in errors):
         raise DomainError("fit samples must be strictly positive")
+    import numpy as np
+
     slope, _ = np.polyfit(np.log(np.asarray(ks, dtype=float)),
                           np.log(np.asarray(errors, dtype=float)), 1)
     return float(slope)

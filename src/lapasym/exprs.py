@@ -51,16 +51,13 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
-
 from . import jets
 from .errors import DomainError
+from .jets import numpy_if_array
 
 __all__ = ["Positional", "compile_expression", "expression_symbols"]
 
 CompiledExpr = Callable[[Any], Any]
-
-_NUMPY = (np.ndarray, np.generic)
 
 _SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -133,7 +130,7 @@ def _binary(node: Any, op: Callable, left: Any, right: Any) -> Any:
 def _with_fraction(op: Callable, c: Fraction, f: float, x: Any, first: bool) -> Any:
     # numpy would make an object array of a Fraction and a float array; a
     # Fraction meets a float as its float, so the elements come out the same
-    if isinstance(x, np.ndarray):
+    if numpy_if_array(x) is not None:
         c = f
     return op(c, x) if first else op(x, c)
 
@@ -142,7 +139,8 @@ def _quotient(node: Any) -> Callable[[Any, Any], Any]:
     def divide(a: Any, b: Any) -> Any:
         try:
             # numpy divides by zero without raising, in arrays and its scalars
-            if (isinstance(a, _NUMPY) or isinstance(b, _NUMPY)) and not np.all(b):
+            np = numpy_if_array(a, scalars=True) or numpy_if_array(b, scalars=True)
+            if np is not None and not np.all(b):
                 raise ZeroDivisionError
             return a / b
         except ZeroDivisionError:

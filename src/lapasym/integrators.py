@@ -278,10 +278,10 @@ class _Table:
 
 class OdeFlow:
     """A forward DOP853 solve to one end time: the accepted times ``t``,
-    the states ``y`` (one column per time), the dense solution
-    :meth:`sol`, the number of right-hand-side calls a solve to this end
-    time makes, and whether the end was reached (else ``message`` says
-    why not).  Its states and steps are rows of the table of the
+    the states ``y`` (one column per time) and the last one ``end``, the
+    dense solution :meth:`sol`, the number of right-hand-side calls a
+    solve to this end time makes, and whether the end was reached (else
+    ``message`` says why not).  Its states and steps are rows of the table of the
     :class:`Dop853` solve that made it, which its flows to other end
     times share.
     """
@@ -299,6 +299,11 @@ class OdeFlow:
     @property
     def y(self) -> np.ndarray:
         return self._table.states[self._rows].T
+
+    @property
+    def end(self) -> np.ndarray:
+        """The last state, ``y[:, -1]``, read from its one table row."""
+        return self._table.states[self._rows[-1]]
 
     def sol(self, at) -> np.ndarray:
         """The dense solution of a successful solve at a time, or at each

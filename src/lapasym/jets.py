@@ -7,10 +7,12 @@ so one jet carries a whole batch of directions), or again truncated
 series (nested jets), as long as they support ring arithmetic; all algorithms here
 only ever add, multiply, and rescale coefficients, so exact inputs give
 exact outputs.  One transport serves every group dimension: a batch of
-float directions travels as :class:`Lanes`, and group dimension 1
-transports its one direction ``1`` as plain numbers (the engine folds
-``-1`` from it, see :class:`~lapasym.engine.RadialProfile`), so exact
-data stays exact.  Object arrays are the engine's exact tables.
+float directions travels as :class:`Lanes` (defined in :mod:`.lanes`,
+which loads numpy when ``jets.Lanes`` is first read), and group
+dimension 1 transports its one direction ``1`` as plain numbers (the
+engine folds ``-1`` from it, see :class:`~lapasym.engine.RadialProfile`),
+so exact data stays exact and numpy is never loaded.  Object arrays are
+the engine's exact columns.
 
 Conventions shared by the whole package:
 
@@ -58,20 +60,20 @@ The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
 :func:`log` dispatch on the argument type (series, numpy array or
 scalar), which lets model callables be written once as ordinary
 compositions and evaluated on points, on arrays of points (elementwise,
-through numpy; an object array as floats) and on jets alike.  A square root of a negative value or a
-logarithm of a nonpositive one is a :class:`~lapasym.errors.DomainError`,
-on scalars and arrays alike.
+through numpy; an object array as floats) and on jets alike.  An array
+is recognised by :func:`numpy_if_array`, which never imports numpy, so
+scalars and jets of plain numbers compute without it.  A square root of
+a negative value or a logarithm of a nonpositive one is a
+:class:`~lapasym.errors.DomainError`, on scalars and arrays alike.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
-
-import numpy as np
 
 from .errors import DomainError, JetEvaluationError, OrderMismatchError
 
@@ -274,52 +276,40 @@ def _is_exact(value: Any) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-class Lanes(np.ndarray):
-    """A float64 array of per-direction values, one lane per direction.
+def __getattr__(name: str) -> Any:
+    # Lanes subclasses numpy's array, so it is built, and numpy loaded, on
+    # first use
+    if name == "Lanes":
+        from .lanes import Lanes
 
-    It computes as its lanes would one by one, as Python floats: a
-    Fraction it meets counts as the Fraction's float (numpy alone would
-    make an object array of it), exp, log, sin, cos and powers go lane by
-    lane through :mod:`math` and Python's float power, and what it
-    computes is again lanes.
+        return Lanes
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def numpy_if_array(value: Any, scalars: bool = False) -> Any:
+    """numpy if ``value`` is a numpy array (with ``scalars``, also a numpy
+    scalar), else None.
+
+    It reads numpy from :data:`sys.modules` and never imports it: no
+    numpy value exists before numpy is loaded.
     """
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = tuple(_unlaned(x) for x in inputs)
-        lane = _BY_LANE.get(ufunc)
-        if lane is not None and method == "__call__" and not kwargs:
-            arrays = np.broadcast_arrays(*inputs)
-            values = [lane(*args) for args in zip(*(a.tolist() for a in arrays))]
-            return np.array(values, dtype=float).reshape(arrays[0].shape).view(Lanes)
-        if "out" in kwargs:
-            kwargs["out"] = tuple(_unlaned(x) for x in kwargs["out"])
-        result = getattr(ufunc, method)(*inputs, **kwargs)
-        return result.view(Lanes) if isinstance(result, np.ndarray) else result
-
-    # ndarray's ** turns some exponents into square, sqrt or reciprocal
-    def __pow__(self, exponent):
-        return np.power(self, exponent)
-
-    def __rpow__(self, base):
-        return np.power(base, self)
+    np = sys.modules.get("numpy")
+    if np is None:
+        return None
+    kinds = (np.ndarray, np.generic) if scalars else np.ndarray
+    return np if isinstance(value, kinds) else None
 
 
-# numpy's vectorized loops for these round some elements differently from
-# math and from Python's float power
-_BY_LANE = {np.exp: math.exp, np.log: math.log, np.sin: math.sin, np.cos: math.cos,
-            np.power: operator.pow}
-
-
-def _unlaned(value: Any) -> Any:
-    if isinstance(value, Lanes):
-        return value.view(np.ndarray)
-    return float(value) if isinstance(value, Fraction) else value
+def listed(values: Sequence[Any]) -> Sequence[Any]:
+    """An array's entries (or rows) as Python numbers, through
+    ``tolist``; any other sequence as it is."""
+    return values.tolist() if numpy_if_array(values) is not None else values
 
 
 def _is_float_ring(value: Any) -> bool:
     # floats and numeric arrays; an object array computes entry by entry
     # with Python's operators, so exact entries stay exact
-    if isinstance(value, np.ndarray):
+    if numpy_if_array(value) is not None:
         return value.dtype != object
     return isinstance(value, float)
 
@@ -333,7 +323,8 @@ def _in_ring(rational: Fraction, like: Any) -> Any:
 def _lead(fn: Callable[[Any], Any], value: Any) -> Any:
     # the scalar fn of a constant term; an array goes entry by entry and
     # keeps its class, an object array its dtype (numeric ones give floats)
-    if isinstance(value, np.ndarray):
+    np = numpy_if_array(value)
+    if np is not None:
         entries = [fn(v) for v in value.ravel().tolist()]
         dtype = np.result_type(value.dtype, float)
         return np.array(entries, dtype=dtype).reshape(value.shape).view(type(value))
@@ -343,7 +334,7 @@ def _lead(fn: Callable[[Any], Any], value: Any) -> Any:
 def _invert_scalar(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _reciprocal(value)
-    if isinstance(value, np.ndarray):
+    if numpy_if_array(value) is not None:
         if not value.all():
             raise DomainError("singular jet: division by a zero value")
         return (1.0 if _is_float_ring(value) else Fraction(1)) / value
@@ -355,7 +346,7 @@ def _invert_scalar(value: Any) -> Any:
     return 1.0 / value
 
 
-def _floats(value: np.ndarray) -> np.ndarray:
+def _floats(value: Any) -> Any:
     # exact constants times a float array give an object array of floats
     return value.astype(float) if value.dtype == object else value
 
@@ -364,7 +355,8 @@ def exp(value: Any) -> Any:
     """Exponential of a scalar, an array (elementwise) or a truncated series."""
     if isinstance(value, TruncatedSeries):
         return exp_series(value)
-    if isinstance(value, np.ndarray):
+    np = numpy_if_array(value)
+    if np is not None:
         return np.exp(_floats(value))
     if _is_exact(value) and value == 0:
         return 1
@@ -374,7 +366,8 @@ def exp(value: Any) -> Any:
 def sin(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[0]
-    if isinstance(value, np.ndarray):
+    np = numpy_if_array(value)
+    if np is not None:
         return np.sin(_floats(value))
     if _is_exact(value) and value == 0:
         return value
@@ -384,7 +377,8 @@ def sin(value: Any) -> Any:
 def cos(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _sin_cos_series(value)[1]
-    if isinstance(value, np.ndarray):
+    np = numpy_if_array(value)
+    if np is not None:
         return np.cos(_floats(value))
     if _is_exact(value) and value == 0:
         return 1
@@ -395,10 +389,13 @@ def sqrt(value: Any) -> Any:
     """Square root; exact on perfect squares of ints and rationals."""
     if isinstance(value, TruncatedSeries):
         return _sqrt_series(value)
-    if np.any(value < 0):
-        raise DomainError("square root of a negative value")
-    if isinstance(value, np.ndarray):
+    np = numpy_if_array(value)
+    if np is not None:
+        if np.any(value < 0):
+            raise DomainError("square root of a negative value")
         return np.sqrt(_floats(value))
+    if value < 0:
+        raise DomainError("square root of a negative value")
     if isinstance(value, int):
         r = math.isqrt(value)
         if r * r == value:
@@ -413,10 +410,13 @@ def sqrt(value: Any) -> Any:
 def log(value: Any) -> Any:
     if isinstance(value, TruncatedSeries):
         return _log_series(value)
-    if np.any(value <= 0):
-        raise DomainError("logarithm of a nonpositive value")
-    if isinstance(value, np.ndarray):
+    np = numpy_if_array(value)
+    if np is not None:
+        if np.any(value <= 0):
+            raise DomainError("logarithm of a nonpositive value")
         return np.log(_floats(value))
+    if value <= 0:
+        raise DomainError("logarithm of a nonpositive value")
     if _is_exact(value) and value == 1:
         return 0
     return math.log(value)

@@ -32,17 +32,18 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .bell import complete_bell, generalized_binomial, series_power_coefficient
 from .engine import ExpansionResult, RadialProfile, SphereRule, \
     expansion_series, gamma_value, polar_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
 from .exprs import Positional, compile_expression, expression_symbols
-from .jets import Lanes, TruncatedSeries, compose_scalar, exp, exp_series, \
-    iterated_flow_derivatives, ode_jet_transport
+from .jets import TruncatedSeries, compose_scalar, exp, exp_series, \
+    iterated_flow_derivatives, listed, numpy_if_array, ode_jet_transport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HamiltonianModel",
@@ -97,16 +98,21 @@ class HamiltonianModel:
     value (or absolutely, below 1).  A map that is not odd there, that
     fails there, or a ``flow_field`` that does not return ``chart_dim``
     components there, is a :class:`~lapasym.errors.DomainError` naming
-    the model.  The maps must also accept numpy arrays elementwise: the
-    numeric oracle passes the directions and points of a whole angular
-    level as one float array per coordinate (in group dimension 1 too:
-    its one level, the directions ``1`` and ``-1``, arrives as arrays of
-    two entries, and the Jacobian check's one direction as arrays of one
-    entry), the series path passes its rule's transported directions as
-    one array per component with jet points (one direction, such as
-    group dimension 1's ``1``, as plain numbers), and a map may return a
+    the model.  The oddness check and the series path of group
+    dimension 1 call the maps on plain numbers and jets of plain numbers
+    only (the direction ``1``), so building a model and a
+    group-dimension-1 ``expand`` need no numpy.  Elsewhere the maps
+    receive numpy arrays and must compute elementwise: the numeric
+    oracle passes the directions and points of a whole angular level as
+    one float array per coordinate (in group dimension 1 too: its one
+    level, the directions ``1`` and ``-1``, arrives as arrays of two
+    entries, and the Jacobian check's one direction as arrays of one
+    entry), and from group dimension 2 on the series path passes its
+    rule's transported directions as one array per component, with jet
+    points whose coefficients are such arrays; a map may return a
     scalar where every entry is the same.  The elementary functions of
-    :mod:`.jets` and config models qualify; ``math.*`` calls do not.  ``orbit_volume(point)`` is plain numeric.
+    :mod:`.jets` and config models qualify; ``math.*`` calls do not.
+    ``orbit_volume(point)`` is plain numeric.
     ``zero_chart`` and ``chart_density`` are optional and only needed by
     the Jacobian check: a parametrization ``s -> point`` of the zero
     level and the density of the volume form in chart coordinates.
@@ -209,24 +215,26 @@ def radial_profile(
     phi``, log-weight ``= int laplacian_phi``, weight ``= exp(half_form
     * log-weight)``.  Series are returned at radial order ``order``
     (so reduced phase coefficients are available up to ``order - 2``).
-    ``omega`` may hold one array per component, a batch of directions;
-    each series coefficient then has one lane per direction, the value
-    that direction gives on its own.  Columns of several directions
-    become :class:`~lapasym.jets.Lanes`; a column of one direction is
-    read as a plain number, so exact data along group dimension 1's
-    ``1`` stays exact.  A failed check names the model and the first
-    failing direction; a :class:`~lapasym.errors.DomainError` of the
-    model's maps (a logarithm of a nonpositive value, say) names the
-    model.
+    ``omega`` holds plain numbers, one direction, or one array per
+    component, a batch of directions; each series coefficient then has
+    one lane per direction, the value that direction gives on its own.
+    Columns of several directions become :class:`~lapasym.jets.Lanes`,
+    and only then is numpy loaded; a column of one direction is read as
+    a plain number, so exact data along group dimension 1's ``1`` stays
+    exact.  The zero-level checks read each value as one float per
+    direction.  A failed check names the model and the first failing
+    direction; a :class:`~lapasym.errors.DomainError` of the model's
+    maps (a logarithm of a nonpositive value, say) names the model.
     """
     if order < 2:
         raise DomainError("radial order must be at least 2")
     x0 = _reference_point(model, point)
-    omega = tuple(_lanes(c) if isinstance(c, np.ndarray) else c for c in omega)
+    omega = tuple(_lanes(c) if numpy_if_array(c) is not None else c for c in omega)
+    n = max((len(c) for c in omega if numpy_if_array(c) is not None), default=1)
     with _named(model):
-        level = np.abs(np.asarray(model.phi(omega, x0), dtype=float))
-    _refuse(model, omega, level > _ZERO_LEVEL_TOL,
-            lambda i: f"point {x0!r} is not on the zero level (phi = {level.flat[i]:.3e})")
+        level = [abs(v) for v in _per_direction(model.phi(omega, x0), n)]
+    _refuse(model, omega, [v > _ZERO_LEVEL_TOL for v in level],
+            lambda i: f"point {x0!r} is not on the zero level (phi = {level[i]:.3e})")
     with _named(model):
         trajectory = ode_jet_transport(
             lambda coords: model.flow_field(omega, coords), x0, order - 1
@@ -235,14 +243,14 @@ def radial_profile(
         log_weight = compose_scalar(
             lambda c: model.laplacian_phi(omega, c), trajectory
         ).integrate()
-    lead = np.asarray(phase.coefficient(2), dtype=float)
-    _refuse(model, omega, ~(lead > 0.0),
+    lead = _per_direction(phase.coefficient(2), n)
+    _refuse(model, omega, [not v > 0.0 for v in lead],
             lambda i: "transport field is degenerate at the base point "
-                      f"(leading phase coefficient {lead.flat[i]:.3e})")
-    scale = np.maximum(1.0, np.abs(lead))
+                      f"(leading phase coefficient {lead[i]:.3e})")
+    scale = [max(1.0, abs(v)) for v in lead]
     for p in (0, 1):
-        low = np.abs(np.asarray(phase.coefficient(p), dtype=float))
-        _refuse(model, omega, low > _ZERO_LEVEL_TOL * scale,
+        low = _per_direction(phase.coefficient(p), n)
+        _refuse(model, omega, [abs(v) > _ZERO_LEVEL_TOL * s for v, s in zip(low, scale)],
                 lambda i: "phase does not vanish to second order at the base point")
     return _weighted(phase, log_weight, half_form)
 
@@ -250,7 +258,17 @@ def radial_profile(
 def _lanes(column: np.ndarray) -> Any:
     if column.size == 1:
         return column.item()
-    return np.asarray(column, dtype=float).view(Lanes)
+    from .lanes import Lanes
+
+    return column.astype(float, copy=False).view(Lanes)
+
+
+def _per_direction(value: Any, n: int) -> list[float]:
+    # a value per direction, or one value all n directions share, as floats
+    np = numpy_if_array(value)
+    if np is None:
+        return [float(value)] * n
+    return np.broadcast_to(np.asarray(value, dtype=float), n).tolist()
 
 
 @contextmanager
@@ -262,14 +280,14 @@ def _named(model: HamiltonianModel):
         raise DomainError(f"model {model.name!r}: {exc}") from None
 
 
-def _refuse(model: HamiltonianModel, omega: Sequence[Any], failed: np.ndarray,
+def _refuse(model: HamiltonianModel, omega: Sequence[Any], failed: list[bool],
             reason: Callable[[int], str]) -> None:
     # a DomainError at the first direction where failed holds; failed has
-    # one entry per direction, or a single one shared by all of them
-    failed = np.atleast_1d(failed)
-    if failed.any():
-        i = int(np.argmax(failed))
-        direction = tuple(float(np.atleast_1d(c)[i]) for c in omega)
+    # one entry per direction
+    if any(failed):
+        i = failed.index(True)
+        direction = tuple(float(c[i] if numpy_if_array(c) is not None else c)
+                          for c in omega)
         raise DomainError(f"model {model.name!r}, direction {direction}: {reason(i)}")
 
 
@@ -355,7 +373,8 @@ def geometric_expansion(
     In every group dimension one radial profile carries the rule's
     nodes but its mirrored ones, one array per direction component (in
     dimension 1 the one direction ``1``, as a plain number), and its
-    columns become the engine's tables, one row per transported node.
+    columns become the engine's tables, one tuple row per transported
+    node.
     The maps are odd in ``omega`` (checked when the model is built), so
     the flow along ``-omega`` is the flow along ``omega`` run backwards,
     and the coefficient of ``t**p`` changes sign with ``p``: a mirrored
@@ -380,19 +399,18 @@ def geometric_expansion(
         )
     rule = sphere_rule(model.group_dim, resolution)
     kept = len(rule) - rule.mirrored
-    omega = tuple(np.ascontiguousarray(column) for column in rule.nodes[:kept].T)
+    if kept == 1:
+        omega = tuple(rule.nodes[0])
+    else:
+        import numpy as np
+
+        omega = tuple(np.ascontiguousarray(column) for column in rule.nodes[:kept].T)
     # reduced phase coefficient f_order is phase[t^(order + 2)]
     batched = radial_profile(model, omega, point, order + 2, half_form)
-    # each column holds lanes, or one number that every direction shares
-    dtype = float if mode == "float" else object
-    phase, weight = (
-        np.column_stack([np.broadcast_to(np.asarray(c, dtype=dtype), kept)
-                         for c in columns])
-        for columns in _tables(batched, order)
-    )
+    phase, weight = (_rows(columns, kept, mode) for columns in _tables(batched, order))
     if mode == "exact":
         # row by row: each direction's phase, then its weight
-        for value in np.hstack([phase, weight]).ravel().tolist():
+        for value in (v for f, g in zip(phase, weight) for v in (*f, *g)):
             if not isinstance(value, (int, Fraction)):
                 raise DomainError(
                     f"exact mode needs rational radial data; model {model.name!r} "
@@ -400,6 +418,20 @@ def geometric_expansion(
                     f"{type(value).__name__} {value!r}"
                 )
     return expansion_series(RadialProfile(rule, phase, weight), order)
+
+
+def _rows(columns: Sequence[Any], kept: int, mode: str) -> list[tuple]:
+    # the engine's table: each column holds lanes, or one number that every
+    # direction shares; mode "float" takes each entry's float
+    cells = []
+    for c in columns:
+        np = numpy_if_array(c)
+        if np is not None:
+            dtype = float if mode == "float" else object
+            cells.append(np.broadcast_to(np.asarray(c, dtype=dtype), kept).tolist())
+        else:
+            cells.append([float(c) if mode == "float" else c] * kept)
+    return list(zip(*cells))
 
 
 # ------------------------------------------------------------ raw coefficient sums
@@ -451,8 +483,8 @@ def _rule_atoms(
     # (flow_atoms, lap_atoms) at each node of the sphere rule, and its weights
     rule = sphere_rule(model.group_dim, resolution)
     atom_table = [
-        direction_atoms(model, tuple(row.tolist()), point, flow_count, lap_count)
-        for row in rule.nodes
+        direction_atoms(model, tuple(row), point, flow_count, lap_count)
+        for row in listed(rule.nodes)
     ]
     return atom_table, [float(w) for w in rule.weights]
 
@@ -602,6 +634,8 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
     size underflows, or a stage leaves the finite range) raises
     :class:`QuadratureError`.
     """
+    import numpy as np
+
     from .integrators import Dop853  # the oracle only: see engine._quad
 
     chart = model.chart_dim
@@ -680,6 +714,8 @@ def _flow_oracle(
             f"the numeric oracle needs group dimension <= 3; model {model.name!r} "
             f"has group dimension {dim}"
         )
+    import numpy as np
+
     chart = model.chart_dim
     weight = float(half_form)
 
@@ -688,7 +724,7 @@ def _flow_oracle(
             directions = tuple(tuple(row.tolist()) for row in nodes)
             n = len(directions)
             solution = flows(directions, span)
-            end = solution.y[:, -1].reshape(-1, n)
+            end = solution.end.reshape(-1, n)
             if np.any(2.0 * k * end[chart] - abs(weight) * np.abs(end[chart + 1])
                       < _PHASE_CUTOFF):
                 raise _Undecayed
@@ -837,7 +873,7 @@ def _flow_endpoint(model: HamiltonianModel, start: Sequence[float], time: float)
     # is flowing forward along the opposite direction, as one lane
     direction = (1,) if time > 0 else (-1,)
     solution = _augmented_flow(model, (direction,), tuple(start))(abs(time))
-    y = solution.y[:, -1]
+    y = solution.end
     return tuple(y[: model.chart_dim]), float(y[model.chart_dim + 1])
 
 

@@ -374,6 +374,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("density_sweep_sphere1_product_order4",
      ["density-sweep", "--model", "sphere1_product.json", "--order", "4",
       "--k", "30,100,1000"]),
+    # the plain-float path of group dimension 1
+    ("expand_gaussian_order4",
+     ["expand", "--model", "builtin:gaussian", "--a", "1/2", "--order", "4"]),
+    ("expand_quartic_order6",
+     ["expand", "--model", "builtin:quartic", "--a", "0", "--order", "6"]),
 ])
 def test_output_matches_golden_bytes(name, args, fmt, capsys, monkeypatch):
     # the golden files hold the stdout of an earlier release; refactors

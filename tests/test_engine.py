@@ -68,7 +68,7 @@ def test_gamma_value_float_fallback():
 def test_sphere_rule_weight_sums(dim, resolution):
     rule = sphere_rule(dim, resolution) if resolution else sphere_rule(dim)
     assert math.fsum(rule.weights) == pytest.approx(sphere_area(dim), rel=1e-12)
-    assert rule.nodes.shape == (len(rule), dim)
+    assert np.shape(rule.nodes) == (len(rule), dim)
     lengths = np.linalg.norm(rule.nodes, axis=1)
     assert np.allclose(lengths, 1.0, atol=1e-12)
 
@@ -76,14 +76,18 @@ def test_sphere_rule_weight_sums(dim, resolution):
 @pytest.mark.parametrize("dim,resolution", [(1, 0), (2, 12), (3, 6), (4, 6), (5, 6), (6, 6)])
 def test_sphere_rule_antipodal_closure(dim, resolution):
     rule = sphere_rule(dim, resolution) if resolution else sphere_rule(dim)
-    rows = {tuple(np.round(row, 12)) for row in rule.nodes}
-    for row in rule.nodes:
+    nodes = np.asarray(rule.nodes)
+    rows = {tuple(np.round(row, 12)) for row in nodes}
+    for row in nodes:
         assert tuple(np.round(-row, 12)) in rows
 
 
 def test_sphere_rule_in_one_dimension_has_integer_nodes():
-    # exact radial data stays exact along the directions 1 and -1
-    assert sphere_rule(1).nodes.tolist() == [[1], [-1]]
+    # exact radial data stays exact along the directions 1 and -1: plain
+    # rows of the ints 1 and -1
+    rule = sphere_rule(1)
+    assert rule.nodes == ((1,), (-1,)) and rule.weights == (1.0, 1.0)
+    assert [type(c) for row in rule.nodes for c in row] == [int, int]
 
 
 def test_sphere_rule_reads_its_mirror_off_its_nodes():
@@ -497,7 +501,7 @@ def row_by_row_series(rule, phase_rows, amplitude_rows, order):
             else:
                 values.append(float(bracket) * float(f[0]) ** float(-e))
         coefficients.append(gamma_value(e) / 2 * math.fsum(
-            w * v for w, v in zip(rule.weights.tolist(), values)))
+            w * v for w, v in zip(np.asarray(rule.weights).tolist(), values)))
     return coefficients
 
 
@@ -530,13 +534,21 @@ def test_table_layouts_match_the_row_by_row_series(layout, dim, resolution):
         dtypes = (object, object)
     profile = RadialProfile(rule, phase, amplitude)
     tables = (profile.phase_coefficients, profile.amplitude_coefficients)
-    assert [(t.ndim, t.dtype) for t in tables] == [(2, np.dtype(d)) for d in dtypes]
     assert profile.order == (3 if layout == "ragged" else 5)
     rows = [[row[:profile.order + 1] for row in
              (table.tolist() if isinstance(table, np.ndarray) else table)]
             for table in (phase, amplitude)]
-    # exact entries stay as they are: ints as ints, Fractions as Fractions
-    assert all(type(a) is type(b) for a, b in zip(tables[1][0], rows[1][0]))
+    # each table is rows of the entries as they are, cut to its shortest
+    # row: ints as ints, Fractions as Fractions, floats as floats
+    for table, given in zip(tables, (phase, amplitude)):
+        given = given.tolist() if isinstance(given, np.ndarray) else given
+        width = min(len(row) for row in given)
+        assert [list(row) for row in table] == [row[:width] for row in given]
+        assert all(type(a) is type(b) for row, want in zip(table, given)
+                   for a, b in zip(row, want))
+    # the lanes compute in floats where every entry is a float, else entry
+    # by entry on the entries themselves
+    assert [column.dtype for column in profile.columns] == [np.dtype(d) for d in dtypes]
     got = expansion_series(profile, profile.order).coefficients
     want = row_by_row_series(rule, *rows, profile.order)
     assert [c.hex() for c in got] == [c.hex() for c in want]

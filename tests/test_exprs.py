@@ -233,6 +233,12 @@ def test_array_zero_divisor_names_the_expression():
     over_zero = compile_expression(Positional(["/", "x0", ["-", "1", "1"]], ("x0",)))
     with pytest.raises(DomainError, match="division by zero"):
         over_zero((np.array([1.0, 2.0]),))
+    # lanes and numpy scalars as divisors, as arrays are
+    with pytest.raises(DomainError, match=re.escape(f"division by zero in {json.dumps(node)}")):
+        fn((1.0, np.array([2.0, 1.0]).view(jets.Lanes)))
+    with pytest.raises(DomainError, match=re.escape(f"division by zero in {json.dumps(node)}")):
+        fn((1.0, np.float64(1.0)))
+    assert fn((1.0, np.array([2.0, 3.0]).view(jets.Lanes))).tolist() == [1.0, 0.5]
 
 
 @pytest.mark.parametrize("node", [

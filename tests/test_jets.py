@@ -430,13 +430,22 @@ def test_array_domain_errors():
     np = pytest.importorskip("numpy")
     from lapasym.errors import DomainError
 
-    # scalars, numeric arrays and object arrays alike
-    for value in (-1, -1e-3, np.array([1.0, -1e-3]), np.array([1, Fraction(-1, 3)], dtype=object)):
-        with pytest.raises(DomainError, match="square root"):
+    # scalars, numeric arrays, lanes and object arrays alike
+    for value in (-1, -1e-3, np.array([1.0, -1e-3]), np.array([1.0, -1e-3]).view(jets.Lanes),
+                  np.array([1, Fraction(-1, 3)], dtype=object)):
+        with pytest.raises(DomainError, match="square root of a negative value"):
             jets.sqrt(value)
-    for value in (0, 0.0, np.array([1.0, 0.0]), np.array([1, Fraction(-1, 3)], dtype=object)):
-        with pytest.raises(DomainError, match="logarithm"):
+    for value in (0, 0.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]).view(jets.Lanes),
+                  np.array([1, Fraction(-1, 3)], dtype=object)):
+        with pytest.raises(DomainError, match="logarithm of a nonpositive value"):
             jets.log(value)
+    # with numpy loaded, scalars still take the math library and lanes stay lanes
+    assert jets.sqrt(Fraction(4, 9)) == Fraction(2, 3) and jets.log(1) == 0
+    lanes = np.array([0.25, 2.0]).view(jets.Lanes)
+    for fn, want in ((jets.sqrt, [0.5, math.sqrt(2.0)]),
+                     (jets.log, [math.log(0.25), math.log(2.0)])):
+        got = fn(lanes)
+        assert isinstance(got, jets.Lanes) and got.tolist() == want
 
 
 # ---------------------------------------------------------------- array coefficients
