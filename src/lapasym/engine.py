@@ -35,8 +35,10 @@ per angular level, the one level of the line's two directions in one
 dimension, nested circle grids in two and Gauss-Legendre times azimuth
 grids in three, with each level's directions evaluated together at all
 21 radii of a Kronrod rule at once; it refuses other dimensions.
-QUADPACK's QAGS is the port in :mod:`.integrators`, which is imported
-on the oracle's first call only.
+QUADPACK's QAGS is the port in :mod:`.integrators`, which holds its
+relative tolerance and subinterval limit and is imported on the
+oracle's first call only; the oracle passes it the interval and the
+absolute tolerance.
 :func:`numeric_laplace_integral` is its pointwise front end.  Neither
 shares code with the coefficient path apart from evaluating the user's
 callables, which is what makes them usable as an independent oracle.
@@ -432,14 +434,6 @@ class IntegralEstimate(NamedTuple):
     error_bound: float
 
 
-def _quad(fn, lower: float, upper: float, tol: float) -> tuple[float, float]:
-    # the integrators are imported by the oracle only, so that short calls
-    # neither load nor compile them
-    from .integrators import quad
-
-    return quad(fn, lower, upper, epsabs=tol, epsrel=2e-14, limit=400)
-
-
 # a level's directions go through its integrand in blocks of at most this
 # many, which bounds the state of one vectorized flow solve
 _LEVEL_BLOCK = 512
@@ -551,6 +545,10 @@ def polar_laplace_integral(
         raise DomainError("tolerance must be positive, radius positive and finite")
     import numpy as np
 
+    # the integrators are imported by the oracle only, so that short calls
+    # neither load nor compile them
+    from .integrators import quad
+
     def level_integral(nodes: np.ndarray, weights: np.ndarray, budget: float):
         blocks = [
             (level(nodes[i:i + _LEVEL_BLOCK]), weights[i:i + _LEVEL_BLOCK])
@@ -564,7 +562,7 @@ def polar_laplace_integral(
             # Python's float power: numpy's square can differ in the last bit
             return total * np.array([r ** (dim - 1) for r in rho.tolist()])
 
-        return _quad(weighted, 0.0, radius, budget)
+        return quad(weighted, 0.0, radius, epsabs=budget)
 
     if dim == 1:
         # the two-point rule is exact, so its one level is final

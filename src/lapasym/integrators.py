@@ -2,22 +2,27 @@
 
 Both are ports that reproduce their sources bit for bit, so the oracle
 prints the same digits as when it called scipy, without loading scipy.
+This module is the one home of the oracle's numerical tolerances: the
+constants ``T0``, ``RTOL`` and ``ATOL`` of every flow solve and
+``EPSREL`` and ``LIMIT`` of every QUADPACK call.  A caller passes only
+what varies: a flow's field and initial state, and an integral's
+interval and absolute tolerance.
 
 :class:`Dop853` is the forward, dense-output path of SciPy's
-``solve_ivp(fun, (t0, t_bound), y0, method="DOP853", dense_output=True,
-rtol=rtol, atol=atol)``: the explicit Runge-Kutta pair of order 8(5,3)
+``solve_ivp(fun, (T0, t_bound), y0, method="DOP853", dense_output=True,
+rtol=RTOL, atol=ATOL)``: the explicit Runge-Kutta pair of order 8(5,3)
 of Dormand and Prince (Hairer, Norsett and Wanner, *Solving Ordinary
 Differential Equations I*, Sec. II.10), with SciPy's coefficient
 tables, initial step selection, error norm, step-size control and
 7th-degree dense output, and the same numpy expressions, so that every
 BLAS call sees the arrays SciPy gives it.  One solve serves every end
-time asked of it, sharing the steps that the end times share, and
-:func:`dop853` is that solve run to one end time.  One thing is added:
-the solve stops at the first trial step with a stage that is not
-finite, where SciPy would shrink the step until it underflows.
+time asked of it, sharing the steps that the end times share.  One
+thing is added: the solve stops at the first trial step with a stage
+that is not finite, where SciPy would shrink the step until it
+underflows.
 
 :func:`quad` is ``scipy.integrate.quad(fn, a, b, epsabs=epsabs,
-epsrel=epsrel, limit=limit)`` on a finite interval, returning
+epsrel=EPSREL, limit=LIMIT)`` on a finite interval, returning
 ``(value, abserr)`` whatever QUADPACK's error flag: ``dqagse``
 (Piessens, de Doncker-Kapenga, Uberhuber and Kahaner, *QUADPACK*,
 Springer 1983) on the 21-point Gauss-Kronrod rule ``dqk21``, with the
@@ -43,7 +48,16 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Dop853", "OdeFlow", "dop853", "quad"]
+__all__ = ["Dop853", "OdeFlow", "quad"]
+
+# every flow solve starts at T0 and keeps its local error within
+# ATOL + RTOL * |y|; EPSREL and LIMIT are QUADPACK's relative tolerance
+# and its most subintervals
+T0 = 0.0
+RTOL = 1e-13
+ATOL = 1e-14
+EPSREL = 2e-14
+LIMIT = 400
 
 
 # ------------------------------------------------------------------ DOP853
@@ -189,12 +203,12 @@ def _norm(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> tuple[float, float]:
+def _initial_step(fun, y0, t_bound, f0) -> tuple[float, float]:
     """SciPy's initial step, and the length from which on the first
     interval does not limit it: the step is the same for every first
     interval at least that long, and a shorter one limited it."""
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
+    interval_length = abs(t_bound - T0)
+    scale = ATOL + np.abs(y0) * RTOL
     d0 = _norm(y0 / scale)
     d1 = _norm(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -204,7 +218,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> tuple[float, float]:
     h0_wanted = h0
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
+    f1 = fun(T0 + h0, y1)
     d2 = _norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -243,7 +257,7 @@ def _room(stack: np.ndarray, rows: int) -> np.ndarray:
 
 class _Table:
     """The dense output of a solve: one row per accepted state, in the
-    order the states were computed, from the state at ``t0``.
+    order the states were computed, from the state at ``T0``.
 
     A row holds the state's time, the step size the next step starts
     from, the right-hand-side calls made by then, the state and its
@@ -251,12 +265,12 @@ class _Table:
     depend on.  Row ``r > 0`` was reached by a step whose interpolant
     coefficients are ``coefficients[r - 1]``.  The states, derivatives
     and coefficients are stacked arrays.  The trunk is the chain of rows
-    from ``t0`` that were reached before any trial step was clipped to an
+    from ``T0`` that were reached before any trial step was clipped to an
     end time.
     """
 
-    def __init__(self, t0: float, h_abs: float, calls: int, y0: np.ndarray, f0: np.ndarray):
-        self.times, self.step_sizes, self.calls = [t0], [h_abs], [calls]
+    def __init__(self, h_abs: float, calls: int, y0: np.ndarray, f0: np.ndarray):
+        self.times, self.step_sizes, self.calls = [T0], [h_abs], [calls]
         self.states = np.empty((16, y0.size))
         self.derivatives = np.empty((16, y0.size))
         self.coefficients = np.empty((16, _INTERPOLATOR_POWER, y0.size))
@@ -327,11 +341,11 @@ class OdeFlow:
 
 
 class Dop853:
-    """A forward DOP853 solve of ``y' = fun(t, y)`` from ``t0`` to any end time.
+    """A forward DOP853 solve of ``y' = fun(t, y)`` from ``T0`` to any end time.
 
-    ``until(t_bound)``, for ``t_bound > t0``, is bit for bit SciPy's
+    ``until(t_bound)``, for ``t_bound > T0``, is bit for bit SciPy's
     ``solve_ivp`` with ``method="DOP853"`` and ``dense_output=True`` on
-    ``(t0, t_bound)``; ``rtol`` must be at least ``100 * eps``.  A
+    ``(T0, t_bound)``, at the module's ``RTOL`` and ``ATOL``.  A
     failed solve has ``success=False``, with SciPy's message when the
     step size underflows and its own when a trial step meets a stage
     that is not finite.
@@ -342,20 +356,17 @@ class Dop853:
     trial are the same for every end time that clips none of them.  The
     solve keeps them as its trunk: a longer end time continues from the
     trunk's last state, and a shorter one branches off at the first
-    trunk state whose trial step it clips.  It starts afresh from ``t0``
+    trunk state whose trial step it clips.  It starts afresh from ``T0``
     only when its initial step was, or would be, limited by the first
     interval.  Each end time's flow is kept, and all of them read one
     table of states and interpolants.
     """
 
-    def __init__(self, fun: Callable[[float, np.ndarray], Any], t0: float,
-                 y0: Sequence[float], rtol: float, atol: float):
-        if not rtol >= 100 * np.finfo(float).eps:
-            raise ValueError("rtol must be at least 100 * eps")
+    def __init__(self, fun: Callable[[float, np.ndarray], Any], y0: Sequence[float]):
         y = np.array(y0, dtype=float)
         if y.ndim != 1 or not np.isfinite(y).all():
             raise ValueError("the initial state must be a finite 1-d array")
-        self._fun, self._t0, self._y0, self._rtol, self._atol = fun, float(t0), y, rtol, atol
+        self._fun, self._y0 = fun, y
         self._calls = 0
         self._flows: dict[float, OdeFlow] = {}
         # the table whose trunk serves every first interval at least
@@ -368,12 +379,12 @@ class Dop853:
         return np.asarray(self._fun(t, y), dtype=float)
 
     def until(self, t_bound: float) -> OdeFlow:
-        """The solve from ``t0`` to ``t_bound``."""
+        """The solve from ``T0`` to ``t_bound``."""
         t_bound = float(t_bound)
-        if not t_bound > self._t0:
-            raise ValueError("dop853 integrates forward: t_bound must exceed t0")
+        if not t_bound > T0:
+            raise ValueError("Dop853 integrates forward: t_bound must exceed T0")
         if t_bound not in self._flows:
-            if self._table is None or abs(t_bound - self._t0) < self._free_from:
+            if self._table is None or abs(t_bound - T0) < self._free_from:
                 flow = self._fresh(t_bound)
             else:
                 flow = self._branch(self._table, t_bound)
@@ -382,11 +393,10 @@ class Dop853:
 
     def _fresh(self, t_bound: float) -> OdeFlow:
         calls = self._calls
-        f = self._rhs(self._t0, self._y0)
-        h_abs, free_from = _initial_step(self._rhs, self._t0, self._y0, t_bound, f,
-                                         self._rtol, self._atol)
-        table = _Table(self._t0, h_abs, self._calls - calls, self._y0, f)
-        if abs(t_bound - self._t0) >= free_from:
+        f = self._rhs(T0, self._y0)
+        h_abs, free_from = _initial_step(self._rhs, self._y0, t_bound, f)
+        table = _Table(h_abs, self._calls - calls, self._y0, f)
+        if abs(t_bound - T0) >= free_from:
             self._table, self._free_from = table, free_from
         return self._run(table, 0, t_bound)
 
@@ -411,7 +421,7 @@ class Dop853:
         t, h_abs = table.times[start], table.step_sizes[start]
         y, f = table.states[start], table.derivatives[start]
         calls = self._calls - table.calls[start]
-        rhs, rtol, atol = self._rhs, self._rtol, self._atol
+        rhs = self._rhs
         # every step reads its stages through the same views of one array
         K_extended = np.empty((_N_STAGES_EXTENDED, y.size))
         K = K_extended[:_N_STAGES + 1]
@@ -449,7 +459,7 @@ class Dop853:
                     failure = f"a trial step from t = {t:.6g} has a stage that is not finite."
                     break
 
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
                 error_norm = _error_norm(KT, h, scale)
                 if error_norm < 1:
                     if error_norm == 0:
@@ -483,21 +493,6 @@ class Dop853:
             t, y, f = t_new, y_new, f_new
 
         return OdeFlow(table, rows, self._calls - calls, failure)
-
-
-def dop853(
-    fun: Callable[[float, np.ndarray], Any],
-    t0: float,
-    t_bound: float,
-    y0: Sequence[float],
-    rtol: float,
-    atol: float,
-) -> OdeFlow:
-    """Integrate ``y' = fun(t, y)`` from ``t0`` forward to ``t_bound > t0``:
-    ``Dop853(fun, t0, y0, rtol, atol).until(t_bound)``, bit for bit
-    SciPy's ``solve_ivp`` with ``method="DOP853"`` and
-    ``dense_output=True``."""
-    return Dop853(fun, t0, y0, rtol, atol).until(t_bound)
 
 
 # ----------------------------------------------------------------- QUADPACK
@@ -581,7 +576,7 @@ def _qk21(f, a: float, b: float):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
+def _qpsrt(last: int, maxerr: int, elist: list, iord: list, nrmax: int):
     """``dqpsrt``: keep ``iord`` in descending order of error; return the
     next interval to bisect, its error, and ``nrmax``."""
     if last <= 2:
@@ -597,8 +592,8 @@ def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: i
                 iord[nrmax] = isucc
                 nrmax -= 1
         jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
+        if last > LIMIT // 2 + 2:
+            jupbn = LIMIT + 3 - last
         errmin = elist[last]
         jbnd = jupbn - 1
         for i in range(nrmax + 1, jbnd + 1):
@@ -728,14 +723,13 @@ def _finish(result, abserr, ier, ierro, correc, area, errsum, rlist, last):
     return (_sum_intervals(rlist, last), errsum) if summed else (result, abserr)
 
 
-def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
-          limit: int) -> tuple[float, float]:
+def _qags(f, a: float, b: float, epsabs: float) -> tuple[float, float]:
     """(result, abserr) of ``dqagse`` on ``a < b``."""
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
+    alist = [0.0] * (LIMIT + 1)
+    blist = [0.0] * (LIMIT + 1)
+    rlist = [0.0] * (LIMIT + 1)
+    elist = [0.0] * (LIMIT + 1)
+    iord = [0] * (LIMIT + 1)
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
     ier = 0
@@ -743,11 +737,9 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
 
     result, abserr, defabs, resasc = _qk21(f, a, b)
     alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
-    errbnd = max(epsabs, epsrel * abs(result))
+    errbnd = max(epsabs, EPSREL * abs(result))
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
-    if limit == 1:
-        ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
         return result, abserr
     maxerr, errmax, errsum, numrl2 = 1, abserr, abserr, 2
@@ -765,7 +757,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
     correc = 0.0
 
     summed = False
-    for last in range(2, limit + 1):
+    for last in range(2, LIMIT + 1):
         # bisect the interval with the nrmax-th largest error
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -787,12 +779,12 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
                     iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(epsabs, EPSREL * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -805,7 +797,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
             alist[last], blist[maxerr], blist[last] = a2, b1, b2
             rlist[maxerr], rlist[last] = area1, area2
             elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             summed = True
             break
@@ -832,8 +824,8 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
             # the smallest interval has the largest error: bisect the
             # larger intervals first while their errors allow
             jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
+            if last > 2 + LIMIT // 2:
+                jupbnd = LIMIT + 3 - last
             bisect_larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -856,7 +848,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
             abserr = abseps
             result = reseps
             correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(epsabs, EPSREL * abs(reseps))
             if abserr <= ertest:
                 break
         if numrl2 == 1:
@@ -876,29 +868,22 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float,
     return _finish(result, abserr, ier, ierro, correc, area, errsum, rlist, last)
 
 
-def quad(
-    fn: Callable[[np.ndarray], Any],
-    a: float,
-    b: float,
-    epsabs: float,
-    epsrel: float,
-    limit: int,
-) -> tuple[float, float]:
+def quad(fn: Callable[[np.ndarray], Any], a: float, b: float,
+         epsabs: float) -> tuple[float, float]:
     """``(value, abserr)`` of the integral of ``fn`` over the finite ``[a, b]``, ``a < b``.
 
-    Bit for bit ``scipy.integrate.quad`` with the same arguments, less
-    its warnings: QUADPACK's QAGS.  ``fn`` is called once per 21-point
-    rule: it receives the rule's abscissae as one float64 array, in the
-    order in which ``dqk21`` evaluates them, and returns their 21 values
-    (or one value for all of them) as something a float64 array takes.
+    Bit for bit ``scipy.integrate.quad(fn, a, b, epsabs=epsabs,
+    epsrel=EPSREL, limit=LIMIT)``, less its warnings: QUADPACK's QAGS.
+    ``fn`` is called once per 21-point rule: it receives the rule's
+    abscissae as one float64 array, in the order in which ``dqk21``
+    evaluates them, and returns their 21 values (or one value for all of
+    them) as something a float64 array takes.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("quad integrates over a finite interval [a, b] with a < b")
-    if not epsabs > 0 and epsrel < max(50 * _EPMACH, 5e-29):
-        raise ValueError("tolerance too small")
 
     def f(x: np.ndarray) -> list:
         return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).tolist()
 
-    return _qags(f, a, b, epsabs, epsrel, limit)
+    return _qags(f, a, b, epsabs)

@@ -14,8 +14,8 @@ From a model, this module extracts per-direction radial series
 (:func:`geometric_expansion`), and evaluates the corrected and
 uncorrected densities ``I`` and ``J`` both by direct numerics
 (:func:`j_a_numeric`, :func:`density`, whose flows are DOP853 solves of
-:mod:`.integrators`, imported on first use) and by their series
-predictions (:func:`density_series`).
+:mod:`.integrators`, imported on first use, at the tolerances that
+module holds) and by their series predictions (:func:`density_series`).
 Two additional, deliberately independent evaluations of the expansion
 coefficients live here as cross-checks: :func:`zeta_geometric` (the raw
 Bell and series-power sums of :mod:`.bell`) and :func:`zeta2_reference`
@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
@@ -587,35 +587,23 @@ def leading_term_identity(
 
 def scaled_generator_model(model: HamiltonianModel, factor: float) -> HamiltonianModel:
     """Rescale the generator maps, leaving the orbit volume untouched."""
-    return HamiltonianModel(
-        group_dim=model.group_dim,
-        chart_dim=model.chart_dim,
+    return replace(
+        model,
         phi=lambda omega, point: model.phi(omega, point) * factor,
         flow_field=lambda omega, point: tuple(
             v * factor for v in model.flow_field(omega, point)
         ),
         laplacian_phi=lambda omega, point: model.laplacian_phi(omega, point) * factor,
-        zero_points=model.zero_points,
-        orbit_volume=model.orbit_volume,
         name=f"{model.name}/generator*{factor}",
-        zero_chart=model.zero_chart,
-        chart_density=model.chart_density,
     )
 
 
 def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianModel:
     """Rescale the reported orbit volume only."""
-    return HamiltonianModel(
-        group_dim=model.group_dim,
-        chart_dim=model.chart_dim,
-        phi=model.phi,
-        flow_field=model.flow_field,
-        laplacian_phi=model.laplacian_phi,
-        zero_points=model.zero_points,
+    return replace(
+        model,
         orbit_volume=lambda point: model.orbit_volume(point) * factor,
         name=f"{model.name}/vol*{factor}",
-        zero_chart=model.zero_chart,
-        chart_density=model.chart_density,
     )
 
 
@@ -630,13 +618,13 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
     The state holds one row per chart coordinate, then the phase and the
     log-weight, each over the directions; the model's maps see each row
     as a numpy array and must compute elementwise.  The solve is DOP853
-    with ``rtol=1e-13`` and ``atol=1e-14``; a flow that fails (its step
-    size underflows, or a stage leaves the finite range) raises
+    at the tolerances of :mod:`.integrators`; a flow that fails (its
+    step size underflows, or a stage leaves the finite range) raises
     :class:`QuadratureError`.
     """
     import numpy as np
 
-    from .integrators import Dop853  # the oracle only: see engine._quad
+    from .integrators import Dop853  # the oracle only: see polar_laplace_integral
 
     chart = model.chart_dim
     n = len(directions)
@@ -658,8 +646,7 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
             out[row] = v
         return out.ravel()
 
-    solve = Dop853(rhs, 0.0, np.repeat([float(c) for c in x0] + [0.0, 0.0], n),
-                   rtol=1e-13, atol=1e-14)
+    solve = Dop853(rhs, np.repeat([float(c) for c in x0] + [0.0, 0.0], n))
 
     def flow(span: float):
         # a flow that overflows is reported by the solver's failure below,
@@ -677,35 +664,23 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
     return flow
 
 
-def _flow_table(model: HamiltonianModel, x0: tuple) -> Callable[[tuple, float], Any]:
-    """``(directions, span) -> dense flow``, with one extendable solve per
-    direction set."""
-    table: dict[tuple, Callable[[float], Any]] = {}
-
-    def flow(directions: tuple, span: float):
-        if directions not in table:
-            table[directions] = _augmented_flow(model, directions, x0)
-        return table[directions](span)
-
-    return flow
-
-
 class _Undecayed(Exception):
     """A direction's integrand has not died off within the flow span."""
 
 
 def _flow_oracle(
     model: HamiltonianModel,
-    flows: Callable[[tuple, float], Any],
-    half_form: Any,
-) -> Callable[[float, float], float]:
-    """``(k, tol) -> j_a(k)`` over the flows of ``flows``.
+    point: Sequence[Any] | None,
+) -> Callable[[float, float, Any], float]:
+    """``(k, tol, half_form) -> j_a(k)`` at ``point``.
 
     Each angular level of the quadrature is one vectorized flow of its
     directions, read at all the radii of a Kronrod rule at once.  The
     span starts at 1 and doubles until, at the end of every level's
-    flow, every direction's integrand has died off; each span extends or
-    branches off the level's one solve.
+    flow, every direction's integrand has died off.  The oracle keeps
+    one extendable solve per direction set, which every later span, k
+    and half-form weight extends or branches off, since the flows depend
+    on none of them.
     """
     dim = model.group_dim
     if dim > 3:
@@ -716,14 +691,17 @@ def _flow_oracle(
         )
     import numpy as np
 
+    x0 = _reference_point(model, point)
     chart = model.chart_dim
-    weight = float(half_form)
+    flows: dict[tuple, Callable[[float], Any]] = {}
 
-    def level_at(k: float, span: float):
+    def level_at(k: float, weight: float, span: float):
         def level(nodes: np.ndarray):
             directions = tuple(tuple(row.tolist()) for row in nodes)
             n = len(directions)
-            solution = flows(directions, span)
+            if directions not in flows:
+                flows[directions] = _augmented_flow(model, directions, x0)
+            solution = flows[directions](span)
             end = solution.end.reshape(-1, n)
             if np.any(2.0 * k * end[chart] - abs(weight) * np.abs(end[chart + 1])
                       < _PHASE_CUTOFF):
@@ -737,20 +715,23 @@ def _flow_oracle(
 
         return level
 
-    def value(k: float, tol: float) -> float:
+    def value(k: float, tol: float, half_form: Any) -> float:
         if not k > 0:
             raise DomainError("k must be positive")
+        weight = float(half_form)
         span = 1.0
         while True:
             try:
                 # as in _augmented_flow: no floating-point warnings reach stderr
                 with np.errstate(all="ignore"):
-                    return polar_laplace_integral(level_at(k, span), dim, tol, span).value
+                    level = level_at(k, weight, span)
+                    return polar_laplace_integral(level, dim, tol, span).value
             except _Undecayed:
                 span *= 2.0
                 if span > _MAX_FLOW_SPAN:
                     raise DomainError(
-                        "phase fails to grow along the flow; integrand does not decay"
+                        f"phase fails to grow along the flow of model {model.name!r} "
+                        f"at k = {k:g}; integrand does not decay"
                     ) from None
 
     return value
@@ -780,9 +761,8 @@ def j_a_numeric(
     Group dimension above 3 is refused with
     :class:`~lapasym.errors.DomainError`.
     """
-    flows = _flow_table(model, _reference_point(model, point))
-    oracle = _flow_oracle(model, flows, half_form)
-    return _sweep(k, lambda kv: oracle(kv, tol))
+    oracle = _flow_oracle(model, point)
+    return _sweep(k, lambda kv: oracle(kv, tol, half_form))
 
 
 def _sweep(values, one: Callable[[float], float]):
@@ -801,8 +781,8 @@ def _density_data(model: HamiltonianModel, kind: str, point: Sequence[Any] | Non
         half_form, divisor, power = _DENSITIES[kind]
     except KeyError:
         raise DomainError(f"density kind must be 'I' or 'J', not {kind!r}") from None
-    x0 = _reference_point(model, point)
-    return x0, half_form, divisor, float(model.orbit_volume(x0)) ** power
+    volume = float(model.orbit_volume(_reference_point(model, point)))
+    return half_form, divisor, volume ** power
 
 
 def density(
@@ -825,15 +805,13 @@ def density(
     if isinstance(kind, str):
         return density(model, (kind,), k, point, tol)[0]
     data = [_density_data(model, one, point) for one in kind]
-    flows = _flow_table(model, _reference_point(model, point))
+    oracle = _flow_oracle(model, point)
     d = model.group_dim
     results = []
-    for x0, half_form, divisor, scale in data:
-        oracle = _flow_oracle(model, flows, half_form)
-
+    for half_form, divisor, scale in data:
         def one(kv: float) -> float:
             prefactor = (kv / divisor) ** (d / 2.0) * scale
-            return prefactor * oracle(kv, tol / prefactor)
+            return prefactor * oracle(kv, tol / prefactor, half_form)
 
         results.append(_sweep(k, one))
     return results
@@ -852,9 +830,10 @@ def density_series(
     The limit comes from the leading coefficient alone, which does not
     depend on the half-form weight.
     """
-    x0, half_form, divisor, scale = _density_data(model, kind, point)
+    half_form, divisor, scale = _density_data(model, kind, point)
     d = model.group_dim
-    result = geometric_expansion(model, x0, half_form, order, resolution)
+    result = geometric_expansion(model, _reference_point(model, point), half_form, order,
+                                 resolution)
 
     def one(kv: float) -> float:
         if math.isinf(kv):
@@ -1004,18 +983,18 @@ _BUILTIN_FACTORIES = {
 
 # ------------------------------------------------------------ declarative configs
 
-def _number(value: Any) -> Any:
-    if isinstance(value, bool):
-        raise DomainError("booleans are not numbers")
-    if isinstance(value, (int, float)):
+def _number(name: str, value: Any) -> Any:
+    """A zero point's coordinate: a JSON number, or an exact string such as
+    ``"1/3"``, read as an int where it is whole and else as a Fraction."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
             parsed = Fraction(value)
+            return parsed.numerator if parsed.denominator == 1 else parsed
         except (ValueError, ZeroDivisionError):
-            raise DomainError(f"unreadable number {value!r}") from None
-        return parsed.numerator if parsed.denominator == 1 else parsed
-    raise DomainError(f"unreadable number {value!r}")
+            pass
+    raise DomainError(f"model {name!r}: zero_points entry {json.dumps(value)} is not a number")
 
 
 def _compiled(name: str, key: str, node: Any, symbols: tuple):
@@ -1062,7 +1041,7 @@ def model_from_config(config: dict) -> HamiltonianModel:
     points = config["zero_points"]
     if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
         raise DomainError("zero_points must be a list of points, each a list of numbers")
-    zero_points = tuple(tuple(_number(c) for c in pt) for pt in points)
+    zero_points = tuple(tuple(_number(name, c) for c in pt) for pt in points)
     if any(len(pt) != chart_dim for pt in zero_points):
         raise DomainError("zero points must have chart dimension")
 

@@ -488,9 +488,8 @@ FLAT4 = {
     ["density-sweep", "--k", "100"],
 ])
 def test_oracle_refuses_group_dimension_four(command, tmp_path, capsys, monkeypatch):
-    # the oracle's uniform sampling of the ball misses the Laplace peak in
-    # dimension 4 and would certify a wrong value; it must refuse before
-    # transporting any flow
+    # the polar quadrature has angular levels for dimensions 1 to 3 only,
+    # so the oracle refuses dimension 4, before transporting any flow
     from lapasym import models
 
     def no_flow(*args, **kwargs):
@@ -500,6 +499,73 @@ def test_oracle_refuses_group_dimension_four(command, tmp_path, capsys, monkeypa
     code, out, err = run_cli(command + ["--model", write_model(tmp_path, FLAT4)], capsys)
     assert_one_error_line(code, out, err)
     assert "'flat4'" in err and "group dimension 4" in err
+
+
+# the phase 2 w0 x0 exp(-x0^2) is bounded by 1 along the flow, so the
+# integrand exp(-k phase) never decays at k = 100
+BOUNDED_PHASE = {
+    "name": "bounded-phase", "group_dim": 1, "chart_dim": 1,
+    "phi": ["*", "w0", "x0", ["exp", ["-", ["pow", "x0", 2]]]],
+    "flow_field": ["w0"], "laplacian_phi": "0", "zero_points": [[0]], "orbit_volume": "1",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--k", "100,200,400"],
+    ["density-sweep", "--k", "100"],
+])
+def test_phase_that_does_not_grow_is_refused(command, tmp_path, capsys):
+    code, out, err = run_cli(command + ["--model", write_model(tmp_path, BOUNDED_PHASE)],
+                             capsys)
+    assert_one_error_line(code, out, err)
+    assert "phase fails to grow" in err
+    assert "'bounded-phase'" in err and "k = 100;" in err
+
+
+# the sphere's circle action in the chart (theta, z): nothing depends on
+# theta, so every zero point (theta, 0) gives the same expansion
+SPHERE_CHART = {
+    "name": "sphere-chart", "group_dim": 1, "chart_dim": 2,
+    "phi": ["*", "2", "pi", "w0", "x1"],
+    "flow_field": ["0", ["*", "2", "pi", "w0", ["-", "1", ["pow", "x1", 2]]]],
+    "laplacian_phi": ["*", "-4", "pi", "w0", "x1"],
+    "zero_points": [[0, 0]],
+    "orbit_volume": ["*", "2", "pi", ["sqrt", ["-", "1", ["pow", "x1", 2]]]],
+}
+
+
+def test_zero_points_read_exact_strings(tmp_path, capsys):
+    from fractions import Fraction
+
+    from lapasym.models import model_from_config
+
+    config = {**SPHERE_CHART, "zero_points": [["1/3", "0"]]}
+    point, = model_from_config(config).zero_points
+    assert point == (Fraction(1, 3), 0) and type(point[1]) is int
+    bodies = []
+    for zero_points in ([["1/3", "0"]], [[0, 0]]):
+        code, out, err = run_cli(
+            ["expand", "--model", write_model(tmp_path, {**config, "zero_points": zero_points}),
+             "--order", "4"], capsys)
+        assert code == 0 and err == ""
+        bodies.append([line for line in out.splitlines() if not line.startswith("#")])
+    assert bodies[0] == bodies[1] and len(bodies[0]) == 6
+
+
+@pytest.mark.parametrize("entry", [True, "abc", "1/0"])
+def test_zero_point_entry_that_is_not_a_number_is_refused(entry, tmp_path, capsys):
+    config = {**SPHERE_CHART, "zero_points": [[entry, 0]]}
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+    assert f"model 'sphere-chart': zero_points entry {json.dumps(entry)} is not a number" in err
+
+
+def test_two_point_slope_is_the_log_ratio():
+    # with two distinct k the verify slope is log(e1 / e0) / log(k1 / k0)
+    assert cli._fit_clean_slope([4.0, 16.0], [2.0 ** -5, 2.0 ** -10]) == -2.5
+    assert cli._fit_clean_slope([10.0, 1000.0], [3e-4, 3e-4 * 100.0 ** -1.5]) == \
+        pytest.approx(-1.5, abs=1e-14)
+    assert cli._fit_clean_slope([10.0, 10.0], [1e-3, 2e-3]) is None
 
 
 def test_zero_divisor_is_a_domain_error(tmp_path, capsys):
@@ -540,14 +606,14 @@ def record_solves(monkeypatch):
     Dop853 = integrators.Dop853
 
     class Recording(Dop853):
-        def __init__(self, fun, t0, y0, rtol, atol):
-            self.args, self.served, self.calls = (fun, t0, y0, rtol, atol), [], 0
+        def __init__(self, fun, y0):
+            self.args, self.served, self.calls = (fun, y0), [], 0
 
             def counting(t, y):
                 self.calls += 1
                 return fun(t, y)
 
-            super().__init__(counting, t0, y0, rtol, atol)
+            super().__init__(counting, y0)
             solves[-1]["solve"] = self
 
         def until(self, t_bound):
@@ -560,7 +626,7 @@ def record_solves(monkeypatch):
         return flow(model, directions, x0)
 
     def counting_initial_step(*args):
-        fresh.append(args[3])
+        fresh.append(args[2])
         return initial_step(*args)
 
     monkeypatch.setattr(models, "_augmented_flow", recording_flow)
@@ -587,7 +653,7 @@ def assert_each_flow_solved_once(solves, fresh, Dop853):
         solve = record["solve"]
         for span, flow in solve.served:
             assert flow.success and flow.t[-1] == span
-        fun, t0, y0, rtol, atol = solve.args
+        fun, y0 = solve.args
         expected, earlier = 0, []
         for span in dict.fromkeys(span for span, _ in solve.served):
             calls = []
@@ -596,7 +662,7 @@ def assert_each_flow_solved_once(solves, fresh, Dop853):
                 calls.append((float(t), y.tobytes()))
                 return fun(t, y)
 
-            Dop853(recording, t0, y0, rtol, atol).until(span)
+            Dop853(recording, y0).until(span)
             expected += len(calls) - max((shared_prefix(calls, c) for c in earlier), default=0)
             earlier.append(calls)
         assert solve.calls == expected
