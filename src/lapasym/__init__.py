@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(["DomainError", "OrderMismatchError", "JetEvaluationError",
                      "QuadratureError"], "errors"),
-    **dict.fromkeys(["partition_tuples", "partial_bell", "complete_bell",
+    **dict.fromkeys(["partitions", "partial_bell", "complete_bell",
                      "series_power_coefficient", "generalized_binomial"], "bell"),
     **dict.fromkeys(["TruncatedSeries", "exp_series", "ode_jet_transport",
                      "compose_scalar", "directional_derivative",

@@ -1,37 +1,28 @@
 """Partition combinatorics and Bell-type polynomials over exact rationals.
 
 This module is the only place that enumerates Bell-type terms.  It
-supplies integer partition tuples, the partition multinomial
-``c(j; n)``, the term lists of partial Bell polynomials and of power
-coefficients of a constant-free power series, their evaluations, the
-complete Bell polynomial, and the generalized binomial coefficient.
-Everything works over any commutative ring whose elements support ``+``,
-``*`` and integer powers, so the same code runs on exact rationals
+supplies the partitions of an integer by number of parts, the term
+lists of partial Bell polynomials and of power coefficients of a
+constant-free power series, their evaluations, the complete Bell
+polynomial, and the generalized binomial coefficient.  Everything works
+over any commutative ring whose elements support ``+``, ``*`` and
+integer powers, so the same code runs on exact rationals
 (:class:`fractions.Fraction`), floats, truncated series and symbols.
 
-The term lists :func:`partial_bell_terms` and :func:`power_terms` are
-what the ``bell-table`` command prints.  Their evaluations
-:func:`partial_bell`, :func:`complete_bell` and
+A partition is a map ``{i: n_i}`` from each part size ``i`` that occurs
+to its count ``n_i``, in ascending ``i``.  Both term lists sum over the
+same partitions, :func:`partitions` ``(m, parts)`` of ``m`` into
+exactly ``parts`` parts: :func:`partial_bell_terms` weights each by the
+set partitions of ``{1, ..., j}`` it counts, :func:`power_terms` by the
+compositions it collects.
+
+The term lists are what the ``bell-table`` command prints.  Their
+evaluations :func:`partial_bell`, :func:`complete_bell` and
 :func:`series_power_coefficient` serve the independent raw cross-check
 route (:func:`~lapasym.models.zeta_geometric`) and the tests, and
 :func:`generalized_binomial` serves both cross-check routes; the
 coefficient path does not use this module, it works with the series
 recurrences of :mod:`.jets`.
-
-Two indexings for partition data coexist and are easy to confuse; only
-this module uses the first:
-
-* :func:`partition_tuples` ``(j, l)`` returns the length-``l`` tuples
-  ``(n1, ..., nl)`` with ``sum(n) == j - l + 1`` and
-  ``sum(i * n_i) == j``.  A tuple encodes a partition of ``j`` whose
-  block sizes are bounded by ``l``; the number of blocks is
-  ``j - l + 1``.
-* :func:`partial_bell` ``(j, l, x)`` is the classical partial Bell
-  polynomial ``B_{j,l}``, the sum over partitions of ``j`` into exactly
-  ``l`` blocks.  Its tuples are ``partition_tuples(j, j - l + 1)``.
-
-The two agree when ``l == j - l + 1`` and differ otherwise; the complete
-polynomial :func:`complete_bell` is the same either way.
 """
 
 from __future__ import annotations
@@ -40,11 +31,8 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .errors import DomainError
-
 __all__ = [
-    "partition_tuples",
-    "partition_multinomial",
+    "partitions",
     "partial_bell_terms",
     "power_terms",
     "partial_bell",
@@ -52,123 +40,60 @@ __all__ = [
     "series_power_coefficient",
     "generalized_binomial",
 ]
-def partition_tuples(j: int, l: int) -> list[tuple[int, ...]]:
-    """All length-``l`` tuples ``n`` with ``sum(n) == j - l + 1`` and ``sum(i*n_i) == j``.
 
-    Parameters
-    ----------
-    j : int
-        Weight of the partition (nonnegative).
-    l : int
-        Tuple length, i.e. the largest part size recorded (nonnegative).
 
-    Returns
-    -------
-    list of tuple of int
-        Tuples in ascending lexicographic order.  Empty when the two
-        constraints are incompatible.
+def partitions(m: int, parts: int) -> list[dict[int, int]]:
+    """The partitions of ``m`` into exactly ``parts`` parts, as ``{size: count}`` maps.
+
+    Ascending in the counts ``(n_1, n_2, ...)`` of parts of size 1, 2,
+    ...; empty when no partition exists, and ``[{}]`` for ``m == parts
+    == 0``.
 
     Examples
     --------
-    >>> partition_tuples(3, 2)
-    [(1, 1)]
-    >>> partition_tuples(4, 2)
-    [(2, 1)]
-    >>> partition_tuples(4, 3)
-    [(0, 2, 0), (1, 0, 1)]
+    >>> partitions(4, 2)
+    [{2: 2}, {1: 1, 3: 1}]
+    >>> partitions(6, 3)
+    [{2: 3}, {1: 1, 2: 1, 3: 1}, {1: 2, 4: 1}]
     """
-    if j < 0 or l < 0:
+    if m < 0 or parts < 0:
         raise ValueError("partition indices must be nonnegative")
-    count = j - l + 1
-    if count < 0:
-        return []
-    if l == 0:
-        return []
-    out: list[tuple[int, ...]] = []
-    tup = [0] * l
+    if not 0 < parts <= m:
+        return [{}] if m == parts else []
+    out: list[dict[int, int]] = []
 
-    def fill(pos: int, remaining: int, weight: int) -> None:
-        # remaining parts to place among positions pos..l, remaining weight to absorb
-        if pos == l:
-            if remaining * l == weight:
-                tup[l - 1] = remaining
-                out.append(tuple(tup))
+    def fill(size: int, parts: int, weight: int, head: dict[int, int]) -> None:
+        # head counts the parts below size; parts more remain, of total
+        # weight at least size * parts.  n of them have size size, from the
+        # fewest that leave the rest room above size, up to all of them
+        if parts == 1:
+            out.append({**head, weight: 1})
             return
-        # position pos is 1-based size `pos`; later positions have size >= pos + 1
-        for n in range(remaining + 1):
-            rest = remaining - n
-            w = weight - pos * n
-            if w < 0:
-                break
-            # remaining parts must fit between the smallest and largest later sizes
-            if (pos + 1) * rest <= w <= l * rest or (rest == 0 and w == 0):
-                tup[pos - 1] = n
-                if rest == 0 and w == 0:
-                    for q in range(pos, l):
-                        tup[q] = 0
-                    out.append(tuple(tup))
-                else:
-                    fill(pos + 1, rest, w)
-        tup[pos - 1] = 0
+        for n in range(max(0, (size + 1) * parts - weight), parts):
+            fill(size + 1, parts - n, weight - size * n, {**head, size: n} if n else head)
+        if weight == size * parts:
+            out.append({**head, size: parts})
 
-    fill(1, count, j)
+    fill(1, parts, m, {})
     return out
 
 
-def _validate_partition_tuple(j: int, counts: Sequence[int]) -> None:
-    l = len(counts)
-    if any(n < 0 for n in counts):
-        raise DomainError(f"negative part count in {tuple(counts)}")
-    if sum(counts) != j - l + 1 or sum(i * n for i, n in enumerate(counts, 1)) != j:
-        raise DomainError(
-            f"{tuple(counts)} is not a valid partition tuple for weight {j}"
-        )
-
-
-def partition_multinomial(j: int, counts: Sequence[int]) -> int:
-    """The multiplicity ``j! / prod_i (i!)**n_i * n_i!`` of a partition tuple.
-
-    Counts the set partitions of ``{1, ..., j}`` with ``n_i`` blocks of
-    size ``i``.  The tuple is validated literally (trailing zeros
-    included): with ``l = len(counts)`` it must satisfy
-    ``sum(counts) == j - l + 1`` and ``sum(i * n_i) == j``.
-
-    Examples
-    --------
-    >>> partition_multinomial(3, (1, 1))
-    3
-    >>> partition_multinomial(4, (2, 1))
-    6
-    """
-    _validate_partition_tuple(j, counts)
-    denom = 1
-    for i, n in enumerate(counts, 1):
-        denom *= math.factorial(i) ** n * math.factorial(n)
-    quot, rem = divmod(math.factorial(j), denom)
-    if rem:  # cannot happen for valid tuples; guards the integer contract
-        raise ArithmeticError("partition multinomial is not integral")
-    return quot
-
-
-def _exponents(counts: Sequence[int]) -> dict[int, int]:
-    return {i: n for i, n in enumerate(counts, start=1) if n}
-
-
 def partial_bell_terms(j: int, l: int) -> list[tuple[int, dict[int, int]]]:
-    """Terms ``(c(j; n), {i: n_i})`` of ``B_{j,l}``, one per partition of ``j``.
+    """Terms ``(c, {i: n_i})`` of ``B_{j,l}``, one per partition of ``j`` into ``l`` blocks.
 
-    The exponent map lists each nonzero ``n_i``, the count of blocks of
-    size ``i``; the terms of ``B_{0,0} = 1`` are ``[(1, {})]``.
+    The partition multinomial ``c = j! / prod_i (i!)**n_i * n_i!``
+    counts the set partitions of ``{1, ..., j}`` with ``n_i`` blocks of
+    size ``i``; the terms of
+    ``B_{0,0} = 1`` are ``[(1, {})]``.
 
     Examples
     --------
     >>> partial_bell_terms(4, 2)
     [(3, {2: 2}), (4, {1: 1, 3: 1})]
     """
-    if j == 0 and l == 0:
-        return [(1, {})]
-    return [(partition_multinomial(j, counts), _exponents(counts))
-            for counts in partition_tuples(j, j - l + 1)]
+    return [(math.factorial(j) // math.prod(math.factorial(i) ** n * math.factorial(n)
+                                            for i, n in p.items()), p)
+            for p in partitions(j, l)]
 
 
 def power_terms(m: int, r: int) -> list[tuple[int, dict[int, int]]]:
@@ -176,16 +101,15 @@ def power_terms(m: int, r: int) -> list[tuple[int, dict[int, int]]]:
 
     One term per partition of ``m`` into ``r`` parts, ``n_i`` of size
     ``i``; its ``r! / prod n_i!`` orderings are the compositions it
-    collects.  Needs ``r <= m + 1``.
+    collects.
 
     Examples
     --------
     >>> power_terms(6, 3)
     [(1, {2: 3}), (6, {1: 1, 2: 1, 3: 1}), (3, {1: 2, 4: 1})]
     """
-    return [(math.factorial(r) // math.prod(math.factorial(n) for n in counts),
-             _exponents(counts))
-            for counts in partition_tuples(m, m - r + 1)]
+    return [(math.factorial(r) // math.prod(math.factorial(n) for n in p.values()), p)
+            for p in partitions(m, r)]
 
 
 def _evaluate(terms: list[tuple[int, dict[int, int]]], x: Sequence[Any]) -> Any:
@@ -201,8 +125,9 @@ def _evaluate(terms: list[tuple[int, dict[int, int]]], x: Sequence[Any]) -> Any:
 def partial_bell(j: int, l: int, x: Sequence[Any]) -> Any:
     """Partial exponential Bell polynomial ``B_{j,l}(x1, ..., x_{j-l+1})``.
 
-    Sums ``c(j; n) * prod x_i**n_i`` over the partitions of ``j`` into
-    exactly ``l`` blocks.  ``x`` is 1-indexed conceptually: ``x[0]``
+    Sums ``c * prod x_i**n_i`` over the terms ``(c, {i: n_i})`` of
+    :func:`partial_bell_terms`, one per partition of ``j`` into exactly
+    ``l`` blocks.  ``x`` is 1-indexed conceptually: ``x[0]``
     plays the role of ``x1``.
 
     Examples

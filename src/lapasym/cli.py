@@ -9,7 +9,8 @@ form.  Output is CSV (default) or JSON, on stdout or ``--out``.  Each
 subcommand parses only the flags it reads; any other flag, and any
 unreadable value, is a one-line ``error:`` with exit status 2.  A
 command imports the layers it uses when it runs, so ``bell-table``
-loads neither numpy nor the series and oracle layers.  numpy is loaded
+loads neither numpy nor the series and oracle layers, and no other
+command loads the Bell layer.  numpy is loaded
 only where arrays are made: ``expand`` of group dimension 1, float or
 ``--exact``, runs on plain numbers without it, while ``expand`` of
 higher dimension, ``verify`` and ``density-sweep`` load it.
@@ -27,7 +28,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .bell import partial_bell_terms, power_terms
 from .errors import DomainError, QuadratureError
 
 __all__ = ["main"]
@@ -267,6 +267,8 @@ def _polynomial_string(terms: list[tuple[int, dict]], span: int) -> str:
 def cmd_bell_table(ns: argparse.Namespace) -> str:
     if ns.order > _BELL_BOUND:
         raise DomainError(f"bell-table order is capped at {_BELL_BOUND}")
+    from .bell import partial_bell_terms, power_terms
+
     rows = []
 
     def add(kind: str, j: int, l: int | None, terms: list[tuple[int, dict]]):

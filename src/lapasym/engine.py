@@ -569,10 +569,7 @@ def polar_laplace_integral(
         rule = sphere_rule(1)
         value, err = level_integral(np.array(rule.nodes), np.array(rule.weights), tol / 2)
         if err > tol:
-            raise QuadratureError(
-                f"radial quadrature certified only {err:.3g} > tol {tol:.3g}",
-                value, err,
-            )
+            raise QuadratureError("radial quadrature", value, err, tol)
         return IntegralEstimate(value, err)
 
     previous = None

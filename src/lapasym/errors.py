@@ -28,13 +28,22 @@ class QuadratureError(RuntimeError):
 
     Attributes
     ----------
+    reason : str
+        What could not be certified.
     estimate : float
         Best value obtained before giving up.
     error_bound : float
         Estimated absolute error of ``estimate``.
+    tol : float or None
+        The tolerance that ``error_bound`` exceeds, when that is the
+        refusal; the message then states both.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
+    def __init__(self, reason: str, estimate: float, error_bound: float,
+                 tol: float | None = None):
+        super().__init__(reason if tol is None
+                         else f"{reason} certified only {error_bound:.3g} > tol {tol:.3g}")
+        self.reason = reason
         self.estimate = estimate
         self.error_bound = error_bound
+        self.tol = tol

@@ -18,9 +18,10 @@ uncorrected densities ``I`` and ``J`` both by direct numerics
 module holds) and by their series predictions (:func:`density_series`).
 Two additional, deliberately independent evaluations of the expansion
 coefficients live here as cross-checks: :func:`zeta_geometric` (the raw
-Bell and series-power sums of :mod:`.bell`) and :func:`zeta2_reference`
-(the closed second coefficient).  :func:`jacobian_tau_check` compares the product
-formula for the transport Jacobian against finite differences.
+Bell and series-power sums of :mod:`.bell`, imported on first use) and
+:func:`zeta2_reference` (the closed second coefficient).
+:func:`jacobian_tau_check` compares the product formula for the
+transport Jacobian against finite differences.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from .bell import complete_bell, generalized_binomial, series_power_coefficient
 from .engine import ExpansionResult, RadialProfile, SphereRule, \
     expansion_series, gamma_value, polar_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
@@ -444,6 +444,8 @@ def _power(value: Any, exponent: int) -> Any:
 
 def _weight_block_sum(q: int, half_form: Any, lap_atoms: Sequence[Any]) -> Any:
     # weight-series coefficient q: one half_form per block of each partition
+    from .bell import complete_bell  # the raw sums only: expand never loads it
+
     scaled = [half_form * atom for atom in lap_atoms[:q]]
     return complete_bell(q, scaled) * Fraction(1, math.factorial(q))
 
@@ -453,6 +455,8 @@ def _phase_tail_sum(
 ) -> Any:
     # phase-tail contribution at radial order m: powers r of the reduced
     # phase tail sum_n 2 * flow_atoms[n] / (n + 2)! t^n, n >= 1
+    from .bell import generalized_binomial, series_power_coefficient
+
     tail = [flow_atoms[n] * Fraction(2, math.factorial(n + 2)) for n in range(1, m + 1)]
     return sum(
         generalized_binomial(-exponent, r) * _power(flow_atoms[0], -r)
@@ -537,6 +541,8 @@ def zeta2_reference_from_atoms(
     Transcribed term by term; both quadratic weight terms carry a
     factor 1/2 because the weight scales per block, not per order.
     """
+    from .bell import generalized_binomial
+
     a = half_form
     half = Fraction(1, 2)
     exponent = Fraction(dim + 2, 2)
@@ -609,6 +615,10 @@ def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianMo
 
 # ------------------------------------------------------------ numeric densities
 
+class _FlowFailure(QuadratureError):
+    """A flow solve failed; the message names the model, and no k is involved."""
+
+
 def _augmented_flow(model: HamiltonianModel, directions: tuple,
                     x0: tuple) -> Callable[[float], Any]:
     """``span -> dense flow`` of every direction in ``directions``,
@@ -654,7 +664,7 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
         with np.errstate(all="ignore"):
             solution = solve.until(span)
         if not solution.success:
-            raise QuadratureError(
+            raise _FlowFailure(
                 f"flow transport failed on {model.name}: {solution.message}",
                 float("nan"),
                 float("inf"),
@@ -671,8 +681,12 @@ class _Undecayed(Exception):
 def _flow_oracle(
     model: HamiltonianModel,
     point: Sequence[Any] | None,
-) -> Callable[[float, float, Any], float]:
-    """``(k, tol, half_form) -> j_a(k)`` at ``point``.
+) -> Callable[..., float]:
+    """``(k, tol, half_form, scale=1.0, kind=None) -> scale * j_a(k)`` at ``point``.
+
+    The value is certified within ``tol``.  A quadrature refusal names
+    the model, the density ``kind`` when given, and ``k``, and states
+    the estimate and bound of ``scale * j_a(k)`` and ``tol``.
 
     Each angular level of the quadrature is one vectorized flow of its
     directions, read at all the radii of a Kronrod rule at once.  The
@@ -715,7 +729,8 @@ def _flow_oracle(
 
         return level
 
-    def value(k: float, tol: float, half_form: Any) -> float:
+    def value(k: float, tol: float, half_form: Any, scale: float = 1.0,
+              kind: str | None = None) -> float:
         if not k > 0:
             raise DomainError("k must be positive")
         weight = float(half_form)
@@ -725,7 +740,7 @@ def _flow_oracle(
                 # as in _augmented_flow: no floating-point warnings reach stderr
                 with np.errstate(all="ignore"):
                     level = level_at(k, weight, span)
-                    return polar_laplace_integral(level, dim, tol, span).value
+                    return scale * polar_laplace_integral(level, dim, tol / scale, span).value
             except _Undecayed:
                 span *= 2.0
                 if span > _MAX_FLOW_SPAN:
@@ -733,6 +748,14 @@ def _flow_oracle(
                         f"phase fails to grow along the flow of model {model.name!r} "
                         f"at k = {k:g}; integrand does not decay"
                     ) from None
+            except _FlowFailure:
+                raise
+            except QuadratureError as exc:
+                where = f"model {model.name!r}" + (f", density {kind}" if kind else "")
+                raise QuadratureError(
+                    f"{where} at k = {k:g}: {exc.reason}", scale * exc.estimate,
+                    scale * exc.error_bound, None if exc.tol is None else tol,
+                ) from None
 
     return value
 
@@ -759,7 +782,9 @@ def j_a_numeric(
     one per k: a longer span continues the level's solve, a shorter one
     branches off it, and neither repeats their shared steps.
     Group dimension above 3 is refused with
-    :class:`~lapasym.errors.DomainError`.
+    :class:`~lapasym.errors.DomainError`; a quadrature that cannot
+    certify ``tol`` raises :class:`~lapasym.errors.QuadratureError`
+    naming the model and the k value.
     """
     oracle = _flow_oracle(model, point)
     return _sweep(k, lambda kv: oracle(kv, tol, half_form))
@@ -800,7 +825,10 @@ def density(
     :func:`j_a_numeric`, the k values of one call share their flow
     solves.  A sequence of kinds, such as ``("I", "J")``, gives a list
     with one such result per kind; the kinds share their flow solves
-    too, since the flows do not depend on the half-form weight.
+    too, since the flows do not depend on the half-form weight.  A
+    quadrature that cannot certify ``tol`` raises
+    :class:`~lapasym.errors.QuadratureError` naming the model, the kind
+    and the k value, with the density's estimate and bound.
     """
     if isinstance(kind, str):
         return density(model, (kind,), k, point, tol)[0]
@@ -808,10 +836,10 @@ def density(
     oracle = _flow_oracle(model, point)
     d = model.group_dim
     results = []
-    for half_form, divisor, scale in data:
+    for name, (half_form, divisor, scale) in zip(kind, data):
         def one(kv: float) -> float:
             prefactor = (kv / divisor) ** (d / 2.0) * scale
-            return prefactor * oracle(kv, tol / prefactor, half_form)
+            return oracle(kv, tol, half_form, prefactor, name)
 
         results.append(_sweep(k, one))
     return results

@@ -7,7 +7,6 @@ rationals, and sympy expansions for structural (monomial-level) checks.
 
 from __future__ import annotations
 
-import doctest
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,17 +14,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lapasym import bell
 from lapasym.bell import (
     complete_bell,
     generalized_binomial,
     partial_bell,
-    partition_multinomial,
-    partition_tuples,
+    partial_bell_terms,
+    partitions,
     power_terms,
     series_power_coefficient,
 )
-from lapasym.errors import DomainError
 
 
 # ---------------------------------------------------------------- oracles
@@ -93,66 +90,71 @@ def exp_taylor_bruteforce(order, h):
 
 # ---------------------------------------------------------------- enumerators
 
-def test_partition_tuples_frozen_examples():
-    assert partition_tuples(3, 2) == [(1, 1)]
-    assert partition_tuples(4, 2) == [(2, 1)]
-    assert partition_tuples(4, 3) == [(0, 2, 0), (1, 0, 1)]
+def test_partitions_frozen_examples():
+    assert partitions(4, 2) == [{2: 2}, {1: 1, 3: 1}]
+    assert partitions(6, 3) == [{2: 3}, {1: 1, 2: 1, 3: 1}, {1: 2, 4: 1}]
     for j in range(1, 9):
-        assert partition_tuples(j, 1) == [(j,)]
+        assert partitions(j, 1) == [{j: 1}]
+    assert partitions(0, 0) == [{}]
 
 
-def test_partition_tuples_constraints_and_order():
-    for j in range(13):
-        for l in range(j + 2):
-            tuples = partition_tuples(j, l)
-            assert tuples == sorted(tuples)
-            assert len(set(tuples)) == len(tuples)
-            for tup in tuples:
-                assert len(tup) == l
-                assert sum(tup) == j - l + 1
-                assert sum(i * n for i, n in enumerate(tup, 1)) == j
+def test_partitions_constraints_and_order():
+    # p(m, k), the number of partitions of m into k parts, by its recurrence:
+    # a smallest part 1 removed, or every part cut by 1
+    count = {}
+    for m in range(21):
+        for k in range(m + 2):
+            if k == 0:
+                count[m, k] = 1 if m == 0 else 0
+            else:
+                count[m, k] = count.get((m - 1, k - 1), 0) + count.get((m - k, k), 0)
+            found = partitions(m, k)
+            assert len(found) == count[m, k], (m, k)
+            vectors = [tuple(p.get(i, 0) for i in range(1, m + 1)) for p in found]
+            # strictly ascending in (n_1, n_2, ...): in order, no duplicates
+            assert vectors == sorted(set(vectors)), (m, k)
+            for p in found:
+                assert list(p) == sorted(p) and all(n > 0 for n in p.values())
+                assert sum(p.values()) == k
+                assert sum(i * n for i, n in p.items()) == m
 
 
-def test_partition_tuples_rejects_negative():
+def test_partitions_rejects_negative():
     with pytest.raises(ValueError):
-        partition_tuples(-1, 2)
+        partitions(-1, 2)
+    with pytest.raises(ValueError):
+        partitions(2, -1)
 
 
 # ---------------------------------------------------------------- multinomial
 
+def partition_multinomial(j, counts):
+    # the coefficient of the partition {size: count} in B_{j,l}, l its block count
+    [coeff] = [c for c, e in partial_bell_terms(j, sum(counts.values())) if e == counts]
+    return coeff
+
+
 def test_partition_multinomial_frozen():
-    assert partition_multinomial(3, (1, 1)) == 3
-    assert partition_multinomial(4, (2, 1)) == 6
-    assert partition_multinomial(6, (1, 1, 1, 0)) == 60
-    assert partition_multinomial(6, (0, 3, 0, 0)) == 15
-    assert partition_multinomial(6, (2, 0, 0, 1)) == 15
+    assert partition_multinomial(3, {1: 1, 2: 1}) == 3
+    assert partition_multinomial(4, {1: 2, 2: 1}) == 6
+    assert partition_multinomial(6, {1: 1, 2: 1, 3: 1}) == 60
+    assert partition_multinomial(6, {2: 3}) == 15
+    assert partition_multinomial(6, {1: 2, 4: 1}) == 15
 
 
 def test_partition_multinomial_counts_set_partitions():
-    # multiplicity of each block-size profile among all set partitions
+    # multiplicity of each block-size profile among all set partitions, as
+    # (size, count) pairs in ascending size: the terms of B_{j,l}, one per
+    # profile with l blocks
     for j in range(1, 8):
-        profile_counts = {}
-        for part in iter_set_partitions(list(range(j))):
-            sizes = [0] * j
-            for block in part:
-                sizes[len(block) - 1] += 1
-            profile_counts[tuple(sizes)] = profile_counts.get(tuple(sizes), 0) + 1
-        for full_profile, count in profile_counts.items():
-            l = max(i for i, n in enumerate(full_profile, 1) if n)
-            blocks = sum(full_profile)
-            tup = full_profile[: j - blocks + 1]
-            # tuple length in the enumerator convention is j - blocks + 1
-            assert sum(tup) == blocks
-            assert partition_multinomial(j, tup) == count
-
-
-def test_partition_multinomial_rejects_invalid():
-    with pytest.raises(DomainError):
-        partition_multinomial(4, (1, 1))       # weighted sum is 3, not 4
-    with pytest.raises(DomainError):
-        partition_multinomial(3, (1, 1, 0))    # trailing zero breaks the count rule
-    with pytest.raises(DomainError):
-        partition_multinomial(3, (-1, 2))
+        counted = Counter(
+            tuple(sorted(Counter(len(block) for block in part).items()))
+            for part in iter_set_partitions(list(range(j)))
+        )
+        for l in range(1, j + 1):
+            terms = {tuple(e.items()): c for c, e in partial_bell_terms(j, l)}
+            assert terms == {profile: n for profile, n in counted.items()
+                             if sum(c for _, c in profile) == l}, (j, l)
 
 
 # ---------------------------------------------------------------- Bell polynomials
@@ -293,9 +295,3 @@ def test_exact_outputs_stay_rational():
     assert isinstance(series_power_coefficient(4, 2, x), Fraction)
     assert isinstance(generalized_binomial(Fraction(-5, 2), 3), Fraction)
 
-
-# ---------------------------------------------------------------- docstrings
-
-def test_bell_doctests():
-    result = doctest.testmod(bell)
-    assert result.attempted > 0 and result.failed == 0

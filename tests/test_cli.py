@@ -379,6 +379,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
      ["expand", "--model", "builtin:gaussian", "--a", "1/2", "--order", "4"]),
     ("expand_quartic_order6",
      ["expand", "--model", "builtin:quartic", "--a", "0", "--order", "6"]),
+    ("bell_table_order12", ["bell-table", "--order", "12"]),
 ])
 def test_output_matches_golden_bytes(name, args, fmt, capsys, monkeypatch):
     # the golden files hold the stdout of an earlier release; refactors
@@ -520,6 +521,33 @@ def test_phase_that_does_not_grow_is_refused(command, tmp_path, capsys):
     assert_one_error_line(code, out, err)
     assert "phase fails to grow" in err
     assert "'bounded-phase'" in err and "k = 100;" in err
+
+
+def test_verify_refusal_names_model_and_k(tmp_path, capsys):
+    # a tolerance below the radial quadrature's reach, and an angular
+    # refinement that never settles; the first k is refused
+    for model, reason in [
+        ("builtin:sphere", "model 'sphere' at k = 30: radial quadrature certified only "
+         "5.74e-16 > tol 1e-300 (best estimate 0.051289086504286721, "
+         "bound 5.7421390774188369e-16)"),
+        (write_model(tmp_path, FLAT2), "model 'flat2' at k = 30: angular refinement "
+         "exhausted its budget (best estimate 0.10471975511965982, bound inf)"),
+    ]:
+        code, out, err = run_cli(["verify", "--model", model, "--k", "30,100,300",
+                                  "--tol", "1e-300"], capsys)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {reason}\n"
+
+
+def test_density_sweep_refusal_states_the_density(capsys):
+    # the estimate and bound are those of I, j_1's times I's prefactor
+    # 157.5 at k = 100, and the tolerance is the one given
+    code, out, err = run_cli(["density-sweep", "--model", "builtin:sphere", "--k", "100",
+                              "--tol", "1e-300"], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == ("error: model 'sphere', density I at k = 100: radial quadrature "
+                   "certified only 4.88e-14 > tol 1e-300 (best estimate "
+                   "4.4263084488682107, bound 4.8809066545161552e-14)\n")
 
 
 # the sphere's circle action in the chart (theta, z): nothing depends on

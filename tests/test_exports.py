@@ -5,7 +5,8 @@ import importlib
 import pytest
 
 MODULES = ["lapasym", "lapasym.bell", "lapasym.cli", "lapasym.engine",
-           "lapasym.exprs", "lapasym.integrators", "lapasym.jets", "lapasym.models"]
+           "lapasym.exprs", "lapasym.integrators", "lapasym.jets", "lapasym.lanes",
+           "lapasym.models"]
 
 
 @pytest.mark.parametrize("name", MODULES)
