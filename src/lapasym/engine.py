@@ -487,12 +487,12 @@ def _angular_level(dim: int, n: int, first: bool) -> tuple[np.ndarray, np.ndarra
     import numpy as np
 
     if dim == 2:
-        # nested circle: level 2n keeps level n's nodes theta_i = 2 pi i / n
-        # and adds the odd multiples of 2 pi / 2n
-        index = np.arange(n) if first else np.arange(1, n, 2)
-        theta = 2.0 * math.pi * index / n
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return nodes, np.full(len(index), 2.0 * math.pi / n), 0.0 if first else 0.5
+        # nested circle: the even nodes of sphere_rule(2, n) are the level
+        # before's, so a level after the first asks only for its odd ones
+        rule = sphere_rule(2, n)
+        if first:
+            return rule.nodes, rule.weights, 0.0
+        return rule.nodes[1::2], rule.weights[1::2], 0.5
     # Gauss-Legendre in the polar cosine times a midpoint azimuth; these do
     # not nest, so every level is a full pass
     x, w = np.polynomial.legendre.leggauss(n)

@@ -55,13 +55,14 @@ from . import jets
 from .errors import DomainError
 from .jets import numpy_if_array
 
-__all__ = ["Positional", "compile_expression", "expression_symbols"]
+__all__ = ["Positional", "compile_expression"]
 
 CompiledExpr = Callable[[Any], Any]
 
 _SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 _UNARY_MAPS = {
+    "neg": operator.neg,
     "sin": jets.sin,
     "cos": jets.cos,
     "exp": jets.exp,
@@ -154,7 +155,8 @@ def _compile_leaf(node: str, symbols: tuple) -> Any:
         return _Folded(math.pi)
     if _SYMBOL.match(node):
         if node not in symbols:
-            raise DomainError(f"unknown symbol {node!r} in expression")
+            allowed = ", ".join(symbols) or "none"
+            raise DomainError(f"unknown symbol {node!r} in expression; allowed: {allowed}")
         return operator.itemgetter(symbols.index(node))
     try:
         value = Fraction(node)
@@ -210,10 +212,6 @@ def _compile(node: Any, symbols: tuple) -> Any:
         if len(args) != 2:
             raise DomainError("/ takes two arguments")
         return _binary(node, _quotient(node), args[0], args[1])
-    if op == "neg":
-        if len(args) != 1:
-            raise DomainError("neg takes one argument")
-        return _unary(node, operator.neg, args[0])
     if op in _UNARY_MAPS:
         if len(args) != 1:
             raise DomainError(f"{op} takes one argument")
@@ -235,18 +233,3 @@ def compile_expression(node: Any) -> CompiledExpr:
     if isinstance(compiled, _Folded):
         return _constant(compiled.value)
     return compiled
-
-
-def expression_symbols(node: Any) -> frozenset[str]:
-    """All symbol names an expression will look up."""
-    if isinstance(node, str):
-        if node == "pi" or not _SYMBOL.match(node):
-            return frozenset()
-        return frozenset([node])
-    if isinstance(node, (list, tuple)) and node:
-        args = node[1:-1] if node[0] == "pow" else node[1:]
-        names: set[str] = set()
-        for child in args:
-            names |= expression_symbols(child)
-        return frozenset(names)
-    return frozenset()

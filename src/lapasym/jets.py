@@ -40,8 +40,9 @@ On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
 rational powers through ``**``), all computed by O(N**2) coefficient
 recurrences; Picard iteration along an ODE flow that grows the jets by
-one term per pass (:func:`ode_jet_transport`); composition of scalar
-maps with a transported trajectory (:func:`compose_scalar`); and
+one term per pass (:func:`ode_jet_transport`, which returns the
+tuple of the coordinates' jets); composition of scalar maps with those
+jets (:func:`compose_scalar`); and
 nested-jet directional derivatives (:func:`directional_derivative`),
 which evaluate iterated "derivative along a vector field" operators
 without any symbolic differentiation.
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -80,7 +80,6 @@ from .errors import DomainError, JetEvaluationError, OrderMismatchError
 __all__ = [
     "TruncatedSeries",
     "Lanes",
-    "JetTrajectory",
     "exp_series",
     "ode_jet_transport",
     "compose_scalar",
@@ -516,23 +515,13 @@ def _log_series(s: TruncatedSeries) -> TruncatedSeries:
 
 # ---------------------------------------------------------------- transport
 
-@dataclass(frozen=True)
-class JetTrajectory:
-    """Coordinates of an ODE solution as jets in the time variable."""
-
-    coordinates: tuple[TruncatedSeries, ...]
-
-    @property
-    def order(self) -> int:
-        return self.coordinates[0].order
-
-
 def ode_jet_transport(
     field: Callable[[Sequence[TruncatedSeries]], Sequence[Any]],
     start: Sequence[Any],
     order: int,
-) -> JetTrajectory:
-    """Taylor jet of the solution of ``x' = field(x)``, ``x(0) = start``.
+) -> tuple[TruncatedSeries, ...]:
+    """Taylor jet of the solution of ``x' = field(x)``, ``x(0) = start``,
+    as the tuple of its coordinates' jets in the time variable.
 
     Picard iteration on truncated series, one new term per pass: pass
     ``p`` substitutes the order ``p - 1`` jet into the field and
@@ -569,21 +558,21 @@ def ode_jet_transport(
         ]
         if top == order:
             break
-    return JetTrajectory(tuple(coords))
+    return tuple(coords)
 
 
 def compose_scalar(
     fn: Callable[[Sequence[TruncatedSeries]], Any],
-    trajectory: JetTrajectory,
+    trajectory: Sequence[TruncatedSeries],
 ) -> TruncatedSeries:
-    """Jet of ``t -> fn(x(t))`` along a transported trajectory."""
+    """Jet of ``t -> fn(x(t))`` along the coordinate jets of a trajectory."""
     try:
-        value = fn(trajectory.coordinates)
+        value = fn(trajectory)
     except (TypeError, AttributeError) as exc:
         raise JetEvaluationError(
             f"scalar map cannot be evaluated on jets: {exc}"
         ) from exc
-    return as_series(value, trajectory.order)
+    return as_series(value, trajectory[0].order)
 
 
 # ------------------------------------------------------- nested derivatives

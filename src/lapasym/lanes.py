@@ -38,12 +38,10 @@ class Lanes(np.ndarray):
         result = getattr(ufunc, method)(*inputs, **kwargs)
         return result.view(Lanes) if isinstance(result, np.ndarray) else result
 
-    # ndarray's ** turns some exponents into square, sqrt or reciprocal
+    # ndarray's ** turns some exponents into square, sqrt or reciprocal;
+    # its reflected ** is np.power already
     def __pow__(self, exponent):
         return np.power(self, exponent)
-
-    def __rpow__(self, base):
-        return np.power(base, self)
 
 
 # numpy's vectorized loops for these round some elements differently from

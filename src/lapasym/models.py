@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 from .engine import ExpansionResult, RadialProfile, SphereRule, \
     expansion_series, gamma_value, polar_laplace_integral, sphere_rule
 from .errors import DomainError, QuadratureError
-from .exprs import Positional, compile_expression, expression_symbols
+from .exprs import Positional, compile_expression
 from .jets import TruncatedSeries, compose_scalar, exp, exp_series, \
     iterated_flow_derivatives, listed, numpy_if_array, ode_jet_transport
 
@@ -218,13 +218,13 @@ def radial_profile(
     ``omega`` holds plain numbers, one direction, or one array per
     component, a batch of directions; each series coefficient then has
     one lane per direction, the value that direction gives on its own.
-    Columns of several directions become :class:`~lapasym.jets.Lanes`,
-    and only then is numpy loaded; a column of one direction is read as
-    a plain number, so exact data along group dimension 1's ``1`` stays
-    exact.  The zero-level checks read each value as one float per
-    direction.  A failed check names the model and the first failing
-    direction; a :class:`~lapasym.errors.DomainError` of the model's
-    maps (a logarithm of a nonpositive value, say) names the model.
+    Array columns become :class:`~lapasym.jets.Lanes`, and only then is
+    numpy loaded; plain numbers stay as they are, so exact data along
+    group dimension 1's ``1`` stays exact.  The zero-level checks read
+    each value as one float per direction.  A failed check names the
+    model and the first failing direction; a
+    :class:`~lapasym.errors.DomainError` of the model's maps (a
+    logarithm of a nonpositive value, say) names the model.
     """
     if order < 2:
         raise DomainError("radial order must be at least 2")
@@ -256,8 +256,6 @@ def radial_profile(
 
 
 def _lanes(column: np.ndarray) -> Any:
-    if column.size == 1:
-        return column.item()
     from .lanes import Lanes
 
     return column.astype(float, copy=False).view(Lanes)
@@ -422,16 +420,11 @@ def geometric_expansion(
 
 def _rows(columns: Sequence[Any], kept: int, mode: str) -> list[tuple]:
     # the engine's table: each column holds lanes, or one number that every
-    # direction shares; mode "float" takes each entry's float
-    cells = []
-    for c in columns:
-        np = numpy_if_array(c)
-        if np is not None:
-            dtype = float if mode == "float" else object
-            cells.append(np.broadcast_to(np.asarray(c, dtype=dtype), kept).tolist())
-        else:
-            cells.append([float(c) if mode == "float" else c] * kept)
-    return list(zip(*cells))
+    # direction shares; exact mode has the one direction 1, and its numbers
+    # stay as they are
+    if mode == "exact":
+        return [tuple(columns)]
+    return list(zip(*(_per_direction(c, kept) for c in columns)))
 
 
 # ------------------------------------------------------------ raw coefficient sums
@@ -619,6 +612,10 @@ class _FlowFailure(QuadratureError):
     """A flow solve failed; the message names the model, and no k is involved."""
 
 
+class _MapRefusal(DomainError):
+    """A model's map refused a value in a flow solve; the caller names the model."""
+
+
 def _augmented_flow(model: HamiltonianModel, directions: tuple,
                     x0: tuple) -> Callable[[float], Any]:
     """``span -> dense flow`` of every direction in ``directions``,
@@ -627,9 +624,10 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
 
     The state holds one row per chart coordinate, then the phase and the
     log-weight, each over the directions; the model's maps see each row
-    as a numpy array and must compute elementwise.  The solve is DOP853
-    at the tolerances of :mod:`.integrators`; a flow that fails (its
-    step size underflows, or a stage leaves the finite range) raises
+    as a numpy array and must compute elementwise; a map's own refusal
+    becomes a :class:`_MapRefusal`.  The solve is DOP853 at the
+    tolerances of :mod:`.integrators`; a flow that fails (its step size
+    underflows, or a stage leaves the finite range) raises
     :class:`QuadratureError`.
     """
     import numpy as np
@@ -645,8 +643,8 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
         try:
             values = (*model.flow_field(omega, coords), model.phi(omega, coords),
                       model.laplacian_phi(omega, coords))
-        except DomainError:
-            raise
+        except DomainError as exc:
+            raise _MapRefusal(str(exc)) from None
         except (TypeError, ValueError, AttributeError) as exc:
             raise DomainError(
                 f"model {model.name!r} cannot evaluate its maps on coordinate arrays: {exc}"
@@ -686,7 +684,8 @@ def _flow_oracle(
 
     The value is certified within ``tol``.  A quadrature refusal names
     the model, the density ``kind`` when given, and ``k``, and states
-    the estimate and bound of ``scale * j_a(k)`` and ``tol``.
+    the estimate and bound of ``scale * j_a(k)`` and ``tol``; a map's
+    refusal along the flow is named the same way.
 
     Each angular level of the quadrature is one vectorized flow of its
     directions, read at all the radii of a Kronrod rule at once.  The
@@ -734,6 +733,7 @@ def _flow_oracle(
         if not k > 0:
             raise DomainError("k must be positive")
         weight = float(half_form)
+        where = f"model {model.name!r}" + (f", density {kind}" if kind else "")
         span = 1.0
         while True:
             try:
@@ -748,10 +748,11 @@ def _flow_oracle(
                         f"phase fails to grow along the flow of model {model.name!r} "
                         f"at k = {k:g}; integrand does not decay"
                     ) from None
+            except _MapRefusal as exc:
+                raise DomainError(f"{where} at k = {k:g}: {exc}") from None
             except _FlowFailure:
                 raise
             except QuadratureError as exc:
-                where = f"model {model.name!r}" + (f", density {kind}" if kind else "")
                 raise QuadratureError(
                     f"{where} at k = {k:g}: {exc.reason}", scale * exc.estimate,
                     scale * exc.error_bound, None if exc.tol is None else tol,
@@ -784,7 +785,8 @@ def j_a_numeric(
     Group dimension above 3 is refused with
     :class:`~lapasym.errors.DomainError`; a quadrature that cannot
     certify ``tol`` raises :class:`~lapasym.errors.QuadratureError`
-    naming the model and the k value.
+    naming the model and the k value, and a map that refuses a value
+    along the flow is a :class:`~lapasym.errors.DomainError` naming them.
     """
     oracle = _flow_oracle(model, point)
     return _sweep(k, lambda kv: oracle(kv, tol, half_form))
@@ -828,7 +830,8 @@ def density(
     too, since the flows do not depend on the half-form weight.  A
     quadrature that cannot certify ``tol`` raises
     :class:`~lapasym.errors.QuadratureError` naming the model, the kind
-    and the k value, with the density's estimate and bound.
+    and the k value, with the density's estimate and bound; a map's
+    refusal along the flow names the same.
     """
     if isinstance(kind, str):
         return density(model, (kind,), k, point, tol)[0]
@@ -879,7 +882,10 @@ def _flow_endpoint(model: HamiltonianModel, start: Sequence[float], time: float)
     # the generator is linear in the direction, so flowing back for |time|
     # is flowing forward along the opposite direction, as one lane
     direction = (1,) if time > 0 else (-1,)
-    solution = _augmented_flow(model, (direction,), tuple(start))(abs(time))
+    try:
+        solution = _augmented_flow(model, (direction,), tuple(start))(abs(time))
+    except _MapRefusal as exc:
+        raise DomainError(f"model {model.name!r}: {exc}") from None
     y = solution.end
     return tuple(y[: model.chart_dim]), float(y[model.chart_dim + 1])
 
@@ -1026,14 +1032,11 @@ def _number(name: str, value: Any) -> Any:
 
 
 def _compiled(name: str, key: str, node: Any, symbols: tuple):
-    """``node`` bound to ``symbols`` by position, after checking its symbols."""
-    unknown = sorted(expression_symbols(node) - set(symbols))
-    if unknown:
-        allowed = ", ".join(symbols)
-        raise DomainError(
-            f"model {name!r}: {key} uses symbol {unknown[0]!r}; it may use only {allowed}"
-        )
-    return compile_expression(Positional(node, symbols))
+    """``node`` bound to ``symbols`` by position; a refusal names the model and key."""
+    try:
+        return compile_expression(Positional(node, symbols))
+    except DomainError as exc:
+        raise DomainError(f"model {name!r}: {key}: {exc}") from None
 
 
 def model_from_config(config: dict) -> HamiltonianModel:

@@ -550,6 +550,29 @@ def test_density_sweep_refusal_states_the_density(capsys):
                    "4.4263084488682107, bound 4.8809066545161552e-14)\n")
 
 
+# the flow x0' = w0 reaches x0 = -1 along w0 = -1, where the weight's
+# log(1 + x0) is refused
+LOG_EDGE = {
+    "name": "log-edge", "group_dim": 1, "chart_dim": 1,
+    "phi": ["*", "w0", "x0"],
+    "flow_field": ["w0"],
+    "laplacian_phi": ["*", "w0", ["log", ["+", "1", "x0"]]],
+    "zero_points": [[0]],
+    "orbit_volume": 1,
+}
+
+
+@pytest.mark.parametrize("command, k, where", [
+    ("verify", "100,300,1000", "model 'log-edge' at k = 100"),
+    ("density-sweep", "100,300", "model 'log-edge', density I at k = 100"),
+])
+def test_oracle_refusal_of_a_map_names_model_and_k(tmp_path, capsys, command, k, where):
+    code, out, err = run_cli([command, "--model", write_model(tmp_path, LOG_EDGE),
+                              "--k", k], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {where}: logarithm of a nonpositive value\n"
+
+
 # the sphere's circle action in the chart (theta, z): nothing depends on
 # theta, so every zero point (theta, 0) gives the same expansion
 SPHERE_CHART = {

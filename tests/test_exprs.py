@@ -11,7 +11,7 @@ import pytest
 
 from lapasym import jets
 from lapasym.errors import DomainError
-from lapasym.exprs import Positional, compile_expression, expression_symbols
+from lapasym.exprs import Positional, compile_expression
 from lapasym.jets import TruncatedSeries
 
 
@@ -106,12 +106,6 @@ def test_rejects_bad_trees():
         compile_expression(None)
 
 
-def test_expression_symbols():
-    tree = ["+", ["*", "x0", "w0"], ["pow", "x1", 3], "pi", "1/2"]
-    assert expression_symbols(tree) == frozenset({"x0", "w0", "x1"})
-    assert expression_symbols(42) == frozenset()
-
-
 def test_symbol_free_subtrees_fold_at_compile_time():
     # a symbol-free domain error surfaces when the expression compiles
     for node, culprit in ((["/", 1, 0], '["/", 1, 0]'), (["sqrt", -1], '["sqrt", -1]'),
@@ -130,6 +124,15 @@ def test_positional_binding():
     assert fn((1, Fraction(1, 3))) == Fraction(5, 3)
     with pytest.raises(DomainError, match="'w1'"):
         compile_expression(Positional(["*", "w1", "x0"], ("x0", "w0")))
+
+
+def test_unknown_symbol_refusal_lists_the_allowed_symbols():
+    with pytest.raises(DomainError) as info:
+        compile_expression(Positional(["*", "x0", ["pow", "w1", 2]], ("x0", "w0")))
+    assert str(info.value) == "unknown symbol 'w1' in expression; allowed: x0, w0"
+    with pytest.raises(DomainError) as info:
+        compile_expression(["+", 1, "s"])
+    assert str(info.value) == "unknown symbol 's' in expression; allowed: none"
 
 
 # ------------------------------------------------------------ folding is exact

@@ -470,6 +470,20 @@ def test_jacobian_tau_validation():
         jacobian_tau_check(widened, 0.1)
 
 
+def test_jacobian_check_names_the_model_whose_map_refuses():
+    # flowing back to x1 = -1/2, the Laplacian's log(1 + 2 x1) is refused
+    model = model_from_config({
+        "name": "log-strip", "group_dim": 1, "chart_dim": 2,
+        "phi": ["*", "w0", "x1"], "flow_field": [0, "w0"],
+        "laplacian_phi": ["*", "w0", ["log", ["+", 1, ["*", 2, "x1"]]]],
+        "zero_points": [[0, 0]], "orbit_volume": 1, "zero_chart": ["s", 0],
+        "chart_density": 1,
+    })
+    with pytest.raises(DomainError) as info:
+        jacobian_tau_check(model, -1.0)
+    assert str(info.value) == "model 'log-strip': logarithm of a nonpositive value"
+
+
 # ------------------------------------------------------------ declarative configs
 
 FLAT_CONFIG = {
@@ -564,6 +578,13 @@ def test_config_symbols_checked_at_load(key, value, symbol):
         model_from_config({**FLAT_CONFIG, key: value})
     message = str(info.value)
     assert "'flat-line'" in message and key in message and repr(symbol) in message
+
+
+def test_config_unknown_symbol_refusal_names_model_key_and_allowed_symbols():
+    with pytest.raises(DomainError) as info:
+        model_from_config({**FLAT_CONFIG, "phi": ["*", "w1", "x0"]})
+    assert str(info.value) == ("model 'flat-line': phi: unknown symbol 'w1' in expression; "
+                               "allowed: x0, w0")
 
 
 def test_config_symbol_free_domain_errors_fail_at_load():
