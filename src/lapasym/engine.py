@@ -35,7 +35,7 @@ per angular level, the one level of the line's two directions in one
 dimension, nested circle grids in two and Gauss-Legendre times azimuth
 grids in three, with each level's directions evaluated together at all
 21 radii of a Kronrod rule at once; it refuses other dimensions.
-QUADPACK's QAGS is the port in :mod:`.integrators`, which holds its
+QUADPACK's QAG is the port in :mod:`.integrators`, which holds its
 relative tolerance and subinterval limit and is imported on the
 oracle's first call only; the oracle passes it the interval and the
 absolute tolerance.
@@ -521,7 +521,7 @@ def polar_laplace_integral(
     at all the radii together, for instance from one vectorized flow.
     Nodes come at most ``_LEVEL_BLOCK`` at a time.
 
-    Each angular level is one QUADPACK call (QAGS) in the radius on
+    Each angular level is one QUADPACK call (QAG) in the radius on
     ``[0, radius]``, on the weighted sum of its directions' integrands,
     which it asks for once per 21-point rule, at the rule's radii.
     In one dimension the one level is ``sphere_rule(1)``, the nodes

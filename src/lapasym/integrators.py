@@ -1,7 +1,8 @@
-"""The numeric oracle's two integrators: DOP853 and QUADPACK's QAGS.
+"""The numeric oracle's two integrators: DOP853 and QUADPACK's QAG.
 
-Both are ports that reproduce their sources bit for bit, so the oracle
-prints the same digits as when it called scipy, without loading scipy.
+Both are ports that give scipy's digits on the oracle's integrands, so
+the oracle prints the same digits as when it called scipy, without
+loading scipy.
 This module is the one home of the oracle's numerical tolerances: the
 constants ``T0``, ``RTOL`` and ``ATOL`` of every flow solve and
 ``EPSREL`` and ``LIMIT`` of every QUADPACK call.  A caller passes only
@@ -21,16 +22,19 @@ thing is added: the solve stops at the first trial step with a stage
 that is not finite, where SciPy would shrink the step until it
 underflows.
 
-:func:`quad` is ``scipy.integrate.quad(fn, a, b, epsabs=epsabs,
-epsrel=EPSREL, limit=LIMIT)`` on a finite interval, returning
-``(value, abserr)`` whatever QUADPACK's error flag: ``dqagse``
-(Piessens, de Doncker-Kapenga, Uberhuber and Kahaner, *QUADPACK*,
-Springer 1983) on the 21-point Gauss-Kronrod rule ``dqk21``, with the
-epsilon algorithm ``dqelg`` and the error ordering ``dqpsrt``; its
-integrand is called once per rule, on the rule's 21 abscissae.
-Infinite intervals are not supported.  QUADPACK's arrays are indexed
-from 1 here, as in the Fortran, so that the port reads against it
-statement by statement.
+:func:`quad` is QUADPACK's adaptive bisection QAG (``dqage``;
+Piessens, de Doncker-Kapenga, Uberhuber and Kahaner, *QUADPACK*,
+Springer 1983) on a finite interval, with the 21-point Gauss-Kronrod
+rule ``dqk21`` and ``dqagse``'s test of the first rule, and with no
+roundoff exit: it ends at the error bound, at ``LIMIT`` intervals or at
+an interval too small to split.  Its integrand is called once per rule,
+on the rule's 21 abscissae.  Its ``(value, abserr)`` is bit for bit
+that of ``scipy.integrate.quad(fn, a, b, epsabs=epsabs, epsrel=EPSREL,
+limit=LIMIT)``, which is QAGS, whenever QAGS ends at its error bound
+without extrapolating and without bisecting its larger intervals
+first; the oracle's smooth radial peaks all end so.  QAGS's epsilon
+algorithm ``dqelg`` and its roundoff bookkeeping, which serve endpoint
+singularities, are left out.  Infinite intervals are not supported.
 
 Credits.  The DOP853 port follows SciPy's ``scipy/integrate/_ivp``
 (``rk.py``, ``common.py``, ``base.py``, ``ivp.py`` and
@@ -499,7 +503,6 @@ class Dop853:
 
 _EPMACH = 2.220446049250313e-16      # d1mach(4)
 _UFLOW = 2.2250738585072014e-308     # d1mach(1)
-_OFLOW = 1.7976931348623157e308      # d1mach(2)
 
 # 21-point Kronrod abscissae and weights, and the weights of the embedded
 # 10-point Gauss rule, whose nodes are the Kronrod nodes 1, 3, ..., 9
@@ -576,308 +579,68 @@ def _qk21(f, a: float, b: float):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(last: int, maxerr: int, elist: list, iord: list, nrmax: int):
-    """``dqpsrt``: keep ``iord`` in descending order of error; return the
-    next interval to bisect, its error, and ``nrmax``."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        errmax = elist[maxerr]
-        if nrmax != 1:
-            for _ in range(nrmax - 1):
-                isucc = iord[nrmax - 1]
-                if errmax <= elist[isucc]:
-                    break
-                iord[nrmax] = isucc
-                nrmax -= 1
-        jupbn = last
-        if last > LIMIT // 2 + 2:
-            jupbn = LIMIT + 3 - last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                # insert errmax here, then errmin bottom-up
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                    break
-                iord[k + 1] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+def _qag(f, a: float, b: float, epsabs: float) -> tuple[float, float]:
+    """(result, abserr) of QUADPACK's adaptive bisection on ``a < b``.
 
-
-def _qelg(n: int, epstab: list, res3la: list, nres: int):
-    """``dqelg``, the epsilon algorithm: (n, result, abserr, nres)."""
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n < 3:
-        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-    limexp = 50
-    epstab[n + 2] = epstab[n]
-    newelm = (n - 1) // 2
-    epstab[n] = _OFLOW
-    num = n
-    k1 = n
-    for i in range(1, newelm + 1):
-        k2 = k1 - 1
-        k3 = k1 - 2
-        res = epstab[k1 + 2]
-        e0 = epstab[k3]
-        e1 = epstab[k2]
-        e2 = res
-        e1abs = abs(e1)
-        delta2 = e2 - e1
-        err2 = abs(delta2)
-        tol2 = max(abs(e2), e1abs) * _EPMACH
-        delta3 = e1 - e0
-        err3 = abs(delta3)
-        tol3 = max(e1abs, abs(e0)) * _EPMACH
-        if not (err2 > tol2 or err3 > tol3):
-            # e0, e1 and e2 agree to machine accuracy: converged
-            result = res
-            abserr = err2 + err3
-            return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-        e3 = epstab[k1]
-        epstab[k1] = e1
-        delta1 = e1 - e3
-        err1 = abs(delta1)
-        tol1 = max(e1abs, abs(e3)) * _EPMACH
-        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-            n = i + i - 1
-            break
-        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-        epsinf = abs(ss * e1)
-        if not epsinf > 1e-4:
-            n = i + i - 1
-            break
-        res = e1 + 1.0 / ss
-        epstab[k1] = res
-        k1 = k1 - 2
-        error = err2 + abs(res - e2) + err3
-        if error > abserr:
-            continue
-        abserr = error
-        result = res
-    # shift the table
-    if n == limexp:
-        n = 2 * (limexp // 2) - 1
-    ib = 2 if num % 2 == 0 else 1
-    for _ in range(newelm + 1):
-        epstab[ib] = epstab[ib + 2]
-        ib += 2
-    if num != n:
-        indx = num - n + 1
-        for i in range(1, n + 1):
-            epstab[i] = epstab[indx]
-            indx += 1
-    if nres < 4:
-        res3la[nres] = result
-        abserr = _OFLOW
-    else:
-        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
-        res3la[1] = res3la[2]
-        res3la[2] = res3la[3]
-        res3la[3] = result
-    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-
-
-def _sum_intervals(rlist: list, last: int) -> float:
-    result = 0.0
-    for k in range(1, last + 1):
-        result = result + rlist[k]
-    return result
-
-
-def _finish(result, abserr, ier, ierro, correc, area, errsum, rlist, last):
-    """The ending when the loop stops before the error sum meets the bound
-    (labels 100 / 170): keep the extrapolated result, or take the sum over
-    the intervals where that is the better estimate.  QUADPACK's
-    divergence test, which follows, only sets the error flag, and the
-    port does not return the flag."""
-    if abserr == _OFLOW:
-        return _sum_intervals(rlist, last), errsum
-    if ier + ierro == 0:
-        return result, abserr
-    if ierro == 3:
-        abserr = abserr + correc
-    if result != 0.0 and area != 0.0:
-        summed = abserr / abs(result) > errsum / abs(area)
-    else:
-        summed = abserr > errsum
-    return (_sum_intervals(rlist, last), errsum) if summed else (result, abserr)
-
-
-def _qags(f, a: float, b: float, epsabs: float) -> tuple[float, float]:
-    """(result, abserr) of ``dqagse`` on ``a < b``."""
-    alist = [0.0] * (LIMIT + 1)
-    blist = [0.0] * (LIMIT + 1)
-    rlist = [0.0] * (LIMIT + 1)
-    elist = [0.0] * (LIMIT + 1)
-    iord = [0] * (LIMIT + 1)
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
-    ier = 0
-    small = erlarg = ertest = 0.0  # set after the first bisection
-
+    After ``dqagse``'s test of the first rule, each step bisects the
+    interval with the largest error, the first slot on a tie: the half
+    with the larger error takes its slot and the other half a new one.
+    The loop ends when the error sum meets the bound, at ``LIMIT``
+    intervals, or at an interval too small to split; the result is the
+    sum over the slots in order and the error the error sum, both kept
+    as ``dqagse`` keeps them.
+    """
     result, abserr, defabs, resasc = _qk21(f, a, b)
-    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
     errbnd = max(epsabs, EPSREL * abs(result))
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if ier != 0 or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+    if ((abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd)
+            or (abserr <= errbnd and abserr != resasc) or abserr == 0.0):
         return result, abserr
-    maxerr, errmax, errsum, numrl2 = 1, abserr, abserr, 2
-
-    rlist2[1] = result
-    area = result
-    abserr = _OFLOW
-    nrmax = 1
-    nres = 0
-    ktmin = 0
-    extrap = False
-    noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    ierro = 0
-    correc = 0.0
-
-    summed = False
-    for last in range(2, LIMIT + 1):
-        # bisect the interval with the nrmax-th largest error
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, _, defab1 = _qk21(f, a1, b1)
-        area2, error2, _, defab2 = _qk21(f, a2, b2)
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        errbnd = max(epsabs, EPSREL * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == LIMIT:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        # the half with the larger error takes slot maxerr, the other slot last
+    alist, blist, rlist, elist = [a], [b], [result], [abserr]
+    area, errsum = result, abserr
+    while True:
+        maxerr = elist.index(max(elist))
+        a1, b2 = alist[maxerr], blist[maxerr]
+        b1 = 0.5 * (a1 + b2)
+        area1, error1, _, _ = _qk21(f, a1, b1)
+        area2, error2, _, _ = _qk21(f, b1, b2)
+        errsum = errsum + (error1 + error2) - elist[maxerr]
+        area = area + (area1 + area2) - rlist[maxerr]
         if error2 > error1:
-            alist[maxerr], alist[last], blist[last] = a2, a1, b1
-            rlist[maxerr], rlist[last] = area2, area1
-            elist[maxerr], elist[last] = error2, error1
+            alist[maxerr], rlist[maxerr], elist[maxerr] = b1, area2, error2
+            alist.append(a1)
+            blist.append(b1)
+            rlist.append(area1)
+            elist.append(error1)
         else:
-            alist[last], blist[maxerr], blist[last] = a2, b1, b2
-            rlist[maxerr], rlist[last] = area1, area2
-            elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            summed = True
+            blist[maxerr], rlist[maxerr], elist[maxerr] = b1, area1, error1
+            alist.append(b1)
+            blist.append(b2)
+            rlist.append(area2)
+            elist.append(error2)
+        # the error sum meets the bound, or no interval may be added, or
+        # the one just bisected was too small to split
+        if (errsum <= max(epsabs, EPSREL * abs(area)) or len(elist) == LIMIT
+                or max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(b1) + 1000.0 * _UFLOW)):
             break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # is the interval to bisect next one of the smallest?
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if ierro != 3 and erlarg > ertest:
-            # the smallest interval has the largest error: bisect the
-            # larger intervals first while their errors allow
-            jupbnd = last
-            if last > 2 + LIMIT // 2:
-                jupbnd = LIMIT + 3 - last
-            bisect_larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    bisect_larger = True
-                    break
-                nrmax += 1
-            if bisect_larger:
-                continue
-        # extrapolate
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if abseps < abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, EPSREL * abs(reseps))
-            if abserr <= ertest:
-                break
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        # go back to bisecting the largest error
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        erlarg = errsum
-        small = small * 0.5
-
-    if summed:
-        return _sum_intervals(rlist, last), errsum
-    return _finish(result, abserr, ier, ierro, correc, area, errsum, rlist, last)
+    # summed left to right, as QUADPACK sums: sum() compensates from 3.12 on
+    result = 0.0
+    for area in rlist:
+        result = result + area
+    return result, errsum
 
 
 def quad(fn: Callable[[np.ndarray], Any], a: float, b: float,
          epsabs: float) -> tuple[float, float]:
     """``(value, abserr)`` of the integral of ``fn`` over the finite ``[a, b]``, ``a < b``.
 
-    Bit for bit ``scipy.integrate.quad(fn, a, b, epsabs=epsabs,
-    epsrel=EPSREL, limit=LIMIT)``, less its warnings: QUADPACK's QAGS.
-    ``fn`` is called once per 21-point rule: it receives the rule's
-    abscissae as one float64 array, in the order in which ``dqk21``
-    evaluates them, and returns their 21 values (or one value for all of
-    them) as something a float64 array takes.
+    QUADPACK's QAG (:func:`_qag`).  Where ``scipy.integrate.quad(fn, a,
+    b, epsabs=epsabs, epsrel=EPSREL, limit=LIMIT)``, which is QAGS, ends
+    at its error bound without extrapolating and without bisecting its
+    larger intervals first, as on the oracle's integrands, the two are
+    equal bit for bit.  ``fn`` is called once per 21-point rule: it
+    receives the rule's abscissae as one float64 array, in the order in
+    which ``dqk21`` evaluates them, and returns their 21 values (or one
+    value for all of them) as something a float64 array takes.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -886,4 +649,4 @@ def quad(fn: Callable[[np.ndarray], Any], a: float, b: float,
     def f(x: np.ndarray) -> list:
         return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).tolist()
 
-    return _qags(f, a, b, epsabs)
+    return _qag(f, a, b, epsabs)

@@ -1047,16 +1047,21 @@ def model_from_config(config: dict) -> HamiltonianModel:
     and ``w0 .. w{group_dim-1}``, ``orbit_volume`` and ``chart_density``
     only the ``x<i>``, and ``zero_chart`` only ``s``.
     """
+    name = str(config.get("name", "config-model"))
+
+    def refuse(key: str, message: str) -> DomainError:
+        return DomainError(f"model {name!r}: {key}: {message}")
+
     required = ("group_dim", "chart_dim", "phi", "flow_field", "laplacian_phi",
                 "zero_points", "orbit_volume")
     for key in required:
         if key not in config:
-            raise DomainError(f"model config is missing {key!r}")
+            raise DomainError(f"model {name!r}: config is missing {key!r}")
+    for key in ("group_dim", "chart_dim"):
+        if not isinstance(config[key], int) or isinstance(config[key], bool):
+            raise refuse(key, "must be an integer")
     group_dim = config["group_dim"]
     chart_dim = config["chart_dim"]
-    if any(not isinstance(n, int) or isinstance(n, bool) for n in (group_dim, chart_dim)):
-        raise DomainError("model dimensions must be integers")
-    name = str(config.get("name", "config-model"))
     # a point's values come first, then the direction's: (x0, .., w0, ..)
     coords = tuple(f"x{i}" for i in range(chart_dim))
     full = coords + tuple(f"w{i}" for i in range(group_dim))
@@ -1065,22 +1070,23 @@ def model_from_config(config: dict) -> HamiltonianModel:
     lap_fn = _compiled(name, "laplacian_phi", config["laplacian_phi"], full)
     flow_exprs = config["flow_field"]
     if not isinstance(flow_exprs, list) or len(flow_exprs) != chart_dim:
-        raise DomainError("flow_field needs one expression per chart coordinate")
+        raise refuse("flow_field", "needs one expression per chart coordinate")
     flow_fns = [_compiled(name, "flow_field", e, full) for e in flow_exprs]
     volume_fn = _compiled(name, "orbit_volume", config["orbit_volume"], coords)
 
     points = config["zero_points"]
     if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
-        raise DomainError("zero_points must be a list of points, each a list of numbers")
+        raise refuse("zero_points", "must be a list of points, each a list of numbers")
     zero_points = tuple(tuple(_number(name, c) for c in pt) for pt in points)
     if any(len(pt) != chart_dim for pt in zero_points):
-        raise DomainError("zero points must have chart dimension")
+        raise refuse("zero_points", "each point must have chart dimension")
 
     zero_chart = None
     if "zero_chart" in config:
-        chart_fns = [_compiled(name, "zero_chart", e, ("s",)) for e in config["zero_chart"]]
-        if len(chart_fns) != chart_dim:
-            raise DomainError("zero_chart needs one expression per chart coordinate")
+        chart_exprs = config["zero_chart"]
+        if not isinstance(chart_exprs, list) or len(chart_exprs) != chart_dim:
+            raise refuse("zero_chart", "needs one expression per chart coordinate")
+        chart_fns = [_compiled(name, "zero_chart", e, ("s",)) for e in chart_exprs]
         zero_chart = lambda s: tuple(fn((s,)) for fn in chart_fns)
     density_fn = None
     if "chart_density" in config:

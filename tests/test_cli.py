@@ -573,6 +573,22 @@ def test_oracle_refusal_of_a_map_names_model_and_k(tmp_path, capsys, command, k,
     assert err == f"error: {where}: logarithm of a nonpositive value\n"
 
 
+# a refusal of a config's shape names the model and the key, as one of
+# its expressions does; a string is not a list of one expression
+@pytest.mark.parametrize("key, value, refusal", [
+    ("flow_field", "w0", "needs one expression per chart coordinate"),
+    ("zero_points", [[0, 1]], "each point must have chart dimension"),
+    ("zero_points", [0], "must be a list of points, each a list of numbers"),
+    ("chart_dim", 1.0, "must be an integer"),
+    ("zero_chart", "s", "needs one expression per chart coordinate"),
+])
+def test_config_shape_refusal_names_model_and_key(tmp_path, capsys, key, value, refusal):
+    path = write_model(tmp_path, {**LOG_EDGE, key: value})
+    code, out, err = run_cli(["expand", "--model", path], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: model 'log-edge': {key}: {refusal}\n"
+
+
 # the sphere's circle action in the chart (theta, z): nothing depends on
 # theta, so every zero point (theta, 0) gives the same expansion
 SPHERE_CHART = {
@@ -747,7 +763,7 @@ def test_density_sweep_solves_each_flow_once(capsys, monkeypatch):
 
 def test_one_dimensional_oracle_is_one_level_of_both_directions(capsys, monkeypatch):
     # d = 1 is one angular level of the nodes +1 and -1: each flow carries
-    # both directions, and each radial QUADPACK call is QAGS on [0, span]
+    # both directions, and each radial QUADPACK call is QAG on [0, span]
     from lapasym import integrators, models
 
     directions, quads = [], []

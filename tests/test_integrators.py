@@ -1,18 +1,26 @@
 """The oracle's integrators reproduce scipy bit for bit.
 
 scipy is imported here only, as the reference; lapasym never imports it.
-A DOP853 solve extended or branched to a further end time must give the
-bits of a fresh solve to that end time.
+The DOP853 port is scipy's ``solve_ivp``, and a solve extended or
+branched to a further end time must give the bits of a fresh solve to
+that end time.  The QAG port is scipy's ``quad``, which is QAGS, on
+smooth peaks and on the oracle's own radial integrands, where QAGS ends
+at its error bound without extrapolating.  QAG's other two endings, at
+``LIMIT`` intervals and at an interval too small to split, are checked
+against exact integrals, and between them these tests run every
+statement of the bisection.
 """
 
+import ast
 import inspect
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lapasym import integrators
+from lapasym import cli, integrators
 
 integrate = pytest.importorskip("scipy.integrate")
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,27 +75,47 @@ def test_quad_calls_its_integrand_once_per_rule():
     assert hexes(*np.concatenate(rules)) == hexes(*one_by_one)
 
 
+# the oracle's commands: a d = 1 verify, the golden d = 2 verify and the
+# golden d = 1 density sweep, run from the golden directory
+ORACLE_COMMANDS = (
+    ["verify", "--model", "builtin:sphere", "--order", "2", "--k", "30,100,1000"],
+    ["verify", "--model", "sphere2_product.json", "--order", "2", "--k", "100,200,400",
+     "--tol", "1e-8"],
+    ["density-sweep", "--model", "sphere1_product.json", "--order", "4", "--k", "30,100,1000"],
+)
+
+
+def test_quad_on_the_oracles_integrands_is_scipy(capsys, monkeypatch):
+    # every radial integral of the oracle's commands, with the values its
+    # integrand gave at each abscissa, is scipy's to the bit
+    calls = []
+    quad = integrators.quad
+
+    def recording(fn, a, b, epsabs):
+        values = {}
+
+        def tabulated(xs):
+            fx = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+            values.update(zip(xs.tolist(), fx.tolist()))
+            return fx
+
+        got = quad(tabulated, a, b, epsabs=epsabs)
+        calls.append((values, a, b, epsabs, got))
+        return got
+
+    monkeypatch.setattr(integrators, "quad", recording)
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    for argv in ORACLE_COMMANDS:
+        assert cli.main(argv) == 0 and capsys.readouterr().err == ""
+    # one per k of the d = 1 verify, two levels per k of the d = 2 verify,
+    # and one per k and density of the sweep
+    assert len(calls) == 3 + 6 + 6
+    for values, a, b, epsabs, got in calls:
+        assert hexes(*got) == hexes(*scipy_quad(values.__getitem__, a, b, epsabs))
+
+
 def test_quad_takes_one_value_for_a_whole_rule():
     assert integrators.quad(lambda xs: 2.0, 0.0, 3.0, epsabs=1e-12)[0] == 6.0
-
-
-def test_quad_endpoint_singularity_extrapolates(monkeypatch):
-    # x^(-1/2) at 0 needs the epsilon algorithm
-    calls = []
-    qelg = integrators._qelg
-
-    def counting(*args):
-        calls.append(args[0])
-        return qelg(*args)
-
-    monkeypatch.setattr(integrators, "_qelg", counting)
-    assert same_quad(lambda x: x ** -0.5 if x > 0 else 0.0, 0.0, 1.0, 1e-12) is None
-    assert len(calls) >= 3
-
-
-def test_quad_oscillatory_reaches_limit():
-    message = same_quad(lambda x: math.cos(300.0 * x * x), -3.0, 3.0, 1e-12)
-    assert "maximum number of subdivisions (400)" in message
 
 
 def test_quad_roundoff():
@@ -96,16 +124,81 @@ def test_quad_roundoff():
     assert "roundoff" in message
 
 
+def bisected(monkeypatch, fn, a, b, tol):
+    """``quad``'s ``(value, abserr)`` and its intervals ``(a, b, area, error)``
+    in their slots, each bisection checked to take the interval with the
+    largest error, the first slot on a tie, and to give its slot to the
+    half with the larger error."""
+    rules = []
+    qk21 = integrators._qk21
+
+    def recording(f, lo, hi):
+        out = qk21(f, lo, hi)
+        rules.append((lo, hi, *out[:2]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrators, "_qk21", recording)
+        value, abserr = integrators.quad(vector(fn), a, b, epsabs=tol)
+    slots = rules[:1]
+    for left, right in zip(rules[1::2], rules[2::2]):
+        errors = [error for *_, error in slots]
+        i = errors.index(max(errors))
+        assert slots[i][:2] == (left[0], right[1]) and left[1] == right[0]
+        slots[i], new = (right, left) if right[3] > left[3] else (left, right)
+        slots.append(new)
+    assert len(rules) % 2 == 1
+    return value, abserr, slots
+
+
+def assert_interval_sum_within_error(value, abserr, slots, a, b, exact):
+    # the intervals tile [a, b]; the value is their sum in slot order, and
+    # the error sum, kept as it runs, bounds the distance to the integral
+    ends = sorted((lo, hi) for lo, hi, *_ in slots)
+    assert ends[0][0] == a and ends[-1][1] == b
+    assert all(hi == lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
+    total = 0.0
+    for *_, area, _ in slots:
+        total = total + area
+    assert value == total
+    assert abserr == pytest.approx(math.fsum(error for *_, error in slots), rel=1e-9)
+    assert abs(value - exact) <= abserr
+
+
+def test_quad_ends_at_the_limit(monkeypatch):
+    # cos(300 x^2) oscillates too fast for LIMIT intervals to meet 1e-12
+    # (Fresnel: the integral over [0, 3] is sqrt(pi / 600) C(3 sqrt(600 / pi)))
+    special = pytest.importorskip("scipy.special")
+    exact = 2 * math.sqrt(math.pi / 600) * special.fresnel(3 * math.sqrt(600 / math.pi))[1]
+    value, abserr, slots = bisected(monkeypatch, lambda x: math.cos(300.0 * x * x),
+                                    -3.0, 3.0, 1e-12)
+    assert len(slots) == integrators.LIMIT and abserr > 1e-12
+    assert_interval_sum_within_error(value, abserr, slots, -3.0, 3.0, exact)
+
+
+def test_quad_ends_at_an_interval_too_small_to_split(monkeypatch):
+    # |x - 1/pi|^(-1/2) has its singularity inside [0, 1]: the interval
+    # next to it is bisected until its width is about 100 machine epsilons
+    # of its position, before the error sum meets the bound
+    pole = 1 / math.pi
+    exact = 2 * (math.sqrt(pole) + math.sqrt(1 - pole))
+    value, abserr, slots = bisected(
+        monkeypatch, lambda x: abs(x - pole) ** -0.5 if x != pole else 0.0, 0.0, 1.0, 1e-300)
+    assert len(slots) < integrators.LIMIT and abserr > integrators.EPSREL * value
+    widths = sorted(hi - lo for lo, hi, *_ in slots)
+    assert widths[0] <= 1e3 * np.spacing(pole)
+    assert_interval_sum_within_error(value, abserr, slots, 0.0, 1.0, exact)
+
+
 def statements_run(call):
-    """``(function, statement)`` of every line of ``integrators`` that ``call()`` runs."""
-    source = inspect.getsource(integrators).splitlines()
+    """``(function, line number)`` of every line of ``integrators`` that ``call()`` runs."""
     run = set()
 
     def trace(frame, event, _arg):
         if frame.f_code.co_filename != integrators.__file__:
             return None
         if event == "line":
-            run.add((frame.f_code.co_name, source[frame.f_lineno - 1].strip()))
+            run.add((frame.f_code.co_name, frame.f_lineno))
         return trace
 
     outer = sys.gettrace()
@@ -117,60 +210,25 @@ def statements_run(call):
     return run
 
 
-# QUADPACK paths that the oracle's smooth integrands do not take, each with
-# an integrand that takes it, a tolerance and the flag scipy reports
-QUAD_PATHS = {
-    # the area all but cancels, so bisecting next to the jump stops
-    # gaining (iroff1) until roundoff ends the loop (ier = 2), and the
-    # epsilon table never gets going: no extrapolated result is kept
-    "sign-jump": (lambda x: 1.0 if x > 0.5 + 1e-3 / (3 * math.pi) else -1.0, 0.0, 1.0, 1e-300,
-                  "roundoff", {("_qags", "iroff1 += 1"), ("_qags", "ier = 2"),
-                               ("_qags", "noext = True"),
-                               ("_finish", "return _sum_intervals(rlist, last), errsum")}),
-    # roundoff while extrapolating (iroff2, ierro = 3) and errors that
-    # grow when bisected (iroff3); the sum over the intervals beats the
-    # extrapolated result once its error carries the correction
-    "x-sin-1/x": (lambda x: x * math.sin(1.0 / x) if x > 0 else 0.0, 0.0, 1.0, 1e-300,
-                  "maximum number of subdivisions", {
-                      ("_qags", "iroff2 += 1"), ("_qags", "iroff3 += 1"),
-                      ("_qags", "ierro = 3"), ("_finish", "abserr = abserr + correc")}),
-    # the interval next to the singularity shrinks to machine precision
-    "inverse-sqrt-at-1/pi": (lambda x: abs(x - 1 / math.pi) ** -0.5 if x != 1 / math.pi
-                             else 0.0, 0.0, 1.0, 1e-300,
-                             "bad integrand behavior", {("_qags", "ier = 4")}),
-    # extrapolation stops improving on an almost divergent power
-    "x^-0.95": (lambda x: x ** -0.95 if x > 0 else 0.0, 0.0, 1.0, 1e-300,
-                "does not converge", {("_qags", "ier = 5")}),
-    # three successive areas agree to machine accuracy
-    "jump-at-1/3": (lambda x: 1.0 if x > 1 / 3 else 0.0, 0.0, 1.0, 1e-12, None,
-                    {("_qelg", "abserr = err2 + err3")}),
-    # logarithmically slow convergence fills the epsilon table to limexp
-    "1/(x log^2 x)": (lambda x: 1.0 / (x * math.log(x) ** 2) if x > 0 else 0.0, 0.0, 0.5,
-                      1e-300, "maximum number of subdivisions",
-                      {("_qelg", "n = 2 * (limexp // 2) - 1")}),
-}
+def test_quad_tests_run_every_statement_of_qag(monkeypatch):
+    # no statement of the bisection is out of reach of every input
+    source = inspect.getsource(integrators)
+    qag, = (node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == "_qag")
+    statements = {("_qag", node.lineno) for stmt in qag.body[1:]  # less the docstring
+                  for node in ast.walk(stmt) if isinstance(node, ast.stmt)}
 
+    def quad_tests():
+        for k in (30.0, 1e4):
+            test_quad_gaussian_peaks(k)
+        test_quad_takes_one_value_for_a_whole_rule()
+        test_quad_roundoff()
+        test_quad_ends_at_the_limit(monkeypatch)
+        test_quad_ends_at_an_interval_too_small_to_split(monkeypatch)
 
-@pytest.mark.parametrize("name", sorted(QUAD_PATHS))
-def test_quad_paths_off_the_oracle_are_scipy(name):
-    fn, a, b, tol, flag, statements = QUAD_PATHS[name]
-    messages = []
-    with np.errstate(all="ignore"):
-        run = statements_run(lambda: messages.append(same_quad(fn, a, b, tol)))
-    message, = messages
-    assert statements <= run
-    assert (message is None) if flag is None else (flag in message)
-
-
-def test_quad_ending_on_the_sum_over_the_intervals():
-    # x sin(1/x) reaches _finish with an extrapolated result whose error,
-    # with its correction, is the worse one: the sum over the intervals wins
-    fn, a, b, tol = QUAD_PATHS["x-sin-1/x"][:4]
-    info = scipy_quad(fn, a, b, tol, full_output=1)[2]
-    total = 0.0
-    for area in info["rlist"][:info["last"]]:
-        total = total + area
-    assert integrators.quad(vector(fn), a, b, epsabs=tol)[0] == total
+    missed = statements - statements_run(quad_tests)
+    lines = source.splitlines()
+    assert not missed, [lines[line - 1].strip() for _, line in sorted(missed)]
 
 
 def same_flow(fun, span, y0, solve=None):
