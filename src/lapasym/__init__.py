@@ -1,14 +1,17 @@
 """Asymptotic expansion toolkit for Laplace-type integrals with geometric weights.
 
-The package splits into five layers.  :mod:`lapasym.bell` holds the exact
-partition combinatorics (tables and cross-checks), :mod:`lapasym.jets`
-the truncated power series and flow transport, :mod:`lapasym.engine` the
-generic radial expansion and its numeric oracle, :mod:`lapasym.models`
-the geometric layer (Hamiltonian models, coefficient routes, spectral
-densities), and :mod:`lapasym.cli` the command line front end.  The names
-re-exported here cover the common workflow: build or load a model,
-expand, compare against quadrature.  Each resolves on first use, by
-importing its layer then, so ``import lapasym`` loads no numpy and
+The package splits into seven layers.  :mod:`lapasym.jets` holds the
+truncated power series and flow transport, :mod:`lapasym.engine` the
+generic radial expansion, :mod:`lapasym.models` the geometric layer
+(Hamiltonian models, the series route, the series densities),
+:mod:`lapasym.oracle` the independent numeric oracle (flows and
+quadrature, with the integrators of :mod:`lapasym.integrators`),
+:mod:`lapasym.crosscheck` the independent coefficient routes,
+:mod:`lapasym.bell` the exact partition combinatorics they and
+``bell-table`` use, and :mod:`lapasym.cli` the command line front end.
+The names re-exported here cover the common workflow: build or load a
+model, expand, compare against quadrature.  Each resolves on first use,
+by importing its layer then, so ``import lapasym`` loads no numpy and
 ``lapasym bell-table`` loads only the Bell layer.
 """
 
@@ -25,16 +28,17 @@ _EXPORTS = {
     **dict.fromkeys(["partitions", "partial_bell", "complete_bell",
                      "series_power_coefficient", "generalized_binomial"], "bell"),
     **dict.fromkeys(["TruncatedSeries", "exp_series", "ode_jet_transport",
-                     "compose_scalar", "directional_derivative",
-                     "iterated_flow_derivatives"], "jets"),
+                     "compose_scalar"], "jets"),
     **dict.fromkeys(["RadialProfile", "ExpansionResult", "sphere_rule",
-                     "expansion_coefficient", "expansion_series",
-                     "numeric_laplace_integral", "convergence_order_fit"], "engine"),
+                     "expansion_coefficient", "expansion_series"], "engine"),
     **dict.fromkeys(["HamiltonianModel", "builtin_sphere_model", "gaussian_test_model",
                      "quartic_test_model", "radial_profile", "geometric_expansion",
-                     "zeta_geometric", "zeta2_reference", "leading_term_identity",
-                     "j_a_numeric", "density", "density_series", "jacobian_tau_check",
-                     "load_model", "resolve_model"], "models"),
+                     "density_series", "load_model", "resolve_model"], "models"),
+    **dict.fromkeys(["numeric_laplace_integral", "convergence_order_fit", "j_a_numeric",
+                     "density", "jacobian_tau_check"], "oracle"),
+    **dict.fromkeys(["directional_derivative", "iterated_flow_derivatives",
+                     "zeta_geometric", "zeta2_reference", "leading_term_identity"],
+                    "crosscheck"),
 }
 
 __all__ = ["__version__", *_EXPORTS]

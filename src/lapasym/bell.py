@@ -19,7 +19,7 @@ compositions it collects.
 The term lists are what the ``bell-table`` command prints.  Their
 evaluations :func:`partial_bell`, :func:`complete_bell` and
 :func:`series_power_coefficient` serve the independent raw cross-check
-route (:func:`~lapasym.models.zeta_geometric`) and the tests, and
+route (:func:`~lapasym.crosscheck.zeta_geometric`) and the tests, and
 :func:`generalized_binomial` serves both cross-check routes; the
 coefficient path does not use this module, it works with the series
 recurrences of :mod:`.jets`.

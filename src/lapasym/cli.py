@@ -166,7 +166,7 @@ def _fit_clean_slope(ks: list[float], errors: list[float]) -> float | None:
     if len(set(ks)) < 2:
         return None
     if len(ks) >= 3:
-        from .engine import convergence_order_fit
+        from .oracle import convergence_order_fit
 
         return convergence_order_fit(ks, errors)
     return math.log(errors[1] / errors[0]) / math.log(ks[1] / ks[0])
@@ -175,15 +175,22 @@ def _fit_clean_slope(ks: list[float], errors: list[float]) -> float | None:
 def cmd_verify(ns: argparse.Namespace) -> str:
     if len(set(ns.k)) < 3:
         raise DomainError("verify needs at least 3 distinct k values")
-    from .models import geometric_expansion, j_a_numeric, resolve_model
+    from .models import geometric_expansion, resolve_model
+    from .oracle import j_a_numeric
 
     model = resolve_model(ns.model)
-    # the oracle runs first: it refuses group dimension above 3 before the
-    # series builds a rule of 2 * resolution ** (d - 1) directions
+
+    def series():
+        return geometric_expansion(model, None, ns.a, ns.order, ns.resolution, ns.mode)
+
+    # exact mode refuses group dimension 2 and up before any transport, so
+    # it runs the series first; float mode runs the oracle first, which
+    # refuses group dimension above 3 before the series builds a rule of
+    # 2 * resolution ** (d - 1) directions
+    result = series() if ns.mode == "exact" else None
     oracles = j_a_numeric(model, None, ns.a, ns.k, tol=ns.tol)
-    result = geometric_expansion(
-        model, None, ns.a, ns.order, ns.resolution, ns.mode
-    )
+    if result is None:
+        result = series()
     # first even series index beyond the computed order
     next_even = ns.order + 2 if ns.order % 2 == 0 else ns.order + 1
     expected = Fraction(-(next_even + model.group_dim), 2)
@@ -219,7 +226,8 @@ def cmd_verify(ns: argparse.Namespace) -> str:
 
 
 def cmd_density_sweep(ns: argparse.Namespace) -> str:
-    from .models import density, density_series, resolve_model
+    from .models import density_series, resolve_model
+    from .oracle import density
 
     model = resolve_model(ns.model)
     rows = []

@@ -22,26 +22,13 @@ built once per profile: float64 arrays when every entry of a table is a
 float, else object arrays of the entries.  A float lane is the float the
 direction would give on its own; an object array computes entry by entry
 with Python's operators, so ints and Fractions stay exact up to each
-direction's value.  Only the columns, the rules from dimension 2 on,
-:func:`convergence_order_fit` and the oracle load numpy.  The direction
-weights, the gamma factor, and the fractional power of ``f0`` are
-evaluated in floating point, direction by direction, in a fixed
-reduction order (compensated summation over directions), so results are
-reproducible bit-for-bit across runs and schedulings.
-
-The numeric cross-check :func:`polar_laplace_integral` evaluates the
-same integral by adaptive quadrature: one QUADPACK call in the radius
-per angular level, the one level of the line's two directions in one
-dimension, nested circle grids in two and Gauss-Legendre times azimuth
-grids in three, with each level's directions evaluated together at all
-21 radii of a Kronrod rule at once; it refuses other dimensions.
-QUADPACK's QAG is the port in :mod:`.integrators`, which holds its
-relative tolerance and subinterval limit and is imported on the
-oracle's first call only; the oracle passes it the interval and the
-absolute tolerance.
-:func:`numeric_laplace_integral` is its pointwise front end.  Neither
-shares code with the coefficient path apart from evaluating the user's
-callables, which is what makes them usable as an independent oracle.
+direction's value.  Only the columns and the rules from dimension 2 on
+load numpy.  The direction weights, the gamma factor, and the
+fractional power of ``f0`` are evaluated in floating point, direction by
+direction, in a fixed reduction order (compensated summation over
+directions), so results are reproducible bit-for-bit across runs and
+schedulings.  The numeric oracle that checks these coefficients is
+:mod:`.oracle`.
 """
 
 from __future__ import annotations
@@ -51,10 +38,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .errors import DomainError, QuadratureError
-from .jets import TruncatedSeries, exp, listed
+from .errors import DomainError
+from .jets import TruncatedSeries, listed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,10 +55,6 @@ __all__ = [
     "ExpansionResult",
     "expansion_coefficient",
     "expansion_series",
-    "IntegralEstimate",
-    "numeric_laplace_integral",
-    "polar_laplace_integral",
-    "convergence_order_fit",
 ]
 
 
@@ -425,188 +408,3 @@ def expansion_series(profile: RadialProfile, order: int) -> ExpansionResult:
     flags = [bool(j % 2 and abs(c) <= _ODD_TOLERANCE * scale) for j, c in enumerate(coeffs)]
     exponents = tuple(_exponent(j, profile) for j in range(order + 1))
     return ExpansionResult(tuple(coeffs), exponents, tuple(flags))
-
-
-# ---------------------------------------------------------------- numeric oracle
-
-class IntegralEstimate(NamedTuple):
-    value: float
-    error_bound: float
-
-
-# a level's directions go through its integrand in blocks of at most this
-# many, which bounds the state of one vectorized flow solve
-_LEVEL_BLOCK = 512
-
-Level = Callable[["np.ndarray"], Callable[["np.ndarray"], Any]]
-
-
-def _point_level(phase: Callable, amplitude: Callable, k: float) -> Level:
-    def level(nodes: np.ndarray) -> Callable[[np.ndarray], Any]:
-        def values(rho: np.ndarray) -> Any:
-            point = tuple(rho[:, None] * coordinate for coordinate in nodes.T)
-            return exp(-k * phase(point)) * amplitude(point)
-
-        return values
-
-    return level
-
-
-def numeric_laplace_integral(
-    phase: Callable[[Sequence[Any]], Any],
-    amplitude: Callable[[Sequence[Any]], Any],
-    dim: int,
-    k: float,
-    tol: float = 1e-10,
-    radius: float = 1.0,
-) -> IntegralEstimate:
-    """Adaptive evaluation of ``integral exp(-k phase(x)) amplitude(x) dx``.
-
-    The ball of the given (finite) radius is integrated by
-    :func:`polar_laplace_integral`, in dimension 1, 2 or 3; other
-    dimensions raise :class:`~lapasym.errors.DomainError`.  The polar
-    quadrature asks for a whole angular level at once: given the level's
-    ``n`` unit nodes, a function of an array of ``m`` radii that returns
-    the ``(m, n)`` integrand values.
-    This function is the pointwise adapter that builds such a level:
-    ``phase`` and ``amplitude`` receive the level's points at the ``m``
-    radii as a tuple of ``(m, n)`` coordinate arrays and must compute
-    elementwise.
-    Independent of the series engine by construction.
-    Raises :class:`~lapasym.errors.QuadratureError` (carrying the best
-    estimate and its bound) when the tolerance cannot be certified.
-    """
-    if not k > 0:
-        raise DomainError("asymptotic parameter k must be positive")
-    return polar_laplace_integral(_point_level(phase, amplitude, k), dim, tol, radius)
-
-
-def _angular_level(dim: int, n: int, first: bool) -> tuple[np.ndarray, np.ndarray, float]:
-    """New nodes and weights of angular level ``n``, and the share of the
-    previous level's estimate that carries over."""
-    import numpy as np
-
-    if dim == 2:
-        # nested circle: the even nodes of sphere_rule(2, n) are the level
-        # before's, so a level after the first asks only for its odd ones
-        rule = sphere_rule(2, n)
-        if first:
-            return rule.nodes, rule.weights, 0.0
-        return rule.nodes[1::2], rule.weights[1::2], 0.5
-    # Gauss-Legendre in the polar cosine times a midpoint azimuth; these do
-    # not nest, so every level is a full pass
-    x, w = np.polynomial.legendre.leggauss(n)
-    t = 2.0 * math.pi * (np.arange(2 * n) + 0.5) / (2 * n)
-    st = np.sqrt(np.maximum(0.0, 1.0 - x ** 2))
-    nodes = np.stack([
-        np.outer(st, np.cos(t)).ravel(),
-        np.outer(st, np.sin(t)).ravel(),
-        np.repeat(x, 2 * n),
-    ], axis=1)
-    return nodes, np.repeat(w * math.pi / n, 2 * n), 0.0
-
-
-def polar_laplace_integral(
-    level: Level,
-    dim: int,
-    tol: float = 1e-10,
-    radius: float = 1.0,
-) -> IntegralEstimate:
-    """Integral over the ball of an integrand given one angular level at a time.
-
-    ``level(nodes)`` receives unit directions as the rows of an
-    ``(n, dim)`` array and returns a function of an array ``rho`` of
-    ``m`` radii that gives the ``(m, n)`` integrand values at
-    ``rho[i] * node``; the caller evaluates all of a level's directions
-    at all the radii together, for instance from one vectorized flow.
-    Nodes come at most ``_LEVEL_BLOCK`` at a time.
-
-    Each angular level is one QUADPACK call (QAG) in the radius on
-    ``[0, radius]``, on the weighted sum of its directions' integrands,
-    which it asks for once per 21-point rule, at the rule's radii.
-    In one dimension the one level is ``sphere_rule(1)``, the nodes
-    ``+1`` and ``-1`` with unit weights; that rule is exact, so its
-    estimate is final and its radial error, within ``tol / 2``, is the
-    bound.  In two and three dimensions levels are refined until two
-    successive estimates agree within ``tol``.  The circle's levels
-    nest (nodes ``2 pi i / n``, ``n = 8, 16, ..., 512``): level ``2n``
-    asks only for its ``n`` new nodes and reuses level ``n``'s
-    estimate, ``T_2n = T_n / 2 + (2 pi / 2n) * integral of their
-    sum``.  The sphere's Gauss-Legendre times azimuth levels (``n = 8,
-    ..., 64`` polar nodes) are full passes.  The radial error of each
-    of these estimates stays within ``tol / 8``.  The radius must be
-    finite.  Raises :class:`~lapasym.errors.QuadratureError` (carrying
-    the best estimate and its bound) when the tolerance cannot be
-    certified.
-    """
-    if dim not in (1, 2, 3):
-        raise DomainError("polar integration needs dimension 1, 2 or 3")
-    if not tol > 0 or not 0 < radius < math.inf:
-        raise DomainError("tolerance must be positive, radius positive and finite")
-    import numpy as np
-
-    # the integrators are imported by the oracle only, so that short calls
-    # neither load nor compile them
-    from .integrators import quad
-
-    def level_integral(nodes: np.ndarray, weights: np.ndarray, budget: float):
-        blocks = [
-            (level(nodes[i:i + _LEVEL_BLOCK]), weights[i:i + _LEVEL_BLOCK])
-            for i in range(0, len(nodes), _LEVEL_BLOCK)
-        ]
-
-        def weighted(rho: np.ndarray) -> np.ndarray:
-            total = 0.0
-            for values, w in blocks:
-                total = total + np.sum(w * values(rho), axis=-1)
-            # Python's float power: numpy's square can differ in the last bit
-            return total * np.array([r ** (dim - 1) for r in rho.tolist()])
-
-        return quad(weighted, 0.0, radius, epsabs=budget)
-
-    if dim == 1:
-        # the two-point rule is exact, so its one level is final
-        rule = sphere_rule(1)
-        value, err = level_integral(np.array(rule.nodes), np.array(rule.weights), tol / 2)
-        if err > tol:
-            raise QuadratureError("radial quadrature", value, err, tol)
-        return IntegralEstimate(value, err)
-
-    previous = None
-    radial_err = 0.0
-    n = 8
-    budget = 512 if dim == 2 else 64
-    while n <= budget:
-        nodes, weights, kept = _angular_level(dim, n, previous is None)
-        # the carried share of the radial error plus this level's stays in tol / 8
-        value, err = level_integral(nodes, weights, (1.0 - kept) * tol / 8.0)
-        estimate = kept * previous + value if kept else value
-        radial_err = kept * radial_err + err
-        if previous is not None:
-            bound = abs(estimate - previous) + radial_err
-            if bound <= tol:
-                return IntegralEstimate(estimate, bound)
-        previous = estimate
-        n *= 2
-    raise QuadratureError(
-        "angular refinement exhausted its budget",
-        previous if previous is not None else math.nan,
-        math.inf,
-    )
-
-
-def convergence_order_fit(ks: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of ``log error`` against ``log k``.
-
-    Needs at least three strictly positive samples; errors at the
-    rounding floor should be excluded by the caller before fitting.
-    """
-    if len(ks) != len(errors) or len(ks) < 3:
-        raise DomainError("need at least three (k, error) samples")
-    if any(not k > 0 for k in ks) or any(not e > 0 for e in errors):
-        raise DomainError("fit samples must be strictly positive")
-    import numpy as np
-
-    slope, _ = np.polyfit(np.log(np.asarray(ks, dtype=float)),
-                          np.log(np.asarray(errors, dtype=float)), 1)
-    return float(slope)

@@ -41,11 +41,8 @@ functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
 rational powers through ``**``), all computed by O(N**2) coefficient
 recurrences; Picard iteration along an ODE flow that grows the jets by
 one term per pass (:func:`ode_jet_transport`, which returns the
-tuple of the coordinates' jets); composition of scalar maps with those
-jets (:func:`compose_scalar`); and
-nested-jet directional derivatives (:func:`directional_derivative`),
-which evaluate iterated "derivative along a vector field" operators
-without any symbolic differentiation.
+tuple of the coordinates' jets); and composition of scalar maps with
+those jets (:func:`compose_scalar`).
 
 A series remembers its nonnegative integer powers: ``b ** e`` keeps the
 repeated squares ``b**2, b**4, ...`` and every power it builds on ``b``,
@@ -83,8 +80,6 @@ __all__ = [
     "exp_series",
     "ode_jet_transport",
     "compose_scalar",
-    "directional_derivative",
-    "iterated_flow_derivatives",
     "exp",
     "sin",
     "cos",
@@ -573,56 +568,3 @@ def compose_scalar(
             f"scalar map cannot be evaluated on jets: {exc}"
         ) from exc
     return as_series(value, trajectory[0].order)
-
-
-# ------------------------------------------------------- nested derivatives
-
-def directional_derivative(
-    fn: Callable[[Sequence[Any]], Any],
-    field: Callable[[Sequence[Any]], Sequence[Any]],
-) -> Callable[[Sequence[Any]], Any]:
-    """The map ``x -> sum_i field_i(x) * d fn / d x_i (x)``.
-
-    Partial derivatives are read off first-order jets, so the returned
-    callable again accepts points whose entries are scalars or series,
-    and the construction can be nested to any depth.
-    """
-
-    def derived(point: Sequence[Any]) -> Any:
-        vec = field(point)
-        total: Any = 0
-        for i in range(len(point)):
-            jet_point = [
-                TruncatedSeries.variable(point[k], 1)
-                if k == i
-                else TruncatedSeries.constant(point[k], 1)
-                for k in range(len(point))
-            ]
-            value = fn(jet_point)
-            partial = (
-                value.coefficient(1) if isinstance(value, TruncatedSeries) else 0
-            )
-            total = total + vec[i] * partial
-        return total
-
-    return derived
-
-
-def iterated_flow_derivatives(
-    fn: Callable[[Sequence[Any]], Any],
-    field: Callable[[Sequence[Any]], Sequence[Any]],
-    point: Sequence[Any],
-    count: int,
-) -> list[Any]:
-    """Values ``[fn, L fn, ..., L^count fn]`` at ``point``.
-
-    ``L`` is the derivative along ``field``; powers are built by nesting
-    :func:`directional_derivative`, with no ODE solve involved.
-    """
-    values = []
-    current = fn
-    for m in range(count + 1):
-        values.append(current(point))
-        if m < count:
-            current = directional_derivative(current, field)
-    return values

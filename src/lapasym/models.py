@@ -11,17 +11,11 @@ numeric work on points and on arrays of points.
 
 From a model, this module extracts per-direction radial series
 (:func:`radial_profile`), bridges them to the generic expansion engine
-(:func:`geometric_expansion`), and evaluates the corrected and
-uncorrected densities ``I`` and ``J`` both by direct numerics
-(:func:`j_a_numeric`, :func:`density`, whose flows are DOP853 solves of
-:mod:`.integrators`, imported on first use, at the tolerances that
-module holds) and by their series predictions (:func:`density_series`).
-Two additional, deliberately independent evaluations of the expansion
-coefficients live here as cross-checks: :func:`zeta_geometric` (the raw
-Bell and series-power sums of :mod:`.bell`, imported on first use) and
-:func:`zeta2_reference` (the closed second coefficient).
-:func:`jacobian_tau_check` compares the product formula for the
-transport Jacobian against finite differences.
+(:func:`geometric_expansion`), and predicts the corrected and
+uncorrected densities ``I`` and ``J`` from them
+(:func:`density_series`).  It also builds the builtin models and loads
+declarative configs.  The numeric densities are in :mod:`.oracle` and
+the independent coefficient routes in :mod:`.crosscheck`.
 """
 
 from __future__ import annotations
@@ -31,16 +25,15 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from .engine import ExpansionResult, RadialProfile, SphereRule, \
-    expansion_series, gamma_value, polar_laplace_integral, sphere_rule
-from .errors import DomainError, QuadratureError
+from .engine import ExpansionResult, RadialProfile, expansion_series, sphere_rule
+from .errors import DomainError
 from .exprs import Positional, compile_expression
-from .jets import TruncatedSeries, compose_scalar, exp, exp_series, \
-    iterated_flow_derivatives, listed, numpy_if_array, ode_jet_transport
+from .jets import TruncatedSeries, compose_scalar, exp_series, numpy_if_array, \
+    ode_jet_transport
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,20 +42,8 @@ __all__ = [
     "HamiltonianModel",
     "RadialSeries",
     "radial_profile",
-    "direction_atoms",
-    "profile_from_atoms",
     "geometric_expansion",
-    "zeta_geometric",
-    "zeta_geometric_from_atoms",
-    "zeta2_reference",
-    "zeta2_reference_from_atoms",
-    "leading_term_identity",
-    "j_a_numeric",
-    "density",
     "density_series",
-    "jacobian_tau_check",
-    "scaled_generator_model",
-    "scaled_volume_model",
     "builtin_sphere_model",
     "gaussian_test_model",
     "quartic_test_model",
@@ -70,14 +51,9 @@ __all__ = [
     "resolve_model",
 ]
 
-# exp(-x) underflows near x = 745; cutoffs leave a wide margin past that
-_PHASE_CUTOFF = 760.0
-_MAX_FLOW_SPAN = 4096.0
 # radial_profile's bound on phi and on the phase's t^0, t^1 coefficients
 # (relative to its leading coefficient) at the base point
 _ZERO_LEVEL_TOL = 1e-9
-# central-difference step of jacobian_tau_check, in time and zero-level parameter
-_JACOBIAN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -301,63 +277,6 @@ def _tables(series: RadialSeries, order: int) -> tuple:
             [series.weight.coefficient(p) for p in range(order + 1)])
 
 
-def direction_atoms(
-    model: HamiltonianModel,
-    omega: Sequence[Any],
-    point: Sequence[Any] | None,
-    flow_count: int,
-    lap_count: int,
-) -> tuple[tuple, tuple]:
-    """Iterated flow derivatives of ``phi`` and ``laplacian_phi``.
-
-    Returns ``(flow_atoms, lap_atoms)`` where ``flow_atoms[i]`` is the
-    ``i + 1``-fold derivative of ``phi`` along the flow field at the
-    base point and ``lap_atoms[i]`` the ``i``-fold derivative of
-    ``laplacian_phi``, computed by nested first-order jets with no
-    transport solve involved.
-    """
-    x0 = _reference_point(model, point)
-    field = lambda coords: model.flow_field(omega, coords)
-    flow_values = iterated_flow_derivatives(
-        lambda c: model.phi(omega, c), field, x0, flow_count
-    )
-    lap_values = iterated_flow_derivatives(
-        lambda c: model.laplacian_phi(omega, c), field, x0, max(lap_count - 1, 0)
-    )
-    return tuple(flow_values[1:]), tuple(lap_values[:lap_count])
-
-
-def profile_from_atoms(
-    rule: SphereRule,
-    atom_table: Sequence[tuple[Sequence[Any], Sequence[Any]]],
-    order: int,
-    half_form: Any = 0,
-) -> RadialProfile:
-    """Coefficient tables built directly from per-direction atoms.
-
-    ``atom_table[i]`` is the ``(flow_atoms, lap_atoms)`` pair for node
-    ``i``; reduced phase coefficient ``p`` is ``2 * flow_atoms[p] /
-    (p + 2)!`` and the weight series is the exponential of the
-    factorial-rescaled Laplacian atoms.  This is the bridge used by the
-    cross-implementation agreement tests.
-    """
-    rows = []
-    for flow_atoms, lap_atoms in atom_table:
-        if len(flow_atoms) < order + 1 or len(lap_atoms) < order:
-            raise DomainError("atom table too short for the requested order")
-        phase = TruncatedSeries(
-            [0, 0] + [flow_atoms[p] * Fraction(2, math.factorial(p + 2))
-                      for p in range(order + 1)]
-        )
-        log_weight = TruncatedSeries(
-            [0] + [lap_atoms[p - 1] * Fraction(1, math.factorial(p))
-                   for p in range(1, order + 1)]
-        )
-        rows.append(_tables(_weighted(phase, log_weight, half_form), order))
-    phase_rows, weight_rows = zip(*rows)
-    return RadialProfile(rule, phase_rows, weight_rows)
-
-
 def geometric_expansion(
     model: HamiltonianModel,
     point: Sequence[Any] | None = None,
@@ -427,370 +346,7 @@ def _rows(columns: Sequence[Any], kept: int, mode: str) -> list[tuple]:
     return list(zip(*(_per_direction(c, kept) for c in columns)))
 
 
-# ------------------------------------------------------------ raw coefficient sums
-
-def _power(value: Any, exponent: int) -> Any:
-    if isinstance(value, int):
-        value = Fraction(value)
-    return value ** exponent
-
-
-def _weight_block_sum(q: int, half_form: Any, lap_atoms: Sequence[Any]) -> Any:
-    # weight-series coefficient q: one half_form per block of each partition
-    from .bell import complete_bell  # the raw sums only: expand never loads it
-
-    scaled = [half_form * atom for atom in lap_atoms[:q]]
-    return complete_bell(q, scaled) * Fraction(1, math.factorial(q))
-
-
-def _phase_tail_sum(
-    m: int, exponent: Fraction, flow_atoms: Sequence[Any]
-) -> Any:
-    # phase-tail contribution at radial order m: powers r of the reduced
-    # phase tail sum_n 2 * flow_atoms[n] / (n + 2)! t^n, n >= 1
-    from .bell import generalized_binomial, series_power_coefficient
-
-    tail = [flow_atoms[n] * Fraction(2, math.factorial(n + 2)) for n in range(1, m + 1)]
-    return sum(
-        generalized_binomial(-exponent, r) * _power(flow_atoms[0], -r)
-        * series_power_coefficient(m, r, tail)
-        for r in range(m + 1)
-    )
-
-
-def _direction_bracket(
-    j: int, half_form: Any, dim: int, flow_atoms: Sequence[Any], lap_atoms: Sequence[Any]
-) -> Any:
-    exponent = Fraction(dim + j, 2)
-    total: Any = 0
-    for m in range(j + 1):
-        weight_part = _weight_block_sum(j - m, half_form, lap_atoms)
-        phase_part = _phase_tail_sum(m, exponent, flow_atoms)
-        total = total + weight_part * phase_part
-    return total
-
-
-def _rule_atoms(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None,
-    resolution: int,
-    flow_count: int,
-    lap_count: int,
-) -> tuple[list[tuple[tuple, tuple]], list[float]]:
-    # (flow_atoms, lap_atoms) at each node of the sphere rule, and its weights
-    rule = sphere_rule(model.group_dim, resolution)
-    atom_table = [
-        direction_atoms(model, tuple(row), point, flow_count, lap_count)
-        for row in listed(rule.nodes)
-    ]
-    return atom_table, [float(w) for w in rule.weights]
-
-
-def zeta_geometric_from_atoms(
-    j: int,
-    half_form: Any,
-    dim: int,
-    atom_table: Sequence[tuple[Sequence[Any], Sequence[Any]]],
-    weights: Sequence[float],
-) -> float:
-    """Raw-sum coefficient from per-direction atoms and rule weights."""
-    if j < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    total = math.fsum(
-        w
-        * float(flow_atoms[0]) ** (-(dim + j) / 2.0)
-        * float(_direction_bracket(j, half_form, dim, flow_atoms, lap_atoms))
-        for (flow_atoms, lap_atoms), w in zip(atom_table, weights)
-    )
-    return 0.5 * gamma_value(Fraction(dim + j, 2)) * total
-
-
-def zeta_geometric(
-    j: int,
-    half_form: Any,
-    model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
-    resolution: int = 32,
-) -> float:
-    """Expansion coefficient by the raw partition/composition sums.
-
-    Independent of the engine pipeline: atoms come from nested
-    directional derivatives instead of transported series, and the
-    radial algebra is the explicit double sum instead of the series
-    recurrences.  The two routes must agree.
-    """
-    atom_table, weights = _rule_atoms(model, point, resolution, j + 1, max(j, 1))
-    return zeta_geometric_from_atoms(j, half_form, model.group_dim, atom_table, weights)
-
-
-def zeta2_reference_from_atoms(
-    half_form: Any,
-    dim: int,
-    atom_table: Sequence[tuple[Sequence[Any], Sequence[Any]]],
-    weights: Sequence[float],
-) -> float:
-    """Closed-form second coefficient from per-direction atoms.
-
-    Transcribed term by term; both quadratic weight terms carry a
-    factor 1/2 because the weight scales per block, not per order.
-    """
-    from .bell import generalized_binomial
-
-    a = half_form
-    half = Fraction(1, 2)
-    exponent = Fraction(dim + 2, 2)
-    total = 0.0
-    for (flow_atoms, lap_atoms), w in zip(atom_table, weights):
-        a1, a2, a3 = flow_atoms[0], flow_atoms[1], flow_atoms[2]
-        d1, d2 = lap_atoms[0], lap_atoms[1]
-        bracket = a * d2 * half + a * a * d1 * d1 * half
-        bracket = bracket - exponent * (
-            a * d1 * a2 * Fraction(1, 3) + a3 * Fraction(1, 12)
-        ) * _power(a1, -1)
-        bracket = bracket + generalized_binomial(-exponent, 2) \
-            * a2 * a2 * Fraction(1, 9) * _power(a1, -2)
-        total += w * float(a1) ** (-float(exponent)) * float(bracket)
-    return 0.25 * dim * gamma_value(Fraction(dim, 2)) * total
-
-
-def zeta2_reference(
-    half_form: Any,
-    model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
-    resolution: int = 32,
-) -> float:
-    """Second expansion coefficient by the closed displayed form."""
-    atom_table, weights = _rule_atoms(model, point, resolution, 3, 2)
-    return zeta2_reference_from_atoms(half_form, model.group_dim, atom_table, weights)
-
-
-def leading_term_identity(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None = None,
-    resolution: int = 32,
-) -> tuple[float, float]:
-    """(engine leading coefficient, pi^{d/2} / orbit volume).
-
-    Equality of the two is the normalization self-test: it holds
-    exactly when the generator scaling and the orbit volume are
-    mutually consistent (unit Haar mass), and a deliberate generator
-    rescale must break it by the matching factor.
-    """
-    x0 = _reference_point(model, point)
-    result = geometric_expansion(model, x0, 0, 0, resolution)
-    volume = float(model.orbit_volume(x0))
-    return result.coefficients[0], math.pi ** (model.group_dim / 2.0) / volume
-
-
-# ------------------------------------------------------------ model wrappers
-
-def scaled_generator_model(model: HamiltonianModel, factor: float) -> HamiltonianModel:
-    """Rescale the generator maps, leaving the orbit volume untouched."""
-    return replace(
-        model,
-        phi=lambda omega, point: model.phi(omega, point) * factor,
-        flow_field=lambda omega, point: tuple(
-            v * factor for v in model.flow_field(omega, point)
-        ),
-        laplacian_phi=lambda omega, point: model.laplacian_phi(omega, point) * factor,
-        name=f"{model.name}/generator*{factor}",
-    )
-
-
-def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianModel:
-    """Rescale the reported orbit volume only."""
-    return replace(
-        model,
-        orbit_volume=lambda point: model.orbit_volume(point) * factor,
-        name=f"{model.name}/vol*{factor}",
-    )
-
-
-# ------------------------------------------------------------ numeric densities
-
-class _FlowFailure(QuadratureError):
-    """A flow solve failed; the message names the model, and no k is involved."""
-
-
-class _MapRefusal(DomainError):
-    """A model's map refused a value in a flow solve; the caller names the model."""
-
-
-def _augmented_flow(model: HamiltonianModel, directions: tuple,
-                    x0: tuple) -> Callable[[float], Any]:
-    """``span -> dense flow`` of every direction in ``directions``,
-    carrying the phase and log-weight accumulators: one
-    :class:`~lapasym.integrators.Dop853` solve, which serves every span.
-
-    The state holds one row per chart coordinate, then the phase and the
-    log-weight, each over the directions; the model's maps see each row
-    as a numpy array and must compute elementwise; a map's own refusal
-    becomes a :class:`_MapRefusal`.  The solve is DOP853 at the
-    tolerances of :mod:`.integrators`; a flow that fails (its step size
-    underflows, or a stage leaves the finite range) raises
-    :class:`QuadratureError`.
-    """
-    import numpy as np
-
-    from .integrators import Dop853  # the oracle only: see polar_laplace_integral
-
-    chart = model.chart_dim
-    n = len(directions)
-    omega = tuple(np.array(column, dtype=float) for column in zip(*directions))
-
-    def rhs(_s: float, y):
-        coords = tuple(y.reshape(-1, n)[:chart])
-        try:
-            values = (*model.flow_field(omega, coords), model.phi(omega, coords),
-                      model.laplacian_phi(omega, coords))
-        except DomainError as exc:
-            raise _MapRefusal(str(exc)) from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise DomainError(
-                f"model {model.name!r} cannot evaluate its maps on coordinate arrays: {exc}"
-            ) from None
-        out = np.empty((len(values), n))
-        for row, v in enumerate(values):
-            out[row] = v
-        return out.ravel()
-
-    solve = Dop853(rhs, np.repeat([float(c) for c in x0] + [0.0, 0.0], n))
-
-    def flow(span: float):
-        # a flow that overflows is reported by the solver's failure below,
-        # not by floating-point warnings
-        with np.errstate(all="ignore"):
-            solution = solve.until(span)
-        if not solution.success:
-            raise _FlowFailure(
-                f"flow transport failed on {model.name}: {solution.message}",
-                float("nan"),
-                float("inf"),
-            )
-        return solution
-
-    return flow
-
-
-class _Undecayed(Exception):
-    """A direction's integrand has not died off within the flow span."""
-
-
-def _flow_oracle(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None,
-) -> Callable[..., float]:
-    """``(k, tol, half_form, scale=1.0, kind=None) -> scale * j_a(k)`` at ``point``.
-
-    The value is certified within ``tol``.  A quadrature refusal names
-    the model, the density ``kind`` when given, and ``k``, and states
-    the estimate and bound of ``scale * j_a(k)`` and ``tol``; a map's
-    refusal along the flow is named the same way.
-
-    Each angular level of the quadrature is one vectorized flow of its
-    directions, read at all the radii of a Kronrod rule at once.  The
-    span starts at 1 and doubles until, at the end of every level's
-    flow, every direction's integrand has died off.  The oracle keeps
-    one extendable solve per direction set, which every later span, k
-    and half-form weight extends or branches off, since the flows depend
-    on none of them.
-    """
-    dim = model.group_dim
-    if dim > 3:
-        # the polar quadrature has angular levels for dimensions 1 to 3 only
-        raise DomainError(
-            f"the numeric oracle needs group dimension <= 3; model {model.name!r} "
-            f"has group dimension {dim}"
-        )
-    import numpy as np
-
-    x0 = _reference_point(model, point)
-    chart = model.chart_dim
-    flows: dict[tuple, Callable[[float], Any]] = {}
-
-    def level_at(k: float, weight: float, span: float):
-        def level(nodes: np.ndarray):
-            directions = tuple(tuple(row.tolist()) for row in nodes)
-            n = len(directions)
-            if directions not in flows:
-                flows[directions] = _augmented_flow(model, directions, x0)
-            solution = flows[directions](span)
-            end = solution.end.reshape(-1, n)
-            if np.any(2.0 * k * end[chart] - abs(weight) * np.abs(end[chart + 1])
-                      < _PHASE_CUTOFF):
-                raise _Undecayed
-
-            def values(rho: np.ndarray):
-                state = solution.sol(rho).reshape(len(rho), -1, n)
-                return exp(-k * (2.0 * state[:, chart])) * exp(weight * state[:, chart + 1])
-
-            return values
-
-        return level
-
-    def value(k: float, tol: float, half_form: Any, scale: float = 1.0,
-              kind: str | None = None) -> float:
-        if not k > 0:
-            raise DomainError("k must be positive")
-        weight = float(half_form)
-        where = f"model {model.name!r}" + (f", density {kind}" if kind else "")
-        span = 1.0
-        while True:
-            try:
-                # as in _augmented_flow: no floating-point warnings reach stderr
-                with np.errstate(all="ignore"):
-                    level = level_at(k, weight, span)
-                    return scale * polar_laplace_integral(level, dim, tol / scale, span).value
-            except _Undecayed:
-                span *= 2.0
-                if span > _MAX_FLOW_SPAN:
-                    raise DomainError(
-                        f"phase fails to grow along the flow of model {model.name!r} "
-                        f"at k = {k:g}; integrand does not decay"
-                    ) from None
-            except _MapRefusal as exc:
-                raise DomainError(f"{where} at k = {k:g}: {exc}") from None
-            except _FlowFailure:
-                raise
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"{where} at k = {k:g}: {exc.reason}", scale * exc.estimate,
-                    scale * exc.error_bound, None if exc.tol is None else tol,
-                ) from None
-
-    return value
-
-
-def j_a_numeric(
-    model: HamiltonianModel,
-    point: Sequence[Any] | None,
-    half_form: Any,
-    k: float | Sequence[float],
-    tol: float = 1e-10,
-):
-    """Core density by direct numerics, at one ``k`` or a list of them.
-
-    The flow is transported with an adaptive ODE solver (dense output,
-    carrying the phase and log-weight integrals as extra state) and the
-    resulting radial integrand is handed to the numeric Laplace
-    quadrature (:func:`~lapasym.engine.polar_laplace_integral`), one
-    vectorized flow per angular level; no series machinery is involved,
-    which keeps this the independent oracle for the expansion path.
-    The span is grown until the integrand has decayed below
-    double-precision relevance in every direction.  A scalar ``k`` gives
-    a float, a sequence a list in its order; the k values of one call
-    share their flow solves, so a list costs one solve per level, not
-    one per k: a longer span continues the level's solve, a shorter one
-    branches off it, and neither repeats their shared steps.
-    Group dimension above 3 is refused with
-    :class:`~lapasym.errors.DomainError`; a quadrature that cannot
-    certify ``tol`` raises :class:`~lapasym.errors.QuadratureError`
-    naming the model and the k value, and a map that refuses a value
-    along the flow is a :class:`~lapasym.errors.DomainError` naming them.
-    """
-    oracle = _flow_oracle(model, point)
-    return _sweep(k, lambda kv: oracle(kv, tol, half_form))
-
+# ------------------------------------------------------------ densities by series
 
 def _sweep(values, one: Callable[[float], float]):
     if isinstance(values, numbers.Real):
@@ -808,44 +364,17 @@ def _density_data(model: HamiltonianModel, kind: str, point: Sequence[Any] | Non
         half_form, divisor, power = _DENSITIES[kind]
     except KeyError:
         raise DomainError(f"density kind must be 'I' or 'J', not {kind!r}") from None
-    volume = float(model.orbit_volume(_reference_point(model, point)))
-    return half_form, divisor, volume ** power
+    return half_form, divisor, _orbit_volume(model, _reference_point(model, point)) ** power
 
 
-def density(
-    model: HamiltonianModel,
-    kind: str | Sequence[str],
-    k: float | Sequence[float] = 100.0,
-    point: Sequence[Any] | None = None,
-    tol: float = 1e-9,
-):
-    """Density ``kind`` by direct numerics, at one ``k`` or a list of them.
-
-    ``"I"`` is the uncorrected density ``(k/2pi)^{d/2} vol^2 j_1(k)``,
-    ``"J"`` the corrected one ``(k/pi)^{d/2} vol j_{1/2}(k)``.  A
-    scalar ``k`` gives a float, a sequence a list in its order; as in
-    :func:`j_a_numeric`, the k values of one call share their flow
-    solves.  A sequence of kinds, such as ``("I", "J")``, gives a list
-    with one such result per kind; the kinds share their flow solves
-    too, since the flows do not depend on the half-form weight.  A
-    quadrature that cannot certify ``tol`` raises
-    :class:`~lapasym.errors.QuadratureError` naming the model, the kind
-    and the k value, with the density's estimate and bound; a map's
-    refusal along the flow names the same.
-    """
-    if isinstance(kind, str):
-        return density(model, (kind,), k, point, tol)[0]
-    data = [_density_data(model, one, point) for one in kind]
-    oracle = _flow_oracle(model, point)
-    d = model.group_dim
-    results = []
-    for name, (half_form, divisor, scale) in zip(kind, data):
-        def one(kv: float) -> float:
-            prefactor = (kv / divisor) ** (d / 2.0) * scale
-            return oracle(kv, tol, half_form, prefactor, name)
-
-        results.append(_sweep(k, one))
-    return results
+def _orbit_volume(model: HamiltonianModel, x0: tuple) -> float:
+    # the volume that weighs a density, refused unless finite and positive
+    with _named(model):
+        volume = float(model.orbit_volume(x0))
+    if not 0.0 < volume < math.inf:
+        raise DomainError(f"model {model.name!r}: orbit_volume at point {_text(x0)} is "
+                          f"{volume!r}, not finite and positive")
+    return volume
 
 
 def density_series(
@@ -872,65 +401,6 @@ def density_series(
         return (kv / divisor) ** (d / 2.0) * scale * result.partial_sum(kv)
 
     return _sweep(k, one)
-
-
-# ------------------------------------------------------------ Jacobian check
-
-def _flow_endpoint(model: HamiltonianModel, start: Sequence[float], time: float):
-    if time == 0.0:
-        return tuple(float(c) for c in start), 0.0
-    # the generator is linear in the direction, so flowing back for |time|
-    # is flowing forward along the opposite direction, as one lane
-    direction = (1,) if time > 0 else (-1,)
-    try:
-        solution = _augmented_flow(model, (direction,), tuple(start))(abs(time))
-    except _MapRefusal as exc:
-        raise DomainError(f"model {model.name!r}: {exc}") from None
-    y = solution.end
-    return tuple(y[: model.chart_dim]), float(y[model.chart_dim + 1])
-
-
-def jacobian_tau_check(
-    model: HamiltonianModel,
-    xi: float,
-    zero_parameter: float = 0.0,
-) -> tuple[float, float]:
-    """Transport Jacobian: product formula vs finite differences.
-
-    The formula route multiplies the orbit volume by the exponential of
-    the accumulated Laplacian along the flow; the finite-difference
-    route takes central differences of the map (time, zero-level
-    parameter) -> chart point and multiplies the 2x2 determinant by the
-    chart volume density at the image.  Restricted to one-parameter
-    groups on two-dimensional charts with |xi| <= 1, away from chart
-    degeneracies.
-    """
-    if model.group_dim != 1 or model.chart_dim != 2:
-        raise DomainError("Jacobian check needs a one-parameter group on a 2d chart")
-    if model.zero_chart is None or model.chart_density is None:
-        raise DomainError("Jacobian check needs zero_chart and chart_density data")
-    if abs(xi) > 1.0:
-        raise DomainError("|xi| <= 1 required (chart degenerates further out)")
-
-    x0 = tuple(float(c) for c in model.zero_chart(zero_parameter))
-    volume = float(model.orbit_volume(x0))
-    image, log_weight = _flow_endpoint(model, x0, xi)
-    formula = volume * math.exp(log_weight)
-
-    def endpoint(s_param: float, time: float) -> tuple[float, ...]:
-        start = tuple(float(c) for c in model.zero_chart(s_param))
-        return _flow_endpoint(model, start, time)[0]
-
-    step = _JACOBIAN_STEP
-    plus_t = endpoint(zero_parameter, xi + step)
-    minus_t = endpoint(zero_parameter, xi - step)
-    plus_s = endpoint(zero_parameter + step, xi)
-    minus_s = endpoint(zero_parameter - step, xi)
-    col_time = [(a - b) / (2.0 * step) for a, b in zip(plus_t, minus_t)]
-    col_s = [(a - b) / (2.0 * step) for a, b in zip(plus_s, minus_s)]
-    determinant = col_time[0] * col_s[1] - col_time[1] * col_s[0]
-    fd_value = abs(determinant) * float(model.chart_density(image))
-    return formula, fd_value
 
 
 # ------------------------------------------------------------ builtin models

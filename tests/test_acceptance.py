@@ -13,28 +13,32 @@ import time
 from fractions import Fraction
 
 from lapasym import cli
+from lapasym.crosscheck import (
+    direction_atoms,
+    leading_term_identity,
+    profile_from_atoms,
+    scaled_generator_model,
+    zeta2_reference_from_atoms,
+    zeta_geometric_from_atoms,
+)
 from lapasym.engine import (
     RadialProfile,
-    convergence_order_fit,
     expansion_coefficient,
     expansion_series,
-    numeric_laplace_integral,
     sphere_rule,
 )
 from lapasym.models import (
     HamiltonianModel,
     builtin_sphere_model,
-    density,
     density_series,
-    direction_atoms,
     geometric_expansion,
-    jacobian_tau_check,
-    leading_term_identity,
-    profile_from_atoms,
     radial_profile,
-    scaled_generator_model,
-    zeta2_reference_from_atoms,
-    zeta_geometric_from_atoms,
+)
+from lapasym.oracle import (
+    convergence_order_fit,
+    density,
+    jacobian_tau_check,
+    numeric_laplace_integral,
 )
 
 SQRT_PI = math.sqrt(math.pi)

@@ -403,12 +403,23 @@ FLAT2 = {
 }
 
 
+def forbid_flows(monkeypatch):
+    from lapasym import oracle
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the oracle transported a flow")
+
+    monkeypatch.setattr(oracle, "_augmented_flow", no_flow)
+
+
 @pytest.mark.parametrize("command", [
     ["expand"],
     ["verify", "--k", "10,100,1000", "--tol", "1e-6"],
 ])
-def test_exact_mode_rejects_group_dimension_two(command, tmp_path, capsys):
-    # rule directions in d >= 2 are floats, so exact mode cannot stay exact
+def test_exact_mode_rejects_group_dimension_two(command, tmp_path, capsys, monkeypatch):
+    # rule directions in d >= 2 are floats, so exact mode cannot stay exact,
+    # and verify refuses before its oracle transports any flow
+    forbid_flows(monkeypatch)
     path = tmp_path / "flat2.json"
     path.write_text(json.dumps(FLAT2), encoding="utf-8")
     code, out, err = run_cli(
@@ -491,12 +502,7 @@ FLAT4 = {
 def test_oracle_refuses_group_dimension_four(command, tmp_path, capsys, monkeypatch):
     # the polar quadrature has angular levels for dimensions 1 to 3 only,
     # so the oracle refuses dimension 4, before transporting any flow
-    from lapasym import models
-
-    def no_flow(*args, **kwargs):
-        raise AssertionError("the oracle transported a flow")
-
-    monkeypatch.setattr(models, "_augmented_flow", no_flow)
+    forbid_flows(monkeypatch)
     code, out, err = run_cli(command + ["--model", write_model(tmp_path, FLAT4)], capsys)
     assert_one_error_line(code, out, err)
     assert "'flat4'" in err and "group dimension 4" in err
@@ -646,6 +652,19 @@ def test_zero_divisor_is_a_domain_error(tmp_path, capsys):
     assert 'division by zero in ["/", "1", "x0"]' in err
 
 
+@pytest.mark.parametrize("volume", ["0", "-2", ["sqrt", ["-", "x0", "1"]]],
+                         ids=["zero", "negative", "sqrt"])
+def test_orbit_volume_must_be_finite_and_positive(volume, tmp_path, capsys):
+    # the densities divide by and weigh with the orbit volume at the zero point
+    config = {**FLAT2, "name": "bad-volume", "group_dim": 1, "chart_dim": 1,
+              "phi": ["*", "w0", "x0"], "flow_field": ["w0"], "zero_points": [[0]],
+              "orbit_volume": volume}
+    code, out, err = run_cli(["density-sweep", "--k", "100", "--order", "2", "--model",
+                              write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: model 'bad-volume': ")
+
+
 @pytest.mark.parametrize("node", [["/", 1, 0], ["sqrt", -1]], ids=["quotient", "sqrt"])
 def test_symbol_free_domain_error_fails_at_load(node, tmp_path, capsys, monkeypatch):
     from lapasym import models
@@ -665,10 +684,10 @@ def record_solves(monkeypatch):
     """Record the oracle's flow solves: each solve's direction set, the
     end times it serves with their flows, its right-hand-side calls, and
     every fresh start (one ``_initial_step`` each)."""
-    from lapasym import integrators, models
+    from lapasym import integrators, oracle
 
     solves, fresh = [], []
-    flow = models._augmented_flow
+    flow = oracle._augmented_flow
     initial_step = integrators._initial_step
     Dop853 = integrators.Dop853
 
@@ -696,7 +715,7 @@ def record_solves(monkeypatch):
         fresh.append(args[2])
         return initial_step(*args)
 
-    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
+    monkeypatch.setattr(oracle, "_augmented_flow", recording_flow)
     monkeypatch.setattr(integrators, "Dop853", Recording)
     monkeypatch.setattr(integrators, "_initial_step", counting_initial_step)
     return solves, fresh, Dop853
@@ -764,10 +783,10 @@ def test_density_sweep_solves_each_flow_once(capsys, monkeypatch):
 def test_one_dimensional_oracle_is_one_level_of_both_directions(capsys, monkeypatch):
     # d = 1 is one angular level of the nodes +1 and -1: each flow carries
     # both directions, and each radial QUADPACK call is QAG on [0, span]
-    from lapasym import integrators, models
+    from lapasym import integrators, oracle
 
     directions, quads = [], []
-    flow = models._augmented_flow
+    flow = oracle._augmented_flow
     quad = integrators.quad
 
     def recording_flow(model, omega, x0):
@@ -778,7 +797,7 @@ def test_one_dimensional_oracle_is_one_level_of_both_directions(capsys, monkeypa
         quads.append((a, kwargs))
         return quad(fn, a, b, **kwargs)
 
-    monkeypatch.setattr(models, "_augmented_flow", recording_flow)
+    monkeypatch.setattr(oracle, "_augmented_flow", recording_flow)
     monkeypatch.setattr(integrators, "quad", recording_quad)
     code, out, err = run_cli(
         ["verify", "--model", "builtin:sphere", "--order", "2", "--k", "30,100,1000"], capsys

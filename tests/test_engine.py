@@ -17,17 +17,16 @@ import pytest
 from lapasym.engine import (
     RadialProfile,
     SphereRule,
-    convergence_order_fit,
     expansion_coefficient,
     expansion_series,
     gamma_value,
-    numeric_laplace_integral,
     sphere_area,
     sphere_rule,
 )
 from lapasym.errors import DomainError, QuadratureError
 from lapasym.jets import TruncatedSeries, cos
 from lapasym.models import gaussian_test_model, geometric_expansion
+from lapasym.oracle import convergence_order_fit, numeric_laplace_integral
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -4,9 +4,9 @@ import importlib
 
 import pytest
 
-MODULES = ["lapasym", "lapasym.bell", "lapasym.cli", "lapasym.engine",
-           "lapasym.exprs", "lapasym.integrators", "lapasym.jets", "lapasym.lanes",
-           "lapasym.models"]
+MODULES = ["lapasym", "lapasym.bell", "lapasym.cli", "lapasym.crosscheck",
+           "lapasym.engine", "lapasym.exprs", "lapasym.integrators", "lapasym.jets",
+           "lapasym.lanes", "lapasym.models", "lapasym.oracle"]
 
 
 @pytest.mark.parametrize("name", MODULES)

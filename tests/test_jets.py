@@ -17,13 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from lapasym import jets
 from lapasym.bell import complete_bell, generalized_binomial, series_power_coefficient
+from lapasym.crosscheck import directional_derivative, iterated_flow_derivatives
 from lapasym.errors import JetEvaluationError, OrderMismatchError
 from lapasym.jets import (
     TruncatedSeries,
     compose_scalar,
-    directional_derivative,
     exp_series,
-    iterated_flow_derivatives,
     ode_jet_transport,
 )
 from lapasym.models import builtin_sphere_model

@@ -5,8 +5,9 @@ use.  ``bell-table`` loads the Bell layer alone, with no numpy and none
 of the series layers, and no other command, nor loading a model, loads
 the Bell layer; a group-dimension-1 ``expand``, float or exact, loads
 the series layers but not numpy, which only lanes (a rule of several
-directions) and the oracle load; ``expand`` never loads the oracle's
-integrators; and the command line never loads scipy.
+directions) and the oracle load; ``expand`` never loads the oracle or
+its integrators, ``verify`` and ``density-sweep`` load the oracle, no
+command loads the cross-checks; and the command line never loads scipy.
 """
 
 import json
@@ -30,7 +31,8 @@ import contextlib, io, json, sys
 import lapasym, lapasym.cli
 
 MODULES = ("numpy", "scipy", "lapasym.integrators", "lapasym.engine", "lapasym.jets",
-           "lapasym.exprs", "lapasym.models", "lapasym.bell")
+           "lapasym.exprs", "lapasym.models", "lapasym.bell", "lapasym.oracle",
+           "lapasym.crosscheck")
 
 for argv in sys.argv[1:]:
     if argv == "import scipy.integrate":
@@ -47,7 +49,8 @@ import sys, lapasym.cli
 from lapasym.models import resolve_model
 for source in sys.argv[1:]:
     resolve_model(source)
-print("numpy" in sys.modules, "lapasym.bell" in sys.modules)
+print(*(name in sys.modules for name in ("numpy", "lapasym.bell", "lapasym.oracle",
+                                          "lapasym.crosscheck")))
 """
 
 
@@ -79,10 +82,10 @@ def test_short_calls_leave_scipy_unloaded(tmp_path):
     model = tmp_path / "flat4.json"
     model.write_text(json.dumps(flat_config(4)), encoding="utf-8")
     line = str(GOLDEN / "line_poly.json")
-    # loaded (numpy, scipy, integrators, engine, jets, exprs, models, bell)
-    # after each call.  bell-table loads the Bell layer alone
+    # loaded (numpy, scipy, integrators, engine, jets, exprs, models, bell,
+    # oracle, crosscheck) after each call.  bell-table loads the Bell layer alone
     assert loaded_after(["bell-table", "--order", "4"]) == [
-        "False False False False False False False True",
+        "False False False False False False False True False False",
     ]
     # one process: group-dimension-1 expands, float and exact, none of
     # which loads numpy or the Bell layer
@@ -91,29 +94,30 @@ def test_short_calls_leave_scipy_unloaded(tmp_path):
         ["expand", "--model", "builtin:gaussian", "--a", "1/2", "--order", "4"],
         ["expand", "--model", line, "--exact", "--order", "14"],
     ) == [
-        "False False False True True True True False",
-        "False False False True True True True False",
-        "False False False True True True True False",
+        "False False False True True True True False False False",
+        "False False False True True True True False False False",
+        "False False False True True True True False False False",
     ]
     # a fresh process each: a 4-d rule takes its polar nodes from the
     # Golub-Welsch eigenproblem, and the oracle runs on numpy arrays
     assert loaded_after(
         ["expand", "--model", str(model), "--order", "2", "--resolution", "4"],
-    ) == ["True False False True True True True False"]
+    ) == ["True False False True True True True False False False"]
     assert loaded_after(
         ["verify", "--model", "builtin:sphere", "--order", "2", "--k", "100,300,1000"],
-    ) == ["True False True True True True True False"]
+    ) == ["True False True True True True True False True False"]
     # the probe sees scipy once it is imported
     assert loaded_after(
         ["density-sweep", "--model", "builtin:sphere", "--order", "2", "--k", "100,1000"],
         "import scipy.integrate",
-    ) == ["True False True True True True True False",
-          "True True True True True True True False"]
+    ) == ["True False True True True True True False True False",
+          "True True True True True True True False True False"]
 
 
 def test_loading_a_model_loads_no_numpy(tmp_path):
     # every builtin and config models of group dimension 1, 2 and 3, as
-    # the benchmark's cold start loads them; nor does it load the Bell layer
+    # the benchmark's cold start loads them; nor does it load the Bell layer,
+    # the oracle or the cross-checks
     sources = [f"builtin:{name}" for name in _BUILTIN_FACTORIES]
     for dim in (1, 2, 3):
         path = tmp_path / f"flat{dim}.json"
@@ -121,7 +125,7 @@ def test_loading_a_model_loads_no_numpy(tmp_path):
         sources.append(str(path))
     sources += [str(GOLDEN / name) for name in ("line_poly.json", "sphere1_product.json",
                                                 "sphere2_product.json", "flat2_aniso.json")]
-    assert run_python(COLD_START, *sources) == ["False False"]
+    assert run_python(COLD_START, *sources) == ["False False False False"]
 
 
 # scalar dispatch in a process that never loads numpy: domain errors of

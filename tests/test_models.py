@@ -18,6 +18,17 @@ import numpy as np
 import pytest
 
 from lapasym import engine
+from lapasym.crosscheck import (
+    direction_atoms,
+    leading_term_identity,
+    profile_from_atoms,
+    scaled_generator_model,
+    scaled_volume_model,
+    zeta2_reference,
+    zeta2_reference_from_atoms,
+    zeta_geometric,
+    zeta_geometric_from_atoms,
+)
 from lapasym.engine import RadialProfile, expansion_coefficient, expansion_series, \
     gamma_value, sphere_rule
 from lapasym.errors import DomainError
@@ -26,27 +37,16 @@ from lapasym.jets import TruncatedSeries
 from lapasym.models import (
     HamiltonianModel,
     builtin_sphere_model,
-    density,
     density_series,
-    direction_atoms,
     gaussian_test_model,
     geometric_expansion,
-    j_a_numeric,
-    jacobian_tau_check,
-    leading_term_identity,
     load_model,
     model_from_config,
-    profile_from_atoms,
     quartic_test_model,
     radial_profile,
     resolve_model,
-    scaled_generator_model,
-    scaled_volume_model,
-    zeta2_reference,
-    zeta2_reference_from_atoms,
-    zeta_geometric,
-    zeta_geometric_from_atoms,
 )
+from lapasym.oracle import density, j_a_numeric, jacobian_tau_check
 
 from test_engine import mirror_row
 
@@ -439,7 +439,7 @@ def test_series_tracks_numeric_density():
     ]
     assert errors[0] > errors[1] > errors[2]
     # first omitted even term has index 6: decay k**(-7/2)
-    from lapasym.engine import convergence_order_fit
+    from lapasym.oracle import convergence_order_fit
 
     slope = convergence_order_fit(ks, errors)
     assert slope < -3.4
@@ -612,15 +612,15 @@ def circle_level(n):
 
 def assert_batched_flow_matches_scalar_solves(model, directions, span, bound):
     import numpy as np
-    from lapasym import models
+    from lapasym import oracle
 
     x0 = model.zero_points[0]
-    batched = models._augmented_flow(model, directions, x0)(span)
+    batched = oracle._augmented_flow(model, directions, x0)(span)
     radii = np.linspace(0.0, span, 9)
     rows = [batched.sol(rho).reshape(-1, len(directions)) for rho in radii]
     for i, omega in enumerate(directions):
         # one direction alone is one lane of its own solve
-        alone = models._augmented_flow(model, (omega,), x0)(span)
+        alone = oracle._augmented_flow(model, (omega,), x0)(span)
         for rho, level in zip(radii, rows):
             y = alone.sol(rho)
             assert np.all(np.abs(level[:, i] - y) <= bound * np.maximum(1.0, np.abs(y)))

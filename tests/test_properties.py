@@ -16,8 +16,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from lapasym.crosscheck import zeta_geometric
 from lapasym.engine import expansion_series
-from lapasym.models import geometric_expansion, model_from_config, zeta_geometric
+from lapasym.models import geometric_expansion, model_from_config
 
 from test_models import per_direction_expansion
 
