@@ -380,6 +380,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("expand_quartic_order6",
      ["expand", "--model", "builtin:quartic", "--a", "0", "--order", "6"]),
     ("bell_table_order12", ["bell-table", "--order", "12"]),
+    # d = 3, whose odd rows are rounding noise, so one lane's arithmetic shows
+    ("expand_mixed3_order6",
+     ["expand", "--model", "mixed3.json", "--order", "6", "--resolution", "8"]),
 ])
 def test_output_matches_golden_bytes(name, args, fmt, capsys, monkeypatch):
     # the golden files hold the stdout of an earlier release; refactors
