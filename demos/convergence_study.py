@@ -57,7 +57,7 @@ from lapasym import (
     sphere_rule,
 )
 
-profile = RadialProfile(sphere_rule(1), [[1, 0, 1, 0, 0]] * 2, [[1, 0, 0, 0, 0]] * 2)
+profile = RadialProfile(sphere_rule(1), [1, 0, 1, 0, 0], [1, 0, 0, 0, 0])
 result = expansion_series(profile, 4)
 print()
 print("flat quartic phase, order 4:")

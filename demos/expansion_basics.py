@@ -21,10 +21,11 @@ from lapasym import (
 
 rule = sphere_rule(1)
 order = 6
-# reduced radial phase 1 + rho**2: row per direction, entry per power
-phase_rows = [[1, 0, 1, 0, 0, 0, 0] for _ in range(2)]
-amplitude_rows = [[1, 0, 0, 0, 0, 0, 0] for _ in range(2)]
-profile = RadialProfile(rule, phase_rows, amplitude_rows)
+# reduced radial phase 1 + rho**2: one entry per power, each a number that
+# the direction 1 holds; the mirrored direction -1 takes its data from it
+phase = [1, 0, 1, 0, 0, 0, 0]
+amplitude = [1, 0, 0, 0, 0, 0, 0]
+profile = RadialProfile(rule, phase, amplitude)
 
 # the phase is quadratic at the origin and the dimension (1) comes from
 # the rule, so the order is all there is to ask for

@@ -312,7 +312,7 @@ class _Parser(argparse.ArgumentParser):
 
 _order = _checked(int, lambda n: n >= 0, "order must be nonnegative")
 _resolution = _checked(int, lambda n: n >= 1, "resolution must be positive")
-_tol = _checked(float, lambda t: t > 0, "tolerance must be positive")
+_tol = _checked(float, lambda t: 0 < t < math.inf, "tolerance must be positive and finite")
 
 _FLAGS = {
     "--model": dict(default="builtin:sphere",

@@ -118,14 +118,17 @@ def profile_from_atoms(
     order: int,
     half_form: Any = 0,
 ) -> RadialProfile:
-    """Coefficient tables built directly from per-direction atoms.
+    """Coefficient columns built directly from per-direction atoms.
 
     ``atom_table[i]`` is the ``(flow_atoms, lap_atoms)`` pair for node
     ``i``; reduced phase coefficient ``p`` is ``2 * flow_atoms[p] /
     (p + 2)!`` and the weight series is the exponential of the
-    factorial-rescaled Laplacian atoms.  This is the bridge used by the
+    factorial-rescaled Laplacian atoms.  The columns are object arrays,
+    so exact atoms stay exact.  This is the bridge used by the
     cross-implementation agreement tests.
     """
+    import numpy as np
+
     rows = []
     for flow_atoms, lap_atoms in atom_table:
         if len(flow_atoms) < order + 1 or len(lap_atoms) < order:
@@ -140,7 +143,8 @@ def profile_from_atoms(
         )
         rows.append(_tables(_weighted(phase, log_weight, half_form), order))
     phase_rows, weight_rows = zip(*rows)
-    return RadialProfile(rule, phase_rows, weight_rows)
+    return RadialProfile(rule, *(np.array(table, dtype=object).T
+                                 for table in (phase_rows, weight_rows)))
 
 
 # ------------------------------------------------------------ raw coefficient sums

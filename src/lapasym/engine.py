@@ -15,14 +15,13 @@ taken by the series recurrence of :mod:`.jets`, integrated with the
 deterministic, antipodally symmetric product rule of
 :func:`sphere_rule`, which serves every dimension.
 
-The arithmetic is that of the profile's tables, which are sequences of
-rows.  One row is computed on its plain numbers.  Several rows go
-through one jet recurrence whose coefficients are the tables' columns,
-built once per profile: float64 arrays when every entry of a table is a
-float, else object arrays of the entries.  A float lane is the float the
-direction would give on its own; an object array computes entry by entry
-with Python's operators, so ints and Fractions stay exact up to each
-direction's value.  Only the columns and the rules from dimension 2 on
+The arithmetic is that of the profile's columns, one per coefficient
+(see :class:`RadialProfile`): each coefficient runs one jet recurrence
+for every direction at once, on the columns as they are.  A number
+computes on its own; a float array lane by lane, each lane the float the
+direction would give on its own; an object array entry by entry with
+Python's operators, so ints and Fractions stay exact up to each
+direction's value.  Only arrays and the rules from dimension 2 on
 load numpy.  The direction weights, the gamma factor, and the
 fractional power of ``f0`` are evaluated in floating point, direction by
 direction, in a fixed reduction order (compensated summation over
@@ -33,7 +32,6 @@ schedulings.  The numeric oracle that checks these coefficients is
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import DomainError
-from .jets import TruncatedSeries, listed
+from .jets import TruncatedSeries, listed, numpy_if_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,9 +144,8 @@ def sphere_area(dim: int) -> float:
 # 8 * (dim + 1) bytes each, and the series path carries every node through
 # one jet transport as float64 lanes, so a coefficient costs a few dozen
 # bytes and about a microsecond per node (the flat 4-d model at
-# resolution 32, 65,536 nodes, expands to order 6 in about 0.7 s on a
-# 2-CPU x86-64 host, half of it in the tables' rows, their checks and
-# their columns).  A larger rule, such as d = 6 at resolution 14
+# resolution 32, 65,536 nodes, expands to order 6 in about 0.3 s on a
+# 2-CPU x86-64 host).  A larger rule, such as d = 6 at resolution 14
 # (1,075,648 nodes), is refused before anything is allocated; the d <= 3
 # rules in use stay far below (d = 3 at resolution 40 has 3200).
 _MAX_RULE_NODES = 1 << 20
@@ -237,73 +234,73 @@ _ODD_TOLERANCE = 1e-12
 
 
 class RadialProfile:
-    """Per-direction radial coefficients of phase and amplitude.
+    """Radial coefficients of phase and amplitude, as columns.
 
-    ``phase_coefficients[i]`` lists ``f0, f1, ...`` for direction ``i``
-    of the attached rule, ``amplitude_coefficients[i]`` lists
-    ``g0, g1, ...``.  Leading phase coefficients must be positive.
-    Each table is kept as a tuple of rows, each a tuple of the entries
-    as they are, cut to the shortest row (an array's rows and entries
-    become Python ones), so a profile of plain numbers needs no numpy.
-    Where several rows are computed together, the engine turns each
-    table into column arrays once (see :func:`_direction_values`).
+    ``phase[p]`` is ``f_p`` and ``amplitude[p]`` is ``g_p``, of the phase
+    ``rho ** 2 * (f0 + f1 rho + ...)`` and the amplitude ``g0 + g1 rho +
+    ...`` along the directions of the attached rule.  A column is a
+    number that every direction shares, or a 1-d array with one entry
+    per direction; the engine computes on it as it is (see :mod:`.jets`),
+    so numbers alone need no numpy.  The order is that of the shorter
+    table.
 
-    The tables hold one row per node of the rule, or one row per node
-    but the rule's ``mirrored`` last ones.  A node left out holds its
-    partner's rows with column ``p`` times ``(-1)**p``, which is what
-    data odd in the direction gives along the negated direction (see
+    The arrays hold one entry per node of the rule, or one per node but
+    the rule's ``mirrored`` last ones, as numbers do where no column is
+    an array.  A node left out holds its partner's data with column
+    ``p`` times ``(-1)**p``, which is what data odd in the direction
+    gives along the negated direction (see
     :func:`~lapasym.models.geometric_expansion`); the engine takes its
     values from its partner's (see :func:`_direction_values`).  Full
-    tables are taken as they are, whatever they hold.
+    columns are taken as they are, whatever they hold.  An entry with no
+    finite float, or a leading phase coefficient that is not positive,
+    is a :class:`~lapasym.errors.DomainError` naming the first column or
+    direction that has one.
     """
 
-    def __init__(
-        self,
-        rule: SphereRule,
-        phase_coefficients: Sequence[Sequence[Any]],
-        amplitude_coefficients: Sequence[Sequence[Any]],
-    ):
-        rows, n = len(phase_coefficients), len(rule)
-        if rows != len(amplitude_coefficients) or rows != n and rows != n - rule.mirrored:
-            raise DomainError(
-                f"coefficient tables have {rows} and {len(amplitude_coefficients)} rows; "
-                f"a rule of {n} nodes, {rule.mirrored} of them mirrored, takes {n} or "
-                f"{n - rule.mirrored}"
-            )
+    def __init__(self, rule: SphereRule, phase: Sequence[Any], amplitude: Sequence[Any]):
         self.rule = rule
-        self.phase_coefficients = phase = _table(phase_coefficients)
-        self.amplitude_coefficients = _table(amplitude_coefficients)
-        for i, row in enumerate(phase):
-            lead = float(row[0]) if row else math.nan
-            if not lead > 0.0:
+        self.phase, self.amplitude = phase, amplitude = tuple(phase), tuple(amplitude)
+        n, kept = len(rule), len(rule) - rule.mirrored
+        shapes = {column.shape for column in (*phase, *amplitude)
+                  if numpy_if_array(column) is not None}
+        if len(shapes) > 1 or not shapes <= {(n,), (kept,)}:
+            raise DomainError(
+                f"coefficient columns of shapes {sorted(shapes)}; a rule of {n} nodes, "
+                f"{rule.mirrored} of them mirrored, takes {n} or {kept} entries per column"
+            )
+        # the number of directions the columns hold
+        self.lanes = shapes.pop()[0] if shapes else kept
+        for name, table in (("phase", phase), ("amplitude", amplitude)):
+            for p, column in enumerate(table):
+                if not _finite(column):
+                    raise DomainError(f"{name} coefficient {p} has no finite float value")
+        for i, lead in enumerate(_lanes(phase[0] if phase else math.nan, 1)):
+            if not float(lead) > 0.0:
                 raise DomainError(
                     f"leading radial phase coefficient must be positive; direction {i}, "
-                    f"{tuple(listed(rule.nodes[i]))}, has {lead!r}"
+                    f"{tuple(listed(rule.nodes[i]))}, has {float(lead)!r}"
                 )
 
     @property
     def order(self) -> int:
-        return min(len(self.phase_coefficients[0]), len(self.amplitude_coefficients[0])) - 1
-
-    @cached_property
-    def columns(self) -> tuple:
-        """The phase and amplitude tables as arrays of columns, for the lane
-        recurrence: float64 when every entry of a table is a float, else an
-        object array of the entries."""
-        import numpy as np
-
-        columns = []
-        for table in (self.phase_coefficients, self.amplitude_coefficients):
-            kinds = set(map(type, itertools.chain.from_iterable(table)))
-            floats = all(issubclass(kind, float) for kind in kinds)
-            columns.append(np.array(table, dtype=float if floats else object).T)
-        return tuple(columns)
+        return min(len(self.phase), len(self.amplitude)) - 1
 
 
-def _table(table: Sequence[Sequence[Any]]) -> tuple:
-    rows = listed(table)
-    width = min(map(len, rows))
-    return tuple(tuple(row[:width]) for row in rows)
+def _finite(column: Any) -> bool:
+    # every entry has a finite float: inf, nan and numbers too large for a
+    # float have none
+    np = numpy_if_array(column)
+    try:
+        if np is None:
+            return math.isfinite(column)
+        return bool(np.isfinite(np.asarray(column, dtype=float)).all())
+    except OverflowError:
+        return False
+
+
+def _lanes(value: Any, count: int) -> list:
+    # an array's entries, or count copies of a number
+    return value.tolist() if numpy_if_array(value) is not None else [value] * count
 
 
 @dataclass(frozen=True)
@@ -337,42 +334,30 @@ def _exponent(j: int, profile: RadialProfile) -> Fraction:
 def _direction_values(j: int, profile: RadialProfile) -> list[float]:
     """Per direction: ``f0 ** (-exponent)`` times the inner bracket, as a float.
 
-    The bracket runs once, over the tables' rows: as one jet recurrence
-    whose coefficients are the profile's :attr:`~RadialProfile.columns`,
-    or, for a single row, on its plain numbers.  A node the tables leave
-    out gets its partner's ``f0`` and its partner's bracket times
-    ``(-1)**j``: its data is the partner's with ``t`` replaced by
-    ``-t``, and the recurrence only adds and multiplies entries of
-    matching parity, which Fraction arithmetic does exactly and IEEE
-    rounding sign-symmetrically (but for the ``+0.0`` of an exact
-    cancellation, a zero either way).
+    The bracket runs once, as one jet recurrence whose coefficients are
+    the profile's columns; a number gives one value that every direction
+    the columns hold shares.  A node the columns leave out gets its
+    partner's ``f0`` and its partner's bracket times ``(-1)**j``: its
+    data is the partner's with ``t`` replaced by ``-t``, and the
+    recurrence only adds and multiplies entries of matching parity,
+    which Fraction arithmetic does exactly and IEEE rounding
+    sign-symmetrically (but for the ``+0.0`` of an exact cancellation, a
+    zero either way).
     """
-    if j < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    if j > profile.order:
-        raise DomainError(
-            f"profile provides radial data to order {profile.order}, need {j}"
-        )
     exponent = _exponent(j, profile)
-    phase, amplitude = profile.phase_coefficients, profile.amplitude_coefficients
-    if len(phase) == 1:
-        brackets = [_inner_bracket(j, exponent, list(phase[0]), list(amplitude[0]))]
-    else:
-        brackets = _inner_bracket(j, exponent, *profile.columns).tolist()
+    phase, lanes = profile.phase, profile.lanes
+    brackets = _lanes(_inner_bracket(j, exponent, phase, profile.amplitude), lanes)
+    leads = _lanes(phase[0], lanes)
     # the left-out node n - m + i is the mirror of node i
-    m = len(profile.rule) - len(phase)
-    leads = [row[0] for row in phase]
+    m = len(profile.rule) - lanes
     leads += leads[:m]
     brackets += [-b for b in brackets[:m]] if j % 2 else brackets[:m]
-    # then the power of f0 lane by lane: exact while both stay exact, else
-    # in floats
-    integral = exponent.denominator == 1
+    # then the power of f0 lane by lane: an integer power of exact entries
+    # exactly, else in floats
+    if exponent.denominator == 1:
+        return [float(b * f0 ** -exponent.numerator) for b, f0 in zip(brackets, leads)]
     power = float(-exponent)
-    return [
-        float(b * f0 ** -exponent.numerator) if integral and not isinstance(f0, float)
-        else float(b) * float(f0) ** power
-        for b, f0 in zip(brackets, leads)
-    ]
+    return [float(b) * float(f0) ** power for b, f0 in zip(brackets, leads)]
 
 
 def expansion_coefficient(j: int, profile: RadialProfile) -> float:
@@ -381,22 +366,35 @@ def expansion_coefficient(j: int, profile: RadialProfile) -> float:
     Per direction: ``f0 ** (-(j + d) / 2)`` times the ``t**j``
     coefficient of the amplitude series times the power of the phase
     perturbation, then the quadrature average and the gamma prefactor
-    ``Gamma((j + d) / 2) / 2``.  The arithmetic is that of the tables,
-    one jet recurrence over their columns for every direction: object
-    arrays of ints and Fractions are computed exactly up to the
-    per-direction value, float64 arrays in floats.
+    ``Gamma((j + d) / 2) / 2``.  The arithmetic is that of the columns,
+    one jet recurrence over them for every direction: ints and Fractions
+    are computed exactly up to the per-direction value, floats in
+    floats.  A coefficient that comes out inf or nan, or leaves the
+    float range on the way, is a :class:`~lapasym.errors.DomainError`.
     """
-    values = _direction_values(j, profile)
-    return gamma_value(_exponent(j, profile)) / 2 * math.fsum(
-        w * v for w, v in zip(listed(profile.rule.weights), values)
-    )
+    if j < 0:
+        raise DomainError("coefficient index must be nonnegative")
+    if j > profile.order:
+        raise DomainError(
+            f"profile provides radial data to order {profile.order}, need {j}"
+        )
+    try:
+        terms = [w * v for w, v in zip(listed(profile.rule.weights),
+                                       _direction_values(j, profile))]
+        total = math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
+    except OverflowError:  # a direction's value or the sum past the float range
+        total = math.inf
+    value = gamma_value(_exponent(j, profile)) / 2 * total
+    if not math.isfinite(value):
+        raise DomainError(f"coefficient {j} is {value}, not a finite float")
+    return value
 
 
 def expansion_series(profile: RadialProfile, order: int) -> ExpansionResult:
     """All coefficients ``0..order`` plus vanished-odd flags.
 
     Each coefficient is computed as in :func:`expansion_coefficient`, in
-    the arithmetic of the profile's tables.  Odd-index coefficients of
+    the arithmetic of the profile's columns.  Odd-index coefficients of
     antipodally equivariant data cancel within the symmetric rule; they
     are flagged (not dropped) when smaller than ``1e-12`` times the
     largest coefficient.

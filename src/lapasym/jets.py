@@ -11,8 +11,7 @@ float directions travels as :class:`Lanes` (defined in :mod:`.lanes`,
 which loads numpy when ``jets.Lanes`` is first read), and group
 dimension 1 transports its one direction ``1`` as plain numbers (the
 engine folds ``-1`` from it, see :class:`~lapasym.engine.RadialProfile`),
-so exact data stays exact and numpy is never loaded.  Object arrays are
-the engine's exact columns.
+so exact data stays exact and numpy is never loaded.
 
 Conventions shared by the whole package:
 

@@ -241,8 +241,17 @@ def _per_direction(value: Any, n: int) -> list[float]:
     # a value per direction, or one value all n directions share, as floats
     np = numpy_if_array(value)
     if np is None:
-        return [float(value)] * n
+        return [_float(value)] * n
     return np.broadcast_to(np.asarray(value, dtype=float), n).tolist()
+
+
+def _float(value: Any) -> float:
+    # a number too large for a float reads as an infinity, which the
+    # engine refuses
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @contextmanager
@@ -290,22 +299,25 @@ def geometric_expansion(
     In every group dimension one radial profile carries the rule's
     nodes but its mirrored ones, one array per direction component (in
     dimension 1 the one direction ``1``, as a plain number), and its
-    columns become the engine's tables, one tuple row per transported
-    node.
+    coefficients are the engine's columns as they are: lanes, one per
+    transported node, or numbers that those nodes share.
     The maps are odd in ``omega`` (checked when the model is built), so
     the flow along ``-omega`` is the flow along ``omega`` run backwards,
     and the coefficient of ``t**p`` changes sign with ``p``: a mirrored
-    node's row is its partner's with ``f_p`` and ``g_p`` times
+    node's data is its partner's with ``f_p`` and ``g_p`` times
     ``(-1)**p``, which is what :class:`~lapasym.engine.RadialProfile`
-    assigns to the nodes its tables leave out.  In dimension 1 the
-    ``-1`` row is left out; from dimension 2 on the rules mirror no
-    node.  ``mode="float"`` converts the tables to floats first.
-    ``mode="exact"`` hands them over as they are, and needs every entry
-    to be an int or a Fraction; the first entry that is not, direction
-    by direction, raises :class:`~lapasym.errors.DomainError`, naming the
-    model.  Float data comes from float chart values, a float
-    ``half_form`` or, from dimension 2 on, the rule's directions, so
-    exact mode refuses those dimensions before any transport.
+    assigns to the nodes its columns leave out.  In dimension 1 the
+    node ``-1`` is left out; from dimension 2 on the rules mirror no
+    node.  ``mode="float"`` passes the numbers through ``float``.
+    ``mode="exact"`` hands them over as they are, and needs each to be
+    an int or a Fraction; the first that is not, phase first, raises
+    :class:`~lapasym.errors.DomainError`, naming the model.  Float data
+    comes from float chart values, a float ``half_form`` or, from
+    dimension 2 on, the rule's directions, so exact mode refuses those
+    dimensions before any transport.  A radial coefficient with no
+    finite float, or an expansion coefficient that comes out inf or
+    nan, is a :class:`~lapasym.errors.DomainError` naming the model and
+    the index.
     """
     if mode not in ("float", "exact"):
         raise DomainError(f"unknown arithmetic mode {mode!r}")
@@ -324,26 +336,21 @@ def geometric_expansion(
         omega = tuple(np.ascontiguousarray(column) for column in rule.nodes[:kept].T)
     # reduced phase coefficient f_order is phase[t^(order + 2)]
     batched = radial_profile(model, omega, point, order + 2, half_form)
-    phase, weight = (_rows(columns, kept, mode) for columns in _tables(batched, order))
-    if mode == "exact":
-        # row by row: each direction's phase, then its weight
-        for value in (v for f, g in zip(phase, weight) for v in (*f, *g)):
+    phase, weight = _tables(batched, order)
+    if mode == "float":
+        phase, weight = ([c if numpy_if_array(c) is not None else _float(c) for c in table]
+                         for table in (phase, weight))
+    else:
+        # each phase coefficient, then each weight coefficient
+        for value in (*phase, *weight):
             if not isinstance(value, (int, Fraction)):
                 raise DomainError(
                     f"exact mode needs rational radial data; model {model.name!r} "
                     f"of group dimension {model.group_dim} gives the "
                     f"{type(value).__name__} {value!r}"
                 )
-    return expansion_series(RadialProfile(rule, phase, weight), order)
-
-
-def _rows(columns: Sequence[Any], kept: int, mode: str) -> list[tuple]:
-    # the engine's table: each column holds lanes, or one number that every
-    # direction shares; exact mode has the one direction 1, and its numbers
-    # stay as they are
-    if mode == "exact":
-        return [tuple(columns)]
-    return list(zip(*(_per_direction(c, kept) for c in columns)))
+    with _named(model):
+        return expansion_series(RadialProfile(rule, phase, weight), order)
 
 
 # ------------------------------------------------------------ densities by series

@@ -151,15 +151,15 @@ def polar_laplace_integral(
     estimate, ``T_2n = T_n / 2 + (2 pi / 2n) * integral of their
     sum``.  The sphere's Gauss-Legendre times azimuth levels (``n = 8,
     ..., 64`` polar nodes) are full passes.  The radial error of each
-    of these estimates stays within ``tol / 8``.  The radius must be
-    finite.  Raises :class:`~lapasym.errors.QuadratureError` (carrying
+    of these estimates stays within ``tol / 8``.  The tolerance and
+    the radius must be finite.  Raises :class:`~lapasym.errors.QuadratureError` (carrying
     the best estimate and its bound) when the tolerance cannot be
     certified.
     """
     if dim not in (1, 2, 3):
         raise DomainError("polar integration needs dimension 1, 2 or 3")
-    if not tol > 0 or not 0 < radius < math.inf:
-        raise DomainError("tolerance must be positive, radius positive and finite")
+    if not 0 < tol < math.inf or not 0 < radius < math.inf:
+        raise DomainError("tolerance and radius must be positive and finite")
     import numpy as np
 
     # imported on the first call, so that loading the oracle does not

@@ -12,6 +12,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from lapasym import cli
 from lapasym.crosscheck import (
     direction_atoms,
@@ -146,11 +148,9 @@ def test_criterion_1_combinatorial_exactness(tmp_path):
 # ------------------------------------------------------------ 2: gaussian
 
 def flat_profile(phase_head, order):
-    rule = sphere_rule(1)
-    phase = [list(phase_head) + [0] * (order + 1 - len(phase_head))
-             for _ in range(2)]
-    amplitude = [[1] + [0] * order for _ in range(2)]
-    return RadialProfile(rule, phase, amplitude)
+    # numbers that the direction 1 holds, and -1 by the fold
+    phase = list(phase_head) + [0] * (order + 1 - len(phase_head))
+    return RadialProfile(sphere_rule(1), phase, [1] + [0] * order)
 
 
 def test_criterion_2_gaussian_exactness():
@@ -238,7 +238,8 @@ def test_criterion_6_odd_vanishing():
                   for i in range(len(rule))]
         rows_g = [plus_g if rule.nodes[i][0] > 0 else minus_g
                   for i in range(len(rule))]
-        result = expansion_series(RadialProfile(rule, rows_f, rows_g), 7)
+        profile = RadialProfile(rule, np.array(rows_f).T, np.array(rows_g).T)
+        result = expansion_series(profile, 7)
         scale = abs(result.coefficients[0])
         for j in (1, 3, 5, 7):
             assert abs(result.coefficients[j]) <= 1e-12 * scale

@@ -308,12 +308,16 @@ def test_unread_flag_is_refused(command, flag, capsys):
     (["expand", "--order", "abc"], "argument --order: invalid int value: 'abc'"),
     (["verify", "--resolution", "0"], "argument --resolution: resolution must be positive"),
     (["density-sweep", "--tol", "0"], "argument --tol: tolerance must be positive"),
+    (["verify", "--k", "100,300,1000", "--tol", "inf"],
+     "argument --tol: tolerance must be positive and finite"),
+    (["density-sweep", "--k", "100", "--tol", "inf"],
+     "argument --tol: tolerance must be positive and finite"),
     (["verify", "--k", "10,x"], "argument --k: unreadable k value 'x'"),
     (["expand", "--a", "x/y"], "argument --a: unreadable weight value 'x/y'"),
     ([], "required: command"),
     (["zilch"], "argument command: invalid choice: 'zilch'"),
-], ids=["negative-order", "unreadable-order", "resolution", "tol", "k",
-        "weight", "no-subcommand", "unknown-subcommand"])
+], ids=["negative-order", "unreadable-order", "resolution", "tol", "verify-tol-inf",
+        "density-sweep-tol-inf", "k", "weight", "no-subcommand", "unknown-subcommand"])
 def test_usage_error_is_one_line(args, text, capsys):
     code, out, err = run_cli(args, capsys)
     assert_one_error_line(code, out, err)
@@ -473,6 +477,36 @@ def test_singular_jet_is_a_domain_error(tmp_path, capsys):
                                  capsys)
         assert_one_error_line(code, out, err)
         assert all(part in err for part in parts), err
+
+
+# x' = 1 + 1e100 x^2 makes the radial coefficients grow by 1e100 every
+# second order, past the float range at order 8
+BIG = {
+    "name": "big", "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
+    "flow_field": [["*", "w0", ["+", "1", ["*", "1e100", ["pow", "x0", 2]]]]],
+    "laplacian_phi": "0", "zero_points": [[0]], "orbit_volume": "1",
+}
+
+
+@pytest.mark.parametrize("scale, flags", [("1e100", []), ("1e100", ["--exact"]), (1e100, [])],
+                         ids=["exact-int-float-mode", "exact-int-exact-mode", "float"])
+def test_radial_data_past_the_float_range_is_refused(scale, flags, tmp_path, capsys):
+    # an exact int too large for a float used to end in an OverflowError
+    # traceback, and a float table printed nan
+    config = json.loads(json.dumps(BIG).replace('"1e100"', json.dumps(scale)))
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config),
+                              "--order", "8", *flags], capsys)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: model 'big': phase coefficient 8 has no finite float")
+
+
+def test_leading_phase_past_the_float_range_is_refused(tmp_path, capsys):
+    # f0 = 1e400 used to end in an OverflowError traceback in the zero-level
+    # checks
+    config = {**BIG, "phi": ["*", "1e400", "w0", "x0"], "flow_field": ["w0"]}
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: model 'big': phase coefficient 0 has no finite float")
 
 
 def test_model_not_odd_in_omega_is_refused(tmp_path, capsys):

@@ -31,9 +31,9 @@ from lapasym.oracle import convergence_order_fit, numeric_laplace_integral
 SQRT_PI = math.sqrt(math.pi)
 
 
-def constant_profile(rule, f_coeffs, g_coeffs):
-    n = len(rule)
-    return RadialProfile(rule, [f_coeffs] * n, [g_coeffs] * n)
+def columns(rows, dtype=object):
+    """A table given row by row, one row per direction, as its columns."""
+    return np.array(rows, dtype=dtype).T
 
 
 # ---------------------------------------------------------------- gamma
@@ -121,9 +121,9 @@ def test_sphere_rule_refuses_misshapen_arrays():
 
 
 def test_sphere_rule_refuses_an_empty_rule():
-    # the empty tables would otherwise reach engine._table's min() over no rows
+    # a profile's columns would hold no direction
     with pytest.raises(DomainError, match="at least one node, not 0 nodes and 0 weights"):
-        RadialProfile(SphereRule(2, np.zeros((0, 2)), np.zeros(0)), [], [])
+        SphereRule(2, np.zeros((0, 2)), np.zeros(0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -199,7 +199,7 @@ def test_product_rule_anisotropic_flat_leading_coefficient(dim):
     scales = np.array([1, 7 / 8, 3 / 4, 15 / 16, 13 / 16, 7 / 8][:dim])
     rule = sphere_rule(dim, 12)
     f0 = rule.nodes ** 2 @ scales ** 2
-    profile = RadialProfile(rule, f0[:, None], np.ones((len(rule), 1)))
+    profile = RadialProfile(rule, [f0], [1.0])
     expect = math.pi ** (dim / 2) / float(np.prod(scales))
     assert abs(expansion_coefficient(0, profile) - expect) <= 1e-9 * expect
 
@@ -226,7 +226,7 @@ def gaussian_profile(order):
     rule = sphere_rule(1)
     f = [1.0] + [0.0] * order
     g = [1.0] + [0.0] * order
-    return RadialProfile(rule, [f, f], [g, g])
+    return RadialProfile(rule, f, g)
 
 
 def test_gaussian_leading_coefficient_is_sqrt_pi():
@@ -258,7 +258,7 @@ def quartic_profile(order):
     rule = sphere_rule(1)
     f = [1.0, 0.0, 1.0] + [0.0] * (order - 2)
     g = [1.0] + [0.0] * order
-    return RadialProfile(rule, [f, f], [g, g])
+    return RadialProfile(rule, f, g)
 
 
 def test_quartic_coefficients_match_gaussian_moments():
@@ -287,8 +287,8 @@ def test_exact_mode_agrees_with_float_mode():
     rule = sphere_rule(1)
     f = [Fraction(2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)]
     g = [Fraction(1), Fraction(-2, 7), Fraction(3, 11), Fraction(0)]
-    exact = RadialProfile(rule, [f, f], [g, g])
-    floats = RadialProfile(rule, [list(map(float, f))] * 2, [list(map(float, g))] * 2)
+    exact = RadialProfile(rule, f, g)
+    floats = RadialProfile(rule, list(map(float, f)), list(map(float, g)))
     for j in range(4):
         a = expansion_coefficient(j, exact)
         b = expansion_coefficient(j, floats)
@@ -299,7 +299,7 @@ def test_exact_mode_is_reproducible():
     rule = sphere_rule(2, 8)
     f = [Fraction(4), Fraction(1, 2)]
     g = [Fraction(1), Fraction(1, 6)]
-    prof = constant_profile(rule, f, g)
+    prof = RadialProfile(rule, f, g)
     first = [expansion_coefficient(j, prof) for j in range(2)]
     second = [expansion_coefficient(j, prof) for j in range(2)]
     assert first == second
@@ -310,9 +310,11 @@ def test_exact_mode_is_reproducible():
 def test_profile_rejects_nonpositive_leading_phase():
     rule = sphere_rule(1)
     with pytest.raises(DomainError):
-        RadialProfile(rule, [[0.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]])
+        RadialProfile(rule, [0.0, 1.0], [1.0, 0.0])
     with pytest.raises(DomainError):
-        RadialProfile(rule, [[-2.0], [1.0]], [[1.0], [1.0]])
+        RadialProfile(rule, [-2.0], [1.0])
+    with pytest.raises(DomainError):
+        RadialProfile(rule, columns([[1.0], [-2.0]], float), [1.0])
 
 
 def test_coefficient_index_bounds():
@@ -329,7 +331,7 @@ def test_dimension_and_exponents_come_from_the_rule():
     assert abs(res.coefficients[0] - SQRT_PI) <= 1e-14
     assert res.exponents == (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     # on the circle the same data gives Gamma(1)/2 * 2 pi = pi and k^(-(j+2)/2)
-    res = expansion_series(constant_profile(sphere_rule(2, 8), [1.0], [1.0]), 0)
+    res = expansion_series(RadialProfile(sphere_rule(2, 8), [1.0], [1.0]), 0)
     assert res.coefficients[0] == pytest.approx(math.pi, rel=1e-14)
     assert res.exponents == (Fraction(1),)
 
@@ -350,7 +352,8 @@ def test_odd_coefficients_cancel_for_equivariant_tables():
     f_minus = [1.0, -0.3, 0.2, 0.1]
     g_plus = [1.0, 0.5, 0.1, 0.25]
     g_minus = [1.0, -0.5, 0.1, -0.25]
-    prof = RadialProfile(rule, [f_plus, f_minus], [g_plus, g_minus])
+    prof = RadialProfile(rule, columns([f_plus, f_minus], float),
+                         columns([g_plus, g_minus], float))
     res = expansion_series(prof, 3)
     scale = max(abs(c) for c in res.coefficients)
     assert abs(res.coefficients[1]) <= 1e-12 * scale
@@ -476,9 +479,9 @@ def test_convergence_order_fit_recovers_power_law():
 
 def test_profile_names_the_first_direction_with_a_nonpositive_lead():
     rule = sphere_rule(2, 4)
-    for phase in ([[1.0], [2.0], [-1.0], [0.0]], [[1], [2], [Fraction(-1)], [0]]):
+    for lead in (np.array([1.0, 2.0, -1.0, 0.0]), np.array([1, 2, Fraction(-1), 0], object)):
         with pytest.raises(DomainError) as info:
-            RadialProfile(rule, phase, [[1.0]] * 4)
+            RadialProfile(rule, [lead], [1.0])
         assert f"direction 2, {tuple(rule.nodes[2].tolist())}, has -1.0" in str(info.value)
 
 
@@ -517,39 +520,33 @@ def layout_rows(n, width):
 @pytest.mark.parametrize("layout", ["float-phase-fraction-amplitude", "int-array",
                                     "ragged"])
 def test_table_layouts_match_the_row_by_row_series(layout, dim, resolution):
+    # the engine computes on the columns as they are: float arrays in
+    # floats, object arrays entry by entry, a number as itself
     rule = sphere_rule(dim, resolution)
     phase, amplitude = layout_rows(len(rule), 6)
+    order = 5
     if layout == "float-phase-fraction-amplitude":
         phase = [[float(c) for c in row] for row in phase]
-        dtypes = (float, object)
+        profile = RadialProfile(rule, columns(phase, float), columns(amplitude))
     elif layout == "int-array":
-        phase = np.array([[int(c * 6) for c in row] for row in phase])
-        amplitude = np.array([[int(c * 10) for c in row] for row in amplitude])
-        dtypes = (object, object)
+        phase = [[int(c * 6) for c in row] for row in phase]
+        amplitude = [[int(c * 10) for c in row] for row in amplitude]
+        profile = RadialProfile(rule, columns(phase), columns(amplitude))
     else:
-        # every row cut to the shortest, so the profile reaches order 3
-        phase = [row[:4 + i % 3] for i, row in enumerate(phase)]
-        amplitude = [row[:5 + i % 2] for i, row in enumerate(amplitude)]
-        dtypes = (object, object)
-    profile = RadialProfile(rule, phase, amplitude)
-    tables = (profile.phase_coefficients, profile.amplitude_coefficients)
-    assert profile.order == (3 if layout == "ragged" else 5)
-    rows = [[row[:profile.order + 1] for row in
-             (table.tolist() if isinstance(table, np.ndarray) else table)]
-            for table in (phase, amplitude)]
-    # each table is rows of the entries as they are, cut to its shortest
-    # row: ints as ints, Fractions as Fractions, floats as floats
-    for table, given in zip(tables, (phase, amplitude)):
-        given = given.tolist() if isinstance(given, np.ndarray) else given
-        width = min(len(row) for row in given)
-        assert [list(row) for row in table] == [row[:width] for row in given]
-        assert all(type(a) is type(b) for row, want in zip(table, given)
-                   for a, b in zip(row, want))
-    # the lanes compute in floats where every entry is a float, else entry
-    # by entry on the entries themselves
-    assert [column.dtype for column in profile.columns] == [np.dtype(d) for d in dtypes]
-    got = expansion_series(profile, profile.order).coefficients
-    want = row_by_row_series(rule, *rows, profile.order)
+        # a shorter phase table, so the profile reaches order 3, and f1 and
+        # g0 numbers that every direction shares
+        order = 3
+        for row in phase:
+            row[1] = Fraction(-2, 3)
+        for row in amplitude:
+            row[0] = 1
+        phase_columns = [*columns(phase)][:4]
+        amplitude_columns = [*columns(amplitude)]
+        phase_columns[1], amplitude_columns[0] = Fraction(-2, 3), 1
+        profile = RadialProfile(rule, phase_columns, amplitude_columns)
+    assert profile.order == order and profile.lanes == len(rule)
+    got = expansion_series(profile, order).coefficients
+    want = row_by_row_series(rule, phase, amplitude, order)
     assert [c.hex() for c in got] == [c.hex() for c in want]
 
 
@@ -560,9 +557,9 @@ def mirror_row(row):
 
 
 def test_profile_without_its_mirrored_rows_gives_the_full_tables_bits():
-    # a left-out node holds its partner's rows with column p times
-    # (-1)**p; the full tables compute every lane, the short ones one
-    # bracket per kept row
+    # a left-out node holds its partner's data with column p times
+    # (-1)**p; the full columns compute every lane, the short ones one
+    # bracket per kept lane
     (f,), (g,) = layout_rows(1, 6)
     floats = [float(c) for c in f]
     floats[3] = 0.0  # its mirror holds -0.0
@@ -571,33 +568,68 @@ def test_profile_without_its_mirrored_rows_gives_the_full_tables_bits():
     ints = [int(c * 6) for c in f]
     for phase, amplitude in ((f, g), (floats, g), (floats, amplitude_floats),
                              (ints, g), (ints, [int(c * 10) for c in g])):
-        short = RadialProfile(sphere_rule(1), [phase], [amplitude])
-        full = RadialProfile(sphere_rule(1), [phase, mirror_row(phase)],
-                             [amplitude, mirror_row(amplitude)])
+        short = RadialProfile(sphere_rule(1), phase, amplitude)
+        full = RadialProfile(sphere_rule(1), columns([phase, mirror_row(phase)]),
+                             columns([amplitude, mirror_row(amplitude)]))
         got, want = expansion_series(short, 5), expansion_series(full, 5)
         assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
         assert got.odd_vanished == want.odd_vanished
-    # two mirrored nodes, with unequal weights: node 2 + i holds node i's rows
+    # two mirrored nodes, with unequal weights: node 2 + i holds node i's data
     rule = SphereRule(2, np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]),
                       np.array([1.0, 2.0, 1.0, 2.0]))
     phase, amplitude = layout_rows(2, 6)
-    short = RadialProfile(rule, phase, amplitude)
-    full = RadialProfile(rule, phase + [mirror_row(row) for row in phase],
-                         amplitude + [mirror_row(row) for row in amplitude])
+    short = RadialProfile(rule, columns(phase), columns(amplitude))
+    full = RadialProfile(rule, columns(phase + [mirror_row(row) for row in phase]),
+                         columns(amplitude + [mirror_row(row) for row in amplitude]))
     got, want = expansion_series(short, 5), expansion_series(full, 5)
     assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
     assert got.odd_vanished == want.odd_vanished
 
 
-def test_profile_refuses_row_counts_the_rule_cannot_take():
+def test_profile_refuses_lane_counts_the_rule_cannot_take():
     line, circle = sphere_rule(1), sphere_rule(2, 8)
-    row = [2, 1, 1]
-    for rule, phase_rows, amplitude_rows, accepted in [
+    for rule, phase_lanes, amplitude_lanes, accepted in [
         (line, 2, 1, "takes 2 or 1"), (line, 1, 2, "takes 2 or 1"),
         (line, 3, 3, "takes 2 or 1"), (circle, 4, 4, "takes 8 or 8"),
-        (circle, 7, 7, "takes 8 or 8"),
+        (circle, 7, 7, "takes 8 or 8"), (circle, 8, 7, "takes 8 or 8"),
     ]:
         with pytest.raises(DomainError, match=accepted):
-            RadialProfile(rule, [row] * phase_rows, [row] * amplitude_rows)
-    for rows in (1, 2):
-        assert RadialProfile(line, [row] * rows, [row] * rows).order == 2
+            RadialProfile(rule, [np.full(phase_lanes, 2.0), 1.0], [np.ones(amplitude_lanes)])
+    with pytest.raises(DomainError, match=r"shapes \[\(2, 1\)\]"):
+        RadialProfile(line, [np.full((2, 1), 2.0)], [1.0])
+    for lanes in (1, 2):
+        profile = RadialProfile(line, [np.full(lanes, 2.0), 1, 1], [1, np.ones(lanes)])
+        assert (profile.order, profile.lanes) == (1, lanes)
+    # numbers alone hold the nodes but the mirrored ones
+    assert RadialProfile(line, [2, 1, 1], [1, 1]).lanes == 1
+    assert RadialProfile(circle, [2, 1, 1], [1, 1]).lanes == 8
+
+
+# ---------------------------------------------------------------- float range
+
+@pytest.mark.parametrize("phase, amplitude, refused", [
+    ([1.0, math.inf], [1.0], "phase coefficient 1"),
+    ([1, 0, 10 ** 400], [1], "phase coefficient 2"),
+    ([1.0], [1.0, 0.0, math.nan], "amplitude coefficient 2"),
+    ([np.array([1.0, 2.0]), np.array([0.0, -math.inf])], [1.0], "phase coefficient 1"),
+    ([1], [1, np.array([0, -10 ** 400], object)], "amplitude coefficient 1"),
+    ([Fraction(10 ** 400, 3)], [1], "phase coefficient 0"),
+])
+def test_profile_refuses_entries_with_no_finite_float(phase, amplitude, refused):
+    with pytest.raises(DomainError, match=f"{refused} has no finite float value"):
+        RadialProfile(sphere_rule(1), phase, amplitude)
+
+
+def test_coefficients_past_the_float_range_are_refused():
+    line = sphere_rule(1)
+    # f0 ** -(3/2) overflows a float; f2 ** 2 overflows in floats, and in
+    # exact arithmetic the bracket is too large for a float
+    for profile, j in ((RadialProfile(line, [1e-300, 0.0, 0.0], [1.0, 0.0, 0.0]), 2),
+                       (RadialProfile(line, [1.0, 0.0, 1e200, 0.0, 0.0], [1.0] * 5), 4),
+                       (RadialProfile(line, [1, 0, 10 ** 200, 0, 0], [1] * 5), 4)):
+        for k in range(j):
+            assert math.isfinite(expansion_coefficient(k, profile))
+        with pytest.raises(DomainError, match=f"coefficient {j} is (inf|nan), not a finite"):
+            expansion_coefficient(j, profile)
+        with pytest.raises(DomainError, match=f"coefficient {j} is"):
+            expansion_series(profile, j)

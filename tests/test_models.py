@@ -33,7 +33,7 @@ from lapasym.engine import RadialProfile, expansion_coefficient, expansion_serie
     gamma_value, sphere_rule
 from lapasym.errors import DomainError
 from lapasym import models
-from lapasym.jets import TruncatedSeries
+from lapasym.jets import Lanes, TruncatedSeries
 from lapasym.models import (
     HamiltonianModel,
     builtin_sphere_model,
@@ -48,7 +48,7 @@ from lapasym.models import (
 )
 from lapasym.oracle import density, j_a_numeric, jacobian_tau_check
 
-from test_engine import mirror_row
+from test_engine import columns, mirror_row
 
 SQRT_PI = math.sqrt(math.pi)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -392,6 +392,14 @@ def test_j_a_numeric_k_list_matches_scalar_calls():
 def test_j_a_numeric_validation():
     with pytest.raises(DomainError):
         j_a_numeric(gaussian_test_model(), None, 0, 0.0)
+
+
+@pytest.mark.parametrize("model", [gaussian_test_model(), builtin_sphere_model()],
+                         ids=["gaussian", "sphere"])
+def test_j_a_numeric_refuses_an_infinite_tolerance(model):
+    # an infinite tolerance certified any estimate
+    with pytest.raises(DomainError, match="tolerance and radius must be positive and finite"):
+        j_a_numeric(model, None, Fraction(1, 2), 100.0, tol=math.inf)
 
 
 def test_density_closed_forms():
@@ -815,7 +823,8 @@ LINE0 = CLI_SHORT_LINES[0]
 def per_direction_expansion(model, half_form, order, resolution, convert=float):
     """The series path one direction at a time: a scalar radial profile
     per rule node, then the engine's bracket row by row.  The table rows
-    are the radial coefficients passed through ``convert``."""
+    are the radial coefficients passed through ``convert``; the profile
+    returned holds them as object-array columns."""
     rule = sphere_rule(model.group_dim, resolution)
     rows_f, rows_g = [], []
     for node in np.asarray(rule.nodes).tolist():
@@ -832,7 +841,7 @@ def per_direction_expansion(model, half_form, order, resolution, convert=float):
             values.append(bracket * f[0] ** float(-e))
         coefficients.append(gamma_value(e) / 2 * math.fsum(
             w * v for w, v in zip(np.asarray(rule.weights).tolist(), values)))
-    return coefficients, RadialProfile(rule, rows_f, rows_g)
+    return coefficients, RadialProfile(rule, columns(rows_f), columns(rows_g))
 
 
 @pytest.mark.parametrize("config, half_form, order, resolution", [
@@ -866,15 +875,15 @@ def test_batched_series_path_is_bit_identical_per_direction(config, half_form, o
 
 
 def test_batched_exact_path_matches_per_direction_rows():
-    # exact mode in d = 1: the row of the direction 1 stays ints and
+    # exact mode in d = 1: the data of the direction 1 stays ints and
     # Fractions, and the folded -1 gives what -1 transported on its own gives
     half_form = Fraction(1, 2)
     for config, order in ((RATIONAL_LINE, 10), (LINE0, 14)):
         model = model_from_config(config)
         batched = geometric_expansion(model, None, half_form, order, mode="exact")
         _, rows = per_direction_expansion(model, half_form, order, 32, convert=lambda v: v)
-        assert all(isinstance(c, (int, Fraction)) for row in rows.phase_coefficients
-                   for c in row)
+        assert all(isinstance(c, (int, Fraction)) for column in rows.phase
+                   for c in column)
         assert batched.coefficients == expansion_series(rows, order).coefficients
     # the transcendental model is refused on the float its first direction gives
     model = model_from_config(TRANSCENDENTAL1)
@@ -905,37 +914,42 @@ def expanded_profile(monkeypatch, model, half_form, order, mode):
 ], ids=[*(config["name"] for config in CLI_SHORT_LINES), "sphere", "quartic"])
 def test_folded_line_tables_give_the_unfolded_coefficients(config, half_form, orders, mode,
                                                            monkeypatch):
-    # the -1 row is left out: one bracket on the plain numbers of the row
-    # of 1, none on object lanes, and the same bits as both rows computed
+    # the node -1 is left out: the columns are the plain numbers of the
+    # direction 1, each bracket is one plain number, and the bits are those
+    # of both nodes computed
     model = resolve_model(config) if isinstance(config, str) else model_from_config(config)
+    kinds = (int, Fraction) if mode == "exact" else float
     for order in orders:
         profile = expanded_profile(monkeypatch, model, half_form, order, mode)
-        tables = (profile.phase_coefficients, profile.amplitude_coefficients)
-        assert [len(table) for table in tables] == [1, 1]
-        kinds = (int, Fraction) if mode == "exact" else float
-        assert all(isinstance(c, kinds) for c in tables[0][0])
-        rows = []
+        tables = (profile.phase, profile.amplitude)
+        assert profile.lanes == 1
+        assert all(isinstance(c, kinds) for table in tables for c in table)
+        brackets = []
         bracket = engine._inner_bracket
 
         def recording(j, exponent, f, g):
-            rows.append(type(f))
-            return bracket(j, exponent, f, g)
+            brackets.append(bracket(j, exponent, f, g))
+            return brackets[-1]
 
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_inner_bracket", recording)
             got = expansion_series(profile, order)
-        assert rows == [list] * (order + 1)
-        full = ([row, mirror_row(row)] for row in (list(table[0]) for table in tables))
+        assert len(brackets) == order + 1
+        assert all(isinstance(b, kinds) for b in brackets)
+        full = (columns([table, mirror_row(table)]) for table in tables)
         want = expansion_series(engine.RadialProfile(profile.rule, *full), order)
         assert [c.hex() for c in got.coefficients] == [c.hex() for c in want.coefficients]
         assert got.odd_vanished == want.odd_vanished
 
 
 def test_group_dimension_two_tables_are_not_folded(monkeypatch):
+    # every coefficient is a number or lanes, one per node of the rule
     model = model_from_config(SPHERE_PRODUCT2)
     profile = expanded_profile(monkeypatch, model, Fraction(1, 2), 4, "float")
-    assert len(profile.phase_coefficients) == len(profile.amplitude_coefficients) \
-        == len(profile.rule)
+    assert profile.lanes == len(profile.rule)
+    lanes = [c for c in (*profile.phase, *profile.amplitude) if isinstance(c, np.ndarray)]
+    assert lanes and all(isinstance(c, Lanes) and c.shape == (len(profile.rule),)
+                         for c in lanes)
 
 
 def test_line_expand_transports_only_the_direction_one(monkeypatch):
