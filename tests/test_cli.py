@@ -387,6 +387,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     # d = 3, whose odd rows are rounding noise, so one lane's arithmetic shows
     ("expand_mixed3_order6",
      ["expand", "--model", "mixed3.json", "--order", "6", "--resolution", "8"]),
+    # nonlinear float transports at higher order: the sphere's one
+    # direction, and 64 lanes through the product's field
+    ("expand_sphere_order14", ["expand", "--model", "builtin:sphere", "--order", "14"]),
+    ("expand_sphere2_product_order8",
+     ["expand", "--model", "sphere2_product.json", "--order", "8", "--resolution", "64"]),
 ])
 def test_output_matches_golden_bytes(name, args, fmt, capsys, monkeypatch):
     # the golden files hold the stdout of an earlier release; refactors
