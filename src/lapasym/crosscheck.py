@@ -14,7 +14,6 @@ normalization of the generator against the orbit volume.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -300,8 +299,7 @@ def leading_term_identity(
 
 def scaled_generator_model(model: HamiltonianModel, factor: float) -> HamiltonianModel:
     """Rescale the generator maps, leaving the orbit volume untouched."""
-    return replace(
-        model,
+    return model.replace(
         phi=lambda omega, point: model.phi(omega, point) * factor,
         flow_field=lambda omega, point: tuple(
             v * factor for v in model.flow_field(omega, point)
@@ -313,8 +311,7 @@ def scaled_generator_model(model: HamiltonianModel, factor: float) -> Hamiltonia
 
 def scaled_volume_model(model: HamiltonianModel, factor: float) -> HamiltonianModel:
     """Rescale the reported orbit volume only."""
-    return replace(
-        model,
+    return model.replace(
         orbit_volume=lambda point: model.orbit_volume(point) * factor,
         name=f"{model.name}/vol*{factor}",
     )

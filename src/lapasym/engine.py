@@ -33,7 +33,6 @@ schedulings.  The numeric oracle that checks these coefficients is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
@@ -84,10 +83,48 @@ def gamma_value(q: Fraction | float) -> float:
     return math.gamma(q)
 
 
+# ---------------------------------------------------------------- records
+
+class Record:
+    """Named fields, fixed when the record is made and compared by value.
+
+    A subclass lists its ``_fields`` and sets them in ``__init__`` with
+    :meth:`_fix`; assigning or deleting an attribute afterwards raises
+    :class:`AttributeError`.  (Plain classes, so that no start pays for
+    importing :mod:`dataclasses` and the modules it loads.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _fix(self, values: dict) -> None:
+        # the fields from values, such as __init__'s locals()
+        vars(self).update((name, values[name]) for name in self._fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------- sphere rules
 
-@dataclass(frozen=True, eq=False)
-class SphereRule:
+class SphereRule(Record):
     """Quadrature nodes and weights on the unit sphere ``S**(dim-1)``.
 
     ``nodes`` is a sequence of ``n >= 1`` rows of ``dim`` coordinates
@@ -99,15 +136,17 @@ class SphereRule:
     to rounding.  ``mirrored`` is read off the nodes: ``n // 2`` when the
     second half of the nodes is, in order, the exact negation of the
     first half, else 0.  Radial data along a mirrored node follows from
-    its partner's (see :class:`RadialProfile`).
+    its partner's (see :class:`RadialProfile`).  Two rules are equal
+    only if they are the same object.
     """
 
-    dim: int
-    nodes: Sequence[Sequence[Any]]
-    weights: Sequence[Any]
+    _fields = ("dim", "nodes", "weights")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        nodes, weights = listed(self.nodes), listed(self.weights)
+    def __init__(self, dim: int, nodes: Sequence[Sequence[Any]], weights: Sequence[Any]):
+        self._fix(locals())
+        nodes, weights = listed(nodes), listed(weights)
         try:
             shaped = len(nodes) == len(weights) and set(map(len, nodes)) <= {self.dim}
             finite = list(map(math.isfinite, weights))
@@ -303,13 +342,14 @@ def _lanes(value: Any, count: int) -> list:
     return value.tolist() if numpy_if_array(value) is not None else [value] * count
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(Record):
     """Computed expansion coefficients with their decay exponents."""
 
-    coefficients: tuple[float, ...]
-    exponents: tuple[Fraction, ...]
-    odd_vanished: tuple[bool, ...]
+    _fields = ("coefficients", "exponents", "odd_vanished")
+
+    def __init__(self, coefficients: tuple[float, ...], exponents: tuple[Fraction, ...],
+                 odd_vanished: tuple[bool, ...]):
+        self._fix(locals())
 
     def partial_sum(self, k: float) -> float:
         """Truncated asymptotic sum ``sum_j c_j k**(-e_j)`` at parameter ``k``."""
@@ -322,9 +362,14 @@ class ExpansionResult:
 
 
 def _inner_bracket(j: int, exponent: Fraction, f: Sequence[Any], g: Sequence[Any]) -> Any:
-    # [t**j] of g * (1 + u) ** (-exponent), u = (f - f0) / f0
+    # [t**j] of g * (1 + u) ** (-exponent), u = (f - f0) / f0: the one sum
+    # of the product's t**j term, in the order the product sums it
     u = TruncatedSeries([0, *f[1:j + 1]], order=j) / f[0]
-    return (TruncatedSeries(g[: j + 1]) * (1 + u) ** -exponent).coefficient(j)
+    power = ((1 + u) ** -exponent).coefficients
+    acc = g[0] * power[j]
+    for i in range(1, j + 1):
+        acc = acc + g[i] * power[j - i]
+    return acc
 
 
 def _exponent(j: int, profile: RadialProfile) -> Fraction:

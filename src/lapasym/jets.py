@@ -38,14 +38,29 @@ Conventions shared by the whole package:
 On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
 rational powers through ``**``), all computed by O(N**2) coefficient
-recurrences; Picard iteration along an ODE flow that grows the jets by
-one term per pass (:func:`ode_jet_transport`, which returns the
-tuple of the coordinates' jets); and composition of scalar maps with
-those jets (:func:`compose_scalar`).
+recurrences; the Taylor method along an ODE flow
+(:func:`ode_jet_transport`, which returns the tuple of the coordinates'
+jets); and composition of scalar maps with those jets
+(:func:`compose_scalar`).
+
+Every coefficient is computed once, the first time it is asked for.  A
+series made from a list knows its coefficients; one that an operation
+returns knows only its rule: coefficient ``p`` of a sum, a product, a
+power, an elementary function or an antiderivative is computed from
+coefficients ``0..p`` of its operands (``0..p - 1`` for the
+antiderivative), by the recurrence above, term by term in a fixed
+order, and kept.  So the value of a coefficient does not depend on when
+or in what order coefficients are asked for, only its cost does: a
+whole expression costs what its operations' recurrences cost once, and
+asking for one coefficient computes no later one.  The flow of
+:func:`ode_jet_transport` rests on this: its coordinates are defined
+through the field's value on themselves.  A series drops its operands
+once its last coefficient is known; an expression stays alive until
+then.
 
 A series remembers its nonnegative integer powers: ``b ** e`` keeps the
 repeated squares ``b**2, b**4, ...`` and every power it builds on ``b``,
-so the terms of a polynomial in one jet (a Picard pass's flow field,
+so the terms of a polynomial in one jet (a transport's flow field,
 then ``phi`` and the Laplacian along the same trajectory) share them.
 Each power is formed as binary powering forms it, ``b ** (e - 2**top)``
 times ``b ** (2**top)`` down to ``1 * b ** (2**i)`` for the lowest set
@@ -97,11 +112,18 @@ class TruncatedSeries:
     order : int, optional
         Pad (with integer zeros) or reject to this order.  Default is
         ``len(coefficients) - 1``.
+
+    Arithmetic and the series functions return series that compute
+    coefficient ``p`` the first time it is asked for, from coefficients
+    ``0..p`` of their operands, and keep it.
     """
 
-    # _powers, set by the first integer power: the repeated squares b**2,
-    # b**4, ... and every nonnegative power built so far (see __pow__)
-    __slots__ = ("_coeffs", "_powers")
+    # _rule(p) computes coefficient p once coefficients 0..p-1 are known;
+    # None once every coefficient is (a series built from a list, or a
+    # finished one, which so drops its operands).  _powers, set by the
+    # first integer power: the repeated squares b**2, b**4, ... and every
+    # nonnegative power built so far (see __pow__)
+    __slots__ = ("_coeffs", "_order", "_rule", "_powers")
     # ndarray <op> series defers to the series instead of building an
     # object array of series
     __array_ufunc__ = None
@@ -116,7 +138,30 @@ class TruncatedSeries:
                     f"{len(coeffs)} coefficients exceed requested order {order}"
                 )
             coeffs.extend([0] * (order + 1 - len(coeffs)))
-        self._coeffs = tuple(coeffs)
+        self._coeffs = coeffs
+        self._order = len(coeffs) - 1
+        self._rule = None
+
+    @classmethod
+    def _lazy(cls, order: int, rule: Callable[[int], Any],
+              known: list | None = None) -> "TruncatedSeries":
+        # a series of this order whose coefficients past the known ones
+        # (that very list, which the series extends) come from rule
+        series = cls.__new__(cls)
+        series._coeffs = [] if known is None else known
+        series._order = order
+        series._rule = rule
+        return series
+
+    def _known(self, p: int) -> list:
+        """The coefficient list, computed through ``t**min(p, order)``."""
+        coeffs = self._coeffs
+        if len(coeffs) <= p and self._rule is not None:
+            for q in range(len(coeffs), min(p, self._order) + 1):
+                coeffs.append(self._rule(q))
+            if len(coeffs) > self._order:
+                self._rule = None
+        return coeffs
 
     # ------------------------------------------------------------ basics
 
@@ -134,23 +179,23 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return self._order
 
     @property
     def coefficients(self) -> tuple:
-        return self._coeffs
+        return tuple(self._known(self._order))
 
     def coefficient(self, p: int) -> Any:
         """Coefficient of ``t**p`` (0 beyond the truncation order)."""
         if p < 0:
             raise ValueError("negative power")
-        return self._coeffs[p] if p <= self.order else 0
+        return self._known(p)[p] if p <= self._order else 0
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """Copy truncated (or zero-padded) to the given order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        return TruncatedSeries(self._coeffs[: order + 1], order=order)
+        return TruncatedSeries(self._known(order)[: order + 1], order=order)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -163,17 +208,15 @@ class TruncatedSeries:
     def __add__(self, other: Any) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            return TruncatedSeries(
-                [a + b for a, b in zip(self._coeffs, other._coeffs)]
-            )
-        coeffs = list(self._coeffs)
-        coeffs[0] = coeffs[0] + other
-        return TruncatedSeries(coeffs)
+            return TruncatedSeries._lazy(
+                self._order, lambda p: self._known(p)[p] + other._known(p)[p])
+        return TruncatedSeries._lazy(
+            self._order, lambda p: self._known(p)[p] + other if p == 0 else self._known(p)[p])
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries._lazy(self._order, lambda p: -self._known(p)[p])
 
     def __sub__(self, other: Any) -> "TruncatedSeries":
         return self + (-other if isinstance(other, TruncatedSeries) else -1 * other)
@@ -183,19 +226,18 @@ class TruncatedSeries:
 
     def __mul__(self, other: Any) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
-            out = []
-            for p in range(n + 1):
-                acc: Any = a[0] * b[p]
+            def product(p: int) -> Any:
+                a, b = self._known(p), other._known(p)
+                acc = a[0] * b[p]
                 for i in range(1, p + 1):
                     acc = acc + a[i] * b[p - i]
-                out.append(acc)
-            return TruncatedSeries(out)
-        return TruncatedSeries([c * other for c in self._coeffs])
+                return acc
+
+            return TruncatedSeries._lazy(min(self._order, other._order), product)
+        return TruncatedSeries._lazy(self._order, lambda p: self._known(p)[p] * other)
 
     def __rmul__(self, other: Any) -> "TruncatedSeries":
-        return TruncatedSeries([other * c for c in self._coeffs])
+        return TruncatedSeries._lazy(self._order, lambda p: other * self._known(p)[p])
 
     def __truediv__(self, other: Any) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -234,22 +276,23 @@ class TruncatedSeries:
 
     def integrate(self) -> "TruncatedSeries":
         """Antiderivative with zero constant term; order grows by one."""
-        out: list[Any] = [0]
-        for p, c in enumerate(self._coeffs):
-            out.append(c * _in_ring(Fraction(1, p + 1), c))
-        return TruncatedSeries(out)
+        def term(p: int) -> Any:
+            c = self._known(p - 1)[p - 1]
+            return c * _in_ring(Fraction(1, p), c)
+
+        return TruncatedSeries._lazy(self._order + 1, term, [0])
 
     # ------------------------------------------------------------ misc
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedSeries):
-            return self._coeffs == other._coeffs
+            return self.coefficients == other.coefficients
         return NotImplemented
 
     __hash__ = None  # mutable-adjacent semantics; not intended as dict keys
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self._coeffs)!r})"
+        return f"TruncatedSeries({list(self.coefficients)!r})"
 
 
 def as_series(value: Any, order: int) -> TruncatedSeries:
@@ -424,40 +467,50 @@ def exp_series(h: TruncatedSeries) -> TruncatedSeries:
     multiplies by ``exp(h(0))``; with an exact zero constant term the
     output stays in the coefficient ring of ``h``.
     """
-    tail = [1]
-    for n in range(1, h.order + 1):
-        acc: Any = 0
-        for i in range(1, n + 1):
-            acc = acc + i * h.coefficient(i) * tail[n - i]
-        tail.append(acc * _in_ring(Fraction(1, n), acc))
     lead = _lead(exp, h.coefficient(0))
-    return TruncatedSeries([lead * c for c in tail])
+    tail = [1]
+
+    def term(n: int) -> Any:
+        if n:
+            c = h._known(n)
+            acc: Any = 0
+            for i in range(1, n + 1):
+                acc = acc + i * c[i] * tail[n - i]
+            tail.append(acc * _in_ring(Fraction(1, n), acc))
+        return lead * tail[n]
+
+    return TruncatedSeries._lazy(h.order, term)
 
 
 def _reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    c0 = s.coefficient(0)
-    inv0 = _invert_scalar(c0)
+    inv0 = _invert_scalar(s.coefficient(0))
     out: list[Any] = [inv0]
-    for n in range(1, s.order + 1):
+
+    def term(n: int) -> Any:
+        c = s._known(n)
         acc: Any = 0
         for i in range(1, n + 1):
-            acc = acc + s.coefficient(i) * out[n - i]
-        out.append(-1 * (inv0 * acc))
-    return TruncatedSeries(out)
+            acc = acc + c[i] * out[n - i]
+        return -1 * (inv0 * acc)
+
+    return TruncatedSeries._lazy(s.order, term, out)
 
 
 def _rational_power(s: TruncatedSeries, alpha: Fraction) -> TruncatedSeries:
     # J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
     # a0 * n * b_n = sum_k ((alpha + 1) * k - n) * a_k * b_(n-k); a0 must be nonzero.
-    a = s.coefficients
-    inv0 = _invert_scalar(a[0])
-    out: list[Any] = [_unit_power(a[0], alpha)]
-    for n in range(1, s.order + 1):
+    a0 = s.coefficient(0)
+    inv0 = _invert_scalar(a0)
+    out: list[Any] = [_unit_power(a0, alpha)]
+
+    def term(n: int) -> Any:
+        a = s._known(n)
         acc: Any = 0
         for k in range(1, n + 1):
             acc = acc + _in_ring((alpha + 1) * k - n, a[k]) * a[k] * out[n - k]
-        out.append(acc * (inv0 * _in_ring(Fraction(1, n), inv0)))
-    return TruncatedSeries(out)
+        return acc * (inv0 * _in_ring(Fraction(1, n), inv0))
+
+    return TruncatedSeries._lazy(s.order, term, out)
 
 
 def _unit_power(value: Any, alpha: Fraction) -> Any:
@@ -469,42 +522,56 @@ def _sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
     r0 = _lead(sqrt, s.coefficient(0))
     inv = _invert_scalar(2 * r0)
     out: list[Any] = [r0]
-    for n in range(1, s.order + 1):
+
+    def term(n: int) -> Any:
         acc: Any = 0
         for i in range(1, n):
             acc = acc + out[i] * out[n - i]
-        out.append((s.coefficient(n) - acc) * inv)
-    return TruncatedSeries(out)
+        return (s._known(n)[n] - acc) * inv
+
+    return TruncatedSeries._lazy(s.order, term, out)
 
 
 def _sin_cos_series(h: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
+    # coefficient n of each takes the other's through n - 1
     h0 = h.coefficient(0)
     s: list[Any] = [_lead(sin, h0)]
     c: list[Any] = [_lead(cos, h0)]
-    for n in range(1, h.order + 1):
-        sa: Any = 0
-        ca: Any = 0
+
+    def sine(n: int) -> Any:
+        hc, cosine_known = h._known(n), cosine_series._known(n - 1)
+        acc: Any = 0
         for i in range(1, n + 1):
-            hi = i * h.coefficient(i)
-            sa = sa + hi * c[n - i]
-            ca = ca + hi * s[n - i]
-        s.append(sa * _in_ring(Fraction(1, n), sa))
-        ca = -1 * ca
-        c.append(ca * _in_ring(Fraction(1, n), ca))
-    return TruncatedSeries(s), TruncatedSeries(c)
+            acc = acc + i * hc[i] * cosine_known[n - i]
+        return acc * _in_ring(Fraction(1, n), acc)
+
+    def cosine(n: int) -> Any:
+        hc, sine_known = h._known(n), sine_series._known(n - 1)
+        acc: Any = 0
+        for i in range(1, n + 1):
+            acc = acc + i * hc[i] * sine_known[n - i]
+        acc = -1 * acc
+        return acc * _in_ring(Fraction(1, n), acc)
+
+    sine_series = TruncatedSeries._lazy(h.order, sine, s)
+    cosine_series = TruncatedSeries._lazy(h.order, cosine, c)
+    return sine_series, cosine_series
 
 
 def _log_series(s: TruncatedSeries) -> TruncatedSeries:
     c0 = s.coefficient(0)
     inv0 = _invert_scalar(c0)
     out: list[Any] = [_lead(log, c0)]
-    for n in range(1, s.order + 1):
-        acc: Any = n * s.coefficient(n)
+
+    def term(n: int) -> Any:
+        c = s._known(n)
+        acc: Any = n * c[n]
         for i in range(1, n):
-            acc = acc - i * out[i] * s.coefficient(n - i)
+            acc = acc - i * out[i] * c[n - i]
         acc = acc * inv0
-        out.append(acc * _in_ring(Fraction(1, n), acc))
-    return TruncatedSeries(out)
+        return acc * _in_ring(Fraction(1, n), acc)
+
+    return TruncatedSeries._lazy(s.order, term, out)
 
 
 # ---------------------------------------------------------------- transport
@@ -517,41 +584,55 @@ def ode_jet_transport(
     """Taylor jet of the solution of ``x' = field(x)``, ``x(0) = start``,
     as the tuple of its coordinates' jets in the time variable.
 
-    Picard iteration on truncated series, one new term per pass: pass
-    ``p`` substitutes the order ``p - 1`` jet into the field and
-    integrates, which fixes the coefficient of ``t**p``.  Truncated
-    arithmetic is causal, so this gives the same coefficients as
-    iterating at full order, for ``sum p**2`` rather than ``order**3``
-    work.  The field must map a sequence of series to series of the
-    same order or to scalar constants; a field that returns only
-    scalars ignores the jets, and its flow is the line ``start + field *
-    t``.  Anything the field cannot handle surfaces as
+    The Taylor method (Jorba and Zou, *Experimental Mathematics* 14,
+    2005): the field is evaluated once, on coordinate series defined by
+    ``x = start + integral of field(x)``, and coefficient ``p`` of every
+    coordinate is asked for in turn, ``p = 1 .. order``.  Coefficient
+    ``p`` of ``x`` is coefficient ``p - 1`` of the field divided by
+    ``p``, and truncated arithmetic is causal, so it needs only
+    coefficients ``0 .. p - 1`` of ``x``, known by then; each operation
+    of the field computes each of its coefficients once.  The field must
+    map a sequence of series to series of the same order or to scalar
+    constants, and may read no coefficient of its input but the
+    constant term while it runs; a field that returns only scalars
+    ignores the jets, and its flow is the line ``start + field * t``.
+    Anything the field cannot handle surfaces as
     :class:`~lapasym.errors.JetEvaluationError`.
     """
     if order < 1:
         raise ValueError("transport order must be >= 1")
     dim = len(start)
-    coords = [TruncatedSeries.constant(v, 0) for v in start]
-    for p in range(1, order + 1):
-        try:
-            rhs = list(field(coords))
-        except (TypeError, AttributeError) as exc:
+    rhs: list = []
+
+    def coordinate(i: int, x0: Any) -> TruncatedSeries:
+        def term(p: int) -> Any:
+            if not rhs:
+                raise JetEvaluationError(
+                    "flow field reads coefficients of its input past the constant term"
+                )
+            r = rhs[i]
+            c = r.coefficient(p - 1) if isinstance(r, TruncatedSeries) else r if p == 1 else 0
+            return c * _in_ring(Fraction(1, p), c)
+
+        return TruncatedSeries._lazy(order, term, [0 + x0])
+
+    coords = [coordinate(i, x0) for i, x0 in enumerate(start)]
+    try:
+        values = list(field(coords))
+        if len(values) != dim:
             raise JetEvaluationError(
-                f"flow field cannot be evaluated on jets: {exc}"
-            ) from exc
-        if len(rhs) != dim:
-            raise JetEvaluationError(
-                f"flow field returned {len(rhs)} components for dimension {dim}"
+                f"flow field returned {len(values)} components for dimension {dim}"
             )
-        # a field returning only scalars ignores the jets: one pass is the line
-        top = p if any(isinstance(r, TruncatedSeries) for r in rhs) else order
-        coords = [
-            (r.truncated(top - 1) if isinstance(r, TruncatedSeries)
-             else TruncatedSeries.constant(r, top - 1)).integrate() + x
-            for r, x in zip(rhs, start)
-        ]
-        if top == order:
-            break
+        rhs.extend(values)
+        for p in range(1, order + 1):
+            for x in coords:
+                x.coefficient(p)
+    except JetEvaluationError:
+        raise
+    except (TypeError, AttributeError) as exc:
+        raise JetEvaluationError(
+            f"flow field cannot be evaluated on jets: {exc}"
+        ) from exc
     return tuple(coords)
 
 
@@ -562,8 +643,10 @@ def compose_scalar(
     """Jet of ``t -> fn(x(t))`` along the coordinate jets of a trajectory."""
     try:
         value = fn(trajectory)
+        series = as_series(value, trajectory[0].order)
+        series.coefficients  # every coefficient now, so errors surface here
     except (TypeError, AttributeError) as exc:
         raise JetEvaluationError(
             f"scalar map cannot be evaluated on jets: {exc}"
         ) from exc
-    return as_series(value, trajectory[0].order)
+    return series

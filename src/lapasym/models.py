@@ -25,11 +25,11 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from .engine import ExpansionResult, RadialProfile, expansion_series, sphere_rule
+from .engine import ExpansionResult, RadialProfile, Record, expansion_series, \
+    sphere_rule
 from .errors import DomainError
 from .exprs import Positional, compile_expression
 from .jets import TruncatedSeries, compose_scalar, exp_series, numpy_if_array, \
@@ -56,8 +56,7 @@ __all__ = [
 _ZERO_LEVEL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HamiltonianModel:
+class HamiltonianModel(Record):
     """Chart-level data of a group action near its zero level.
 
     ``phi(omega, point)``, ``flow_field(omega, point)`` and
@@ -92,25 +91,37 @@ class HamiltonianModel:
     ``zero_chart`` and ``chart_density`` are optional and only needed by
     the Jacobian check: a parametrization ``s -> point`` of the zero
     level and the density of the volume form in chart coordinates.
+    :meth:`replace` derives a model with some fields changed and checks
+    it again.
     """
 
-    group_dim: int
-    chart_dim: int
-    phi: Callable[[Sequence[Any], Sequence[Any]], Any]
-    flow_field: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]]
-    laplacian_phi: Callable[[Sequence[Any], Sequence[Any]], Any]
-    zero_points: tuple
-    orbit_volume: Callable[[Sequence[Any]], float]
-    name: str = "model"
-    zero_chart: Callable[[float], Sequence[float]] | None = None
-    chart_density: Callable[[Sequence[float]], float] | None = None
+    _fields = ("group_dim", "chart_dim", "phi", "flow_field", "laplacian_phi",
+               "zero_points", "orbit_volume", "name", "zero_chart", "chart_density")
 
-    def __post_init__(self):
-        if self.group_dim < 1 or self.chart_dim < 1:
+    def __init__(
+        self,
+        group_dim: int,
+        chart_dim: int,
+        phi: Callable[[Sequence[Any], Sequence[Any]], Any],
+        flow_field: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]],
+        laplacian_phi: Callable[[Sequence[Any], Sequence[Any]], Any],
+        zero_points: tuple,
+        orbit_volume: Callable[[Sequence[Any]], float],
+        name: str = "model",
+        zero_chart: Callable[[float], Sequence[float]] | None = None,
+        chart_density: Callable[[Sequence[float]], float] | None = None,
+    ):
+        self._fix(locals())
+        if group_dim < 1 or chart_dim < 1:
             raise DomainError("model dimensions must be positive")
-        if not self.zero_points:
+        if not zero_points:
             raise DomainError("a model needs at least one zero-level point")
         _check_odd(self)
+
+    def replace(self, **changes: Any) -> "HamiltonianModel":
+        """This model with the given fields changed, built and checked anew."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return HamiltonianModel(**{**fields, **changes})
 
 
 # the oddness check's offsets from each zero point: step * (1, 1/2, 1/3, ...)
@@ -314,7 +325,8 @@ def geometric_expansion(
     :class:`~lapasym.errors.DomainError`, naming the model.  Float data
     comes from float chart values, a float ``half_form`` or, from
     dimension 2 on, the rule's directions, so exact mode refuses those
-    dimensions before any transport.  A radial coefficient with no
+    dimensions, and a ``half_form`` that is not an int or a Fraction,
+    before any transport.  A radial coefficient with no
     finite float, or an expansion coefficient that comes out inf or
     nan, is a :class:`~lapasym.errors.DomainError` naming the model and
     the index.
@@ -325,6 +337,14 @@ def geometric_expansion(
         raise DomainError(
             f"exact mode needs rational radial data; model {model.name!r} of group "
             f"dimension {model.group_dim} has float rule directions"
+        )
+    if mode == "exact" and not isinstance(half_form, (int, Fraction)):
+        hint = (f"; write it as {Fraction(repr(half_form))}"
+                if isinstance(half_form, float) and math.isfinite(half_form) else "")
+        raise DomainError(
+            f"exact mode needs a rational half-form weight; model {model.name!r} of "
+            f"group dimension {model.group_dim} was given the "
+            f"{type(half_form).__name__} weight {half_form!r}{hint}"
         )
     rule = sphere_rule(model.group_dim, resolution)
     kept = len(rule) - rule.mirrored

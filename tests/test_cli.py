@@ -442,6 +442,22 @@ def test_exact_mode_rejects_group_dimension_two(command, tmp_path, capsys, monke
     assert "'flat2'" in err and "group dimension 2" in err
 
 
+@pytest.mark.parametrize("command", [["expand"], ["verify", "--k", "100,300,1000"]])
+def test_exact_mode_rejects_a_float_weight(command, capsys, monkeypatch):
+    # the weight is refused, by its own value, before any transport
+    from lapasym import models
+
+    def no_transport(*args, **kwargs):
+        raise AssertionError("the series path transported a jet")
+
+    monkeypatch.setattr(models, "ode_jet_transport", no_transport)
+    forbid_flows(monkeypatch)
+    code, out, err = run_cli(command + ["--model", str(GOLDEN / "line_poly.json"),
+                                        "--a", "0.5", "--order", "4", "--exact"], capsys)
+    assert_one_error_line(code, out, err)
+    assert "'line-poly'" in err and "weight" in err and "0.5" in err and "1/2" in err
+
+
 def write_model(tmp_path, config):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(config), encoding="utf-8")

@@ -5,7 +5,9 @@ use.  ``bell-table`` loads the Bell layer alone, with no numpy and none
 of the series layers, and no other command, nor loading a model, loads
 the Bell layer; a group-dimension-1 ``expand``, float or exact, loads
 the series layers but not numpy, which only lanes (a rule of several
-directions) and the oracle load; ``expand`` never loads the oracle or
+directions) and the oracle load, nor :mod:`dataclasses` or :mod:`inspect`,
+whose import costs a few milliseconds of each start, and neither does
+loading a model; ``expand`` never loads the oracle or
 its integrators, ``verify`` and ``density-sweep`` load the oracle, no
 command loads the cross-checks; and the command line never loads scipy.
 """
@@ -32,7 +34,7 @@ import lapasym, lapasym.cli
 
 MODULES = ("numpy", "scipy", "lapasym.integrators", "lapasym.engine", "lapasym.jets",
            "lapasym.exprs", "lapasym.models", "lapasym.bell", "lapasym.oracle",
-           "lapasym.crosscheck")
+           "lapasym.crosscheck", "dataclasses", "inspect")
 
 for argv in sys.argv[1:]:
     if argv == "import scipy.integrate":
@@ -50,7 +52,7 @@ from lapasym.models import resolve_model
 for source in sys.argv[1:]:
     resolve_model(source)
 print(*(name in sys.modules for name in ("numpy", "lapasym.bell", "lapasym.oracle",
-                                          "lapasym.crosscheck")))
+                                          "lapasym.crosscheck", "dataclasses", "inspect")))
 """
 
 
@@ -83,41 +85,43 @@ def test_short_calls_leave_scipy_unloaded(tmp_path):
     model.write_text(json.dumps(flat_config(4)), encoding="utf-8")
     line = str(GOLDEN / "line_poly.json")
     # loaded (numpy, scipy, integrators, engine, jets, exprs, models, bell,
-    # oracle, crosscheck) after each call.  bell-table loads the Bell layer alone
+    # oracle, crosscheck, dataclasses, inspect) after each call.  bell-table
+    # loads the Bell layer alone
     assert loaded_after(["bell-table", "--order", "4"]) == [
-        "False False False False False False False True False False",
+        "False False False False False False False True False False False False",
     ]
     # one process: group-dimension-1 expands, float and exact, none of
-    # which loads numpy or the Bell layer
+    # which loads numpy, the Bell layer, dataclasses or inspect
     assert loaded_after(
         ["expand", "--model", "builtin:sphere", "--order", "4"],
         ["expand", "--model", "builtin:gaussian", "--a", "1/2", "--order", "4"],
         ["expand", "--model", line, "--exact", "--order", "14"],
     ) == [
-        "False False False True True True True False False False",
-        "False False False True True True True False False False",
-        "False False False True True True True False False False",
+        "False False False True True True True False False False False False",
+        "False False False True True True True False False False False False",
+        "False False False True True True True False False False False False",
     ]
     # a fresh process each: a 4-d rule takes its polar nodes from the
-    # Golub-Welsch eigenproblem, and the oracle runs on numpy arrays
+    # Golub-Welsch eigenproblem, and the oracle runs on numpy arrays; numpy
+    # loads inspect, and scipy dataclasses
     assert loaded_after(
         ["expand", "--model", str(model), "--order", "2", "--resolution", "4"],
-    ) == ["True False False True True True True False False False"]
+    ) == ["True False False True True True True False False False False True"]
     assert loaded_after(
         ["verify", "--model", "builtin:sphere", "--order", "2", "--k", "100,300,1000"],
-    ) == ["True False True True True True True False True False"]
+    ) == ["True False True True True True True False True False False True"]
     # the probe sees scipy once it is imported
     assert loaded_after(
         ["density-sweep", "--model", "builtin:sphere", "--order", "2", "--k", "100,1000"],
         "import scipy.integrate",
-    ) == ["True False True True True True True False True False",
-          "True True True True True True True False True False"]
+    ) == ["True False True True True True True False True False False True",
+          "True True True True True True True False True False True True"]
 
 
 def test_loading_a_model_loads_no_numpy(tmp_path):
     # every builtin and config models of group dimension 1, 2 and 3, as
     # the benchmark's cold start loads them; nor does it load the Bell layer,
-    # the oracle or the cross-checks
+    # the oracle, the cross-checks, dataclasses or inspect
     sources = [f"builtin:{name}" for name in _BUILTIN_FACTORIES]
     for dim in (1, 2, 3):
         path = tmp_path / f"flat{dim}.json"
@@ -125,7 +129,7 @@ def test_loading_a_model_loads_no_numpy(tmp_path):
         sources.append(str(path))
     sources += [str(GOLDEN / name) for name in ("line_poly.json", "sphere1_product.json",
                                                 "sphere2_product.json", "flat2_aniso.json")]
-    assert run_python(COLD_START, *sources) == ["False False False False"]
+    assert run_python(COLD_START, *sources) == ["False False False False False False"]
 
 
 # scalar dispatch in a process that never loads numpy: domain errors of

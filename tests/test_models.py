@@ -6,7 +6,6 @@ cylindrical chart, which yields every closed form used below (series
 coefficients, Gamma-ratio densities, sech^2 transport Jacobian).
 """
 
-import dataclasses
 import json
 import math
 import re
@@ -252,13 +251,13 @@ def test_radial_profile_validations():
     with pytest.raises(DomainError):
         radial_profile(sphere, (1,), order=1)
     flat = gaussian_test_model()
-    degenerate = dataclasses.replace(
-        flat, phi=lambda omega, point: omega[0] * point[0] * point[0]
+    degenerate = flat.replace(
+        phi=lambda omega, point: omega[0] * point[0] * point[0]
     )
     with pytest.raises(DomainError):
         radial_profile(degenerate, (1,))
-    inverted = dataclasses.replace(
-        flat, phi=lambda omega, point: -omega[0] * point[0]
+    inverted = flat.replace(
+        phi=lambda omega, point: -omega[0] * point[0]
     )
     with pytest.raises(DomainError):
         radial_profile(inverted, (1,))
@@ -473,7 +472,7 @@ def test_jacobian_tau_validation():
         jacobian_tau_check(gaussian_test_model(), 0.1)
     with pytest.raises(DomainError):
         jacobian_tau_check(sphere, 1.5)
-    widened = dataclasses.replace(sphere, group_dim=2)
+    widened = sphere.replace(group_dim=2)
     with pytest.raises(DomainError):
         jacobian_tau_check(widened, 0.1)
 
@@ -1053,7 +1052,7 @@ def test_replaced_maps_are_checked_again():
     # a model built from another one with a map that is not odd, here the
     # sphere's Laplacian in float arithmetic
     with pytest.raises(DomainError, match="model 'sphere' is not odd in omega: laplacian_phi"):
-        dataclasses.replace(builtin_sphere_model(), laplacian_phi=lambda w, p: TWO_PI * (1 + p[1]))
+        builtin_sphere_model().replace(laplacian_phi=lambda w, p: TWO_PI * (1 + p[1]))
 
 
 @pytest.mark.parametrize("config, first_failure, reason", [
