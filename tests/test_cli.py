@@ -392,6 +392,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("expand_sphere_order14", ["expand", "--model", "builtin:sphere", "--order", "14"]),
     ("expand_sphere2_product_order8",
      ["expand", "--model", "sphere2_product.json", "--order", "8", "--resolution", "64"]),
+    # the log-weight at a = 1, in float lanes and in exact arithmetic
+    ("expand_mixed3_a1_order6",
+     ["expand", "--model", "mixed3.json", "--a", "1", "--order", "6", "--resolution", "8"]),
+    ("expand_line_poly_exact_a1_order14",
+     ["expand", "--model", "line_poly.json", "--exact", "--a", "1", "--order", "14"]),
 ])
 def test_output_matches_golden_bytes(name, args, fmt, capsys, monkeypatch):
     # the golden files hold the stdout of an earlier release; refactors
