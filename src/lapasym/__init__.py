@@ -27,8 +27,7 @@ _EXPORTS = {
                      "QuadratureError"], "errors"),
     **dict.fromkeys(["partitions", "partial_bell", "complete_bell",
                      "series_power_coefficient", "generalized_binomial"], "bell"),
-    **dict.fromkeys(["TruncatedSeries", "exp_series", "ode_jet_transport",
-                     "compose_scalar"], "jets"),
+    **dict.fromkeys(["TruncatedSeries", "exp_series", "ode_jet_transport"], "jets"),
     **dict.fromkeys(["RadialProfile", "ExpansionResult", "sphere_rule",
                      "expansion_coefficient", "expansion_series"], "engine"),
     **dict.fromkeys(["HamiltonianModel", "builtin_sphere_model", "gaussian_test_model",

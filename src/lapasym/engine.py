@@ -57,30 +57,24 @@ __all__ = [
 
 # ---------------------------------------------------------------- gamma
 
-def gamma_value(q: Fraction | float) -> float:
-    """Float ``Gamma(q)``, from exact factorials when ``q`` is a rational
-    integer or half-integer.
+def gamma_value(q: Fraction | int) -> float:
+    """Float ``Gamma(q)`` of a positive integer or half-integer ``q``,
+    given as an int or a Fraction, from exact factorials.
 
     Integer ``q`` gives ``(q - 1)!``; ``q = m + 1/2`` gives ``(2m)! /
     (4**m m!) * sqrt(pi)``, the rational rounded once and then
-    multiplied by ``sqrt(pi)``.  Such a ``q`` at or below zero is
-    rejected; every other argument goes to :func:`math.gamma`, which
-    rejects only the poles.
+    multiplied by ``sqrt(pi)``.  Any other argument (a float, another
+    rational, or a ``q`` at or below zero) is a
+    :class:`~lapasym.errors.DomainError`.
     """
-    if isinstance(q, (Fraction, int)):
-        q = Fraction(q)
-        if q.denominator in (1, 2):
-            if q <= 0:
-                raise DomainError(f"gamma pole or nonpositive argument: {q}")
-            if q.denominator == 1:
-                return float(math.factorial(q.numerator - 1))
-            m = (q.numerator - 1) // 2
-            rational = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-            return float(rational) * math.sqrt(math.pi)
-        q = float(q)
-    if q <= 0 and q == int(q):
-        raise DomainError(f"gamma pole at {q}")
-    return math.gamma(q)
+    if not isinstance(q, (Fraction, int)) or Fraction(q).denominator not in (1, 2) or q <= 0:
+        raise DomainError(f"gamma_value needs a positive integer or half-integer, not {q!r}")
+    q = Fraction(q)
+    if q.denominator == 1:
+        return float(math.factorial(q.numerator - 1))
+    m = (q.numerator - 1) // 2
+    rational = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+    return float(rational) * math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------- records

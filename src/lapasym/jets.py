@@ -19,8 +19,6 @@ Conventions shared by the whole package:
   mismatch raises :class:`~lapasym.errors.OrderMismatchError`, it is
   never resized implicitly); multiplication truncates to the smaller
   order; scalars combine freely with any order,
-* :meth:`TruncatedSeries.integrate` maps order ``N`` to ``N + 1`` and
-  always produces a zero constant term,
 * a division by an integer rescales by the exact rational ``1/n``, so
   Fraction-valued series never leave the rational field; float and
   numeric array coefficients take the float ``1/n``, which is the float
@@ -38,30 +36,32 @@ Conventions shared by the whole package:
 On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
 rational powers through ``**``), all computed by O(N**2) coefficient
-recurrences; the Taylor method along an ODE flow
+recurrences; and the Taylor method along an ODE flow
 (:func:`ode_jet_transport`, which returns the tuple of the coordinates'
-jets); and composition of scalar maps with those jets
-(:func:`compose_scalar`).
+jets).  A quantity that builds up along a flow, such as the integral of
+a scalar map of the flow's point, rides along as one more coordinate,
+whose field component is that map.
 
 Every coefficient is computed once, the first time it is asked for.  A
 series made from a list knows its coefficients; one that an operation
 returns knows only its rule: coefficient ``p`` of a sum, a product, a
-power, an elementary function or an antiderivative is computed from
-coefficients ``0..p`` of its operands (``0..p - 1`` for the
-antiderivative), by the recurrence above, term by term in a fixed
-order, and kept.  So the value of a coefficient does not depend on when
-or in what order coefficients are asked for, only its cost does: a
-whole expression costs what its operations' recurrences cost once, and
-asking for one coefficient computes no later one.  The flow of
-:func:`ode_jet_transport` rests on this: its coordinates are defined
+power or an elementary function is computed from coefficients ``0..p``
+of its operands (a transported coordinate's from coefficient ``p - 1``
+of its field component), by the recurrence above, term by term in a
+fixed order, and kept.  So the value of a coefficient does not depend
+on when or in what order coefficients are asked for, only its cost
+does: a whole expression costs what its operations' recurrences cost
+once, and asking for one coefficient computes no later one.  The flow
+of :func:`ode_jet_transport` rests on this: its coordinates are defined
 through the field's value on themselves.  A series drops its operands
 once its last coefficient is known; an expression stays alive until
 then.
 
 A series remembers its nonnegative integer powers: ``b ** e`` keeps the
 repeated squares ``b**2, b**4, ...`` and every power it builds on ``b``,
-so the terms of a polynomial in one jet (a transport's flow field,
-then ``phi`` and the Laplacian along the same trajectory) share them.
+so the terms of a polynomial in one jet (the components of a
+transport's field, such as a flow field, ``phi`` and the Laplacian at
+the same point) share them.
 Each power is formed as binary powering forms it, ``b ** (e - 2**top)``
 times ``b ** (2**top)`` down to ``1 * b ** (2**i)`` for the lowest set
 bit, the same products in the same order, so the result is bit for bit
@@ -93,7 +93,6 @@ __all__ = [
     "Lanes",
     "exp_series",
     "ode_jet_transport",
-    "compose_scalar",
     "exp",
     "sin",
     "cos",
@@ -191,12 +190,6 @@ class TruncatedSeries:
             raise ValueError("negative power")
         return self._known(p)[p] if p <= self._order else 0
 
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """Copy truncated (or zero-padded) to the given order."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return TruncatedSeries(self._known(order)[: order + 1], order=order)
-
     # ------------------------------------------------------------ arithmetic
 
     def _check_order(self, other: "TruncatedSeries") -> None:
@@ -272,16 +265,6 @@ class TruncatedSeries:
             powers[exponent] = power
         return power
 
-    # ------------------------------------------------------------ calculus
-
-    def integrate(self) -> "TruncatedSeries":
-        """Antiderivative with zero constant term; order grows by one."""
-        def term(p: int) -> Any:
-            c = self._known(p - 1)[p - 1]
-            return c * _in_ring(Fraction(1, p), c)
-
-        return TruncatedSeries._lazy(self._order + 1, term, [0])
-
     # ------------------------------------------------------------ misc
 
     def __eq__(self, other: object) -> bool:
@@ -293,17 +276,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coefficients)!r})"
-
-
-def as_series(value: Any, order: int) -> TruncatedSeries:
-    """Wrap scalars as constant jets; pass series through (order-checked)."""
-    if isinstance(value, TruncatedSeries):
-        if value.order != order:
-            raise OrderMismatchError(
-                f"series order {value.order} where {order} expected"
-            )
-        return value
-    return TruncatedSeries.constant(value, order)
 
 
 # ---------------------------------------------------------------- scalars
@@ -499,15 +471,21 @@ def _reciprocal(s: TruncatedSeries) -> TruncatedSeries:
 def _rational_power(s: TruncatedSeries, alpha: Fraction) -> TruncatedSeries:
     # J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, sec. 4.7):
     # a0 * n * b_n = sum_k ((alpha + 1) * k - n) * a_k * b_(n-k); a0 must be nonzero.
+    # Each factor is (num * k - den * n) / den, with alpha + 1 = num / den:
+    # a Fraction, or in float rings the int quotient, which is the float
+    # that Fraction rounds to.
     a0 = s.coefficient(0)
     inv0 = _invert_scalar(a0)
     out: list[Any] = [_unit_power(a0, alpha)]
+    num, den = (alpha + 1).as_integer_ratio()
 
     def term(n: int) -> Any:
         a = s._known(n)
         acc: Any = 0
         for k in range(1, n + 1):
-            acc = acc + _in_ring((alpha + 1) * k - n, a[k]) * a[k] * out[n - k]
+            m = num * k - den * n
+            factor = m / den if _is_float_ring(a[k]) else Fraction(m, den)
+            acc = acc + factor * a[k] * out[n - k]
         return acc * (inv0 * _in_ring(Fraction(1, n), inv0))
 
     return TruncatedSeries._lazy(s.order, term, out)
@@ -596,7 +574,11 @@ def ode_jet_transport(
     constants, and may read no coefficient of its input but the
     constant term while it runs; a field that returns only scalars
     ignores the jets, and its flow is the line ``start + field * t``.
-    Anything the field cannot handle surfaces as
+    A coordinate that no component of the field reads is a quadrature
+    along the flow: its jet is its start plus the integral of its
+    component, so a quantity that builds up along the flow is
+    transported with it (a radial profile's phase and log-weight ride
+    so).  Anything the field cannot handle surfaces as
     :class:`~lapasym.errors.JetEvaluationError`.
     """
     if order < 1:
@@ -634,19 +616,3 @@ def ode_jet_transport(
             f"flow field cannot be evaluated on jets: {exc}"
         ) from exc
     return tuple(coords)
-
-
-def compose_scalar(
-    fn: Callable[[Sequence[TruncatedSeries]], Any],
-    trajectory: Sequence[TruncatedSeries],
-) -> TruncatedSeries:
-    """Jet of ``t -> fn(x(t))`` along the coordinate jets of a trajectory."""
-    try:
-        value = fn(trajectory)
-        series = as_series(value, trajectory[0].order)
-        series.coefficients  # every coefficient now, so errors surface here
-    except (TypeError, AttributeError) as exc:
-        raise JetEvaluationError(
-            f"scalar map cannot be evaluated on jets: {exc}"
-        ) from exc
-    return series

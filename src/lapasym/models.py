@@ -32,8 +32,7 @@ from .engine import ExpansionResult, RadialProfile, Record, expansion_series, \
     sphere_rule
 from .errors import DomainError
 from .exprs import Positional, compile_expression
-from .jets import TruncatedSeries, compose_scalar, exp_series, numpy_if_array, \
-    ode_jet_transport
+from .jets import TruncatedSeries, exp_series, numpy_if_array, ode_jet_transport
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,10 +196,10 @@ def radial_profile(
 ) -> RadialSeries:
     """Radial phase/weight series along direction ``omega``.
 
-    The transport jet of the flow through ``point`` is composed with
-    ``phi`` and ``laplacian_phi`` and integrated: phase ``= 2 * int
-    phi``, log-weight ``= int laplacian_phi``, weight ``= exp(half_form
-    * log-weight)``.  Series are returned at radial order ``order``
+    Phase ``= 2 * int phi`` and log-weight ``= int laplacian_phi`` along
+    the flow through ``point`` are transported as two more coordinates
+    of that flow, in one Taylor transport; weight ``= exp(half_form *
+    log-weight)``.  Series are returned at radial order ``order``
     (so reduced phase coefficients are available up to ``order - 2``).
     ``omega`` holds plain numbers, one direction, or one array per
     component, a batch of directions; each series coefficient then has
@@ -221,15 +220,16 @@ def radial_profile(
     with _named(model):
         level = [abs(v) for v in _per_direction(model.phi(omega, x0), n)]
     _refuse(model, omega, [v > _ZERO_LEVEL_TOL for v in level],
-            lambda i: f"point {x0!r} is not on the zero level (phi = {level[i]:.3e})")
+            lambda i: f"point {_text(x0)} is not on the zero level (phi = {level[i]:.3e})")
+
+    def field(coords):
+        # the chart point's flow, then d(phase)/dt and d(log-weight)/dt
+        x = coords[:-2]
+        return (*model.flow_field(omega, x), 2 * model.phi(omega, x),
+                model.laplacian_phi(omega, x))
+
     with _named(model):
-        trajectory = ode_jet_transport(
-            lambda coords: model.flow_field(omega, coords), x0, order - 1
-        )
-        phase = (2 * compose_scalar(lambda c: model.phi(omega, c), trajectory)).integrate()
-        log_weight = compose_scalar(
-            lambda c: model.laplacian_phi(omega, c), trajectory
-        ).integrate()
+        *_, phase, log_weight = ode_jet_transport(field, (*x0, 0, 0), order)
     lead = _per_direction(phase.coefficient(2), n)
     _refuse(model, omega, [not v > 0.0 for v in lead],
             lambda i: "transport field is degenerate at the base point "

@@ -482,6 +482,16 @@ def test_malformed_model_config_rejected(key, value, tmp_path, capsys):
     assert_one_error_line(code, out, err)
 
 
+def test_off_level_point_is_named_as_text(tmp_path, capsys):
+    # the chart point reads as the oddness and orbit-volume refusals write it
+    config = {**FLAT2, "name": "m1", "group_dim": 1, "chart_dim": 1,
+              "phi": ["*", "w0", "x0"], "flow_field": ["w0"], "zero_points": [["1/2"]]}
+    code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config)], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == ("error: model 'm1', direction (1.0,): point (1/2) is not on the "
+                   "zero level (phi = 5.000e-01)\n")
+
+
 def test_singular_jet_is_a_domain_error(tmp_path, capsys):
     line = {**FLAT2, "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
             "flow_field": ["w0"], "zero_points": [[0]]}

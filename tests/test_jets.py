@@ -19,12 +19,7 @@ from lapasym import jets
 from lapasym.bell import complete_bell, generalized_binomial, series_power_coefficient
 from lapasym.crosscheck import directional_derivative, iterated_flow_derivatives
 from lapasym.errors import JetEvaluationError, OrderMismatchError
-from lapasym.jets import (
-    TruncatedSeries,
-    compose_scalar,
-    exp_series,
-    ode_jet_transport,
-)
+from lapasym.jets import TruncatedSeries, exp_series, ode_jet_transport
 from lapasym.models import builtin_sphere_model
 
 
@@ -144,13 +139,18 @@ def test_powers_of_one_jet_share_their_products(monkeypatch):
     assert len(products) == 9
 
 
+def quadrature(rate, order):
+    # the integral from 0 of rate(t): the second coordinate of the flow
+    # (t, y)' = (1, rate(t)) from (0, 0), which the field does not read
+    return ode_jet_transport(lambda c: [1, rate(c[0])], [0, 0], order)[1]
+
+
 def test_integrate_and_differentiate():
-    s = TruncatedSeries([Fraction(2), Fraction(3), Fraction(4)])
-    integ = s.integrate()
-    assert integ.order == s.order + 1
+    integ = quadrature(lambda t: Fraction(2) + Fraction(3) * t + Fraction(4) * t * t, 3)
+    assert integ.order == 3
     assert integ.coefficients == (0, Fraction(2), Fraction(3, 2), Fraction(4, 3))
-    # term-by-term derivative of the antiderivative gives the series back
-    assert tuple(p * c for p, c in enumerate(integ.coefficients))[1:] == s.coefficients
+    # term-by-term derivative of the antiderivative gives the rate back
+    assert tuple(p * c for p, c in enumerate(integ.coefficients))[1:] == (2, 3, 4)
 
 
 # ---------------------------------------------------------------- elementary maps
@@ -209,6 +209,37 @@ def test_rational_power_matches_binomial_sums(alpha):
         assert list(((1 + u) ** alpha).coefficients) == expect
 
 
+def miller_with_fraction_factors(s, alpha):
+    # Miller's recurrence with each factor (alpha + 1) k - n formed as a
+    # Fraction, taken as its float where the coefficients are floats
+    a = s.coefficients
+    ring = (lambda r: r) if isinstance(a[0], Fraction) else float
+    inv0 = 1 / a[0]
+    out = [(s ** alpha).coefficient(0)]
+    for n in range(1, s.order + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            acc = acc + ring((alpha + 1) * k - n) * a[k] * out[n - k]
+        out.append(acc * (inv0 * ring(Fraction(1, n))))
+    return TruncatedSeries(out)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-7, 2), Fraction(-5, 2), Fraction(1, 3),
+                                   Fraction(-2, 3)])
+@pytest.mark.parametrize("ring", ["fraction", "float", "lanes"])
+def test_rational_power_factors_are_the_fraction_formula(alpha, ring):
+    rng = random.Random(35)
+    coefficients = [Fraction(rng.randint(1, 9), rng.randint(1, 9))] + \
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)]
+    if ring == "float":
+        coefficients = [float(c) for c in coefficients]
+    elif ring == "lanes":
+        coefficients = [np.array([float(c), float(c) / 3, 2.5 * float(c)]).view(jets.Lanes)
+                        for c in coefficients]
+    s = TruncatedSeries(coefficients)
+    assert coefficient_bits(s ** alpha) == coefficient_bits(miller_with_fraction_factors(s, alpha))
+
+
 def test_rational_power_general_constant_term():
     s = TruncatedSeries([Fraction(4), Fraction(1, 3), Fraction(-2, 5), Fraction(7)])
     root = s ** Fraction(1, 2)
@@ -260,7 +291,7 @@ def test_transport_order_stability():
     field = lambda c: [1 - c[0] ** 2]
     low = ode_jet_transport(field, [Fraction(0)], order=4)
     high = ode_jet_transport(field, [Fraction(0)], order=9)
-    assert high[0].truncated(4) == low[0]
+    assert high[0].coefficients[:5] == low[0].coefficients
 
 
 def test_transport_two_dimensional_linear_system():
@@ -285,14 +316,17 @@ def test_transport_rejects_bad_field():
 
 def picard_at_full_order(field, start, order):
     # reference: every pass at full order, until a pass changes no bit
-    # (compared as coefficient_bits, which also reads lanes)
+    # (compared as coefficient_bits, which also reads lanes).  A pass is
+    # start + integral of the field, formed from coefficient lists: rate
+    # p - 1 times the rational 1/p, which a float or lanes meet as its float
     coords = [TruncatedSeries.constant(v, order) for v in start]
     for _ in range(order):
         new = []
         for r, x in zip(field(coords), start):
-            if not isinstance(r, TruncatedSeries):
-                r = TruncatedSeries.constant(r, order)
-            new.append(r.truncated(order - 1).integrate() + x)
+            rates = r.coefficients[:order] if isinstance(r, TruncatedSeries) \
+                else [r] + [0] * (order - 1)
+            new.append(TruncatedSeries(
+                [0 + x, *(c * Fraction(1, p) for p, c in enumerate(rates, 1))]))
         done = list(map(coefficient_bits, new)) == list(map(coefficient_bits, coords))
         coords = new
         if done:
@@ -372,20 +406,6 @@ def test_every_jet_operation_transports_bit_for_bit(start):
             == [repr(v.tolist() if isinstance(v, np.ndarray) else v) for v in w.coefficients]
 
 
-def test_compose_scalar_square_of_tanh():
-    field = lambda c: [1 - c[0] ** 2]
-    traj = ode_jet_transport(field, [Fraction(0)], order=7)
-    sq = compose_scalar(lambda c: c[0] ** 2, traj)
-    t = sympy.symbols("t")
-    assert list(sq.coefficients) == sympy_jet(sympy.tanh(t) ** 2, t, 7)
-
-
-def test_compose_scalar_wraps_constants():
-    traj = ode_jet_transport(lambda c: [1 + 0 * c[0]], [Fraction(0)], order=3)
-    const = compose_scalar(lambda c: 7, traj)
-    assert const.coefficients == (7, 0, 0, 0)
-
-
 # ------------------------------------------------------- nested derivatives
 
 def test_directional_derivative_matches_sympy():
@@ -422,7 +442,7 @@ def test_flow_derivatives_match_trajectory_composition():
     point = [Fraction(1, 3), Fraction(2, 5)]
     values = iterated_flow_derivatives(fn, field, point, 5)
     traj = ode_jet_transport(field, point, order=5)
-    along = compose_scalar(fn, traj)
+    along = fn(traj)
     for m in range(6):
         assert values[m] == math.factorial(m) * along.coefficient(m)
 
@@ -534,8 +554,8 @@ def test_reflected_powers_of_lanes_go_lane_by_lane():
 
 
 def test_fraction_series_keep_fraction_coefficients():
-    s = TruncatedSeries([Fraction(2), Fraction(1, 3), Fraction(-1, 5)])
-    assert s.integrate().coefficients == (0, Fraction(2), Fraction(1, 6), Fraction(-1, 15))
+    integ = quadrature(lambda t: 2 + Fraction(1, 3) * t - Fraction(1, 5) * t * t, 3)
+    assert integ.coefficients == (0, Fraction(2), Fraction(1, 6), Fraction(-1, 15))
     tail = TruncatedSeries([0, Fraction(1, 3), Fraction(1, 7), 0])
     assert exp_series(tail).coefficients == (
         1, Fraction(1, 3), Fraction(1, 7) + Fraction(1, 18),
@@ -544,7 +564,7 @@ def test_fraction_series_keep_fraction_coefficients():
     # (1 + x/3) ** (-3/2) = 1 - x/2 + 5 x**2 / 24
     power = TruncatedSeries([1, Fraction(1, 3), 0]) ** Fraction(-3, 2)
     assert power.coefficients == (1, Fraction(-1, 2), Fraction(5, 24))
-    for out in (s.integrate(), exp_series(tail), power):
+    for out in (integ, exp_series(tail), power):
         assert all(isinstance(c, Fraction) for c in out.coefficients[1:])
 
 
