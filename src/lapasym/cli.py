@@ -138,7 +138,7 @@ def _metadata(ns: argparse.Namespace, **extra: Any) -> dict:
         "a": format_number(ns.a),
         "order": ns.order,
         "resolution": ns.resolution,
-        # --exact stores "exact" here; density-sweep has no such flag
+        # expand's --exact stores "exact" here; no other command has it
         "mode": getattr(ns, "mode", "float"),
         **extra,
     }
@@ -179,18 +179,10 @@ def cmd_verify(ns: argparse.Namespace) -> str:
     from .oracle import j_a_numeric
 
     model = resolve_model(ns.model)
-
-    def series():
-        return geometric_expansion(model, None, ns.a, ns.order, ns.resolution, ns.mode)
-
-    # exact mode refuses group dimension 2 and up before any transport, so
-    # it runs the series first; float mode runs the oracle first, which
-    # refuses group dimension above 3 before the series builds a rule of
-    # 2 * resolution ** (d - 1) directions
-    result = series() if ns.mode == "exact" else None
+    # the oracle refuses group dimension above 3 before the series builds a
+    # rule of 2 * resolution ** (d - 1) directions
     oracles = j_a_numeric(model, None, ns.a, ns.k, tol=ns.tol)
-    if result is None:
-        result = series()
+    result = geometric_expansion(model, None, ns.a, ns.order, ns.resolution)
     # first even series index beyond the computed order
     next_even = ns.order + 2 if ns.order % 2 == 0 else ns.order + 1
     expected = Fraction(-(next_even + model.group_dim), 2)
@@ -333,12 +325,12 @@ _FLAGS = {
 _COMMANDS = {
     "expand": (cmd_expand, ("--model", "--a", "--order", "--resolution", "--exact"),
                {"order": 6}),
-    "verify": (cmd_verify, ("--model", "--a", "--order", "--k", "--resolution",
-                            "--exact", "--tol"), {"order": 4, "tol": 1e-12}),
-    # --a only sets the "# a=" line: I and J fix their own weights
-    "density-sweep": (cmd_density_sweep, ("--model", "--a", "--order", "--k",
-                                          "--resolution", "--tol"),
-                      {"order": 6, "tol": 1e-9}),
+    "verify": (cmd_verify, ("--model", "--a", "--order", "--k", "--resolution", "--tol"),
+               {"order": 4, "tol": 1e-12}),
+    # I and J fix their own weights; the "# a=" line states J's
+    "density-sweep": (cmd_density_sweep, ("--model", "--order", "--k", "--resolution",
+                                          "--tol"),
+                      {"a": Fraction(1, 2), "order": 6, "tol": 1e-9}),
     "bell-table": (cmd_bell_table, ("--order",), {"order": 6}),
 }
 

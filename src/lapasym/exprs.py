@@ -5,9 +5,9 @@ survive a round trip through JSON, for example::
 
     ["*", "w0", ["+", "x0", ["*", "1/2", ["pow", "x0", 3]]]]
 
-Leaves are numbers (``int``/``float``), exact rational strings such as
-``"1/2"``, the constant ``"pi"``, or symbol names (``x0``, ``w0``,
-``s``, ...) bound by position when the tree is compiled.
+Leaves are finite numbers (``int``/``float``), exact rational strings
+such as ``"1/2"``, the constant ``"pi"``, or symbol names (``x0``,
+``w0``, ``s``, ...) bound by position when the tree is compiled.
 Interior nodes are ``[op, arg, ...]`` with operators
 
 ======== ======================================================
@@ -36,10 +36,10 @@ and exact, float and series results are bit-identical to evaluating
 the unfolded tree.  A fold that fails (a zero divisor, the square root
 of a negative number) is a :class:`~lapasym.errors.DomainError` at
 compile time; so are structural problems (unknown operator, bad arity,
-non-integer exponent) and a symbol missing from ``symbols``.  A zero
-divisor met during evaluation is a :class:`~lapasym.errors.DomainError`
-when the expression is evaluated, also when the divisor is an array
-with a zero entry.
+non-integer exponent), a number that is not finite and a symbol
+missing from ``symbols``.  A zero divisor met during evaluation is a
+:class:`~lapasym.errors.DomainError` when the expression is evaluated,
+also when the divisor is an array with a zero entry.
 """
 
 from __future__ import annotations
@@ -171,6 +171,9 @@ def _compile(node: Any, symbols: tuple) -> Any:
     """A :class:`_Folded` constant, or a compiled ``env -> value``."""
     if isinstance(node, bool):
         raise DomainError("booleans are not expression leaves")
+    if isinstance(node, float) and not math.isfinite(node):
+        # JSON's NaN and Infinity, and literals that overflow such as 1e400
+        raise DomainError(f"expression leaf {json.dumps(node)} is not finite")
     if isinstance(node, (int, float)):
         return _Folded(node)
     if isinstance(node, str):

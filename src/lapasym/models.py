@@ -50,7 +50,7 @@ __all__ = [
     "resolve_model",
 ]
 
-# radial_profile's bound on phi and on the phase's t^0, t^1 coefficients
+# radial_profile's bound on phi and on the phase's t^1 coefficient
 # (relative to its leading coefficient) at the base point
 _ZERO_LEVEL_TOL = 1e-9
 
@@ -90,6 +90,9 @@ class HamiltonianModel(Record):
     ``zero_chart`` and ``chart_density`` are optional and only needed by
     the Jacobian check: a parametrization ``s -> point`` of the zero
     level and the density of the volume form in chart coordinates.
+    A nonpositive ``group_dim`` or ``chart_dim``, no zero point, or a
+    zero point whose length is not ``chart_dim`` is refused first, by a
+    :class:`~lapasym.errors.DomainError` naming the model.
     :meth:`replace` derives a model with some fields changed and checks
     it again.
     """
@@ -112,9 +115,12 @@ class HamiltonianModel(Record):
     ):
         self._fix(locals())
         if group_dim < 1 or chart_dim < 1:
-            raise DomainError("model dimensions must be positive")
+            raise DomainError(f"model {name!r}: group_dim and chart_dim must be positive")
         if not zero_points:
-            raise DomainError("a model needs at least one zero-level point")
+            raise DomainError(f"model {name!r}: zero_points: needs at least one point")
+        if any(len(pt) != chart_dim for pt in zero_points):
+            raise DomainError(f"model {name!r}: zero_points: each point must have chart "
+                              "dimension")
         _check_odd(self)
 
     def replace(self, **changes: Any) -> "HamiltonianModel":
@@ -234,11 +240,11 @@ def radial_profile(
     _refuse(model, omega, [not v > 0.0 for v in lead],
             lambda i: "transport field is degenerate at the base point "
                       f"(leading phase coefficient {lead[i]:.3e})")
-    scale = [max(1.0, abs(v)) for v in lead]
-    for p in (0, 1):
-        low = _per_direction(phase.coefficient(p), n)
-        _refuse(model, omega, [abs(v) > _ZERO_LEVEL_TOL * s for v, s in zip(low, scale)],
-                lambda i: "phase does not vanish to second order at the base point")
+    # the phase starts at 0, so only its t^1 coefficient can fail to vanish
+    low = _per_direction(phase.coefficient(1), n)
+    _refuse(model, omega, [abs(v) > _ZERO_LEVEL_TOL * max(1.0, abs(c))
+                           for v, c in zip(low, lead)],
+            lambda i: "phase does not vanish to second order at the base point")
     return _weighted(phase, log_weight, half_form)
 
 
@@ -515,8 +521,12 @@ _BUILTIN_FACTORIES = {
 # ------------------------------------------------------------ declarative configs
 
 def _number(name: str, value: Any) -> Any:
-    """A zero point's coordinate: a JSON number, or an exact string such as
-    ``"1/3"``, read as an int where it is whole and else as a Fraction."""
+    """A zero point's coordinate: a finite JSON number, or an exact string
+    such as ``"1/3"``, read as an int where it is whole and else as a
+    Fraction."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"model {name!r}: zero_points: entry {json.dumps(value)} "
+                          "is not finite")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -575,8 +585,6 @@ def model_from_config(config: dict) -> HamiltonianModel:
     if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
         raise refuse("zero_points", "must be a list of points, each a list of numbers")
     zero_points = tuple(tuple(_number(name, c) for c in pt) for pt in points)
-    if any(len(pt) != chart_dim for pt in zero_points):
-        raise refuse("zero_points", "each point must have chart dimension")
 
     zero_chart = None
     if "zero_chart" in config:

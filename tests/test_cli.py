@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,8 +206,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
     for args, name in (
         (["expand", "--model", "builtin:sphere", "--order", "4"], "expand"),
         (["bell-table", "--order", "8", "--format", "json"], "bell"),
-        (["density-sweep", "--model", "builtin:quartic", "--a", "0",
-          "--k", "10,100"], "sweep"),
+        (["density-sweep", "--model", "builtin:quartic", "--k", "10,100"], "sweep"),
     ):
         first = tmp_path / f"{name}1.txt"
         second = tmp_path / f"{name}2.txt"
@@ -278,8 +278,7 @@ def test_exact_mode_refuses_float_radial_data(args, name, capsys):
 
 def test_density_sweep_has_no_exact_mode(capsys):
     code, out, err = run_cli(
-        ["density-sweep", "--model", "builtin:quartic", "--a", "0", "--k", "100",
-         "--exact"], capsys
+        ["density-sweep", "--model", "builtin:quartic", "--k", "100", "--exact"], capsys
     )
     assert_one_error_line(code, out, err)
     assert "--exact" in err
@@ -295,12 +294,20 @@ def test_density_sweep_has_no_exact_mode(capsys):
     ("bell-table", ["--resolution", "16"]),
     ("bell-table", ["--exact"]),
     ("bell-table", ["--tol", "1e-9"]),
+    ("verify", ["--exact"]),
+    ("density-sweep", ["--a", "1/2"]),
 ])
 def test_unread_flag_is_refused(command, flag, capsys):
     # a subcommand registers only the flags it reads
     code, out, err = run_cli([command, "--order", "2", *flag], capsys)
     assert_one_error_line(code, out, err)
     assert flag[0] in err
+
+
+def test_readme_flag_table_lists_each_subcommands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `([a-z-]+)` \| `([^`]*)` \|$", readme, re.MULTILINE))
+    assert table == {name: " ".join(flags) for name, (_, flags, _) in cli._COMMANDS.items()}
 
 
 @pytest.mark.parametrize("args, text", [
@@ -429,26 +436,19 @@ def forbid_flows(monkeypatch):
     monkeypatch.setattr(oracle, "_augmented_flow", no_flow)
 
 
-@pytest.mark.parametrize("command", [
-    ["expand"],
-    ["verify", "--k", "10,100,1000", "--tol", "1e-6"],
-])
-def test_exact_mode_rejects_group_dimension_two(command, tmp_path, capsys, monkeypatch):
-    # rule directions in d >= 2 are floats, so exact mode cannot stay exact,
-    # and verify refuses before its oracle transports any flow
-    forbid_flows(monkeypatch)
+def test_exact_mode_rejects_group_dimension_two(tmp_path, capsys):
+    # rule directions in d >= 2 are floats, so exact mode cannot stay exact
     path = tmp_path / "flat2.json"
     path.write_text(json.dumps(FLAT2), encoding="utf-8")
     code, out, err = run_cli(
-        command + ["--model", str(path), "--order", "2", "--exact"], capsys
+        ["expand", "--model", str(path), "--order", "2", "--exact"], capsys
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "'flat2'" in err and "group dimension 2" in err
 
 
-@pytest.mark.parametrize("command", [["expand"], ["verify", "--k", "100,300,1000"]])
-def test_exact_mode_rejects_a_float_weight(command, capsys, monkeypatch):
+def test_exact_mode_rejects_a_float_weight(capsys, monkeypatch):
     # the weight is refused, by its own value, before any transport
     from lapasym import models
 
@@ -456,9 +456,8 @@ def test_exact_mode_rejects_a_float_weight(command, capsys, monkeypatch):
         raise AssertionError("the series path transported a jet")
 
     monkeypatch.setattr(models, "ode_jet_transport", no_transport)
-    forbid_flows(monkeypatch)
-    code, out, err = run_cli(command + ["--model", str(GOLDEN / "line_poly.json"),
-                                        "--a", "0.5", "--order", "4", "--exact"], capsys)
+    code, out, err = run_cli(["expand", "--model", str(GOLDEN / "line_poly.json"),
+                              "--a", "0.5", "--order", "4", "--exact"], capsys)
     assert_one_error_line(code, out, err)
     assert "'line-poly'" in err and "weight" in err and "0.5" in err and "1/2" in err
 
@@ -660,12 +659,27 @@ def test_oracle_refusal_of_a_map_names_model_and_k(tmp_path, capsys, command, k,
     ("zero_points", [0], "must be a list of points, each a list of numbers"),
     ("chart_dim", 1.0, "must be an integer"),
     ("zero_chart", "s", "needs one expression per chart coordinate"),
+    ("zero_points", [], "needs at least one point"),
+    # json writes and reads NaN and Infinity
+    ("zero_points", [[math.nan]], "entry NaN is not finite"),
+    ("laplacian_phi", ["*", math.inf, "w0", "x0"], "expression leaf Infinity is not finite"),
+    ("orbit_volume", math.inf, "expression leaf Infinity is not finite"),
 ])
 def test_config_shape_refusal_names_model_and_key(tmp_path, capsys, key, value, refusal):
     path = write_model(tmp_path, {**LOG_EDGE, key: value})
     code, out, err = run_cli(["expand", "--model", path], capsys)
     assert_one_error_line(code, out, err)
     assert err == f"error: model 'log-edge': {key}: {refusal}\n"
+
+
+def test_overflowing_literal_is_refused_at_load(tmp_path, capsys):
+    # json reads 1e400 as an infinite float
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(LOG_EDGE).replace('"orbit_volume": 1}', '"orbit_volume": 1e400}'),
+                    encoding="utf-8")
+    code, out, err = run_cli(["expand", "--model", str(path)], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == "error: model 'log-edge': orbit_volume: expression leaf Infinity is not finite\n"
 
 
 # the sphere's circle action in the chart (theta, z): nothing depends on

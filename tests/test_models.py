@@ -1034,6 +1034,19 @@ def test_python_built_model_with_a_wrong_flow_arity_is_refused(chart_dim, flow):
         )
 
 
+@pytest.mark.parametrize("changes, refusal", [
+    ({"group_dim": 0}, "group_dim and chart_dim must be positive"),
+    ({"zero_points": ()}, "zero_points: needs at least one point"),
+    # a zero point shorter than the chart, which the maps would index past
+    ({"chart_dim": 2, "phi": lambda w, p: w[0] * p[1]},
+     "zero_points: each point must have chart dimension"),
+], ids=["dimension", "no-point", "short-point"])
+def test_malformed_python_model_is_refused_by_name(changes, refusal):
+    with pytest.raises(DomainError) as info:
+        gaussian_test_model().replace(**changes)
+    assert str(info.value) == f"model 'gaussian': {refusal}"
+
+
 def test_model_whose_maps_refuse_exact_points_is_refused():
     # the check evaluates at Fractions, which numpy's sin does not take
     np = pytest.importorskip("numpy")

@@ -10,7 +10,10 @@ holds the plan's model files, with that checkout's ``src`` on
 ``PYTHONPATH`` and the environment the benchmark gives its calls.  The
 invocations are planned by the ``perfbench`` next to this script.  Each
 difference in stdout, stderr or exit code is printed; the exit status is
-1 if there is any, else 0.  The calls run one at a time.
+1 if there is any, else 0.  The calls run one at a time.  PARENT and
+CHANGE must be two different directories, each with a
+``src/lapasym/cli.py``; otherwise the usage line is printed and the exit
+status is 2.
 """
 
 from __future__ import annotations
@@ -52,8 +55,16 @@ def outputs(tree: str, plan: dict) -> dict:
     return results
 
 
+def comparable(parent: str, change: str) -> bool:
+    """Whether PARENT and CHANGE are two different checkouts of lapasym."""
+    if not all(os.path.isfile(os.path.join(tree, "src", "lapasym", "cli.py"))
+               for tree in (parent, change)):
+        return False
+    return not os.path.samefile(parent, change)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) != 2 or not comparable(*argv):
         sys.stderr.write("usage: python3 tools/same_output.py PARENT CHANGE\n")
         return 2
     parent, change = argv
