@@ -12,8 +12,10 @@ command imports the layers it uses when it runs, so ``bell-table``
 loads neither numpy nor the series and oracle layers, and no other
 command loads the Bell layer.  numpy is loaded
 only where arrays are made: ``expand`` of group dimension 1, float or
-``--exact``, runs on plain numbers without it, while ``expand`` of
-higher dimension, ``verify`` and ``density-sweep`` load it.
+``--exact``, runs on plain numbers without it, and a float ``expand``
+of group dimension 2 on a pure-Python vector of the circle's
+directions, while ``expand`` of dimension 3 and up, ``verify`` and
+``density-sweep`` load it.
 
 Identical invocations produce byte-identical output: floats are
 serialized with 17 significant digits and rationals as ``p/q``.
@@ -226,10 +228,8 @@ def cmd_density_sweep(ns: argparse.Namespace) -> str:
     if ns.k:
         i_numeric, j_numeric = density(model, ("I", "J"), ns.k, tol=ns.tol)
         ks = [*ns.k, math.inf]
-        i_series, j_series = (
-            density_series(model, kind, ks, order=ns.order, resolution=ns.resolution)
-            for kind in ("I", "J")
-        )
+        i_series, j_series = density_series(model, ("I", "J"), ks, order=ns.order,
+                                            resolution=ns.resolution)
         rows = list(zip(ns.k, i_numeric, j_numeric, i_series, j_series))
         # closing row: the large-k limits, numeric and series alike; its k is
         # the string "inf" because JSON has no infinity (CSV prints it alike)

@@ -18,11 +18,12 @@ deterministic, antipodally symmetric product rule of
 The arithmetic is that of the profile's columns, one per coefficient
 (see :class:`RadialProfile`): each coefficient runs one jet recurrence
 for every direction at once, on the columns as they are.  A number
-computes on its own; a float array lane by lane, each lane the float the
-direction would give on its own; an object array entry by entry with
-Python's operators, so ints and Fractions stay exact up to each
-direction's value.  Only arrays and the rules from dimension 2 on
-load numpy.  The direction weights, the gamma factor, and the
+computes on its own; a :class:`~lapasym.vector.Vector` or a float array
+lane by lane, each lane the float the direction would give on its own;
+an object array entry by entry with Python's operators, so ints and
+Fractions stay exact up to each direction's value.  Only arrays and the
+rules from dimension 3 on load numpy: the circle rule of dimension 2 is
+built with :mod:`math`.  The direction weights, the gamma factor, and the
 fractional power of ``f0`` are evaluated in floating point, direction by
 direction, in a fixed reduction order (compensated summation over
 directions), so results are reproducible bit-for-bit across runs and
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import DomainError
-from .jets import TruncatedSeries, listed, numpy_if_array
+from .jets import TruncatedSeries, is_vector, listed, numpy_if_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,8 +124,8 @@ class SphereRule(Record):
 
     ``nodes`` is a sequence of ``n >= 1`` rows of ``dim`` coordinates
     and ``weights`` a sequence of ``n`` finite numbers, checked on their
-    plain entries: tuples in dimension 1, float arrays (whose rows are
-    arrays) from dimension 2 on.  Weights sum to the sphere area.  Every
+    plain entries: tuples in dimensions 1 and 2, float arrays (whose rows
+    are arrays) from dimension 3 on.  Weights sum to the sphere area.  Every
     rule is deterministic and antipodally symmetric (the node set is
     closed under negation), which is what makes odd coefficients cancel
     to rounding.  ``mirrored`` is read off the nodes: ``n // 2`` when the
@@ -208,12 +209,16 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
     dim 1 is the two-point set {+1, -1} with unit weights (resolution is
     ignored), as plain tuples: its nodes are the integers ``((1,),
     (-1,))``, so that exact radial data stays exact along them, and
-    ``-1`` is the mirror of ``1``; its weights are ``(1.0, 1.0)``.  From
-    dim 2 on nodes and weights are float arrays, and numpy is loaded.
-    dim 2 is the uniform trapezoid rule with ``resolution``
-    angles, an even count (spectrally accurate, odd counts rejected).
-    From dim 3 on the rule is a product (Stroud 1971): ``resolution``
-    Gauss-Jacobi nodes for the polar cosine ``x``, with weight
+    ``-1`` is the mirror of ``1``; its weights are ``(1.0, 1.0)``.
+    dim 2 is the uniform trapezoid rule with ``resolution`` angles, an
+    even count (spectrally accurate, odd counts rejected), as tuples of
+    floats built with :mod:`math`: angle ``i`` is ``2.0 * math.pi * i /
+    resolution``, its node ``(cos, sin)`` of it and every weight ``1.0 *
+    2.0 * math.pi / resolution``, the floats that numpy's vectorized
+    expressions for the same rule give.  From dim 3 on nodes and
+    weights are float arrays, and numpy is loaded.  The rule is then a
+    product (Stroud 1971): ``resolution`` Gauss-Jacobi nodes for the
+    polar cosine ``x``, with weight
     ``(1 - x**2) ** ((dim - 3) / 2)`` from Golub-Welsch (Legendre for
     dim 3), times the ``dim - 1`` rule at the same resolution scaled by
     ``sqrt(1 - x**2)``.  The recursion ends in a circle of
@@ -226,8 +231,6 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
         raise DomainError("sphere dimension must be >= 1")
     if dim == 1:
         return SphereRule(1, ((1,), (-1,)), (1.0, 1.0))
-    import numpy as np
-
     if dim == 2:
         if resolution < 4 or resolution % 2:
             raise DomainError(
@@ -244,6 +247,14 @@ def sphere_rule(dim: int, resolution: int = 32) -> SphereRule:
             f"the sphere rule for d = {dim} at resolution {resolution} "
             f"has {count} nodes, more than the {_MAX_RULE_NODES} allowed"
         )
+    if dim == 2:
+        # numpy's expressions below, one angle at a time; math's cosine and
+        # sine give numpy's nodes
+        angles = [2.0 * math.pi * i / m for i in range(m)]
+        return SphereRule(2, tuple((math.cos(t), math.sin(t)) for t in angles),
+                          (1.0 * 2.0 * math.pi / m,) * m)
+    import numpy as np
+
     theta = 2.0 * math.pi * np.arange(m) / m
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     # products of the polar weights; the circle's 2 pi / m comes last, in
@@ -272,16 +283,16 @@ class RadialProfile:
     ``phase[p]`` is ``f_p`` and ``amplitude[p]`` is ``g_p``, of the phase
     ``rho ** 2 * (f0 + f1 rho + ...)`` and the amplitude ``g0 + g1 rho +
     ...`` along the directions of the attached rule.  A column is a
-    number that every direction shares, or a 1-d array with one entry
-    per direction; the engine computes on it as it is (see :mod:`.jets`),
-    so numbers alone need no numpy.  The order is that of the shorter
-    table.
+    number that every direction shares, or a 1-d array or a
+    :class:`~lapasym.vector.Vector` with one entry per direction; the
+    engine computes on it as it is (see :mod:`.jets`), so numbers and
+    vectors need no numpy.  The order is that of the shorter table.
 
-    The arrays hold one entry per node of the rule, or one per node but
-    the rule's ``mirrored`` last ones, as numbers do where no column is
-    an array.  A node left out holds its partner's data with column
-    ``p`` times ``(-1)**p``, which is what data odd in the direction
-    gives along the negated direction (see
+    The arrays and vectors hold one entry per node of the rule, or one
+    per node but the rule's ``mirrored`` last ones, as numbers do where
+    no column is an array or a vector.  A node left out holds its
+    partner's data with column ``p`` times ``(-1)**p``, which is what
+    data odd in the direction gives along the negated direction (see
     :func:`~lapasym.models.geometric_expansion`); the engine takes its
     values from its partner's (see :func:`_direction_values`).  Full
     columns are taken as they are, whatever they hold.  An entry with no
@@ -294,8 +305,7 @@ class RadialProfile:
         self.rule = rule
         self.phase, self.amplitude = phase, amplitude = tuple(phase), tuple(amplitude)
         n, kept = len(rule), len(rule) - rule.mirrored
-        shapes = {column.shape for column in (*phase, *amplitude)
-                  if numpy_if_array(column) is not None}
+        shapes = {_shape(column) for column in (*phase, *amplitude)} - {None}
         if len(shapes) > 1 or not shapes <= {(n,), (kept,)}:
             raise DomainError(
                 f"coefficient columns of shapes {sorted(shapes)}; a rule of {n} nodes, "
@@ -319,21 +329,32 @@ class RadialProfile:
         return min(len(self.phase), len(self.amplitude)) - 1
 
 
+def _shape(column: Any) -> tuple | None:
+    # an array's shape, a vector's one axis, None for a number
+    if numpy_if_array(column) is not None:
+        return column.shape
+    return (len(column),) if is_vector(column) else None
+
+
 def _finite(column: Any) -> bool:
     # every entry has a finite float: inf, nan and numbers too large for a
     # float have none
     np = numpy_if_array(column)
     try:
-        if np is None:
-            return math.isfinite(column)
-        return bool(np.isfinite(np.asarray(column, dtype=float)).all())
+        if np is not None:
+            return bool(np.isfinite(np.asarray(column, dtype=float)).all())
+        if is_vector(column):
+            return all(map(math.isfinite, column))
+        return math.isfinite(column)
     except OverflowError:
         return False
 
 
 def _lanes(value: Any, count: int) -> list:
-    # an array's entries, or count copies of a number
-    return value.tolist() if numpy_if_array(value) is not None else [value] * count
+    # an array's or a vector's entries, or count copies of a number
+    if numpy_if_array(value) is not None:
+        return value.tolist()
+    return list(value) if is_vector(value) else [value] * count
 
 
 class ExpansionResult(Record):

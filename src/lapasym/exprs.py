@@ -20,9 +20,10 @@ Interior nodes are ``[op, arg, ...]`` with operators
 ======== ======================================================
 
 Compiled expressions evaluate on whatever the environment supplies:
-plain numbers, exact rationals, numpy arrays (elementwise), or
-truncated series, so one config works for point evaluation, for many
-points at once and for jet transport alike.  A tree wrapped in
+plain numbers, exact rationals, numpy arrays and vectors of lanes
+(:mod:`.vector`), both elementwise, or truncated series, so one config
+works for point evaluation, for many points at once and for jet
+transport alike.  A tree wrapped in
 :class:`Positional` with its symbol list compiles to a function of a
 sequence read by position: ``symbols[i]`` is ``env[i]``.  A model's
 callables bind ``x0, ..., w0, ...`` this way once.  A bare tree
@@ -34,12 +35,14 @@ runs the same operations, in the same left-to-right order, that
 evaluation would run, so Fractions stay Fractions, floats stay floats,
 and exact, float and series results are bit-identical to evaluating
 the unfolded tree.  A fold that fails (a zero divisor, the square root
-of a negative number) is a :class:`~lapasym.errors.DomainError` at
-compile time; so are structural problems (unknown operator, bad arity,
-non-integer exponent), a number that is not finite and a symbol
-missing from ``symbols``.  A zero divisor met during evaluation is a
-:class:`~lapasym.errors.DomainError` when the expression is evaluated,
-also when the divisor is an array with a zero entry.
+of a negative number) or whose float result is not finite (a product
+past the float range) is a :class:`~lapasym.errors.DomainError` at
+compile time, naming its node; so are structural problems (unknown
+operator, bad arity, non-integer exponent), a number that is not finite
+and a symbol missing from ``symbols``.  A zero divisor met during
+evaluation is a :class:`~lapasym.errors.DomainError` when the
+expression is evaluated, also when the divisor is an array or a vector
+with a zero entry.
 """
 
 from __future__ import annotations
@@ -95,12 +98,17 @@ def _constant(value: Any) -> CompiledExpr:
 
 def _fold(node: Any, op: Callable, *values: Any) -> _Folded:
     try:
-        return _Folded(op(*values))
+        value = op(*values)
     except (ArithmeticError, ValueError) as exc:  # a DomainError is a ValueError
         where = json.dumps(node)
         if where in str(exc):  # a zero divisor's error names its node already
             raise
         raise DomainError(f"cannot evaluate {where}: {exc}") from None
+    # a float product or sum past the float range comes out inf or nan
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"cannot evaluate {json.dumps(node)}: the result {value} "
+                          "is not finite")
+    return _Folded(value)
 
 
 def _unary(node: Any, op: Callable, part: Any) -> Any:

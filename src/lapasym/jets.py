@@ -2,16 +2,18 @@
 
 A :class:`TruncatedSeries` stores coefficients ``c[0..N]`` of a power
 series truncated at a fixed order ``N``.  Coefficients can be exact
-rationals, floats, float64 or object arrays (one lane per direction,
-so one jet carries a whole batch of directions), or again truncated
-series (nested jets), as long as they support ring arithmetic; all algorithms here
-only ever add, multiply, and rescale coefficients, so exact inputs give
-exact outputs.  One transport serves every group dimension: a batch of
-float directions travels as :class:`Lanes` (defined in :mod:`.lanes`,
-which loads numpy when ``jets.Lanes`` is first read), and group
-dimension 1 transports its one direction ``1`` as plain numbers (the
-engine folds ``-1`` from it, see :class:`~lapasym.engine.RadialProfile`),
-so exact data stays exact and numpy is never loaded.
+rationals, floats, pure-Python float vectors, float64 or object arrays
+(one lane per direction, so one jet carries a whole batch of
+directions), or again truncated series (nested jets), as long as they
+support ring arithmetic; all algorithms here only ever add, multiply,
+and rescale coefficients, so exact inputs give exact outputs.  One
+transport serves every group dimension.  Group dimension 1 transports
+its one direction ``1`` as plain numbers (the engine folds ``-1`` from
+it, see :class:`~lapasym.engine.RadialProfile`), so exact data stays
+exact; group dimension 2 carries the circle's directions as a
+:class:`~lapasym.vector.Vector`; and neither loads numpy.  From group
+dimension 3 on the batch travels as :class:`Lanes` (defined in
+:mod:`.lanes`, which loads numpy when ``jets.Lanes`` is first read).
 
 Conventions shared by the whole package:
 
@@ -24,14 +26,14 @@ Conventions shared by the whole package:
   numeric array coefficients take the float ``1/n``, which is the float
   that rational rounds to when it meets a float, so the result is the
   same; object arrays keep the rational, entry by entry,
-* an array coefficient computes as its lanes would one by one: the
-  lead of a series function (``exp``, ``log``, ``sin``, ``cos``,
-  ``sqrt`` and rational powers) applies the scalar function to each
-  entry, through :mod:`math`, whose rounding differs from numpy's
+* an array or vector coefficient computes as its lanes would one by
+  one: the lead of a series function (``exp``, ``log``, ``sin``,
+  ``cos``, ``sqrt`` and rational powers) applies the scalar function to
+  each entry, through :mod:`math`, whose rounding differs from numpy's
   vectorized functions in some elements, and keeps the array's dtype
-  and class, so an exact table's rational powers stay exact; a
-  :class:`Lanes` array meets a Fraction as the Fraction's float, as a
-  float would.
+  and class, so an exact table's rational powers stay exact; a vector
+  or a :class:`Lanes` array meets a Fraction as the Fraction's float, as
+  a float would.
 
 On top of the arithmetic sit the series versions of the elementary
 functions (:func:`exp_series`, ``sin``/``cos``/``sqrt``/``log``, and
@@ -69,12 +71,14 @@ that of a fresh call, in every ring; the product with ``1`` stays,
 because ``1 * x + 0 * y`` is not ``x`` at ``-0.0``, ``inf`` or ``nan``.
 
 The module-level :func:`exp`, :func:`sin`, :func:`cos`, :func:`sqrt`,
-:func:`log` dispatch on the argument type (series, numpy array or
-scalar), which lets model callables be written once as ordinary
+:func:`log` dispatch on the argument type (series, numpy array, vector
+or scalar), which lets model callables be written once as ordinary
 compositions and evaluated on points, on arrays of points (elementwise,
-through numpy; an object array as floats) and on jets alike.  An array
-is recognised by :func:`numpy_if_array`, which never imports numpy, so
-scalars and jets of plain numbers compute without it.  A square root of
+through numpy; an object array as floats), on vectors (lane by lane,
+through :mod:`math`) and on jets alike.  An array is recognised by
+:func:`numpy_if_array`, which never imports numpy, and a vector by
+:func:`is_vector`, which never imports its module, so scalars and jets
+of plain numbers compute without either.  A square root of
 a negative value or a logarithm of a nonpositive one is a
 :class:`~lapasym.errors.DomainError`, on scalars and arrays alike.
 """
@@ -308,6 +312,19 @@ def numpy_if_array(value: Any, scalars: bool = False) -> Any:
     return np if isinstance(value, kinds) else None
 
 
+_VECTOR_MODULE = f"{__package__}.vector"
+
+
+def is_vector(value: Any) -> bool:
+    """Whether ``value`` is a :class:`~lapasym.vector.Vector`.
+
+    Like :func:`numpy_if_array`, it never imports that module: no vector
+    exists before it is loaded.
+    """
+    module = sys.modules.get(_VECTOR_MODULE)
+    return module is not None and isinstance(value, module.Vector)
+
+
 def listed(values: Sequence[Any]) -> Sequence[Any]:
     """An array's entries (or rows) as Python numbers, through
     ``tolist``; any other sequence as it is."""
@@ -315,11 +332,11 @@ def listed(values: Sequence[Any]) -> Sequence[Any]:
 
 
 def _is_float_ring(value: Any) -> bool:
-    # floats and numeric arrays; an object array computes entry by entry
-    # with Python's operators, so exact entries stay exact
+    # floats, vectors and numeric arrays; an object array computes entry by
+    # entry with Python's operators, so exact entries stay exact
     if numpy_if_array(value) is not None:
         return value.dtype != object
-    return isinstance(value, float)
+    return isinstance(value, float) or is_vector(value)
 
 
 def _in_ring(rational: Fraction, like: Any) -> Any:
@@ -329,13 +346,16 @@ def _in_ring(rational: Fraction, like: Any) -> Any:
 
 
 def _lead(fn: Callable[[Any], Any], value: Any) -> Any:
-    # the scalar fn of a constant term; an array goes entry by entry and
-    # keeps its class, an object array its dtype (numeric ones give floats)
+    # the scalar fn of a constant term; an array or a vector goes entry by
+    # entry and keeps its class, an object array its dtype (numeric ones
+    # give floats)
     np = numpy_if_array(value)
     if np is not None:
         entries = [fn(v) for v in value.ravel().tolist()]
         dtype = np.result_type(value.dtype, float)
         return np.array(entries, dtype=dtype).reshape(value.shape).view(type(value))
+    if is_vector(value):
+        return type(value)(map(fn, value))
     return fn(value)
 
 
@@ -346,6 +366,10 @@ def _invert_scalar(value: Any) -> Any:
         if not value.all():
             raise DomainError("singular jet: division by a zero value")
         return (1.0 if _is_float_ring(value) else Fraction(1)) / value
+    if is_vector(value):
+        if not all(value):
+            raise DomainError("singular jet: division by a zero value")
+        return 1.0 / value
     if value == 0:
         # a quotient, reciprocal, square root or logarithm that is singular here
         raise DomainError("singular jet: division by a zero value")
@@ -366,6 +390,8 @@ def exp(value: Any) -> Any:
     np = numpy_if_array(value)
     if np is not None:
         return np.exp(_floats(value))
+    if is_vector(value):
+        return _lead(exp, value)
     if _is_exact(value) and value == 0:
         return 1
     return math.exp(value)
@@ -377,6 +403,8 @@ def sin(value: Any) -> Any:
     np = numpy_if_array(value)
     if np is not None:
         return np.sin(_floats(value))
+    if is_vector(value):
+        return _lead(sin, value)
     if _is_exact(value) and value == 0:
         return value
     return math.sin(value)
@@ -388,6 +416,8 @@ def cos(value: Any) -> Any:
     np = numpy_if_array(value)
     if np is not None:
         return np.cos(_floats(value))
+    if is_vector(value):
+        return _lead(cos, value)
     if _is_exact(value) and value == 0:
         return 1
     return math.cos(value)
@@ -402,6 +432,8 @@ def sqrt(value: Any) -> Any:
         if np.any(value < 0):
             raise DomainError("square root of a negative value")
         return np.sqrt(_floats(value))
+    if is_vector(value):
+        return _lead(sqrt, value)  # each lane's domain error is the scalar's
     if value < 0:
         raise DomainError("square root of a negative value")
     if isinstance(value, int):
@@ -423,6 +455,8 @@ def log(value: Any) -> Any:
         if np.any(value <= 0):
             raise DomainError("logarithm of a nonpositive value")
         return np.log(_floats(value))
+    if is_vector(value):
+        return _lead(log, value)  # each lane's domain error is the scalar's
     if value <= 0:
         raise DomainError("logarithm of a nonpositive value")
     if _is_exact(value) and value == 1:

@@ -1,7 +1,10 @@
 """Float64 lanes: one value per direction of a batch, as numpy arrays.
 
 This module loads numpy; :mod:`.jets` imports it when its ``Lanes`` is
-first read, so a call with no batch of directions runs without numpy.
+first read, and the series route makes lanes only of the numpy rules of
+group dimension 3 and up, so a call with no such batch of directions
+runs without numpy (group dimension 2's batch is a
+:class:`~lapasym.vector.Vector`).
 """
 
 from __future__ import annotations

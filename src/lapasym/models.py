@@ -24,18 +24,16 @@ import itertools
 import json
 import math
 import numbers
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .engine import ExpansionResult, RadialProfile, Record, expansion_series, \
     sphere_rule
 from .errors import DomainError
 from .exprs import Positional, compile_expression
-from .jets import TruncatedSeries, exp_series, numpy_if_array, ode_jet_transport
-
-if TYPE_CHECKING:
-    import numpy as np
+from .jets import TruncatedSeries, exp_series, is_vector, numpy_if_array, \
+    ode_jet_transport
 
 __all__ = [
     "HamiltonianModel",
@@ -76,15 +74,16 @@ class HamiltonianModel(Record):
     dimension 1 call the maps on plain numbers and jets of plain numbers
     only (the direction ``1``), so building a model and a
     group-dimension-1 ``expand`` need no numpy.  Elsewhere the maps
-    receive numpy arrays and must compute elementwise: the numeric
-    oracle passes the directions and points of a whole angular level as
-    one float array per coordinate (in group dimension 1 too: its one
-    level, the directions ``1`` and ``-1``, arrives as arrays of two
-    entries, and the Jacobian check's one direction as arrays of one
-    entry), and from group dimension 2 on the series path passes its
-    rule's transported directions as one array per component, with jet
-    points whose coefficients are such arrays; a map may return a
-    scalar where every entry is the same.  The elementary functions of
+    receive batches and must compute elementwise: the numeric oracle
+    passes the directions and points of a whole angular level as one
+    float array per coordinate (in group dimension 1 too: its one level,
+    the directions ``1`` and ``-1``, arrives as arrays of two entries,
+    and the Jacobian check's one direction as arrays of one entry); the
+    series path passes its rule's transported directions as one
+    :class:`~lapasym.vector.Vector` per component in group dimension 2
+    and one numpy array per component from 3 on, with jet points whose
+    coefficients are such lanes; a map may return a scalar where every
+    entry is the same.  The elementary functions of
     :mod:`.jets` and config models qualify; ``math.*`` calls do not.
     ``orbit_volume(point)`` is plain numeric.
     ``zero_chart`` and ``chart_density`` are optional and only needed by
@@ -118,7 +117,11 @@ class HamiltonianModel(Record):
             raise DomainError(f"model {name!r}: group_dim and chart_dim must be positive")
         if not zero_points:
             raise DomainError(f"model {name!r}: zero_points: needs at least one point")
-        if any(len(pt) != chart_dim for pt in zero_points):
+        try:
+            shaped = all(len(pt) == chart_dim for pt in zero_points)
+        except TypeError:  # a number where a point belongs
+            shaped = False
+        if not shaped:
             raise DomainError(f"model {name!r}: zero_points: each point must have chart "
                               "dimension")
         _check_odd(self)
@@ -207,12 +210,14 @@ def radial_profile(
     of that flow, in one Taylor transport; weight ``= exp(half_form *
     log-weight)``.  Series are returned at radial order ``order``
     (so reduced phase coefficients are available up to ``order - 2``).
-    ``omega`` holds plain numbers, one direction, or one array per
+    ``omega`` holds plain numbers, one direction, or one sequence per
     component, a batch of directions; each series coefficient then has
     one lane per direction, the value that direction gives on its own.
-    Array columns become :class:`~lapasym.jets.Lanes`, and only then is
-    numpy loaded; plain numbers stay as they are, so exact data along
-    group dimension 1's ``1`` stays exact.  The zero-level checks read
+    A numpy array becomes :class:`~lapasym.jets.Lanes`, any other
+    sequence (the tuples of the circle rule) a
+    :class:`~lapasym.vector.Vector` of floats, which needs no numpy;
+    plain numbers stay as they are, so exact data along group dimension
+    1's ``1`` stays exact.  The zero-level checks read
     each value as one float per direction.  A failed check names the
     model and the first failing direction; a
     :class:`~lapasym.errors.DomainError` of the model's maps (a
@@ -221,8 +226,8 @@ def radial_profile(
     if order < 2:
         raise DomainError("radial order must be at least 2")
     x0 = _reference_point(model, point)
-    omega = tuple(_lanes(c) if numpy_if_array(c) is not None else c for c in omega)
-    n = max((len(c) for c in omega if numpy_if_array(c) is not None), default=1)
+    omega = tuple(map(_batch, omega))
+    n = max((len(c) for c in omega if _batched(c)), default=1)
     with _named(model):
         level = [abs(v) for v in _per_direction(model.phi(omega, x0), n)]
     _refuse(model, omega, [v > _ZERO_LEVEL_TOL for v in level],
@@ -248,18 +253,31 @@ def radial_profile(
     return _weighted(phase, log_weight, half_form)
 
 
-def _lanes(column: np.ndarray) -> Any:
-    from .lanes import Lanes
+def _batch(component: Any) -> Any:
+    # a direction component as lanes: an array as numpy Lanes, another
+    # sequence as a Vector; a number stays as it is
+    if numpy_if_array(component) is not None:
+        from .lanes import Lanes
 
-    return column.astype(float, copy=False).view(Lanes)
+        return component.astype(float, copy=False).view(Lanes)
+    if isinstance(component, (tuple, list)):
+        from .vector import Vector
+
+        return Vector(map(float, component))
+    return component
+
+
+def _batched(value: Any) -> bool:
+    # lanes, one per direction: a numpy array or a vector
+    return numpy_if_array(value) is not None or is_vector(value)
 
 
 def _per_direction(value: Any, n: int) -> list[float]:
     # a value per direction, or one value all n directions share, as floats
     np = numpy_if_array(value)
-    if np is None:
-        return [_float(value)] * n
-    return np.broadcast_to(np.asarray(value, dtype=float), n).tolist()
+    if np is not None:
+        return np.broadcast_to(np.asarray(value, dtype=float), n).tolist()
+    return list(value) if is_vector(value) else [_float(value)] * n
 
 
 def _float(value: Any) -> float:
@@ -286,8 +304,7 @@ def _refuse(model: HamiltonianModel, omega: Sequence[Any], failed: list[bool],
     # one entry per direction
     if any(failed):
         i = failed.index(True)
-        direction = tuple(float(c[i] if numpy_if_array(c) is not None else c)
-                          for c in omega)
+        direction = tuple(float(c[i] if _batched(c) else c) for c in omega)
         raise DomainError(f"model {model.name!r}, direction {direction}: {reason(i)}")
 
 
@@ -314,10 +331,15 @@ def geometric_expansion(
     """Expansion coefficients for the geometric phase/weight data.
 
     In every group dimension one radial profile carries the rule's
-    nodes but its mirrored ones, one array per direction component (in
+    nodes but its mirrored ones, one batch per direction component (in
     dimension 1 the one direction ``1``, as a plain number), and its
     coefficients are the engine's columns as they are: lanes, one per
-    transported node, or numbers that those nodes share.
+    transported node, or numbers that those nodes share.  The lanes
+    follow the rule's nodes: the circle's tuples travel as a
+    :class:`~lapasym.vector.Vector`, so dimension 2 runs without numpy,
+    and the numpy rules from dimension 3 on as numpy lanes, computed
+    with numpy's floating-point warnings off (a value that overflows is
+    refused below, by name).
     The maps are odd in ``omega`` (checked when the model is built), so
     the flow along ``-omega`` is the flow along ``omega`` run backwards,
     and the coefficient of ``t**p`` changes sign with ``p``: a mirrored
@@ -352,31 +374,47 @@ def geometric_expansion(
             f"group dimension {model.group_dim} was given the "
             f"{type(half_form).__name__} weight {half_form!r}{hint}"
         )
+    return _expansions(model, point, (half_form,), order, resolution, mode)[0]
+
+
+def _expansions(model: HamiltonianModel, point: Sequence[Any] | None,
+                half_forms: Sequence[Any], order: int, resolution: int,
+                mode: str) -> list[ExpansionResult]:
+    # geometric_expansion at each half-form weight, from one transport: the
+    # flow, the phase and the log-weight do not depend on the weight
     rule = sphere_rule(model.group_dim, resolution)
     kept = len(rule) - rule.mirrored
+    np = numpy_if_array(rule.nodes)
     if kept == 1:
         omega = tuple(rule.nodes[0])
+    elif np is None:
+        omega = tuple(zip(*rule.nodes[:kept]))
     else:
-        import numpy as np
-
         omega = tuple(np.ascontiguousarray(column) for column in rule.nodes[:kept].T)
-    # reduced phase coefficient f_order is phase[t^(order + 2)]
-    batched = radial_profile(model, omega, point, order + 2, half_form)
-    phase, weight = _tables(batched, order)
-    if mode == "float":
-        phase, weight = ([c if numpy_if_array(c) is not None else _float(c) for c in table]
-                         for table in (phase, weight))
-    else:
-        # each phase coefficient, then each weight coefficient
-        for value in (*phase, *weight):
-            if not isinstance(value, (int, Fraction)):
-                raise DomainError(
-                    f"exact mode needs rational radial data; model {model.name!r} "
-                    f"of group dimension {model.group_dim} gives the "
-                    f"{type(value).__name__} {value!r}"
-                )
-    with _named(model):
-        return expansion_series(RadialProfile(rule, phase, weight), order)
+    results = []
+    # numpy lanes, like floats, overflow to inf, but they also warn; the
+    # refusal of the value that is not finite is the whole report
+    with np.errstate(all="ignore") if np is not None else nullcontext():
+        # reduced phase coefficient f_order is phase[t^(order + 2)]
+        transported = radial_profile(model, omega, point, order + 2)
+        for half_form in half_forms:
+            phase, weight = _tables(
+                _weighted(transported.phase, transported.log_weight, half_form), order)
+            if mode == "float":
+                phase, weight = ([c if _batched(c) else _float(c) for c in table]
+                                 for table in (phase, weight))
+            else:
+                # each phase coefficient, then each weight coefficient
+                for value in (*phase, *weight):
+                    if not isinstance(value, (int, Fraction)):
+                        raise DomainError(
+                            f"exact mode needs rational radial data; model "
+                            f"{model.name!r} of group dimension {model.group_dim} "
+                            f"gives the {type(value).__name__} {value!r}"
+                        )
+            with _named(model):
+                results.append(expansion_series(RadialProfile(rule, phase, weight), order))
+    return results
 
 
 # ------------------------------------------------------------ densities by series
@@ -412,7 +450,7 @@ def _orbit_volume(model: HamiltonianModel, x0: tuple) -> float:
 
 def density_series(
     model: HamiltonianModel,
-    kind: str,
+    kind: str | Sequence[str],
     k: float | Sequence[float] = 100.0,
     point: Sequence[Any] | None = None,
     order: int = 6,
@@ -421,19 +459,26 @@ def density_series(
     """Series prediction of density ``kind``; ``k = inf`` gives its large-k limit.
 
     The limit comes from the leading coefficient alone, which does not
-    depend on the half-form weight.
+    depend on the half-form weight.  A sequence of kinds, such as
+    ``("I", "J")``, gives a list with one such result per kind, from one
+    transport of the rule's directions, as in
+    :func:`~lapasym.oracle.density`.
     """
-    half_form, divisor, scale = _density_data(model, kind, point)
+    if isinstance(kind, str):
+        return density_series(model, (kind,), k, point, order, resolution)[0]
+    data = [_density_data(model, one, point) for one in kind]
     d = model.group_dim
-    result = geometric_expansion(model, _reference_point(model, point), half_form, order,
-                                 resolution)
+    results = _expansions(model, _reference_point(model, point),
+                          [half_form for half_form, _, _ in data], order, resolution, "float")
+    sweeps = []
+    for (_, divisor, scale), result in zip(data, results):
+        def one(kv: float) -> float:
+            if math.isinf(kv):
+                return scale * result.coefficients[0] / divisor ** (d / 2.0)
+            return (kv / divisor) ** (d / 2.0) * scale * result.partial_sum(kv)
 
-    def one(kv: float) -> float:
-        if math.isinf(kv):
-            return scale * result.coefficients[0] / divisor ** (d / 2.0)
-        return (kv / divisor) ** (d / 2.0) * scale * result.partial_sum(kv)
-
-    return _sweep(k, one)
+        sweeps.append(_sweep(k, one))
+    return sweeps
 
 
 # ------------------------------------------------------------ builtin models

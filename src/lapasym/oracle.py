@@ -107,9 +107,10 @@ def _angular_level(dim: int, n: int, first: bool) -> tuple[np.ndarray, np.ndarra
         # nested circle: the even nodes of sphere_rule(2, n) are the level
         # before's, so a level after the first asks only for its odd ones
         rule = sphere_rule(2, n)
+        nodes, weights = np.array(rule.nodes), np.array(rule.weights)
         if first:
-            return rule.nodes, rule.weights, 0.0
-        return rule.nodes[1::2], rule.weights[1::2], 0.5
+            return nodes, weights, 0.0
+        return nodes[1::2], weights[1::2], 0.5
     # Gauss-Legendre in the polar cosine times a midpoint azimuth; these do
     # not nest, so every level is a full pass
     x, w = np.polynomial.legendre.leggauss(n)

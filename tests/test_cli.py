@@ -523,16 +523,32 @@ BIG = {
 }
 
 
-@pytest.mark.parametrize("scale, flags", [("1e100", []), ("1e100", ["--exact"]), (1e100, [])],
-                         ids=["exact-int-float-mode", "exact-int-exact-mode", "float"])
-def test_radial_data_past_the_float_range_is_refused(scale, flags, tmp_path, capsys):
+def big_twin(dim):
+    # BIG's first coordinate, and x_i' = w_i for the others
+    return {
+        "name": f"big{dim}", "group_dim": dim, "chart_dim": dim,
+        "phi": ["+", *(["*", f"w{i}", f"x{i}"] for i in range(dim))],
+        "flow_field": [BIG["flow_field"][0], *(f"w{i}" for i in range(1, dim))],
+        "laplacian_phi": "0", "zero_points": [[0] * dim], "orbit_volume": "1",
+    }
+
+
+# numpy warns as its lanes overflow; a warning here fails the test, as it
+# would add lines to the command's stderr
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config, scale, flags", [
+    (BIG, "1e100", []), (BIG, "1e100", ["--exact"]), (BIG, 1e100, []),
+    (big_twin(2), "1e100", ["--resolution", "8"]), (big_twin(3), "1e100", ["--resolution", "8"]),
+], ids=["exact-int-float-mode", "exact-int-exact-mode", "float", "d2", "d3"])
+def test_radial_data_past_the_float_range_is_refused(config, scale, flags, tmp_path, capsys):
     # an exact int too large for a float used to end in an OverflowError
     # traceback, and a float table printed nan
-    config = json.loads(json.dumps(BIG).replace('"1e100"', json.dumps(scale)))
+    config = json.loads(json.dumps(config).replace('"1e100"', json.dumps(scale)))
     code, out, err = run_cli(["expand", "--model", write_model(tmp_path, config),
                               "--order", "8", *flags], capsys)
     assert_one_error_line(code, out, err)
-    assert err.startswith("error: model 'big': phase coefficient 8 has no finite float")
+    assert err.startswith(f"error: model '{config['name']}': phase coefficient 8 has no "
+                          "finite float")
 
 
 def test_leading_phase_past_the_float_range_is_refused(tmp_path, capsys):
@@ -680,6 +696,16 @@ def test_overflowing_literal_is_refused_at_load(tmp_path, capsys):
     code, out, err = run_cli(["expand", "--model", str(path)], capsys)
     assert_one_error_line(code, out, err)
     assert err == "error: model 'log-edge': orbit_volume: expression leaf Infinity is not finite\n"
+
+
+def test_overflowing_fold_is_refused_at_load(tmp_path, capsys):
+    # a symbol-free product past the float range folds to inf; expand, which
+    # reads no orbit volume, used to exit 0 on it
+    path = write_model(tmp_path, {**LOG_EDGE, "orbit_volume": ["*", 1e300, 1e300]})
+    code, out, err = run_cli(["expand", "--model", path], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == ("error: model 'log-edge': orbit_volume: cannot evaluate "
+                   '["*", 1e+300, 1e+300]: the result inf is not finite\n')
 
 
 # the sphere's circle action in the chart (theta, z): nothing depends on
@@ -865,6 +891,27 @@ def test_density_sweep_solves_each_flow_once(capsys, monkeypatch):
     )
     assert code == 0 and err == ""
     assert_each_flow_solved_once(solves, fresh, Dop853)
+
+
+@pytest.mark.parametrize("model", ["sphere1_product.json", "sphere2_product.json"])
+def test_density_sweep_transports_once(model, capsys, monkeypatch):
+    # nor does the series' jet transport: I and J share one, and each reads
+    # its own weight off the transported log-weight
+    from lapasym import models
+
+    transports = []
+    transport = models.ode_jet_transport
+
+    def counting(*args):
+        transports.append(args)
+        return transport(*args)
+
+    monkeypatch.setattr(models, "ode_jet_transport", counting)
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(["density-sweep", "--model", model, "--order", "2",
+                              "--resolution", "8", "--k", "100,300"], capsys)
+    assert code == 0 and err == ""
+    assert len(transports) == 1
 
 
 def test_one_dimensional_oracle_is_one_level_of_both_directions(capsys, monkeypatch):

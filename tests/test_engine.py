@@ -89,8 +89,8 @@ def test_sphere_rule_reads_its_mirror_off_its_nodes():
                              (4, (4, 8)), (5, (4, 6))]:
         for resolution in resolutions:
             assert sphere_rule(dim, resolution).mirrored == 0, (dim, resolution)
-    circle = sphere_rule(2, 8)
-    assert abs(circle.nodes[4:] + circle.nodes[:4]).max() < 1e-15  # pairs to rounding only
+    circle = np.array(sphere_rule(2, 8).nodes)
+    assert abs(circle[4:] + circle[:4]).max() < 1e-15  # pairs to rounding only
     # the second half negates the first, in order: two mirrored nodes, and
     # -0.0 counts as the negation of 0.0
     cross = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-0.0, -1.0]])
@@ -156,6 +156,19 @@ def legendre_azimuth_rule(resolution):
             weights[row] = w[i] * 2.0 * math.pi / m
             row += 1
     return nodes, weights
+
+
+def test_circle_rule_is_numpys_formula_bit_for_bit():
+    # the circle rule is built one angle at a time with math, and its nodes
+    # and weights are those of numpy's vectorized formula, at every even
+    # count up to 4096
+    for m in range(4, 4097, 2):
+        rule = sphere_rule(2, m)
+        theta = 2.0 * math.pi * np.arange(m) / m
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        weights = np.ones(m) * 2.0 * math.pi / m
+        assert np.array(rule.nodes).tobytes() == nodes.tobytes(), m
+        assert np.array(rule.weights).tobytes() == weights.tobytes(), m
 
 
 def test_sphere_rule_keeps_the_legendre_azimuth_bits():
@@ -474,7 +487,8 @@ def test_profile_names_the_first_direction_with_a_nonpositive_lead():
     for lead in (np.array([1.0, 2.0, -1.0, 0.0]), np.array([1, 2, Fraction(-1), 0], object)):
         with pytest.raises(DomainError) as info:
             RadialProfile(rule, [lead], [1.0])
-        assert f"direction 2, {tuple(rule.nodes[2].tolist())}, has -1.0" in str(info.value)
+        assert f"direction 2, {tuple(np.array(rule.nodes[2]).tolist())}, has -1.0" \
+            in str(info.value)
 
 
 # ---------------------------------------------------------------- table layouts

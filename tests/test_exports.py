@@ -6,7 +6,7 @@ import pytest
 
 MODULES = ["lapasym", "lapasym.bell", "lapasym.cli", "lapasym.crosscheck",
            "lapasym.engine", "lapasym.exprs", "lapasym.integrators", "lapasym.jets",
-           "lapasym.lanes", "lapasym.models", "lapasym.oracle"]
+           "lapasym.lanes", "lapasym.models", "lapasym.oracle", "lapasym.vector"]
 
 
 @pytest.mark.parametrize("name", MODULES)

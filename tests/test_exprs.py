@@ -13,6 +13,7 @@ from lapasym import jets
 from lapasym.errors import DomainError
 from lapasym.exprs import Positional, compile_expression
 from lapasym.jets import TruncatedSeries
+from lapasym.vector import Vector
 
 
 def test_constant_nodes():
@@ -104,6 +105,9 @@ def test_rejects_bad_trees():
         compile_expression("not a number or symbol!")
     with pytest.raises(DomainError):
         compile_expression(None)
+    # a fold past the float range, named by its node
+    with pytest.raises(DomainError, match=re.escape('["*", 1e+300, 1e+300]: the result inf')):
+        compile_expression(["*", 1e300, 1e300])
 
 
 def test_symbol_free_subtrees_fold_at_compile_time():
@@ -242,6 +246,24 @@ def test_array_zero_divisor_names_the_expression():
     with pytest.raises(DomainError, match=re.escape(f"division by zero in {json.dumps(node)}")):
         fn((1.0, np.float64(1.0)))
     assert fn((1.0, np.array([2.0, 3.0]).view(jets.Lanes))).tolist() == [1.0, 0.5]
+
+
+def test_vectors_evaluate_like_their_lanes():
+    # a rational constant meets a vector as its float, as it meets one
+    # float lane, and a zero lane of a divisor is the expression's division
+    # by zero, as an array's zero entry is
+    xs = [0.1, 0.7, 1.3, -0.45]
+    for node in (["*", "1/10", "x0"], ["-", "1/3", "x0"], ["/", "5/3", ["+", "x0", "1"]],
+                 ["*", "1/3", ["sqrt", ["+", "1/5", ["*", "x0", "x0"]]]],
+                 ["+", ["exp", ["*", "x0", "2/7"]], ["log", ["+", "2", "x0"]],
+                  ["sin", "x0"], ["cos", ["pow", "x0", 3]]]):
+        fn = compile_expression(Positional(node, ("x0",)))
+        result = fn((Vector(xs),))
+        assert isinstance(result, Vector) and list(result) == [fn((x,)) for x in xs], node
+    node = ["/", "x0", ["-", "x1", "1"]]
+    fn = compile_expression(Positional(node, ("x0", "x1")))
+    with pytest.raises(DomainError, match=re.escape(f"division by zero in {json.dumps(node)}")):
+        fn((1.0, Vector([2.0, 1.0])))
 
 
 @pytest.mark.parametrize("node", [

@@ -16,7 +16,7 @@ import pytest
 import lapasym
 
 PACKAGE = Path(lapasym.__file__).resolve().parent
-SERIES = ("errors", "lanes", "exprs", "jets", "engine", "models")
+SERIES = ("errors", "lanes", "vector", "exprs", "jets", "engine", "models")
 CHECKS = ("oracle", "crosscheck", "integrators", "bell")
 # what the oracle takes from the series route (the error types of
 # lapasym.errors are everyone's): the model class and its reference point,

@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 from lapasym import jets
 from lapasym.bell import complete_bell, generalized_binomial, series_power_coefficient
 from lapasym.crosscheck import directional_derivative, iterated_flow_derivatives
-from lapasym.errors import JetEvaluationError, OrderMismatchError
+from lapasym.errors import DomainError, JetEvaluationError, OrderMismatchError
 from lapasym.jets import TruncatedSeries, exp_series, ode_jet_transport
 from lapasym.models import builtin_sphere_model
+from lapasym.vector import Vector
 
 
 def sympy_jet(expr, var, order):
@@ -92,6 +93,7 @@ def binary_power(base, exponent):
 def coefficient_bits(series):
     # exact entries as they are, floats and float lanes by their hex
     return [(type(c), [x.hex() for x in c.tolist()]) if isinstance(c, np.ndarray)
+            else (Vector, [x.hex() for x in c]) if isinstance(c, Vector)
             else (float, c.hex()) if isinstance(c, float) else (type(c), c)
             for c in series.coefficients]
 
@@ -104,6 +106,7 @@ ring_entries = {
     "float": special_floats,
     "lanes": st.lists(special_floats, min_size=3, max_size=3).map(
         lambda values: np.array(values).view(jets.Lanes)),
+    "vector": st.lists(special_floats, min_size=3, max_size=3).map(Vector),
 }
 
 
@@ -551,6 +554,43 @@ def test_reflected_powers_of_lanes_go_lane_by_lane():
                       (third ** lanes, [float(third) ** x for x in values])):
         assert isinstance(got, jets.Lanes) and got.dtype == np.float64
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+def test_vectors_compute_as_python_floats():
+    rng = random.Random(17)
+    values = [rng.uniform(0.05, 9.0) for _ in range(2000)]
+    vector = Vector(values)
+    third = Fraction(1, 3)
+    # a Fraction meets the lanes as its float, and every function and
+    # power goes lane by lane through math and Python's float power
+    for got, want in ((third * vector, [third * x for x in values]),
+                      (vector + third, [x + third for x in values]),
+                      (vector - Vector(values[::-1]), [x - y for x, y in zip(values, values[::-1])]),
+                      (vector / third, [x / third for x in values]),
+                      (2 / vector, [2 / x for x in values]),
+                      (-vector, [-x for x in values]),
+                      (jets.exp(vector), [math.exp(x) for x in values]),
+                      (jets.log(vector), [math.log(x) for x in values]),
+                      (jets.sin(vector), [math.sin(x) for x in values]),
+                      (jets.cos(vector), [math.cos(x) for x in values]),
+                      (jets.sqrt(vector), [math.sqrt(x) for x in values]),
+                      (vector ** 3, [x ** 3 for x in values]),
+                      (vector ** -1, [x ** -1 for x in values]),
+                      (vector ** 0.5, [x ** 0.5 for x in values]),
+                      (2 ** vector, [2 ** x for x in values]),
+                      (third ** vector, [float(third) ** x for x in values])):
+        assert isinstance(got, Vector)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    # a lane outside a function's domain is the scalar's refusal, and a zero
+    # lane of a jet's constant term makes it singular
+    with pytest.raises(DomainError, match="square root of a negative value"):
+        jets.sqrt(Vector([1.0, -1e-3]))
+    with pytest.raises(DomainError, match="logarithm of a nonpositive value"):
+        jets.log(Vector([1.0, 0.0]))
+    with pytest.raises(DomainError, match="singular jet"):
+        1 / TruncatedSeries([Vector([1.0, -0.0]), 1.0])
+    with pytest.raises(ValueError, match="vectors of 2 and 3 lanes"):
+        Vector([1.0, 2.0]) + Vector([1.0, 2.0, 3.0])
 
 
 def test_fraction_series_keep_fraction_coefficients():

@@ -3,13 +3,14 @@
 ``import lapasym`` loads no numpy: the package's names resolve on first
 use.  ``bell-table`` loads the Bell layer alone, with no numpy and none
 of the series layers, and no other command, nor loading a model, loads
-the Bell layer; a group-dimension-1 ``expand``, float or exact, loads
-the series layers but not numpy, which only lanes (a rule of several
-directions) and the oracle load, nor :mod:`dataclasses` or :mod:`inspect`,
-whose import costs a few milliseconds of each start, and neither does
-loading a model; ``expand`` never loads the oracle or
-its integrators, ``verify`` and ``density-sweep`` load the oracle, no
-command loads the cross-checks; and the command line never loads scipy.
+the Bell layer.  A group-dimension-1 ``expand``, float or exact, and a
+group-dimension-2 float ``expand`` load the series layers but not
+numpy, which only the rules from dimension 3 on, their numpy lanes and
+the oracle load, nor :mod:`dataclasses` or :mod:`inspect`, whose import
+costs a few milliseconds of each start, and neither does loading a
+model; ``expand`` never loads the oracle or its integrators, ``verify``
+and ``density-sweep`` load the oracle, no command loads the
+cross-checks; and the command line never loads scipy.
 """
 
 import json
@@ -101,6 +102,14 @@ def test_short_calls_leave_scipy_unloaded(tmp_path):
         "False False False True True True True False False False False False",
         "False False False True True True True False False False False False",
     ]
+    # one process: group-dimension-2 float expands, as the benchmark runs
+    # them: the circle rule is built with math, and its directions travel
+    # as a pure-Python vector
+    assert loaded_after(
+        ["expand", "--model", str(GOLDEN / "flat2_aniso.json"), "--order", "6"],
+        ["expand", "--model", str(GOLDEN / "sphere2_product.json"), "--order", "8",
+         "--resolution", "64"],
+    ) == ["False False False True True True True False False False False False"] * 2
     # a fresh process each: a 4-d rule takes its polar nodes from the
     # Golub-Welsch eigenproblem, and the oracle runs on numpy arrays; numpy
     # loads inspect, and scipy dataclasses

@@ -33,6 +33,7 @@ from lapasym.engine import RadialProfile, expansion_coefficient, expansion_serie
 from lapasym.errors import DomainError
 from lapasym import models
 from lapasym.jets import Lanes, TruncatedSeries
+from lapasym.vector import Vector
 from lapasym.models import (
     HamiltonianModel,
     builtin_sphere_model,
@@ -707,6 +708,14 @@ def test_density_kinds_share_one_call():
     assert density(sphere, ("I", "J"), ks) == [density(sphere, "I", ks), density(sphere, "J", ks)]
 
 
+def test_density_series_kinds_share_one_call():
+    model = load_model(str(GOLDEN / "sphere2_product.json"))
+    ks = [30.0, 100.0, math.inf]
+    both = density_series(model, ("I", "J"), ks, order=4, resolution=8)
+    assert both == [density_series(model, kind, ks, order=4, resolution=8)
+                    for kind in ("I", "J")]
+
+
 # ------------------------------------------------------------ batched series path
 
 # the mixed 3-d config of the angular-rule item in ROADMAP.md
@@ -942,10 +951,21 @@ def test_folded_line_tables_give_the_unfolded_coefficients(config, half_form, or
 
 
 def test_group_dimension_two_tables_are_not_folded(monkeypatch):
-    # every coefficient is a number or lanes, one per node of the rule
+    # every coefficient is a number or a vector of lanes, one per node of
+    # the rule, and none is a numpy array
     model = model_from_config(SPHERE_PRODUCT2)
     profile = expanded_profile(monkeypatch, model, Fraction(1, 2), 4, "float")
     assert profile.lanes == len(profile.rule)
+    columns = (*profile.phase, *profile.amplitude)
+    lanes = [c for c in columns if isinstance(c, Vector)]
+    assert lanes and all(len(c) == len(profile.rule) for c in lanes)
+    assert all(isinstance(c, (Vector, float)) for c in columns)
+
+
+def test_group_dimension_three_tables_are_numpy_lanes(monkeypatch):
+    # the product rule's nodes are numpy arrays, and so are its lanes
+    profile = expanded_profile(monkeypatch, model_from_config(MIXED3), Fraction(1, 2), 2,
+                               "float")
     lanes = [c for c in (*profile.phase, *profile.amplitude) if isinstance(c, np.ndarray)]
     assert lanes and all(isinstance(c, Lanes) and c.shape == (len(profile.rule),)
                          for c in lanes)
@@ -1040,7 +1060,9 @@ def test_python_built_model_with_a_wrong_flow_arity_is_refused(chart_dim, flow):
     # a zero point shorter than the chart, which the maps would index past
     ({"chart_dim": 2, "phi": lambda w, p: w[0] * p[1]},
      "zero_points: each point must have chart dimension"),
-], ids=["dimension", "no-point", "short-point"])
+    # a point written without its tuple
+    ({"zero_points": (0,)}, "zero_points: each point must have chart dimension"),
+], ids=["dimension", "no-point", "short-point", "bare-number-point"])
 def test_malformed_python_model_is_refused_by_name(changes, refusal):
     with pytest.raises(DomainError) as info:
         gaussian_test_model().replace(**changes)
@@ -1083,7 +1105,7 @@ def test_batched_checks_name_model_and_first_failing_direction(config, first_fai
     })
     with pytest.raises(DomainError) as info:
         geometric_expansion(model, order=2, resolution=6)
-    direction = tuple(sphere_rule(2, 6).nodes[first_failure].tolist())
+    direction = tuple(np.array(sphere_rule(2, 6).nodes[first_failure]).tolist())
     message = str(info.value)
     assert "'off-level'" in message and f"direction {direction}" in message
     assert reason in message

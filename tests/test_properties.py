@@ -8,18 +8,23 @@ from it.  The folded expansion must equal the reference that transports
 each direction on its own, exactly, and agree with the independent
 raw-sum route.  In group dimension 2 every direction of the circle rule
 is transported at once, as lanes, and the expansion must equal the
-direction-by-direction reference bit for bit.
+direction-by-direction reference bit for bit, and equal it whether the
+lanes are a pure-Python vector (the rule's own tuples) or numpy lanes
+(the same nodes as arrays).
 """
 
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from lapasym import models
 from lapasym.crosscheck import zeta_geometric
-from lapasym.engine import expansion_series
+from lapasym.engine import SphereRule, expansion_series, sphere_rule
 from lapasym.models import geometric_expansion, model_from_config
 
 from test_models import per_direction_expansion
@@ -111,3 +116,15 @@ def test_plane_expansion_matches_the_per_direction_reference(config, half_form):
     reference, profile = per_direction_expansion(model, half_form, ORDER, 8)
     assert [c.hex() for c in batched.coefficients] == [c.hex() for c in reference]
     assert batched.odd_vanished == expansion_series(profile, ORDER).odd_vanished
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(config=odd_plane_configs(), half_form=st.sampled_from([0, Fraction(1, 2), 1]))
+def test_plane_vector_matches_numpy_lanes(config, half_form):
+    model = model_from_config(config)
+    rule = sphere_rule(2, 8)
+    arrays = SphereRule(2, np.array(rule.nodes), np.array(rule.weights))
+    with mock.patch.object(models, "sphere_rule", lambda dim, resolution: arrays):
+        lanes = geometric_expansion(model, None, half_form, ORDER, 8)
+    vector = geometric_expansion(model, None, half_form, ORDER, 8)
+    assert [c.hex() for c in vector.coefficients] == [c.hex() for c in lanes.coefficients]
