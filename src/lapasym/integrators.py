@@ -1,8 +1,6 @@
 """The numeric oracle's two integrators: DOP853 and QUADPACK's QAG.
 
-Both are ports that give scipy's digits on the oracle's integrands, so
-the oracle prints the same digits as when it called scipy, without
-loading scipy.
+Both are ports of scipy's, so that the oracle does without scipy.
 This module is the one home of the oracle's numerical tolerances: the
 constants ``T0``, ``RTOL`` and ``ATOL`` of every flow solve and
 ``EPSREL`` and ``LIMIT`` of every QUADPACK call.  A caller passes only
@@ -15,22 +13,42 @@ rtol=RTOL, atol=ATOL)``: the explicit Runge-Kutta pair of order 8(5,3)
 of Dormand and Prince (Hairer, Norsett and Wanner, *Solving Ordinary
 Differential Equations I*, Sec. II.10), with SciPy's coefficient
 tables, initial step selection, error norm, step-size control and
-7th-degree dense output, and the same numpy expressions, so that every
-BLAS call sees the arrays SciPy gives it.  One solve serves every end
-time asked of it, sharing the steps that the end times share.  One
-thing is added: the solve stops at the first trial step with a stage
-that is not finite, where SciPy would shrink the step until it
-underflows.
+7th-degree dense output.  One solve serves every end time asked of it,
+sharing the steps that the end times share.  One thing is added: the
+solve stops at the first trial step with a stage that is not finite,
+where SciPy would shrink the step until it underflows.
+
+A state comes in one of two carriers, which share the step control and
+differ only in their arithmetic kernels: the stage sums, the error
+norm, the finite check and the dense coefficients.  A numpy array is
+solved with SciPy's own numpy expressions, so that every BLAS call
+sees the arrays SciPy gives it, and its solve is bit for bit SciPy's.
+A :class:`~lapasym.vector.Vector`, which carries the oracle's flows in
+group dimension 1, is solved on Python floats with no numpy: the same
+expressions lane by lane, each sum rounded once (``math.fsum``), which
+keeps the oracle's digits where a sum in stage order lost up to 0.4 of
+them on the quartic model.  Its bits are its own.  A BLAS dot product
+and a Python sum differ in the last bit in a good share of the stage
+entries, and the error estimate, a sum that cancels to about 1e-6 of
+its terms, lifts that to about 1e-7 in the next step size, so the two
+carriers take their own steps.  ``tests/test_integrators.py`` holds
+the evidence that they share the solution: on every group-dimension-1
+oracle flow of the builtin and golden models, to the spans 1, 2, 4 and
+8, the float carrier's dense solution is within 1e-10 of max(1, |y|)
+of the numpy carrier's, and where SciPy fails with its step-size
+message, so does the float carrier.  numpy, and SciPy's tables as its
+arrays, are loaded on the first solve of a numpy state.
 
 :func:`quad` is QUADPACK's adaptive bisection QAG (``dqage``;
 Piessens, de Doncker-Kapenga, Uberhuber and Kahaner, *QUADPACK*,
 Springer 1983) on a finite interval, with the 21-point Gauss-Kronrod
 rule ``dqk21`` and ``dqagse``'s test of the first rule, and with no
 roundoff exit: it ends at the error bound, at ``LIMIT`` intervals or at
-an interval too small to split.  Its integrand is called once per rule,
-on the rule's 21 abscissae.  Its ``(value, abserr)`` is bit for bit
-that of ``scipy.integrate.quad(fn, a, b, epsabs=epsabs, epsrel=EPSREL,
-limit=LIMIT)``, which is QAGS, whenever QAGS ends at its error bound
+an interval too small to split.  It runs on Python floats, and its
+integrand is called once per rule, on the rule's 21 abscissae.  Its
+``(value, abserr)`` is bit for bit that of ``scipy.integrate.quad(fn,
+a, b, epsabs=epsabs, epsrel=EPSREL, limit=LIMIT)``, which is QAGS, on
+the same integrand values, whenever QAGS ends at its error bound
 without extrapolating and without bisecting its larger intervals
 first; the oracle's smooth radial peaks all end so.  QAGS's epsilon
 algorithm ``dqelg`` and its roundoff bookkeeping, which serve endpoint
@@ -48,9 +66,13 @@ QUADPACK is in the public domain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import cache
+from itertools import repeat
+import operator
 from typing import Any, Callable, Sequence
 
-import numpy as np
+from .vector import Vector
 
 __all__ = ["Dop853", "OdeFlow", "quad"]
 
@@ -70,7 +92,7 @@ _N_STAGES = 12
 _N_STAGES_EXTENDED = 16
 _INTERPOLATOR_POWER = 7
 
-_C_ALL = np.array([
+_C_ALL = (
     0.0,
     0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01,
@@ -87,7 +109,7 @@ _C_ALL = np.array([
     0.1,
     0.2,
     0.777777777777777777777777777778,
-])
+)
 
 # the nonzero entries of each row of the extended Butcher matrix
 _A_ROWS = {
@@ -165,32 +187,16 @@ _D_ROWS = (
 )
 
 
-def _dense(rows: dict, shape: tuple) -> np.ndarray:
-    table = np.zeros(shape)
-    for i, row in rows.items():
-        for j, value in row.items():
-            table[i, j] = value
-    return table
-
-
-# The tables keep SciPy's layout: every row handed to np.dot is a slice
-# of the same C-ordered arrays, so BLAS sums in SciPy's order.
-_A_ALL = _dense(_A_ROWS, (_N_STAGES_EXTENDED, _N_STAGES_EXTENDED))
-_B = _A_ALL[_N_STAGES, :_N_STAGES]
-_E3 = np.zeros(_N_STAGES + 1)
-_E3[:-1] = _B.copy()
-_E3[0] -= 0.244094488188976377952755905512
-_E3[8] -= 0.733846688281611857341361741547
-_E3[11] -= 0.220588235294117647058823529412e-1
-_E5 = _dense({0: {0: 0.1312004499419488073250102996e-1,
-                  5: -0.1225156446376204440720569753e+1,
-                  6: -0.4957589496572501915214079952,
-                  7: 0.1664377182454986536961530415e+1,
-                  8: -0.3503288487499736816886487290,
-                  9: 0.3341791187130174790297318841,
-                  10: 0.8192320648511571246570742613e-1,
-                  11: -0.2235530786388629525884427845e-1}}, (1, _N_STAGES + 1))[0]
-_D = _dense(dict(enumerate(_D_ROWS)), (_INTERPOLATOR_POWER - 3, _N_STAGES_EXTENDED))
+# the weights of the two error estimators over the 13 stages: order 5,
+# and order 3, which is the solution's weights less three corrections
+_E5_ROW = {0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+           6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+           8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+           10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1}
+_E3_ROW = dict(_A_ROWS[_N_STAGES])
+_E3_ROW[0] -= 0.244094488188976377952755905512
+_E3_ROW[8] -= 0.733846688281611857341361741547
+_E3_ROW[11] -= 0.220588235294117647058823529412e-1
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -202,19 +208,52 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _FINISHED = "The solver successfully reached the end of the integration interval."
 
 
-def _norm(x: np.ndarray) -> float:
-    # root mean square
-    return np.linalg.norm(x) / x.size ** 0.5
+@cache
+def _numpy_tables() -> tuple:
+    """numpy and SciPy's tables as its arrays ``(C, A, B, E3, E5, D)``,
+    built on the first solve of a numpy state.  They keep SciPy's layout:
+    every row handed to np.dot is a slice of the same C-ordered arrays,
+    so BLAS sums in SciPy's order."""
+    import numpy as np
+
+    def dense(rows: dict, shape: tuple) -> np.ndarray:
+        table = np.zeros(shape)
+        for i, row in rows.items():
+            for j, value in row.items():
+                table[i, j] = value
+        return table
+
+    A = dense(_A_ROWS, (_N_STAGES_EXTENDED, _N_STAGES_EXTENDED))
+    E3, E5 = (dense({0: row}, (1, _N_STAGES + 1))[0] for row in (_E3_ROW, _E5_ROW))
+    D = dense(dict(enumerate(_D_ROWS)), (_INTERPOLATOR_POWER - 3, _N_STAGES_EXTENDED))
+    return np, np.array(_C_ALL), A, A[_N_STAGES, :_N_STAGES], E3, E5, D
 
 
-def _initial_step(fun, y0, t_bound, f0) -> tuple[float, float]:
+def _terms(row: dict) -> tuple:
+    # a row's nonzero stages, in order, and their coefficients
+    stages = tuple(sorted(row))
+    return stages, tuple(row[j] for j in stages)
+
+
+_STAGE_TERMS = {s: _terms(row) for s, row in _A_ROWS.items()}
+_E3_TERMS, _E5_TERMS = _terms(_E3_ROW), _terms(_E5_ROW)
+_D_TERMS = tuple(map(_terms, _D_ROWS))
+
+
+def _min_step(t: float) -> float:
+    # SciPy's smallest step from t
+    return 10 * abs(math.nextafter(t, math.inf) - t)
+
+
+def _initial_step(fun, y0, t_bound, f0, norm) -> tuple[float, float]:
     """SciPy's initial step, and the length from which on the first
     interval does not limit it: the step is the same for every first
-    interval at least that long, and a shorter one limited it."""
+    interval at least that long, and a shorter one limited it.  ``norm``
+    is the carrier's root mean square."""
     interval_length = abs(t_bound - T0)
-    scale = ATOL + np.abs(y0) * RTOL
-    d0 = _norm(y0 / scale)
-    d1 = _norm(f0 / scale)
+    scale = ATOL + abs(y0) * RTOL
+    d0 = norm(y0 / scale)
+    d1 = norm(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -223,7 +262,7 @@ def _initial_step(fun, y0, t_bound, f0) -> tuple[float, float]:
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
     f1 = fun(T0 + h0, y1)
-    d2 = _norm((f1 - f0) / scale) / h0
+    d2 = norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -232,31 +271,145 @@ def _initial_step(fun, y0, t_bound, f0) -> tuple[float, float]:
     return min(h, interval_length), max(h0_wanted, h)
 
 
-def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
-    # KT is the transpose of the 13 stages
-    err5 = np.dot(KT, _E5) / scale
-    err3 = np.dot(KT, _E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+# A carrier holds a solve's state and its arithmetic kernels: the stage
+# sums of one trial step with its finite check, the error norm, and the
+# dense output's coefficients.  Dop853 keeps the step control.
+
+class _Arrays:
+    """The numpy carrier: SciPy's own expressions on float64 arrays."""
+
+    def __init__(self, y0: Any):
+        np, C, A, self.B, self.E3, self.E5, self.D = _numpy_tables()
+        self.np = np
+        self.y0 = np.array(y0, dtype=float)
+        if self.y0.ndim != 1 or not np.isfinite(self.y0).all():
+            raise ValueError("the initial state must be a finite 1-d array")
+        # every step reads its stages through the same views of one array
+        self.K_extended = K_extended = np.empty((_N_STAGES_EXTENDED, self.y0.size))
+        self.K = K_extended[:_N_STAGES + 1]
+        self.K_B = K_extended[:_N_STAGES].T
+        # per stage s: its row, the earlier stages transposed, its row of the
+        # Butcher matrix and its node, as SciPy slices them at every step
+        stages = [(s, K_extended[:s].T, A[s, :s], float(C[s]))
+                  for s in range(1, _N_STAGES_EXTENDED)]
+        self.stages, self.extra_stages = stages[:_N_STAGES - 1], stages[_N_STAGES:]
+
+    def evaluate(self, fun: Callable, t: float, y: Any) -> Any:
+        return self.np.asarray(fun(t, y), dtype=float)
+
+    def norm(self, x: Any) -> float:
+        # root mean square
+        return self.np.linalg.norm(x) / x.size ** 0.5
+
+    def step(self, rhs: Callable, t: float, y: Any, f: Any, h: float) -> tuple | None:
+        """One Runge-Kutta step's new state and derivative, or None when a
+        stage is not finite."""
+        np, K = self.np, self.K
+        K[0] = f
+        for s, KsT, a, c in self.stages:
+            dy = np.dot(KsT, a) * h
+            K[s] = rhs(t + c * h, y + dy)
+        y_new = y + h * np.dot(self.K_B, self.B)
+        f_new = rhs(t + h, y_new)
+        K[-1] = f_new
+        return (y_new, f_new) if np.isfinite(K).all() else None
+
+    def error_norm(self, h: float, y: Any, y_new: Any) -> float:
+        np, KT = self.np, self.K.T
+        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+        err5 = np.dot(KT, self.E5) / scale
+        err3 = np.dot(KT, self.E3) / scale
+        err5_norm_2 = np.linalg.norm(err5) ** 2
+        err3_norm_2 = np.linalg.norm(err3) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    def dense(self, rhs: Callable, t: float, h: float, y: Any, y_new: Any, f_new: Any) -> Any:
+        """The accepted step's interpolant coefficients, from three more stages."""
+        np, K_extended = self.np, self.K_extended
+        for s, KsT, a, c in self.extra_stages:
+            dy = np.dot(KsT, a) * h
+            K_extended[s] = rhs(t + c * h, y + dy)
+        F = np.empty((_INTERPOLATOR_POWER, y.size))
+        f_old = K_extended[0]
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f_new + f_old)
+        F[3:] = h * np.dot(self.D, K_extended)
+        return F
 
 
-def _stage_views(K_extended: np.ndarray, stages: range) -> list:
-    # per stage s: its row, the earlier stages transposed, its row of the
-    # Butcher matrix and its node, as SciPy slices them at every step
-    return [(s, K_extended[:s].T, _A_ALL[s, :s], float(_C_ALL[s])) for s in stages]
+class _Floats:
+    """The float carrier: a :class:`~lapasym.vector.Vector` of Python
+    floats, the numpy carrier's expressions lane by lane, with each sum
+    rounded once."""
 
+    def __init__(self, y0: Vector):
+        if not all(map(math.isfinite, y0)):
+            raise ValueError("the initial state must be a finite 1-d array")
+        self.y0 = Vector(map(float, y0))
+        self.K: list = [None] * _N_STAGES_EXTENDED
 
-def _room(stack: np.ndarray, rows: int) -> np.ndarray:
-    # a stack with room for `rows` rows, doubled when full
-    if rows <= len(stack):
-        return stack
-    grown = np.empty((2 * len(stack), *stack.shape[1:]))
-    grown[:len(stack)] = stack
-    return grown
+    @staticmethod
+    def evaluate(fun: Callable, t: float, y: Vector) -> Vector:
+        try:
+            return Vector(map(float, fun(t, y)))
+        except OverflowError:
+            # Python's float power and math.exp raise where numpy gives inf
+            return Vector(repeat(math.inf, len(y)))
+
+    @staticmethod
+    def norm(x: Vector) -> float:
+        # root mean square
+        return math.sqrt(math.fsum(v * v for v in x)) / len(x) ** 0.5
+
+    def _sum(self, terms: tuple) -> list:
+        # the stages weighted by a row's terms, lane by lane
+        stages, coefficients = terms
+        K = self.K
+        return [math.fsum(map(operator.mul, lane, coefficients))
+                for lane in zip(*[K[j] for j in stages])]
+
+    def _stage(self, rhs: Callable, s: int, t: float, h: float, y: Vector) -> tuple:
+        # stage s and the state it is evaluated at
+        state = Vector([a + d * h for a, d in zip(y, self._sum(_STAGE_TERMS[s]))])
+        self.K[s] = rhs(t + _C_ALL[s] * h, state)
+        return self.K[s], state
+
+    def step(self, rhs: Callable, t: float, y: Vector, f: Vector, h: float) -> tuple | None:
+        """As :meth:`_Arrays.step`; no map sees a stage that is not finite."""
+        self.K[0] = f
+        for s in range(1, _N_STAGES + 1):
+            stage, state = self._stage(rhs, s, t, h, y)
+            if not all(map(math.isfinite, stage)):
+                return None
+        # row 12 holds the solution's weights, at node 1: its state is the
+        # new state, and its stage the new derivative
+        return state, stage
+
+    def error_norm(self, h: float, y: Vector, y_new: Vector) -> float:
+        scale = [ATOL + max(abs(a), abs(b)) * RTOL for a, b in zip(y, y_new)]
+
+        def norm_2(terms: tuple) -> float:
+            return math.fsum((e / s) ** 2 for e, s in zip(self._sum(terms), scale))
+
+        err5_norm_2, err3_norm_2 = norm_2(_E5_TERMS), norm_2(_E3_TERMS)
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+
+    def dense(self, rhs: Callable, t: float, h: float, y: Vector, y_new: Vector,
+              f_new: Vector) -> tuple:
+        for s in range(_N_STAGES + 1, _N_STAGES_EXTENDED):
+            self._stage(rhs, s, t, h, y)
+        f_old = self.K[0]
+        delta_y = y_new - y
+        return (delta_y, h * f_old - delta_y, 2 * delta_y - h * (f_new + f_old),
+                *(Vector(self._sum(terms)) * h for terms in _D_TERMS))
 
 
 class _Table:
@@ -267,31 +420,26 @@ class _Table:
     from, the right-hand-side calls made by then, the state and its
     derivative: with the end time, everything the steps from there on
     depend on.  Row ``r > 0`` was reached by a step whose interpolant
-    coefficients are ``coefficients[r - 1]``.  The states, derivatives
-    and coefficients are stacked arrays.  The trunk is the chain of rows
+    coefficients are ``coefficients[r - 1]``.  States, derivatives and
+    coefficients are the carrier's.  The trunk is the chain of rows
     from ``T0`` that were reached before any trial step was clipped to an
     end time.
     """
 
-    def __init__(self, h_abs: float, calls: int, y0: np.ndarray, f0: np.ndarray):
+    def __init__(self, h_abs: float, calls: int, y0: Any, f0: Any):
         self.times, self.step_sizes, self.calls = [T0], [h_abs], [calls]
-        self.states = np.empty((16, y0.size))
-        self.derivatives = np.empty((16, y0.size))
-        self.coefficients = np.empty((16, _INTERPOLATOR_POWER, y0.size))
-        self.states[0], self.derivatives[0] = y0, f0
+        self.states, self.derivatives, self.coefficients = [y0], [f0], []
         self.trunk = [0]
 
-    def add(self, t: float, h_abs: float, calls: int, y: np.ndarray, f: np.ndarray) -> int:
-        """A new row; the caller writes its step's coefficients."""
-        row = len(self.times)
-        self.states = _room(self.states, row + 1)
-        self.derivatives = _room(self.derivatives, row + 1)
-        self.coefficients = _room(self.coefficients, row)
-        self.states[row], self.derivatives[row] = y, f
+    def add(self, t: float, h_abs: float, calls: int, y: Any, f: Any, coefficients: Any) -> int:
+        """A new row, reached by a step with these interpolant coefficients."""
         self.times.append(t)
         self.step_sizes.append(h_abs)
         self.calls.append(calls)
-        return row
+        self.states.append(y)
+        self.derivatives.append(f)
+        self.coefficients.append(coefficients)
+        return len(self.times) - 1
 
 
 class OdeFlow:
@@ -301,58 +449,102 @@ class OdeFlow:
     solve to this end time makes, and whether the end was reached (else
     ``message`` says why not).  Its states and steps are rows of the table of the
     :class:`Dop853` solve that made it, which its flows to other end
-    times share.
+    times share.  A numpy state gives numpy arrays; a
+    :class:`~lapasym.vector.Vector` state gives ``t`` as a tuple, states
+    as Vectors, and no ``y``.
     """
 
     __slots__ = ("t", "nfev", "success", "message", "_table", "_rows")
 
     def __init__(self, table: _Table, rows: list[int], nfev: int, failure: str | None):
-        self._table = table
-        self._rows = np.array(rows)
-        self.t = np.array(table.times)[self._rows]
+        self._table, self._rows = table, rows
+        self.t = self._times([table.times[r] for r in rows])
         self.nfev = nfev
         self.success = failure is None
         self.message = failure or _FINISHED
 
     @property
-    def y(self) -> np.ndarray:
-        return self._table.states[self._rows].T
-
-    @property
-    def end(self) -> np.ndarray:
+    def end(self) -> Any:
         """The last state, ``y[:, -1]``, read from its one table row."""
         return self._table.states[self._rows[-1]]
 
-    def sol(self, at) -> np.ndarray:
+
+class _ArrayFlow(OdeFlow):
+    __slots__ = ()
+
+    @staticmethod
+    def _times(times: list) -> Any:
+        return _numpy_tables()[0].array(times)
+
+    @property
+    def y(self) -> Any:
+        np = _numpy_tables()[0]
+        return np.array([self._table.states[r] for r in self._rows]).T
+
+    def sol(self, at: Any) -> Any:
         """The dense solution of a successful solve at a time, or at each
         of an array of times (one row per time), by each step's
         7th-degree interpolant; a time on a step boundary belongs to the
         earlier step."""
+        np = _numpy_tables()[0]
         at = np.asarray(at)
         step = np.clip(np.searchsorted(self.t, at, side="left") - 1, 0, len(self.t) - 2)
         t_old = self.t[step]
         x = ((at - t_old) / (self.t[step + 1] - t_old))[..., None]
-        coefficients = self._rows[step + 1] - 1
-        y = np.zeros(at.shape + self._table.states.shape[1:])
+        table, rows, steps = self._table, self._rows, step.ravel().tolist()
+        F = np.array([table.coefficients[rows[i + 1] - 1] for i in steps])
+        F = F.reshape(at.shape + F.shape[1:])
+        y = np.zeros(at.shape + F.shape[-1:])
         for i in range(_INTERPOLATOR_POWER):
-            y += self._table.coefficients[coefficients, _INTERPOLATOR_POWER - 1 - i]
+            y += F[..., _INTERPOLATOR_POWER - 1 - i, :]
             if i % 2 == 0:
                 y *= x
             else:
                 y *= 1 - x
-        y += self._table.states[self._rows[step]]
+        y += np.array([table.states[rows[i]] for i in steps]).reshape(y.shape)
         return y
+
+
+class _FloatFlow(OdeFlow):
+    __slots__ = ()
+
+    _times = tuple
+
+    def sol(self, at: Sequence[float]) -> list:
+        """As :meth:`_ArrayFlow.sol`, at each of a sequence of times: one
+        Vector per time."""
+        return [self._at(time) for time in at]
+
+    def _at(self, time: float) -> Vector:
+        t, table, rows = self.t, self._table, self._rows
+        step = min(max(bisect_left(t, time) - 1, 0), len(t) - 2)
+        t_old = t[step]
+        x = (time - t_old) / (t[step + 1] - t_old)
+        factors = (x, 1 - x) * 3 + (x,)
+        y = []
+        for lane, base in zip(zip(*reversed(table.coefficients[rows[step + 1] - 1])),
+                              table.states[rows[step]]):
+            value = 0.0
+            for c, factor in zip(lane, factors):
+                value = (value + c) * factor
+            y.append(value + base)
+        return Vector(y)
 
 
 class Dop853:
     """A forward DOP853 solve of ``y' = fun(t, y)`` from ``T0`` to any end time.
 
-    ``until(t_bound)``, for ``t_bound > T0``, is bit for bit SciPy's
-    ``solve_ivp`` with ``method="DOP853"`` and ``dense_output=True`` on
-    ``(T0, t_bound)``, at the module's ``RTOL`` and ``ATOL``.  A
-    failed solve has ``success=False``, with SciPy's message when the
-    step size underflows and its own when a trial step meets a stage
-    that is not finite.
+    A numpy state (any ``y0`` that is not a Vector) is solved with
+    SciPy's expressions: ``until(t_bound)``, for ``t_bound > T0``, is bit
+    for bit SciPy's ``solve_ivp`` with ``method="DOP853"`` and
+    ``dense_output=True`` on ``(T0, t_bound)``, at the module's ``RTOL``
+    and ``ATOL``.  A :class:`~lapasym.vector.Vector` state is solved on
+    Python floats, with the same step control, and ``fun`` returns its
+    derivative as a sequence of floats; a float ``OverflowError`` of
+    ``fun`` counts as a stage that is not finite.  A failed solve has
+    ``success=False``, with SciPy's message when the step size
+    underflows and its own when a trial step meets a stage that is not
+    finite.
 
     The end time enters the steps in two places only: it clips a trial
     step that would pass it, and the first interval can limit the
@@ -366,11 +558,11 @@ class Dop853:
     table of states and interpolants.
     """
 
-    def __init__(self, fun: Callable[[float, np.ndarray], Any], y0: Sequence[float]):
-        y = np.array(y0, dtype=float)
-        if y.ndim != 1 or not np.isfinite(y).all():
-            raise ValueError("the initial state must be a finite 1-d array")
-        self._fun, self._y0 = fun, y
+    def __init__(self, fun: Callable[[float, Any], Any], y0: Sequence[float]):
+        floats = isinstance(y0, Vector)
+        self._carrier = (_Floats if floats else _Arrays)(y0)
+        self._flow = _FloatFlow if floats else _ArrayFlow
+        self._fun = fun
         self._calls = 0
         self._flows: dict[float, OdeFlow] = {}
         # the table whose trunk serves every first interval at least
@@ -378,9 +570,9 @@ class Dop853:
         self._table: _Table | None = None
         self._free_from = math.inf
 
-    def _rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    def _rhs(self, t: float, y: Any) -> Any:
         self._calls += 1
-        return np.asarray(self._fun(t, y), dtype=float)
+        return self._carrier.evaluate(self._fun, t, y)
 
     def until(self, t_bound: float) -> OdeFlow:
         """The solve from ``T0`` to ``t_bound``."""
@@ -397,9 +589,10 @@ class Dop853:
 
     def _fresh(self, t_bound: float) -> OdeFlow:
         calls = self._calls
-        f = self._rhs(T0, self._y0)
-        h_abs, free_from = _initial_step(self._rhs, self._y0, t_bound, f)
-        table = _Table(h_abs, self._calls - calls, self._y0, f)
+        y0 = self._carrier.y0
+        f = self._rhs(T0, y0)
+        h_abs, free_from = _initial_step(self._rhs, y0, t_bound, f, self._carrier.norm)
+        table = _Table(h_abs, self._calls - calls, y0, f)
         if abs(t_bound - T0) >= free_from:
             self._table, self._free_from = table, free_from
         return self._run(table, 0, t_bound)
@@ -407,13 +600,12 @@ class Dop853:
     def _branch(self, table: _Table, t_bound: float) -> OdeFlow:
         """The flow to ``t_bound`` from the first trunk state whose trial
         step it clips, or that it ends at, or else from the trunk's last."""
-        # each trunk state's first trial step, as the step loop takes it
-        t = np.array(table.times)[table.trunk]
-        h_abs = np.array(table.step_sizes)[table.trunk]
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        trial = t + np.where(h_abs < min_step, min_step, h_abs)
-        stops = np.flatnonzero((trial - t_bound > 0) | (t >= t_bound))
-        return self._run(table, stops[0] if len(stops) else len(t) - 1, t_bound)
+        for i, row in enumerate(table.trunk):
+            # the state's first trial step, as the step loop takes it
+            t = table.times[row]
+            if t + max(table.step_sizes[row], _min_step(t)) - t_bound > 0 or t >= t_bound:
+                return self._run(table, i, t_bound)
+        return self._run(table, len(table.trunk) - 1, t_bound)
 
     def _run(self, table: _Table, i: int, t_bound: float) -> OdeFlow:
         """The flow to ``t_bound`` from the ``i``-th trunk state.  Steps
@@ -425,17 +617,11 @@ class Dop853:
         t, h_abs = table.times[start], table.step_sizes[start]
         y, f = table.states[start], table.derivatives[start]
         calls = self._calls - table.calls[start]
-        rhs = self._rhs
-        # every step reads its stages through the same views of one array
-        K_extended = np.empty((_N_STAGES_EXTENDED, y.size))
-        K = K_extended[:_N_STAGES + 1]
-        KT, K_B = K.T, K_extended[:_N_STAGES].T
-        stages = _stage_views(K_extended, range(1, _N_STAGES))
-        extra_stages = _stage_views(K_extended, range(_N_STAGES + 1, _N_STAGES_EXTENDED))
+        carrier, rhs = self._carrier, self._rhs
         failure = None
 
         while t < t_bound:
-            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            min_step = _min_step(t)
             if h_abs < min_step:
                 h_abs = min_step
             step_rejected = False
@@ -448,23 +634,15 @@ class Dop853:
                     t_new = t_bound
                     trunk = False
                 h = t_new - t
-                h_abs = np.abs(h)
+                h_abs = abs(h)
 
-                # one Runge-Kutta step
-                K[0] = f
-                for s, KsT, a, c in stages:
-                    dy = np.dot(KsT, a) * h
-                    K[s] = rhs(t + c * h, y + dy)
-                y_new = y + h * np.dot(K_B, _B)
-                f_new = rhs(t + h, y_new)
-                K[-1] = f_new
+                step = carrier.step(rhs, t, y, f, h)
                 # shrinking the step would only creep up to the overflow
-                if not np.isfinite(K).all():
+                if step is None:
                     failure = f"a trial step from t = {t:.6g} has a stage that is not finite."
                     break
-
-                scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-                error_norm = _error_norm(KT, h, scale)
+                y_new, f_new = step
+                error_norm = carrier.error_norm(h, y, y_new)
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = _MAX_FACTOR
@@ -479,24 +657,14 @@ class Dop853:
             if failure:
                 break
 
-            # the dense output of the accepted step, from three more stages
-            for s, KsT, a, c in extra_stages:
-                dy = np.dot(KsT, a) * h
-                K_extended[s] = rhs(t + c * h, y + dy)
-            rows.append(table.add(t_new, h_abs, self._calls - calls, y_new, f_new))
+            coefficients = carrier.dense(rhs, t, h, y, y_new, f_new)
+            rows.append(table.add(t_new, h_abs, self._calls - calls, y_new, f_new,
+                                  coefficients))
             if trunk:
                 table.trunk.append(rows[-1])
-            F = table.coefficients[rows[-1] - 1]
-            f_old = K_extended[0]
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f_old)
-            F[3:] = h * np.dot(_D, K_extended)
-
             t, y, f = t_new, y_new, f_new
 
-        return OdeFlow(table, rows, self._calls - calls, failure)
+        return self._flow(table, rows, self._calls - calls, failure)
 
 
 # ----------------------------------------------------------------- QUADPACK
@@ -532,7 +700,7 @@ _WG = (
 # dqk21's order of evaluation after the centre: -/+ the Gauss nodes 1, 3,
 # ..., 9, then -/+ the Kronrod nodes 0, 2, ..., 8
 _QK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
-_XGK_ORDERED = np.array([_XGK[j] for j in _QK21_ORDER])
+_XGK_ORDERED = tuple(_XGK[j] for j in _QK21_ORDER)
 
 
 def _qk21(f, a: float, b: float):
@@ -542,12 +710,11 @@ def _qk21(f, a: float, b: float):
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    absc = hlgth * _XGK_ORDERED
-    x = np.empty(21)
-    x[0] = centr
-    x[1::2] = centr - absc
-    x[2::2] = centr + absc
-    fx = f(x)
+    x = [centr]
+    for node in _XGK_ORDERED:
+        absc = hlgth * node
+        x += (centr - absc, centr + absc)
+    fx = f(tuple(x))
     resg = 0.0
     fc = fx[0]
     resk = _WGK[10] * fc
@@ -629,24 +796,29 @@ def _qag(f, a: float, b: float, epsabs: float) -> tuple[float, float]:
     return result, errsum
 
 
-def quad(fn: Callable[[np.ndarray], Any], a: float, b: float,
+def quad(fn: Callable[[tuple], Any], a: float, b: float,
          epsabs: float) -> tuple[float, float]:
     """``(value, abserr)`` of the integral of ``fn`` over the finite ``[a, b]``, ``a < b``.
 
-    QUADPACK's QAG (:func:`_qag`).  Where ``scipy.integrate.quad(fn, a,
-    b, epsabs=epsabs, epsrel=EPSREL, limit=LIMIT)``, which is QAGS, ends
-    at its error bound without extrapolating and without bisecting its
-    larger intervals first, as on the oracle's integrands, the two are
-    equal bit for bit.  ``fn`` is called once per 21-point rule: it
-    receives the rule's abscissae as one float64 array, in the order in
-    which ``dqk21`` evaluates them, and returns their 21 values (or one
-    value for all of them) as something a float64 array takes.
+    QUADPACK's QAG (:func:`_qag`), on Python floats.  Where
+    ``scipy.integrate.quad(fn, a, b, epsabs=epsabs, epsrel=EPSREL,
+    limit=LIMIT)``, which is QAGS, ends at its error bound without
+    extrapolating and without bisecting its larger intervals first, as
+    on the oracle's integrands, the two are equal bit for bit on the
+    same integrand values.  ``fn`` is called once per 21-point rule: it
+    receives the rule's abscissae as a tuple of floats, in the order in
+    which ``dqk21`` evaluates them, and returns their 21 values as a
+    sequence of floats, or one value for all of them.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("quad integrates over a finite interval [a, b] with a < b")
 
-    def f(x: np.ndarray) -> list:
-        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).tolist()
+    def f(x: tuple) -> list:
+        fx = fn(x)
+        try:
+            return [float(v) for v in fx]
+        except TypeError:  # one value for the whole rule
+            return [float(fx)] * len(x)
 
     return _qag(f, a, b, epsabs)

@@ -3,7 +3,8 @@ the series route.
 
 :func:`j_a_numeric` and :func:`density` carry all the directions of an
 angular level as one DOP853 flow, with the phase and log-weight
-integrals, and hand its radial integrand to :func:`polar_laplace_integral`:
+integrals (in group dimension 1 on Python floats, without numpy), and
+hand its radial integrand to :func:`polar_laplace_integral`:
 one QUADPACK call (QAG) in the radius per level, the line's two
 directions in one dimension, nested circles in two, Gauss-Legendre times
 azimuth grids in three, each level's directions evaluated together at
@@ -17,19 +18,22 @@ the transport Jacobian against finite differences.
 Besides the model's maps, the oracle shares with the series route only
 the names that ``tests/test_import_graph.py`` pins: the model class and
 reference point, the density kinds and k sweep of :mod:`.models`,
-:func:`~lapasym.engine.sphere_rule` (its circle levels) and
-:func:`~lapasym.jets.exp`.
+:func:`~lapasym.engine.sphere_rule` (its circle levels),
+:func:`~lapasym.jets.exp` and :class:`~lapasym.vector.Vector` (the state
+of its one-dimensional flows).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .engine import sphere_rule
 from .errors import DomainError, QuadratureError
 from .jets import exp
 from .models import HamiltonianModel, _density_data, _reference_point, _sweep
+from .vector import Vector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,14 +59,20 @@ class IntegralEstimate(NamedTuple):
 # many, which bounds the state of one vectorized flow solve
 _LEVEL_BLOCK = 512
 
-Level = Callable[["np.ndarray"], Callable[["np.ndarray"], Any]]
+Level = Callable[[Any], Callable[[Any], Any]]
 
 
 def _point_level(phase: Callable, amplitude: Callable, k: float) -> Level:
-    def level(nodes: np.ndarray) -> Callable[[np.ndarray], Any]:
-        def values(rho: np.ndarray) -> Any:
+    import numpy as np
+
+    def level(nodes: Any) -> Callable[[Any], Any]:
+        nodes = np.asarray(nodes, dtype=float)
+
+        def values(rho: Any) -> Any:
+            rho = np.asarray(rho, dtype=float)
             point = tuple(rho[:, None] * coordinate for coordinate in nodes.T)
-            return exp(-k * phase(point)) * amplitude(point)
+            value = exp(-k * phase(point)) * amplitude(point)
+            return np.broadcast_to(value, (len(rho), len(nodes)))
 
         return values
 
@@ -83,12 +93,12 @@ def numeric_laplace_integral(
     :func:`polar_laplace_integral`, in dimension 1, 2 or 3; other
     dimensions raise :class:`~lapasym.errors.DomainError`.  The polar
     quadrature asks for a whole angular level at once: given the level's
-    ``n`` unit nodes, a function of an array of ``m`` radii that returns
-    the ``(m, n)`` integrand values.
-    This function is the pointwise adapter that builds such a level:
-    ``phase`` and ``amplitude`` receive the level's points at the ``m``
-    radii as a tuple of ``(m, n)`` coordinate arrays and must compute
-    elementwise.
+    ``n`` unit nodes, a function of ``m`` radii that returns the ``(m,
+    n)`` integrand values.
+    This function is the pointwise adapter that builds such a level, on
+    numpy arrays in every dimension: ``phase`` and ``amplitude`` receive
+    the level's points at the ``m`` radii as a tuple of ``(m, n)``
+    coordinate arrays and must compute elementwise.
     Independent of the series engine by construction.
     Raises :class:`~lapasym.errors.QuadratureError` (carrying the best
     estimate and its bound) when the tolerance cannot be certified.
@@ -137,7 +147,10 @@ def polar_laplace_integral(
     ``m`` radii that gives the ``(m, n)`` integrand values at
     ``rho[i] * node``; the caller evaluates all of a level's directions
     at all the radii together, for instance from one vectorized flow.
-    Nodes come at most ``_LEVEL_BLOCK`` at a time.
+    Nodes come at most ``_LEVEL_BLOCK`` at a time.  In one dimension
+    there is no numpy: the nodes are ``sphere_rule(1)``'s tuples, ``rho``
+    is a tuple of floats, and any sequence of ``m`` rows of ``n``
+    numbers will do for the values.
 
     Each angular level is one QUADPACK call (QAG) in the radius on
     ``[0, radius]``, on the weighted sum of its directions' integrands,
@@ -161,11 +174,32 @@ def polar_laplace_integral(
         raise DomainError("polar integration needs dimension 1, 2 or 3")
     if not 0 < tol < math.inf or not 0 < radius < math.inf:
         raise DomainError("tolerance and radius must be positive and finite")
-    import numpy as np
-
     # imported on the first call, so that loading the oracle does not
     # compile the integrators
     from .integrators import quad
+
+    if dim == 1:
+        # the two-point rule is exact, so its one level is final
+        rule = sphere_rule(1)
+        values = level(rule.nodes)
+
+        def pair(rho: tuple) -> list:
+            # at each radius, the weighted directions summed in order;
+            # rho ** 0 is 1
+            totals = []
+            for row in values(rho):
+                total = 0.0
+                for w, v in zip(rule.weights, row):
+                    total = total + w * v
+                totals.append(total)
+            return totals
+
+        value, err = quad(pair, 0.0, radius, epsabs=tol / 2)
+        if err > tol:
+            raise QuadratureError("radial quadrature", value, err, tol)
+        return IntegralEstimate(value, err)
+
+    import numpy as np
 
     def level_integral(nodes: np.ndarray, weights: np.ndarray, budget: float):
         blocks = [
@@ -173,22 +207,15 @@ def polar_laplace_integral(
             for i in range(0, len(nodes), _LEVEL_BLOCK)
         ]
 
-        def weighted(rho: np.ndarray) -> np.ndarray:
+        def weighted(rho: tuple) -> np.ndarray:
+            radii = np.array(rho)
             total = 0.0
             for values, w in blocks:
-                total = total + np.sum(w * values(rho), axis=-1)
+                total = total + np.sum(w * values(radii), axis=-1)
             # Python's float power: numpy's square can differ in the last bit
-            return total * np.array([r ** (dim - 1) for r in rho.tolist()])
+            return total * np.array([r ** (dim - 1) for r in rho])
 
         return quad(weighted, 0.0, radius, epsabs=budget)
-
-    if dim == 1:
-        # the two-point rule is exact, so its one level is final
-        rule = sphere_rule(1)
-        value, err = level_integral(np.array(rule.nodes), np.array(rule.weights), tol / 2)
-        if err > tol:
-            raise QuadratureError("radial quadrature", value, err, tol)
-        return IntegralEstimate(value, err)
 
     previous = None
     radial_err = 0.0
@@ -216,18 +243,24 @@ def polar_laplace_integral(
 def convergence_order_fit(ks: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of ``log error`` against ``log k``.
 
-    Needs at least three strictly positive samples; errors at the
-    rounding floor should be excluded by the caller before fitting.
+    Needs at least three strictly positive samples, at two distinct k
+    values at least; errors at the rounding floor should be excluded by
+    the caller before fitting.  The slope is the closed form
+    ``sum (x - mean x)(y - mean y) / sum (x - mean x)^2``, each sum
+    rounded once (``math.fsum``).
     """
     if len(ks) != len(errors) or len(ks) < 3:
         raise DomainError("need at least three (k, error) samples")
     if any(not k > 0 for k in ks) or any(not e > 0 for e in errors):
         raise DomainError("fit samples must be strictly positive")
-    import numpy as np
-
-    slope, _ = np.polyfit(np.log(np.asarray(ks, dtype=float)),
-                          np.log(np.asarray(errors, dtype=float)), 1)
-    return float(slope)
+    if len(set(ks)) < 2:
+        raise DomainError("a slope needs at least two distinct k values")
+    x = [math.log(k) for k in ks]
+    y = [math.log(e) for e in errors]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    return (math.fsum(d * (v - y_mean) for d, v in zip(dx, y))
+            / math.fsum(d * d for d in dx))
 
 
 # ------------------------------------------------------------ numeric densities
@@ -240,6 +273,25 @@ class _MapRefusal(DomainError):
     """A model's map refused a value in a flow solve; the caller names the model."""
 
 
+def _quiet(model: HamiltonianModel):
+    """numpy's floating-point warnings off, for the numpy lanes of group
+    dimension 2 and 3: a flow that overflows is reported by the solver's
+    failure, and an integrand that underflows is fine."""
+    if model.group_dim == 1:
+        return nullcontext()
+    import numpy as np
+
+    return np.errstate(all="ignore")
+
+
+def _float_exp(x: float) -> float:
+    # numpy's exp past the float range: inf, where math.exp raises
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _augmented_flow(model: HamiltonianModel, directions: tuple,
                     x0: tuple) -> Callable[[float], Any]:
     """``span -> dense flow`` of every direction in ``directions``,
@@ -247,43 +299,65 @@ def _augmented_flow(model: HamiltonianModel, directions: tuple,
     :class:`~lapasym.integrators.Dop853` solve, which serves every span.
 
     The state holds one row per chart coordinate, then the phase and the
-    log-weight, each over the directions; the model's maps see each row
-    as a numpy array and must compute elementwise; a map's own refusal
-    becomes a :class:`_MapRefusal`.  The solve is DOP853 at the
-    tolerances of :mod:`.integrators`; a flow that fails (its step size
-    underflows, or a stage leaves the finite range) raises
-    :class:`QuadratureError`.
+    log-weight, each over the directions.  In group dimension 1 the state
+    is a :class:`~lapasym.vector.Vector` of Python floats, solved without
+    numpy, and the model's maps see one direction at a time, as plain
+    floats.  Above it the state is a numpy array, and the maps see each
+    row as an array of lanes, one per direction, and must compute
+    elementwise.  A map's own refusal becomes a :class:`_MapRefusal`.
+    The solve is DOP853 at the tolerances of :mod:`.integrators`; a flow
+    that fails (its step size underflows, or a stage leaves the finite
+    range) raises :class:`QuadratureError`.
     """
-    import numpy as np
-
     from .integrators import Dop853  # on first use, as in polar_laplace_integral
 
     chart = model.chart_dim
     n = len(directions)
-    omega = tuple(np.array(column, dtype=float) for column in zip(*directions))
+    start = [float(c) for c in x0 for _ in range(n)] + [0.0] * (2 * n)
+    if model.group_dim == 1:
+        # each direction's maps on its own plain floats: the lanes a Vector
+        # of the directions would give, for less work
+        omegas = [tuple(map(float, direction)) for direction in directions]
 
-    def rhs(_s: float, y):
-        coords = tuple(y.reshape(-1, n)[:chart])
-        try:
+        def evaluate(y: Vector) -> list:
+            out = [0.0] * len(y)
+            for i, omega in enumerate(omegas):
+                coords = y[i::n][:chart]
+                out[i::n] = (*model.flow_field(omega, coords), model.phi(omega, coords),
+                             model.laplacian_phi(omega, coords))
+            return out
+
+        y0: Any = Vector(start)
+    else:
+        import numpy as np
+
+        omega = tuple(np.array(column, dtype=float) for column in zip(*directions))
+
+        def evaluate(y: np.ndarray) -> np.ndarray:
+            coords = tuple(y.reshape(-1, n)[:chart])
             values = (*model.flow_field(omega, coords), model.phi(omega, coords),
                       model.laplacian_phi(omega, coords))
+            out = np.empty((len(values), n))
+            for row, v in enumerate(values):
+                out[row] = v
+            return out.ravel()
+
+        y0 = np.array(start)
+
+    def rhs(_s: float, y):
+        try:
+            return evaluate(y)
         except DomainError as exc:
             raise _MapRefusal(str(exc)) from None
         except (TypeError, ValueError, AttributeError) as exc:
             raise DomainError(
                 f"model {model.name!r} cannot evaluate its maps on coordinate arrays: {exc}"
             ) from None
-        out = np.empty((len(values), n))
-        for row, v in enumerate(values):
-            out[row] = v
-        return out.ravel()
 
-    solve = Dop853(rhs, np.repeat([float(c) for c in x0] + [0.0, 0.0], n))
+    solve = Dop853(rhs, y0)
 
     def flow(span: float):
-        # a flow that overflows is reported by the solver's failure below,
-        # not by floating-point warnings
-        with np.errstate(all="ignore"):
+        with _quiet(model):
             solution = solve.until(span)
         if not solution.success:
             raise _FlowFailure(
@@ -326,25 +400,29 @@ def _flow_oracle(
             f"the numeric oracle needs group dimension <= 3; model {model.name!r} "
             f"has group dimension {dim}"
         )
-    import numpy as np
-
     x0 = _reference_point(model, point)
     chart = model.chart_dim
     flows: dict[tuple, Callable[[float], Any]] = {}
 
     def level_at(k: float, weight: float, span: float):
-        def level(nodes: np.ndarray):
-            directions = tuple(tuple(row.tolist()) for row in nodes)
+        def level(nodes: Any):
+            directions = tuple(tuple(map(float, row)) for row in nodes)
             n = len(directions)
             if directions not in flows:
                 flows[directions] = _augmented_flow(model, directions, x0)
             solution = flows[directions](span)
-            end = solution.end.reshape(-1, n)
-            if np.any(2.0 * k * end[chart] - abs(weight) * np.abs(end[chart + 1])
-                      < _PHASE_CUTOFF):
+            # the phase and log-weight rows of the state, lane by lane
+            phase, log_weight = slice(chart * n, (chart + 1) * n), slice((chart + 1) * n, None)
+            end = list(map(float, solution.end))
+            if any(2.0 * k * p - abs(weight) * abs(w) < _PHASE_CUTOFF
+                   for p, w in zip(end[phase], end[log_weight])):
                 raise _Undecayed
 
-            def values(rho: np.ndarray):
+            def values(rho: Any):
+                if dim == 1:
+                    return [[_float_exp(-k * (2.0 * p)) * _float_exp(weight * w)
+                             for p, w in zip(state[phase], state[log_weight])]
+                            for state in solution.sol(rho)]
                 state = solution.sol(rho).reshape(len(rho), -1, n)
                 return exp(-k * (2.0 * state[:, chart])) * exp(weight * state[:, chart + 1])
 
@@ -362,7 +440,7 @@ def _flow_oracle(
         while True:
             try:
                 # as in _augmented_flow: no floating-point warnings reach stderr
-                with np.errstate(all="ignore"):
+                with _quiet(model):
                     level = level_at(k, weight, span)
                     return scale * polar_laplace_integral(level, dim, tol / scale, span).value
             except _Undecayed:

@@ -2,7 +2,8 @@
 
 The circle rule's directions (group dimension 2) travel through the
 series route as a :class:`Vector`, so that an ``expand`` there runs
-without numpy.  :mod:`.models` imports this module when it builds such a
+without numpy, and the oracle's flows of group dimension 1 carry their
+states as one.  :mod:`.models` imports this module when it builds such a
 batch, and :func:`~lapasym.jets.is_vector` recognises one without
 importing it.
 """
@@ -47,7 +48,7 @@ def _lanewise(op: Callable[[Any, Any], Any]) -> tuple[Callable, Callable]:
 class Vector(tuple):
     """A tuple of floats, one lane per direction, that computes lane by lane.
 
-    ``+``, ``-``, ``*``, ``/``, ``**`` and negation act on the lanes, of
+    ``+``, ``-``, ``*``, ``/``, ``**``, negation and ``abs`` act on the lanes, of
     two vectors of one length or of a vector and a number that every
     lane shares, and give a vector.  Each lane is the Python float that
     its direction would give on its own: a Fraction counts as its float,
@@ -68,3 +69,6 @@ class Vector(tuple):
 
     def __neg__(self) -> Vector:
         return Vector(map(operator.neg, self))
+
+    def __abs__(self) -> Vector:
+        return Vector(map(abs, self))

@@ -858,7 +858,7 @@ def assert_each_flow_solved_once(solves, fresh, Dop853):
             calls = []
 
             def recording(t, y):
-                calls.append((float(t), y.tobytes()))
+                calls.append((float(t), tuple(float(v).hex() for v in y)))
                 return fun(t, y)
 
             Dop853(recording, y0).until(span)
@@ -960,6 +960,51 @@ BLOWUP2 = {
     "flow_field": ["w0", "w1"], "laplacian_phi": "0", "zero_points": [[0, 0]],
     "orbit_volume": "1",
 }
+
+
+# phi's second term is 1 until x0 nears 1/2 and then leaves the float range
+# within 0.007 of it, inside the first span: through math.exp (exp) or
+# through Python's float power (pow), both of which raise OverflowError
+# where numpy returns inf
+WALLS = {
+    "exp": ["exp", ["exp", ["*", "1000", ["-", "x0", "1/2"]]]],
+    "pow": ["pow", ["+", "1", ["exp", ["*", "1000", ["-", "x0", "1/2"]]]], 400],
+}
+
+
+@pytest.mark.parametrize("wall", sorted(WALLS))
+@pytest.mark.parametrize("command", ["verify", "density-sweep"])
+def test_overflowing_one_dimensional_flow_prints_only_the_error(tmp_path, wall, command):
+    # the one-dimensional analogue of blowup2: the flow of group dimension
+    # 1, on Python floats, fails at its first trial step with a stage past
+    # the float range, and that failure is the whole of stderr
+    config = {"name": "wall1", "group_dim": 1, "chart_dim": 1,
+              "phi": ["*", "w0", ["+", "x0", WALLS[wall], "-1"]], "flow_field": ["w0"],
+              "laplacian_phi": "0", "zero_points": [[0]], "orbit_volume": "1"}
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = [command, "--model", write_model(tmp_path, config), "--k", "100,300,1000"]
+    proc = subprocess.run([sys.executable, "-m", "lapasym.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: flow transport failed on wall1: a trial step from t = \S+ "
+                        r"has a stage that is not finite\. \(best estimate nan, bound inf\)\n",
+                        proc.stderr), proc.stderr
+
+
+def test_one_dimensional_integrand_past_the_float_range_is_infinite(tmp_path, capsys):
+    # the log-weight grows as 10^4 s, so exp(a * log-weight) leaves the float
+    # range inside the first span: math.exp raises there, and the oracle
+    # takes numpy's inf instead, so neither command raises OverflowError
+    config = {"name": "biglw", "group_dim": 1, "chart_dim": 1, "phi": ["*", "w0", "x0"],
+              "flow_field": ["w0"], "laplacian_phi": ["*", "10000", "w0"],
+              "zero_points": [[0]], "orbit_volume": "1"}
+    model = write_model(tmp_path, config)
+    assert_one_error_line(*run_cli(["verify", "--model", model, "--a", "1/2", "--order", "2",
+                                    "--k", "100,300,1000"], capsys))
+    assert run_cli(["density-sweep", "--model", model, "--order", "2", "--k", "100"],
+                   capsys)[0] == 0
 
 
 def test_overflowing_oracle_flow_prints_only_the_error(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ reduce to error functions.
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -480,6 +481,15 @@ def test_convergence_order_fit_recovers_power_law():
         convergence_order_fit([1.0, 2.0], [0.1, 0.2])
     with pytest.raises(DomainError):
         convergence_order_fit([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
+
+
+def test_convergence_order_fit_needs_two_distinct_k_values():
+    # one abscissa has no slope; the refusal says so, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="at least two distinct k values"):
+            convergence_order_fit([100, 100, 100], [1e-3, 2e-3, 3e-3])
+    assert convergence_order_fit([100, 100, 1000], [1e-3, 1e-3, 1e-4]) == pytest.approx(-1.0)
 
 
 def test_profile_names_the_first_direction_with_a_nonpositive_lead():

@@ -21,7 +21,8 @@ CHECKS = ("oracle", "crosscheck", "integrators", "bell")
 # what the oracle takes from the series route (the error types of
 # lapasym.errors are everyone's): the model class and its reference point,
 # the density kinds and the k sweep, the rule whose circles are its
-# two-dimensional levels, and the exp that dispatches on arrays
+# two-dimensional levels, the exp that dispatches on arrays, and the
+# vector that carries its one-dimensional flows
 ORACLE_SHARES = {
     ("engine", "sphere_rule"),
     ("jets", "exp"),
@@ -29,6 +30,7 @@ ORACLE_SHARES = {
     ("models", "_density_data"),
     ("models", "_reference_point"),
     ("models", "_sweep"),
+    ("vector", "Vector"),
 }
 
 

@@ -33,7 +33,7 @@ def hexes(*values):
 
 def vector(fn):
     # the port calls its integrand once per rule, on the rule's abscissae
-    return lambda xs: [fn(x) for x in xs.tolist()]
+    return lambda xs: [fn(x) for x in xs]
 
 
 def scipy_quad(fn, a, b, tol, **kwargs):
@@ -61,18 +61,18 @@ def test_quad_gaussian_peaks(k):
 
 
 def test_quad_calls_its_integrand_once_per_rule():
-    # one call per 21-point rule, on a float64 array of its abscissae in the
-    # order in which dqk21 evaluates them: scipy's calls, one at a time
+    # one call per 21-point rule, on a tuple of its abscissae in the order
+    # in which dqk21 evaluates them: scipy's calls, one at a time
     def peak(x):
         return math.exp(-100.0 * x * x) * (1.0 + 0.25 * x)
 
     one_by_one, rules = [], []
     scipy_quad(lambda x: one_by_one.append(x) or peak(x), 0.0, 1.0, 1e-12)
-    integrators.quad(lambda xs: rules.append(xs.copy()) or vector(peak)(xs), 0.0, 1.0,
+    integrators.quad(lambda xs: rules.append(xs) or vector(peak)(xs), 0.0, 1.0,
                      epsabs=1e-12)
     assert len(rules) > 1
-    assert all(xs.dtype == np.float64 and xs.shape == (21,) for xs in rules)
-    assert hexes(*np.concatenate(rules)) == hexes(*one_by_one)
+    assert all(type(xs) is tuple and len(xs) == 21 for xs in rules)
+    assert hexes(*(x for xs in rules for x in xs)) == hexes(*one_by_one)
 
 
 # the oracle's commands: a d = 1 verify, the golden d = 2 verify and the
@@ -95,8 +95,8 @@ def test_quad_on_the_oracles_integrands_is_scipy(capsys, monkeypatch):
         values = {}
 
         def tabulated(xs):
-            fx = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
-            values.update(zip(xs.tolist(), fx.tolist()))
+            fx = [float(v) for v in fn(xs)]
+            values.update(zip(xs, fx))
             return fx
 
         got = quad(tabulated, a, b, epsabs=epsabs)
@@ -357,3 +357,99 @@ def test_initial_step_limited_by_the_first_interval_starts_afresh(monkeypatch):
         solve.until(end)
     assert starts == [0.5, 0.75, 2.0, 1.0]
 
+
+# ------------------------------------------------------------------ the float carrier
+#
+# A Vector state is solved on Python floats, each sum rounded once (fsum).
+# BLAS sums the numpy carrier's stages its own way, so the two differ in
+# the last bits, and DOP853's error estimate, a sum that cancels to about
+# 1e-6 of its terms, lifts that to about 1e-7 in the next step size: the two
+# carriers take their own steps, and on the polynomial flows (gaussian,
+# quartic), whose error estimate is rounding noise, their own number of
+# steps too.  What they share is the solution.
+
+TILTED_LINE = {
+    "name": "tilted-line", "group_dim": 1, "chart_dim": 1,
+    "phi": ["*", "w0", ["+", "x0", ["*", "2", ["pow", "x0", 3]]]],
+    "flow_field": [["*", "w0", ["+", "1", ["*", "6", ["pow", "x0", 2]]]]],
+    "laplacian_phi": ["*", "w0", ["*", "12", "x0"]],
+    "zero_points": [[0]], "orbit_volume": "1",
+}
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ONE_DIMENSIONAL = ["builtin:sphere", "builtin:gaussian", "builtin:quartic",
+                   "sphere1_product.json", "line_poly.json", "tilted-line"]
+
+
+def one_dimensional_model(source):
+    from lapasym.models import model_from_config, resolve_model
+
+    if source == "tilted-line":
+        return model_from_config(TILTED_LINE)
+    return resolve_model(source if source.startswith("builtin:") else str(GOLDEN / source))
+
+
+def numpy_carrier_flow(model, directions, x0):
+    """The oracle's flow of ``directions`` on numpy lanes, as it solves
+    group dimensions 2 and 3, with the maps on numpy arrays."""
+    chart, n = model.chart_dim, len(directions)
+    omega = tuple(np.array(column, dtype=float) for column in zip(*directions))
+
+    def rhs(_s, y):
+        coords = tuple(y.reshape(-1, n)[:chart])
+        values = (*model.flow_field(omega, coords), model.phi(omega, coords),
+                  model.laplacian_phi(omega, coords))
+        out = np.empty((len(values), n))
+        for row, v in enumerate(values):
+            out[row] = v
+        return out.ravel()
+
+    return integrators.Dop853(rhs, np.repeat([float(c) for c in x0] + [0.0, 0.0], n))
+
+
+@pytest.mark.parametrize("source", ONE_DIMENSIONAL)
+def test_float_carrier_solves_the_oracles_flows_as_the_numpy_carrier_does(source):
+    # every flow the oracle solves in group dimension 1, of both directions
+    # to the spans 1, 2, 4 and 8: where the numpy carrier fails, the float
+    # carrier fails with the same message, SciPy's; where it succeeds, so
+    # does the float carrier, and their dense solutions agree within 1e-10
+    # of max(1, |y|), at the numpy carrier's accepted times and in between
+    from lapasym import oracle
+    from lapasym.errors import QuadratureError
+    from lapasym.vector import Vector
+
+    model = one_dimensional_model(source)
+    directions, x0 = ((1,), (-1,)), model.zero_points[0]
+    floats = oracle._augmented_flow(model, directions, x0)
+    arrays = numpy_carrier_flow(model, directions, x0)
+    failures = 0
+    for span in (1.0, 2.0, 4.0, 8.0):
+        with np.errstate(all="ignore"):
+            expect = arrays.until(span)
+        if not expect.success:
+            failures += 1
+            assert expect.message == integrators._TOO_SMALL_STEP
+            with pytest.raises(QuadratureError, match=f"{model.name}: {expect.message}$"):
+                floats(span)
+            continue
+        got = floats(span)
+        assert isinstance(got.end, Vector) and got.t[-1] == span
+        times = [*expect.t.tolist(), *np.linspace(0.0, span, 65).tolist()]
+        y = expect.sol(times)
+        assert np.all(np.abs(np.array(got.sol(times)) - y) <= 1e-10 * np.maximum(1.0, np.abs(y)))
+    # the tilted line blows up inside span 1, line_poly's flow past span 2
+    assert failures == {"line_poly.json": 2, "tilted-line": 4}.get(source, 0)
+
+
+def test_float_carrier_counts_an_overflow_error_as_a_stage_that_is_not_finite():
+    # past s = 1/2 the numpy field is infinite, and the float field raises
+    # as Python's float power does: both stop at the first trial step past it
+    from lapasym.vector import Vector
+
+    with np.errstate(invalid="ignore"):
+        expect = integrators.Dop853(lambda s, y: np.array([1.0 if s < 0.5 else math.inf]),
+                                    np.array([0.0])).until(1.0)
+    got = integrators.Dop853(lambda s, y: [1.0 if s < 0.5 else 10.0 ** 400],
+                             Vector([0.0])).until(1.0)
+    for flow in (expect, got):
+        assert not flow.success and flow.message.endswith("has a stage that is not finite.")
+        assert flow.t[-1] < 0.5 and flow.nfev < 200

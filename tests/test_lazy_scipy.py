@@ -6,11 +6,11 @@ of the series layers, and no other command, nor loading a model, loads
 the Bell layer.  A group-dimension-1 ``expand``, float or exact, and a
 group-dimension-2 float ``expand`` load the series layers but not
 numpy, which only the rules from dimension 3 on, their numpy lanes and
-the oracle load, nor :mod:`dataclasses` or :mod:`inspect`, whose import
-costs a few milliseconds of each start, and neither does loading a
-model; ``expand`` never loads the oracle or its integrators, ``verify``
-and ``density-sweep`` load the oracle, no command loads the
-cross-checks; and the command line never loads scipy.
+the oracle of group dimension 2 and 3 load, nor :mod:`dataclasses` or
+:mod:`inspect`, whose import costs a few milliseconds of each start,
+and neither does loading a model; ``expand`` never loads the oracle or
+its integrators, ``verify`` and ``density-sweep`` load the oracle, no
+command loads the cross-checks; and the command line never loads scipy.
 """
 
 import json
@@ -111,20 +111,25 @@ def test_short_calls_leave_scipy_unloaded(tmp_path):
          "--resolution", "64"],
     ) == ["False False False True True True True False False False False False"] * 2
     # a fresh process each: a 4-d rule takes its polar nodes from the
-    # Golub-Welsch eigenproblem, and the oracle runs on numpy arrays; numpy
-    # loads inspect, and scipy dataclasses
+    # Golub-Welsch eigenproblem; numpy loads inspect, and scipy dataclasses
     assert loaded_after(
         ["expand", "--model", str(model), "--order", "2", "--resolution", "4"],
     ) == ["True False False True True True True False False False False True"]
+    # one process: the group-dimension-1 oracle, whose flows are vectors of
+    # Python floats, loads its integrators but not numpy; the probe sees
+    # scipy once it is imported
     assert loaded_after(
         ["verify", "--model", "builtin:sphere", "--order", "2", "--k", "100,300,1000"],
-    ) == ["True False True True True True True False True False False True"]
-    # the probe sees scipy once it is imported
-    assert loaded_after(
         ["density-sweep", "--model", "builtin:sphere", "--order", "2", "--k", "100,1000"],
         "import scipy.integrate",
-    ) == ["True False True True True True True False True False False True",
+    ) == ["False False True True True True True False True False False False",
+          "False False True True True True True False True False False False",
           "True True True True True True True False True False True True"]
+    # the oracle of group dimension 2 runs on numpy arrays
+    assert loaded_after(
+        ["verify", "--model", str(GOLDEN / "sphere2_product.json"), "--order", "2",
+         "--k", "100,200,400", "--tol", "1e-8"],
+    ) == ["True False True True True True True False True False False True"]
 
 
 def test_loading_a_model_loads_no_numpy(tmp_path):

@@ -9,8 +9,10 @@ checkout as ``python -m lapasym.cli ...``, from a fresh directory that
 holds the plan's model files, with that checkout's ``src`` on
 ``PYTHONPATH`` and the environment the benchmark gives its calls.  The
 invocations are planned by the ``perfbench`` next to this script.  Each
-difference in stdout, stderr or exit code is printed; the exit status is
-1 if there is any, else 0.  The calls run one at a time.  PARENT and
+invocation whose stdout, stderr or exit code differs is printed, and
+under it each line of stdout and stderr that differs, by position: the
+parent's line (``-``), then the change's (``+``).  The exit status is 1
+if any invocation differs, else 0.  The calls run one at a time.  PARENT and
 CHANGE must be two different directories, each with a
 ``src/lapasym/cli.py``; otherwise the usage line is printed and the exit
 status is 2.
@@ -22,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -55,6 +58,14 @@ def outputs(tree: str, plan: dict) -> dict:
     return results
 
 
+def changed_lines(old: bytes, new: bytes) -> list[tuple[int, str, str]]:
+    """``(line number, parent's line, change's line)`` for each line that
+    differs; a line that one side lacks reads ``(no line)``."""
+    pairs = zip_longest(old.decode(errors="replace").splitlines(),
+                        new.decode(errors="replace").splitlines(), fillvalue="(no line)")
+    return [(number, a, b) for number, (a, b) in enumerate(pairs, 1) if a != b]
+
+
 def comparable(parent: str, change: str) -> bool:
     """Whether PARENT and CHANGE are two different checkouts of lapasym."""
     if not all(os.path.isfile(os.path.join(tree, "src", "lapasym", "cli.py"))
@@ -82,6 +93,11 @@ def main(argv: list[str]) -> int:
                     differing += 1
                     print(f"{workload} seed {seed} {inv['id']}: {', '.join(fields)} differ "
                           f"({' '.join(inv['argv'])})")
+                    for stream, old, new in zip(("stdout", "stderr"), before[inv["id"]][1:],
+                                                after[inv["id"]][1:]):
+                        for number, a, b in changed_lines(old, new):
+                            print(f"  {stream} {number} - {a}")
+                            print(f"  {stream} {number} + {b}")
     print(f"{differing} of {total} invocations differ")
     return 1 if differing else 0
 
