@@ -622,8 +622,8 @@ def test_verify_refusal_names_model_and_k(tmp_path, capsys):
     # refinement that never settles; the first k is refused
     for model, reason in [
         ("builtin:sphere", "model 'sphere' at k = 30: radial quadrature certified only "
-         "5.74e-16 > tol 1e-300 (best estimate 0.051289086504286721, "
-         "bound 5.7421390774188369e-16)"),
+         "5.72e-16 > tol 1e-300 (best estimate 0.051289086504286721, "
+         "bound 5.7226971366011993e-16)"),
         (write_model(tmp_path, FLAT2), "model 'flat2' at k = 30: angular refinement "
          "exhausted its budget (best estimate 0.10471975511965982, bound inf)"),
     ]:
@@ -641,7 +641,7 @@ def test_density_sweep_refusal_states_the_density(capsys):
     assert_one_error_line(code, out, err)
     assert err == ("error: model 'sphere', density I at k = 100: radial quadrature "
                    "certified only 4.88e-14 > tol 1e-300 (best estimate "
-                   "4.4263084488682107, bound 4.8809066545161552e-14)\n")
+                   "4.4263084488682107, bound 4.8807629793188098e-14)\n")
 
 
 # the flow x0' = w0 reaches x0 = -1 along w0 = -1, where the weight's
